@@ -219,8 +219,12 @@ def _exact_results(config: RunConfig) -> list:
         dist = oracle.exact_transcript_distribution(
             config.strategy, key, config.direction
         )
-        honest = oracle.exact_transcript_distribution(
-            StrategyId.HONEST, key, config.direction
+        honest = (
+            dist
+            if config.strategy is StrategyId.HONEST
+            else oracle.exact_transcript_distribution(
+                StrategyId.HONEST, key, config.direction
+            )
         )
         accept = sum(
             p

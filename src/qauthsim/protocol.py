@@ -55,11 +55,20 @@ class Decision(Enum):
 C1, A1, B1, C2, A2, B2 = 0, 1, 2, 3, 4, 5
 PROTOCOL_QUBITS = 6
 
+
+def _read_only(state: StateVector) -> StateVector:
+    state.amps.setflags(write=False)
+    return state
+
+
+# Every decoy of a given (basis, bit) shares one of these states.  qsim
+# operations return new states, so nothing writes to them; the read-only
+# amplitude arrays make any attempt fail loudly.
 _DECOY_TEMPLATES = {
-    (Basis.Z, 0): qsim.init_product(["0"]),
-    (Basis.Z, 1): qsim.init_product(["1"]),
-    (Basis.X, 0): qsim.init_product(["+"]),
-    (Basis.X, 1): qsim.init_product(["-"]),
+    (Basis.Z, 0): _read_only(qsim.init_product(["0"])),
+    (Basis.Z, 1): _read_only(qsim.init_product(["1"])),
+    (Basis.X, 0): _read_only(qsim.init_product(["+"])),
+    (Basis.X, 1): _read_only(qsim.init_product(["-"])),
 }
 
 
@@ -200,7 +209,7 @@ def p1_prepare(
             if pos in slots:
                 basis = Basis.Z if coins[j] == 0 else Basis.X
                 bit = int(coins[d + j])
-                decoy_states.append(_DECOY_TEMPLATES[(basis, bit)].copy())
+                decoy_states.append(_DECOY_TEMPLATES[(basis, bit)])
                 decoy_meta.append(DecoyRecord(owner, pos, basis, bit))
                 seq.append(("d", len(decoy_meta) - 1))
                 j += 1

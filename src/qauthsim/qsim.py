@@ -8,7 +8,10 @@ instances rather than mutating their input.
 Nothing in this module draws randomness.  Sampling measurements take a single
 uniform draw from ``[0, 1)`` supplied by the caller; exhaustive callers use
 the ``*_outcomes`` functions, which list every outcome with its probability
-and post-measurement state.
+and post-measurement state.  Both go through one kernel per basis, so the
+exhaustive and the sampled results cannot drift apart.  Measurements never
+rotate the state: Z, X and Bell outcomes are the basis's projectors applied
+straight to the flat amplitude array through cached index tables.
 
 Bell states and Pauli operators both carry a two-bit ``(phase, parity)``
 label, aligned so that applying a Pauli to one half of a Bell pair XORs the
@@ -19,6 +22,7 @@ the XOR of the input labels.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
@@ -247,15 +251,19 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_masks(n: int, q1: int, q2: int) -> np.ndarray:
-    """Rows (b1*2 + b2) select flat indices with (qubit q1, qubit q2) = (b1, b2)."""
-    rows = np.stack(
-        [
-            _bit_mask(n, q1, b1) * _bit_mask(n, q2, b2)
-            for b1 in (0, 1)
-            for b2 in (0, 1)
-        ]
-    )
+def _pair_flip_perm(n: int, q1: int, q2: int) -> np.ndarray:
+    """Permutation of flat indices that flips both qubits ``q1`` and ``q2``."""
+    perm = np.arange(2**n) ^ ((1 << (n - 1 - q1)) | (1 << (n - 1 - q2)))
+    perm.setflags(write=False)
+    return perm
+
+
+@lru_cache(maxsize=None)
+def _parity_masks(n: int, q1: int, q2: int) -> np.ndarray:
+    """Row ``p`` is 1.0 on flat indices whose (q1 XOR q2) bit equals ``p``."""
+    idx = np.arange(2**n)
+    parity = ((idx >> (n - 1 - q1)) ^ (idx >> (n - 1 - q2))) & 1
+    rows = np.stack([parity == 0, parity == 1]).astype(np.float64)
     rows.setflags(write=False)
     return rows
 
@@ -299,11 +307,6 @@ def _bit_probabilities(amps: np.ndarray, n: int, q: int) -> tuple[float, float]:
     return float(weights.sum() - p1), p1
 
 
-def _pair_probabilities(amps: np.ndarray, n: int, q1: int, q2: int) -> np.ndarray:
-    weights = np.abs(amps) ** 2
-    return (_pair_masks(n, q1, q2) @ weights).reshape(2, 2)
-
-
 def _check_measured_mass(total: float) -> None:
     if abs(total - 1.0) > MEASURE_NORM_TOL:
         raise ValueError(
@@ -312,15 +315,120 @@ def _check_measured_mass(total: float) -> None:
         )
 
 
-def _project_bit(amps: np.ndarray, n: int, q: int, bit: int, prob: float) -> np.ndarray:
-    return amps * (_bit_mask(n, q, bit) / np.sqrt(prob))
+def _require_pair(state: StateVector, q1: int, q2: int) -> None:
+    _require_qubit(state, q1)
+    _require_qubit(state, q2)
+    if q1 == q2:
+        raise ValueError("bell measurement needs two distinct qubits")
 
 
-def _project_pair(
-    amps: np.ndarray, n: int, q1: int, q2: int, b1: int, b2: int, prob: float
-) -> np.ndarray:
-    row = _pair_masks(n, q1, q2)[2 * b1 + b2]
-    return amps * (row / np.sqrt(prob))
+# Measurement kernels, one per basis, shared by the sampling ``measure_*``
+# and the exhaustive ``*_outcomes`` functions.  A kernel checks the measured
+# mass and returns the outcome probabilities in outcome order together with
+# ``project(i)``, the normalised post-measurement amplitudes of outcome ``i``
+# (called only for outcomes above ZERO_PROB).  No kernel rotates the state:
+# each applies its projectors to the flat amplitude array directly.  Single
+# qubit states (the decoys) are read into Python scalars, because numpy's
+# per-call overhead dwarfs two amplitudes' worth of arithmetic.
+
+_BITS = (0, 1)
+_BELL_ORDER = tuple(BellLabel)
+
+
+def _z_kernel(amps: np.ndarray, n: int, q: int):
+    """Projectors |b><b| on qubit ``q``."""
+    if n == 1:
+        a0, a1 = amps.tolist()
+        probs = (abs(a0) ** 2, abs(a1) ** 2)
+
+        def project(bit: int) -> np.ndarray:
+            scale = 1.0 / math.sqrt(probs[bit])
+            return np.array([a0 * scale, 0j] if bit == 0 else [0j, a1 * scale])
+
+    else:
+        probs = _bit_probabilities(amps, n, q)
+
+        def project(bit: int) -> np.ndarray:
+            return amps * (_bit_mask(n, q, bit) / math.sqrt(probs[bit]))
+
+    _check_measured_mass(probs[0] + probs[1])
+    return probs, project
+
+
+def _x_kernel(amps: np.ndarray, n: int, q: int):
+    """Projectors (I + X_q)/2 (bit 0) and (I - X_q)/2 (bit 1).
+
+    With f = X_q amps, p(bit) = (<amps|amps> +- Re<amps|f>)/2 and the post
+    state is (amps +- f)/2 over sqrt(p(bit)).
+    """
+    if n == 1:
+        a0, a1 = amps.tolist()
+        sums = (a0 + a1, a0 - a1)  # amps +- f = (s, +-s) with s = a0 +- a1
+        probs = (0.5 * abs(sums[0]) ** 2, 0.5 * abs(sums[1]) ** 2)
+
+        def project(bit: int) -> np.ndarray:
+            s = sums[bit] * (0.5 / math.sqrt(probs[bit]))
+            return np.array([s, -s] if bit else [s, s])
+
+    else:
+        flipped = amps[_flip_perm(n, q)]
+        norm2 = float(np.vdot(amps, amps).real)
+        cross = float(np.vdot(amps, flipped).real)
+        probs = (0.5 * (norm2 + cross), 0.5 * (norm2 - cross))
+
+        def project(bit: int) -> np.ndarray:
+            both = amps - flipped if bit else amps + flipped
+            return both * (0.5 / math.sqrt(probs[bit]))
+
+    _check_measured_mass(probs[0] + probs[1])
+    return probs, project
+
+
+def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
+    """Stabiliser projectors of the Bell state labelled (phase, parity):
+    (I + (-1)^parity Z_q1 Z_q2)/2 (I + (-1)^phase X_q1 X_q2)/2.
+
+    The Z_q1 Z_q2 factor is a 0/1 parity mask; with f = X_q1 X_q2 amps,
+    which keeps parity, p(phase, parity) = (W_parity +- C_parity)/2 where W
+    and C sum |amps|^2 and Re(conj(amps) f) over that parity's indices.
+    """
+    flipped = amps[_pair_flip_perm(n, q1, q2)]
+    masks = _parity_masks(n, q1, q2)
+    w0, w1 = (masks @ (np.abs(amps) ** 2)).tolist()
+    c0, c1 = (masks @ (amps.conj() * flipped).real).tolist()
+    probs = (0.5 * (w0 + c0), 0.5 * (w1 + c1), 0.5 * (w0 - c0), 0.5 * (w1 - c1))
+
+    def project(i: int) -> np.ndarray:
+        phase, parity = _BELL_ORDER[i].value
+        both = amps - flipped if phase else amps + flipped
+        return both * (masks[parity] * (0.5 / math.sqrt(probs[i])))
+
+    _check_measured_mass(w0 + w1)
+    return probs, project
+
+
+def _pick(probs, randomness: float) -> int:
+    """Index of the outcome one uniform draw selects.
+
+    Outcomes at or below ZERO_PROB are never selected; a draw beyond the
+    accumulated mass (rounding) falls to the last live outcome.
+    """
+    acc = 0.0
+    live = None
+    for i, p in enumerate(probs):
+        acc += p
+        if p > ZERO_PROB:
+            live = i
+            if randomness < acc:
+                break
+    return live
+
+
+def _outcome_list(n: int, outcomes, probs, project) -> list:
+    return [
+        (outcome, p, None if p <= ZERO_PROB else StateVector(n, project(i)))
+        for i, (outcome, p) in enumerate(zip(outcomes, probs))
+    ]
 
 
 def z_outcomes(state: StateVector, q: int) -> list:
@@ -331,118 +439,65 @@ def z_outcomes(state: StateVector, q: int) -> list:
     """
     _require_qubit(state, q)
     n = state.n_qubits
-    p0, p1 = _bit_probabilities(state.amps, n, q)
-    _check_measured_mass(p0 + p1)
-    out = []
-    for bit, p in ((0, p0), (1, p1)):
-        if p <= ZERO_PROB:
-            out.append((bit, p, None))
-        else:
-            out.append((bit, p, StateVector(n, _project_bit(state.amps, n, q, bit, p))))
-    return out
+    return _outcome_list(n, _BITS, *_z_kernel(state.amps, n, q))
 
 
 def x_outcomes(state: StateVector, q: int) -> list:
-    """Both X outcomes on qubit ``q``; bit 0 means |+>, bit 1 means |->."""
-    rotated = apply_hadamard(state, q)
-    return [
-        (bit, p, None if post is None else apply_hadamard(post, q))
-        for bit, p, post in z_outcomes(rotated, q)
-    ]
+    """Both X outcomes on qubit ``q``; bit 0 means |+>, bit 1 means |->.
+
+    Projects with (I +- X_q)/2 directly on the amplitudes.
+    """
+    _require_qubit(state, q)
+    n = state.n_qubits
+    return _outcome_list(n, _BITS, *_x_kernel(state.amps, n, q))
 
 
 def bell_outcomes(state: StateVector, q1: int, q2: int) -> list:
-    """All four Bell outcomes on the ordered pair (q1, q2).
+    """All four Bell outcomes on the ordered pair (q1, q2), in BellLabel order.
 
-    Implemented by rotating with CNOT(q1->q2) then H(q1), reading (phase bit,
-    parity bit) off (q1, q2) in the computational basis, and rotating each
-    projected state back.
+    Each outcome's probability and post-state come from its stabiliser
+    projector, built from the Z_q1 Z_q2 parity and the X_q1 X_q2 flip of the
+    amplitude array.
     """
-    _require_qubit(state, q1)
-    _require_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("bell measurement needs two distinct qubits")
+    _require_pair(state, q1, q2)
     n = state.n_qubits
-    rotated = apply_hadamard(apply_cnot(state, q1, q2), q1)
-    pair = _pair_probabilities(rotated.amps, n, q1, q2)
-    _check_measured_mass(float(pair.sum()))
-    out = []
-    for label in BellLabel:
-        b1, b2 = label.value
-        p = float(pair[b1, b2])
-        if p <= ZERO_PROB:
-            out.append((label, p, None))
-            continue
-        projected = StateVector(n, _project_pair(rotated.amps, n, q1, q2, b1, b2, p))
-        out.append((label, p, apply_cnot(apply_hadamard(projected, q1), q1, q2)))
-    return out
+    return _outcome_list(n, _BELL_ORDER, *_bell_kernel(state.amps, n, q1, q2))
+
+
+def _measure_qubit(state: StateVector, q: int, randomness: float, kernel, basis: Basis):
+    _require_qubit(state, q)
+    _check_randomness(randomness)
+    probs, project = kernel(state.amps, state.n_qubits, q)
+    bit = _pick(probs, randomness)
+    post = StateVector(state.n_qubits, project(bit))
+    return bit, post, MeasurementRecord((q,), basis, bit, probs[bit])
 
 
 def measure_z(
     state: StateVector, q: int, randomness: float
 ) -> tuple[int, StateVector, MeasurementRecord]:
     """Measure qubit ``q`` in Z, selecting the outcome with one uniform draw."""
-    _require_qubit(state, q)
-    _check_randomness(randomness)
-    n = state.n_qubits
-    p0, p1 = _bit_probabilities(state.amps, n, q)
-    _check_measured_mass(p0 + p1)
-    if p1 <= ZERO_PROB:
-        bit = 0
-    elif p0 <= ZERO_PROB:
-        bit = 1
-    else:
-        bit = 0 if randomness < p0 else 1
-    prob = (p0, p1)[bit]
-    post = StateVector(n, _project_bit(state.amps, n, q, bit, prob))
-    return bit, post, MeasurementRecord((q,), Basis.Z, bit, prob)
+    return _measure_qubit(state, q, randomness, _z_kernel, Basis.Z)
 
 
 def measure_x(
     state: StateVector, q: int, randomness: float
 ) -> tuple[int, StateVector, MeasurementRecord]:
     """Measure qubit ``q`` in X (bit 0 = |+>), selecting with one uniform draw."""
-    rotated = apply_hadamard(state, q)
-    bit, post, record = measure_z(rotated, q, randomness)
-    return (
-        bit,
-        apply_hadamard(post, q),
-        MeasurementRecord((q,), Basis.X, bit, record.probability),
-    )
+    return _measure_qubit(state, q, randomness, _x_kernel, Basis.X)
 
 
 def measure_bell(
     state: StateVector, q1: int, q2: int, randomness: float
 ) -> tuple[BellLabel, StateVector, MeasurementRecord]:
     """Measure the pair (q1, q2) in the Bell basis with one uniform draw."""
-    _require_qubit(state, q1)
-    _require_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("bell measurement needs two distinct qubits")
+    _require_pair(state, q1, q2)
     _check_randomness(randomness)
-    n = state.n_qubits
-    rotated = apply_hadamard(apply_cnot(state, q1, q2), q1)
-    pair = _pair_probabilities(rotated.amps, n, q1, q2)
-    _check_measured_mass(float(pair.sum()))
-    acc = 0.0
-    chosen = None
-    last_live = None
-    for label in BellLabel:
-        p = float(pair[label.value])
-        acc += p
-        if p > ZERO_PROB:
-            last_live = (label, p)
-            if randomness < acc:
-                chosen = (label, p)
-                break
-    if chosen is None:
-        chosen = last_live
-    label, prob = chosen
-    projected = StateVector(
-        n, _project_pair(rotated.amps, n, q1, q2, label.value[0], label.value[1], prob)
-    )
-    post = apply_cnot(apply_hadamard(projected, q1), q1, q2)
-    return label, post, MeasurementRecord((q1, q2), Basis.BELL, label, prob)
+    probs, project = _bell_kernel(state.amps, state.n_qubits, q1, q2)
+    i = _pick(probs, randomness)
+    label = _BELL_ORDER[i]
+    post = StateVector(state.n_qubits, project(i))
+    return label, post, MeasurementRecord((q1, q2), Basis.BELL, label, probs[i])
 
 
 def _plan_outcomes(state: StateVector, qubits: tuple, basis: Basis) -> list:

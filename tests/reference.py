@@ -2,7 +2,7 @@
 
 Everything here is built from explicit matrices via ``np.kron`` and dense
 projectors, on purpose: it shares no code path with the package's
-reshape-based gate application or its rotate-then-project measurements.
+reshape-based gate application or its index-table measurement kernels.
 """
 
 import itertools

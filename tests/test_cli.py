@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qauthsim import __version__
+from qauthsim import __version__, oracle
 from qauthsim.adversary import StrategyId
 from qauthsim.cli import (
     ConfigError,
@@ -182,6 +182,27 @@ def test_exact_report_shape():
         assert row["accept_probability"] == 1.0
         assert row["support_size"] == 16
         assert row["samples"] is None
+
+
+@pytest.mark.parametrize(
+    "strategy, calls",
+    [(StrategyId.HONEST, 4), (StrategyId.PRE_MEASURE, 8)],
+)
+def test_exact_report_enumerates_the_honest_baseline_once(monkeypatch, strategy, calls):
+    seen = []
+    real = oracle.exact_transcript_distribution
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "exact_transcript_distribution", counting)
+    report = build_report(RunConfig(mode="exact", strategy=strategy))
+    assert len(seen) == calls
+    assert seen.count(StrategyId.HONEST) == 4
+    for row in report["results"]:
+        assert row["tv_distance_vs_honest"] <= 1e-12
+        assert row["support_size"] == 16
 
 
 def test_json_rendering_round_trips():

@@ -15,6 +15,7 @@ from qauthsim.protocol import (
     C1,
     C2,
     PROTOCOL_QUBITS,
+    _DECOY_TEMPLATES,
     Decision,
     PhaseId,
     ProtocolConfig,
@@ -117,6 +118,21 @@ def test_p1_decoy_structure():
                     }[(meta.basis, meta.prepared)]
                 ]
                 assert np.allclose(register.decoy_states[payload].amps, expected)
+
+
+def test_p1_decoys_share_read_only_templates():
+    for template in _DECOY_TEMPLATES.values():
+        assert not template.amps.flags.writeable
+        with pytest.raises(ValueError):
+            template.amps[0] = 0.0
+    saved = {key: t.amps.copy() for key, t in _DECOY_TEMPLATES.items()}
+    rng = np.random.default_rng(9)
+    register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), 0, rng)
+    for state, meta in zip(register.decoy_states, register.decoy_meta):
+        assert state is _DECOY_TEMPLATES[(meta.basis, meta.prepared)]
+    s_check(register, range(len(register.decoy_meta)), 0.0, rng)
+    for key, template in _DECOY_TEMPLATES.items():
+        np.testing.assert_array_equal(template.amps, saved[key])
 
 
 def test_p1_is_deterministic_per_stream():

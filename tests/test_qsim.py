@@ -252,6 +252,93 @@ class TestMeasureBell:
             qsim.measure_bell(state, 1, 1, 0.5)
 
 
+OUTCOMES = {Basis.Z: qsim.z_outcomes, Basis.X: qsim.x_outcomes, Basis.BELL: qsim.bell_outcomes}
+MEASURE = {Basis.Z: qsim.measure_z, Basis.X: qsim.measure_x, Basis.BELL: qsim.measure_bell}
+
+
+def dense_cases(n):
+    """(basis, qubits, outcomes, dense projectors) for every single-qubit
+    measurement and every ordered Bell pair on ``n`` qubits."""
+    cases = []
+    for q in range(n):
+        cases.append((Basis.Z, (q,), [0, 1], reference.z_projectors(q, n)))
+        cases.append((Basis.X, (q,), [0, 1], reference.x_projectors(q, n)))
+    for q1, q2 in itertools.permutations(range(n), 2):
+        projectors = reference.bell_projectors(q1, q2, n)
+        cases.append((Basis.BELL, (q1, q2), list(BellLabel), projectors))
+    return cases
+
+
+def frozen_random_state(seed, n):
+    state = random_state(np.random.default_rng(seed), n)
+    state.amps.setflags(write=False)  # any in-place write by a kernel raises
+    return state, state.amps.copy()
+
+
+class TestKernelsAgainstDenseProjectors:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_outcome_lists(self, n):
+        state, before = frozen_random_state(600 + n, n)
+        for basis, qubits, outcomes, projectors in dense_cases(n):
+            got = OUTCOMES[basis](state, *qubits)
+            assert [entry[0] for entry in got] == outcomes
+            for (_, p, post), proj in zip(got, projectors):
+                projected = proj @ before
+                want_p = float(np.vdot(projected, projected).real)
+                assert p == pytest.approx(want_p, abs=1e-12)
+                np.testing.assert_allclose(
+                    post.amps, projected / np.sqrt(want_p), atol=1e-12
+                )
+        np.testing.assert_array_equal(state.amps, before)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sampling_lands_on_every_outcome(self, n):
+        state, before = frozen_random_state(700 + n, n)
+        for basis, qubits, outcomes, projectors in dense_cases(n):
+            acc = 0.0
+            for outcome, proj in zip(outcomes, projectors):
+                projected = proj @ before
+                want_p = float(np.vdot(projected, projected).real)
+                got, post, record = MEASURE[basis](state, *qubits, acc + want_p / 2)
+                acc += want_p
+                assert got == outcome
+                assert record.qubits == qubits
+                assert record.basis is basis
+                assert record.outcome == outcome
+                assert record.probability == pytest.approx(want_p, abs=1e-12)
+                np.testing.assert_allclose(
+                    post.amps, projected / np.sqrt(want_p), atol=1e-12
+                )
+        np.testing.assert_array_equal(state.amps, before)
+
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_dead_outcomes_carry_no_state(self, n):
+        # Eigenstates of each measurement, embedded at the last qubits of an
+        # n-qubit register whose other qubits hold |+>.
+        rest = ["+"] * (n - 1)
+        for basis, tag, live in ((Basis.Z, "1", 1), (Basis.X, "-", 1), (Basis.X, "+", 0)):
+            state = qsim.init_product(rest + [tag])
+            got = OUTCOMES[basis](state, n - 1)
+            assert [post is None for _, _, post in got] == [b != live for b in (0, 1)]
+            assert got[live][1] == pytest.approx(1.0, abs=1e-12)
+            assert qsim.same_state(got[live][2], state)
+            for r in (0.0, 0.5, 0.999999):
+                bit, post, _ = MEASURE[basis](state, n - 1, r)
+                assert bit == live
+                assert qsim.same_state(post, state)
+        if n < 2:
+            return
+        for label in BellLabel:
+            pair = qsim.bell_pair(label)
+            state = qsim.StateVector(n, np.kron(qsim.init_product(rest[:-1]).amps, pair.amps))
+            got = qsim.bell_outcomes(state, n - 2, n - 1)
+            assert [post is None for _, _, post in got] == [m is not label for m in BellLabel]
+            for r in (0.0, 0.5, 0.999999):
+                got_label, post, _ = qsim.measure_bell(state, n - 2, n - 1, r)
+                assert got_label is label
+                assert qsim.same_state(post, state)
+
+
 class TestOutcomeDistribution:
     def test_phi_plus_correlations(self):
         dist = qsim.outcome_distribution(
