@@ -10,13 +10,14 @@ baseline: measure everything in transit, decoys included, in a random basis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import qsim
-from .protocol import A1, A2, B1, B2, C1, C2, Role, RoundRegister
+from .protocol import A1, A2, B1, B2, C1, C2, Role, RoundRegister, _measure_decoy
 from .qsim import Basis, BellLabel, PauliLabel
 
 
@@ -109,19 +110,18 @@ def hook_intercept_resend(register: RoundRegister, rng: np.random.Generator) -> 
     {Z, X} and forward the collapsed eigenstate.
 
     Walks both sequences in transmission order; protocol qubits and decoys
-    alike.  Charlie's own C qubits never travel, so they are left alone.
+    alike, each with its own pre-drawn basis coin and uniform draw.  Decoys
+    are measured like the S1/S2 checks measure them (template tables, or the
+    qsim kernel once disturbed).  Charlie's own C qubits never travel, so
+    they are left alone.
     """
     total = len(register.alice_seq) + len(register.bob_seq)
-    bases = rng.integers(0, 2, size=total)
-    draws = rng.random(size=total)
-    slot = 0
-    for seq in (register.alice_seq, register.bob_seq):
-        for kind, idx in seq:
-            measure = qsim.measure_z if bases[slot] == 0 else qsim.measure_x
-            if kind == "q":
-                _, post, _ = measure(register.state, idx, draws[slot])
-                register.state = post
-            else:
-                _, post, _ = measure(register.decoy_states[idx], 0, draws[slot])
-                register.decoy_states[idx] = post
-            slot += 1
+    bases = rng.integers(0, 2, size=total).tolist()
+    draws = rng.random(size=total).tolist()
+    slots = itertools.chain(register.alice_seq, register.bob_seq)
+    for (kind, idx), coin, randomness in zip(slots, bases, draws):
+        if kind == "q":
+            measure = qsim.measure_z if coin == 0 else qsim.measure_x
+            _, register.state, _ = measure(register.state, idx, randomness)
+        else:
+            _measure_decoy(register, idx, Basis.Z if coin == 0 else Basis.X, randomness)

@@ -11,7 +11,16 @@ The quantum payload of a round lives in a :class:`RoundRegister`: one joint
 state over the six protocol qubits plus one independent single-qubit state
 per decoy.  Decoys start (and, absent an attack, remain) in product states,
 so keeping them factored out of the joint register changes nothing
-observable while keeping large decoy counts cheap.
+observable while keeping large decoy counts cheap.  Alice's decoys take
+indices ``[0, d)`` of the decoy tables and Bob's ``[d, 2d)``, each in rising
+sequence position, where d is ``decoys_per_sequence``.
+
+Every decoy starts as one of four shared read-only template states.  The
+outcomes of measuring a template in Z or X are tabulated once, at import, by
+the qsim kernels themselves, so a decoy nobody touched is measured by a
+table lookup with the kernel's selection rule; a disturbed decoy goes
+through the kernel.  Each decoy check takes its uniform draws in one batch
+per sequence, which yields the same stream as one draw per decoy.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -69,6 +78,33 @@ _DECOY_TEMPLATES = {
     (Basis.Z, 1): _read_only(qsim.init_product(["1"])),
     (Basis.X, 0): _read_only(qsim.init_product(["+"])),
     (Basis.X, 1): _read_only(qsim.init_product(["-"])),
+}
+
+# The same templates indexed by P1's coins: basis coin (0 = Z, 1 = X), then
+# bit coin.  Indexing tuples avoids hashing enum members, which is slow.
+_BASIS_OF_COIN = (Basis.Z, Basis.X)
+_TEMPLATE_OF_COINS = tuple(
+    tuple(_DECOY_TEMPLATES[(basis, bit)] for bit in (0, 1)) for basis in _BASIS_OF_COIN
+)
+
+
+def _outcome_table(outcomes) -> tuple:
+    """(probabilities, read-only post-states) of a qsim ``*_outcomes`` list."""
+    probs = tuple(p for _, p, _ in outcomes)
+    posts = tuple(post if post is None else _read_only(post) for _, _, post in outcomes)
+    return probs, posts
+
+
+# (Z table, X table) of each template: both outcomes of measuring it in that
+# basis, computed by the qsim kernels (which also check the template's mass).
+# Keyed by id(template): the templates live as long as this module, so a
+# state with a template's id is that template, untouched since P1.
+_TEMPLATE_OUTCOMES = {
+    id(template): (
+        _outcome_table(qsim.z_outcomes(template, 0)),
+        _outcome_table(qsim.x_outcomes(template, 0)),
+    )
+    for template in _DECOY_TEMPLATES.values()
 }
 
 
@@ -187,38 +223,36 @@ def p1_prepare(
 ) -> RoundRegister:
     """Prepare the round's entangled registers and both decoy-laced sequences.
 
-    Draw order from ``rng`` is fixed (Alice positions, bases, bits; then the
-    same for Bob) so identical streams give identical registers.  ``rng`` may
-    be None when ``decoys_per_sequence`` is 0.
+    Draw order from ``rng`` is fixed (Alice's slot permutation, then her d
+    basis coins and d bit coins; then the same for Bob) so identical streams
+    give identical registers.  The first d slots of the permutation carry
+    decoys.  Alice's decoys take indices ``[0, d)`` of the decoy tables and
+    Bob's ``[d, 2d)``, each in rising sequence position; every decoy state is
+    its shared read-only template.  ``rng`` may be None when
+    ``decoys_per_sequence`` is 0.
     """
     state = _fresh_protocol_state()
     decoy_states: list = []
     decoy_meta: list = []
-    sequences = {}
+    sequences = []
     d = config.decoys_per_sequence
     for owner, qubits in ((Role.ALICE, (A1, A2)), (Role.BOB, (B1, B2))):
-        if d:
-            slots = {int(s) for s in rng.permutation(d + 2)[:d]}
-            coins = rng.integers(0, 2, size=2 * d)  # d basis coins, then d bit coins
-        else:
-            slots, coins = set(), ()
-        seq = []
-        protocol_iter = iter(qubits)
-        j = 0
-        for pos in range(d + 2):
-            if pos in slots:
-                basis = Basis.Z if coins[j] == 0 else Basis.X
-                bit = int(coins[d + j])
-                decoy_states.append(_DECOY_TEMPLATES[(basis, bit)])
-                decoy_meta.append(DecoyRecord(owner, pos, basis, bit))
-                seq.append(("d", len(decoy_meta) - 1))
-                j += 1
-            else:
-                seq.append(("q", next(protocol_iter)))
-        sequences[owner] = seq
-    return RoundRegister(
-        state, decoy_states, decoy_meta, sequences[Role.ALICE], sequences[Role.BOB]
-    )
+        if not d:
+            sequences.append([("q", q) for q in qubits])
+            continue
+        slots = rng.permutation(d + 2).tolist()
+        coins = rng.integers(0, 2, size=2 * d).tolist()  # d basis coins, then d bit coins
+        seq: list = [None] * (d + 2)
+        for pos, q in zip(sorted(slots[d:]), qubits):
+            seq[pos] = ("q", q)
+        first = len(decoy_meta)
+        for j, pos in enumerate(sorted(slots[:d])):
+            basis_coin, bit = coins[j], coins[d + j]
+            seq[pos] = ("d", first + j)
+            decoy_states.append(_TEMPLATE_OF_COINS[basis_coin][bit])
+            decoy_meta.append(DecoyRecord(owner, pos, _BASIS_OF_COIN[basis_coin], bit))
+        sequences.append(seq)
+    return RoundRegister(state, decoy_states, decoy_meta, *sequences)
 
 
 def p2_transmit(register: RoundRegister, hook=None):
@@ -232,6 +266,27 @@ def p2_transmit(register: RoundRegister, hook=None):
     return register.alice_seq, register.bob_seq
 
 
+def _measure_decoy(register: RoundRegister, idx: int, basis: Basis, randomness: float) -> int:
+    """Measure decoy ``idx`` in ``basis`` (Z or X) with one uniform draw.
+
+    Stores the post-measurement state in the register and returns the bit.
+    A decoy still holding its template reads the outcome off the template's
+    table with qsim's selection rule; any other state goes through the qsim
+    kernel.  Both give the same bit and the same post-state amplitudes.
+    """
+    state = register.decoy_states[idx]
+    tables = _TEMPLATE_OUTCOMES.get(id(state))
+    if tables is None:
+        measure = qsim.measure_z if basis is Basis.Z else qsim.measure_x
+        bit, register.decoy_states[idx], _ = measure(state, 0, randomness)
+    else:
+        qsim._check_randomness(randomness)
+        probs, posts = tables[basis is Basis.X]
+        bit = qsim._pick(probs, randomness)
+        register.decoy_states[idx] = posts[bit]
+    return bit
+
+
 def s_check(
     register: RoundRegister,
     announced,
@@ -240,22 +295,27 @@ def s_check(
 ) -> tuple:
     """Measure the announced decoys in their announced bases and compare.
 
-    ``announced`` lists indices into the register's decoy tables.  Returns
-    (error rate over the announced decoys, pass flag at ``threshold``).
+    ``announced`` lists indices into the register's decoy tables; all are
+    validated before anything is measured.  The uniform draws come in one
+    batch of ``len(announced)`` from ``rng``, the same stream as one draw per
+    decoy in announcement order; an empty announcement draws nothing.
+    Returns (error rate over the announced decoys, pass flag at
+    ``threshold``).
     """
-    if len(register.decoy_states) != len(register.decoy_meta):
+    metas = register.decoy_meta
+    if len(register.decoy_states) != len(metas):
         raise ValueError("decoy metadata incomplete")
-    mismatches = 0
     for idx in announced:
-        if not 0 <= idx < len(register.decoy_meta):
+        if not 0 <= idx < len(metas):
             raise ValueError(f"decoy index {idx} has no metadata")
-        meta = register.decoy_meta[idx]
-        measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-        bit, post, _ = measure(register.decoy_states[idx], 0, rng.random())
-        register.decoy_states[idx] = post
-        meta.measured = bit
-        mismatches += int(bit != meta.prepared)
-    rate = mismatches / len(announced) if len(announced) else 0.0
+    k = len(announced)
+    draws = rng.random(size=k).tolist() if k else []
+    mismatches = 0
+    for idx, randomness in zip(announced, draws):
+        meta = metas[idx]
+        meta.measured = _measure_decoy(register, idx, meta.basis, randomness)
+        mismatches += meta.measured != meta.prepared
+    rate = mismatches / k if k else 0.0
     return rate, rate <= threshold
 
 
@@ -323,6 +383,8 @@ def run_protocol(config: ProtocolConfig, keys, strategy):
         if not isinstance(k, PauliLabel):
             raise ValueError(f"keys must be PauliLabel values, got {k!r}")
 
+    d = config.decoys_per_sequence
+    alice_idx, bob_idx = range(d), range(d, 2 * d)  # the layout p1_prepare fixes
     rounds: list = []
     eve_states: list = []
     inferred: list = []
@@ -354,14 +416,10 @@ def run_protocol(config: ProtocolConfig, keys, strategy):
         p2_transmit(register, hook)
         eve_states.append(eve)
 
-        alice_idx = [j for j, m in enumerate(register.decoy_meta) if m.owner is Role.ALICE]
-        bob_idx = [j for j, m in enumerate(register.decoy_meta) if m.owner is Role.BOB]
-        _, ok_a = s_check(register, alice_idx, config.decoy_error_threshold, rng)
-        _, ok_b = s_check(register, bob_idx, config.decoy_error_threshold, rng)
-        n_checked = len(alice_idx) + len(bob_idx)
-        n_errors = sum(
-            1 for m in register.decoy_meta if m.measured is not None and m.measured != m.prepared
-        )
+        rate_a, ok_a = s_check(register, alice_idx, config.decoy_error_threshold, rng)
+        rate_b, ok_b = s_check(register, bob_idx, config.decoy_error_threshold, rng)
+        n_checked = 2 * d
+        n_errors = round(rate_a * d) + round(rate_b * d)  # rates are mismatches / d
         round_rate = n_errors / n_checked if n_checked else 0.0
         checked += n_checked
         mismatched += n_errors

@@ -6,7 +6,7 @@ import pytest
 import reference
 
 from qauthsim import oracle, qsim
-from qauthsim.adversary import StrategyId
+from qauthsim.adversary import StrategyId, hook_intercept_resend
 from qauthsim.protocol import (
     A1,
     A2,
@@ -16,11 +16,15 @@ from qauthsim.protocol import (
     C2,
     PROTOCOL_QUBITS,
     _DECOY_TEMPLATES,
+    _TEMPLATE_OUTCOMES,
     Decision,
+    DecoyRecord,
     PhaseId,
     ProtocolConfig,
     Role,
+    RoundRegister,
     SampleSource,
+    _measure_decoy,
     e1_encode,
     e2_measure,
     e3_verify,
@@ -135,6 +139,24 @@ def test_p1_decoys_share_read_only_templates():
         np.testing.assert_array_equal(template.amps, saved[key])
 
 
+@pytest.mark.parametrize("decoys", [1, 2, 5, 16])
+def test_p1_decoy_index_layout(decoys):
+    # run_protocol checks Alice's decoys as [0, d) and Bob's as [d, 2d).
+    rng = np.random.default_rng(decoys)
+    for _ in range(20):
+        register = p1_prepare(ProtocolConfig(decoys_per_sequence=decoys), 0, rng)
+        for owner, seq, indices in (
+            (Role.ALICE, register.alice_seq, range(decoys)),
+            (Role.BOB, register.bob_seq, range(decoys, 2 * decoys)),
+        ):
+            metas = [register.decoy_meta[i] for i in indices]
+            assert all(m.owner is owner for m in metas)
+            positions = [m.position for m in metas]
+            assert positions == sorted(set(positions))
+            assert [seq[m.position] for m in metas] == [("d", i) for i in indices]
+        assert len(register.decoy_meta) == 2 * decoys
+
+
 def test_p1_is_deterministic_per_stream():
     first = p1_prepare(ProtocolConfig(decoys_per_sequence=3), 0, np.random.default_rng(11))
     second = p1_prepare(ProtocolConfig(decoys_per_sequence=3), 0, np.random.default_rng(11))
@@ -233,6 +255,132 @@ def test_s_check_rejects_unknown_index():
     register = fresh_register(decoys=1, seed=0)
     with pytest.raises(ValueError):
         s_check(register, [99], 0.0, np.random.default_rng(0))
+    # Indices are validated before any decoy is measured or any draw taken.
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        s_check(register, [0, 99], 0.0, rng)
+    assert rng.bit_generator.state == before
+    assert register.decoy_meta[0].measured is None
+
+
+@pytest.mark.parametrize("announced", [[], [3], [5, 0, 7], range(8)])
+def test_s_check_draws_once_per_announced_decoy(announced):
+    config = ProtocolConfig(decoys_per_sequence=4)
+    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+    register = p1_prepare(config, 0, rng)
+    untouched = p1_prepare(config, 0, twin)
+    s_check(register, announced, 0.0, rng)
+    # The batched draw is the stream of one scalar draw per decoy, in
+    # announcement order, and the bits are those the kernels give for it.
+    for idx in announced:
+        meta = untouched.decoy_meta[idx]
+        measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
+        bit, _, _ = measure(untouched.decoy_states[idx], 0, twin.random())
+        assert register.decoy_meta[idx].measured == bit
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# decoy measurement: template outcome tables against the qsim kernels
+
+KERNELS = {Basis.Z: qsim.measure_z, Basis.X: qsim.measure_x}
+DRAWS = [
+    0.0,
+    0.25,
+    0.5,
+    float(np.nextafter(0.5, 0.0)),
+    float(np.nextafter(0.5, 1.0)),
+    float(np.nextafter(1.0, 0.0)),
+]
+
+
+def decoy_register(state):
+    meta = DecoyRecord(Role.ALICE, 0, Basis.Z, 0)
+    return RoundRegister(None, [state], [meta], [("d", 0)], [])
+
+
+def refuse_kernels(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a template decoy reached a qsim kernel")
+
+    monkeypatch.setattr(qsim, "measure_z", refuse)
+    monkeypatch.setattr(qsim, "measure_x", refuse)
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    for kernel in KERNELS.values():
+
+        def counted(*args, _kernel=kernel):
+            calls.append(args)
+            return _kernel(*args)
+
+        monkeypatch.setattr(qsim, kernel.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+@pytest.mark.parametrize("key", list(_DECOY_TEMPLATES))
+def test_template_table_matches_the_kernel(monkeypatch, key, basis):
+    template = _DECOY_TEMPLATES[key]
+    expected = [KERNELS[basis](template.copy(), 0, draw) for draw in DRAWS]
+    refuse_kernels(monkeypatch)
+    for draw, (bit, post, _) in zip(DRAWS, expected):
+        register = decoy_register(template)
+        assert _measure_decoy(register, 0, basis, draw) == bit
+        got = register.decoy_states[0]
+        assert got.n_qubits == 1
+        assert got.amps.tobytes() == post.amps.tobytes()
+        assert not got.amps.flags.writeable
+    with pytest.raises(ValueError):
+        _measure_decoy(decoy_register(template), 0, basis, 1.0)
+
+
+def test_template_tables_are_read_only():
+    assert len(_TEMPLATE_OUTCOMES) == len(_DECOY_TEMPLATES)
+    for template in _DECOY_TEMPLATES.values():
+        for probs, posts in _TEMPLATE_OUTCOMES[id(template)]:
+            assert len(probs) == len(posts) == 2
+            for post in posts:
+                assert post is None or not post.amps.flags.writeable
+
+
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+def test_disturbed_decoy_goes_through_the_kernel(monkeypatch, basis):
+    disturbed = [
+        qsim.apply_pauli(template, 0, PauliLabel.X) for template in _DECOY_TEMPLATES.values()
+    ]
+    rng = np.random.default_rng(17)
+    register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), 0, rng)
+    hook_intercept_resend(register, rng)
+    disturbed += register.decoy_states  # intercepted: table post-states
+    disturbed.append(_DECOY_TEMPLATES[(Basis.X, 0)].copy())  # equal, but not the template
+    calls = count_kernel_calls(monkeypatch)
+    for state in disturbed:
+        for draw in DRAWS:
+            bit, post, _ = KERNELS[basis](state, 0, draw)
+            register = decoy_register(state)
+            assert _measure_decoy(register, 0, basis, draw) == bit
+            assert register.decoy_states[0].amps.tobytes() == post.amps.tobytes()
+    assert len(calls) == len(disturbed) * len(DRAWS)
+
+
+def template_bytes():
+    """Amplitude bytes of every template and of every table post-state."""
+    states = list(_DECOY_TEMPLATES.values())
+    for tables in _TEMPLATE_OUTCOMES.values():
+        for _, posts in tables:
+            states += [post for post in posts if post is not None]
+    return [state.amps.tobytes() for state in states]
+
+
+@pytest.mark.parametrize("strategy", [StrategyId.PRE_MEASURE, StrategyId.INTERCEPT_RESEND])
+def test_runs_leave_templates_unchanged(strategy):
+    before = template_bytes()
+    config = ProtocolConfig(rounds=8, decoys_per_sequence=6, decoy_error_threshold=1.0)
+    run_protocol(config, [PauliLabel.X] * 8, strategy)
+    assert template_bytes() == before
 
 
 # ---------------------------------------------------------------------------
