@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qsim
 from .protocol import A1, A2, B1, B2, C1, C2, Role, RoundRegister, _measure_decoy
-from .qsim import Basis, BellLabel, PauliLabel
+from .qsim import BellLabel, PauliLabel
 
 
 class StrategyId(Enum):
@@ -110,10 +110,10 @@ def hook_intercept_resend(register: RoundRegister, rng: np.random.Generator) -> 
     {Z, X} and forward the collapsed eigenstate.
 
     Walks both sequences in transmission order; protocol qubits and decoys
-    alike, each with its own pre-drawn basis coin and uniform draw.  Decoys
-    are measured like the S1/S2 checks measure them (template tables, or the
-    qsim kernel once disturbed).  Charlie's own C qubits never travel, so
-    they are left alone.
+    alike, each with its own pre-drawn basis coin (0 Z, 1 X) and uniform
+    draw.  Decoys are measured the way the S1/S2 checks measure them, by
+    their eigenstate label's outcome table.  Charlie's own C qubits never
+    travel, so they are left alone.
     """
     total = len(register.alice_seq) + len(register.bob_seq)
     bases = rng.integers(0, 2, size=total).tolist()
@@ -124,4 +124,4 @@ def hook_intercept_resend(register: RoundRegister, rng: np.random.Generator) -> 
             measure = qsim.measure_z if coin == 0 else qsim.measure_x
             _, register.state, _ = measure(register.state, idx, randomness)
         else:
-            _measure_decoy(register, idx, Basis.Z if coin == 0 else Basis.X, randomness)
+            _measure_decoy(register, idx, coin, randomness)

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,17 +182,12 @@ def _rate_fields(prefix: str, estimate) -> dict:
 def _sampled_results(config: RunConfig) -> list:
     master = np.random.default_rng(config.seed)
     alphabet = list(PauliLabel)
+    base = config.protocol_config()
     stats = []
     for _ in range(config.samples):
         run_seed = int(master.integers(0, 2**63))
         keys = [alphabet[int(j)] for j in master.integers(0, 4, size=config.rounds)]
-        run_config = ProtocolConfig(
-            rounds=config.rounds,
-            decoys_per_sequence=config.decoys_per_sequence,
-            decoy_error_threshold=config.decoy_error_threshold,
-            direction=config.direction,
-            seed=run_seed,
-        )
+        run_config = replace(base, seed=run_seed)
         transcript, _, report = protocol.run_protocol(run_config, keys, config.strategy)
         stats.extend(oracle.collect_round_stats(transcript, report, keys))
     rates = oracle.sampled_rates(stats)

@@ -142,7 +142,7 @@ def exact_transcript_distribution(
     config = ProtocolConfig(rounds=1, decoys_per_sequence=0, direction=direction)
 
     def pipeline(source):
-        register = protocol.p1_prepare(config, 0, None)
+        register = protocol.p1_prepare(config, None)
         eve = None
         if strategy is StrategyId.PRE_MEASURE:
             eve = hook_premeasure(register, source, hook_order)

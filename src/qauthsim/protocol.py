@@ -8,19 +8,18 @@ measures (E2), and the announcements are verified against the shared key
 (E3).
 
 The quantum payload of a round lives in a :class:`RoundRegister`: one joint
-state over the six protocol qubits plus one independent single-qubit state
-per decoy.  Decoys start (and, absent an attack, remain) in product states,
-so keeping them factored out of the joint register changes nothing
-observable while keeping large decoy counts cheap.  Alice's decoys take
-indices ``[0, d)`` of the decoy tables and Bob's ``[d, 2d)``, each in rising
-sequence position, where d is ``decoys_per_sequence``.
-
-Every decoy starts as one of four shared read-only template states.  The
-outcomes of measuring a template in Z or X are tabulated once, at import, by
-the qsim kernels themselves, so a decoy nobody touched is measured by a
-table lookup with the kernel's selection rule; a disturbed decoy goes
-through the kernel.  Each decoy check takes its uniform draws in one batch
-per sequence, which yields the same stream as one draw per decoy.
+state over the six protocol qubits plus one label per decoy.  Decoys are
+never entangled with anything, and P1 prepares each in a Z or X eigenstate.
+The only thing that ever touches a decoy is a Z or X measurement (the S1/S2
+checks, or an intercepting adversary), which leaves an eigenstate again, so
+a decoy is fully described by its eigenstate label (0 for |0>, 1 for |1>, 2
+for |+>, 3 for |->).  The outcome probabilities of measuring each label in Z
+or X are tabulated once, at import, by the qsim kernels themselves, and a
+decoy measurement is that table's row picked with the kernels' selection
+rule.  Alice's decoys take indices ``[0, d)`` of the decoy tables and Bob's
+``[d, 2d)``, each in rising sequence position, where d is
+``decoys_per_sequence``.  Each decoy check takes its uniform draws in one
+batch per sequence, which yields the same stream as one draw per decoy.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -65,47 +64,20 @@ C1, A1, B1, C2, A2, B2 = 0, 1, 2, 3, 4, 5
 PROTOCOL_QUBITS = 6
 
 
-def _read_only(state: StateVector) -> StateVector:
-    state.amps.setflags(write=False)
-    return state
-
-
-# Every decoy of a given (basis, bit) shares one of these states.  qsim
-# operations return new states, so nothing writes to them; the read-only
-# amplitude arrays make any attempt fail loudly.
-_DECOY_TEMPLATES = {
-    (Basis.Z, 0): _read_only(qsim.init_product(["0"])),
-    (Basis.Z, 1): _read_only(qsim.init_product(["1"])),
-    (Basis.X, 0): _read_only(qsim.init_product(["+"])),
-    (Basis.X, 1): _read_only(qsim.init_product(["-"])),
-}
-
-# The same templates indexed by P1's coins: basis coin (0 = Z, 1 = X), then
-# bit coin.  Indexing tuples avoids hashing enum members, which is slow.
+# A decoy is stored as its eigenstate label 2 * basis coin + bit, with basis
+# coin 0 for Z and 1 for X: label 0 is |0>, 1 is |1>, 2 is |+> and 3 is |->.
+_DECOY_KETS = ("0", "1", "+", "-")
 _BASIS_OF_COIN = (Basis.Z, Basis.X)
-_TEMPLATE_OF_COINS = tuple(
-    tuple(_DECOY_TEMPLATES[(basis, bit)] for bit in (0, 1)) for basis in _BASIS_OF_COIN
-)
 
-
-def _outcome_table(outcomes) -> tuple:
-    """(probabilities, read-only post-states) of a qsim ``*_outcomes`` list."""
-    probs = tuple(p for _, p, _ in outcomes)
-    posts = tuple(post if post is None else _read_only(post) for _, _, post in outcomes)
-    return probs, posts
-
-
-# (Z table, X table) of each template: both outcomes of measuring it in that
-# basis, computed by the qsim kernels (which also check the template's mass).
-# Keyed by id(template): the templates live as long as this module, so a
-# state with a template's id is that template, untouched since P1.
-_TEMPLATE_OUTCOMES = {
-    id(template): (
-        _outcome_table(qsim.z_outcomes(template, 0)),
-        _outcome_table(qsim.x_outcomes(template, 0)),
+# _DECOY_PROBS[label][coin]: the outcome probabilities of measuring decoy
+# ``label`` in basis ``coin``, computed once by the qsim kernels themselves.
+_DECOY_PROBS = tuple(
+    tuple(
+        tuple(p for _, p, _ in outcomes(qsim.init_product([ket]), 0))
+        for outcomes in (qsim.z_outcomes, qsim.x_outcomes)
     )
-    for template in _DECOY_TEMPLATES.values()
-}
+    for ket in _DECOY_KETS
+)
 
 
 @dataclass
@@ -149,9 +121,10 @@ class RoundRegister:
     """Quantum payload of one round.
 
     ``state`` covers the six protocol qubits (layout C1, A1, B1, C2, A2, B2);
-    ``decoy_states[i]`` is the single-qubit state described by
-    ``decoy_meta[i]``.  The transmitted sequences list their slots in order
-    as ("q", protocol qubit index) or ("d", decoy index).
+    ``decoy_states[i]`` is the eigenstate label (0 |0>, 1 |1>, 2 |+>, 3 |->)
+    of the decoy described by ``decoy_meta[i]``.  The transmitted sequences
+    list their slots in order as ("q", protocol qubit index) or ("d", decoy
+    index).
     """
 
     state: StateVector
@@ -218,17 +191,15 @@ def _fresh_protocol_state() -> StateVector:
     return _FRESH_STATE.copy()
 
 
-def p1_prepare(
-    config: ProtocolConfig, round_index: int, rng: "np.random.Generator | None"
-) -> RoundRegister:
+def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> RoundRegister:
     """Prepare the round's entangled registers and both decoy-laced sequences.
 
     Draw order from ``rng`` is fixed (Alice's slot permutation, then her d
     basis coins and d bit coins; then the same for Bob) so identical streams
     give identical registers.  The first d slots of the permutation carry
     decoys.  Alice's decoys take indices ``[0, d)`` of the decoy tables and
-    Bob's ``[d, 2d)``, each in rising sequence position; every decoy state is
-    its shared read-only template.  ``rng`` may be None when
+    Bob's ``[d, 2d)``, each in rising sequence position; each decoy's state
+    is its label 2 * basis coin + bit coin.  ``rng`` may be None when
     ``decoys_per_sequence`` is 0.
     """
     state = _fresh_protocol_state()
@@ -249,7 +220,7 @@ def p1_prepare(
         for j, pos in enumerate(sorted(slots[:d])):
             basis_coin, bit = coins[j], coins[d + j]
             seq[pos] = ("d", first + j)
-            decoy_states.append(_TEMPLATE_OF_COINS[basis_coin][bit])
+            decoy_states.append(2 * basis_coin + bit)
             decoy_meta.append(DecoyRecord(owner, pos, _BASIS_OF_COIN[basis_coin], bit))
         sequences.append(seq)
     return RoundRegister(state, decoy_states, decoy_meta, *sequences)
@@ -266,24 +237,16 @@ def p2_transmit(register: RoundRegister, hook=None):
     return register.alice_seq, register.bob_seq
 
 
-def _measure_decoy(register: RoundRegister, idx: int, basis: Basis, randomness: float) -> int:
-    """Measure decoy ``idx`` in ``basis`` (Z or X) with one uniform draw.
+def _measure_decoy(register: RoundRegister, idx: int, coin: int, randomness: float) -> int:
+    """Measure decoy ``idx`` in basis ``coin`` (0 Z, 1 X) with one uniform draw.
 
-    Stores the post-measurement state in the register and returns the bit.
-    A decoy still holding its template reads the outcome off the template's
-    table with qsim's selection rule; any other state goes through the qsim
-    kernel.  Both give the same bit and the same post-state amplitudes.
+    Picks the outcome from the decoy's probability table with qsim's
+    selection rule, stores the collapsed eigenstate's label in the register
+    and returns the bit.
     """
-    state = register.decoy_states[idx]
-    tables = _TEMPLATE_OUTCOMES.get(id(state))
-    if tables is None:
-        measure = qsim.measure_z if basis is Basis.Z else qsim.measure_x
-        bit, register.decoy_states[idx], _ = measure(state, 0, randomness)
-    else:
-        qsim._check_randomness(randomness)
-        probs, posts = tables[basis is Basis.X]
-        bit = qsim._pick(probs, randomness)
-        register.decoy_states[idx] = posts[bit]
+    qsim._check_randomness(randomness)
+    bit = qsim._pick(_DECOY_PROBS[register.decoy_states[idx]][coin], randomness)
+    register.decoy_states[idx] = 2 * coin + bit
     return bit
 
 
@@ -313,7 +276,7 @@ def s_check(
     mismatches = 0
     for idx, randomness in zip(announced, draws):
         meta = metas[idx]
-        meta.measured = _measure_decoy(register, idx, meta.basis, randomness)
+        meta.measured = _measure_decoy(register, idx, int(meta.basis is Basis.X), randomness)
         mismatches += meta.measured != meta.prepared
     rate = mismatches / k if k else 0.0
     return rate, rate <= threshold
@@ -395,7 +358,7 @@ def run_protocol(config: ProtocolConfig, keys, strategy):
     for i in range(config.rounds):
         rng = np.random.default_rng((config.seed, i))
         source = SampleSource(rng)
-        register = p1_prepare(config, i, rng)
+        register = p1_prepare(config, rng)
 
         eve = None
         hook = None

@@ -327,9 +327,7 @@ def _require_pair(state: StateVector, q1: int, q2: int) -> None:
 # mass and returns the outcome probabilities in outcome order together with
 # ``project(i)``, the normalised post-measurement amplitudes of outcome ``i``
 # (called only for outcomes above ZERO_PROB).  No kernel rotates the state:
-# each applies its projectors to the flat amplitude array directly.  Single
-# qubit states (the decoys) are read into Python scalars, because numpy's
-# per-call overhead dwarfs two amplitudes' worth of arithmetic.
+# each applies its projectors to the flat amplitude array directly.
 
 _BITS = (0, 1)
 _BELL_ORDER = tuple(BellLabel)
@@ -337,19 +335,10 @@ _BELL_ORDER = tuple(BellLabel)
 
 def _z_kernel(amps: np.ndarray, n: int, q: int):
     """Projectors |b><b| on qubit ``q``."""
-    if n == 1:
-        a0, a1 = amps.tolist()
-        probs = (abs(a0) ** 2, abs(a1) ** 2)
+    probs = _bit_probabilities(amps, n, q)
 
-        def project(bit: int) -> np.ndarray:
-            scale = 1.0 / math.sqrt(probs[bit])
-            return np.array([a0 * scale, 0j] if bit == 0 else [0j, a1 * scale])
-
-    else:
-        probs = _bit_probabilities(amps, n, q)
-
-        def project(bit: int) -> np.ndarray:
-            return amps * (_bit_mask(n, q, bit) / math.sqrt(probs[bit]))
+    def project(bit: int) -> np.ndarray:
+        return amps * (_bit_mask(n, q, bit) / math.sqrt(probs[bit]))
 
     _check_measured_mass(probs[0] + probs[1])
     return probs, project
@@ -361,24 +350,14 @@ def _x_kernel(amps: np.ndarray, n: int, q: int):
     With f = X_q amps, p(bit) = (<amps|amps> +- Re<amps|f>)/2 and the post
     state is (amps +- f)/2 over sqrt(p(bit)).
     """
-    if n == 1:
-        a0, a1 = amps.tolist()
-        sums = (a0 + a1, a0 - a1)  # amps +- f = (s, +-s) with s = a0 +- a1
-        probs = (0.5 * abs(sums[0]) ** 2, 0.5 * abs(sums[1]) ** 2)
+    flipped = amps[_flip_perm(n, q)]
+    norm2 = float(np.vdot(amps, amps).real)
+    cross = float(np.vdot(amps, flipped).real)
+    probs = (0.5 * (norm2 + cross), 0.5 * (norm2 - cross))
 
-        def project(bit: int) -> np.ndarray:
-            s = sums[bit] * (0.5 / math.sqrt(probs[bit]))
-            return np.array([s, -s] if bit else [s, s])
-
-    else:
-        flipped = amps[_flip_perm(n, q)]
-        norm2 = float(np.vdot(amps, amps).real)
-        cross = float(np.vdot(amps, flipped).real)
-        probs = (0.5 * (norm2 + cross), 0.5 * (norm2 - cross))
-
-        def project(bit: int) -> np.ndarray:
-            both = amps - flipped if bit else amps + flipped
-            return both * (0.5 / math.sqrt(probs[bit]))
+    def project(bit: int) -> np.ndarray:
+        both = amps - flipped if bit else amps + flipped
+        return both * (0.5 / math.sqrt(probs[bit]))
 
     _check_measured_mass(probs[0] + probs[1])
     return probs, project

@@ -73,7 +73,7 @@ def test_criterion_2_key_recovery_is_certain():
         for direction in (Role.ALICE, Role.BOB):
 
             def pipeline(source, key=key, direction=direction):
-                register = p1_prepare(ProtocolConfig(), 0, None)
+                register = p1_prepare(ProtocolConfig(), None)
                 eve = hook_premeasure(register, source)
                 e1_encode(register, key, direction)
                 a, b, _ = e2_measure(register, source)

@@ -33,10 +33,14 @@ from qauthsim.protocol import (
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 
+# A decoy is stored as its eigenstate label 2 * basis coin + bit (Z 0, X 1).
+DECOY_KETS = ("0", "1", "+", "-")
+
+
 def fresh_register(decoys=0, seed=0):
     config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
     rng = np.random.default_rng(seed) if decoys else None
-    return p1_prepare(config, 0, rng)
+    return p1_prepare(config, rng)
 
 
 def test_strategy_ids():
@@ -100,11 +104,10 @@ def test_premeasure_rejects_bad_order():
 def test_premeasure_never_touches_decoys():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), 0, rng)
-        before = [s.amps.copy() for s in register.decoy_states]
+        register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
+        before = list(register.decoy_states)
         hook_premeasure(register, SampleSource(rng))
-        for prior, state in zip(before, register.decoy_states):
-            assert np.array_equal(prior, state.amps)
+        assert register.decoy_states == before
 
 
 def test_infer_key_frozen_examples():
@@ -195,12 +198,12 @@ def test_intercept_resend_touches_decoys():
     changed = 0
     total = 0
     for _ in range(50):
-        register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), 0, rng)
-        before = [s.amps.copy() for s in register.decoy_states]
+        register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
+        before = list(register.decoy_states)
         hook_intercept_resend(register, rng)
-        for prior, state in zip(before, register.decoy_states):
+        for prior, label in zip(before, register.decoy_states):
             total += 1
-            if not np.allclose(prior, state.amps):
+            if prior != label:
                 changed += 1
     # Wrong-basis interception (probability 1/2) always changes the state.
     assert changed >= total * 0.3
@@ -211,11 +214,12 @@ def test_intercept_resend_empirical_mismatch_rate():
     mismatches = 0
     checked = 0
     for _ in range(2000):
-        register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), 0, rng)
+        register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
         hook_intercept_resend(register, rng)
         for idx, meta in enumerate(register.decoy_meta):
             measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-            bit, _, _ = measure(register.decoy_states[idx], 0, rng.random())
+            state = qsim.init_product([DECOY_KETS[register.decoy_states[idx]]])
+            bit, _, _ = measure(state, 0, rng.random())
             checked += 1
             mismatches += int(bit != meta.prepared)
     rate = mismatches / checked

@@ -6,7 +6,7 @@ import pytest
 import reference
 
 from qauthsim import oracle, qsim
-from qauthsim.adversary import StrategyId, hook_intercept_resend
+from qauthsim.adversary import StrategyId
 from qauthsim.protocol import (
     A1,
     A2,
@@ -15,8 +15,6 @@ from qauthsim.protocol import (
     C1,
     C2,
     PROTOCOL_QUBITS,
-    _DECOY_TEMPLATES,
-    _TEMPLATE_OUTCOMES,
     Decision,
     DecoyRecord,
     PhaseId,
@@ -36,10 +34,19 @@ from qauthsim.protocol import (
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 
+# A decoy is stored as its eigenstate label 2 * basis coin + bit (Z 0, X 1).
+DECOY_KETS = ("0", "1", "+", "-")
+
+
 def fresh_register(decoys=0, seed=0):
     config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
     rng = np.random.default_rng(seed) if decoys else None
-    return p1_prepare(config, 0, rng)
+    return p1_prepare(config, rng)
+
+
+def decoy_state(label):
+    """The single-qubit state a decoy label stands for."""
+    return qsim.init_product([DECOY_KETS[label]])
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +120,8 @@ def test_p1_decoy_structure():
                 assert meta.owner is owner
                 assert meta.position == pos
                 assert meta.measured is None
+                label = register.decoy_states[payload]
+                assert label == 2 * (meta.basis is Basis.X) + meta.prepared
                 expected = reference.KET[
                     {
                         (Basis.Z, 0): "0",
@@ -121,22 +130,7 @@ def test_p1_decoy_structure():
                         (Basis.X, 1): "-",
                     }[(meta.basis, meta.prepared)]
                 ]
-                assert np.allclose(register.decoy_states[payload].amps, expected)
-
-
-def test_p1_decoys_share_read_only_templates():
-    for template in _DECOY_TEMPLATES.values():
-        assert not template.amps.flags.writeable
-        with pytest.raises(ValueError):
-            template.amps[0] = 0.0
-    saved = {key: t.amps.copy() for key, t in _DECOY_TEMPLATES.items()}
-    rng = np.random.default_rng(9)
-    register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), 0, rng)
-    for state, meta in zip(register.decoy_states, register.decoy_meta):
-        assert state is _DECOY_TEMPLATES[(meta.basis, meta.prepared)]
-    s_check(register, range(len(register.decoy_meta)), 0.0, rng)
-    for key, template in _DECOY_TEMPLATES.items():
-        np.testing.assert_array_equal(template.amps, saved[key])
+                assert np.allclose(decoy_state(label).amps, expected)
 
 
 @pytest.mark.parametrize("decoys", [1, 2, 5, 16])
@@ -144,7 +138,7 @@ def test_p1_decoy_index_layout(decoys):
     # run_protocol checks Alice's decoys as [0, d) and Bob's as [d, 2d).
     rng = np.random.default_rng(decoys)
     for _ in range(20):
-        register = p1_prepare(ProtocolConfig(decoys_per_sequence=decoys), 0, rng)
+        register = p1_prepare(ProtocolConfig(decoys_per_sequence=decoys), rng)
         for owner, seq, indices in (
             (Role.ALICE, register.alice_seq, range(decoys)),
             (Role.BOB, register.bob_seq, range(decoys, 2 * decoys)),
@@ -158,8 +152,8 @@ def test_p1_decoy_index_layout(decoys):
 
 
 def test_p1_is_deterministic_per_stream():
-    first = p1_prepare(ProtocolConfig(decoys_per_sequence=3), 0, np.random.default_rng(11))
-    second = p1_prepare(ProtocolConfig(decoys_per_sequence=3), 0, np.random.default_rng(11))
+    first = p1_prepare(ProtocolConfig(decoys_per_sequence=3), np.random.default_rng(11))
+    second = p1_prepare(ProtocolConfig(decoys_per_sequence=3), np.random.default_rng(11))
     assert first.alice_seq == second.alice_seq
     assert first.bob_seq == second.bob_seq
     assert first.decoy_meta == second.decoy_meta
@@ -170,7 +164,7 @@ def test_p1_decoy_positions_cover_all_slots():
     seen = set()
     rng = np.random.default_rng(23)
     for _ in range(200):
-        register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), 0, rng)
+        register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
         for meta in register.decoy_meta:
             seen.add((meta.owner, meta.position, meta.basis, meta.prepared))
     # 1 decoy in 3 slots, 2 bases, 2 bits, both owners: all 24 combinations.
@@ -210,7 +204,7 @@ def test_p2_without_hook_leaves_state_alone():
 
 def test_s_check_honest_run_sees_no_errors():
     rng = np.random.default_rng(3)
-    register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), 0, rng)
+    register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
     rate, ok = s_check(register, range(len(register.decoy_meta)), 0.0, rng)
     assert rate == 0.0
     assert ok
@@ -220,12 +214,11 @@ def test_s_check_honest_run_sees_no_errors():
 
 def test_s_check_flags_tampered_decoys():
     rng = np.random.default_rng(4)
-    register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), 0, rng)
-    # Flip every decoy to the orthogonal state of its own basis: X in the
-    # Z basis, Z in the X basis.  Every check must then fail.
-    for idx, meta in enumerate(register.decoy_meta):
-        flip = PauliLabel.X if meta.basis is Basis.Z else PauliLabel.Z
-        register.decoy_states[idx] = qsim.apply_pauli(register.decoy_states[idx], 0, flip)
+    register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
+    # Flip every decoy to the orthogonal state of its own basis (the label's
+    # bit).  Every check must then fail.
+    for idx in range(len(register.decoy_meta)):
+        register.decoy_states[idx] ^= 1
     rate, ok = s_check(register, range(len(register.decoy_meta)), 0.0, rng)
     assert rate == 1.0
     assert not ok
@@ -233,10 +226,8 @@ def test_s_check_flags_tampered_decoys():
 
 def test_s_check_threshold_tolerates_partial_errors():
     rng = np.random.default_rng(5)
-    register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), 0, rng)
-    meta = register.decoy_meta[0]
-    flip = PauliLabel.X if meta.basis is Basis.Z else PauliLabel.Z
-    register.decoy_states[0] = qsim.apply_pauli(register.decoy_states[0], 0, flip)
+    register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
+    register.decoy_states[0] ^= 1
     rate, ok = s_check(register, range(4), 0.25, rng)
     assert rate == pytest.approx(0.25)
     assert ok
@@ -268,119 +259,83 @@ def test_s_check_rejects_unknown_index():
 def test_s_check_draws_once_per_announced_decoy(announced):
     config = ProtocolConfig(decoys_per_sequence=4)
     rng, twin = np.random.default_rng(31), np.random.default_rng(31)
-    register = p1_prepare(config, 0, rng)
-    untouched = p1_prepare(config, 0, twin)
+    register = p1_prepare(config, rng)
+    untouched = p1_prepare(config, twin)
     s_check(register, announced, 0.0, rng)
     # The batched draw is the stream of one scalar draw per decoy, in
     # announcement order, and the bits are those the kernels give for it.
     for idx in announced:
         meta = untouched.decoy_meta[idx]
         measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-        bit, _, _ = measure(untouched.decoy_states[idx], 0, twin.random())
+        bit, _, _ = measure(decoy_state(untouched.decoy_states[idx]), 0, twin.random())
         assert register.decoy_meta[idx].measured == bit
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
-# decoy measurement: template outcome tables against the qsim kernels
+# decoy measurement: label outcome tables against the qsim kernels
 
 KERNELS = {Basis.Z: qsim.measure_z, Basis.X: qsim.measure_x}
 DRAWS = [
     0.0,
     0.25,
+    0.5 - 2**-53,
     0.5,
     float(np.nextafter(0.5, 0.0)),
     float(np.nextafter(0.5, 1.0)),
     float(np.nextafter(1.0, 0.0)),
 ]
+# The four states P1 prepares, as (basis, bit); their index is the label.
+PREPARED = [(Basis.Z, 0), (Basis.Z, 1), (Basis.X, 0), (Basis.X, 1)]
 
 
-def decoy_register(state):
+def decoy_register(label):
     meta = DecoyRecord(Role.ALICE, 0, Basis.Z, 0)
-    return RoundRegister(None, [state], [meta], [("d", 0)], [])
+    return RoundRegister(None, [label], [meta], [("d", 0)], [])
 
 
 def refuse_kernels(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a template decoy reached a qsim kernel")
+        raise AssertionError("a decoy reached a qsim kernel")
 
     monkeypatch.setattr(qsim, "measure_z", refuse)
     monkeypatch.setattr(qsim, "measure_x", refuse)
 
 
-def count_kernel_calls(monkeypatch):
-    calls = []
-    for kernel in KERNELS.values():
-
-        def counted(*args, _kernel=kernel):
-            calls.append(args)
-            return _kernel(*args)
-
-        monkeypatch.setattr(qsim, kernel.__name__, counted)
-    return calls
-
-
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
-@pytest.mark.parametrize("key", list(_DECOY_TEMPLATES))
+@pytest.mark.parametrize("key", PREPARED)
 def test_template_table_matches_the_kernel(monkeypatch, key, basis):
-    template = _DECOY_TEMPLATES[key]
-    expected = [KERNELS[basis](template.copy(), 0, draw) for draw in DRAWS]
+    # Each prepared label, measured in Z or X, gives the bit the kernel gives
+    # for the same draw and collapses to a label for the kernel's post-state.
+    label = PREPARED.index(key)
+    expected = [KERNELS[basis](decoy_state(label), 0, draw) for draw in DRAWS]
     refuse_kernels(monkeypatch)
+    coin = int(basis is Basis.X)
     for draw, (bit, post, _) in zip(DRAWS, expected):
-        register = decoy_register(template)
-        assert _measure_decoy(register, 0, basis, draw) == bit
-        got = register.decoy_states[0]
-        assert got.n_qubits == 1
-        assert got.amps.tobytes() == post.amps.tobytes()
-        assert not got.amps.flags.writeable
+        register = decoy_register(label)
+        assert _measure_decoy(register, 0, coin, draw) == bit
+        assert register.decoy_states[0] == 2 * coin + bit
+        assert qsim.same_state(decoy_state(register.decoy_states[0]), post)
     with pytest.raises(ValueError):
-        _measure_decoy(decoy_register(template), 0, basis, 1.0)
-
-
-def test_template_tables_are_read_only():
-    assert len(_TEMPLATE_OUTCOMES) == len(_DECOY_TEMPLATES)
-    for template in _DECOY_TEMPLATES.values():
-        for probs, posts in _TEMPLATE_OUTCOMES[id(template)]:
-            assert len(probs) == len(posts) == 2
-            for post in posts:
-                assert post is None or not post.amps.flags.writeable
+        _measure_decoy(decoy_register(label), 0, coin, 1.0)
 
 
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
-def test_disturbed_decoy_goes_through_the_kernel(monkeypatch, basis):
-    disturbed = [
-        qsim.apply_pauli(template, 0, PauliLabel.X) for template in _DECOY_TEMPLATES.values()
-    ]
-    rng = np.random.default_rng(17)
-    register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), 0, rng)
-    hook_intercept_resend(register, rng)
-    disturbed += register.decoy_states  # intercepted: table post-states
-    disturbed.append(_DECOY_TEMPLATES[(Basis.X, 0)].copy())  # equal, but not the template
-    calls = count_kernel_calls(monkeypatch)
-    for state in disturbed:
-        for draw in DRAWS:
-            bit, post, _ = KERNELS[basis](state, 0, draw)
-            register = decoy_register(state)
-            assert _measure_decoy(register, 0, basis, draw) == bit
-            assert register.decoy_states[0].amps.tobytes() == post.amps.tobytes()
-    assert len(calls) == len(disturbed) * len(DRAWS)
-
-
-def template_bytes():
-    """Amplitude bytes of every template and of every table post-state."""
-    states = list(_DECOY_TEMPLATES.values())
-    for tables in _TEMPLATE_OUTCOMES.values():
-        for _, posts in tables:
-            states += [post for post in posts if post is not None]
-    return [state.amps.tobytes() for state in states]
-
-
-@pytest.mark.parametrize("strategy", [StrategyId.PRE_MEASURE, StrategyId.INTERCEPT_RESEND])
-def test_runs_leave_templates_unchanged(strategy):
-    before = template_bytes()
-    config = ProtocolConfig(rounds=8, decoys_per_sequence=6, decoy_error_threshold=1.0)
-    run_protocol(config, [PauliLabel.X] * 8, strategy)
-    assert template_bytes() == before
+def test_intercepted_decoy_matches_the_kernel(basis):
+    # Every history a decoy can have: prepared, intercepted in ``basis``,
+    # then checked in its prepared basis.  Real states through the kernels
+    # and labels through _measure_decoy pick the same bits for every draw.
+    coin = int(basis is Basis.X)
+    for label, (prepared, _) in enumerate(PREPARED):
+        check_coin = int(prepared is Basis.X)
+        for first in DRAWS:
+            bit, state, _ = KERNELS[basis](decoy_state(label), 0, first)
+            register = decoy_register(label)
+            assert _measure_decoy(register, 0, coin, first) == bit
+            for second in DRAWS:
+                checked, _, _ = KERNELS[prepared](state, 0, second)
+                replay = decoy_register(register.decoy_states[0])
+                assert _measure_decoy(replay, 0, check_coin, second) == checked
 
 
 # ---------------------------------------------------------------------------
