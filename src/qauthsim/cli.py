@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, oracle, protocol
 from .adversary import StrategyId
-from .protocol import Decision, ProtocolConfig, Role
+from .protocol import Decision, FieldError, ProtocolConfig, Role
 from .qsim import BellLabel, PauliLabel
 
 
@@ -54,20 +54,29 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.protocol_config()  # validates the protocol-side fields
         if not isinstance(self.strategy, StrategyId):
-            raise ValueError(f"strategy must be a StrategyId, got {self.strategy!r}")
+            raise FieldError(
+                "strategy", f"strategy must be a StrategyId, got {self.strategy!r}"
+            )
         if self.mode not in ("sampled", "exact"):
-            raise ValueError(f"mode must be 'sampled' or 'exact', got {self.mode!r}")
+            raise FieldError(
+                "mode", f"mode must be 'sampled' or 'exact', got {self.mode!r}"
+            )
         if self.mode == "sampled" and (
             not isinstance(self.samples, int) or self.samples < 1
         ):
-            raise ValueError(f"sampled mode needs samples >= 1, got {self.samples!r}")
+            raise FieldError(
+                "samples", f"sampled mode needs samples >= 1, got {self.samples!r}"
+            )
         if self.mode == "exact" and self.strategy is StrategyId.INTERCEPT_RESEND:
-            raise ValueError(
+            raise FieldError(
+                "strategy",
                 "exact mode enumerates Honest and PreMeasure only; "
                 "InterceptResend is sampled"
             )
         if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be 'json' or 'csv', got {self.format!r}")
+            raise FieldError(
+                "format", f"format must be 'json' or 'csv', got {self.format!r}"
+            )
 
     def protocol_config(self) -> ProtocolConfig:
         return ProtocolConfig(
@@ -127,13 +136,15 @@ def load_config(path) -> RunConfig:
     """Parse a ``key = value`` config file ('#' starts a comment).
 
     Unknown keys, duplicate keys, and out-of-range values are errors,
-    reported with the key name and line number.
+    reported with the key name and line number.  The range rules live in
+    the config classes; their FieldError names the key whose line is cited.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,10 +163,11 @@ def load_config(path) -> RunConfig:
             values[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
+        lines[key] = lineno
     try:
         return RunConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except FieldError as exc:
+        raise ConfigError(f"{path}:{lines[exc.key]}: {exc.key}: {exc}") from exc
 
 
 def _twelve(x: float) -> float:

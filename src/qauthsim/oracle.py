@@ -7,7 +7,11 @@ very same phase functions the sampler uses: :class:`BranchSource` implements
 the outcome-source interface of :class:`qauthsim.protocol.SampleSource`, but
 replays scripted choices instead of drawing randomness, and
 :func:`enumerate_branches` re-executes a pipeline once per measurement
-branch in depth-first order.
+branch in depth-first order.  A pipeline must be deterministic given its
+outcomes, so each replay is handed the outcome lists along the prefix it
+shares with the previous one: every outcome list of the tree is computed
+exactly once.  :func:`exact_transcript_distribution` checks at run time
+that the enumerated probability mass is 1.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from .adversary import StrategyId, forge_c, hook_premeasure
 from .protocol import Decision, ProtocolConfig, Role
 from .qsim import Basis, BellLabel, PauliLabel
 
+# Largest |1 - mass| an exact enumeration may leave before it is an error.
+MASS_TOL = 1e-12
+
 
 class BranchSource:
     """Outcome source that follows a scripted branch of the measurement tree.
@@ -28,45 +35,60 @@ class BranchSource:
     live option beyond the script's end) from the outcome list, accumulating
     the branch probability.  ``taken`` and ``counts`` record the path and
     the live-option fan-out actually encountered, which is what the
-    enumeration needs to advance to the next branch.
+    enumeration needs to advance to the next branch; ``lists`` records the
+    live outcome list of every depth.  Depths below ``len(known)`` take
+    their list from ``known`` instead of computing it, which is exact when
+    ``known`` holds the lists of a pass whose script shares that prefix.
     """
 
     def __init__(self, script):
         self._script = script
+        self.known = []
+        self.lists = []
         self.taken = []
         self.counts = []
         self.probability = 1.0
 
-    def _choose(self, options):
-        live = [o for o in options if o[2] is not None and o[1] > qsim.ZERO_PROB]
+    def _choose(self, outcomes, *args):
         depth = len(self.taken)
+        if depth < len(self.known):
+            live = self.known[depth]
+        else:
+            options = outcomes(*args)
+            live = [o for o in options if o[2] is not None and o[1] > qsim.ZERO_PROB]
         index = self._script[depth] if depth < len(self._script) else 0
         outcome, p, post = live[index]
+        self.lists.append(live)
         self.taken.append(index)
         self.counts.append(len(live))
         self.probability *= p
         return outcome, post
 
     def measure_z(self, state, q):
-        return self._choose(qsim.z_outcomes(state, q))
+        return self._choose(qsim.z_outcomes, state, q)
 
     def measure_x(self, state, q):
-        return self._choose(qsim.x_outcomes(state, q))
+        return self._choose(qsim.x_outcomes, state, q)
 
     def measure_bell(self, state, q1, q2):
-        return self._choose(qsim.bell_outcomes(state, q1, q2))
+        return self._choose(qsim.bell_outcomes, state, q1, q2)
 
 
 def enumerate_branches(pipeline):
     """Yield (result, probability) over every measurement branch of ``pipeline``.
 
     ``pipeline`` is a callable taking one outcome source; it is re-executed
-    from scratch for each leaf.  Probabilities over all yielded branches sum
-    to 1 (zero-probability branches are never entered).
+    once per leaf, in depth-first order, and must be deterministic given
+    the outcomes it receives.  Each pass reuses the outcome lists of the
+    prefix it shares with the previous pass, so every outcome list is
+    computed once.  Probabilities over all yielded branches sum to 1
+    (zero-probability branches are never entered).
     """
     script: list = []
+    known: list = []
     while True:
         source = BranchSource(script)
+        source.known = known
         result = pipeline(source)
         yield result, source.probability
         taken, counts = source.taken, source.counts
@@ -76,6 +98,7 @@ def enumerate_branches(pipeline):
         if i < 0:
             return
         script = taken[:i] + [taken[i] + 1]
+        known = source.lists[: i + 1]
 
 
 @dataclass
@@ -133,7 +156,8 @@ def exact_transcript_distribution(
     the protocol qubits and are checked separately).  Returns the full
     64-cell map keyed by ((c1, c2), a, b).  The order arguments permute the
     enumeration order of the parties' measurements; the distribution must
-    not depend on them.
+    not depend on them.  Raises ValueError when the leaf probabilities do
+    not sum to 1 within ``MASS_TOL``.
     """
     if strategy not in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
         raise ValueError(
@@ -161,6 +185,9 @@ def exact_transcript_distribution(
     }
     for (c, a, b), probability in enumerate_branches(pipeline):
         cells[(c, a, b)] += probability
+    mass = sum(cells.values())
+    if abs(1.0 - mass) > MASS_TOL:
+        raise ValueError(f"enumerated probability mass is {mass!r}, not 1")
     return cells
 
 

@@ -80,6 +80,14 @@ _DECOY_PROBS = tuple(
 )
 
 
+class FieldError(ValueError):
+    """A configuration field holds a bad value; ``key`` names the field."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass
 class ProtocolConfig:
     rounds: int = 1
@@ -90,21 +98,27 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ValueError(f"rounds must be a positive integer, got {self.rounds!r}")
+            raise FieldError(
+                "rounds", f"rounds must be a positive integer, got {self.rounds!r}"
+            )
         if not isinstance(self.decoys_per_sequence, int) or self.decoys_per_sequence < 0:
-            raise ValueError(
+            raise FieldError(
+                "decoys_per_sequence",
                 f"decoys_per_sequence must be a non-negative integer, "
                 f"got {self.decoys_per_sequence!r}"
             )
         if not 0.0 <= self.decoy_error_threshold <= 1.0:
-            raise ValueError(
+            raise FieldError(
+                "decoy_error_threshold",
                 f"decoy_error_threshold must lie in [0, 1], "
                 f"got {self.decoy_error_threshold!r}"
             )
         if self.direction not in (Role.ALICE, Role.BOB):
-            raise ValueError("direction must be Alice or Bob")
+            raise FieldError("direction", "direction must be Alice or Bob")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise FieldError(
+                "seed", f"seed must be a 64-bit unsigned integer, got {self.seed!r}"
+            )
 
 
 @dataclass
@@ -178,17 +192,12 @@ class SampleSource:
         return label, post
 
 
-_FRESH_STATE: "StateVector | None" = None
-
-
-def _fresh_protocol_state() -> StateVector:
-    """A copy of |G> x |G| over the six protocol qubits (cached template)."""
-    global _FRESH_STATE
-    if _FRESH_STATE is None:
-        state = qsim.init_product(["0"] * PROTOCOL_QUBITS)
-        state = qsim.prepare_ghz_like(state, C1, A1, B1)
-        _FRESH_STATE = qsim.prepare_ghz_like(state, C2, A2, B2)
-    return _FRESH_STATE.copy()
+# |G> x |G> over the six protocol qubits, read-only and shared by every
+# register: no phase writes amplitudes in place, each returns a new state.
+_FRESH_STATE = qsim.init_product(["0"] * PROTOCOL_QUBITS)
+_FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C1, A1, B1)
+_FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C2, A2, B2)
+_FRESH_STATE.amps.setflags(write=False)
 
 
 def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> RoundRegister:
@@ -202,7 +211,6 @@ def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> Rou
     is its label 2 * basis coin + bit coin.  ``rng`` may be None when
     ``decoys_per_sequence`` is 0.
     """
-    state = _fresh_protocol_state()
     decoy_states: list = []
     decoy_meta: list = []
     sequences = []
@@ -223,7 +231,7 @@ def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> Rou
             decoy_states.append(2 * basis_coin + bit)
             decoy_meta.append(DecoyRecord(owner, pos, _BASIS_OF_COIN[basis_coin], bit))
         sequences.append(seq)
-    return RoundRegister(state, decoy_states, decoy_meta, *sequences)
+    return RoundRegister(_FRESH_STATE, decoy_states, decoy_meta, *sequences)
 
 
 def p2_transmit(register: RoundRegister, hook=None):

@@ -86,3 +86,26 @@ def joint_distribution(amps, projector_lists):
             vec = pl[which] @ vec
         dist[combo] = float(np.vdot(vec, vec).real)
     return dist
+
+
+def enumerate_branches_from_scratch(pipeline):
+    """The enumerator as it was before outcome lists were reused.
+
+    It re-runs ``pipeline`` from scratch for every leaf, on a
+    :class:`qauthsim.oracle.BranchSource` that is handed no known lists, so
+    every outcome list along every path is computed afresh.
+    """
+    from qauthsim.oracle import BranchSource
+
+    script: list = []
+    while True:
+        source = BranchSource(script)
+        result = pipeline(source)
+        yield result, source.probability
+        taken, counts = source.taken, source.counts
+        i = len(taken) - 1
+        while i >= 0 and taken[i] + 1 >= counts[i]:
+            i -= 1
+        if i < 0:
+            return
+        script = taken[:i] + [taken[i] + 1]

@@ -126,6 +126,28 @@ def test_out_of_range_values_are_rejected(tmp_path, line):
         load_config(write_config(tmp_path, line + "\n"))
 
 
+@pytest.mark.parametrize(
+    "text, key, lineno",
+    [
+        ("# runs\nrounds = 0\n", "rounds", 2),
+        ("mode = sampled\n\nsamples = 0\n", "samples", 3),
+        ("seed = 18446744073709551616\n", "seed", 1),
+        ("mode = exact\nrounds = 2\nstrategy = InterceptResend\n", "strategy", 3),
+        ("strategy = InterceptResend\nmode = exact\n", "strategy", 1),
+    ],
+)
+def test_validation_errors_name_the_key_and_line(tmp_path, text, key, lineno):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value).startswith(f"{path}:{lineno}: {key}: ")
+
+
+def test_samples_zero_is_valid_in_exact_mode(tmp_path):
+    config = load_config(write_config(tmp_path, "samples = 0\nmode = exact\n"))
+    assert config.samples == 0
+
+
 def test_exact_mode_rejects_intercept_resend(tmp_path):
     path = write_config(tmp_path, "mode = exact\nstrategy = InterceptResend\n")
     with pytest.raises(ConfigError):

@@ -1,8 +1,11 @@
 """Tests for the analysis oracle: branch enumeration, the swapping tables,
 exact transcript distributions, and the statistics helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
+import reference
 
 from qauthsim import oracle, qsim
 from qauthsim.adversary import StrategyId
@@ -224,6 +227,96 @@ def test_exact_distribution_order_invariance():
         )
         honest = exact_transcript_distribution(StrategyId.HONEST, PauliLabel.X)
         assert tv_distance(honest, permuted) <= 1e-12
+
+
+ORDERS = list(itertools.permutations(("a", "b", "c")))
+EXACT_COMBINATIONS = list(
+    itertools.product(
+        (StrategyId.HONEST, StrategyId.PRE_MEASURE),
+        PauliLabel,
+        (Role.ALICE, Role.BOB),
+        ORDERS,  # hook orders
+        ORDERS,  # measure orders
+    )
+)
+
+
+def _hexed(dist):
+    return {cell: p.hex() for cell, p in dist.items()}
+
+
+def test_reused_outcome_lists_give_bitwise_equal_distributions(monkeypatch):
+    assert len(EXACT_COMBINATIONS) == 576
+    fast = [_hexed(exact_transcript_distribution(*combo)) for combo in EXACT_COMBINATIONS]
+    monkeypatch.setattr(oracle, "enumerate_branches", reference.enumerate_branches_from_scratch)
+    slow = [_hexed(exact_transcript_distribution(*combo)) for combo in EXACT_COMBINATIONS]
+    assert fast == slow
+
+
+def _record_enumeration(monkeypatch, strategy, key, direction):
+    """Run one exact enumeration; return its outcome-list calls and leaf paths."""
+    paths = []
+    calls = []
+
+    class RecordingBranchSource(BranchSource):
+        def __init__(self, script):
+            super().__init__(script)
+            paths.append(self.taken)
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle, "BranchSource", RecordingBranchSource)
+    for name in ("z_outcomes", "x_outcomes", "bell_outcomes"):
+        monkeypatch.setattr(qsim, name, counting(getattr(qsim, name)))
+    exact_transcript_distribution(strategy, key, direction)
+    return calls, paths
+
+
+@pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
+@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
+def test_each_outcome_list_is_computed_once(monkeypatch, strategy, direction):
+    calls, paths = _record_enumeration(monkeypatch, strategy, PauliLabel.IY, direction)
+    prefixes = {tuple(taken[:k]) for taken in paths for k in range(len(taken))}
+    assert len(calls) == len(prefixes)
+    assert len(calls) < sum(len(taken) for taken in paths)
+
+
+def _with_last_leaf(enumerate_branches, reweigh):
+    def enumerate_with_last_leaf_reweighed(pipeline):
+        leaves = list(enumerate_branches(pipeline))
+        result, p = leaves[-1]
+        leaves[-1] = (result, reweigh(p))
+        return iter(leaves)
+
+    return enumerate_with_last_leaf_reweighed
+
+
+@pytest.mark.parametrize(
+    "reweigh",
+    [lambda p: 0.0, lambda p: p / 2, lambda p: p - 1e-11, lambda p: p + 1e-11],
+    ids=["dropped", "halved", "minus-1e-11", "plus-1e-11"],
+)
+def test_exact_distribution_checks_the_enumerated_mass(monkeypatch, reweigh):
+    monkeypatch.setattr(
+        oracle, "enumerate_branches", _with_last_leaf(oracle.enumerate_branches, reweigh)
+    )
+    with pytest.raises(ValueError, match="probability mass"):
+        exact_transcript_distribution(StrategyId.PRE_MEASURE, PauliLabel.X)
+
+
+def test_exact_distribution_admits_rounding_in_the_mass(monkeypatch):
+    monkeypatch.setattr(
+        oracle,
+        "enumerate_branches",
+        _with_last_leaf(oracle.enumerate_branches, lambda p: p + 1e-13),
+    )
+    dist = exact_transcript_distribution(StrategyId.PRE_MEASURE, PauliLabel.X)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=oracle.MASS_TOL)
 
 
 def test_verification_rule_is_the_unique_affine_fit():

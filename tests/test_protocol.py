@@ -5,7 +5,7 @@ import pytest
 
 import reference
 
-from qauthsim import oracle, qsim
+from qauthsim import oracle, protocol, qsim
 from qauthsim.adversary import StrategyId
 from qauthsim.protocol import (
     A1,
@@ -176,6 +176,18 @@ def test_p1_charlie_qubit_is_unbiased():
     dist = qsim.outcome_distribution(register.state, [((C1,), Basis.Z)])
     assert dist[(0,)] == pytest.approx(0.5)
     assert dist[(1,)] == pytest.approx(0.5)
+
+
+def test_p1_registers_share_the_read_only_fresh_state():
+    first, second = fresh_register(), fresh_register(decoys=2, seed=3)
+    assert first.state.amps is second.state.amps is protocol._FRESH_STATE.amps
+    assert not first.state.amps.flags.writeable
+    before = first.state.amps.copy()
+    config = ProtocolConfig(rounds=6, decoys_per_sequence=2, seed=12)
+    for strategy in StrategyId:
+        run_protocol(config, [PauliLabel.X] * 6, strategy)
+    assert protocol._FRESH_STATE.amps is first.state.amps
+    assert np.array_equal(first.state.amps, before)
 
 
 # ---------------------------------------------------------------------------
