@@ -3,9 +3,11 @@
 Two subcommands: ``tables`` prints the oracle's entanglement-swapping and
 Pauli-on-Bell tables; ``run`` loads a line-oriented ``key = value`` config,
 executes a sampled or exact experiment, writes a JSON or CSV report, and
-prints a one-line summary.  Reports are deterministic: identical configs
-produce byte-identical files (reals at 12 significant digits, no
-timestamps).
+prints a one-line summary.  A sampled run folds each protocol run into five
+integer tallies as it goes, so its memory depends on ``rounds``, not on
+``samples``; an exact run enumerates each key's transcript distribution.
+Reports are deterministic: identical configs produce byte-identical files
+(reals at 12 significant digits, no timestamps).
 
 Exit codes: 0 success, 2 configuration error, 3 report I/O error.
 """
@@ -195,21 +197,27 @@ def _sampled_results(config: RunConfig) -> list:
     master = np.random.default_rng(config.seed)
     alphabet = list(PauliLabel)
     base = config.protocol_config()
-    stats = []
+    trials = accepted = detected = guesses = hits = 0
     for _ in range(config.samples):
         run_seed = int(master.integers(0, 2**63))
         keys = [alphabet[int(j)] for j in master.integers(0, 4, size=config.rounds)]
         run_config = replace(base, seed=run_seed)
         transcript, _, report = protocol.run_protocol(run_config, keys, config.strategy)
-        stats.extend(oracle.collect_round_stats(transcript, report, keys))
-    rates = oracle.sampled_rates(stats)
+        for record, guess, key in zip(transcript.rounds, report.inferred_keys, keys):
+            trials += 1
+            accepted += record.decision is Decision.ACCEPT
+            detected += record.decision is Decision.ABORT
+            if guess is not None:
+                guesses += 1
+                hits += guess is key
+    rates = oracle.sampled_rates(trials, accepted, detected, guesses, hits)
     return [
         {
             "strategy": config.strategy.value,
             "mode": "sampled",
             "key": None,
             "samples": config.samples,
-            "rounds_executed": len(stats),
+            "rounds_executed": trials,
             **_rate_fields("accept", rates.accept),
             **_rate_fields("detection", rates.detection),
             **_rate_fields("key_recovery", rates.key_recovery),
@@ -233,10 +241,12 @@ def _exact_results(config: RunConfig) -> list:
                 StrategyId.HONEST, key, config.direction
             )
         )
+        # Cells only ever gain positive leaf probabilities, so skipping the
+        # exact zeros leaves the sum bitwise unchanged.
         accept = sum(
             p
             for (c, a, b), p in dist.items()
-            if protocol.e3_verify(a, b, c, key) is Decision.ACCEPT
+            if p != 0.0 and protocol.e3_verify(a, b, c, key) is Decision.ACCEPT
         )
         rows.append(
             {

@@ -10,18 +10,22 @@ replays scripted choices instead of drawing randomness, and
 branch in depth-first order.  A pipeline must be deterministic given its
 outcomes, so each replay is handed the outcome lists along the prefix it
 shares with the previous one: every outcome list of the tree is computed
-exactly once.  :func:`exact_transcript_distribution` checks at run time
-that the enumerated probability mass is 1.
+exactly once.  It is the package's only enumerator:
+:func:`outcome_distribution` (a measurement plan on a bare state) and
+:func:`exact_transcript_distribution` (a protocol round, its enumerated
+mass checked at run time) are pipelines it runs.  Sampled runs reduce to
+five integer tallies that :func:`sampled_rates` turns into Wilson intervals.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import protocol, qsim
 from .adversary import StrategyId, forge_c, hook_premeasure
-from .protocol import Decision, ProtocolConfig, Role
+from .protocol import ProtocolConfig, Role
 from .qsim import Basis, BellLabel, PauliLabel
 
 # Largest |1 - mass| an exact enumeration may leave before it is an error.
@@ -101,6 +105,50 @@ def enumerate_branches(pipeline):
         known = source.lists[: i + 1]
 
 
+def _validate_plan(state: qsim.StateVector, plan) -> None:
+    seen = set()
+    for qubits, basis in plan:
+        want = 2 if basis is Basis.BELL else 1
+        if len(qubits) != want:
+            raise ValueError(
+                f"{basis.value} measurement takes {want} qubit(s), got {qubits}"
+            )
+        for q in qubits:
+            qsim._require_qubit(state, q)
+            if q in seen:
+                raise ValueError(f"qubit {q} appears twice in the measurement plan")
+            seen.add(q)
+
+
+def outcome_distribution(state: qsim.StateVector, plan) -> dict:
+    """Exact joint distribution of an ordered plan of disjoint measurements.
+
+    ``plan`` is a list of (qubit tuple, Basis) entries: Z and X entries name
+    one qubit, Bell entries name two.  Returns a dict over the full product
+    outcome space (zero-probability cells included), keyed by tuples of
+    per-measurement outcomes in plan order.
+    """
+    _validate_plan(state, plan)
+
+    def pipeline(source):
+        current, outcomes = state, []
+        for qubits, basis in plan:
+            if basis is Basis.BELL:
+                outcome, current = source.measure_bell(current, *qubits)
+            elif basis is Basis.Z:
+                outcome, current = source.measure_z(current, qubits[0])
+            else:
+                outcome, current = source.measure_x(current, qubits[0])
+            outcomes.append(outcome)
+        return tuple(outcomes)
+
+    spaces = [tuple(BellLabel) if basis is Basis.BELL else (0, 1) for _, basis in plan]
+    dist = {key: 0.0 for key in itertools.product(*spaces)}
+    for key, probability in enumerate_branches(pipeline):
+        dist[key] += probability
+    return dist
+
+
 @dataclass
 class SwapTable:
     """Joint Bell-outcome distribution after swapping two Bell pairs.
@@ -128,9 +176,7 @@ def swap_table(m: BellLabel, n: BellLabel) -> SwapTable:
     state = qsim.apply_cnot(qsim.apply_hadamard(state, 2), 2, 3)
     state = _impose_label(state, 1, m)
     state = _impose_label(state, 3, n)
-    joint = qsim.outcome_distribution(
-        state, [((0, 2), Basis.BELL), ((1, 3), Basis.BELL)]
-    )
+    joint = outcome_distribution(state, [((0, 2), Basis.BELL), ((1, 3), Basis.BELL)])
     return SwapTable((m, n), joint)
 
 
@@ -218,18 +264,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 
 @dataclass
-class RoundStats:
-    """One sampled round reduced to the three acceptance-relevant bits.
-
-    ``key_recovered`` is None when the strategy makes no key inference.
-    """
-
-    accepted: bool
-    detected: bool
-    key_recovered: "bool | None"
-
-
-@dataclass
 class RateEstimate:
     rate: float
     low: float
@@ -249,32 +283,16 @@ def _estimate(successes: int, trials: int) -> RateEstimate:
     return RateEstimate(successes / trials, low, high, trials)
 
 
-def sampled_rates(results) -> RatesReport:
-    """Empirical accept/detection/key-recovery rates with Wilson 95% bands."""
-    if not results:
+def sampled_rates(
+    trials: int, accepted: int, detected: int, guesses: int, hits: int
+) -> RatesReport:
+    """Accept/detection/key-recovery rates with Wilson 95% bands from tallies.
+
+    ``accepted`` and ``detected`` count rounds out of ``trials``; ``hits``
+    counts correct key inferences out of the ``guesses`` rounds where the
+    strategy made one (no key-recovery rate when there were none).
+    """
+    if trials <= 0:
         raise ValueError("no round results to summarise")
-    n = len(results)
-    accept = _estimate(sum(r.accepted for r in results), n)
-    detection = _estimate(sum(r.detected for r in results), n)
-    with_guess = [r for r in results if r.key_recovered is not None]
-    recovery = (
-        _estimate(sum(r.key_recovered for r in with_guess), len(with_guess))
-        if with_guess
-        else None
-    )
-    return RatesReport(accept, detection, recovery)
-
-
-def collect_round_stats(transcript, report, keys) -> list:
-    """Flatten one protocol run into per-round RoundStats."""
-    stats = []
-    for i, rec in enumerate(transcript.rounds):
-        guess = report.inferred_keys[i]
-        stats.append(
-            RoundStats(
-                accepted=rec.decision is Decision.ACCEPT,
-                detected=rec.decision is Decision.ABORT,
-                key_recovered=None if guess is None else guess is keys[i],
-            )
-        )
-    return stats
+    recovery = _estimate(hits, guesses) if guesses else None
+    return RatesReport(_estimate(accepted, trials), _estimate(detected, trials), recovery)

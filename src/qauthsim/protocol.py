@@ -270,8 +270,8 @@ def s_check(
     validated before anything is measured.  The uniform draws come in one
     batch of ``len(announced)`` from ``rng``, the same stream as one draw per
     decoy in announcement order; an empty announcement draws nothing.
-    Returns (error rate over the announced decoys, pass flag at
-    ``threshold``).
+    Returns (number of mismatched decoys, pass flag: the mismatch rate over
+    the announced decoys is at most ``threshold``).
     """
     metas = register.decoy_meta
     if len(register.decoy_states) != len(metas):
@@ -286,8 +286,7 @@ def s_check(
         meta = metas[idx]
         meta.measured = _measure_decoy(register, idx, int(meta.basis is Basis.X), randomness)
         mismatches += meta.measured != meta.prepared
-    rate = mismatches / k if k else 0.0
-    return rate, rate <= threshold
+    return mismatches, (mismatches / k if k else 0.0) <= threshold
 
 
 def e1_encode(register: RoundRegister, key: PauliLabel, direction: Role) -> RoundRegister:
@@ -387,10 +386,10 @@ def run_protocol(config: ProtocolConfig, keys, strategy):
         p2_transmit(register, hook)
         eve_states.append(eve)
 
-        rate_a, ok_a = s_check(register, alice_idx, config.decoy_error_threshold, rng)
-        rate_b, ok_b = s_check(register, bob_idx, config.decoy_error_threshold, rng)
+        errors_a, ok_a = s_check(register, alice_idx, config.decoy_error_threshold, rng)
+        errors_b, ok_b = s_check(register, bob_idx, config.decoy_error_threshold, rng)
         n_checked = 2 * d
-        n_errors = round(rate_a * d) + round(rate_b * d)  # rates are mismatches / d
+        n_errors = errors_a + errors_b
         round_rate = n_errors / n_checked if n_checked else 0.0
         checked += n_checked
         mismatched += n_errors

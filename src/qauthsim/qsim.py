@@ -21,7 +21,6 @@ the XOR of the input labels.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -477,55 +476,6 @@ def measure_bell(
     label = _BELL_ORDER[i]
     post = StateVector(state.n_qubits, project(i))
     return label, post, MeasurementRecord((q1, q2), Basis.BELL, label, probs[i])
-
-
-def _plan_outcomes(state: StateVector, qubits: tuple, basis: Basis) -> list:
-    if basis is Basis.BELL:
-        return bell_outcomes(state, qubits[0], qubits[1])
-    if basis is Basis.Z:
-        return z_outcomes(state, qubits[0])
-    return x_outcomes(state, qubits[0])
-
-
-def _validate_plan(state: StateVector, plan) -> None:
-    seen = set()
-    for qubits, basis in plan:
-        want = 2 if basis is Basis.BELL else 1
-        if len(qubits) != want:
-            raise ValueError(
-                f"{basis.value} measurement takes {want} qubit(s), got {qubits}"
-            )
-        for q in qubits:
-            _require_qubit(state, q)
-            if q in seen:
-                raise ValueError(f"qubit {q} appears twice in the measurement plan")
-            seen.add(q)
-
-
-def outcome_distribution(state: StateVector, plan) -> dict:
-    """Exact joint distribution of an ordered plan of disjoint measurements.
-
-    ``plan`` is a list of (qubit tuple, Basis) entries: Z and X entries name
-    one qubit, Bell entries name two.  Returns a dict over the full product
-    outcome space (zero-probability cells included), keyed by tuples of
-    per-measurement outcomes in plan order.
-    """
-    _validate_plan(state, plan)
-    spaces = [tuple(BellLabel) if basis is Basis.BELL else (0, 1) for _, basis in plan]
-    dist = {key: 0.0 for key in itertools.product(*spaces)}
-
-    def walk(current: StateVector, depth: int, prefix: tuple, weight: float) -> None:
-        if depth == len(plan):
-            dist[prefix] += weight
-            return
-        qubits, basis = plan[depth]
-        for outcome, p, post in _plan_outcomes(current, qubits, basis):
-            if post is None or p <= ZERO_PROB:
-                continue
-            walk(post, depth + 1, prefix + (outcome,), weight * p)
-
-    walk(state, 0, (), 1.0)
-    return dist
 
 
 def prepare_ghz_like(state: StateVector, qc: int, qa: int, qb: int) -> StateVector:

@@ -1,11 +1,14 @@
 """Tests for the command-line harness: config parsing, report rendering,
 determinism, and exit codes."""
 
+import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from qauthsim import __version__, oracle
+from qauthsim import __version__, oracle, protocol
 from qauthsim.adversary import StrategyId
 from qauthsim.cli import (
     ConfigError,
@@ -17,7 +20,8 @@ from qauthsim.cli import (
     render_json,
     render_tables,
 )
-from qauthsim.protocol import Role
+from qauthsim.protocol import Decision, ProtocolConfig, Role
+from qauthsim.qsim import PauliLabel
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -227,6 +231,86 @@ def test_exact_report_enumerates_the_honest_baseline_once(monkeypatch, strategy,
         assert row["support_size"] == 16
 
 
+def record_sampled_runs(monkeypatch, fixed):
+    """Run every sample of a sampled report on ``fixed`` (seed included) with
+    the report's own keys; return the runs and the tallies handed to
+    ``oracle.sampled_rates``."""
+    real_run, real_rates = protocol.run_protocol, oracle.sampled_rates
+    runs, tallies = [], []
+
+    def run(config, keys, strategy):
+        result = real_run(fixed, keys, strategy)
+        runs.append(result)
+        return result
+
+    def rates(*counts):
+        tallies.append(counts)
+        return real_rates(*counts)
+
+    monkeypatch.setattr(protocol, "run_protocol", run)
+    monkeypatch.setattr(oracle, "sampled_rates", rates)
+    return runs, tallies
+
+
+def test_sampled_tallies_honest_and_premeasure(monkeypatch):
+    fixed = ProtocolConfig(rounds=3, decoys_per_sequence=1, seed=15)
+    runs, tallies = record_sampled_runs(monkeypatch, fixed)
+    config = RunConfig(rounds=3, decoys_per_sequence=1, samples=2)
+    (row,) = build_report(config)["results"]
+    # (trials, accepted, detected, key guesses, key hits)
+    assert tallies == [(6, 6, 0, 0, 0)]
+    assert row["key_recovery_rate"] is None
+    assert row["rounds_executed"] == row["accept_trials"] == 6
+    assert row["accept_rate"] == 1.0
+    assert row["detection_rate"] == 0.0
+
+    (row,) = build_report(replace(config, strategy=StrategyId.PRE_MEASURE))["results"]
+    assert len(runs) == 4
+    assert tallies[1:] == [(6, 6, 0, 6, 6)]
+    assert row["key_recovery_rate"] == 1.0
+    assert row["key_recovery_trials"] == 6
+    assert row["accept_rate"] == 1.0
+    assert row["detection_rate"] == 0.0
+
+
+def test_sampled_tallies_mark_aborts(monkeypatch):
+    fixed = ProtocolConfig(rounds=8, decoys_per_sequence=8, seed=16)
+    runs, tallies = record_sampled_runs(monkeypatch, fixed)
+    config = RunConfig(
+        rounds=8, decoys_per_sequence=8, samples=1, strategy=StrategyId.INTERCEPT_RESEND
+    )
+    (row,) = build_report(config)["results"]
+    ((transcript, decision, _),) = runs
+    assert decision is Decision.ABORT
+    assert transcript.rounds[-1].decision is Decision.ABORT
+    executed = len(transcript.rounds)
+    accepted = sum(r.decision is Decision.ACCEPT for r in transcript.rounds)
+    assert tallies == [(executed, accepted, 1, 0, 0)]
+    assert row["rounds_executed"] == row["detection_trials"] == executed
+    assert row["key_recovery_rate"] is None
+
+
+def test_sampled_memory_does_not_grow_with_samples(monkeypatch):
+    # Every sample returns one prebuilt 16-round run, so the report's own
+    # bookkeeping is all that could grow with ``samples``.
+    fixed = ProtocolConfig(rounds=16, decoys_per_sequence=4, seed=1)
+    prebuilt = protocol.run_protocol(fixed, [PauliLabel.I] * 16, StrategyId.PRE_MEASURE)
+    monkeypatch.setattr(protocol, "run_protocol", lambda *args: prebuilt)
+
+    def peak(samples):
+        config = RunConfig(rounds=16, samples=samples, strategy=StrategyId.PRE_MEASURE)
+        tracemalloc.start()
+        try:
+            build_report(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(500)  # warm any lazily built caches
+    small, large = peak(500), peak(5000)
+    assert large - small < 4096, (small, large)
+
+
 def test_json_rendering_round_trips():
     report = build_report(small_sampled_config())
     text = render_json(report)
@@ -265,6 +349,13 @@ def test_tables_rendering_is_stable():
     # 16 tables of 4 rows plus the 16-entry Pauli map.
     assert text.count("0.2500") == 64
     assert text.count(" -> ") == 16
+
+
+def test_tables_rendering_is_pinned():
+    # The rendered tables byte for byte: a change to the enumerator or the
+    # kernels must not move a printed digit.
+    digest = hashlib.sha256(render_tables().encode()).hexdigest()
+    assert digest == "828289943a6b7f27f816e720cb642e2ec90fefcb3ac10063f5a3d035fc1a8a10"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the analysis oracle: branch enumeration, the swapping tables,
 exact transcript distributions, and the statistics helpers."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -11,8 +12,6 @@ from qauthsim import oracle, qsim
 from qauthsim.adversary import StrategyId
 from qauthsim.oracle import (
     BranchSource,
-    RoundStats,
-    collect_round_stats,
     enumerate_branches,
     exact_transcript_distribution,
     pauli_bell_map,
@@ -21,7 +20,7 @@ from qauthsim.oracle import (
     tv_distance,
     wilson_interval,
 )
-from qauthsim.protocol import Decision, ProtocolConfig, Role, run_protocol
+from qauthsim.protocol import ProtocolConfig, Role, run_protocol
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 
@@ -84,10 +83,51 @@ def test_enumerate_matches_outcome_distribution():
         enumerated = {}
         for (z_bit, x_bit), prob in enumerate_branches(pipeline):
             enumerated[z_bit + x_bit] = enumerated.get(z_bit + x_bit, 0.0) + prob
-        plan = [((qubits[0],), Basis.Z), ((qubits[1],), Basis.X)]
-        expected = qsim.outcome_distribution(state, plan)
+        expected = reference.joint_distribution(
+            state.amps,
+            [reference.z_projectors(qubits[0], n), reference.x_projectors(qubits[1], n)],
+        )
         for key, prob in expected.items():
             assert enumerated.get(key, 0.0) == pytest.approx(prob, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        [((0,), Basis.BELL)],
+        [((0, 1), Basis.Z)],
+        [((2,), Basis.X)],
+        [((0,), Basis.Z), ((0, 1), Basis.BELL)],
+    ],
+)
+def test_outcome_distribution_rejects_bad_plans_before_measuring(monkeypatch, plan):
+    def refuse(script):
+        raise AssertionError("enumerated a bad plan")
+
+    monkeypatch.setattr(oracle, "BranchSource", refuse)
+    with pytest.raises(ValueError):
+        oracle.outcome_distribution(qsim.init_product(["0", "0"]), plan)
+
+
+def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
+    paths = []
+
+    class Recording(BranchSource):
+        def __init__(self, script):
+            super().__init__(script)
+            paths.append(self.taken)
+
+    monkeypatch.setattr(oracle, "BranchSource", Recording)
+    plan = [((0,), Basis.Z), ((1,), Basis.Z)]
+    dist = oracle.outcome_distribution(qsim.bell_pair(BellLabel.PHI_PLUS), plan)
+    assert dist == {
+        (0, 0): pytest.approx(0.5),
+        (0, 1): 0.0,
+        (1, 0): 0.0,
+        (1, 1): pytest.approx(0.5),
+    }
+    # One pass per live leaf: the second Z has a single live outcome.
+    assert paths == [[0, 0], [1, 0]]
 
 
 def test_branch_source_records_its_path():
@@ -125,6 +165,19 @@ def test_swap_table_mixed_inputs():
         (p, q) for p in BellLabel for q in BellLabel
         if (p.phase_bit ^ q.phase_bit, p.parity_bit ^ q.parity_bit) == (0, 1)
     }
+
+
+def test_swap_table_joints_are_pinned():
+    # Every joint probability of the 16 tables, bit for bit: a change to the
+    # enumerator or the kernels must not move a single one.
+    lines = [
+        f"{m} {n} {p} {q} {v.hex()}"
+        for m in BellLabel
+        for n in BellLabel
+        for (p, q), v in swap_table(m, n).joint.items()
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "8870334805dd41c3319bfe67f42d65b01398f999ade0fcf1554d7696f4b57519"
 
 
 def test_all_sixteen_swap_tables():
@@ -402,17 +455,13 @@ def test_wilson_interval_rejects_bad_counts():
 
 def test_sampled_rates_requires_data():
     with pytest.raises(ValueError):
-        sampled_rates([])
+        sampled_rates(trials=0, accepted=0, detected=0, guesses=0, hits=0)
 
 
 def test_sampled_rates_counts():
-    stats = [
-        RoundStats(accepted=True, detected=False, key_recovered=True),
-        RoundStats(accepted=True, detected=False, key_recovered=True),
-        RoundStats(accepted=False, detected=True, key_recovered=None),
-        RoundStats(accepted=False, detected=False, key_recovered=False),
-    ]
-    rates = sampled_rates(stats)
+    # Four rounds: two accepted with the key recovered, one detected without
+    # a guess, one rejected with a wrong guess.
+    rates = sampled_rates(trials=4, accepted=2, detected=1, guesses=3, hits=2)
     assert rates.accept.rate == pytest.approx(0.5)
     assert rates.accept.trials == 4
     assert rates.detection.rate == pytest.approx(0.25)
@@ -424,33 +473,9 @@ def test_sampled_rates_counts():
 
 
 def test_sampled_rates_without_inference():
-    stats = [RoundStats(accepted=True, detected=False, key_recovered=None)] * 3
-    rates = sampled_rates(stats)
+    rates = sampled_rates(trials=3, accepted=3, detected=0, guesses=0, hits=0)
     assert rates.key_recovery is None
     assert rates.accept.rate == 1.0
-
-
-def test_collect_round_stats_honest_and_premeasure():
-    config = ProtocolConfig(rounds=3, decoys_per_sequence=1, seed=15)
-    keys = [PauliLabel.X, PauliLabel.I, PauliLabel.Z]
-    transcript, _, report = run_protocol(config, keys, StrategyId.HONEST)
-    stats = collect_round_stats(transcript, report, keys)
-    assert all(s.accepted and not s.detected and s.key_recovered is None for s in stats)
-
-    transcript, _, report = run_protocol(config, keys, StrategyId.PRE_MEASURE)
-    stats = collect_round_stats(transcript, report, keys)
-    assert all(s.accepted and not s.detected and s.key_recovered for s in stats)
-
-
-def test_collect_round_stats_marks_aborts():
-    config = ProtocolConfig(rounds=8, decoys_per_sequence=8, seed=16)
-    keys = [PauliLabel.I] * 8
-    transcript, decision, report = run_protocol(config, keys, StrategyId.INTERCEPT_RESEND)
-    assert decision is Decision.ABORT
-    stats = collect_round_stats(transcript, report, keys)
-    assert stats[-1].detected
-    assert not stats[-1].accepted
-    assert stats[-1].key_recovered is None
 
 
 def test_sampled_rounds_match_exact_distribution():

@@ -173,7 +173,7 @@ def test_p1_decoy_positions_cover_all_slots():
 
 def test_p1_charlie_qubit_is_unbiased():
     register = fresh_register()
-    dist = qsim.outcome_distribution(register.state, [((C1,), Basis.Z)])
+    dist = oracle.outcome_distribution(register.state, [((C1,), Basis.Z)])
     assert dist[(0,)] == pytest.approx(0.5)
     assert dist[(1,)] == pytest.approx(0.5)
 
@@ -217,8 +217,8 @@ def test_p2_without_hook_leaves_state_alone():
 def test_s_check_honest_run_sees_no_errors():
     rng = np.random.default_rng(3)
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
-    rate, ok = s_check(register, range(len(register.decoy_meta)), 0.0, rng)
-    assert rate == 0.0
+    mismatches, ok = s_check(register, range(len(register.decoy_meta)), 0.0, rng)
+    assert mismatches == 0
     assert ok
     for meta in register.decoy_meta:
         assert meta.measured == meta.prepared
@@ -231,8 +231,8 @@ def test_s_check_flags_tampered_decoys():
     # bit).  Every check must then fail.
     for idx in range(len(register.decoy_meta)):
         register.decoy_states[idx] ^= 1
-    rate, ok = s_check(register, range(len(register.decoy_meta)), 0.0, rng)
-    assert rate == 1.0
+    mismatches, ok = s_check(register, range(len(register.decoy_meta)), 0.0, rng)
+    assert mismatches == len(register.decoy_meta) == 4
     assert not ok
 
 
@@ -240,17 +240,21 @@ def test_s_check_threshold_tolerates_partial_errors():
     rng = np.random.default_rng(5)
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
     register.decoy_states[0] ^= 1
-    rate, ok = s_check(register, range(4), 0.25, rng)
-    assert rate == pytest.approx(0.25)
+    mismatches, ok = s_check(register, range(4), 0.25, rng)
+    assert mismatches == 1
     assert ok
-    _, strict = s_check(fresh_register(decoys=2, seed=5), [0], 0.0, rng)
+    # Checking in its own basis leaves decoy 0 flipped: the same single
+    # mismatch in 4 fails just below a 1/4 threshold.
+    assert s_check(register, range(4), np.nextafter(0.25, 0.0), rng) == (1, False)
+    mismatches, strict = s_check(fresh_register(decoys=2, seed=5), [0], 0.0, rng)
+    assert mismatches == 0
     assert strict
 
 
 def test_s_check_empty_announcement_passes():
     register = fresh_register()
-    rate, ok = s_check(register, [], 0.0, np.random.default_rng(0))
-    assert rate == 0.0
+    mismatches, ok = s_check(register, [], 0.0, np.random.default_rng(0))
+    assert mismatches == 0
     assert ok
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference
-from qauthsim import qsim
+from qauthsim import oracle, qsim
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -340,8 +340,11 @@ class TestKernelsAgainstDenseProjectors:
 
 
 class TestOutcomeDistribution:
+    """Joint distributions of measurement plans over the qsim kernels, as
+    enumerated by ``oracle.outcome_distribution``."""
+
     def test_phi_plus_correlations(self):
-        dist = qsim.outcome_distribution(
+        dist = oracle.outcome_distribution(
             qsim.bell_pair(BellLabel.PHI_PLUS), [((0,), Basis.Z), ((1,), Basis.Z)]
         )
         assert dist[(0, 0)] == pytest.approx(0.5)
@@ -350,7 +353,7 @@ class TestOutcomeDistribution:
         assert dist[(1, 0)] == 0.0
 
     def test_single_qubit_point_mass(self):
-        dist = qsim.outcome_distribution(qsim.init_product(["0"]), [((0,), Basis.Z)])
+        dist = oracle.outcome_distribution(qsim.init_product(["0"]), [((0,), Basis.Z)])
         assert dist == {(0,): pytest.approx(1.0), (1,): 0.0}
 
     def test_double_ghz_support(self):
@@ -363,7 +366,7 @@ class TestOutcomeDistribution:
             ((1, 4), Basis.BELL),
             ((2, 5), Basis.BELL),
         ]
-        dist = qsim.outcome_distribution(state, plan)
+        dist = oracle.outcome_distribution(state, plan)
         assert len(dist) == 64
         live = {k: v for k, v in dist.items() if v > 1e-12}
         assert len(live) == 16
@@ -394,7 +397,7 @@ class TestOutcomeDistribution:
                         if basis is Basis.Z
                         else reference.x_projectors(q, n)
                     )
-            got = qsim.outcome_distribution(state, plan)
+            got = oracle.outcome_distribution(state, plan)
             want = reference.joint_distribution(state.amps, projector_lists)
             bell_space = list(BellLabel)
             for key, p in got.items():
@@ -407,17 +410,17 @@ class TestOutcomeDistribution:
         rng = np.random.default_rng(7)
         state = random_state(rng, 4)
         plan = [((0,), Basis.Z), ((1, 3), Basis.BELL), ((2,), Basis.X)]
-        base = qsim.outcome_distribution(state, plan)
+        base = oracle.outcome_distribution(state, plan)
         for perm in itertools.permutations(range(3)):
             shuffled = [plan[i] for i in perm]
-            dist = qsim.outcome_distribution(state, shuffled)
+            dist = oracle.outcome_distribution(state, shuffled)
             for key, p in dist.items():
                 assert p == pytest.approx(base[tuple(key[perm.index(i)] for i in range(3))], abs=1e-10)
 
     def test_rejects_overlapping_plan(self):
         state = qsim.init_product(["0", "0"])
         with pytest.raises(ValueError):
-            qsim.outcome_distribution(state, [((0,), Basis.Z), ((0, 1), Basis.BELL)])
+            oracle.outcome_distribution(state, [((0,), Basis.Z), ((0, 1), Basis.BELL)])
 
 
 class TestPrepareGhz:
@@ -438,7 +441,7 @@ class TestPrepareGhz:
 
     def test_works_on_scrambled_indices(self):
         state = qsim.prepare_ghz_like(qsim.init_product(["0"] * 4), 2, 0, 3)
-        dist = qsim.outcome_distribution(
+        dist = oracle.outcome_distribution(
             state, [((2,), Basis.Z), ((0, 3), Basis.BELL)]
         )
         assert dist[(0, BellLabel.PSI_PLUS)] == pytest.approx(0.5)
@@ -493,7 +496,7 @@ class TestInvariants:
             n = int(rng.integers(2, 5))
             state = random_state(rng, n)
             q = int(rng.integers(0, n))
-            dist = qsim.outcome_distribution(state, [((q,), Basis.Z)])
+            dist = oracle.outcome_distribution(state, [((q,), Basis.Z)])
             bit, _, record = qsim.measure_z(state, q, rng.random())
             assert record.probability == pytest.approx(dist[(bit,)], abs=1e-10)
 
@@ -504,7 +507,7 @@ class TestInvariants:
             state = random_state(rng, n)
             q1, q2, q3 = (int(q) for q in rng.choice(n, size=3, replace=False))
             plan = [((q1,), Basis.Z), ((q2, q3), Basis.BELL)]
-            dist = qsim.outcome_distribution(state, plan)
+            dist = oracle.outcome_distribution(state, plan)
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_sampling_agrees_with_outcome_lists(self):
