@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import qsim
-from .protocol import A1, A2, B1, B2, C1, C2, Role, RoundRegister, _measure_decoy
+from .protocol import A1, A2, B1, B2, C1, C2, Role, RoundRegister, _check_order, _measure_decoy
 from .qsim import BellLabel, PauliLabel
 
 
@@ -59,8 +59,7 @@ def hook_premeasure(register: RoundRegister, source, order=("c", "a", "b")) -> E
     on disjoint qubits, so ``order`` (a permutation of "c", "a", "b") cannot
     change the joint outcome statistics.  Decoy qubits are never touched.
     """
-    if sorted(order) != ["a", "b", "c"]:
-        raise ValueError(f"order must be a permutation of 'a', 'b', 'c', got {order!r}")
+    _check_order(order)
     outcomes = {}
     state = register.state
     for party in order:
@@ -86,10 +85,7 @@ def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE)
     if eve is None:
         raise ValueError("no early outcomes to infer from")
     reference = eve.m_pre if direction is Role.ALICE else eve.b_pre
-    key = PauliLabel.from_bits(
-        announced.phase_bit ^ reference.phase_bit,
-        announced.parity_bit ^ reference.parity_bit,
-    )
+    key = PauliLabel((announced ^ reference).value)
     eve.inferred_key = key
     return key
 
@@ -122,6 +118,6 @@ def hook_intercept_resend(register: RoundRegister, rng: np.random.Generator) -> 
     for (kind, idx), coin, randomness in zip(slots, bases, draws):
         if kind == "q":
             measure = qsim.measure_z if coin == 0 else qsim.measure_x
-            _, register.state, _ = measure(register.state, idx, randomness)
+            _, register.state = measure(register.state, idx, randomness)
         else:
             _measure_decoy(register, idx, coin, randomness)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, oracle, protocol
 from .adversary import StrategyId
-from .protocol import Decision, FieldError, ProtocolConfig, Role
+from .protocol import Decision, FieldError, ProtocolConfig, Role, _is_number
 from .qsim import BellLabel, PauliLabel
 
 
@@ -63,11 +63,11 @@ class RunConfig:
             raise FieldError(
                 "mode", f"mode must be 'sampled' or 'exact', got {self.mode!r}"
             )
-        if self.mode == "sampled" and (
-            not isinstance(self.samples, int) or self.samples < 1
-        ):
+        least = 1 if self.mode == "sampled" else 0
+        if not _is_number(self.samples, int) or self.samples < least:
             raise FieldError(
-                "samples", f"sampled mode needs samples >= 1, got {self.samples!r}"
+                "samples",
+                f"{self.mode} mode needs samples >= {least}, got {self.samples!r}",
             )
         if self.mode == "exact" and self.strategy is StrategyId.INTERCEPT_RESEND:
             raise FieldError(

@@ -161,21 +161,13 @@ class SwapTable:
     joint: dict
 
 
-def _impose_label(state, qubit, label):
-    if label.parity_bit:
-        state = qsim.apply_pauli(state, qubit, PauliLabel.X)
-    if label.phase_bit:
-        state = qsim.apply_pauli(state, qubit, PauliLabel.Z)
-    return state
-
-
 def swap_table(m: BellLabel, n: BellLabel) -> SwapTable:
     """Enumerate the swap of Bell pairs M and N from raw amplitudes."""
     state = qsim.init_product(["0"] * 4)  # layout A1=0, B1=1, A2=2, B2=3
     state = qsim.apply_cnot(qsim.apply_hadamard(state, 0), 0, 1)
     state = qsim.apply_cnot(qsim.apply_hadamard(state, 2), 2, 3)
-    state = _impose_label(state, 1, m)
-    state = _impose_label(state, 3, n)
+    state = qsim.apply_pauli(state, 1, PauliLabel(m.value))
+    state = qsim.apply_pauli(state, 3, PauliLabel(n.value))
     joint = outcome_distribution(state, [((0, 2), Basis.BELL), ((1, 3), Basis.BELL)])
     return SwapTable((m, n), joint)
 
@@ -202,13 +194,16 @@ def exact_transcript_distribution(
     the protocol qubits and are checked separately).  Returns the full
     64-cell map keyed by ((c1, c2), a, b).  The order arguments permute the
     enumeration order of the parties' measurements; the distribution must
-    not depend on them.  Raises ValueError when the leaf probabilities do
-    not sum to 1 within ``MASS_TOL``.
+    not depend on them.  Both orders are checked for every strategy before
+    anything is enumerated.  Raises ValueError when the leaf probabilities
+    do not sum to 1 within ``MASS_TOL``.
     """
     if strategy not in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
         raise ValueError(
             f"exact enumeration covers Honest and PreMeasure, not {strategy!r}"
         )
+    protocol._check_order(hook_order)
+    protocol._check_order(measure_order)
     config = ProtocolConfig(rounds=1, decoys_per_sequence=0, direction=direction)
 
     def pipeline(source):

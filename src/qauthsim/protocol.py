@@ -80,6 +80,11 @@ _DECOY_PROBS = tuple(
 )
 
 
+def _is_number(value, kinds) -> bool:
+    # bool subclasses int, but True is neither a count nor a rate.
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 class FieldError(ValueError):
     """A configuration field holds a bad value; ``key`` names the field."""
 
@@ -97,17 +102,18 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rounds, int) or self.rounds < 1:
+        if not _is_number(self.rounds, int) or self.rounds < 1:
             raise FieldError(
                 "rounds", f"rounds must be a positive integer, got {self.rounds!r}"
             )
-        if not isinstance(self.decoys_per_sequence, int) or self.decoys_per_sequence < 0:
+        if not _is_number(self.decoys_per_sequence, int) or self.decoys_per_sequence < 0:
             raise FieldError(
                 "decoys_per_sequence",
                 f"decoys_per_sequence must be a non-negative integer, "
                 f"got {self.decoys_per_sequence!r}"
             )
-        if not 0.0 <= self.decoy_error_threshold <= 1.0:
+        threshold = self.decoy_error_threshold
+        if not _is_number(threshold, (int, float)) or not 0.0 <= threshold <= 1.0:
             raise FieldError(
                 "decoy_error_threshold",
                 f"decoy_error_threshold must lie in [0, 1], "
@@ -115,7 +121,7 @@ class ProtocolConfig:
             )
         if self.direction not in (Role.ALICE, Role.BOB):
             raise FieldError("direction", "direction must be Alice or Bob")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_number(self.seed, int) or not 0 <= self.seed < 2**64:
             raise FieldError(
                 "seed", f"seed must be a 64-bit unsigned integer, got {self.seed!r}"
             )
@@ -180,16 +186,13 @@ class SampleSource:
         self.rng = rng
 
     def measure_z(self, state: StateVector, q: int):
-        bit, post, _ = qsim.measure_z(state, q, self.rng.random())
-        return bit, post
+        return qsim.measure_z(state, q, self.rng.random())
 
     def measure_x(self, state: StateVector, q: int):
-        bit, post, _ = qsim.measure_x(state, q, self.rng.random())
-        return bit, post
+        return qsim.measure_x(state, q, self.rng.random())
 
     def measure_bell(self, state: StateVector, q1: int, q2: int):
-        label, post, _ = qsim.measure_bell(state, q1, q2, self.rng.random())
-        return label, post
+        return qsim.measure_bell(state, q1, q2, self.rng.random())
 
 
 # |G> x |G> over the six protocol qubits, read-only and shared by every
@@ -301,6 +304,12 @@ def e1_encode(register: RoundRegister, key: PauliLabel, direction: Role) -> Roun
     return register
 
 
+def _check_order(order) -> None:
+    """Require ``order`` to be a permutation of the parties "a", "b", "c"."""
+    if sorted(order) != ["a", "b", "c"]:
+        raise ValueError(f"order must be a permutation of 'a', 'b', 'c', got {order!r}")
+
+
 def e2_measure(register: RoundRegister, source, order=("a", "b", "c")):
     """Measure the round: Alice Bell on (A1, A2), Bob Bell on (B1, B2),
     Charlie Z on C1 then C2.
@@ -308,8 +317,7 @@ def e2_measure(register: RoundRegister, source, order=("a", "b", "c")):
     ``order`` permutes the three parties' turns; the measurements act on
     disjoint qubits, so the joint outcome distribution cannot depend on it.
     """
-    if sorted(order) != ["a", "b", "c"]:
-        raise ValueError(f"order must be a permutation of 'a', 'b', 'c', got {order!r}")
+    _check_order(order)
     results = {}
     for party in order:
         if party == "a":

@@ -5,18 +5,22 @@ basis-state index, so ``|q0 q1 ... q_{n-1}>`` sits at index
 ``q0*2^(n-1) + ... + q_{n-1}``.  Operations return new :class:`StateVector`
 instances rather than mutating their input.
 
-Nothing in this module draws randomness.  Sampling measurements take a single
-uniform draw from ``[0, 1)`` supplied by the caller; exhaustive callers use
-the ``*_outcomes`` functions, which list every outcome with its probability
-and post-measurement state.  Both go through one kernel per basis, so the
-exhaustive and the sampled results cannot drift apart.  Measurements never
-rotate the state: Z, X and Bell outcomes are the basis's projectors applied
-straight to the flat amplitude array through cached index tables.
+Nothing in this module draws randomness.  The sampling ``measure_*``
+functions take a single uniform draw from ``[0, 1)`` supplied by the caller
+and return ``(outcome, post-state)``, the shape of the outcome-source
+interface the protocol module uses; exhaustive callers use the ``*_outcomes``
+functions, which list every outcome as ``(outcome, probability,
+post-state)``.  Both go through one kernel per basis, so the exhaustive and
+the sampled results cannot drift apart.  Measurements never rotate the
+state: Z, X and Bell outcomes are the basis's projectors applied straight to
+the flat amplitude array through cached tables over a qubit tuple, a 0/1
+mask per value of the XOR of those qubits' bits and the index permutation
+that flips them all (one qubit for Z and X, the pair for Bell).
 
 Bell states and Pauli operators both carry a two-bit ``(phase, parity)``
-label, aligned so that applying a Pauli to one half of a Bell pair XORs the
-labels, and entanglement swapping constrains the XOR of the output labels to
-the XOR of the input labels.
+label from one shared base, aligned so that applying a Pauli to one half of
+a Bell pair XORs the labels, and entanglement swapping constrains the XOR of
+the output labels to the XOR of the input labels.
 """
 
 from __future__ import annotations
@@ -43,7 +47,35 @@ class Basis(Enum):
     BELL = "Bell"
 
 
-class BellLabel(Enum):
+class _TwoBitLabel(Enum):
+    """Base of the two label alphabets: members are (phase bit, parity bit).
+
+    XOR of two labels, of either alphabet, is the label of the left operand's
+    alphabet carrying the bitwise XOR.
+    """
+
+    @property
+    def phase_bit(self) -> int:
+        return self.value[0]
+
+    @property
+    def parity_bit(self) -> int:
+        return self.value[1]
+
+    @classmethod
+    def from_bits(cls, phase: int, parity: int):
+        return cls((phase & 1, parity & 1))
+
+    def __xor__(self, other):
+        return type(self).from_bits(
+            self.phase_bit ^ other.phase_bit, self.parity_bit ^ other.parity_bit
+        )
+
+    def __str__(self) -> str:
+        return _LABEL_NAMES[self]
+
+
+class BellLabel(_TwoBitLabel):
     """The four Bell states, keyed by (phase bit, parity bit).
 
     Parity 0 states are built on |00>/|11>, parity 1 on |01>/|10>; the phase
@@ -55,28 +87,8 @@ class BellLabel(Enum):
     PHI_MINUS = (1, 0)
     PSI_MINUS = (1, 1)
 
-    @property
-    def phase_bit(self) -> int:
-        return self.value[0]
 
-    @property
-    def parity_bit(self) -> int:
-        return self.value[1]
-
-    @classmethod
-    def from_bits(cls, phase: int, parity: int) -> "BellLabel":
-        return cls((phase & 1, parity & 1))
-
-    def __xor__(self, other) -> "BellLabel":
-        return BellLabel.from_bits(
-            self.phase_bit ^ other.phase_bit, self.parity_bit ^ other.parity_bit
-        )
-
-    def __str__(self) -> str:
-        return _BELL_NAMES[self]
-
-
-class PauliLabel(Enum):
+class PauliLabel(_TwoBitLabel):
     """Single-qubit encoding operators, keyed by (phase bit, parity bit).
 
     iY is the real matrix Z@X (|0> -> -|1>, |1> -> |0>); using it instead of
@@ -89,46 +101,16 @@ class PauliLabel(Enum):
     Z = (1, 0)
     IY = (1, 1)
 
-    @property
-    def phase_bit(self) -> int:
-        return self.value[0]
 
-    @property
-    def parity_bit(self) -> int:
-        return self.value[1]
-
-    @classmethod
-    def from_bits(cls, phase: int, parity: int) -> "PauliLabel":
-        return cls((phase & 1, parity & 1))
-
-    def __xor__(self, other) -> "PauliLabel":
-        return PauliLabel.from_bits(
-            self.phase_bit ^ other.phase_bit, self.parity_bit ^ other.parity_bit
-        )
-
-    def __str__(self) -> str:
-        return _PAULI_NAMES[self]
-
-
-_BELL_NAMES = {
+_LABEL_NAMES = {
     BellLabel.PHI_PLUS: "Phi+",
     BellLabel.PSI_PLUS: "Psi+",
     BellLabel.PHI_MINUS: "Phi-",
     BellLabel.PSI_MINUS: "Psi-",
-}
-
-_PAULI_NAMES = {
     PauliLabel.I: "I",
     PauliLabel.X: "X",
     PauliLabel.Z: "Z",
     PauliLabel.IY: "iY",
-}
-
-PAULI_MATRICES = {
-    PauliLabel.I: np.eye(2, dtype=np.complex128),
-    PauliLabel.X: np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    PauliLabel.Z: np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    PauliLabel.IY: np.array([[0, 1], [-1, 0]], dtype=np.complex128),
 }
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT2_INV
@@ -169,16 +151,6 @@ class StateVector:
         return StateVector(self.n_qubits, self.amps.copy())
 
 
-@dataclass
-class MeasurementRecord:
-    """What a single measurement did: where, which basis, and the result."""
-
-    qubits: tuple[int, ...]
-    basis: Basis
-    outcome: "int | BellLabel"
-    probability: float
-
-
 def same_state(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> bool:
     """True when the two states agree up to a global phase."""
     return a.n_qubits == b.n_qubits and abs(a.overlap(b) - 1.0) <= tol
@@ -216,25 +188,28 @@ def _check_randomness(randomness: float) -> None:
 
 
 @lru_cache(maxsize=None)
-def _bit_mask(n: int, q: int, bit: int) -> np.ndarray:
-    """1.0 on flat indices whose qubit-q bit equals ``bit``, else 0.0."""
+def _masks(n: int, *qubits: int) -> np.ndarray:
+    """Row ``p`` is 1.0 on flat indices where the XOR of the bits of
+    ``qubits`` equals ``p``, else 0.0."""
     idx = np.arange(2**n)
-    mask = (((idx >> (n - 1 - q)) & 1) == bit).astype(np.float64)
-    mask.setflags(write=False)
-    return mask
+    parity = np.bitwise_xor.reduce([idx >> (n - 1 - q) for q in qubits]) & 1
+    rows = np.stack([parity == 0, parity == 1]).astype(np.float64)
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None)
 def _z_signs(n: int, q: int) -> np.ndarray:
-    signs = 1.0 - 2.0 * _bit_mask(n, q, 1)
+    signs = 1.0 - 2.0 * _masks(n, q)[1]
     signs.setflags(write=False)
     return signs
 
 
 @lru_cache(maxsize=None)
-def _flip_perm(n: int, q: int) -> np.ndarray:
-    """Permutation of flat indices that flips qubit ``q``."""
-    perm = np.arange(2**n) ^ (1 << (n - 1 - q))
+def _flip_perm(n: int, *qubits: int) -> np.ndarray:
+    """Permutation of flat indices that flips every one of the distinct
+    ``qubits``."""
+    perm = np.arange(2**n) ^ sum(1 << (n - 1 - q) for q in qubits)
     perm.setflags(write=False)
     return perm
 
@@ -247,24 +222,6 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     perm = idx ^ (cbit << (n - 1 - target))
     perm.setflags(write=False)
     return perm
-
-
-@lru_cache(maxsize=None)
-def _pair_flip_perm(n: int, q1: int, q2: int) -> np.ndarray:
-    """Permutation of flat indices that flips both qubits ``q1`` and ``q2``."""
-    perm = np.arange(2**n) ^ ((1 << (n - 1 - q1)) | (1 << (n - 1 - q2)))
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=None)
-def _parity_masks(n: int, q1: int, q2: int) -> np.ndarray:
-    """Row ``p`` is 1.0 on flat indices whose (q1 XOR q2) bit equals ``p``."""
-    idx = np.arange(2**n)
-    parity = ((idx >> (n - 1 - q1)) ^ (idx >> (n - 1 - q2))) & 1
-    rows = np.stack([parity == 0, parity == 1]).astype(np.float64)
-    rows.setflags(write=False)
-    return rows
 
 
 def apply_pauli(state: StateVector, q: int, label: PauliLabel) -> StateVector:
@@ -284,8 +241,6 @@ def apply_pauli(state: StateVector, q: int, label: PauliLabel) -> StateVector:
 def apply_hadamard(state: StateVector, q: int) -> StateVector:
     _require_qubit(state, q)
     n, amps = state.n_qubits, state.amps
-    if n == 1:
-        return StateVector(1, HADAMARD @ amps)
     moved = amps.reshape((2,) * n).swapaxes(q, -1)
     out = (moved @ HADAMARD).swapaxes(q, -1).reshape(-1)
     return StateVector(n, out)
@@ -302,7 +257,7 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
 
 def _bit_probabilities(amps: np.ndarray, n: int, q: int) -> tuple[float, float]:
     weights = np.abs(amps) ** 2
-    p1 = float(weights @ _bit_mask(n, q, 1))
+    p1 = float(weights @ _masks(n, q)[1])
     return float(weights.sum() - p1), p1
 
 
@@ -337,7 +292,7 @@ def _z_kernel(amps: np.ndarray, n: int, q: int):
     probs = _bit_probabilities(amps, n, q)
 
     def project(bit: int) -> np.ndarray:
-        return amps * (_bit_mask(n, q, bit) / math.sqrt(probs[bit]))
+        return amps * (_masks(n, q)[bit] / math.sqrt(probs[bit]))
 
     _check_measured_mass(probs[0] + probs[1])
     return probs, project
@@ -370,8 +325,8 @@ def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
     which keeps parity, p(phase, parity) = (W_parity +- C_parity)/2 where W
     and C sum |amps|^2 and Re(conj(amps) f) over that parity's indices.
     """
-    flipped = amps[_pair_flip_perm(n, q1, q2)]
-    masks = _parity_masks(n, q1, q2)
+    flipped = amps[_flip_perm(n, q1, q2)]
+    masks = _masks(n, q1, q2)
     w0, w1 = (masks @ (np.abs(amps) ** 2)).tolist()
     c0, c1 = (masks @ (amps.conj() * flipped).real).tolist()
     probs = (0.5 * (w0 + c0), 0.5 * (w1 + c1), 0.5 * (w0 - c0), 0.5 * (w1 - c1))
@@ -402,7 +357,9 @@ def _pick(probs, randomness: float) -> int:
     return live
 
 
-def _outcome_list(n: int, outcomes, probs, project) -> list:
+def _outcome_list(state: StateVector, kernel, outcomes, qubits) -> list:
+    n = state.n_qubits
+    probs, project = kernel(state.amps, n, *qubits)
     return [
         (outcome, p, None if p <= ZERO_PROB else StateVector(n, project(i)))
         for i, (outcome, p) in enumerate(zip(outcomes, probs))
@@ -416,8 +373,7 @@ def z_outcomes(state: StateVector, q: int) -> list:
     post-measurement state.
     """
     _require_qubit(state, q)
-    n = state.n_qubits
-    return _outcome_list(n, _BITS, *_z_kernel(state.amps, n, q))
+    return _outcome_list(state, _z_kernel, _BITS, (q,))
 
 
 def x_outcomes(state: StateVector, q: int) -> list:
@@ -426,8 +382,7 @@ def x_outcomes(state: StateVector, q: int) -> list:
     Projects with (I +- X_q)/2 directly on the amplitudes.
     """
     _require_qubit(state, q)
-    n = state.n_qubits
-    return _outcome_list(n, _BITS, *_x_kernel(state.amps, n, q))
+    return _outcome_list(state, _x_kernel, _BITS, (q,))
 
 
 def bell_outcomes(state: StateVector, q1: int, q2: int) -> list:
@@ -438,44 +393,34 @@ def bell_outcomes(state: StateVector, q1: int, q2: int) -> list:
     amplitude array.
     """
     _require_pair(state, q1, q2)
-    n = state.n_qubits
-    return _outcome_list(n, _BELL_ORDER, *_bell_kernel(state.amps, n, q1, q2))
+    return _outcome_list(state, _bell_kernel, _BELL_ORDER, (q1, q2))
 
 
-def _measure_qubit(state: StateVector, q: int, randomness: float, kernel, basis: Basis):
-    _require_qubit(state, q)
+def _measure(state: StateVector, kernel, outcomes, qubits, randomness: float):
     _check_randomness(randomness)
-    probs, project = kernel(state.amps, state.n_qubits, q)
-    bit = _pick(probs, randomness)
-    post = StateVector(state.n_qubits, project(bit))
-    return bit, post, MeasurementRecord((q,), basis, bit, probs[bit])
+    probs, project = kernel(state.amps, state.n_qubits, *qubits)
+    i = _pick(probs, randomness)
+    return outcomes[i], StateVector(state.n_qubits, project(i))
 
 
-def measure_z(
-    state: StateVector, q: int, randomness: float
-) -> tuple[int, StateVector, MeasurementRecord]:
+def measure_z(state: StateVector, q: int, randomness: float) -> tuple[int, StateVector]:
     """Measure qubit ``q`` in Z, selecting the outcome with one uniform draw."""
-    return _measure_qubit(state, q, randomness, _z_kernel, Basis.Z)
+    _require_qubit(state, q)
+    return _measure(state, _z_kernel, _BITS, (q,), randomness)
 
 
-def measure_x(
-    state: StateVector, q: int, randomness: float
-) -> tuple[int, StateVector, MeasurementRecord]:
+def measure_x(state: StateVector, q: int, randomness: float) -> tuple[int, StateVector]:
     """Measure qubit ``q`` in X (bit 0 = |+>), selecting with one uniform draw."""
-    return _measure_qubit(state, q, randomness, _x_kernel, Basis.X)
+    _require_qubit(state, q)
+    return _measure(state, _x_kernel, _BITS, (q,), randomness)
 
 
 def measure_bell(
     state: StateVector, q1: int, q2: int, randomness: float
-) -> tuple[BellLabel, StateVector, MeasurementRecord]:
+) -> tuple[BellLabel, StateVector]:
     """Measure the pair (q1, q2) in the Bell basis with one uniform draw."""
     _require_pair(state, q1, q2)
-    _check_randomness(randomness)
-    probs, project = _bell_kernel(state.amps, state.n_qubits, q1, q2)
-    i = _pick(probs, randomness)
-    label = _BELL_ORDER[i]
-    post = StateVector(state.n_qubits, project(i))
-    return label, post, MeasurementRecord((q1, q2), Basis.BELL, label, probs[i])
+    return _measure(state, _bell_kernel, _BELL_ORDER, (q1, q2), randomness)
 
 
 def prepare_ghz_like(state: StateVector, qc: int, qa: int, qb: int) -> StateVector:
@@ -502,12 +447,9 @@ def prepare_ghz_like(state: StateVector, qc: int, qa: int, qb: int) -> StateVect
 
 
 def bell_pair(label: BellLabel) -> StateVector:
-    """The two-qubit Bell state carrying ``label``."""
+    """The two-qubit Bell state carrying ``label``: Phi+ with the Pauli of
+    the same bits applied to its second qubit."""
     s = init_product(["0", "0"])
     s = apply_hadamard(s, 0)
     s = apply_cnot(s, 0, 1)
-    if label.parity_bit:
-        s = apply_pauli(s, 1, PauliLabel.X)
-    if label.phase_bit:
-        s = apply_pauli(s, 1, PauliLabel.Z)
-    return s
+    return apply_pauli(s, 1, PauliLabel(label.value))

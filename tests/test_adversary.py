@@ -70,16 +70,19 @@ def test_premeasure_pins_every_later_measurement():
         register = fresh_register()
         eve = hook_premeasure(register, SampleSource(rng))
         state = register.state
-        label, state, record = qsim.measure_bell(state, A1, A2, rng.random())
+        probs = {o: p for o, p, _ in qsim.bell_outcomes(state, A1, A2)}
+        label, state = qsim.measure_bell(state, A1, A2, rng.random())
         assert label is eve.m_pre
-        assert record.probability == pytest.approx(1.0)
-        label, state, record = qsim.measure_bell(state, B1, B2, rng.random())
+        assert probs[label] == pytest.approx(1.0)
+        probs = {o: p for o, p, _ in qsim.bell_outcomes(state, B1, B2)}
+        label, state = qsim.measure_bell(state, B1, B2, rng.random())
         assert label is eve.b_pre
-        assert record.probability == pytest.approx(1.0)
+        assert probs[label] == pytest.approx(1.0)
         for qubit, expected in ((C1, eve.c_pre[0]), (C2, eve.c_pre[1])):
-            bit, state, record = qsim.measure_z(state, qubit, rng.random())
+            probs = {o: p for o, p, _ in qsim.z_outcomes(state, qubit)}
+            bit, state = qsim.measure_z(state, qubit, rng.random())
             assert bit == expected
-            assert record.probability == pytest.approx(1.0)
+            assert probs[bit] == pytest.approx(1.0)
 
 
 def test_premeasure_order_invariant_support():
@@ -219,7 +222,7 @@ def test_intercept_resend_empirical_mismatch_rate():
         for idx, meta in enumerate(register.decoy_meta):
             measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
             state = qsim.init_product([DECOY_KETS[register.decoy_states[idx]]])
-            bit, _, _ = measure(state, 0, rng.random())
+            bit, _ = measure(state, 0, rng.random())
             checked += 1
             mismatches += int(bit != meta.prepared)
     rate = mismatches / checked

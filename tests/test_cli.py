@@ -165,6 +165,9 @@ def test_run_config_validates_directly():
         RunConfig(samples=0)
     with pytest.raises(ValueError):
         RunConfig(strategy="Honest")
+    with pytest.raises(protocol.FieldError) as excinfo:
+        RunConfig(mode="exact", samples=-3)
+    assert excinfo.value.key == "samples"
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,47 @@ def test_swap_table_joints_are_pinned():
     assert digest == "8870334805dd41c3319bfe67f42d65b01398f999ade0fcf1554d7696f4b57519"
 
 
+def _outcome_lines(kind, qubits, outcomes):
+    for outcome, p, post in outcomes:
+        amps = "None" if post is None else " ".join(
+            float(v).hex() for v in np.concatenate([post.amps.real, post.amps.imag])
+        )
+        yield f"{kind} {qubits} {outcome} {p.hex()} {amps}"
+
+
+def test_kernel_and_exact_distribution_arithmetic_is_pinned():
+    # Bit for bit, so that a 1-ulp change in any kernel fails here even when
+    # no sampled outcome or rounded report moves: every probability and
+    # post-state amplitude of the three outcome lists on seeded random
+    # states of 1-6 qubits (every qubit, every ordered pair), and every cell
+    # of the 16 exact transcript distributions.
+    rng = np.random.default_rng(8)
+    kernel_lines = []
+    for n in range(1, 7):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = qsim.StateVector(n, amps / np.linalg.norm(amps))
+        for q in range(n):
+            kernel_lines += _outcome_lines("Z", (q,), qsim.z_outcomes(state, q))
+            kernel_lines += _outcome_lines("X", (q,), qsim.x_outcomes(state, q))
+        for q1, q2 in itertools.permutations(range(n), 2):
+            kernel_lines += _outcome_lines("Bell", (q1, q2), qsim.bell_outcomes(state, q1, q2))
+    exact_lines = [
+        f"{strategy.value} {key} {direction.value} {cell} {p.hex()}"
+        for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE)
+        for key in PauliLabel
+        for direction in (Role.ALICE, Role.BOB)
+        for cell, p in exact_transcript_distribution(strategy, key, direction).items()
+    ]
+    digests = [
+        hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        for lines in (kernel_lines, exact_lines)
+    ]
+    assert digests == [
+        "efe2a18fbed0c1be5db62307eadb7dde5195ec8d65c6cd9c9cffe4490392bc28",
+        "35e2712dffc35e19e28e93e7dfa030ec4060b45399413bd75586b4086074e945",
+    ]
+
+
 def test_all_sixteen_swap_tables():
     for m in BellLabel:
         for n in BellLabel:
@@ -262,6 +303,22 @@ def test_premeasure_distribution_matches_honest(key, direction):
 def test_exact_distribution_rejects_sampled_only_strategy():
     with pytest.raises(ValueError):
         exact_transcript_distribution(StrategyId.INTERCEPT_RESEND, PauliLabel.I)
+
+
+@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
+@pytest.mark.parametrize(
+    "orders",
+    [{"hook_order": ("z",)}, {"hook_order": ("a", "a", "b")}, {"measure_order": ("a", "b")}],
+)
+def test_exact_distribution_rejects_bad_orders_before_enumerating(
+    monkeypatch, strategy, orders
+):
+    def refuse(script):
+        raise AssertionError("enumerated with a bad order")
+
+    monkeypatch.setattr(oracle, "BranchSource", refuse)
+    with pytest.raises(ValueError):
+        exact_transcript_distribution(strategy, PauliLabel.I, **orders)
 
 
 def test_exact_distribution_order_invariance():

@@ -74,11 +74,14 @@ def test_config_defaults():
         {"direction": Role.CHARLIE},
         {"seed": -1},
         {"seed": 2**64},
+        {"rounds": True},
+        {"decoy_error_threshold": "0.5"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(protocol.FieldError) as excinfo:
         ProtocolConfig(**kwargs)
+    assert [excinfo.value.key] == list(kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +286,7 @@ def test_s_check_draws_once_per_announced_decoy(announced):
     for idx in announced:
         meta = untouched.decoy_meta[idx]
         measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-        bit, _, _ = measure(decoy_state(untouched.decoy_states[idx]), 0, twin.random())
+        bit, _ = measure(decoy_state(untouched.decoy_states[idx]), 0, twin.random())
         assert register.decoy_meta[idx].measured == bit
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -327,7 +330,7 @@ def test_template_table_matches_the_kernel(monkeypatch, key, basis):
     expected = [KERNELS[basis](decoy_state(label), 0, draw) for draw in DRAWS]
     refuse_kernels(monkeypatch)
     coin = int(basis is Basis.X)
-    for draw, (bit, post, _) in zip(DRAWS, expected):
+    for draw, (bit, post) in zip(DRAWS, expected):
         register = decoy_register(label)
         assert _measure_decoy(register, 0, coin, draw) == bit
         assert register.decoy_states[0] == 2 * coin + bit
@@ -345,11 +348,11 @@ def test_intercepted_decoy_matches_the_kernel(basis):
     for label, (prepared, _) in enumerate(PREPARED):
         check_coin = int(prepared is Basis.X)
         for first in DRAWS:
-            bit, state, _ = KERNELS[basis](decoy_state(label), 0, first)
+            bit, state = KERNELS[basis](decoy_state(label), 0, first)
             register = decoy_register(label)
             assert _measure_decoy(register, 0, coin, first) == bit
             for second in DRAWS:
-                checked, _, _ = KERNELS[prepared](state, 0, second)
+                checked, _ = KERNELS[prepared](state, 0, second)
                 replay = decoy_register(register.decoy_states[0])
                 assert _measure_decoy(replay, 0, check_coin, second) == checked
 

@@ -17,6 +17,11 @@ from qauthsim.qsim import Basis, BellLabel, PauliLabel
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
+def outcome_probability(outcomes, outcome):
+    """Probability of ``outcome`` in a ``*_outcomes`` list."""
+    return next(p for o, p, _ in outcomes if o == outcome)
+
+
 def random_state(rng, n):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
@@ -149,24 +154,24 @@ class TestMeasureZ:
     def test_eigenstate_is_deterministic(self):
         one = qsim.init_product(["1"])
         for r in (0.0, 0.3, 0.999):
-            bit, post, record = qsim.measure_z(one, 0, r)
+            bit, post = qsim.measure_z(one, 0, r)
             assert bit == 1
-            assert record.probability == pytest.approx(1.0)
+            assert outcome_probability(qsim.z_outcomes(one, 0), bit) == pytest.approx(1.0)
             assert qsim.same_state(post, one)
 
     def test_plus_splits_on_half(self):
         plus = qsim.init_product(["+"])
-        bit, _, record = qsim.measure_z(plus, 0, 0.49)
+        bit, _ = qsim.measure_z(plus, 0, 0.49)
         assert bit == 0
-        assert record.probability == pytest.approx(0.5)
-        bit, _, _ = qsim.measure_z(plus, 0, 0.51)
+        assert outcome_probability(qsim.z_outcomes(plus, 0), bit) == pytest.approx(0.5)
+        bit, _ = qsim.measure_z(plus, 0, 0.51)
         assert bit == 1
 
     def test_ghz_center_zero_leaves_psi_plus(self):
         ghz = qsim.prepare_ghz_like(qsim.init_product(["0"] * 3), 0, 1, 2)
-        bit, post, record = qsim.measure_z(ghz, 0, 0.25)
+        bit, post = qsim.measure_z(ghz, 0, 0.25)
         assert bit == 0
-        assert record.probability == pytest.approx(0.5)
+        assert outcome_probability(qsim.z_outcomes(ghz, 0), bit) == pytest.approx(0.5)
         want = np.zeros(8, dtype=complex)
         want[0b001] = SQ2
         want[0b010] = SQ2
@@ -177,10 +182,11 @@ class TestMeasureZ:
         for _ in range(20):
             state = random_state(rng, 3)
             q = int(rng.integers(0, 3))
-            bit, post, _ = qsim.measure_z(state, q, rng.random())
-            again, _, record = qsim.measure_z(post, q, rng.random())
+            bit, post = qsim.measure_z(state, q, rng.random())
+            again, _ = qsim.measure_z(post, q, rng.random())
             assert again == bit
-            assert record.probability == pytest.approx(1.0, abs=1e-10)
+            p = outcome_probability(qsim.z_outcomes(post, q), again)
+            assert p == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_unnormalised_state(self):
         bad = qsim.StateVector(1, np.array([1.0, 1.0], dtype=complex))
@@ -198,18 +204,18 @@ class TestMeasureZ:
 class TestMeasureX:
     def test_plus_is_eigenstate(self):
         plus = qsim.init_product(["+"])
-        bit, post, record = qsim.measure_x(plus, 0, 0.7)
+        bit, post = qsim.measure_x(plus, 0, 0.7)
         assert bit == 0
-        assert record.probability == pytest.approx(1.0)
+        assert outcome_probability(qsim.x_outcomes(plus, 0), bit) == pytest.approx(1.0)
         assert qsim.same_state(post, plus)
 
     def test_zero_splits_evenly(self):
         zero = qsim.init_product(["0"])
-        bit, post, record = qsim.measure_x(zero, 0, 0.2)
+        bit, post = qsim.measure_x(zero, 0, 0.2)
         assert bit == 0
-        assert record.probability == pytest.approx(0.5)
+        assert outcome_probability(qsim.x_outcomes(zero, 0), bit) == pytest.approx(0.5)
         assert qsim.same_state(post, qsim.init_product(["+"]))
-        bit, post, _ = qsim.measure_x(zero, 0, 0.9)
+        bit, post = qsim.measure_x(zero, 0, 0.9)
         assert bit == 1
         assert qsim.same_state(post, qsim.init_product(["-"]))
 
@@ -218,33 +224,35 @@ class TestMeasureBell:
     def test_bell_pairs_are_eigenstates(self):
         for label in BellLabel:
             state = qsim.bell_pair(label)
-            got, post, record = qsim.measure_bell(state, 0, 1, 0.77)
+            got, post = qsim.measure_bell(state, 0, 1, 0.77)
             assert got is label
-            assert record.probability == pytest.approx(1.0)
+            assert outcome_probability(qsim.bell_outcomes(state, 0, 1), got) == pytest.approx(1.0)
             assert qsim.same_state(post, state)
 
     def test_zero_zero_splits_between_phi_states(self):
         state = qsim.init_product(["0", "0"])
-        label, _, record = qsim.measure_bell(state, 0, 1, 0.25)
+        outcomes = qsim.bell_outcomes(state, 0, 1)
+        label, _ = qsim.measure_bell(state, 0, 1, 0.25)
         assert label is BellLabel.PHI_PLUS
-        assert record.probability == pytest.approx(0.5)
-        label, _, record = qsim.measure_bell(state, 0, 1, 0.75)
+        assert outcome_probability(outcomes, label) == pytest.approx(0.5)
+        label, _ = qsim.measure_bell(state, 0, 1, 0.75)
         assert label is BellLabel.PHI_MINUS
-        assert record.probability == pytest.approx(0.5)
+        assert outcome_probability(outcomes, label) == pytest.approx(0.5)
 
     def test_pauli_x_shifts_psi_minus_to_phi_minus(self):
         state = qsim.apply_pauli(qsim.bell_pair(BellLabel.PSI_MINUS), 1, PauliLabel.X)
-        label, _, record = qsim.measure_bell(state, 0, 1, 0.5)
+        label, _ = qsim.measure_bell(state, 0, 1, 0.5)
         assert label is BellLabel.PHI_MINUS
-        assert record.probability == pytest.approx(1.0)
+        assert outcome_probability(qsim.bell_outcomes(state, 0, 1), label) == pytest.approx(1.0)
 
     def test_pauli_action_is_label_xor(self):
         for start, pauli in itertools.product(BellLabel, PauliLabel):
             for q in (0, 1):
                 state = qsim.apply_pauli(qsim.bell_pair(start), q, pauli)
-                label, _, record = qsim.measure_bell(state, 0, 1, 0.5)
+                label, _ = qsim.measure_bell(state, 0, 1, 0.5)
                 assert label is start ^ pauli
-                assert record.probability == pytest.approx(1.0)
+                p = outcome_probability(qsim.bell_outcomes(state, 0, 1), label)
+                assert p == pytest.approx(1.0)
 
     def test_rejects_equal_indices(self):
         state = qsim.init_product(["0", "0"])
@@ -299,13 +307,11 @@ class TestKernelsAgainstDenseProjectors:
             for outcome, proj in zip(outcomes, projectors):
                 projected = proj @ before
                 want_p = float(np.vdot(projected, projected).real)
-                got, post, record = MEASURE[basis](state, *qubits, acc + want_p / 2)
+                got, post = MEASURE[basis](state, *qubits, acc + want_p / 2)
                 acc += want_p
                 assert got == outcome
-                assert record.qubits == qubits
-                assert record.basis is basis
-                assert record.outcome == outcome
-                assert record.probability == pytest.approx(want_p, abs=1e-12)
+                p = outcome_probability(OUTCOMES[basis](state, *qubits), got)
+                assert p == pytest.approx(want_p, abs=1e-12)
                 np.testing.assert_allclose(
                     post.amps, projected / np.sqrt(want_p), atol=1e-12
                 )
@@ -323,7 +329,7 @@ class TestKernelsAgainstDenseProjectors:
             assert got[live][1] == pytest.approx(1.0, abs=1e-12)
             assert qsim.same_state(got[live][2], state)
             for r in (0.0, 0.5, 0.999999):
-                bit, post, _ = MEASURE[basis](state, n - 1, r)
+                bit, post = MEASURE[basis](state, n - 1, r)
                 assert bit == live
                 assert qsim.same_state(post, state)
         if n < 2:
@@ -334,7 +340,7 @@ class TestKernelsAgainstDenseProjectors:
             got = qsim.bell_outcomes(state, n - 2, n - 1)
             assert [post is None for _, _, post in got] == [m is not label for m in BellLabel]
             for r in (0.0, 0.5, 0.999999):
-                got_label, post, _ = qsim.measure_bell(state, n - 2, n - 1, r)
+                got_label, post = qsim.measure_bell(state, n - 2, n - 1, r)
                 assert got_label is label
                 assert qsim.same_state(post, state)
 
@@ -434,10 +440,10 @@ class TestPrepareGhz:
     def test_center_outcomes_select_bell_pair(self):
         state = qsim.prepare_ghz_like(qsim.init_product(["0"] * 3), 0, 1, 2)
         for bit, want in ((0, BellLabel.PSI_PLUS), (1, BellLabel.PHI_PLUS)):
-            _, post, _ = qsim.measure_z(state, 0, 0.25 if bit == 0 else 0.75)
-            label, _, record = qsim.measure_bell(post, 1, 2, 0.5)
+            _, post = qsim.measure_z(state, 0, 0.25 if bit == 0 else 0.75)
+            label, _ = qsim.measure_bell(post, 1, 2, 0.5)
             assert label is want
-            assert record.probability == pytest.approx(1.0)
+            assert outcome_probability(qsim.bell_outcomes(post, 1, 2), label) == pytest.approx(1.0)
 
     def test_works_on_scrambled_indices(self):
         state = qsim.prepare_ghz_like(qsim.init_product(["0"] * 4), 2, 0, 3)
@@ -497,8 +503,9 @@ class TestInvariants:
             state = random_state(rng, n)
             q = int(rng.integers(0, n))
             dist = oracle.outcome_distribution(state, [((q,), Basis.Z)])
-            bit, _, record = qsim.measure_z(state, q, rng.random())
-            assert record.probability == pytest.approx(dist[(bit,)], abs=1e-10)
+            bit, _ = qsim.measure_z(state, q, rng.random())
+            p = outcome_probability(qsim.z_outcomes(state, q), bit)
+            assert p == pytest.approx(dist[(bit,)], abs=1e-10)
 
     def test_distribution_completeness(self):
         rng = np.random.default_rng(42)
@@ -522,7 +529,7 @@ class TestInvariants:
                 acc += p
                 if post is not None and want is None and r < acc:
                     want = bit
-            got, _, _ = qsim.measure_z(state, 1, r)
+            got, _ = qsim.measure_z(state, 1, r)
             assert got == want
 
     def test_same_state_is_phase_blind(self):
