@@ -1,4 +1,5 @@
-"""Attack strategies injected at the transmission hook.
+"""Attack strategies of the center; :func:`qauthsim.protocol.p2_transmit`
+runs the one a StrategyId names at transmission (P2).
 
 The interesting one is :func:`hook_premeasure`: the center measures every
 protocol qubit before anything is transmitted (Z on his own pair, Bell on
@@ -17,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import qsim
-from .protocol import A1, A2, B1, B2, C1, C2, Role, RoundRegister, _check_order, _measure_decoy
+from .protocol import Role, RoundRegister, _measure_decoy, _measure_parties
 from .qsim import BellLabel, PauliLabel
 
 
@@ -55,24 +56,13 @@ class AdversaryReport:
 def hook_premeasure(register: RoundRegister, source, order=("c", "a", "b")) -> EveState:
     """Measure all six protocol qubits before transmission.
 
-    Z on C1 and C2, Bell on (A1, A2) and on (B1, B2).  The measurements act
-    on disjoint qubits, so ``order`` (a permutation of "c", "a", "b") cannot
+    Z on C1 and C2, Bell on (A1, A2) and on (B1, B2): the party walk of
+    the honest E2 measurement, made early.  The measurements act on
+    disjoint qubits, so ``order`` (a permutation of "c", "a", "b") cannot
     change the joint outcome statistics.  Decoy qubits are never touched.
     """
-    _check_order(order)
-    outcomes = {}
-    state = register.state
-    for party in order:
-        if party == "c":
-            c1, state = source.measure_z(state, C1)
-            c2, state = source.measure_z(state, C2)
-            outcomes["c"] = (c1, c2)
-        elif party == "a":
-            outcomes["a"], state = source.measure_bell(state, A1, A2)
-        else:
-            outcomes["b"], state = source.measure_bell(state, B1, B2)
-    register.state = state
-    return EveState(outcomes["c"], outcomes["a"], outcomes["b"])
+    a, b, c = _measure_parties(register, source, order)
+    return EveState(c, a, b)
 
 
 def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE) -> PauliLabel:

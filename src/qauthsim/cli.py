@@ -90,47 +90,19 @@ class RunConfig:
         )
 
 
-def _parse_uint(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _parse_unit_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"expected a number, got {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"expected a value in [0, 1], got {text!r}")
-    return value
-
-
-def _parse_choice(options: dict):
-    def parse(text: str):
-        if text not in options:
-            expected = ", ".join(sorted(options))
-            raise ValueError(f"expected one of {expected}, got {text!r}")
-        return options[text]
-
-    return parse
-
-
+# Type conversion only: every range and choice rule lives in the config
+# classes, whose FieldError names the key.
 _FIELD_PARSERS = {
-    "rounds": _parse_uint,
-    "decoys_per_sequence": _parse_uint,
-    "decoy_error_threshold": _parse_unit_float,
-    "direction": _parse_choice({"Alice": Role.ALICE, "Bob": Role.BOB}),
-    "seed": _parse_uint,
-    "strategy": _parse_choice({s.value: s for s in StrategyId}),
-    "mode": _parse_choice({"sampled": "sampled", "exact": "exact"}),
-    "samples": _parse_uint,
+    "rounds": int,
+    "decoys_per_sequence": int,
+    "decoy_error_threshold": float,
+    "direction": Role,
+    "seed": int,
+    "strategy": StrategyId,
+    "mode": str,
+    "samples": int,
     "output_path": str,
-    "format": _parse_choice({"json": "json", "csv": "csv"}),
+    "format": str,
 }
 
 
@@ -172,19 +144,37 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}:{lines[exc.key]}: {exc.key}: {exc}") from exc
 
 
+# Every report row has these fields, in this order; a row sets the ones it has.
+_CSV_COLUMNS = [
+    "strategy",
+    "mode",
+    "key",
+    "samples",
+    "rounds_executed",
+    "accept_rate",
+    "accept_low",
+    "accept_high",
+    "accept_trials",
+    "detection_rate",
+    "detection_low",
+    "detection_high",
+    "detection_trials",
+    "key_recovery_rate",
+    "key_recovery_low",
+    "key_recovery_high",
+    "key_recovery_trials",
+    "tv_distance_vs_honest",
+    "accept_probability",
+    "support_size",
+]
+
+
 def _twelve(x: float) -> float:
     """Round to 12 significant digits (the report serialization contract)."""
     return float(f"{x:.12g}")
 
 
 def _rate_fields(prefix: str, estimate) -> dict:
-    if estimate is None:
-        return {
-            f"{prefix}_rate": None,
-            f"{prefix}_low": None,
-            f"{prefix}_high": None,
-            f"{prefix}_trials": None,
-        }
     return {
         f"{prefix}_rate": _twelve(estimate.rate),
         f"{prefix}_low": _twelve(estimate.low),
@@ -211,21 +201,18 @@ def _sampled_results(config: RunConfig) -> list:
                 guesses += 1
                 hits += guess is key
     rates = oracle.sampled_rates(trials, accepted, detected, guesses, hits)
-    return [
-        {
-            "strategy": config.strategy.value,
-            "mode": "sampled",
-            "key": None,
-            "samples": config.samples,
-            "rounds_executed": trials,
-            **_rate_fields("accept", rates.accept),
-            **_rate_fields("detection", rates.detection),
-            **_rate_fields("key_recovery", rates.key_recovery),
-            "tv_distance_vs_honest": None,
-            "accept_probability": None,
-            "support_size": None,
-        }
-    ]
+    row = dict.fromkeys(_CSV_COLUMNS)
+    row.update(
+        strategy=config.strategy.value,
+        mode="sampled",
+        samples=config.samples,
+        rounds_executed=trials,
+        **_rate_fields("accept", rates.accept),
+        **_rate_fields("detection", rates.detection),
+    )
+    if rates.key_recovery is not None:
+        row.update(_rate_fields("key_recovery", rates.key_recovery))
+    return [row]
 
 
 def _exact_results(config: RunConfig) -> list:
@@ -248,21 +235,16 @@ def _exact_results(config: RunConfig) -> list:
             for (c, a, b), p in dist.items()
             if p != 0.0 and protocol.e3_verify(a, b, c, key) is Decision.ACCEPT
         )
-        rows.append(
-            {
-                "strategy": config.strategy.value,
-                "mode": "exact",
-                "key": str(key),
-                "samples": None,
-                "rounds_executed": None,
-                **_rate_fields("accept", None),
-                **_rate_fields("detection", None),
-                **_rate_fields("key_recovery", None),
-                "tv_distance_vs_honest": _twelve(oracle.tv_distance(dist, honest)),
-                "accept_probability": _twelve(accept),
-                "support_size": sum(1 for p in dist.values() if p > 1e-12),
-            }
+        row = dict.fromkeys(_CSV_COLUMNS)
+        row.update(
+            strategy=config.strategy.value,
+            mode="exact",
+            key=str(key),
+            tv_distance_vs_honest=_twelve(oracle.tv_distance(dist, honest)),
+            accept_probability=_twelve(accept),
+            support_size=sum(1 for p in dist.values() if p > 1e-12),
         )
+        rows.append(row)
     return rows
 
 
@@ -290,30 +272,6 @@ def build_report(config: RunConfig) -> dict:
         "config": _config_echo(config),
         "results": results,
     }
-
-
-_CSV_COLUMNS = [
-    "strategy",
-    "mode",
-    "key",
-    "samples",
-    "rounds_executed",
-    "accept_rate",
-    "accept_low",
-    "accept_high",
-    "accept_trials",
-    "detection_rate",
-    "detection_low",
-    "detection_high",
-    "detection_trials",
-    "key_recovery_rate",
-    "key_recovery_low",
-    "key_recovery_high",
-    "key_recovery_trials",
-    "tv_distance_vs_honest",
-    "accept_probability",
-    "support_size",
-]
 
 
 def render_json(report: dict) -> str:

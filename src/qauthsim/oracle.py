@@ -3,14 +3,15 @@
 Entanglement-swapping tables and Pauli-on-Bell maps are recomputed from
 amplitudes rather than trusted as label arithmetic; transcript distributions
 are obtained by exhaustive branch enumeration.  The enumeration drives the
-very same phase functions the sampler uses: :class:`BranchSource` implements
-the outcome-source interface of :class:`qauthsim.protocol.SampleSource`, but
-replays scripted choices instead of drawing randomness, and
-:func:`enumerate_branches` re-executes a pipeline once per measurement
-branch in depth-first order.  A pipeline must be deterministic given its
-outcomes, so each replay is handed the outcome lists along the prefix it
-shares with the previous one: every outcome list of the tree is computed
-exactly once.  It is the package's only enumerator:
+very same phase functions the sampler uses, P2's strategy dispatch
+(:func:`qauthsim.protocol.p2_transmit`) and the parties' measurement walk
+included: :class:`BranchSource` implements the outcome-source interface of
+:class:`qauthsim.protocol.SampleSource`, but replays scripted choices
+instead of drawing randomness, and :func:`enumerate_branches` re-executes a
+pipeline once per measurement branch in depth-first order.  A pipeline must
+be deterministic given its outcomes, so each replay is handed the outcome
+lists along the prefix it shares with the previous one: every outcome list
+of the tree is computed exactly once.  It is the package's only enumerator:
 :func:`outcome_distribution` (a measurement plan on a bare state) and
 :func:`exact_transcript_distribution` (a protocol round, its enumerated
 mass checked at run time) are pipelines it runs.  Sampled runs reduce to
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import protocol, qsim
-from .adversary import StrategyId, forge_c, hook_premeasure
+from .adversary import StrategyId, forge_c
 from .protocol import ProtocolConfig, Role
 from .qsim import Basis, BellLabel, PauliLabel
 
@@ -194,23 +195,23 @@ def exact_transcript_distribution(
     the protocol qubits and are checked separately).  Returns the full
     64-cell map keyed by ((c1, c2), a, b).  The order arguments permute the
     enumeration order of the parties' measurements; the distribution must
-    not depend on them.  Both orders are checked for every strategy before
-    anything is enumerated.  Raises ValueError when the leaf probabilities
-    do not sum to 1 within ``MASS_TOL``.
+    not depend on them.  The key and both orders are checked for every
+    strategy before anything is enumerated.  Raises ValueError when the
+    leaf probabilities do not sum to 1 within ``MASS_TOL``.
     """
     if strategy not in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
         raise ValueError(
             f"exact enumeration covers Honest and PreMeasure, not {strategy!r}"
         )
+    if not isinstance(key, PauliLabel):
+        raise ValueError(f"key must be a PauliLabel, got {key!r}")
     protocol._check_order(hook_order)
     protocol._check_order(measure_order)
     config = ProtocolConfig(rounds=1, decoys_per_sequence=0, direction=direction)
 
     def pipeline(source):
         register = protocol.p1_prepare(config, None)
-        eve = None
-        if strategy is StrategyId.PRE_MEASURE:
-            eve = hook_premeasure(register, source, hook_order)
+        eve = protocol.p2_transmit(register, strategy, source, None, hook_order)
         protocol.e1_encode(register, key, direction)
         a, b, c = protocol.e2_measure(register, source, measure_order)
         if eve is not None:

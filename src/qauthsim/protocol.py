@@ -5,7 +5,9 @@ sends one qubit pair each to Alice and Bob, with decoy qubits mixed into the
 transmitted sequences (P1, P2).  After the decoy checks (S1, S2) the chosen
 party encodes the round key as a Pauli on her first qubit (E1), everyone
 measures (E2), and the announcements are verified against the shared key
-(E3).
+(E3).  The center's strategy acts in P2, before anything is sent:
+:func:`p2_transmit` is the only code that turns a StrategyId into an attack,
+and the PreMeasure attack measures the parties with the same walk as E2.
 
 The quantum payload of a round lives in a :class:`RoundRegister`: one joint
 state over the six protocol qubits plus one label per decoy.  Decoys are
@@ -23,7 +25,7 @@ batch per sequence, which yields the same stream as one draw per decoy.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
-enumerate branches through this same code).
+enumerate branches through this same code, P2 and the party walk included).
 """
 
 from __future__ import annotations
@@ -237,15 +239,25 @@ def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> Rou
     return RoundRegister(_FRESH_STATE, decoy_states, decoy_meta, *sequences)
 
 
-def p2_transmit(register: RoundRegister, hook=None):
-    """Hand the sequences to their receivers over an ideal channel.
+def p2_transmit(register: RoundRegister, strategy, source, rng, order=("c", "a", "b")):
+    """Let the center's strategy act on the register, then hand the
+    sequences to their receivers over an ideal channel.
 
-    The adversary hook runs exactly once, before anything leaves Charlie's
-    lab, with access to the whole register.
+    This is the one place where a StrategyId becomes an attack.  It runs
+    once per round, before anything leaves Charlie's lab, with the whole
+    register in reach.  PreMeasure measures the six protocol qubits through
+    ``source`` with the parties in ``order`` and returns its EveState;
+    InterceptResend measures every transmitted qubit with draws from
+    ``rng``; Honest does nothing.  Returns None unless the strategy records
+    an EveState; an unknown strategy raises before the register is touched.
     """
-    if hook is not None:
-        hook(register)
-    return register.alice_seq, register.bob_seq
+    if strategy is adversary.StrategyId.PRE_MEASURE:
+        return adversary.hook_premeasure(register, source, order)
+    if strategy is adversary.StrategyId.INTERCEPT_RESEND:
+        adversary.hook_intercept_resend(register, rng)
+    elif strategy is not adversary.StrategyId.HONEST:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return None
 
 
 def _measure_decoy(register: RoundRegister, idx: int, coin: int, randomness: float) -> int:
@@ -310,12 +322,12 @@ def _check_order(order) -> None:
         raise ValueError(f"order must be a permutation of 'a', 'b', 'c', got {order!r}")
 
 
-def e2_measure(register: RoundRegister, source, order=("a", "b", "c")):
-    """Measure the round: Alice Bell on (A1, A2), Bob Bell on (B1, B2),
-    Charlie Z on C1 then C2.
+def _measure_parties(register: RoundRegister, source, order) -> tuple:
+    """Measure each party's protocol qubits, the parties taking turns in ``order``.
 
-    ``order`` permutes the three parties' turns; the measurements act on
-    disjoint qubits, so the joint outcome distribution cannot depend on it.
+    Party "a" is a Bell measurement on (A1, A2), "b" one on (B1, B2), and
+    "c" Z on C1 then C2.  ``order`` is checked to permute the three before
+    anything is measured.  Returns (a, b, (c1, c2)).
     """
     _check_order(order)
     results = {}
@@ -329,6 +341,17 @@ def e2_measure(register: RoundRegister, source, order=("a", "b", "c")):
             c2, register.state = source.measure_z(register.state, C2)
             results["c"] = (c1, c2)
     return results["a"], results["b"], results["c"]
+
+
+def e2_measure(register: RoundRegister, source, order=("a", "b", "c")):
+    """Measure the round: Alice Bell on (A1, A2), Bob Bell on (B1, B2),
+    Charlie Z on C1 then C2; returns (a, b, (c1, c2)).
+
+    ``order`` permutes the three parties' turns; the measurements act on
+    disjoint qubits, so the joint outcome distribution cannot depend on it.
+    The walk is the one the PreMeasure attack makes in P2.
+    """
+    return _measure_parties(register, source, order)
 
 
 def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
@@ -353,8 +376,6 @@ def run_protocol(config: ProtocolConfig, keys, strategy):
     passed and every round verified.  Round ``i`` uses the rng stream seeded
     by (config.seed, i), so identical inputs give identical transcripts.
     """
-    from . import adversary
-
     if len(keys) != config.rounds:
         raise ValueError(f"got {len(keys)} keys for {config.rounds} rounds")
     for k in keys:
@@ -375,23 +396,7 @@ def run_protocol(config: ProtocolConfig, keys, strategy):
         source = SampleSource(rng)
         register = p1_prepare(config, rng)
 
-        eve = None
-        hook = None
-        if strategy is adversary.StrategyId.PRE_MEASURE:
-
-            def hook(reg, _source=source):
-                nonlocal eve
-                eve = adversary.hook_premeasure(reg, _source)
-
-        elif strategy is adversary.StrategyId.INTERCEPT_RESEND:
-
-            def hook(reg, _rng=rng):
-                adversary.hook_intercept_resend(reg, _rng)
-
-        elif strategy is not adversary.StrategyId.HONEST:
-            raise ValueError(f"unknown strategy {strategy!r}")
-
-        p2_transmit(register, hook)
+        eve = p2_transmit(register, strategy, source, rng)
         eve_states.append(eve)
 
         errors_a, ok_a = s_check(register, alice_idx, config.decoy_error_threshold, rng)
@@ -441,3 +446,9 @@ def run_protocol(config: ProtocolConfig, keys, strategy):
     transcript = Transcript(rounds, overall, total_rate)
     report = adversary.AdversaryReport(strategy, eve_states, inferred)
     return transcript, overall, report
+
+
+# The adversary module imports its protocol names from this one, so it is
+# imported last, once every name it needs exists.  P2 and run_protocol reach
+# it through this module global at call time.
+from . import adversary

@@ -233,8 +233,10 @@ def apply_pauli(state: StateVector, q: int, label: PauliLabel) -> StateVector:
         out = amps[_flip_perm(n, q)]
     elif label is PauliLabel.Z:
         out = amps * _z_signs(n, q)
-    else:  # iY = Z@X
+    elif label is PauliLabel.IY:  # iY = Z@X
         out = amps[_flip_perm(n, q)] * _z_signs(n, q)
+    else:
+        raise ValueError(f"expected a PauliLabel, got {label!r}")
     return StateVector(n, out)
 
 

@@ -138,6 +138,12 @@ def test_out_of_range_values_are_rejected(tmp_path, line):
         ("seed = 18446744073709551616\n", "seed", 1),
         ("mode = exact\nrounds = 2\nstrategy = InterceptResend\n", "strategy", 3),
         ("strategy = InterceptResend\nmode = exact\n", "strategy", 1),
+        ("rounds = 2\nseed = -1\n", "seed", 2),
+        ("decoys_per_sequence = -1\n", "decoys_per_sequence", 1),
+        ("\ndecoy_error_threshold = 1.5\n", "decoy_error_threshold", 2),
+        ("direction = Charlie\n", "direction", 1),
+        ("# mode\nmode = approximate\n", "mode", 2),
+        ("format = xml\n", "format", 1),
     ],
 )
 def test_validation_errors_name_the_key_and_line(tmp_path, text, key, lineno):

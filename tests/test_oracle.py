@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import reference
 
-from qauthsim import oracle, qsim
+from qauthsim import oracle, protocol, qsim
 from qauthsim.adversary import StrategyId
 from qauthsim.oracle import (
     BranchSource,
@@ -319,6 +319,43 @@ def test_exact_distribution_rejects_bad_orders_before_enumerating(
     monkeypatch.setattr(oracle, "BranchSource", refuse)
     with pytest.raises(ValueError):
         exact_transcript_distribution(strategy, PauliLabel.I, **orders)
+
+
+@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
+@pytest.mark.parametrize("key", ["X", BellLabel.PSI_PLUS, None])
+def test_exact_distribution_rejects_non_pauli_keys_before_enumerating(
+    monkeypatch, strategy, key
+):
+    def refuse(script):
+        raise AssertionError("enumerated with a bad key")
+
+    monkeypatch.setattr(oracle, "BranchSource", refuse)
+    with pytest.raises(ValueError):
+        exact_transcript_distribution(strategy, key)
+
+
+def test_exact_distribution_runs_p2_once_per_leaf(monkeypatch):
+    calls, leaves = [], []
+    original = protocol.p2_transmit
+
+    def counted(register, strategy, source, rng, order=("c", "a", "b")):
+        calls.append((strategy, order))
+        return original(register, strategy, source, rng, order)
+
+    def counting_enumerate(pipeline):
+        for result, probability in enumerate_branches(pipeline):
+            leaves.append(result)
+            yield result, probability
+
+    monkeypatch.setattr(protocol, "p2_transmit", counted)
+    monkeypatch.setattr(oracle, "enumerate_branches", counting_enumerate)
+    order = ("a", "c", "b")
+    for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
+        calls.clear()
+        leaves.clear()
+        exact_transcript_distribution(strategy, PauliLabel.Z, hook_order=order)
+        assert leaves
+        assert calls == [(strategy, order)] * len(leaves)
 
 
 def test_exact_distribution_order_invariance():

@@ -6,7 +6,7 @@ import pytest
 import reference
 
 from qauthsim import oracle, protocol, qsim
-from qauthsim.adversary import StrategyId
+from qauthsim.adversary import EveState, StrategyId
 from qauthsim.protocol import (
     A1,
     A2,
@@ -197,20 +197,55 @@ def test_p1_registers_share_the_read_only_fresh_state():
 # P2: transmission
 
 
-def test_p2_returns_sequences_and_runs_hook_once():
+def test_p2_honest_returns_none_and_leaves_state_alone():
     register = fresh_register(decoys=2, seed=1)
-    calls = []
-    alice_seq, bob_seq = p2_transmit(register, hook=calls.append)
-    assert alice_seq is register.alice_seq
-    assert bob_seq is register.bob_seq
-    assert calls == [register]
-
-
-def test_p2_without_hook_leaves_state_alone():
-    register = fresh_register()
     before = register.state.amps.copy()
-    p2_transmit(register)
+    decoys = list(register.decoy_states)
+    source = SampleSource(np.random.default_rng(0))
+    assert p2_transmit(register, StrategyId.HONEST, source, source.rng) is None
     assert np.array_equal(register.state.amps, before)
+    assert register.decoy_states == decoys
+
+
+def test_p2_premeasure_returns_eve_state():
+    register = fresh_register()
+    source = SampleSource(np.random.default_rng(3))
+    eve = p2_transmit(register, StrategyId.PRE_MEASURE, source, None)
+    assert isinstance(eve, EveState)
+    assert eve.m_pre ^ eve.b_pre is BellLabel.from_bits(0, eve.c_pre[0] ^ eve.c_pre[1])
+
+
+def test_p2_intercept_resend_returns_none():
+    register = fresh_register(decoys=2, seed=1)
+    rng = np.random.default_rng(4)
+    assert p2_transmit(register, StrategyId.INTERCEPT_RESEND, SampleSource(rng), rng) is None
+
+
+@pytest.mark.parametrize("strategy", ["PreMeasure", None, Decision.ACCEPT])
+def test_p2_unknown_strategy_raises_before_touching_the_register(strategy):
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"register.{name} read")
+
+    with pytest.raises(ValueError):
+        p2_transmit(Untouchable(), strategy, Untouchable(), Untouchable())
+
+
+@pytest.mark.parametrize("strategy", list(StrategyId))
+def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch, strategy):
+    config = ProtocolConfig(rounds=4, decoys_per_sequence=2, seed=9)
+    calls = []
+    original = protocol.p2_transmit
+
+    def counted(register, *args):
+        assert all(meta.measured is None for meta in register.decoy_meta)
+        calls.append(register)
+        return original(register, *args)
+
+    monkeypatch.setattr(protocol, "p2_transmit", counted)
+    transcript, _, _ = run_protocol(config, [PauliLabel.X] * 4, strategy)
+    assert len(calls) == len(transcript.rounds)
+    assert [r.decoys for r in transcript.rounds] == [reg.decoy_meta for reg in calls]
 
 
 # ---------------------------------------------------------------------------

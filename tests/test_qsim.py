@@ -88,6 +88,11 @@ class TestGates:
             qsim.apply_pauli(zero, 0, PauliLabel.IY).amps, [0, -1]
         )
 
+    @pytest.mark.parametrize("label", ["X", BellLabel.PSI_PLUS, None])
+    def test_pauli_rejects_anything_but_a_pauli_label(self, label):
+        with pytest.raises(ValueError):
+            qsim.apply_pauli(qsim.init_product(["0"]), 0, label)
+
     def test_z_turns_phi_plus_into_phi_minus(self):
         state = qsim.apply_pauli(qsim.bell_pair(BellLabel.PHI_PLUS), 0, PauliLabel.Z)
         assert qsim.same_state(state, qsim.bell_pair(BellLabel.PHI_MINUS))
