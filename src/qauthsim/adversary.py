@@ -15,10 +15,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from . import qsim
-from .protocol import Role, RoundRegister, _measure_decoy, _measure_parties
+from .protocol import Role, Wave, _measure_decoy, _measure_parties
 from .qsim import BellLabel, PauliLabel
 
 
@@ -53,13 +50,15 @@ class AdversaryReport:
     inferred_keys: list
 
 
-def hook_premeasure(register: RoundRegister, source, order=("c", "a", "b")) -> EveState:
+def hook_premeasure(register, source, order=("c", "a", "b")) -> EveState:
     """Measure all six protocol qubits before transmission.
 
     Z on C1 and C2, Bell on (A1, A2) and on (B1, B2): the party walk of
     the honest E2 measurement, made early.  The measurements act on
     disjoint qubits, so ``order`` (a permutation of "c", "a", "b") cannot
     change the joint outcome statistics.  Decoy qubits are never touched.
+    ``register`` is a RoundRegister or a Wave; on a wave the returned
+    EveState holds the rows' outcome lists, which the caller splits per row.
     """
     a, b, c = _measure_parties(register, source, order)
     return EveState(c, a, b)
@@ -91,23 +90,30 @@ def forge_c(eve: EveState) -> tuple:
     return eve.c_pre
 
 
-def hook_intercept_resend(register: RoundRegister, rng: np.random.Generator) -> None:
+def hook_intercept_resend(wave: Wave, rngs: list) -> None:
     """Measure every transmitted qubit in a uniformly random basis from
     {Z, X} and forward the collapsed eigenstate.
 
-    Walks both sequences in transmission order; protocol qubits and decoys
-    alike, each with its own pre-drawn basis coin (0 Z, 1 X) and uniform
-    draw.  Decoys are measured the way the S1/S2 checks measure them, by
-    their eigenstate label's outcome table.  Charlie's own C qubits never
-    travel, so they are left alone.
+    Each row walks both of its sequences in transmission order; protocol
+    qubits and decoys alike, each with its own pre-drawn basis coin (0 Z,
+    1 X) and uniform draw from the row's generator in ``rngs``.  Decoys are
+    measured here, the way the S1/S2 checks measure them, by their
+    eigenstate label's outcome table.  Every row meets the protocol qubits
+    in the same order (A1, A2, B1, B2); their measurements go to the wave's
+    ``in_transit`` list, one entry per qubit for the whole wave.  Charlie's
+    own C qubits never travel, so they are left alone.
     """
-    total = len(register.alice_seq) + len(register.bob_seq)
-    bases = rng.integers(0, 2, size=total).tolist()
-    draws = rng.random(size=total).tolist()
-    slots = itertools.chain(register.alice_seq, register.bob_seq)
-    for (kind, idx), coin, randomness in zip(slots, bases, draws):
-        if kind == "q":
-            measure = qsim.measure_z if coin == 0 else qsim.measure_x
-            _, register.state = measure(register.state, idx, randomness)
-        else:
-            _measure_decoy(register, idx, coin, randomness)
+    coins: dict = {}
+    draws: dict = {}
+    for row, rng in zip(wave.rows, rngs):
+        total = len(row.alice_seq) + len(row.bob_seq)
+        bases = rng.integers(0, 2, size=total).tolist()
+        randomness = rng.random(size=total).tolist()
+        slots = itertools.chain(row.alice_seq, row.bob_seq)
+        for (kind, idx), coin, draw in zip(slots, bases, randomness):
+            if kind == "q":
+                coins.setdefault(idx, []).append(coin)
+                draws.setdefault(idx, []).append(draw)
+            else:
+                _measure_decoy(row, idx, coin, draw)
+    wave.in_transit = [(q, coins[q], draws[q]) for q in coins]

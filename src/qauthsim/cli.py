@@ -3,9 +3,12 @@
 Two subcommands: ``tables`` prints the oracle's entanglement-swapping and
 Pauli-on-Bell tables; ``run`` loads a line-oriented ``key = value`` config,
 executes a sampled or exact experiment, writes a JSON or CSV report, and
-prints a one-line summary.  A sampled run folds each protocol run into five
-integer tallies as it goes, so its memory depends on ``rounds``, not on
-``samples``; an exact run enumerates each key's transcript distribution.
+prints a one-line summary.  A sampled run draws its runs' seeds and keys
+from the master stream one chunk of at most ``WAVE_SIZE`` runs at a time,
+executes each chunk in waves through :func:`qauthsim.protocol.run_batch`
+and folds it into five integer tallies before drawing the next, so its
+memory depends on ``WAVE_SIZE`` and ``rounds``, not on ``samples``; an exact
+run enumerates each key's transcript distribution.
 Reports are deterministic: identical configs produce byte-identical files
 (reals at 12 significant digits, no timestamps).
 
@@ -19,7 +22,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,13 @@ from . import __version__, oracle, protocol
 from .adversary import StrategyId
 from .protocol import Decision, FieldError, ProtocolConfig, Role, _is_number
 from .qsim import BellLabel, PauliLabel
+
+
+# Runs per protocol.run_batch call in a sampled report.  Each round of a
+# batch is one kernel call per measurement over a (runs, 64) amplitude
+# array; at 64 runs that array is 64 KB, and the batch's transcripts are all
+# a report holds at once.
+WAVE_SIZE = 64
 
 
 class ConfigError(ValueError):
@@ -56,8 +66,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.protocol_config()  # validates the protocol-side fields
         if not isinstance(self.strategy, StrategyId):
+            names = ", ".join(s.value for s in StrategyId)
             raise FieldError(
-                "strategy", f"strategy must be a StrategyId, got {self.strategy!r}"
+                "strategy", f"strategy must be one of {names}, got {self.strategy!r}"
             )
         if self.mode not in ("sampled", "exact"):
             raise FieldError(
@@ -90,15 +101,22 @@ class RunConfig:
         )
 
 
+def _member(enum):
+    """Parser giving the member whose value the text is; any other text
+    stays text, for the config classes to reject with the accepted names."""
+    members = {m.value: m for m in enum}
+    return lambda text: members.get(text, text)
+
+
 # Type conversion only: every range and choice rule lives in the config
 # classes, whose FieldError names the key.
 _FIELD_PARSERS = {
     "rounds": int,
     "decoys_per_sequence": int,
     "decoy_error_threshold": float,
-    "direction": Role,
+    "direction": _member(Role),
     "seed": int,
-    "strategy": StrategyId,
+    "strategy": _member(StrategyId),
     "mode": str,
     "samples": int,
     "output_path": str,
@@ -188,18 +206,20 @@ def _sampled_results(config: RunConfig) -> list:
     alphabet = list(PauliLabel)
     base = config.protocol_config()
     trials = accepted = detected = guesses = hits = 0
-    for _ in range(config.samples):
-        run_seed = int(master.integers(0, 2**63))
-        keys = [alphabet[int(j)] for j in master.integers(0, 4, size=config.rounds)]
-        run_config = replace(base, seed=run_seed)
-        transcript, _, report = protocol.run_protocol(run_config, keys, config.strategy)
-        for record, guess, key in zip(transcript.rounds, report.inferred_keys, keys):
-            trials += 1
-            accepted += record.decision is Decision.ACCEPT
-            detected += record.decision is Decision.ABORT
-            if guess is not None:
-                guesses += 1
-                hits += guess is key
+    for start in range(0, config.samples, WAVE_SIZE):
+        seeds, keys = [], []
+        for _ in range(min(WAVE_SIZE, config.samples - start)):
+            seeds.append(int(master.integers(0, 2**63)))
+            keys.append([alphabet[int(j)] for j in master.integers(0, 4, size=config.rounds)])
+        runs = protocol.run_batch(base, seeds, keys, config.strategy)
+        for (transcript, _, report), run_keys in zip(runs, keys):
+            for record, guess, key in zip(transcript.rounds, report.inferred_keys, run_keys):
+                trials += 1
+                accepted += record.decision is Decision.ACCEPT
+                detected += record.decision is Decision.ABORT
+                if guess is not None:
+                    guesses += 1
+                    hits += guess is key
     rates = oracle.sampled_rates(trials, accepted, detected, guesses, hits)
     row = dict.fromkeys(_CSV_COLUMNS)
     row.update(

@@ -26,6 +26,15 @@ batch per sequence, which yields the same stream as one draw per decoy.
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
 enumerate branches through this same code, P2 and the party walk included).
+
+Sampled runs execute in waves (:func:`run_batch`): round i of every run of
+a batch that has not aborted is one :class:`Wave`, whose six-qubit states
+are the rows of one amplitude array, so each measurement of the round is
+one kernel call for the whole wave.  Each row draws from its own generator,
+seeded by (run seed, i), in the order its run alone would draw, so a run's
+transcript does not depend on the batch it is in; :func:`run_protocol` is
+the batch of one.  P1 and the S1/S2 decoy checks stay per row, since they
+touch only that row's decoys and stream.
 """
 
 from __future__ import annotations
@@ -95,6 +104,12 @@ class FieldError(ValueError):
         self.key = key
 
 
+def _check_seed(seed) -> None:
+    """Require a run seed to be a 64-bit unsigned integer."""
+    if not _is_number(seed, int) or not 0 <= seed < 2**64:
+        raise FieldError("seed", f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 @dataclass
 class ProtocolConfig:
     rounds: int = 1
@@ -122,11 +137,9 @@ class ProtocolConfig:
                 f"got {self.decoy_error_threshold!r}"
             )
         if self.direction not in (Role.ALICE, Role.BOB):
-            raise FieldError("direction", "direction must be Alice or Bob")
-        if not _is_number(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise FieldError(
-                "seed", f"seed must be a 64-bit unsigned integer, got {self.seed!r}"
-            )
+            shown = getattr(self.direction, "value", self.direction)
+            raise FieldError("direction", f"direction must be Alice or Bob, got {shown!r}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -176,25 +189,54 @@ class Transcript:
     decoy_error_rate: float
 
 
-class SampleSource:
-    """Measurement outcome source backed by a numpy Generator.
+@dataclass
+class Wave:
+    """Round ``i`` of every live run of a batch, one row per run.
 
-    One uniform draw per measurement, in program order.  The oracle module
-    provides a scripted source with the same three methods, so the phase
+    ``state`` stacks the rows' six-qubit states into one (B, 64) array (a
+    1-D array when B is 1), so each measurement of the round is one kernel
+    call for the whole wave.
+    ``rows[r]`` is row r's RoundRegister from P1: its decoys and sequences,
+    which only that row's own checks touch.  The wave's ``state`` replaces
+    the registers' own, which stay the fresh state P1 gave them.
+
+    ``in_transit`` lists the measurements an adversary made on protocol
+    qubits in transit, one (qubit, per-row basis coins, per-row draws) per
+    qubit in the order made.  :func:`run_batch` applies them after S1/S2 to
+    the rows that passed: the checks read only decoys and an aborted row's
+    state is never read, so every outcome is the one applying them in P2
+    would give.
+    """
+
+    state: StateVector
+    rows: list
+    in_transit: list
+
+
+class SampleSource:
+    """Measurement outcome source for a wave: one numpy Generator per row.
+
+    Each measurement takes one uniform draw from every row's generator and
+    returns the rows' outcomes as a list, so each row's stream is drawn in
+    the same order as if its run were alone.  The oracle module provides a
+    scripted single-state source with the same three methods, so the phase
     functions below never know whether they are being sampled or enumerated.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
+    def __init__(self, rngs: list):
+        self.rngs = rngs
+
+    def _draws(self) -> list:
+        return [rng.random() for rng in self.rngs]
 
     def measure_z(self, state: StateVector, q: int):
-        return qsim.measure_z(state, q, self.rng.random())
+        return qsim.measure_z(state, q, self._draws())
 
     def measure_x(self, state: StateVector, q: int):
-        return qsim.measure_x(state, q, self.rng.random())
+        return qsim.measure_x(state, q, self._draws())
 
     def measure_bell(self, state: StateVector, q1: int, q2: int):
-        return qsim.measure_bell(state, q1, q2, self.rng.random())
+        return qsim.measure_bell(state, q1, q2, self._draws())
 
 
 # |G> x |G> over the six protocol qubits, read-only and shared by every
@@ -239,17 +281,21 @@ def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> Rou
     return RoundRegister(_FRESH_STATE, decoy_states, decoy_meta, *sequences)
 
 
-def p2_transmit(register: RoundRegister, strategy, source, rng, order=("c", "a", "b")):
+def p2_transmit(register, strategy, source, rng, order=("c", "a", "b")):
     """Let the center's strategy act on the register, then hand the
     sequences to their receivers over an ideal channel.
 
     This is the one place where a StrategyId becomes an attack.  It runs
     once per round, before anything leaves Charlie's lab, with the whole
-    register in reach.  PreMeasure measures the six protocol qubits through
-    ``source`` with the parties in ``order`` and returns its EveState;
-    InterceptResend measures every transmitted qubit with draws from
-    ``rng``; Honest does nothing.  Returns None unless the strategy records
-    an EveState; an unknown strategy raises before the register is touched.
+    register in reach.  ``register`` is a RoundRegister or a Wave.
+    PreMeasure measures the six protocol qubits through ``source`` with the
+    parties in ``order`` and returns its EveState (on a wave, one whose
+    fields hold the rows' outcomes in row order); InterceptResend, on a
+    wave only, measures every transmitted qubit with draws from ``rng``,
+    one generator per row, its protocol-qubit measurements waiting in the
+    wave's ``in_transit``; Honest does nothing.  Returns None unless the
+    strategy records an EveState; an unknown strategy raises before the
+    register is touched.
     """
     if strategy is adversary.StrategyId.PRE_MEASURE:
         return adversary.hook_premeasure(register, source, order)
@@ -267,10 +313,25 @@ def _measure_decoy(register: RoundRegister, idx: int, coin: int, randomness: flo
     selection rule, stores the collapsed eigenstate's label in the register
     and returns the bit.
     """
-    qsim._check_randomness(randomness)
     bit = qsim._pick(_DECOY_PROBS[register.decoy_states[idx]][coin], randomness)
     register.decoy_states[idx] = 2 * coin + bit
     return bit
+
+
+def _measure_in_bases(state: StateVector, q: int, coins: list, draws: list) -> StateVector:
+    """Measure qubit ``q`` of every row in the row's own basis (coin 0 Z,
+    1 X) with the row's draw; the rows sharing a basis are measured
+    together.  Returns the post-measurement state."""
+    if coins.count(coins[0]) == len(coins):
+        measure = qsim.measure_x if coins[0] else qsim.measure_z
+        return measure(state, q, draws)[1]
+    amps = np.empty_like(state.amps)
+    for coin, measure in enumerate((qsim.measure_z, qsim.measure_x)):
+        rows = [j for j, c in enumerate(coins) if c == coin]
+        part = StateVector(state.n_qubits, state.amps[rows])
+        _, post = measure(part, q, [draws[j] for j in rows])
+        amps[rows] = post.amps
+    return StateVector(state.n_qubits, amps)
 
 
 def s_check(
@@ -304,8 +365,12 @@ def s_check(
     return mismatches, (mismatches / k if k else 0.0) <= threshold
 
 
-def e1_encode(register: RoundRegister, key: PauliLabel, direction: Role) -> RoundRegister:
-    """Apply the round key's Pauli to the authenticating party's first qubit."""
+def e1_encode(register, key, direction: Role):
+    """Apply the round key's Pauli to the authenticating party's first qubit.
+
+    ``register`` is a RoundRegister with one PauliLabel ``key``, or a Wave
+    with a list of one key per row.
+    """
     if direction is Role.ALICE:
         q = A1
     elif direction is Role.BOB:
@@ -322,12 +387,13 @@ def _check_order(order) -> None:
         raise ValueError(f"order must be a permutation of 'a', 'b', 'c', got {order!r}")
 
 
-def _measure_parties(register: RoundRegister, source, order) -> tuple:
+def _measure_parties(register, source, order) -> tuple:
     """Measure each party's protocol qubits, the parties taking turns in ``order``.
 
     Party "a" is a Bell measurement on (A1, A2), "b" one on (B1, B2), and
     "c" Z on C1 then C2.  ``order`` is checked to permute the three before
-    anything is measured.  Returns (a, b, (c1, c2)).
+    anything is measured.  Returns (a, b, (c1, c2)); on a Wave each of a,
+    b, c1 and c2 is the list of the rows' outcomes.
     """
     _check_order(order)
     results = {}
@@ -368,84 +434,125 @@ def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
     return Decision.ACCEPT if guess is key else Decision.REJECT
 
 
+def _wave_state(rows) -> StateVector:
+    """The wave state of these rows' amplitudes.  A single row stays 1-D:
+    the kernels take it without a batch axis and skip the broadcasting a
+    (1, 64) array would cost."""
+    return StateVector(PROTOCOL_QUBITS, rows[0] if len(rows) == 1 else np.asarray(rows))
+
+
+def _rows(a, b, c) -> list:
+    """Per-row (a, b, (c1, c2)) triples of a wave's outcome lists."""
+    return list(zip(a, b, zip(*c)))
+
+
+def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
+    """Execute one run of ``config`` per seed, in waves.
+
+    ``seeds[r]`` and ``keys[r]`` (one PauliLabel per round) belong to run
+    r; ``config.seed`` is not read.  Round i of every run still alive forms
+    one Wave, so each measurement of the round is one kernel call for all of
+    them, and a run that aborts leaves the waves after its abort.  Row r
+    draws from its own stream seeded by (seeds[r], i), in the order its run
+    alone would, so a run's result does not depend on the batch it is in.
+    Returns one (transcript, decision, adversary report) per run, in seed
+    order; a run's decision is Accept only if every decoy check passed and
+    every round verified.
+    """
+    if len(keys) != len(seeds):
+        raise ValueError(f"got {len(keys)} key lists for {len(seeds)} seeds")
+    for seed in seeds:
+        _check_seed(seed)
+    for run_keys in keys:
+        if len(run_keys) != config.rounds:
+            raise ValueError(f"got {len(run_keys)} keys for {config.rounds} rounds")
+        for k in run_keys:
+            if not isinstance(k, PauliLabel):
+                raise ValueError(f"keys must be PauliLabel values, got {k!r}")
+
+    if not seeds:
+        return []
+    d = config.decoys_per_sequence
+    alice_idx, bob_idx = range(d), range(d, 2 * d)  # the layout p1_prepare fixes
+    runs = [(Transcript([], Decision.ACCEPT, 0.0), adversary.AdversaryReport(strategy, [], []))
+            for _ in seeds]
+    mismatched = [0] * len(seeds)
+    live = list(range(len(seeds)))
+
+    for i in range(config.rounds):
+        rngs = [np.random.default_rng((seeds[r], i)) for r in live]
+        rows = [p1_prepare(config, rng) for rng in rngs]
+        wave = Wave(_wave_state([row.state.amps for row in rows]), rows, [])
+        eve = p2_transmit(wave, strategy, SampleSource(rngs), rngs)
+        if eve is None:
+            eves = [None] * len(rows)
+        else:
+            early = _rows(eve.m_pre, eve.b_pre, eve.c_pre)
+            eves = [adversary.EveState(c, a, b) for a, b, c in early]
+
+        kept, rates = [], []
+        for j, r in enumerate(live):
+            row, rng = rows[j], rngs[j]
+            errors_a, ok_a = s_check(row, alice_idx, config.decoy_error_threshold, rng)
+            errors_b, ok_b = s_check(row, bob_idx, config.decoy_error_threshold, rng)
+            mismatched[r] += errors_a + errors_b
+            rate = (errors_a + errors_b) / (2 * d) if d else 0.0
+            transcript, report = runs[r]
+            report.eve_states.append(eves[j])
+            if ok_a and ok_b:
+                kept.append(j)
+                rates.append(rate)
+                continue
+            phase = PhaseId.S1 if not ok_a else PhaseId.S2
+            transcript.rounds.append(
+                RoundRecord(None, None, None, rate, row.decoy_meta, Decision.ABORT, phase)
+            )
+            transcript.decision = Decision.ABORT
+            report.inferred_keys.append(None)
+        if not kept:
+            break
+        if len(kept) < len(rows):  # so a batched state: one row has nothing to drop
+            wave.state = _wave_state(wave.state.amps[kept])
+            wave.in_transit = [
+                (q, [coins[j] for j in kept], [draws[j] for j in kept])
+                for q, coins, draws in wave.in_transit
+            ]
+            rngs = [rngs[j] for j in kept]
+        live = [live[j] for j in kept]
+        for q, coins, draws in wave.in_transit:
+            wave.state = _measure_in_bases(wave.state, q, coins, draws)
+
+        round_keys = [keys[r][i] for r in live]
+        e1_encode(wave, round_keys, config.direction)
+        outcomes = _rows(*e2_measure(wave, SampleSource(rngs)))
+        for r, j, key, rate, (a, b, c) in zip(live, kept, round_keys, rates, outcomes):
+            eve, key_guess = eves[j], None
+            if eve is not None:
+                c = adversary.forge_c(eve)
+                announced = a if config.direction is Role.ALICE else b
+                key_guess = adversary.infer_key(eve, announced, config.direction)
+            decision = e3_verify(a, b, c, key)
+            transcript, report = runs[r]
+            transcript.rounds.append(RoundRecord(c, a, b, rate, rows[j].decoy_meta, decision))
+            if decision is Decision.REJECT:
+                transcript.decision = Decision.REJECT
+            report.inferred_keys.append(key_guess)
+
+    for (transcript, _), errors in zip(runs, mismatched):
+        checked = 2 * d * len(transcript.rounds)
+        transcript.decoy_error_rate = errors / checked if checked else 0.0
+    return [(transcript, transcript.decision, report) for transcript, report in runs]
+
+
 def run_protocol(config: ProtocolConfig, keys, strategy):
     """Execute a full run: P1 through E3 for each round.
 
     ``keys`` holds one PauliLabel per round.  Returns (transcript, decision,
-    adversary report); the decision is Accept only if every decoy check
-    passed and every round verified.  Round ``i`` uses the rng stream seeded
-    by (config.seed, i), so identical inputs give identical transcripts.
+    adversary report).  This is :func:`run_batch` with one row, so round
+    ``i`` uses the rng stream seeded by (config.seed, i), and identical
+    inputs give identical transcripts.
     """
-    if len(keys) != config.rounds:
-        raise ValueError(f"got {len(keys)} keys for {config.rounds} rounds")
-    for k in keys:
-        if not isinstance(k, PauliLabel):
-            raise ValueError(f"keys must be PauliLabel values, got {k!r}")
-
-    d = config.decoys_per_sequence
-    alice_idx, bob_idx = range(d), range(d, 2 * d)  # the layout p1_prepare fixes
-    rounds: list = []
-    eve_states: list = []
-    inferred: list = []
-    checked = 0
-    mismatched = 0
-    aborted = False
-
-    for i in range(config.rounds):
-        rng = np.random.default_rng((config.seed, i))
-        source = SampleSource(rng)
-        register = p1_prepare(config, rng)
-
-        eve = p2_transmit(register, strategy, source, rng)
-        eve_states.append(eve)
-
-        errors_a, ok_a = s_check(register, alice_idx, config.decoy_error_threshold, rng)
-        errors_b, ok_b = s_check(register, bob_idx, config.decoy_error_threshold, rng)
-        n_checked = 2 * d
-        n_errors = errors_a + errors_b
-        round_rate = n_errors / n_checked if n_checked else 0.0
-        checked += n_checked
-        mismatched += n_errors
-
-        if not (ok_a and ok_b):
-            rounds.append(
-                RoundRecord(
-                    None,
-                    None,
-                    None,
-                    round_rate,
-                    register.decoy_meta,
-                    Decision.ABORT,
-                    PhaseId.S1 if not ok_a else PhaseId.S2,
-                )
-            )
-            inferred.append(None)
-            aborted = True
-            break
-
-        e1_encode(register, keys[i], config.direction)
-        a, b, c = e2_measure(register, source)
-        key_guess = None
-        if eve is not None:
-            c = adversary.forge_c(eve)
-            announced = a if config.direction is Role.ALICE else b
-            key_guess = adversary.infer_key(eve, announced, config.direction)
-        decision = e3_verify(a, b, c, keys[i])
-        rounds.append(
-            RoundRecord(c, a, b, round_rate, register.decoy_meta, decision)
-        )
-        inferred.append(key_guess)
-
-    if aborted:
-        overall = Decision.ABORT
-    elif all(r.decision is Decision.ACCEPT for r in rounds):
-        overall = Decision.ACCEPT
-    else:
-        overall = Decision.REJECT
-    total_rate = mismatched / checked if checked else 0.0
-    transcript = Transcript(rounds, overall, total_rate)
-    report = adversary.AdversaryReport(strategy, eve_states, inferred)
-    return transcript, overall, report
+    return run_batch(config, [config.seed], [keys], strategy)[0]
 
 
 # The adversary module imports its protocol names from this one, so it is

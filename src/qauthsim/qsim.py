@@ -5,17 +5,25 @@ basis-state index, so ``|q0 q1 ... q_{n-1}>`` sits at index
 ``q0*2^(n-1) + ... + q_{n-1}``.  Operations return new :class:`StateVector`
 instances rather than mutating their input.
 
+A state's amplitudes may carry a leading batch axis: shape (B, 2^n) holds
+B states of the same register, one per row, the way the protocol module
+holds round i of many sampled runs.  Pauli gates and measurements act on
+every row of a batch at once.
+
 Nothing in this module draws randomness.  The sampling ``measure_*``
-functions take a single uniform draw from ``[0, 1)`` supplied by the caller
-and return ``(outcome, post-state)``, the shape of the outcome-source
-interface the protocol module uses; exhaustive callers use the ``*_outcomes``
-functions, which list every outcome as ``(outcome, probability,
-post-state)``.  Both go through one kernel per basis, so the exhaustive and
-the sampled results cannot drift apart.  Measurements never rotate the
-state: Z, X and Bell outcomes are the basis's projectors applied straight to
-the flat amplitude array through cached tables over a qubit tuple, a 0/1
-mask per value of the XOR of those qubits' bits and the index permutation
-that flips them all (one qubit for Z and X, the pair for Bell).
+functions take a uniform draw from ``[0, 1)`` supplied by the caller, one
+per row of a batch, and return ``(outcome, post-state)`` with one outcome
+per row, the shape of the outcome-source interface the protocol module
+uses; exhaustive callers use the ``*_outcomes`` functions, which list every
+outcome of a single state as ``(outcome, probability, post-state)``.  Both
+go through one kernel per basis, written over the optional batch axis, so
+the exhaustive and the sampled results cannot drift apart, and a row of a
+batch gets the outcome its state would get measured alone.  Measurements
+never rotate the state: Z, X and Bell outcomes are the basis's projectors
+applied straight to the flat amplitude array through cached tables over a
+qubit tuple, a 0/1 mask per value of the XOR of those qubits' bits and the
+index permutation that flips them all (one qubit for Z and X, the pair for
+Bell).
 
 Bell states and Pauli operators both carry a two-bit ``(phase, parity)``
 label from one shared base, aligned so that applying a Pauli to one half of
@@ -54,13 +62,11 @@ class _TwoBitLabel(Enum):
     alphabet carrying the bitwise XOR.
     """
 
-    @property
-    def phase_bit(self) -> int:
-        return self.value[0]
-
-    @property
-    def parity_bit(self) -> int:
-        return self.value[1]
+    def __init__(self, phase: int, parity: int):
+        # Plain attributes: read on every label XOR and verification, where
+        # a property over ``value`` costs several times more.
+        self.phase_bit = phase
+        self.parity_bit = parity
 
     @classmethod
     def from_bits(cls, phase: int, parity: int):
@@ -132,10 +138,10 @@ class StateVector:
 
     def __post_init__(self) -> None:
         expected = 2**self.n_qubits
-        if self.amps.shape != (expected,):
+        if self.amps.ndim not in (1, 2) or self.amps.shape[-1] != expected:
             raise ValueError(
-                f"amplitude vector has shape {self.amps.shape}, "
-                f"expected ({expected},) for {self.n_qubits} qubits"
+                f"amplitude vector has shape {self.amps.shape}, expected "
+                f"({expected},) or (rows, {expected}) for {self.n_qubits} qubits"
             )
 
     def norm(self) -> float:
@@ -173,11 +179,6 @@ def _require_qubit(state: StateVector, q: int) -> None:
         raise ValueError(
             f"qubit index {q} out of range for a {state.n_qubits}-qubit state"
         )
-
-
-def _check_randomness(randomness: float) -> None:
-    if not 0.0 <= randomness < 1.0:
-        raise ValueError(f"randomness must lie in [0, 1), got {randomness}")
 
 
 # Flat-index helpers, cached per register shape.  Measurements and Pauli
@@ -224,20 +225,49 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     return perm
 
 
-def apply_pauli(state: StateVector, q: int, label: PauliLabel) -> StateVector:
+def _per_row(choices: list, image) -> np.ndarray:
+    """Every row's ``image(choice)`` for its own entry of ``choices``.
+
+    ``image`` maps a choice to an array covering every row; it is called
+    once per distinct choice, and a choice shared by every row returns its
+    image whole.
+    """
+    first = choices[0]
+    out = image(first)
+    if choices.count(first) == len(choices):
+        return out
+    for choice in dict.fromkeys(choices):
+        if choice != first:
+            rows = np.array([c == choice for c in choices])[:, None]
+            out = np.where(rows, image(choice), out)
+    return out
+
+
+def _pauli_image(amps: np.ndarray, n: int, q: int, label: PauliLabel) -> np.ndarray:
+    if label is PauliLabel.I:
+        return amps.copy()
+    if label is PauliLabel.X:
+        return _flip(amps, _flip_perm(n, q))
+    if label is PauliLabel.Z:
+        return amps * _z_signs(n, q)
+    if label is PauliLabel.IY:  # iY = Z@X
+        return _flip(amps, _flip_perm(n, q)) * _z_signs(n, q)
+    raise ValueError(f"expected a PauliLabel, got {label!r}")
+
+
+def apply_pauli(state: StateVector, q: int, label) -> StateVector:
+    """Apply a Pauli to qubit ``q`` of every row.
+
+    ``label`` is one PauliLabel for every row, or a list of one PauliLabel
+    per row (a 1-D state is one row).
+    """
     _require_qubit(state, q)
     n, amps = state.n_qubits, state.amps
-    if label is PauliLabel.I:
-        out = amps.copy()
-    elif label is PauliLabel.X:
-        out = amps[_flip_perm(n, q)]
-    elif label is PauliLabel.Z:
-        out = amps * _z_signs(n, q)
-    elif label is PauliLabel.IY:  # iY = Z@X
-        out = amps[_flip_perm(n, q)] * _z_signs(n, q)
-    else:
-        raise ValueError(f"expected a PauliLabel, got {label!r}")
-    return StateVector(n, out)
+    if isinstance(label, PauliLabel):
+        return StateVector(n, _pauli_image(amps, n, q, label))
+    if not isinstance(label, list) or len(label) != (len(amps) if amps.ndim == 2 else 1):
+        raise ValueError(f"expected a PauliLabel or a list of one per row, got {label!r}")
+    return StateVector(n, _per_row(label, lambda lab: _pauli_image(amps, n, q, lab)))
 
 
 def apply_hadamard(state: StateVector, q: int) -> StateVector:
@@ -257,16 +287,16 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return StateVector(n, state.amps[_cnot_perm(n, control, target)])
 
 
-def _bit_probabilities(amps: np.ndarray, n: int, q: int) -> tuple[float, float]:
-    weights = np.abs(amps) ** 2
-    p1 = float(weights @ _masks(n, q)[1])
-    return float(weights.sum() - p1), p1
-
-
-def _check_measured_mass(total: float) -> None:
-    if abs(total - 1.0) > MEASURE_NORM_TOL:
+def _check_measured_mass(masses) -> None:
+    """Refuse a measurement when a row's measured mass (sum of |amps|^2) is
+    not 1; ``masses`` is one float, or a list of one per row."""
+    if isinstance(masses, float):
+        worst = abs(masses - 1.0)
+    else:
+        worst = max(max(masses) - 1.0, 1.0 - min(masses))
+    if worst > MEASURE_NORM_TOL:
         raise ValueError(
-            f"state norm deviates from 1 by {abs(total - 1.0):.3e}; "
+            f"state norm deviates from 1 by {worst:.3e}; "
             "refusing to measure an unnormalised state"
         )
 
@@ -279,25 +309,97 @@ def _require_pair(state: StateVector, q1: int, q2: int) -> None:
 
 
 # Measurement kernels, one per basis, shared by the sampling ``measure_*``
-# and the exhaustive ``*_outcomes`` functions.  A kernel checks the measured
-# mass and returns the outcome probabilities in outcome order together with
-# ``project(i)``, the normalised post-measurement amplitudes of outcome ``i``
-# (called only for outcomes above ZERO_PROB).  No kernel rotates the state:
-# each applies its projectors to the flat amplitude array directly.
+# and the exhaustive ``*_outcomes`` functions.  A kernel takes a flat
+# amplitude array with an optional leading batch axis, checks the measured
+# mass and returns the outcome probabilities (a tuple in outcome order, or
+# for a batch a list of one such tuple per row) together with
+# ``project(i, root)``: the amplitudes projected onto outcome ``i`` and
+# divided by ``root``, the square root of the outcome's probability.  For a
+# batch, ``i`` is a (B,) array of per-row outcomes and ``root`` a (B, 1)
+# column.  No kernel rotates the state: each applies its projectors to the
+# flat amplitudes directly.
+#
+# The reductions below return one value for a 1-D array and a list of one
+# per row for a batch.  A 1-D array takes numpy's vector product; a batch
+# takes a stacked matmul, which computes every row with that same product,
+# so a row's bits, and so its outcome, do not depend on the batch it is in.
 
 _BITS = (0, 1)
 _BELL_ORDER = tuple(BellLabel)
 
 
+def _sums(values: np.ndarray):
+    """The sum of ``values`` (of each row)."""
+    return float(values.sum()) if values.ndim == 1 else values.sum(axis=1).tolist()
+
+
+def _dots(values: np.ndarray, weights: np.ndarray):
+    """The dot product of ``values`` (of each row) with the 1-D ``weights``."""
+    if values.ndim == 1:
+        return float(values @ weights)
+    return np.matmul(values[:, None, :], weights[:, None])[:, 0, 0].tolist()
+
+
+def _masked_sums(masks: np.ndarray, values: np.ndarray) -> list:
+    """The sums of ``values`` (of each row) over every mask row, as a list."""
+    if values.ndim == 1:
+        return (masks @ values).tolist()
+    return np.matmul(masks, values[:, :, None])[:, :, 0].tolist()
+
+
+def _overlaps(bras: np.ndarray, kets: np.ndarray):
+    """Re<bra|ket> (of each row).
+
+    The complex products are the exception to the rule above: a row's
+    result can differ from vdot's in the last bit (vdot's own bits depend on
+    how its operands are aligned in memory), which moves an outcome only for
+    a draw within that bit of an outcome boundary.
+    """
+    if bras.ndim == 1:
+        return float(np.vdot(bras, kets).real)
+    return np.matmul(bras.conj()[:, None, :], kets[:, :, None])[:, 0, 0].real.tolist()
+
+
+def _flip(amps: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The amplitudes (of each row) permuted by ``perm``."""
+    return amps[perm] if amps.ndim == 1 else amps[:, perm]
+
+
+# _SIGNS[m] is the (1,) column +1 (m = 0) or -1 (m = 1).
+_SIGNS = np.array([[1.0], [-1.0]])
+_SIGNS.setflags(write=False)
+
+
+def _plus_or_minus(amps: np.ndarray, flipped: np.ndarray, minus) -> np.ndarray:
+    """amps - flipped where ``minus`` is 1, else amps + flipped; ``minus``
+    is an int, or a (B,) array with one flag per row.  A row's values equal
+    the int form's, though an exact zero may come out with the other sign,
+    which no probability or outcome can see."""
+    if isinstance(minus, int):
+        return amps - flipped if minus else amps + flipped
+    return amps + flipped * _SIGNS[minus]
+
+
+def _z_probs(total: float, p1: float) -> tuple:
+    return total - p1, p1
+
+
 def _z_kernel(amps: np.ndarray, n: int, q: int):
     """Projectors |b><b| on qubit ``q``."""
-    probs = _bit_probabilities(amps, n, q)
+    masks = _masks(n, q)
+    weights = np.abs(amps) ** 2
+    totals, ones = _sums(weights), _dots(weights, masks[1])
 
-    def project(bit: int) -> np.ndarray:
-        return amps * (_masks(n, q)[bit] / math.sqrt(probs[bit]))
+    def project(bit, root):
+        return amps * (masks[bit] / root)
 
-    _check_measured_mass(probs[0] + probs[1])
+    _check_measured_mass(totals)
+    probs = list(map(_z_probs, totals, ones)) if amps.ndim == 2 else _z_probs(totals, ones)
     return probs, project
+
+
+def _x_probs(norm2: float, cross: float) -> tuple:
+    return 0.5 * (norm2 + cross), 0.5 * (norm2 - cross)
 
 
 def _x_kernel(amps: np.ndarray, n: int, q: int):
@@ -306,17 +408,20 @@ def _x_kernel(amps: np.ndarray, n: int, q: int):
     With f = X_q amps, p(bit) = (<amps|amps> +- Re<amps|f>)/2 and the post
     state is (amps +- f)/2 over sqrt(p(bit)).
     """
-    flipped = amps[_flip_perm(n, q)]
-    norm2 = float(np.vdot(amps, amps).real)
-    cross = float(np.vdot(amps, flipped).real)
-    probs = (0.5 * (norm2 + cross), 0.5 * (norm2 - cross))
+    flipped = _flip(amps, _flip_perm(n, q))
+    norm2, cross = _overlaps(amps, amps), _overlaps(amps, flipped)
 
-    def project(bit: int) -> np.ndarray:
-        both = amps - flipped if bit else amps + flipped
-        return both * (0.5 / math.sqrt(probs[bit]))
+    def project(bit, root):
+        return _plus_or_minus(amps, flipped, bit) * (0.5 / root)
 
-    _check_measured_mass(probs[0] + probs[1])
+    _check_measured_mass(norm2)
+    probs = list(map(_x_probs, norm2, cross)) if amps.ndim == 2 else _x_probs(norm2, cross)
     return probs, project
+
+
+def _bell_probs(weights: list, cross: list) -> tuple:
+    (w0, w1), (c0, c1) = weights, cross
+    return 0.5 * (w0 + c0), 0.5 * (w1 + c1), 0.5 * (w0 - c0), 0.5 * (w1 - c1)
 
 
 def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
@@ -327,27 +432,29 @@ def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
     which keeps parity, p(phase, parity) = (W_parity +- C_parity)/2 where W
     and C sum |amps|^2 and Re(conj(amps) f) over that parity's indices.
     """
-    flipped = amps[_flip_perm(n, q1, q2)]
+    flipped = _flip(amps, _flip_perm(n, q1, q2))
     masks = _masks(n, q1, q2)
-    w0, w1 = (masks @ (np.abs(amps) ** 2)).tolist()
-    c0, c1 = (masks @ (amps.conj() * flipped).real).tolist()
-    probs = (0.5 * (w0 + c0), 0.5 * (w1 + c1), 0.5 * (w0 - c0), 0.5 * (w1 - c1))
+    weights = _masked_sums(masks, np.abs(amps) ** 2)
+    cross = _masked_sums(masks, (amps.conj() * flipped).real)
 
-    def project(i: int) -> np.ndarray:
-        phase, parity = _BELL_ORDER[i].value
-        both = amps - flipped if phase else amps + flipped
-        return both * (masks[parity] * (0.5 / math.sqrt(probs[i])))
+    def project(i, root):  # BellLabel order: phase i >> 1, parity i & 1
+        return _plus_or_minus(amps, flipped, i >> 1) * (masks[i & 1] * (0.5 / root))
 
-    _check_measured_mass(w0 + w1)
-    return probs, project
+    if amps.ndim == 2:
+        _check_measured_mass([w0 + w1 for w0, w1 in weights])
+        return list(map(_bell_probs, weights, cross)), project
+    _check_measured_mass(weights[0] + weights[1])
+    return _bell_probs(weights, cross), project
 
 
 def _pick(probs, randomness: float) -> int:
-    """Index of the outcome one uniform draw selects.
+    """Index of the outcome one uniform draw from [0, 1) selects.
 
     Outcomes at or below ZERO_PROB are never selected; a draw beyond the
     accumulated mass (rounding) falls to the last live outcome.
     """
+    if not 0.0 <= randomness < 1.0:
+        raise ValueError(f"randomness must lie in [0, 1), got {randomness}")
     acc = 0.0
     live = None
     for i, p in enumerate(probs):
@@ -360,10 +467,12 @@ def _pick(probs, randomness: float) -> int:
 
 
 def _outcome_list(state: StateVector, kernel, outcomes, qubits) -> list:
+    if state.amps.ndim != 1:
+        raise ValueError("outcome lists take a single state, not a batch")
     n = state.n_qubits
     probs, project = kernel(state.amps, n, *qubits)
     return [
-        (outcome, p, None if p <= ZERO_PROB else StateVector(n, project(i)))
+        (outcome, p, None if p <= ZERO_PROB else StateVector(n, project(i, math.sqrt(p))))
         for i, (outcome, p) in enumerate(zip(outcomes, probs))
     ]
 
@@ -398,29 +507,43 @@ def bell_outcomes(state: StateVector, q1: int, q2: int) -> list:
     return _outcome_list(state, _bell_kernel, _BELL_ORDER, (q1, q2))
 
 
-def _measure(state: StateVector, kernel, outcomes, qubits, randomness: float):
-    _check_randomness(randomness)
-    probs, project = kernel(state.amps, state.n_qubits, *qubits)
-    i = _pick(probs, randomness)
-    return outcomes[i], StateVector(state.n_qubits, project(i))
+def _measure(state: StateVector, kernel, outcomes, qubits, randomness):
+    """Select and project every row's outcome with one kernel call.
+
+    ``randomness`` is one draw, or a sequence of one draw per row (a 1-D
+    state is one row); the outcome comes back in the same form.
+    """
+    n = state.n_qubits
+    per_row = not isinstance(randomness, (int, float))
+    probs, project = kernel(state.amps, n, *qubits)
+    if state.amps.ndim == 1:
+        (draw,) = randomness if per_row else (randomness,)
+        i = _pick(probs, draw)
+        post = StateVector(n, project(i, math.sqrt(probs[i])))
+        return ([outcomes[i]] if per_row else outcomes[i]), post
+    if not per_row or len(randomness) != len(probs):
+        raise ValueError(f"a batch of {len(probs)} rows takes one draw per row")
+    picks = list(map(_pick, probs, randomness))
+    roots = np.sqrt([[row[i]] for row, i in zip(probs, picks)])
+    post = StateVector(n, project(np.array(picks), roots))
+    return [outcomes[i] for i in picks], post
 
 
-def measure_z(state: StateVector, q: int, randomness: float) -> tuple[int, StateVector]:
-    """Measure qubit ``q`` in Z, selecting the outcome with one uniform draw."""
+def measure_z(state: StateVector, q: int, randomness):
+    """Measure qubit ``q`` in Z, selecting each row's outcome with its own
+    uniform draw."""
     _require_qubit(state, q)
     return _measure(state, _z_kernel, _BITS, (q,), randomness)
 
 
-def measure_x(state: StateVector, q: int, randomness: float) -> tuple[int, StateVector]:
-    """Measure qubit ``q`` in X (bit 0 = |+>), selecting with one uniform draw."""
+def measure_x(state: StateVector, q: int, randomness):
+    """Measure qubit ``q`` in X (bit 0 = |+>), one uniform draw per row."""
     _require_qubit(state, q)
     return _measure(state, _x_kernel, _BITS, (q,), randomness)
 
 
-def measure_bell(
-    state: StateVector, q1: int, q2: int, randomness: float
-) -> tuple[BellLabel, StateVector]:
-    """Measure the pair (q1, q2) in the Bell basis with one uniform draw."""
+def measure_bell(state: StateVector, q1: int, q2: int, randomness):
+    """Measure the pair (q1, q2) in the Bell basis, one uniform draw per row."""
     _require_pair(state, q1, q2)
     return _measure(state, _bell_kernel, _BELL_ORDER, (q1, q2), randomness)
 
@@ -436,7 +559,7 @@ def prepare_ghz_like(state: StateVector, qc: int, qa: int, qb: int) -> StateVect
         raise ValueError("ghz preparation needs three distinct qubits")
     for q in (qc, qa, qb):
         _require_qubit(state, q)
-        _, p1 = _bit_probabilities(state.amps, state.n_qubits, q)
+        (_, p1), _ = _z_kernel(state.amps, state.n_qubits, q)
         if p1 > NORM_TOL:
             raise ValueError(f"qubit {q} must be in |0> before ghz preparation")
     s = apply_hadamard(state, qa)

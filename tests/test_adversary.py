@@ -8,6 +8,7 @@ qubit.
 
 import numpy as np
 import pytest
+from sampling import SingleStateSource
 
 from qauthsim import oracle, qsim
 from qauthsim.adversary import (
@@ -27,7 +28,8 @@ from qauthsim.protocol import (
     C2,
     ProtocolConfig,
     Role,
-    SampleSource,
+    Wave,
+    _measure_in_bases,
     p1_prepare,
 )
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
@@ -57,7 +59,7 @@ def test_premeasure_outcomes_satisfy_swap_constraint():
     rng = np.random.default_rng(0)
     for _ in range(100):
         register = fresh_register()
-        eve = hook_premeasure(register, SampleSource(rng))
+        eve = hook_premeasure(register, SingleStateSource(rng))
         c1, c2 = eve.c_pre
         assert eve.m_pre.phase_bit ^ eve.b_pre.phase_bit == 0
         assert eve.m_pre.parity_bit ^ eve.b_pre.parity_bit == c1 ^ c2
@@ -68,7 +70,7 @@ def test_premeasure_pins_every_later_measurement():
     rng = np.random.default_rng(1)
     for _ in range(20):
         register = fresh_register()
-        eve = hook_premeasure(register, SampleSource(rng))
+        eve = hook_premeasure(register, SingleStateSource(rng))
         state = register.state
         probs = {o: p for o, p, _ in qsim.bell_outcomes(state, A1, A2)}
         label, state = qsim.measure_bell(state, A1, A2, rng.random())
@@ -92,7 +94,7 @@ def test_premeasure_order_invariant_support():
     for order in (("c", "a", "b"), ("a", "b", "c"), ("b", "c", "a")):
         for _ in range(30):
             register = fresh_register()
-            eve = hook_premeasure(register, SampleSource(rng), order=order)
+            eve = hook_premeasure(register, SingleStateSource(rng), order=order)
             c1, c2 = eve.c_pre
             assert (eve.m_pre.phase_bit ^ eve.b_pre.phase_bit,
                     eve.m_pre.parity_bit ^ eve.b_pre.parity_bit) == (0, c1 ^ c2)
@@ -100,8 +102,9 @@ def test_premeasure_order_invariant_support():
 
 def test_premeasure_rejects_bad_order():
     register = fresh_register()
+    source = SingleStateSource(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        hook_premeasure(register, SampleSource(np.random.default_rng(0)), order=("c", "c", "a"))
+        hook_premeasure(register, source, order=("c", "c", "a"))
 
 
 def test_premeasure_never_touches_decoys():
@@ -109,7 +112,7 @@ def test_premeasure_never_touches_decoys():
     for _ in range(25):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
         before = list(register.decoy_states)
-        hook_premeasure(register, SampleSource(rng))
+        hook_premeasure(register, SingleStateSource(rng))
         assert register.decoy_states == before
 
 
@@ -152,7 +155,7 @@ def test_premeasure_then_encode_recovers_every_key():
         for direction in (Role.ALICE, Role.BOB):
             for _ in range(25):
                 register = fresh_register()
-                source = SampleSource(rng)
+                source = SingleStateSource(rng)
                 eve = hook_premeasure(register, source)
                 qubit = A1 if direction is Role.ALICE else B1
                 register.state = qsim.apply_pauli(register.state, qubit, key)
@@ -203,7 +206,7 @@ def test_intercept_resend_touches_decoys():
     for _ in range(50):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
         before = list(register.decoy_states)
-        hook_intercept_resend(register, rng)
+        hook_intercept_resend(Wave(register.state, [register], []), [rng])
         for prior, label in zip(before, register.decoy_states):
             total += 1
             if prior != label:
@@ -218,7 +221,7 @@ def test_intercept_resend_empirical_mismatch_rate():
     checked = 0
     for _ in range(2000):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
-        hook_intercept_resend(register, rng)
+        hook_intercept_resend(Wave(register.state, [register], []), [rng])
         for idx, meta in enumerate(register.decoy_meta):
             measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
             state = qsim.init_product([DECOY_KETS[register.decoy_states[idx]]])
@@ -248,10 +251,15 @@ def test_intercept_resend_detection_rate(decoys, expected):
 
 
 def test_intercept_resend_still_forwards_protocol_qubits():
-    # The attack measures the travelling protocol qubits too; the register
-    # afterwards is a definite product of the measured eigenstates, still
-    # normalized.
+    # The attack measures the travelling protocol qubits too, in transit
+    # order; applied the way run_batch applies them, they leave a definite
+    # product of the measured eigenstates, still normalized.
     rng = np.random.default_rng(8)
     register = fresh_register()
-    hook_intercept_resend(register, rng)
-    assert register.state.norm() == pytest.approx(1.0)
+    wave = Wave(register.state, [register], [])
+    hook_intercept_resend(wave, [rng])
+    assert [q for q, _, _ in wave.in_transit] == [A1, A2, B1, B2]
+    state = wave.state
+    for q, coins, draws in wave.in_transit:
+        state = _measure_in_bases(state, q, coins, draws)
+    assert state.norm() == pytest.approx(1.0)

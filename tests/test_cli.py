@@ -6,11 +6,13 @@ import json
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qauthsim import __version__, oracle, protocol
 from qauthsim.adversary import StrategyId
 from qauthsim.cli import (
+    WAVE_SIZE,
     ConfigError,
     RunConfig,
     build_report,
@@ -142,6 +144,8 @@ def test_out_of_range_values_are_rejected(tmp_path, line):
         ("decoys_per_sequence = -1\n", "decoys_per_sequence", 1),
         ("\ndecoy_error_threshold = 1.5\n", "decoy_error_threshold", 2),
         ("direction = Charlie\n", "direction", 1),
+        ("\ndirection = Eve\n", "direction", 2),
+        ("strategy = Replay\n", "strategy", 1),
         ("# mode\nmode = approximate\n", "mode", 2),
         ("format = xml\n", "format", 1),
     ],
@@ -150,7 +154,12 @@ def test_validation_errors_name_the_key_and_line(tmp_path, text, key, lineno):
     path = write_config(tmp_path, text)
     with pytest.raises(ConfigError) as excinfo:
         load_config(path)
-    assert str(excinfo.value).startswith(f"{path}:{lineno}: {key}: ")
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}:{lineno}: {key}: ")
+    if key == "direction":
+        assert "Alice or Bob" in message
+    if key == "strategy" and "Replay" in text:
+        assert all(s.value in message for s in StrategyId)
 
 
 def test_samples_zero_is_valid_in_exact_mode(tmp_path):
@@ -244,19 +253,19 @@ def record_sampled_runs(monkeypatch, fixed):
     """Run every sample of a sampled report on ``fixed`` (seed included) with
     the report's own keys; return the runs and the tallies handed to
     ``oracle.sampled_rates``."""
-    real_run, real_rates = protocol.run_protocol, oracle.sampled_rates
+    real_run, real_rates = protocol.run_batch, oracle.sampled_rates
     runs, tallies = [], []
 
-    def run(config, keys, strategy):
-        result = real_run(fixed, keys, strategy)
-        runs.append(result)
-        return result
+    def run(config, seeds, keys, strategy):
+        results = real_run(fixed, [fixed.seed] * len(seeds), keys, strategy)
+        runs.extend(results)
+        return results
 
     def rates(*counts):
         tallies.append(counts)
         return real_rates(*counts)
 
-    monkeypatch.setattr(protocol, "run_protocol", run)
+    monkeypatch.setattr(protocol, "run_batch", run)
     monkeypatch.setattr(oracle, "sampled_rates", rates)
     return runs, tallies
 
@@ -304,7 +313,9 @@ def test_sampled_memory_does_not_grow_with_samples(monkeypatch):
     # bookkeeping is all that could grow with ``samples``.
     fixed = ProtocolConfig(rounds=16, decoys_per_sequence=4, seed=1)
     prebuilt = protocol.run_protocol(fixed, [PauliLabel.I] * 16, StrategyId.PRE_MEASURE)
-    monkeypatch.setattr(protocol, "run_protocol", lambda *args: prebuilt)
+    monkeypatch.setattr(
+        protocol, "run_batch", lambda config, seeds, keys, strategy: [prebuilt] * len(seeds)
+    )
 
     def peak(samples):
         config = RunConfig(rounds=16, samples=samples, strategy=StrategyId.PRE_MEASURE)
@@ -318,6 +329,88 @@ def test_sampled_memory_does_not_grow_with_samples(monkeypatch):
     peak(500)  # warm any lazily built caches
     small, large = peak(500), peak(5000)
     assert large - small < 4096, (small, large)
+
+
+def test_sampled_memory_is_bounded_by_the_wave_size():
+    # Unstubbed: every run goes through protocol.run_batch, one chunk of at
+    # most WAVE_SIZE runs at a time, so 8 chunks peak like 2.
+    def peak(samples):
+        config = RunConfig(rounds=1, decoys_per_sequence=0, samples=samples)
+        tracemalloc.start()
+        try:
+            build_report(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2 * WAVE_SIZE)  # warm any lazily built caches
+    small, large = peak(2 * WAVE_SIZE), peak(8 * WAVE_SIZE)
+    assert abs(large - small) < 64 * 1024, (small, large)
+
+
+def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):
+    # WAVE_SIZE + 1 samples take two run_batch calls; the tallies must be
+    # those of every run executed alone on the report's own master draws.
+    config = RunConfig(
+        rounds=2, decoys_per_sequence=1, samples=WAVE_SIZE + 1, seed=21,
+        strategy=StrategyId.INTERCEPT_RESEND,
+    )
+    master = np.random.default_rng(config.seed)
+    expected = [0, 0, 0, 0, 0]
+    for _ in range(config.samples):
+        seed = int(master.integers(0, 2**63))
+        keys = [list(PauliLabel)[int(j)] for j in master.integers(0, 4, size=config.rounds)]
+        run_config = ProtocolConfig(rounds=2, decoys_per_sequence=1, seed=seed)
+        transcript, _, report = protocol.run_protocol(run_config, keys, config.strategy)
+        for record, guess, key in zip(transcript.rounds, report.inferred_keys, keys):
+            expected[0] += 1
+            expected[1] += record.decision is Decision.ACCEPT
+            expected[2] += record.decision is Decision.ABORT
+            expected[3] += guess is not None
+            expected[4] += guess is not None and guess is key
+    calls, tallies = [], []
+    real_run, real_rates = protocol.run_batch, oracle.sampled_rates
+
+    def run(*args):
+        calls.append(len(args[1]))
+        return real_run(*args)
+
+    monkeypatch.setattr(protocol, "run_batch", run)
+    monkeypatch.setattr(oracle, "sampled_rates", lambda *c: tallies.append(c) or real_rates(*c))
+    build_report(config)
+    assert calls == [WAVE_SIZE, 1]
+    assert tallies == [tuple(expected)]
+
+
+# Two reports of each benchmark workload's shape, one rendered as CSV; the
+# sha256 of each was recorded before sampled runs went through waves.
+REPORT_PINS = [
+    ("json", dict(strategy=StrategyId.PRE_MEASURE, rounds=16, decoys_per_sequence=16,
+                  samples=3, direction=Role.ALICE, seed=4101),
+     "42d667bbc624e9d06e8080a079e816e1f534313cb74afcf95b3eecd38c157d77"),
+    ("csv", dict(strategy=StrategyId.PRE_MEASURE, rounds=16, decoys_per_sequence=16,
+                 samples=3, direction=Role.BOB, seed=4102),
+     "f40a5aac1fc51feba513f917187821aa55a6cbe608f211bdadbc64837c783708"),
+    ("json", dict(strategy=StrategyId.INTERCEPT_RESEND, rounds=1, decoys_per_sequence=1,
+                  samples=160, seed=4103),
+     "7f9f4e12a5441bcd6026b53e99f3a00139656d73079af66c57be280a0bb4ce8b"),
+    ("json", dict(strategy=StrategyId.INTERCEPT_RESEND, rounds=1, decoys_per_sequence=1,
+                  samples=160, seed=4104),
+     "821179bf5d28a91ab20215f01ccb4ca4c150db15be9c56e876dbee4f06395188"),
+    ("json", dict(mode="exact", strategy=StrategyId.HONEST, direction=Role.ALICE, seed=4105),
+     "9a8956ead336f7332f2e8b5388ee1b6643b3fccb207b53d4cd68de90890719ce"),
+    ("json", dict(mode="exact", strategy=StrategyId.PRE_MEASURE, direction=Role.BOB, seed=4106),
+     "9716ca054942d10f80440324fc7030249510f43719cb916dea3278f12ebf2a94"),
+]
+
+
+def test_report_bytes_are_pinned():
+    digests = []
+    for fmt, fields, _ in REPORT_PINS:
+        report = build_report(RunConfig(format=fmt, **fields))
+        text = render_json(report) if fmt == "json" else render_csv(report)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == [digest for _, _, digest in REPORT_PINS]
 
 
 def test_json_rendering_round_trips():

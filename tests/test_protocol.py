@@ -1,9 +1,12 @@
 """Tests for the protocol state machine: phases P1 through E3 and full runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import reference
+from sampling import SingleStateSource
 
 from qauthsim import oracle, protocol, qsim
 from qauthsim.adversary import EveState, StrategyId
@@ -22,12 +25,14 @@ from qauthsim.protocol import (
     Role,
     RoundRegister,
     SampleSource,
+    Wave,
     _measure_decoy,
     e1_encode,
     e2_measure,
     e3_verify,
     p1_prepare,
     p2_transmit,
+    run_batch,
     run_protocol,
     s_check,
 )
@@ -201,7 +206,7 @@ def test_p2_honest_returns_none_and_leaves_state_alone():
     register = fresh_register(decoys=2, seed=1)
     before = register.state.amps.copy()
     decoys = list(register.decoy_states)
-    source = SampleSource(np.random.default_rng(0))
+    source = SingleStateSource(np.random.default_rng(0))
     assert p2_transmit(register, StrategyId.HONEST, source, source.rng) is None
     assert np.array_equal(register.state.amps, before)
     assert register.decoy_states == decoys
@@ -209,7 +214,7 @@ def test_p2_honest_returns_none_and_leaves_state_alone():
 
 def test_p2_premeasure_returns_eve_state():
     register = fresh_register()
-    source = SampleSource(np.random.default_rng(3))
+    source = SingleStateSource(np.random.default_rng(3))
     eve = p2_transmit(register, StrategyId.PRE_MEASURE, source, None)
     assert isinstance(eve, EveState)
     assert eve.m_pre ^ eve.b_pre is BellLabel.from_bits(0, eve.c_pre[0] ^ eve.c_pre[1])
@@ -218,7 +223,8 @@ def test_p2_premeasure_returns_eve_state():
 def test_p2_intercept_resend_returns_none():
     register = fresh_register(decoys=2, seed=1)
     rng = np.random.default_rng(4)
-    assert p2_transmit(register, StrategyId.INTERCEPT_RESEND, SampleSource(rng), rng) is None
+    wave = Wave(register.state, [register], [])
+    assert p2_transmit(wave, StrategyId.INTERCEPT_RESEND, SampleSource([rng]), [rng]) is None
 
 
 @pytest.mark.parametrize("strategy", ["PreMeasure", None, Decision.ACCEPT])
@@ -237,10 +243,11 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
     calls = []
     original = protocol.p2_transmit
 
-    def counted(register, *args):
+    def counted(wave, *args):
+        (register,) = wave.rows  # run_protocol is a batch of one run
         assert all(meta.measured is None for meta in register.decoy_meta)
         calls.append(register)
-        return original(register, *args)
+        return original(wave, *args)
 
     monkeypatch.setattr(protocol, "p2_transmit", counted)
     transcript, _, _ = run_protocol(config, [PauliLabel.X] * 4, strategy)
@@ -424,7 +431,7 @@ def test_e2_outcomes_satisfy_round_correlation():
     rng = np.random.default_rng(6)
     for _ in range(50):
         register = fresh_register()
-        a, b, c = e2_measure(register, SampleSource(rng))
+        a, b, c = e2_measure(register, SingleStateSource(rng))
         assert isinstance(a, BellLabel)
         assert isinstance(b, BellLabel)
         assert a.phase_bit ^ b.phase_bit == 0
@@ -434,7 +441,7 @@ def test_e2_outcomes_satisfy_round_correlation():
 def test_e2_rejects_bad_order():
     register = fresh_register()
     with pytest.raises(ValueError):
-        e2_measure(register, SampleSource(np.random.default_rng(0)), order=("a", "a", "b"))
+        e2_measure(register, SingleStateSource(np.random.default_rng(0)), order=("a", "a", "b"))
 
 
 def test_e2_order_does_not_change_joint_distribution():
@@ -444,7 +451,7 @@ def test_e2_order_does_not_change_joint_distribution():
         rng = np.random.default_rng(7)
         for _ in range(400):
             register = fresh_register()
-            a, b, c = e2_measure(register, SampleSource(rng), order=order)
+            a, b, c = e2_measure(register, SingleStateSource(rng), order=order)
             counts[(c, a, b)] = counts.get((c, a, b), 0) + 1
         plans[order] = counts
     supports = [frozenset(counts) for counts in plans.values()]
@@ -584,3 +591,71 @@ def test_run_protocol_premeasure_round_records():
     for record, eve in zip(transcript.rounds, report.eve_states):
         assert record.decoy_error_rate == 0.0
         assert record.c == eve.c_pre
+
+
+# ---------------------------------------------------------------------------
+# run_batch: waves of many runs
+
+
+def run_lines(transcript, decision, report):
+    """A run as text, in the transcript-digest format plus the run's totals."""
+    lines = [f"decision={decision.value} rate={transcript.decoy_error_rate!r}"]
+    for i, rec in enumerate(transcript.rounds):
+        decoys_text = ",".join(
+            f"{d.owner.value[0]}{d.position}{d.basis.value}{d.prepared}{d.measured}"
+            for d in rec.decoys
+        )
+        lines.append(
+            f"{i} {rec.decision.value} {rec.aborted_in} c={rec.c} a={rec.a} b={rec.b} "
+            f"rate={rec.decoy_error_rate!r} eve={report.eve_states[i]} "
+            f"guess={report.inferred_keys[i]} [{decoys_text}]"
+        )
+    return lines
+
+
+BATCH_CASES = [
+    (strategy, rounds, decoys, threshold, direction)
+    for strategy in StrategyId
+    for rounds, decoys, threshold in (
+        (1, 0, 0.0), (1, 1, 0.0), (4, 1, 0.5), (4, 4, 0.0), (4, 4, 0.5)
+    )
+    for direction in (Role.ALICE, Role.BOB)
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, rounds, decoys, threshold, direction",
+    BATCH_CASES,
+    ids=[f"{c[0].value}-{c[1]}x{c[2]}-t{c[3]}-{c[4].value}" for c in BATCH_CASES],
+)
+def test_run_batch_equals_one_run_at_a_time(strategy, rounds, decoys, threshold, direction):
+    config = ProtocolConfig(
+        rounds=rounds,
+        decoys_per_sequence=decoys,
+        decoy_error_threshold=threshold,
+        direction=direction,
+    )
+    rng = np.random.default_rng(rounds * 100 + decoys)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=12)]
+    keys = [[list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rounds)] for _ in seeds]
+    batched = run_batch(config, seeds, keys, strategy)
+    alone = [
+        run_protocol(replace(config, seed=seed), run_keys, strategy)
+        for seed, run_keys in zip(seeds, keys)
+    ]
+    assert [run_lines(*run) for run in batched] == [run_lines(*run) for run in alone]
+    if strategy is StrategyId.INTERCEPT_RESEND and rounds > 1:
+        # some row leaves the waves after round 1
+        assert any(d is Decision.ABORT and len(t.rounds) > 1 for t, d, _ in alone)
+
+
+def test_run_batch_validates_every_run():
+    config = ProtocolConfig(rounds=2)
+    keys = [PauliLabel.I, PauliLabel.X]
+    with pytest.raises(protocol.FieldError):
+        run_batch(config, [1, 2**64], [keys, keys], StrategyId.HONEST)
+    with pytest.raises(ValueError):
+        run_batch(config, [1, 2], [keys, keys[:1]], StrategyId.HONEST)
+    with pytest.raises(ValueError):
+        run_batch(config, [1, 2], [keys], StrategyId.HONEST)
+    assert run_batch(config, [], [], StrategyId.HONEST) == []

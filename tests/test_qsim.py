@@ -544,3 +544,62 @@ class TestInvariants:
         assert qsim.same_state(state, rotated)
         other = random_state(rng, 2)
         assert not qsim.same_state(state, other)
+
+
+# ---------------------------------------------------------------------------
+# batches: a leading row axis
+
+
+BATCH_MEASURES = [(qsim.measure_z, 1), (qsim.measure_x, 1), (qsim.measure_bell, 2)]
+
+
+def random_batch(rng, n, rows):
+    amps = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def test_batched_measurements_match_each_row_alone():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        amps = random_batch(rng, n, 9)
+        for measure, arity in BATCH_MEASURES:
+            if arity > n:
+                continue
+            qubits = [int(q) for q in rng.choice(n, size=arity, replace=False)]
+            draws = rng.random(size=len(amps)).tolist()
+            outcomes, post = measure(qsim.StateVector(n, amps), *qubits, draws)
+            assert post.amps.shape == amps.shape
+            for row, draw, outcome, row_post in zip(amps, draws, outcomes, post.amps):
+                alone, alone_post = measure(qsim.StateVector(n, row.copy()), *qubits, draw)
+                assert outcome == alone
+                np.testing.assert_allclose(row_post, alone_post.amps, rtol=0, atol=1e-12)
+
+
+def test_batched_measurement_refuses_one_unnormalised_row():
+    amps = random_batch(np.random.default_rng(32), 3, 5)
+    amps[2] *= 1.01
+    for measure, arity in BATCH_MEASURES:
+        with pytest.raises(ValueError):
+            measure(qsim.StateVector(3, amps), *range(arity), [0.5] * 5)
+
+
+def test_batched_measurement_takes_one_draw_per_row():
+    amps = random_batch(np.random.default_rng(33), 2, 3)
+    with pytest.raises(ValueError):
+        qsim.measure_z(qsim.StateVector(2, amps), 0, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        qsim.measure_z(qsim.StateVector(2, amps), 0, 0.5)
+    with pytest.raises(ValueError):
+        qsim.measure_z(qsim.StateVector(2, amps), 0, [0.5, 1.0, 0.5])
+
+
+def test_pauli_takes_one_label_per_row():
+    rng = np.random.default_rng(34)
+    amps = random_batch(rng, 3, 6)
+    labels = [list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=6)]
+    got = qsim.apply_pauli(qsim.StateVector(3, amps), 1, labels)
+    for row, label, row_got in zip(amps, labels, got.amps):
+        expected = qsim.apply_pauli(qsim.StateVector(3, row.copy()), 1, label)
+        assert np.array_equal(row_got, expected.amps)
+    with pytest.raises(ValueError):
+        qsim.apply_pauli(qsim.StateVector(3, amps), 1, labels[:5])
