@@ -1,5 +1,7 @@
 """Attack strategies of the center; :func:`qauthsim.protocol.p2_transmit`
-runs the one a StrategyId names at transmission (P2).
+runs the one a StrategyId names at transmission (P2).  Both hooks take
+``(wave, source)``: the round's :class:`qauthsim.protocol.Wave` and its
+outcome source.
 
 The interesting one is :func:`hook_premeasure`: the center measures every
 protocol qubit before anything is transmitted (Z on his own pair, Bell on
@@ -27,17 +29,15 @@ class StrategyId(Enum):
 
 @dataclass
 class EveState:
-    """Charlie's early outcomes for one round.
+    """Charlie's early outcomes for one round of one run.
 
     The swap constraint m_pre XOR b_pre = (0, c1 XOR c2) holds for every
-    branch; ``inferred_key`` stays None until a party's announcement has
-    been observed.
+    branch.
     """
 
     c_pre: tuple
     m_pre: BellLabel
     b_pre: BellLabel
-    inferred_key: "PauliLabel | None" = None
 
 
 @dataclass
@@ -50,18 +50,16 @@ class AdversaryReport:
     inferred_keys: list
 
 
-def hook_premeasure(register, source, order=("c", "a", "b")) -> EveState:
+def hook_premeasure(wave: Wave, source, order=("c", "a", "b")) -> list:
     """Measure all six protocol qubits before transmission.
 
     Z on C1 and C2, Bell on (A1, A2) and on (B1, B2): the party walk of
     the honest E2 measurement, made early.  The measurements act on
     disjoint qubits, so ``order`` (a permutation of "c", "a", "b") cannot
     change the joint outcome statistics.  Decoy qubits are never touched.
-    ``register`` is a RoundRegister or a Wave; on a wave the returned
-    EveState holds the rows' outcome lists, which the caller splits per row.
+    Returns one EveState per row of the wave.
     """
-    a, b, c = _measure_parties(register, source, order)
-    return EveState(c, a, b)
+    return [EveState(c, a, b) for a, b, c in _measure_parties(wave, source, order)]
 
 
 def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE) -> PauliLabel:
@@ -74,9 +72,7 @@ def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE)
     if eve is None:
         raise ValueError("no early outcomes to infer from")
     reference = eve.m_pre if direction is Role.ALICE else eve.b_pre
-    key = PauliLabel((announced ^ reference).value)
-    eve.inferred_key = key
-    return key
+    return PauliLabel((announced ^ reference).value)
 
 
 def forge_c(eve: EveState) -> tuple:
@@ -90,22 +86,22 @@ def forge_c(eve: EveState) -> tuple:
     return eve.c_pre
 
 
-def hook_intercept_resend(wave: Wave, rngs: list) -> None:
+def hook_intercept_resend(wave: Wave, source) -> None:
     """Measure every transmitted qubit in a uniformly random basis from
     {Z, X} and forward the collapsed eigenstate.
 
     Each row walks both of its sequences in transmission order; protocol
     qubits and decoys alike, each with its own pre-drawn basis coin (0 Z,
-    1 X) and uniform draw from the row's generator in ``rngs``.  Decoys are
-    measured here, the way the S1/S2 checks measure them, by their
-    eigenstate label's outcome table.  Every row meets the protocol qubits
-    in the same order (A1, A2, B1, B2); their measurements go to the wave's
-    ``in_transit`` list, one entry per qubit for the whole wave.  Charlie's
-    own C qubits never travel, so they are left alone.
+    1 X) and uniform draw from the row's generator in ``source.rngs``.
+    Decoys are measured here, the way the S1/S2 checks measure them, by
+    their eigenstate label's outcome table.  Every row meets the protocol
+    qubits in the same order (A1, A2, B1, B2); their measurements go to the
+    wave's ``in_transit`` list, one entry per qubit for the whole wave.
+    Charlie's own C qubits never travel, so they are left alone.
     """
     coins: dict = {}
     draws: dict = {}
-    for row, rng in zip(wave.rows, rngs):
+    for row, rng in zip(wave.rows, source.rngs):
         total = len(row.alice_seq) + len(row.bob_seq)
         bases = rng.integers(0, 2, size=total).tolist()
         randomness = rng.random(size=total).tolist()

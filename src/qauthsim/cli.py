@@ -3,12 +3,14 @@
 Two subcommands: ``tables`` prints the oracle's entanglement-swapping and
 Pauli-on-Bell tables; ``run`` loads a line-oriented ``key = value`` config,
 executes a sampled or exact experiment, writes a JSON or CSV report, and
-prints a one-line summary.  A sampled run draws its runs' seeds and keys
-from the master stream one chunk of at most ``WAVE_SIZE`` runs at a time,
-executes each chunk in waves through :func:`qauthsim.protocol.run_batch`
-and folds it into five integer tallies before drawing the next, so its
-memory depends on ``WAVE_SIZE`` and ``rounds``, not on ``samples``; an exact
-run enumerates each key's transcript distribution.
+prints a one-line summary.  A :class:`RunConfig` is the ProtocolConfig
+its runs execute, plus the fields that pick the strategy, mode and report.
+A sampled run draws its runs' seeds and keys from the master stream one
+chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk in waves
+through :func:`qauthsim.protocol.run_batch` and folds it into five integer
+tallies before drawing the next, so its memory depends on ``WAVE_SIZE`` and
+``rounds``, not on ``samples``; an exact run enumerates each key's
+transcript distribution.
 Reports are deterministic: identical configs produce byte-identical files
 (reals at 12 significant digits, no timestamps).
 
@@ -45,18 +47,16 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ProtocolConfig):
     """Everything one ``run`` invocation needs.
 
-    Protocol-level fields mirror ProtocolConfig; the rest select the
-    strategy, sampled-vs-exact mode, and report shape.
+    A RunConfig is the ProtocolConfig its runs execute, with its own
+    defaults for ``rounds`` and ``decoys_per_sequence``; the fields it adds
+    select the strategy, sampled-vs-exact mode, and report shape.
     """
 
     rounds: int = 16
     decoys_per_sequence: int = 4
-    decoy_error_threshold: float = 0.0
-    direction: Role = Role.ALICE
-    seed: int = 0
     strategy: StrategyId = StrategyId.HONEST
     mode: str = "sampled"
     samples: int = 10000
@@ -64,7 +64,7 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self) -> None:
-        self.protocol_config()  # validates the protocol-side fields
+        super().__post_init__()  # validates the protocol-side fields
         if not isinstance(self.strategy, StrategyId):
             names = ", ".join(s.value for s in StrategyId)
             raise FieldError(
@@ -90,15 +90,6 @@ class RunConfig:
             raise FieldError(
                 "format", f"format must be 'json' or 'csv', got {self.format!r}"
             )
-
-    def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            rounds=self.rounds,
-            decoys_per_sequence=self.decoys_per_sequence,
-            decoy_error_threshold=self.decoy_error_threshold,
-            direction=self.direction,
-            seed=self.seed,
-        )
 
 
 def _member(enum):
@@ -133,7 +124,7 @@ def load_config(path) -> RunConfig:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     lines = {}
@@ -204,14 +195,13 @@ def _rate_fields(prefix: str, estimate) -> dict:
 def _sampled_results(config: RunConfig) -> list:
     master = np.random.default_rng(config.seed)
     alphabet = list(PauliLabel)
-    base = config.protocol_config()
     trials = accepted = detected = guesses = hits = 0
     for start in range(0, config.samples, WAVE_SIZE):
         seeds, keys = [], []
         for _ in range(min(WAVE_SIZE, config.samples - start)):
             seeds.append(int(master.integers(0, 2**63)))
             keys.append([alphabet[int(j)] for j in master.integers(0, 4, size=config.rounds)])
-        runs = protocol.run_batch(base, seeds, keys, config.strategy)
+        runs = protocol.run_batch(config, seeds, keys, config.strategy)
         for (transcript, _, report), run_keys in zip(runs, keys):
             for record, guess, key in zip(transcript.rounds, report.inferred_keys, run_keys):
                 trials += 1

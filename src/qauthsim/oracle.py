@@ -5,16 +5,20 @@ amplitudes rather than trusted as label arithmetic; transcript distributions
 are obtained by exhaustive branch enumeration.  The enumeration drives the
 very same phase functions the sampler uses, P2's strategy dispatch
 (:func:`qauthsim.protocol.p2_transmit`) and the parties' measurement walk
-included: :class:`BranchSource` implements the outcome-source interface of
-:class:`qauthsim.protocol.SampleSource`, but replays scripted choices
-instead of drawing randomness, and :func:`enumerate_branches` re-executes a
-pipeline once per measurement branch in depth-first order.  A pipeline must
-be deterministic given its outcomes, so each replay is handed the outcome
-lists along the prefix it shares with the previous one: every outcome list
-of the tree is computed exactly once.  It is the package's only enumerator:
+included, on a one-row :class:`qauthsim.protocol.Wave`:
+:class:`BranchSource` implements the outcome-source interface of
+:class:`qauthsim.protocol.SampleSource`, one outcome per row in a list, but
+replays scripted choices instead of drawing randomness, and
+:func:`enumerate_branches` re-executes a pipeline once per measurement
+branch in depth-first order.  A pipeline must be deterministic given its
+outcomes, so each replay is handed the outcome lists along the prefix it
+shares with the previous one: every outcome list of the tree is computed
+exactly once.  It is the package's only enumerator:
 :func:`outcome_distribution` (a measurement plan on a bare state) and
 :func:`exact_transcript_distribution` (a protocol round, its enumerated
-mass checked at run time) are pipelines it runs.  Sampled runs reduce to
+mass checked at run time) are pipelines it runs.  A round's P1 row is
+decoy-free, so nothing draws from it or changes it: each distribution
+prepares it once and every leaf's wave shares it.  Sampled runs reduce to
 five integer tallies that :func:`sampled_rates` turns into Wilson intervals.
 """
 
@@ -36,14 +40,17 @@ MASS_TOL = 1e-12
 class BranchSource:
     """Outcome source that follows a scripted branch of the measurement tree.
 
-    At measurement ``i`` it takes live option ``script[i]`` (or the first
-    live option beyond the script's end) from the outcome list, accumulating
-    the branch probability.  ``taken`` and ``counts`` record the path and
-    the live-option fan-out actually encountered, which is what the
-    enumeration needs to advance to the next branch; ``lists`` records the
-    live outcome list of every depth.  Depths below ``len(known)`` take
-    their list from ``known`` instead of computing it, which is exact when
-    ``known`` holds the lists of a pass whose script shares that prefix.
+    It serves a single state, a one-row wave, and returns each outcome as a
+    one-entry list, the shape :class:`qauthsim.protocol.SampleSource`
+    returns for a wave.  At measurement ``i`` it takes live option
+    ``script[i]`` (or the first live option beyond the script's end) from
+    the outcome list, accumulating the branch probability.  ``taken`` and
+    ``counts`` record the path and the live-option fan-out actually
+    encountered, which is what the enumeration needs to advance to the next
+    branch; ``lists`` records the live outcome list of every depth.  Depths
+    below ``len(known)`` take their list from ``known`` instead of computing
+    it, which is exact when ``known`` holds the lists of a pass whose script
+    shares that prefix.
     """
 
     def __init__(self, script):
@@ -67,7 +74,7 @@ class BranchSource:
         self.taken.append(index)
         self.counts.append(len(live))
         self.probability *= p
-        return outcome, post
+        return [outcome], post
 
     def measure_z(self, state, q):
         return self._choose(qsim.z_outcomes, state, q)
@@ -135,11 +142,11 @@ def outcome_distribution(state: qsim.StateVector, plan) -> dict:
         current, outcomes = state, []
         for qubits, basis in plan:
             if basis is Basis.BELL:
-                outcome, current = source.measure_bell(current, *qubits)
+                (outcome,), current = source.measure_bell(current, *qubits)
             elif basis is Basis.Z:
-                outcome, current = source.measure_z(current, qubits[0])
+                (outcome,), current = source.measure_z(current, qubits[0])
             else:
-                outcome, current = source.measure_x(current, qubits[0])
+                (outcome,), current = source.measure_x(current, qubits[0])
             outcomes.append(outcome)
         return tuple(outcomes)
 
@@ -182,6 +189,12 @@ def pauli_bell_map(p: PauliLabel, m: BellLabel) -> BellLabel:
     return m ^ p
 
 
+# The 64 cells ((c1, c2), a, b) of a round's public transcript.
+_CELLS = tuple(
+    ((c1, c2), a, b) for c1 in (0, 1) for c2 in (0, 1) for a in BellLabel for b in BellLabel
+)
+
+
 def exact_transcript_distribution(
     strategy: StrategyId,
     key: PauliLabel,
@@ -207,24 +220,21 @@ def exact_transcript_distribution(
         raise ValueError(f"key must be a PauliLabel, got {key!r}")
     protocol._check_order(hook_order)
     protocol._check_order(measure_order)
-    config = ProtocolConfig(rounds=1, decoys_per_sequence=0, direction=direction)
+    # One decoy-free P1 row per distribution: nothing draws from it or
+    # changes it, so every leaf's wave shares it.  Building its config also
+    # checks the direction before anything is enumerated.
+    row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
 
     def pipeline(source):
-        register = protocol.p1_prepare(config, None)
-        eve = protocol.p2_transmit(register, strategy, source, None, hook_order)
-        protocol.e1_encode(register, key, direction)
-        a, b, c = protocol.e2_measure(register, source, measure_order)
-        if eve is not None:
-            c = forge_c(eve)
+        wave = protocol.Wave([row])
+        eves = protocol.p2_transmit(wave, strategy, source, hook_order)
+        protocol.e1_encode(wave, [key], direction)
+        [(a, b, c)] = protocol.e2_measure(wave, source, measure_order)
+        if eves is not None:
+            c = forge_c(eves[0])
         return c, a, b
 
-    cells = {
-        ((c1, c2), a, b): 0.0
-        for c1 in (0, 1)
-        for c2 in (0, 1)
-        for a in BellLabel
-        for b in BellLabel
-    }
+    cells = dict.fromkeys(_CELLS, 0.0)
     for (c, a, b), probability in enumerate_branches(pipeline):
         cells[(c, a, b)] += probability
     mass = sum(cells.values())

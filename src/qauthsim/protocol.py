@@ -9,8 +9,20 @@ measures (E2), and the announcements are verified against the shared key
 :func:`p2_transmit` is the only code that turns a StrategyId into an attack,
 and the PreMeasure attack measures the parties with the same walk as E2.
 
-The quantum payload of a round lives in a :class:`RoundRegister`: one joint
-state over the six protocol qubits plus one label per decoy.  Decoys are
+Every phase from P2 on takes one round type, a :class:`Wave`: round i of
+one or more runs, one row per run.  Its six-qubit states are the rows of
+one amplitude array, so each measurement of the round is one kernel call
+for the whole wave, and every outcome comes back as a list with one entry
+per row.  Sampled runs execute in waves (:func:`run_batch`): round i of
+every run of a batch that has not aborted is one wave.  Each row draws from
+its own generator, seeded by (run seed, i), in the order its run alone
+would draw, so a run's transcript does not depend on the batch it is in;
+:func:`run_protocol` is the batch of one, and the oracle drives a one-row
+wave.  P1 and the S1/S2 decoy checks stay per row, since they touch only
+that row's decoys and stream.
+
+A row's decoys and transmitted sequences live in its :class:`RoundRegister`;
+the joint state of the protocol qubits lives in the wave alone.  Decoys are
 never entangled with anything, and P1 prepares each in a Z or X eigenstate.
 The only thing that ever touches a decoy is a Z or X measurement (the S1/S2
 checks, or an intercepting adversary), which leaves an eigenstate again, so
@@ -26,15 +38,6 @@ batch per sequence, which yields the same stream as one draw per decoy.
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
 enumerate branches through this same code, P2 and the party walk included).
-
-Sampled runs execute in waves (:func:`run_batch`): round i of every run of
-a batch that has not aborted is one :class:`Wave`, whose six-qubit states
-are the rows of one amplitude array, so each measurement of the round is
-one kernel call for the whole wave.  Each row draws from its own generator,
-seeded by (run seed, i), in the order its run alone would draw, so a run's
-transcript does not depend on the batch it is in; :func:`run_protocol` is
-the batch of one.  P1 and the S1/S2 decoy checks stay per row, since they
-touch only that row's decoys and stream.
 """
 
 from __future__ import annotations
@@ -153,16 +156,14 @@ class DecoyRecord:
 
 @dataclass
 class RoundRegister:
-    """Quantum payload of one round.
+    """A wave row's decoys and transmitted sequences.
 
-    ``state`` covers the six protocol qubits (layout C1, A1, B1, C2, A2, B2);
     ``decoy_states[i]`` is the eigenstate label (0 |0>, 1 |1>, 2 |+>, 3 |->)
     of the decoy described by ``decoy_meta[i]``.  The transmitted sequences
     list their slots in order as ("q", protocol qubit index) or ("d", decoy
     index).
     """
 
-    state: StateVector
     decoy_states: list
     decoy_meta: list
     alice_seq: list
@@ -189,16 +190,23 @@ class Transcript:
     decoy_error_rate: float
 
 
-@dataclass
+# |G> x |G> over the six protocol qubits, read-only and shared by every
+# one-row wave: no phase writes amplitudes in place, each returns a new state.
+_FRESH_STATE = qsim.init_product(["0"] * PROTOCOL_QUBITS)
+_FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C1, A1, B1)
+_FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C2, A2, B2)
+_FRESH_STATE.amps.setflags(write=False)
+
+
 class Wave:
-    """Round ``i`` of every live run of a batch, one row per run.
+    """Round ``i`` of one or more runs, one row per run.
 
     ``state`` stacks the rows' six-qubit states into one (B, 64) array (a
     1-D array when B is 1), so each measurement of the round is one kernel
-    call for the whole wave.
-    ``rows[r]`` is row r's RoundRegister from P1: its decoys and sequences,
-    which only that row's own checks touch.  The wave's ``state`` replaces
-    the registers' own, which stay the fresh state P1 gave them.
+    call for the whole wave.  It starts as the fresh state of P1 in every
+    row; a one-row wave holds ``_FRESH_STATE`` itself.  ``rows[r]`` is row
+    r's RoundRegister from P1: its decoys and sequences, which only that
+    row's own checks touch.
 
     ``in_transit`` lists the measurements an adversary made on protocol
     qubits in transit, one (qubit, per-row basis coins, per-row draws) per
@@ -208,9 +216,12 @@ class Wave:
     would give.
     """
 
-    state: StateVector
-    rows: list
-    in_transit: list
+    def __init__(self, rows: list):
+        self.rows = rows
+        self.state = _FRESH_STATE if len(rows) == 1 else StateVector(
+            PROTOCOL_QUBITS, np.tile(_FRESH_STATE.amps, (len(rows), 1))
+        )
+        self.in_transit: list = []
 
 
 class SampleSource:
@@ -219,8 +230,9 @@ class SampleSource:
     Each measurement takes one uniform draw from every row's generator and
     returns the rows' outcomes as a list, so each row's stream is drawn in
     the same order as if its run were alone.  The oracle module provides a
-    scripted single-state source with the same three methods, so the phase
-    functions below never know whether they are being sampled or enumerated.
+    scripted source for a one-row wave with the same three methods, so the
+    phase functions below never know whether they are being sampled or
+    enumerated.
     """
 
     def __init__(self, rngs: list):
@@ -239,16 +251,9 @@ class SampleSource:
         return qsim.measure_bell(state, q1, q2, self._draws())
 
 
-# |G> x |G> over the six protocol qubits, read-only and shared by every
-# register: no phase writes amplitudes in place, each returns a new state.
-_FRESH_STATE = qsim.init_product(["0"] * PROTOCOL_QUBITS)
-_FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C1, A1, B1)
-_FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C2, A2, B2)
-_FRESH_STATE.amps.setflags(write=False)
-
-
 def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> RoundRegister:
-    """Prepare the round's entangled registers and both decoy-laced sequences.
+    """Prepare a row's decoys and both decoy-laced sequences; the entangled
+    triples every row starts from are the wave's fresh state.
 
     Draw order from ``rng`` is fixed (Alice's slot permutation, then her d
     basis coins and d bit coins; then the same for Bob) so identical streams
@@ -278,29 +283,27 @@ def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> Rou
             decoy_states.append(2 * basis_coin + bit)
             decoy_meta.append(DecoyRecord(owner, pos, _BASIS_OF_COIN[basis_coin], bit))
         sequences.append(seq)
-    return RoundRegister(_FRESH_STATE, decoy_states, decoy_meta, *sequences)
+    return RoundRegister(decoy_states, decoy_meta, *sequences)
 
 
-def p2_transmit(register, strategy, source, rng, order=("c", "a", "b")):
-    """Let the center's strategy act on the register, then hand the
-    sequences to their receivers over an ideal channel.
+def p2_transmit(wave: Wave, strategy, source, order=("c", "a", "b")):
+    """Let the center's strategy act on the wave, then hand the sequences
+    to their receivers over an ideal channel.
 
     This is the one place where a StrategyId becomes an attack.  It runs
     once per round, before anything leaves Charlie's lab, with the whole
-    register in reach.  ``register`` is a RoundRegister or a Wave.
-    PreMeasure measures the six protocol qubits through ``source`` with the
-    parties in ``order`` and returns its EveState (on a wave, one whose
-    fields hold the rows' outcomes in row order); InterceptResend, on a
-    wave only, measures every transmitted qubit with draws from ``rng``,
-    one generator per row, its protocol-qubit measurements waiting in the
+    round in reach.  PreMeasure measures the six protocol qubits through
+    ``source`` with the parties in ``order`` and returns one EveState per
+    row; InterceptResend measures every transmitted qubit with draws from
+    the source's generators, its protocol-qubit measurements waiting in the
     wave's ``in_transit``; Honest does nothing.  Returns None unless the
-    strategy records an EveState; an unknown strategy raises before the
-    register is touched.
+    strategy records EveStates; an unknown strategy raises before the wave
+    is touched.
     """
     if strategy is adversary.StrategyId.PRE_MEASURE:
-        return adversary.hook_premeasure(register, source, order)
+        return adversary.hook_premeasure(wave, source, order)
     if strategy is adversary.StrategyId.INTERCEPT_RESEND:
-        adversary.hook_intercept_resend(register, rng)
+        adversary.hook_intercept_resend(wave, source)
     elif strategy is not adversary.StrategyId.HONEST:
         raise ValueError(f"unknown strategy {strategy!r}")
     return None
@@ -365,20 +368,17 @@ def s_check(
     return mismatches, (mismatches / k if k else 0.0) <= threshold
 
 
-def e1_encode(register, key, direction: Role):
-    """Apply the round key's Pauli to the authenticating party's first qubit.
-
-    ``register`` is a RoundRegister with one PauliLabel ``key``, or a Wave
-    with a list of one key per row.
-    """
+def e1_encode(wave: Wave, keys: list, direction: Role) -> Wave:
+    """Apply each row's round key, a PauliLabel in ``keys``, to the
+    authenticating party's first qubit."""
     if direction is Role.ALICE:
         q = A1
     elif direction is Role.BOB:
         q = B1
     else:
         raise ValueError("direction must be Alice or Bob")
-    register.state = qsim.apply_pauli(register.state, q, key)
-    return register
+    wave.state = qsim.apply_pauli(wave.state, q, keys)
+    return wave
 
 
 def _check_order(order) -> None:
@@ -387,37 +387,36 @@ def _check_order(order) -> None:
         raise ValueError(f"order must be a permutation of 'a', 'b', 'c', got {order!r}")
 
 
-def _measure_parties(register, source, order) -> tuple:
+def _measure_parties(wave: Wave, source, order) -> list:
     """Measure each party's protocol qubits, the parties taking turns in ``order``.
 
     Party "a" is a Bell measurement on (A1, A2), "b" one on (B1, B2), and
     "c" Z on C1 then C2.  ``order`` is checked to permute the three before
-    anything is measured.  Returns (a, b, (c1, c2)); on a Wave each of a,
-    b, c1 and c2 is the list of the rows' outcomes.
+    anything is measured.  Returns one (a, b, (c1, c2)) per row.
     """
     _check_order(order)
     results = {}
     for party in order:
         if party == "a":
-            results["a"], register.state = source.measure_bell(register.state, A1, A2)
+            results["a"], wave.state = source.measure_bell(wave.state, A1, A2)
         elif party == "b":
-            results["b"], register.state = source.measure_bell(register.state, B1, B2)
+            results["b"], wave.state = source.measure_bell(wave.state, B1, B2)
         else:
-            c1, register.state = source.measure_z(register.state, C1)
-            c2, register.state = source.measure_z(register.state, C2)
-            results["c"] = (c1, c2)
-    return results["a"], results["b"], results["c"]
+            c1, wave.state = source.measure_z(wave.state, C1)
+            c2, wave.state = source.measure_z(wave.state, C2)
+            results["c"] = zip(c1, c2)
+    return list(zip(results["a"], results["b"], results["c"]))
 
 
-def e2_measure(register: RoundRegister, source, order=("a", "b", "c")):
+def e2_measure(wave: Wave, source, order=("a", "b", "c")) -> list:
     """Measure the round: Alice Bell on (A1, A2), Bob Bell on (B1, B2),
-    Charlie Z on C1 then C2; returns (a, b, (c1, c2)).
+    Charlie Z on C1 then C2; returns one (a, b, (c1, c2)) per row.
 
     ``order`` permutes the three parties' turns; the measurements act on
     disjoint qubits, so the joint outcome distribution cannot depend on it.
     The walk is the one the PreMeasure attack makes in P2.
     """
-    return _measure_parties(register, source, order)
+    return _measure_parties(wave, source, order)
 
 
 def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
@@ -432,18 +431,6 @@ def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
         a.phase_bit ^ b.phase_bit, a.parity_bit ^ b.parity_bit ^ c[0] ^ c[1]
     )
     return Decision.ACCEPT if guess is key else Decision.REJECT
-
-
-def _wave_state(rows) -> StateVector:
-    """The wave state of these rows' amplitudes.  A single row stays 1-D:
-    the kernels take it without a batch axis and skip the broadcasting a
-    (1, 64) array would cost."""
-    return StateVector(PROTOCOL_QUBITS, rows[0] if len(rows) == 1 else np.asarray(rows))
-
-
-def _rows(a, b, c) -> list:
-    """Per-row (a, b, (c1, c2)) triples of a wave's outcome lists."""
-    return list(zip(a, b, zip(*c)))
 
 
 def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
@@ -482,13 +469,8 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
     for i in range(config.rounds):
         rngs = [np.random.default_rng((seeds[r], i)) for r in live]
         rows = [p1_prepare(config, rng) for rng in rngs]
-        wave = Wave(_wave_state([row.state.amps for row in rows]), rows, [])
-        eve = p2_transmit(wave, strategy, SampleSource(rngs), rngs)
-        if eve is None:
-            eves = [None] * len(rows)
-        else:
-            early = _rows(eve.m_pre, eve.b_pre, eve.c_pre)
-            eves = [adversary.EveState(c, a, b) for a, b, c in early]
+        wave = Wave(rows)
+        eves = p2_transmit(wave, strategy, SampleSource(rngs)) or [None] * len(rows)
 
         kept, rates = [], []
         for j, r in enumerate(live):
@@ -512,7 +494,10 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
         if not kept:
             break
         if len(kept) < len(rows):  # so a batched state: one row has nothing to drop
-            wave.state = _wave_state(wave.state.amps[kept])
+            # A single row stays 1-D: the kernels take it without a batch
+            # axis and skip the broadcasting a (1, 64) array would cost.
+            amps = wave.state.amps[kept]
+            wave.state = StateVector(PROTOCOL_QUBITS, amps[0] if len(kept) == 1 else amps)
             wave.in_transit = [
                 (q, [coins[j] for j in kept], [draws[j] for j in kept])
                 for q, coins, draws in wave.in_transit
@@ -524,7 +509,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
 
         round_keys = [keys[r][i] for r in live]
         e1_encode(wave, round_keys, config.direction)
-        outcomes = _rows(*e2_measure(wave, SampleSource(rngs)))
+        outcomes = e2_measure(wave, SampleSource(rngs))
         for r, j, key, rate, (a, b, c) in zip(live, kept, round_keys, rates, outcomes):
             eve, key_guess = eves[j], None
             if eve is not None:

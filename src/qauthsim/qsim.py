@@ -289,12 +289,17 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
 
 def _check_measured_mass(masses) -> None:
     """Refuse a measurement when a row's measured mass (sum of |amps|^2) is
-    not 1; ``masses`` is one float, or a list of one per row."""
+    not 1, or not finite; ``masses`` is one float, or a list of one per
+    row."""
     if isinstance(masses, float):
         worst = abs(masses - 1.0)
     else:
         worst = max(max(masses) - 1.0, 1.0 - min(masses))
-    if worst > MEASURE_NORM_TOL:
+        # max and min may skip a NaN that is not first; the sum carries it.
+        total = sum(masses)
+        if not math.isfinite(total):
+            worst = abs(total)
+    if not worst <= MEASURE_NORM_TOL:
         raise ValueError(
             f"state norm deviates from 1 by {worst:.3e}; "
             "refusing to measure an unnormalised state"

@@ -35,6 +35,7 @@ from qauthsim.protocol import (
     Decision,
     ProtocolConfig,
     Role,
+    Wave,
     e1_encode,
     e2_measure,
     e3_verify,
@@ -72,10 +73,10 @@ def test_criterion_2_key_recovery_is_certain():
         for direction in (Role.ALICE, Role.BOB):
 
             def pipeline(source, key=key, direction=direction):
-                register = p1_prepare(ProtocolConfig(), None)
-                eve = hook_premeasure(register, source)
-                e1_encode(register, key, direction)
-                a, b, _ = e2_measure(register, source)
+                wave = Wave([p1_prepare(ProtocolConfig(), None)])
+                (eve,) = hook_premeasure(wave, source)
+                e1_encode(wave, [key], direction)
+                [(a, b, _)] = e2_measure(wave, source)
                 announced = a if direction is Role.ALICE else b
                 return infer_key(eve, announced, direction) is key
 

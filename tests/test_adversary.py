@@ -8,7 +8,6 @@ qubit.
 
 import numpy as np
 import pytest
-from sampling import SingleStateSource
 
 from qauthsim import oracle, qsim
 from qauthsim.adversary import (
@@ -28,6 +27,7 @@ from qauthsim.protocol import (
     C2,
     ProtocolConfig,
     Role,
+    SampleSource,
     Wave,
     _measure_in_bases,
     p1_prepare,
@@ -58,8 +58,7 @@ def test_strategy_ids():
 def test_premeasure_outcomes_satisfy_swap_constraint():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        register = fresh_register()
-        eve = hook_premeasure(register, SingleStateSource(rng))
+        (eve,) = hook_premeasure(Wave([fresh_register()]), SampleSource([rng]))
         c1, c2 = eve.c_pre
         assert eve.m_pre.phase_bit ^ eve.b_pre.phase_bit == 0
         assert eve.m_pre.parity_bit ^ eve.b_pre.parity_bit == c1 ^ c2
@@ -69,9 +68,9 @@ def test_premeasure_pins_every_later_measurement():
     # After the hook, re-measuring the same observables is deterministic.
     rng = np.random.default_rng(1)
     for _ in range(20):
-        register = fresh_register()
-        eve = hook_premeasure(register, SingleStateSource(rng))
-        state = register.state
+        wave = Wave([fresh_register()])
+        (eve,) = hook_premeasure(wave, SampleSource([rng]))
+        state = wave.state
         probs = {o: p for o, p, _ in qsim.bell_outcomes(state, A1, A2)}
         label, state = qsim.measure_bell(state, A1, A2, rng.random())
         assert label is eve.m_pre
@@ -93,18 +92,18 @@ def test_premeasure_order_invariant_support():
     rng = np.random.default_rng(2)
     for order in (("c", "a", "b"), ("a", "b", "c"), ("b", "c", "a")):
         for _ in range(30):
-            register = fresh_register()
-            eve = hook_premeasure(register, SingleStateSource(rng), order=order)
+            wave = Wave([fresh_register()])
+            (eve,) = hook_premeasure(wave, SampleSource([rng]), order=order)
             c1, c2 = eve.c_pre
             assert (eve.m_pre.phase_bit ^ eve.b_pre.phase_bit,
                     eve.m_pre.parity_bit ^ eve.b_pre.parity_bit) == (0, c1 ^ c2)
 
 
 def test_premeasure_rejects_bad_order():
-    register = fresh_register()
-    source = SingleStateSource(np.random.default_rng(0))
+    wave = Wave([fresh_register()])
+    source = SampleSource([np.random.default_rng(0)])
     with pytest.raises(ValueError):
-        hook_premeasure(register, source, order=("c", "c", "a"))
+        hook_premeasure(wave, source, order=("c", "c", "a"))
 
 
 def test_premeasure_never_touches_decoys():
@@ -112,7 +111,7 @@ def test_premeasure_never_touches_decoys():
     for _ in range(25):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
         before = list(register.decoy_states)
-        hook_premeasure(register, SingleStateSource(rng))
+        hook_premeasure(Wave([register]), SampleSource([rng]))
         assert register.decoy_states == before
 
 
@@ -132,7 +131,6 @@ def test_infer_key_all_sixteen_cases():
             )
             eve = EveState((0, 0), reference_label, BellLabel.PHI_PLUS)
             assert infer_key(eve, announced, Role.ALICE) is expected
-            assert eve.inferred_key is expected
             eve = EveState((0, 0), BellLabel.PHI_PLUS, reference_label)
             assert infer_key(eve, announced, Role.BOB) is expected
 
@@ -154,13 +152,13 @@ def test_premeasure_then_encode_recovers_every_key():
     for key in PauliLabel:
         for direction in (Role.ALICE, Role.BOB):
             for _ in range(25):
-                register = fresh_register()
-                source = SingleStateSource(rng)
-                eve = hook_premeasure(register, source)
+                wave = Wave([fresh_register()])
+                source = SampleSource([rng])
+                (eve,) = hook_premeasure(wave, source)
                 qubit = A1 if direction is Role.ALICE else B1
-                register.state = qsim.apply_pauli(register.state, qubit, key)
+                wave.state = qsim.apply_pauli(wave.state, qubit, key)
                 pair = (A1, A2) if direction is Role.ALICE else (B1, B2)
-                announced, register.state = source.measure_bell(register.state, *pair)
+                (announced,), wave.state = source.measure_bell(wave.state, *pair)
                 assert infer_key(eve, announced, direction) is key
 
 
@@ -206,7 +204,7 @@ def test_intercept_resend_touches_decoys():
     for _ in range(50):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
         before = list(register.decoy_states)
-        hook_intercept_resend(Wave(register.state, [register], []), [rng])
+        hook_intercept_resend(Wave([register]), SampleSource([rng]))
         for prior, label in zip(before, register.decoy_states):
             total += 1
             if prior != label:
@@ -221,7 +219,7 @@ def test_intercept_resend_empirical_mismatch_rate():
     checked = 0
     for _ in range(2000):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
-        hook_intercept_resend(Wave(register.state, [register], []), [rng])
+        hook_intercept_resend(Wave([register]), SampleSource([rng]))
         for idx, meta in enumerate(register.decoy_meta):
             measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
             state = qsim.init_product([DECOY_KETS[register.decoy_states[idx]]])
@@ -256,8 +254,8 @@ def test_intercept_resend_still_forwards_protocol_qubits():
     # product of the measured eigenstates, still normalized.
     rng = np.random.default_rng(8)
     register = fresh_register()
-    wave = Wave(register.state, [register], [])
-    hook_intercept_resend(wave, [rng])
+    wave = Wave([register])
+    hook_intercept_resend(wave, SampleSource([rng]))
     assert [q for q, _, _ in wave.in_transit] == [A1, A2, B1, B2]
     state = wave.state
     for q, coins, draws in wave.in_transit:

@@ -525,6 +525,15 @@ def test_main_missing_config_exit_code(tmp_path):
     assert run_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"rounds = 2 # \xff\n")
+    with pytest.raises(ConfigError, match="latin.cfg"):
+        load_config(path)
+    assert run_main(["run", "--config", str(path)]) == 2
+    assert "latin.cfg" in capsys.readouterr().err
+
+
 def test_main_write_failure_exit_code(tmp_path, capsys):
     config = write_config(tmp_path, "samples = 5\nrounds = 1\n")
     target = tmp_path / "no_such_dir" / "report.json"

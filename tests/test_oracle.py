@@ -35,7 +35,7 @@ def test_enumerate_pipeline_without_measurements():
 
 def test_enumerate_single_qubit_split():
     def pipeline(source):
-        bit, _ = source.measure_z(qsim.init_product(["+"]), 0)
+        (bit,), _ = source.measure_z(qsim.init_product(["+"]), 0)
         return bit
 
     branches = dict(enumerate_branches(pipeline))
@@ -46,7 +46,7 @@ def test_enumerate_single_qubit_split():
 
 def test_enumerate_skips_dead_branches():
     def pipeline(source):
-        bit, _ = source.measure_z(qsim.init_product(["0"]), 0)
+        (bit,), _ = source.measure_z(qsim.init_product(["0"]), 0)
         return bit
 
     assert list(enumerate_branches(pipeline)) == [(0, 1.0)]
@@ -56,9 +56,9 @@ def test_enumerate_nested_probabilities_sum_to_one():
     def pipeline(source):
         state = qsim.init_product(["+", "0", "+"])
         state = qsim.apply_cnot(state, 0, 1)
-        b0, state = source.measure_z(state, 0)
-        b1, state = source.measure_x(state, 1)
-        b2, state = source.measure_z(state, 2)
+        (b0,), state = source.measure_z(state, 0)
+        (b1,), state = source.measure_x(state, 1)
+        (b2,), state = source.measure_z(state, 2)
         return (b0, b1, b2)
 
     branches = list(enumerate_branches(pipeline))
@@ -76,8 +76,8 @@ def test_enumerate_matches_outcome_distribution():
         qubits = list(rng.permutation(n)[:2])
 
         def pipeline(source, state=state, qubits=qubits):
-            b0, post = source.measure_z(state, qubits[0])
-            b1, _ = source.measure_x(post, qubits[1])
+            (b0,), post = source.measure_z(state, qubits[0])
+            (b1,), _ = source.measure_x(post, qubits[1])
             return (b0,), (b1,)
 
         enumerated = {}
@@ -133,8 +133,8 @@ def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
 def test_branch_source_records_its_path():
     def pipeline(source):
         state = qsim.init_product(["+", "+"])
-        b0, state = source.measure_z(state, 0)
-        b1, state = source.measure_z(state, 1)
+        (b0,), state = source.measure_z(state, 0)
+        (b1,), state = source.measure_z(state, 1)
         return (b0, b1)
 
     source = BranchSource([1, 0])
@@ -338,9 +338,9 @@ def test_exact_distribution_runs_p2_once_per_leaf(monkeypatch):
     calls, leaves = [], []
     original = protocol.p2_transmit
 
-    def counted(register, strategy, source, rng, order=("c", "a", "b")):
+    def counted(wave, strategy, source, order=("c", "a", "b")):
         calls.append((strategy, order))
-        return original(register, strategy, source, rng, order)
+        return original(wave, strategy, source, order)
 
     def counting_enumerate(pipeline):
         for result, probability in enumerate_branches(pipeline):
@@ -356,6 +356,57 @@ def test_exact_distribution_runs_p2_once_per_leaf(monkeypatch):
         exact_transcript_distribution(strategy, PauliLabel.Z, hook_order=order)
         assert leaves
         assert calls == [(strategy, order)] * len(leaves)
+
+
+def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
+    rows = []
+    original = protocol.p1_prepare
+
+    def recorded(config, rng):
+        rows.append(original(config, rng))
+        return rows[-1]
+
+    monkeypatch.setattr(protocol, "p1_prepare", recorded)
+    for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
+        for key in PauliLabel:
+            for direction in (Role.ALICE, Role.BOB):
+                exact_transcript_distribution(strategy, key, direction)
+    assert len(rows) == 16  # one per distribution, not one per leaf
+    for row in rows:
+        assert row.decoy_states == [] and row.decoy_meta == []
+        assert row.alice_seq == [("q", protocol.A1), ("q", protocol.A2)]
+        assert row.bob_seq == [("q", protocol.B1), ("q", protocol.B2)]
+
+
+class RecordedSource:
+    """Wraps an outcome source and keeps every outcome it returns."""
+
+    def __init__(self, source):
+        self.source = source
+        self.returned = []
+
+    def __getattr__(self, name):
+        method = getattr(self.source, name)
+
+        def recorded(*args):
+            outcome, post = method(*args)
+            self.returned.append(outcome)
+            return outcome, post
+
+        return recorded
+
+
+@pytest.mark.parametrize(
+    "make_source",
+    [lambda: BranchSource([1, 1]), lambda: protocol.SampleSource([np.random.default_rng(5)])],
+    ids=["BranchSource", "SampleSource"],
+)
+def test_both_sources_return_one_outcome_per_row_as_a_list(make_source):
+    source = RecordedSource(make_source())
+    wave = protocol.Wave([protocol.p1_prepare(ProtocolConfig(), None)])
+    [(a, b, (c1, c2))] = protocol.e2_measure(wave, source)
+    assert source.returned == [[a], [b], [c1], [c2]]
+    assert all(type(outcome) is list for outcome in source.returned)
 
 
 def test_exact_distribution_order_invariance():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import reference
-from sampling import SingleStateSource
 
 from qauthsim import oracle, protocol, qsim
 from qauthsim.adversary import EveState, StrategyId
@@ -95,7 +94,8 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_p1_without_decoys_builds_double_triple():
     register = fresh_register()
-    assert register.state.n_qubits == PROTOCOL_QUBITS
+    state = Wave([register]).state
+    assert state.n_qubits == PROTOCOL_QUBITS
     assert register.decoy_states == []
     assert register.decoy_meta == []
     assert register.alice_seq == [("q", A1), ("q", A2)]
@@ -105,7 +105,7 @@ def test_p1_without_decoys_builds_double_triple():
     triple = np.zeros(8, dtype=complex)
     triple[[0b001, 0b010, 0b100, 0b111]] = 0.5
     expected = np.kron(triple, triple)
-    assert np.allclose(register.state.amps, expected)
+    assert np.allclose(state.amps, expected)
 
 
 def test_p1_decoy_structure():
@@ -165,7 +165,6 @@ def test_p1_is_deterministic_per_stream():
     assert first.alice_seq == second.alice_seq
     assert first.bob_seq == second.bob_seq
     assert first.decoy_meta == second.decoy_meta
-    assert np.array_equal(first.state.amps, second.state.amps)
 
 
 def test_p1_decoy_positions_cover_all_slots():
@@ -180,22 +179,29 @@ def test_p1_decoy_positions_cover_all_slots():
 
 
 def test_p1_charlie_qubit_is_unbiased():
-    register = fresh_register()
-    dist = oracle.outcome_distribution(register.state, [((C1,), Basis.Z)])
+    state = Wave([fresh_register()]).state
+    dist = oracle.outcome_distribution(state, [((C1,), Basis.Z)])
     assert dist[(0,)] == pytest.approx(0.5)
     assert dist[(1,)] == pytest.approx(0.5)
 
 
-def test_p1_registers_share_the_read_only_fresh_state():
-    first, second = fresh_register(), fresh_register(decoys=2, seed=3)
-    assert first.state.amps is second.state.amps is protocol._FRESH_STATE.amps
-    assert not first.state.amps.flags.writeable
-    before = first.state.amps.copy()
+def test_waves_start_from_the_read_only_fresh_state():
+    fresh = protocol._FRESH_STATE
+    assert Wave([fresh_register()]).state is fresh
+    assert not fresh.amps.flags.writeable
+    rows = [fresh_register(), fresh_register(decoys=2, seed=3), fresh_register(decoys=1)]
+    wave = Wave(rows)
+    assert wave.rows is rows
+    assert wave.state.amps.shape == (3, 2**PROTOCOL_QUBITS)
+    for amps in wave.state.amps:
+        assert np.array_equal(amps, fresh.amps)
+    before = fresh.amps.copy()
     config = ProtocolConfig(rounds=6, decoys_per_sequence=2, seed=12)
     for strategy in StrategyId:
         run_protocol(config, [PauliLabel.X] * 6, strategy)
-    assert protocol._FRESH_STATE.amps is first.state.amps
-    assert np.array_equal(first.state.amps, before)
+        run_batch(config, [1, 2, 3], [[PauliLabel.X] * 6] * 3, strategy)
+    assert protocol._FRESH_STATE is fresh
+    assert np.array_equal(fresh.amps, before)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +210,19 @@ def test_p1_registers_share_the_read_only_fresh_state():
 
 def test_p2_honest_returns_none_and_leaves_state_alone():
     register = fresh_register(decoys=2, seed=1)
-    before = register.state.amps.copy()
+    wave = Wave([register])
+    before = wave.state.amps.copy()
     decoys = list(register.decoy_states)
-    source = SingleStateSource(np.random.default_rng(0))
-    assert p2_transmit(register, StrategyId.HONEST, source, source.rng) is None
-    assert np.array_equal(register.state.amps, before)
+    source = SampleSource([np.random.default_rng(0)])
+    assert p2_transmit(wave, StrategyId.HONEST, source) is None
+    assert np.array_equal(wave.state.amps, before)
     assert register.decoy_states == decoys
 
 
 def test_p2_premeasure_returns_eve_state():
-    register = fresh_register()
-    source = SingleStateSource(np.random.default_rng(3))
-    eve = p2_transmit(register, StrategyId.PRE_MEASURE, source, None)
+    wave = Wave([fresh_register()])
+    source = SampleSource([np.random.default_rng(3)])
+    (eve,) = p2_transmit(wave, StrategyId.PRE_MEASURE, source)
     assert isinstance(eve, EveState)
     assert eve.m_pre ^ eve.b_pre is BellLabel.from_bits(0, eve.c_pre[0] ^ eve.c_pre[1])
 
@@ -223,8 +230,8 @@ def test_p2_premeasure_returns_eve_state():
 def test_p2_intercept_resend_returns_none():
     register = fresh_register(decoys=2, seed=1)
     rng = np.random.default_rng(4)
-    wave = Wave(register.state, [register], [])
-    assert p2_transmit(wave, StrategyId.INTERCEPT_RESEND, SampleSource([rng]), [rng]) is None
+    wave = Wave([register])
+    assert p2_transmit(wave, StrategyId.INTERCEPT_RESEND, SampleSource([rng])) is None
 
 
 @pytest.mark.parametrize("strategy", ["PreMeasure", None, Decision.ACCEPT])
@@ -234,7 +241,7 @@ def test_p2_unknown_strategy_raises_before_touching_the_register(strategy):
             raise AssertionError(f"register.{name} read")
 
     with pytest.raises(ValueError):
-        p2_transmit(Untouchable(), strategy, Untouchable(), Untouchable())
+        p2_transmit(Untouchable(), strategy, Untouchable())
 
 
 @pytest.mark.parametrize("strategy", list(StrategyId))
@@ -352,7 +359,7 @@ PREPARED = [(Basis.Z, 0), (Basis.Z, 1), (Basis.X, 0), (Basis.X, 1)]
 
 def decoy_register(label):
     meta = DecoyRecord(Role.ALICE, 0, Basis.Z, 0)
-    return RoundRegister(None, [label], [meta], [("d", 0)], [])
+    return RoundRegister([label], [meta], [("d", 0)], [])
 
 
 def refuse_kernels(monkeypatch):
@@ -404,23 +411,23 @@ def test_intercepted_decoy_matches_the_kernel(basis):
 
 
 def test_e1_identity_key_is_a_no_op():
-    register = fresh_register()
-    before = register.state.amps.copy()
-    e1_encode(register, PauliLabel.I, Role.ALICE)
-    assert np.array_equal(register.state.amps, before)
+    wave = Wave([fresh_register()])
+    before = wave.state.amps.copy()
+    e1_encode(wave, [PauliLabel.I], Role.ALICE)
+    assert np.array_equal(wave.state.amps, before)
 
 
 @pytest.mark.parametrize("direction,qubit", [(Role.ALICE, A1), (Role.BOB, B1)])
 def test_e1_applies_key_to_first_qubit(direction, qubit):
-    register = fresh_register()
-    expected = qsim.apply_pauli(register.state.copy(), qubit, PauliLabel.X)
-    e1_encode(register, PauliLabel.X, direction)
-    assert np.allclose(register.state.amps, expected.amps)
+    wave = Wave([fresh_register()])
+    expected = qsim.apply_pauli(wave.state.copy(), qubit, PauliLabel.X)
+    e1_encode(wave, [PauliLabel.X], direction)
+    assert np.allclose(wave.state.amps, expected.amps)
 
 
 def test_e1_rejects_charlie():
     with pytest.raises(ValueError):
-        e1_encode(fresh_register(), PauliLabel.X, Role.CHARLIE)
+        e1_encode(Wave([fresh_register()]), [PauliLabel.X], Role.CHARLIE)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +437,7 @@ def test_e1_rejects_charlie():
 def test_e2_outcomes_satisfy_round_correlation():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        register = fresh_register()
-        a, b, c = e2_measure(register, SingleStateSource(rng))
+        [(a, b, c)] = e2_measure(Wave([fresh_register()]), SampleSource([rng]))
         assert isinstance(a, BellLabel)
         assert isinstance(b, BellLabel)
         assert a.phase_bit ^ b.phase_bit == 0
@@ -439,9 +445,9 @@ def test_e2_outcomes_satisfy_round_correlation():
 
 
 def test_e2_rejects_bad_order():
-    register = fresh_register()
+    wave = Wave([fresh_register()])
     with pytest.raises(ValueError):
-        e2_measure(register, SingleStateSource(np.random.default_rng(0)), order=("a", "a", "b"))
+        e2_measure(wave, SampleSource([np.random.default_rng(0)]), order=("a", "a", "b"))
 
 
 def test_e2_order_does_not_change_joint_distribution():
@@ -450,8 +456,7 @@ def test_e2_order_does_not_change_joint_distribution():
         counts = {}
         rng = np.random.default_rng(7)
         for _ in range(400):
-            register = fresh_register()
-            a, b, c = e2_measure(register, SingleStateSource(rng), order=order)
+            [(a, b, c)] = e2_measure(Wave([fresh_register()]), SampleSource([rng]), order=order)
             counts[(c, a, b)] = counts.get((c, a, b), 0) + 1
         plans[order] = counts
     supports = [frozenset(counts) for counts in plans.values()]

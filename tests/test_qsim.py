@@ -583,6 +583,29 @@ def test_batched_measurement_refuses_one_unnormalised_row():
             measure(qsim.StateVector(3, amps), *range(arity), [0.5] * 5)
 
 
+OUTCOME_LISTS = [(qsim.z_outcomes, 1), (qsim.x_outcomes, 1), (qsim.bell_outcomes, 2)]
+
+
+def test_nan_mass_is_refused():
+    # NaN compares false to everything, so a bare "worst > tol" would let it
+    # through; every measurement must refuse it, on one state or in any row.
+    bad = qsim.init_product(["+", "0", "-"]).amps.copy()
+    bad[3] = np.nan
+    for measure, arity in BATCH_MEASURES:
+        with pytest.raises(ValueError, match="refusing to measure"):
+            measure(qsim.StateVector(3, bad), *range(arity), 0.5)
+    for outcomes, arity in OUTCOME_LISTS:
+        with pytest.raises(ValueError, match="refusing to measure"):
+            outcomes(qsim.StateVector(3, bad), *range(arity))
+    good = random_batch(np.random.default_rng(35), 3, 4)
+    for row in (0, 3):
+        amps = good.copy()
+        amps[row] = bad
+        for measure, arity in BATCH_MEASURES:
+            with pytest.raises(ValueError, match="refusing to measure"):
+                measure(qsim.StateVector(3, amps), *range(arity), [0.5] * 4)
+
+
 def test_batched_measurement_takes_one_draw_per_row():
     amps = random_batch(np.random.default_rng(33), 2, 3)
     with pytest.raises(ValueError):
