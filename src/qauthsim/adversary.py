@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .protocol import Role, Wave, _measure_decoy, _measure_parties
+from .protocol import DecoyRecord, Role, Wave, _measure_decoy, _measure_parties
 from .qsim import BellLabel, PauliLabel
 
 
@@ -93,10 +93,11 @@ def hook_intercept_resend(wave: Wave, source) -> None:
     Each row walks both of its sequences in transmission order; protocol
     qubits and decoys alike, each with its own pre-drawn basis coin (0 Z,
     1 X) and uniform draw from the row's generator in ``source.rngs``.
-    Decoys are measured here, the way the S1/S2 checks measure them, by
-    their eigenstate label's outcome table.  Every row meets the protocol
-    qubits in the same order (A1, A2, B1, B2); their measurements go to the
-    wave's ``in_transit`` list, one entry per qubit for the whole wave.
+    Each decoy record met is measured here, the way the S1/S2 checks
+    measure it, by its eigenstate label's outcome table.  Every row meets
+    the protocol qubits in the same order (A1, A2, B1, B2); their
+    measurements go to the wave's ``in_transit`` list, one entry per qubit
+    for the whole wave.
     Charlie's own C qubits never travel, so they are left alone.
     """
     coins: dict = {}
@@ -106,10 +107,10 @@ def hook_intercept_resend(wave: Wave, source) -> None:
         bases = rng.integers(0, 2, size=total).tolist()
         randomness = rng.random(size=total).tolist()
         slots = itertools.chain(row.alice_seq, row.bob_seq)
-        for (kind, idx), coin, draw in zip(slots, bases, randomness):
-            if kind == "q":
-                coins.setdefault(idx, []).append(coin)
-                draws.setdefault(idx, []).append(draw)
+        for slot, coin, draw in zip(slots, bases, randomness):
+            if type(slot) is DecoyRecord:
+                _measure_decoy(slot, coin, draw)
             else:
-                _measure_decoy(row, idx, coin, draw)
+                coins.setdefault(slot, []).append(coin)
+                draws.setdefault(slot, []).append(draw)
     wave.in_transit = [(q, coins[q], draws[q]) for q in coins]

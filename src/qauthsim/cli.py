@@ -80,7 +80,7 @@ class RunConfig(ProtocolConfig):
                 "samples",
                 f"{self.mode} mode needs samples >= {least}, got {self.samples!r}",
             )
-        if self.mode == "exact" and self.strategy is StrategyId.INTERCEPT_RESEND:
+        if self.mode == "exact" and self.strategy not in oracle.EXACT_STRATEGIES:
             raise FieldError(
                 "strategy",
                 "exact mode enumerates Honest and PreMeasure only; "
@@ -116,14 +116,15 @@ _FIELD_PARSERS = {
 
 
 def load_config(path) -> RunConfig:
-    """Parse a ``key = value`` config file ('#' starts a comment).
+    """Parse a ``key = value`` UTF-8 config file ('#' starts a comment); a
+    byte-order mark at the start of the file is skipped.
 
     Unknown keys, duplicate keys, and out-of-range values are errors,
     reported with the key name and line number.  The range rules live in
     the config classes; their FieldError names the key whose line is cited.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}

@@ -36,6 +36,9 @@ from .qsim import Basis, BellLabel, PauliLabel
 # Largest |1 - mass| an exact enumeration may leave before it is an error.
 MASS_TOL = 1e-12
 
+# The strategies exact mode enumerates; InterceptResend is sampled only.
+EXACT_STRATEGIES = (StrategyId.HONEST, StrategyId.PRE_MEASURE)
+
 
 class BranchSource:
     """Outcome source that follows a scripted branch of the measurement tree.
@@ -212,7 +215,7 @@ def exact_transcript_distribution(
     strategy before anything is enumerated.  Raises ValueError when the
     leaf probabilities do not sum to 1 within ``MASS_TOL``.
     """
-    if strategy not in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
+    if strategy not in EXACT_STRATEGIES:
         raise ValueError(
             f"exact enumeration covers Honest and PreMeasure, not {strategy!r}"
         )

@@ -21,19 +21,19 @@ would draw, so a run's transcript does not depend on the batch it is in;
 wave.  P1 and the S1/S2 decoy checks stay per row, since they touch only
 that row's decoys and stream.
 
-A row's decoys and transmitted sequences live in its :class:`RoundRegister`;
-the joint state of the protocol qubits lives in the wave alone.  Decoys are
-never entangled with anything, and P1 prepares each in a Z or X eigenstate.
-The only thing that ever touches a decoy is a Z or X measurement (the S1/S2
-checks, or an intercepting adversary), which leaves an eigenstate again, so
-a decoy is fully described by its eigenstate label (0 for |0>, 1 for |1>, 2
-for |+>, 3 for |->).  The outcome probabilities of measuring each label in Z
-or X are tabulated once, at import, by the qsim kernels themselves, and a
-decoy measurement is that table's row picked with the kernels' selection
-rule.  Alice's decoys take indices ``[0, d)`` of the decoy tables and Bob's
-``[d, 2d)``, each in rising sequence position, where d is
-``decoys_per_sequence``.  Each decoy check takes its uniform draws in one
-batch per sequence, which yields the same stream as one draw per decoy.
+A row's :class:`RoundRegister` holds only its two transmitted sequences,
+each slot a protocol qubit's index or the decoy itself, a
+:class:`DecoyRecord`; the joint state of the protocol qubits lives in the
+wave alone.  Decoys are never entangled with anything, and P1 prepares each
+in a Z or X eigenstate.  The only thing that ever touches a decoy is a Z or
+X measurement (the S1/S2 checks, or an intercepting adversary), which
+leaves an eigenstate again, so a record carries its decoy's state as an
+eigenstate label (0 for |0>, 1 for |1>, 2 for |+>, 3 for |->).  The outcome
+probabilities of measuring each label in Z or X are tabulated once, at
+import, by the qsim kernels themselves, and a decoy measurement is that
+table's row picked with the kernels' selection rule.  Each decoy check
+takes its uniform draws in one batch per sequence, which yields the same
+stream as one draw per decoy.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -147,25 +147,22 @@ class ProtocolConfig:
 
 @dataclass
 class DecoyRecord:
+    """A decoy in slot ``position`` of its owner's sequence; ``label`` is its
+    current eigenstate label, which each measurement of it updates."""
+
     owner: Role
     position: int
     basis: Basis
     prepared: int
+    label: int
     measured: "int | None" = None
 
 
 @dataclass
 class RoundRegister:
-    """A wave row's decoys and transmitted sequences.
+    """A wave row's transmitted sequences; each slot holds a protocol
+    qubit's index or a DecoyRecord."""
 
-    ``decoy_states[i]`` is the eigenstate label (0 |0>, 1 |1>, 2 |+>, 3 |->)
-    of the decoy described by ``decoy_meta[i]``.  The transmitted sequences
-    list their slots in order as ("q", protocol qubit index) or ("d", decoy
-    index).
-    """
-
-    decoy_states: list
-    decoy_meta: list
     alice_seq: list
     bob_seq: list
 
@@ -205,8 +202,8 @@ class Wave:
     1-D array when B is 1), so each measurement of the round is one kernel
     call for the whole wave.  It starts as the fresh state of P1 in every
     row; a one-row wave holds ``_FRESH_STATE`` itself.  ``rows[r]`` is row
-    r's RoundRegister from P1: its decoys and sequences, which only that
-    row's own checks touch.
+    r's RoundRegister from P1: its sequences, whose decoys only that row's
+    own checks touch.
 
     ``in_transit`` lists the measurements an adversary made on protocol
     qubits in transit, one (qubit, per-row basis coins, per-row draws) per
@@ -252,38 +249,31 @@ class SampleSource:
 
 
 def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> RoundRegister:
-    """Prepare a row's decoys and both decoy-laced sequences; the entangled
-    triples every row starts from are the wave's fresh state.
+    """Prepare a row's two decoy-laced sequences; the entangled triples
+    every row starts from are the wave's fresh state.
 
     Draw order from ``rng`` is fixed (Alice's slot permutation, then her d
     basis coins and d bit coins; then the same for Bob) so identical streams
     give identical registers.  The first d slots of the permutation carry
-    decoys.  Alice's decoys take indices ``[0, d)`` of the decoy tables and
-    Bob's ``[d, 2d)``, each in rising sequence position; each decoy's state
-    is its label 2 * basis coin + bit coin.  ``rng`` may be None when
+    decoys, whose basis and bit coins go to them in rising slot order; each
+    decoy's label is 2 * basis coin + bit coin.  ``rng`` may be None when
     ``decoys_per_sequence`` is 0.
     """
-    decoy_states: list = []
-    decoy_meta: list = []
     sequences = []
     d = config.decoys_per_sequence
     for owner, qubits in ((Role.ALICE, (A1, A2)), (Role.BOB, (B1, B2))):
         if not d:
-            sequences.append([("q", q) for q in qubits])
+            sequences.append(list(qubits))
             continue
         slots = rng.permutation(d + 2).tolist()
         coins = rng.integers(0, 2, size=2 * d).tolist()  # d basis coins, then d bit coins
         seq: list = [None] * (d + 2)
         for pos, q in zip(sorted(slots[d:]), qubits):
-            seq[pos] = ("q", q)
-        first = len(decoy_meta)
-        for j, pos in enumerate(sorted(slots[:d])):
-            basis_coin, bit = coins[j], coins[d + j]
-            seq[pos] = ("d", first + j)
-            decoy_states.append(2 * basis_coin + bit)
-            decoy_meta.append(DecoyRecord(owner, pos, _BASIS_OF_COIN[basis_coin], bit))
+            seq[pos] = q
+        for pos, coin, bit in zip(sorted(slots[:d]), coins, coins[d:]):
+            seq[pos] = DecoyRecord(owner, pos, _BASIS_OF_COIN[coin], bit, 2 * coin + bit)
         sequences.append(seq)
-    return RoundRegister(decoy_states, decoy_meta, *sequences)
+    return RoundRegister(*sequences)
 
 
 def p2_transmit(wave: Wave, strategy, source, order=("c", "a", "b")):
@@ -309,15 +299,15 @@ def p2_transmit(wave: Wave, strategy, source, order=("c", "a", "b")):
     return None
 
 
-def _measure_decoy(register: RoundRegister, idx: int, coin: int, randomness: float) -> int:
-    """Measure decoy ``idx`` in basis ``coin`` (0 Z, 1 X) with one uniform draw.
+def _measure_decoy(decoy: DecoyRecord, coin: int, randomness: float) -> int:
+    """Measure ``decoy`` in basis ``coin`` (0 Z, 1 X) with one uniform draw.
 
-    Picks the outcome from the decoy's probability table with qsim's
-    selection rule, stores the collapsed eigenstate's label in the register
+    Picks the outcome from the label's probability table with qsim's
+    selection rule, stores the collapsed eigenstate's label in the record
     and returns the bit.
     """
-    bit = qsim._pick(_DECOY_PROBS[register.decoy_states[idx]][coin], randomness)
-    register.decoy_states[idx] = 2 * coin + bit
+    bit = qsim._pick(_DECOY_PROBS[decoy.label][coin], randomness)
+    decoy.label = 2 * coin + bit
     return bit
 
 
@@ -338,33 +328,30 @@ def _measure_in_bases(state: StateVector, q: int, coins: list, draws: list) -> S
 
 
 def s_check(
-    register: RoundRegister,
-    announced,
+    sequence: list,
+    announced: list,
     threshold: float,
     rng: "np.random.Generator | None",
 ) -> tuple:
     """Measure the announced decoys in their announced bases and compare.
 
-    ``announced`` lists indices into the register's decoy tables; all are
-    validated before anything is measured.  The uniform draws come in one
-    batch of ``len(announced)`` from ``rng``, the same stream as one draw per
-    decoy in announcement order; an empty announcement draws nothing.
-    Returns (number of mismatched decoys, pass flag: the mismatch rate over
-    the announced decoys is at most ``threshold``).
+    Each DecoyRecord in ``announced`` must sit at its own position in
+    ``sequence``; all are checked before anything is measured.  The uniform
+    draws come in one batch of ``len(announced)`` from ``rng``, the same
+    stream as one draw per decoy in announcement order; an empty
+    announcement draws nothing.  Returns (number of mismatched decoys, pass
+    flag: the mismatch rate over the announced decoys is at most
+    ``threshold``).
     """
-    metas = register.decoy_meta
-    if len(register.decoy_states) != len(metas):
-        raise ValueError("decoy metadata incomplete")
-    for idx in announced:
-        if not 0 <= idx < len(metas):
-            raise ValueError(f"decoy index {idx} has no metadata")
+    for decoy in announced:
+        if not 0 <= decoy.position < len(sequence) or sequence[decoy.position] is not decoy:
+            raise ValueError(f"no such decoy at position {decoy.position} of this sequence")
     k = len(announced)
     draws = rng.random(size=k).tolist() if k else []
     mismatches = 0
-    for idx, randomness in zip(announced, draws):
-        meta = metas[idx]
-        meta.measured = _measure_decoy(register, idx, int(meta.basis is Basis.X), randomness)
-        mismatches += meta.measured != meta.prepared
+    for decoy, randomness in zip(announced, draws):
+        decoy.measured = _measure_decoy(decoy, int(decoy.basis is Basis.X), randomness)
+        mismatches += decoy.measured != decoy.prepared
     return mismatches, (mismatches / k if k else 0.0) <= threshold
 
 
@@ -460,7 +447,6 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
     if not seeds:
         return []
     d = config.decoys_per_sequence
-    alice_idx, bob_idx = range(d), range(d, 2 * d)  # the layout p1_prepare fixes
     runs = [(Transcript([], Decision.ACCEPT, 0.0), adversary.AdversaryReport(strategy, [], []))
             for _ in seeds]
     mismatched = [0] * len(seeds)
@@ -472,11 +458,14 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
         wave = Wave(rows)
         eves = p2_transmit(wave, strategy, SampleSource(rngs)) or [None] * len(rows)
 
-        kept, rates = [], []
+        kept, rates, decoys = [], [], []
         for j, r in enumerate(live):
             row, rng = rows[j], rngs[j]
-            errors_a, ok_a = s_check(row, alice_idx, config.decoy_error_threshold, rng)
-            errors_b, ok_b = s_check(row, bob_idx, config.decoy_error_threshold, rng)
+            alice = [slot for slot in row.alice_seq if type(slot) is DecoyRecord]
+            bob = [slot for slot in row.bob_seq if type(slot) is DecoyRecord]
+            decoys.append(alice + bob)
+            errors_a, ok_a = s_check(row.alice_seq, alice, config.decoy_error_threshold, rng)
+            errors_b, ok_b = s_check(row.bob_seq, bob, config.decoy_error_threshold, rng)
             mismatched[r] += errors_a + errors_b
             rate = (errors_a + errors_b) / (2 * d) if d else 0.0
             transcript, report = runs[r]
@@ -487,7 +476,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
                 continue
             phase = PhaseId.S1 if not ok_a else PhaseId.S2
             transcript.rounds.append(
-                RoundRecord(None, None, None, rate, row.decoy_meta, Decision.ABORT, phase)
+                RoundRecord(None, None, None, rate, decoys[j], Decision.ABORT, phase)
             )
             transcript.decision = Decision.ABORT
             report.inferred_keys.append(None)
@@ -518,7 +507,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
                 key_guess = adversary.infer_key(eve, announced, config.direction)
             decision = e3_verify(a, b, c, key)
             transcript, report = runs[r]
-            transcript.rounds.append(RoundRecord(c, a, b, rate, rows[j].decoy_meta, decision))
+            transcript.rounds.append(RoundRecord(c, a, b, rate, decoys[j], decision))
             if decision is Decision.REJECT:
                 transcript.decision = Decision.REJECT
             report.inferred_keys.append(key_guess)

@@ -6,6 +6,8 @@ baseline must disturb decoys at the textbook rate of 1/4 per intercepted
 qubit.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -25,18 +27,26 @@ from qauthsim.protocol import (
     B2,
     C1,
     C2,
+    DecoyRecord,
     ProtocolConfig,
     Role,
     SampleSource,
     Wave,
     _measure_in_bases,
     p1_prepare,
+    s_check,
 )
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 
 # A decoy is stored as its eigenstate label 2 * basis coin + bit (Z 0, X 1).
 DECOY_KETS = ("0", "1", "+", "-")
+
+
+def decoys_of(register):
+    """The register's decoy records, Alice's then Bob's in slot order."""
+    slots = register.alice_seq + register.bob_seq
+    return [slot for slot in slots if isinstance(slot, DecoyRecord)]
 
 
 def fresh_register(decoys=0, seed=0):
@@ -110,9 +120,9 @@ def test_premeasure_never_touches_decoys():
     rng = np.random.default_rng(3)
     for _ in range(25):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
-        before = list(register.decoy_states)
+        before = [d.label for d in decoys_of(register)]
         hook_premeasure(Wave([register]), SampleSource([rng]))
-        assert register.decoy_states == before
+        assert [d.label for d in decoys_of(register)] == before
 
 
 def test_infer_key_frozen_examples():
@@ -203,9 +213,9 @@ def test_intercept_resend_touches_decoys():
     total = 0
     for _ in range(50):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
-        before = list(register.decoy_states)
+        before = [d.label for d in decoys_of(register)]
         hook_intercept_resend(Wave([register]), SampleSource([rng]))
-        for prior, label in zip(before, register.decoy_states):
+        for prior, label in zip(before, [d.label for d in decoys_of(register)]):
             total += 1
             if prior != label:
                 changed += 1
@@ -220,15 +230,38 @@ def test_intercept_resend_empirical_mismatch_rate():
     for _ in range(2000):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
         hook_intercept_resend(Wave([register]), SampleSource([rng]))
-        for idx, meta in enumerate(register.decoy_meta):
+        for meta in decoys_of(register):
             measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-            state = qsim.init_product([DECOY_KETS[register.decoy_states[idx]]])
+            state = qsim.init_product([DECOY_KETS[meta.label]])
             bit, _ = measure(state, 0, rng.random())
             checked += 1
             mismatches += int(bit != meta.prepared)
     rate = mismatches / checked
     sigma = np.sqrt(0.25 * 0.75 / checked)
     assert abs(rate - 0.25) < 5 * sigma
+
+
+def test_intercepted_decoys_are_checked_from_the_labels_eve_left():
+    # Eve measures the records in their slots; S1/S2 then read each one's
+    # ``measured`` from the label she left on that very record.
+    rng = np.random.default_rng(8)
+    disturbed = 0
+    for _ in range(50):
+        register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
+        records = decoys_of(register)
+        hook_intercept_resend(Wave([register]), SampleSource([rng]))
+        assert [id(d) for d in decoys_of(register)] == [id(d) for d in records]
+        left = [d.label for d in records]
+        disturbed += sum(label != 2 * (d.basis is Basis.X) + d.prepared
+                         for d, label in zip(records, left))
+        twin = copy.deepcopy(rng)
+        for seq, owner in ((register.alice_seq, Role.ALICE), (register.bob_seq, Role.BOB)):
+            s_check(seq, [d for d in records if d.owner is owner], 0.0, rng)
+        for d, label in zip(records, left):
+            measure = qsim.measure_z if d.basis is Basis.Z else qsim.measure_x
+            bit, _ = measure(qsim.init_product([DECOY_KETS[label]]), 0, twin.random())
+            assert d.measured == bit
+    assert disturbed
 
 
 @pytest.mark.parametrize("decoys,expected", [(1, 0.4375), (2, 0.68359375)])

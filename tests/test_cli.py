@@ -86,6 +86,15 @@ def test_unknown_key_is_reported_with_line(tmp_path):
     assert ":2" in message
 
 
+def test_byte_order_mark_is_skipped_only_at_the_start(tmp_path):
+    text = "rounds = 2\nsamples = 5\n"
+    plain = load_config(write_config(tmp_path, text))
+    assert load_config(write_config(tmp_path, "\ufeff" + text, "bom.cfg")) == plain
+    path = write_config(tmp_path, "rounds = 2\n\ufeffsamples = 5\n", "late.cfg")
+    with pytest.raises(ConfigError, match=r"late\.cfg:2: unknown key '\\ufeffsamples'"):
+        load_config(path)
+
+
 def test_duplicate_key_is_an_error(tmp_path):
     path = write_config(tmp_path, "rounds = 2\nrounds = 3\n")
     with pytest.raises(ConfigError) as excinfo:

@@ -373,9 +373,8 @@ def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
                 exact_transcript_distribution(strategy, key, direction)
     assert len(rows) == 16  # one per distribution, not one per leaf
     for row in rows:
-        assert row.decoy_states == [] and row.decoy_meta == []
-        assert row.alice_seq == [("q", protocol.A1), ("q", protocol.A2)]
-        assert row.bob_seq == [("q", protocol.B1), ("q", protocol.B2)]
+        assert row.alice_seq == [protocol.A1, protocol.A2]
+        assert row.bob_seq == [protocol.B1, protocol.B2]
 
 
 class RecordedSource:

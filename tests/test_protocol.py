@@ -22,7 +22,6 @@ from qauthsim.protocol import (
     PhaseId,
     ProtocolConfig,
     Role,
-    RoundRegister,
     SampleSource,
     Wave,
     _measure_decoy,
@@ -46,6 +45,11 @@ def fresh_register(decoys=0, seed=0):
     config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
     rng = np.random.default_rng(seed) if decoys else None
     return p1_prepare(config, rng)
+
+
+def decoys_of(*sequences):
+    """The decoy records in the sequences' slots, in slot order."""
+    return [slot for seq in sequences for slot in seq if isinstance(slot, DecoyRecord)]
 
 
 def decoy_state(label):
@@ -96,10 +100,8 @@ def test_p1_without_decoys_builds_double_triple():
     register = fresh_register()
     state = Wave([register]).state
     assert state.n_qubits == PROTOCOL_QUBITS
-    assert register.decoy_states == []
-    assert register.decoy_meta == []
-    assert register.alice_seq == [("q", A1), ("q", A2)]
-    assert register.bob_seq == [("q", B1), ("q", B2)]
+    assert register.alice_seq == [A1, A2]
+    assert register.bob_seq == [B1, B2]
     # Independent reconstruction: the three-qubit resource state has
     # amplitude 1/2 on 001, 010, 100, 111; the register holds two copies.
     triple = np.zeros(8, dtype=complex)
@@ -110,9 +112,8 @@ def test_p1_without_decoys_builds_double_triple():
 
 def test_p1_decoy_structure():
     register = fresh_register(decoys=2, seed=5)
-    assert len(register.decoy_meta) == 4
-    assert len(register.decoy_states) == 4
-    owners = [m.owner for m in register.decoy_meta]
+    assert len(decoys_of(register.alice_seq, register.bob_seq)) == 4
+    owners = [m.owner for m in decoys_of(register.alice_seq, register.bob_seq)]
     assert owners.count(Role.ALICE) == 2
     assert owners.count(Role.BOB) == 2
     for seq, owner, qubits in (
@@ -120,15 +121,14 @@ def test_p1_decoy_structure():
         (register.bob_seq, Role.BOB, (B1, B2)),
     ):
         assert len(seq) == 4
-        sent_qubits = [payload for kind, payload in seq if kind == "q"]
+        sent_qubits = [slot for slot in seq if not isinstance(slot, DecoyRecord)]
         assert sent_qubits == list(qubits)
-        for pos, (kind, payload) in enumerate(seq):
-            if kind == "d":
-                meta = register.decoy_meta[payload]
+        for pos, meta in enumerate(seq):
+            if isinstance(meta, DecoyRecord):
                 assert meta.owner is owner
                 assert meta.position == pos
                 assert meta.measured is None
-                label = register.decoy_states[payload]
+                label = meta.label
                 assert label == 2 * (meta.basis is Basis.X) + meta.prepared
                 expected = reference.KET[
                     {
@@ -142,21 +142,24 @@ def test_p1_decoy_structure():
 
 
 @pytest.mark.parametrize("decoys", [1, 2, 5, 16])
-def test_p1_decoy_index_layout(decoys):
-    # run_protocol checks Alice's decoys as [0, d) and Bob's as [d, 2d).
+def test_p1_decoy_slot_layout(decoys):
+    # Each sequence carries its owner's two protocol qubits in order and d
+    # decoy records, each in the slot its position names.
     rng = np.random.default_rng(decoys)
     for _ in range(20):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=decoys), rng)
-        for owner, seq, indices in (
-            (Role.ALICE, register.alice_seq, range(decoys)),
-            (Role.BOB, register.bob_seq, range(decoys, 2 * decoys)),
+        for owner, seq, qubits in (
+            (Role.ALICE, register.alice_seq, [A1, A2]),
+            (Role.BOB, register.bob_seq, [B1, B2]),
         ):
-            metas = [register.decoy_meta[i] for i in indices]
+            assert len(seq) == decoys + 2
+            assert [slot for slot in seq if type(slot) is int] == qubits
+            metas = decoys_of(seq)
+            assert len(metas) == decoys
             assert all(m.owner is owner for m in metas)
             positions = [m.position for m in metas]
             assert positions == sorted(set(positions))
-            assert [seq[m.position] for m in metas] == [("d", i) for i in indices]
-        assert len(register.decoy_meta) == 2 * decoys
+            assert all(seq[m.position] is m for m in metas)
 
 
 def test_p1_is_deterministic_per_stream():
@@ -164,7 +167,6 @@ def test_p1_is_deterministic_per_stream():
     second = p1_prepare(ProtocolConfig(decoys_per_sequence=3), np.random.default_rng(11))
     assert first.alice_seq == second.alice_seq
     assert first.bob_seq == second.bob_seq
-    assert first.decoy_meta == second.decoy_meta
 
 
 def test_p1_decoy_positions_cover_all_slots():
@@ -172,7 +174,7 @@ def test_p1_decoy_positions_cover_all_slots():
     rng = np.random.default_rng(23)
     for _ in range(200):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
-        for meta in register.decoy_meta:
+        for meta in decoys_of(register.alice_seq, register.bob_seq):
             seen.add((meta.owner, meta.position, meta.basis, meta.prepared))
     # 1 decoy in 3 slots, 2 bases, 2 bits, both owners: all 24 combinations.
     assert len(seen) == 24
@@ -212,11 +214,11 @@ def test_p2_honest_returns_none_and_leaves_state_alone():
     register = fresh_register(decoys=2, seed=1)
     wave = Wave([register])
     before = wave.state.amps.copy()
-    decoys = list(register.decoy_states)
+    decoys = [d.label for d in decoys_of(register.alice_seq, register.bob_seq)]
     source = SampleSource([np.random.default_rng(0)])
     assert p2_transmit(wave, StrategyId.HONEST, source) is None
     assert np.array_equal(wave.state.amps, before)
-    assert register.decoy_states == decoys
+    assert [d.label for d in decoys_of(register.alice_seq, register.bob_seq)] == decoys
 
 
 def test_p2_premeasure_returns_eve_state():
@@ -252,27 +254,67 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
 
     def counted(wave, *args):
         (register,) = wave.rows  # run_protocol is a batch of one run
-        assert all(meta.measured is None for meta in register.decoy_meta)
-        calls.append(register)
+        decoys = decoys_of(register.alice_seq, register.bob_seq)
+        assert all(meta.measured is None for meta in decoys)
+        calls.append(decoys)
         return original(wave, *args)
 
     monkeypatch.setattr(protocol, "p2_transmit", counted)
     transcript, _, _ = run_protocol(config, [PauliLabel.X] * 4, strategy)
     assert len(calls) == len(transcript.rounds)
-    assert [r.decoys for r in transcript.rounds] == [reg.decoy_meta for reg in calls]
+    assert [r.decoys for r in transcript.rounds] == calls
+
+
+@pytest.mark.parametrize("strategy", list(StrategyId))
+def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy):
+    # Every RoundRecord.decoys entry is the very record in its slot of its
+    # row's sequences, Alice's then Bob's in rising position, aborted rounds
+    # included.
+    rows = []
+    original = protocol.p1_prepare
+
+    def recorded(config, rng):
+        rows.append(original(config, rng))
+        return rows[-1]
+
+    monkeypatch.setattr(protocol, "p1_prepare", recorded)
+    config = ProtocolConfig(rounds=4, decoys_per_sequence=3, seed=2)
+    runs = run_batch(config, [5, 6, 7, 8], [[PauliLabel.Z] * 4] * 4, strategy)
+    records = [rec for transcript, _, _ in runs for rec in transcript.rounds]
+    assert len(records) == len(rows)
+    home = {id(d): row for row in rows for d in decoys_of(row.alice_seq, row.bob_seq)}
+    seen = set()
+    for rec in records:
+        row = home[id(rec.decoys[0])]
+        seen.add(id(row))
+        expected = decoys_of(row.alice_seq, row.bob_seq)
+        assert [id(d) for d in rec.decoys] == [id(d) for d in expected]
+        for d in rec.decoys:
+            seq = row.alice_seq if d.owner is Role.ALICE else row.bob_seq
+            assert seq[d.position] is d
+    assert len(seen) == len(rows)
 
 
 # ---------------------------------------------------------------------------
 # S1/S2: decoy checks
 
 
+def check_both(register, threshold, rng):
+    """S1 then S2 on every decoy of the register: (total mismatches, both pass)."""
+    results = [
+        s_check(seq, decoys_of(seq), threshold, rng)
+        for seq in (register.alice_seq, register.bob_seq)
+    ]
+    return sum(m for m, _ in results), all(ok for _, ok in results)
+
+
 def test_s_check_honest_run_sees_no_errors():
     rng = np.random.default_rng(3)
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
-    mismatches, ok = s_check(register, range(len(register.decoy_meta)), 0.0, rng)
+    mismatches, ok = check_both(register, 0.0, rng)
     assert mismatches == 0
     assert ok
-    for meta in register.decoy_meta:
+    for meta in decoys_of(register.alice_seq, register.bob_seq):
         assert meta.measured == meta.prepared
 
 
@@ -281,62 +323,74 @@ def test_s_check_flags_tampered_decoys():
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
     # Flip every decoy to the orthogonal state of its own basis (the label's
     # bit).  Every check must then fail.
-    for idx in range(len(register.decoy_meta)):
-        register.decoy_states[idx] ^= 1
-    mismatches, ok = s_check(register, range(len(register.decoy_meta)), 0.0, rng)
-    assert mismatches == len(register.decoy_meta) == 4
+    decoys = decoys_of(register.alice_seq, register.bob_seq)
+    for meta in decoys:
+        meta.label ^= 1
+    mismatches, ok = check_both(register, 0.0, rng)
+    assert mismatches == len(decoys) == 4
     assert not ok
 
 
 def test_s_check_threshold_tolerates_partial_errors():
     rng = np.random.default_rng(5)
-    register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
-    register.decoy_states[0] ^= 1
-    mismatches, ok = s_check(register, range(4), 0.25, rng)
+    register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
+    seq = register.alice_seq
+    decoys = decoys_of(seq)
+    decoys[0].label ^= 1
+    mismatches, ok = s_check(seq, decoys, 0.25, rng)
     assert mismatches == 1
     assert ok
-    # Checking in its own basis leaves decoy 0 flipped: the same single
-    # mismatch in 4 fails just below a 1/4 threshold.
-    assert s_check(register, range(4), np.nextafter(0.25, 0.0), rng) == (1, False)
-    mismatches, strict = s_check(fresh_register(decoys=2, seed=5), [0], 0.0, rng)
+    # Checking in its own basis leaves the first decoy flipped: the same
+    # single mismatch in 4 fails just below a 1/4 threshold.
+    assert s_check(seq, decoys, np.nextafter(0.25, 0.0), rng) == (1, False)
+    other = fresh_register(decoys=2, seed=5).alice_seq
+    mismatches, strict = s_check(other, decoys_of(other)[:1], 0.0, rng)
     assert mismatches == 0
     assert strict
 
 
 def test_s_check_empty_announcement_passes():
     register = fresh_register()
-    mismatches, ok = s_check(register, [], 0.0, np.random.default_rng(0))
+    mismatches, ok = s_check(register.alice_seq, [], 0.0, np.random.default_rng(0))
     assert mismatches == 0
     assert ok
 
 
-def test_s_check_rejects_unknown_index():
+def test_s_check_rejects_a_record_not_in_this_sequence():
     register = fresh_register(decoys=1, seed=0)
+    [alice], [bob] = decoys_of(register.alice_seq), decoys_of(register.bob_seq)
     with pytest.raises(ValueError):
-        s_check(register, [99], 0.0, np.random.default_rng(0))
-    # Indices are validated before any decoy is measured or any draw taken.
+        s_check(register.alice_seq, [bob], 0.0, np.random.default_rng(0))
+    # Records are checked before any decoy is measured or any draw taken:
+    # Bob's record, an equal copy of Alice's, and one past the sequence's end.
     rng = np.random.default_rng(1)
     before = rng.bit_generator.state
-    with pytest.raises(ValueError):
-        s_check(register, [0, 99], 0.0, rng)
+    for stray in (bob, replace(alice), replace(alice, position=99)):
+        with pytest.raises(ValueError):
+            s_check(register.alice_seq, [alice, stray], 0.0, rng)
     assert rng.bit_generator.state == before
-    assert register.decoy_meta[0].measured is None
+    assert alice.measured is None
 
 
-@pytest.mark.parametrize("announced", [[], [3], [5, 0, 7], range(8)])
+@pytest.mark.parametrize(
+    "announced",
+    [("alice_seq", []), ("alice_seq", [3]), ("bob_seq", [1, 0, 3]), ("bob_seq", range(4))],
+)
 def test_s_check_draws_once_per_announced_decoy(announced):
+    side, indices = announced
     config = ProtocolConfig(decoys_per_sequence=4)
     rng, twin = np.random.default_rng(31), np.random.default_rng(31)
     register = p1_prepare(config, rng)
     untouched = p1_prepare(config, twin)
-    s_check(register, announced, 0.0, rng)
+    seq = getattr(register, side)
+    s_check(seq, [decoys_of(seq)[i] for i in indices], 0.0, rng)
     # The batched draw is the stream of one scalar draw per decoy, in
     # announcement order, and the bits are those the kernels give for it.
-    for idx in announced:
-        meta = untouched.decoy_meta[idx]
+    for idx in indices:
+        meta = decoys_of(getattr(untouched, side))[idx]
         measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-        bit, _ = measure(decoy_state(untouched.decoy_states[idx]), 0, twin.random())
-        assert register.decoy_meta[idx].measured == bit
+        bit, _ = measure(decoy_state(meta.label), 0, twin.random())
+        assert decoys_of(seq)[idx].measured == bit
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -357,9 +411,8 @@ DRAWS = [
 PREPARED = [(Basis.Z, 0), (Basis.Z, 1), (Basis.X, 0), (Basis.X, 1)]
 
 
-def decoy_register(label):
-    meta = DecoyRecord(Role.ALICE, 0, Basis.Z, 0)
-    return RoundRegister([label], [meta], [("d", 0)], [])
+def decoy_record(label):
+    return DecoyRecord(Role.ALICE, 0, Basis.Z, 0, label)
 
 
 def refuse_kernels(monkeypatch):
@@ -380,12 +433,12 @@ def test_template_table_matches_the_kernel(monkeypatch, key, basis):
     refuse_kernels(monkeypatch)
     coin = int(basis is Basis.X)
     for draw, (bit, post) in zip(DRAWS, expected):
-        register = decoy_register(label)
-        assert _measure_decoy(register, 0, coin, draw) == bit
-        assert register.decoy_states[0] == 2 * coin + bit
-        assert qsim.same_state(decoy_state(register.decoy_states[0]), post)
+        decoy = decoy_record(label)
+        assert _measure_decoy(decoy, coin, draw) == bit
+        assert decoy.label == 2 * coin + bit
+        assert qsim.same_state(decoy_state(decoy.label), post)
     with pytest.raises(ValueError):
-        _measure_decoy(decoy_register(label), 0, coin, 1.0)
+        _measure_decoy(decoy_record(label), coin, 1.0)
 
 
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
@@ -398,12 +451,12 @@ def test_intercepted_decoy_matches_the_kernel(basis):
         check_coin = int(prepared is Basis.X)
         for first in DRAWS:
             bit, state = KERNELS[basis](decoy_state(label), 0, first)
-            register = decoy_register(label)
-            assert _measure_decoy(register, 0, coin, first) == bit
+            decoy = decoy_record(label)
+            assert _measure_decoy(decoy, coin, first) == bit
             for second in DRAWS:
                 checked, _ = KERNELS[prepared](state, 0, second)
-                replay = decoy_register(register.decoy_states[0])
-                assert _measure_decoy(replay, 0, check_coin, second) == checked
+                replay = decoy_record(decoy.label)
+                assert _measure_decoy(replay, check_coin, second) == checked
 
 
 # ---------------------------------------------------------------------------
