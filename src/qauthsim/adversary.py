@@ -32,22 +32,14 @@ class EveState:
     """Charlie's early outcomes for one round of one run.
 
     The swap constraint m_pre XOR b_pre = (0, c1 XOR c2) holds for every
-    branch.
+    branch.  He announces ``c_pre`` verbatim in E3: the C qubits collapsed
+    when he first measured them, so a fresh honest measurement would return
+    the same bits anyway.
     """
 
     c_pre: tuple
     m_pre: BellLabel
     b_pre: BellLabel
-
-
-@dataclass
-class AdversaryReport:
-    """Per-run summary: one EveState and one inferred key per round (None
-    where the strategy records nothing)."""
-
-    strategy: StrategyId
-    eve_states: list
-    inferred_keys: list
 
 
 def hook_premeasure(wave: Wave, source, order=("c", "a", "b")) -> list:
@@ -73,17 +65,6 @@ def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE)
         raise ValueError("no early outcomes to infer from")
     reference = eve.m_pre if direction is Role.ALICE else eve.b_pre
     return PauliLabel((announced ^ reference).value)
-
-
-def forge_c(eve: EveState) -> tuple:
-    """Replay the early c outcomes verbatim.
-
-    The C qubits collapsed when they were first measured, so a fresh honest
-    measurement would return the same bits anyway.
-    """
-    if eve is None:
-        raise ValueError("no early outcomes to replay")
-    return eve.c_pre
 
 
 def hook_intercept_resend(wave: Wave, source) -> None:

@@ -11,8 +11,9 @@ through :func:`qauthsim.protocol.run_batch` and folds it into five integer
 tallies before drawing the next, so its memory depends on ``WAVE_SIZE`` and
 ``rounds``, not on ``samples``; an exact run enumerates each key's
 transcript distribution.
-Reports are deterministic: identical configs produce byte-identical files
-(reals at 12 significant digits, no timestamps).
+Reports are deterministic under one numpy version: identical configs
+produce byte-identical files (reals at 12 significant digits, no
+timestamps).
 
 Exit codes: 0 success, 2 configuration error, 3 report I/O error.
 """
@@ -203,14 +204,14 @@ def _sampled_results(config: RunConfig) -> list:
             seeds.append(int(master.integers(0, 2**63)))
             keys.append([alphabet[int(j)] for j in master.integers(0, 4, size=config.rounds)])
         runs = protocol.run_batch(config, seeds, keys, config.strategy)
-        for (transcript, _, report), run_keys in zip(runs, keys):
-            for record, guess, key in zip(transcript.rounds, report.inferred_keys, run_keys):
+        for transcript, run_keys in zip(runs, keys):
+            for record, key in zip(transcript.rounds, run_keys):
                 trials += 1
                 accepted += record.decision is Decision.ACCEPT
                 detected += record.decision is Decision.ABORT
-                if guess is not None:
+                if record.inferred_key is not None:
                     guesses += 1
-                    hits += guess is key
+                    hits += record.inferred_key is key
     rates = oracle.sampled_rates(trials, accepted, detected, guesses, hits)
     row = dict.fromkeys(_CSV_COLUMNS)
     row.update(

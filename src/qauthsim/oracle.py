@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from . import protocol, qsim
-from .adversary import StrategyId, forge_c
+from .adversary import StrategyId
 from .protocol import ProtocolConfig, Role
 from .qsim import Basis, BellLabel, PauliLabel
 
@@ -234,7 +234,7 @@ def exact_transcript_distribution(
         protocol.e1_encode(wave, [key], direction)
         [(a, b, c)] = protocol.e2_measure(wave, source, measure_order)
         if eves is not None:
-            c = forge_c(eves[0])
+            c = eves[0].c_pre
         return c, a, b
 
     cells = dict.fromkeys(_CELLS, 0.0)

@@ -167,24 +167,47 @@ class RoundRegister:
     bob_seq: list
 
 
+def _mismatch_rate(decoys: list) -> float:
+    """Share of the checked ``decoys`` whose outcome differs from P1's bit."""
+    mismatches = sum(d.measured != d.prepared for d in decoys)
+    return mismatches / len(decoys) if decoys else 0.0
+
+
 @dataclass
 class RoundRecord:
-    """Public announcements and outcome of a single round."""
+    """The one record of a round: its public announcements (None after an
+    abort), its checked decoys, its outcome, and what the center's strategy
+    recorded.
+
+    ``eve`` is the row's EveState under PreMeasure, aborted rounds included,
+    and None otherwise; ``inferred_key`` is the key the center read off the
+    announcement, None where the round aborted or ``eve`` is None.
+    """
 
     c: "tuple[int, int] | None"
     a: "BellLabel | None"
     b: "BellLabel | None"
-    decoy_error_rate: float
     decoys: list
     decision: Decision
     aborted_in: "PhaseId | None" = None
+    eve: "adversary.EveState | None" = None
+    inferred_key: "PauliLabel | None" = None
+
+    @property
+    def decoy_error_rate(self) -> float:
+        return _mismatch_rate(self.decoys)
 
 
 @dataclass
 class Transcript:
+    """A run's result: its round records in order, and its decision."""
+
     rounds: list
     decision: Decision
-    decoy_error_rate: float
+
+    @property
+    def decoy_error_rate(self) -> float:
+        return _mismatch_rate([d for record in self.rounds for d in record.decoys])
 
 
 # |G> x |G> over the six protocol qubits, read-only and shared by every
@@ -429,9 +452,8 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
     them, and a run that aborts leaves the waves after its abort.  Row r
     draws from its own stream seeded by (seeds[r], i), in the order its run
     alone would, so a run's result does not depend on the batch it is in.
-    Returns one (transcript, decision, adversary report) per run, in seed
-    order; a run's decision is Accept only if every decoy check passed and
-    every round verified.
+    Returns one Transcript per run, in seed order; a run's decision is
+    Accept only if every decoy check passed and every round verified.
     """
     if len(keys) != len(seeds):
         raise ValueError(f"got {len(keys)} key lists for {len(seeds)} seeds")
@@ -446,10 +468,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
 
     if not seeds:
         return []
-    d = config.decoys_per_sequence
-    runs = [(Transcript([], Decision.ACCEPT, 0.0), adversary.AdversaryReport(strategy, [], []))
-            for _ in seeds]
-    mismatched = [0] * len(seeds)
+    transcripts = [Transcript([], Decision.ACCEPT) for _ in seeds]
     live = list(range(len(seeds)))
 
     for i in range(config.rounds):
@@ -458,28 +477,22 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
         wave = Wave(rows)
         eves = p2_transmit(wave, strategy, SampleSource(rngs)) or [None] * len(rows)
 
-        kept, rates, decoys = [], [], []
+        kept, decoys = [], []
         for j, r in enumerate(live):
             row, rng = rows[j], rngs[j]
             alice = [slot for slot in row.alice_seq if type(slot) is DecoyRecord]
             bob = [slot for slot in row.bob_seq if type(slot) is DecoyRecord]
             decoys.append(alice + bob)
-            errors_a, ok_a = s_check(row.alice_seq, alice, config.decoy_error_threshold, rng)
-            errors_b, ok_b = s_check(row.bob_seq, bob, config.decoy_error_threshold, rng)
-            mismatched[r] += errors_a + errors_b
-            rate = (errors_a + errors_b) / (2 * d) if d else 0.0
-            transcript, report = runs[r]
-            report.eve_states.append(eves[j])
+            _, ok_a = s_check(row.alice_seq, alice, config.decoy_error_threshold, rng)
+            _, ok_b = s_check(row.bob_seq, bob, config.decoy_error_threshold, rng)
             if ok_a and ok_b:
                 kept.append(j)
-                rates.append(rate)
                 continue
             phase = PhaseId.S1 if not ok_a else PhaseId.S2
-            transcript.rounds.append(
-                RoundRecord(None, None, None, rate, decoys[j], Decision.ABORT, phase)
+            transcripts[r].rounds.append(
+                RoundRecord(None, None, None, decoys[j], Decision.ABORT, phase, eve=eves[j])
             )
-            transcript.decision = Decision.ABORT
-            report.inferred_keys.append(None)
+            transcripts[r].decision = Decision.ABORT
         if not kept:
             break
         if len(kept) < len(rows):  # so a batched state: one row has nothing to drop
@@ -499,32 +512,28 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
         round_keys = [keys[r][i] for r in live]
         e1_encode(wave, round_keys, config.direction)
         outcomes = e2_measure(wave, SampleSource(rngs))
-        for r, j, key, rate, (a, b, c) in zip(live, kept, round_keys, rates, outcomes):
-            eve, key_guess = eves[j], None
+        for r, j, key, (a, b, c) in zip(live, kept, round_keys, outcomes):
+            eve, guess = eves[j], None
             if eve is not None:
-                c = adversary.forge_c(eve)
+                c = eve.c_pre
                 announced = a if config.direction is Role.ALICE else b
-                key_guess = adversary.infer_key(eve, announced, config.direction)
+                guess = adversary.infer_key(eve, announced, config.direction)
             decision = e3_verify(a, b, c, key)
-            transcript, report = runs[r]
-            transcript.rounds.append(RoundRecord(c, a, b, rate, decoys[j], decision))
+            transcripts[r].rounds.append(
+                RoundRecord(c, a, b, decoys[j], decision, eve=eve, inferred_key=guess)
+            )
             if decision is Decision.REJECT:
-                transcript.decision = Decision.REJECT
-            report.inferred_keys.append(key_guess)
-
-    for (transcript, _), errors in zip(runs, mismatched):
-        checked = 2 * d * len(transcript.rounds)
-        transcript.decoy_error_rate = errors / checked if checked else 0.0
-    return [(transcript, transcript.decision, report) for transcript, report in runs]
+                transcripts[r].decision = Decision.REJECT
+    return transcripts
 
 
-def run_protocol(config: ProtocolConfig, keys, strategy):
+def run_protocol(config: ProtocolConfig, keys, strategy) -> Transcript:
     """Execute a full run: P1 through E3 for each round.
 
-    ``keys`` holds one PauliLabel per round.  Returns (transcript, decision,
-    adversary report).  This is :func:`run_batch` with one row, so round
-    ``i`` uses the rng stream seeded by (config.seed, i), and identical
-    inputs give identical transcripts.
+    ``keys`` holds one PauliLabel per round.  Returns the run's Transcript.
+    This is :func:`run_batch` with one row, so round ``i`` uses the rng
+    stream seeded by (config.seed, i), and identical inputs give identical
+    transcripts.
     """
     return run_batch(config, [config.seed], [keys], strategy)[0]
 

@@ -96,14 +96,14 @@ def test_criterion_2_key_recovery_is_certain():
         config = ProtocolConfig(
             rounds=100, decoys_per_sequence=1, seed=int(master.integers(0, 2**63))
         )
-        transcript, _, adv_report = run_protocol(config, keys, StrategyId.PRE_MEASURE)
-        for record, guess, key in zip(transcript.rounds, adv_report.inferred_keys, keys):
+        transcript = run_protocol(config, keys, StrategyId.PRE_MEASURE)
+        for record, key in zip(transcript.rounds, keys):
             trials += 1
             accepted += record.decision is Decision.ACCEPT
             detected += record.decision is Decision.ABORT
-            if guess is not None:
+            if record.inferred_key is not None:
                 guesses += 1
-                hits += guess is key
+                hits += record.inferred_key is key
     rates = sampled_rates(trials, accepted, detected, guesses, hits)
     sampled_ok = (
         rates.key_recovery is not None
@@ -129,9 +129,9 @@ def test_criterion_3_decoys_are_never_disturbed():
                 rounds=125, decoys_per_sequence=decoys, seed=1000 * decoys + run
             )
             keys = [PauliLabel.Z] * 125
-            transcript, decision, _ = run_protocol(config, keys, StrategyId.PRE_MEASURE)
+            transcript = run_protocol(config, keys, StrategyId.PRE_MEASURE)
             total_rounds += len(transcript.rounds)
-            clean = clean and decision is Decision.ACCEPT
+            clean = clean and transcript.decision is Decision.ACCEPT
             for record in transcript.rounds:
                 clean = clean and record.decoy_error_rate == 0.0
     ok = clean and total_rounds >= 10_000
@@ -207,8 +207,8 @@ def test_criterion_6_intercept_resend_is_detected():
     detected = 0
     for seed in range(trials):
         config = ProtocolConfig(rounds=1, decoys_per_sequence=1, seed=seed)
-        _, decision, _ = run_protocol(config, [PauliLabel.I], StrategyId.INTERCEPT_RESEND)
-        detected += decision is Decision.ABORT
+        transcript = run_protocol(config, [PauliLabel.I], StrategyId.INTERCEPT_RESEND)
+        detected += transcript.decision is Decision.ABORT
     elapsed = time.perf_counter() - start
     low, high = wilson_interval(detected, trials)
     ok = low <= 0.4375 <= high and elapsed < 30.0

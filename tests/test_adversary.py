@@ -15,7 +15,6 @@ from qauthsim import oracle, qsim
 from qauthsim.adversary import (
     EveState,
     StrategyId,
-    forge_c,
     hook_intercept_resend,
     hook_premeasure,
     infer_key,
@@ -150,13 +149,6 @@ def test_infer_key_requires_state():
         infer_key(None, BellLabel.PHI_PLUS)
 
 
-def test_forge_c_replays_the_premeasured_bits():
-    eve = EveState((1, 0), BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
-    assert forge_c(eve) == (1, 0)
-    with pytest.raises(ValueError):
-        forge_c(None)
-
-
 def test_premeasure_then_encode_recovers_every_key():
     rng = np.random.default_rng(4)
     for key in PauliLabel:
@@ -274,8 +266,8 @@ def test_intercept_resend_detection_rate(decoys, expected):
     detected = 0
     for seed in range(trials):
         config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
-        _, decision, _ = run_protocol(config, [PauliLabel.I], StrategyId.INTERCEPT_RESEND)
-        detected += decision is Decision.ABORT
+        transcript = run_protocol(config, [PauliLabel.I], StrategyId.INTERCEPT_RESEND)
+        detected += transcript.decision is Decision.ABORT
     rate = detected / trials
     sigma = np.sqrt(expected * (1 - expected) / trials)
     assert abs(rate - expected) < 5 * sigma

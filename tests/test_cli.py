@@ -307,8 +307,8 @@ def test_sampled_tallies_mark_aborts(monkeypatch):
         rounds=8, decoys_per_sequence=8, samples=1, strategy=StrategyId.INTERCEPT_RESEND
     )
     (row,) = build_report(config)["results"]
-    ((transcript, decision, _),) = runs
-    assert decision is Decision.ABORT
+    (transcript,) = runs
+    assert transcript.decision is Decision.ABORT
     assert transcript.rounds[-1].decision is Decision.ABORT
     executed = len(transcript.rounds)
     accepted = sum(r.decision is Decision.ACCEPT for r in transcript.rounds)
@@ -370,8 +370,9 @@ def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):
         seed = int(master.integers(0, 2**63))
         keys = [list(PauliLabel)[int(j)] for j in master.integers(0, 4, size=config.rounds)]
         run_config = ProtocolConfig(rounds=2, decoys_per_sequence=1, seed=seed)
-        transcript, _, report = protocol.run_protocol(run_config, keys, config.strategy)
-        for record, guess, key in zip(transcript.rounds, report.inferred_keys, keys):
+        transcript = protocol.run_protocol(run_config, keys, config.strategy)
+        for record, key in zip(transcript.rounds, keys):
+            guess = record.inferred_key
             expected[0] += 1
             expected[1] += record.decision is Decision.ACCEPT
             expected[2] += record.decision is Decision.ABORT

@@ -632,7 +632,7 @@ def test_sampled_rounds_match_exact_distribution():
     keys = [PauliLabel.I] * rounds_per_run
     for seed in range(total // rounds_per_run):
         config = ProtocolConfig(rounds=rounds_per_run, seed=seed)
-        transcript, _, _ = run_protocol(config, keys, StrategyId.HONEST)
+        transcript = run_protocol(config, keys, StrategyId.HONEST)
         for record in transcript.rounds:
             counts[(record.c, record.a, record.b)] += 1
     for cell, prob in exact.items():

@@ -1,5 +1,6 @@
 """Tests for the protocol state machine: phases P1 through E3 and full runs."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -260,7 +261,7 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
         return original(wave, *args)
 
     monkeypatch.setattr(protocol, "p2_transmit", counted)
-    transcript, _, _ = run_protocol(config, [PauliLabel.X] * 4, strategy)
+    transcript = run_protocol(config, [PauliLabel.X] * 4, strategy)
     assert len(calls) == len(transcript.rounds)
     assert [r.decoys for r in transcript.rounds] == calls
 
@@ -280,7 +281,7 @@ def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy)
     monkeypatch.setattr(protocol, "p1_prepare", recorded)
     config = ProtocolConfig(rounds=4, decoys_per_sequence=3, seed=2)
     runs = run_batch(config, [5, 6, 7, 8], [[PauliLabel.Z] * 4] * 4, strategy)
-    records = [rec for transcript, _, _ in runs for rec in transcript.rounds]
+    records = [rec for transcript in runs for rec in transcript.rounds]
     assert len(records) == len(rows)
     home = {id(d): row for row in rows for d in decoys_of(row.alice_seq, row.bob_seq)}
     seen = set()
@@ -561,8 +562,7 @@ def test_e3_accepts_every_honest_branch_for_the_true_key():
 def test_run_protocol_honest_accepts():
     config = ProtocolConfig(rounds=4, decoys_per_sequence=2, seed=8)
     keys = [PauliLabel.I, PauliLabel.X, PauliLabel.Z, PauliLabel.IY]
-    transcript, decision, report = run_protocol(config, keys, StrategyId.HONEST)
-    assert decision is Decision.ACCEPT
+    transcript = run_protocol(config, keys, StrategyId.HONEST)
     assert transcript.decision is Decision.ACCEPT
     assert transcript.decoy_error_rate == 0.0
     assert len(transcript.rounds) == 4
@@ -570,16 +570,14 @@ def test_run_protocol_honest_accepts():
         assert record.decision is Decision.ACCEPT
         assert record.decoy_error_rate == 0.0
         assert record.aborted_in is None
-    assert report.strategy is StrategyId.HONEST
-    assert report.eve_states == [None] * 4
-    assert report.inferred_keys == [None] * 4
+    assert [record.eve for record in transcript.rounds] == [None] * 4
+    assert [record.inferred_key for record in transcript.rounds] == [None] * 4
 
 
 def test_run_protocol_direction_bob():
     config = ProtocolConfig(rounds=3, decoys_per_sequence=1, direction=Role.BOB, seed=9)
     keys = [PauliLabel.Z] * 3
-    _, decision, _ = run_protocol(config, keys, StrategyId.HONEST)
-    assert decision is Decision.ACCEPT
+    assert run_protocol(config, keys, StrategyId.HONEST).decision is Decision.ACCEPT
 
 
 def test_run_protocol_is_deterministic():
@@ -587,16 +585,16 @@ def test_run_protocol_is_deterministic():
     keys = [PauliLabel.X] * 5
     first = run_protocol(config, keys, StrategyId.HONEST)
     second = run_protocol(config, keys, StrategyId.HONEST)
-    assert first[0] == second[0]
-    assert first[1] is second[1]
+    assert first == second
+    assert first.decision is second.decision
 
 
 def test_run_protocol_seed_changes_transcript():
     keys = [PauliLabel.X] * 5
     a = run_protocol(ProtocolConfig(rounds=5, seed=1), keys, StrategyId.HONEST)
     b = run_protocol(ProtocolConfig(rounds=5, seed=2), keys, StrategyId.HONEST)
-    records_a = [(r.c, r.a, r.b) for r in a[0].rounds]
-    records_b = [(r.c, r.a, r.b) for r in b[0].rounds]
+    records_a = [(r.c, r.a, r.b) for r in a.rounds]
+    records_b = [(r.c, r.a, r.b) for r in b.rounds]
     assert records_a != records_b
 
 
@@ -618,8 +616,8 @@ def test_run_protocol_aborts_on_intercept_resend():
     # (3/4)^16, so a handful of rounds all but guarantees an abort.
     config = ProtocolConfig(rounds=10, decoys_per_sequence=8, seed=12)
     keys = [PauliLabel.I] * 10
-    transcript, decision, _ = run_protocol(config, keys, StrategyId.INTERCEPT_RESEND)
-    assert decision is Decision.ABORT
+    transcript = run_protocol(config, keys, StrategyId.INTERCEPT_RESEND)
+    assert transcript.decision is Decision.ABORT
     assert len(transcript.rounds) < 10
     last = transcript.rounds[-1]
     assert last.decision is Decision.ABORT
@@ -632,32 +630,32 @@ def test_run_protocol_aborts_on_intercept_resend():
 def test_run_protocol_abort_stops_at_first_failed_round():
     config = ProtocolConfig(rounds=6, decoys_per_sequence=8, seed=13)
     keys = [PauliLabel.Z] * 6
-    transcript, decision, report = run_protocol(config, keys, StrategyId.INTERCEPT_RESEND)
-    assert decision is Decision.ABORT
+    transcript = run_protocol(config, keys, StrategyId.INTERCEPT_RESEND)
+    assert transcript.decision is Decision.ABORT
     aborted = [r for r in transcript.rounds if r.decision is Decision.ABORT]
     assert len(aborted) == 1
     assert transcript.rounds[-1] is aborted[0]
-    assert len(report.inferred_keys) == len(transcript.rounds)
+    assert aborted[0].inferred_key is None
 
 
 def test_run_protocol_premeasure_round_records():
     config = ProtocolConfig(rounds=4, decoys_per_sequence=2, seed=14)
     keys = [PauliLabel.IY, PauliLabel.I, PauliLabel.X, PauliLabel.Z]
-    transcript, decision, report = run_protocol(config, keys, StrategyId.PRE_MEASURE)
-    assert decision is Decision.ACCEPT
-    assert report.inferred_keys == keys
-    for record, eve in zip(transcript.rounds, report.eve_states):
+    transcript = run_protocol(config, keys, StrategyId.PRE_MEASURE)
+    assert transcript.decision is Decision.ACCEPT
+    assert [record.inferred_key for record in transcript.rounds] == keys
+    for record in transcript.rounds:
         assert record.decoy_error_rate == 0.0
-        assert record.c == eve.c_pre
+        assert record.c == record.eve.c_pre
 
 
 # ---------------------------------------------------------------------------
 # run_batch: waves of many runs
 
 
-def run_lines(transcript, decision, report):
+def run_lines(transcript):
     """A run as text, in the transcript-digest format plus the run's totals."""
-    lines = [f"decision={decision.value} rate={transcript.decoy_error_rate!r}"]
+    lines = [f"decision={transcript.decision.value} rate={transcript.decoy_error_rate!r}"]
     for i, rec in enumerate(transcript.rounds):
         decoys_text = ",".join(
             f"{d.owner.value[0]}{d.position}{d.basis.value}{d.prepared}{d.measured}"
@@ -665,8 +663,8 @@ def run_lines(transcript, decision, report):
         )
         lines.append(
             f"{i} {rec.decision.value} {rec.aborted_in} c={rec.c} a={rec.a} b={rec.b} "
-            f"rate={rec.decoy_error_rate!r} eve={report.eve_states[i]} "
-            f"guess={report.inferred_keys[i]} [{decoys_text}]"
+            f"rate={rec.decoy_error_rate!r} eve={rec.eve} "
+            f"guess={rec.inferred_key} [{decoys_text}]"
         )
     return lines
 
@@ -701,10 +699,10 @@ def test_run_batch_equals_one_run_at_a_time(strategy, rounds, decoys, threshold,
         run_protocol(replace(config, seed=seed), run_keys, strategy)
         for seed, run_keys in zip(seeds, keys)
     ]
-    assert [run_lines(*run) for run in batched] == [run_lines(*run) for run in alone]
+    assert [run_lines(run) for run in batched] == [run_lines(run) for run in alone]
     if strategy is StrategyId.INTERCEPT_RESEND and rounds > 1:
         # some row leaves the waves after round 1
-        assert any(d is Decision.ABORT and len(t.rounds) > 1 for t, d, _ in alone)
+        assert any(t.decision is Decision.ABORT and len(t.rounds) > 1 for t in alone)
 
 
 def test_run_batch_validates_every_run():
@@ -717,3 +715,50 @@ def test_run_batch_validates_every_run():
     with pytest.raises(ValueError):
         run_batch(config, [1, 2], [keys], StrategyId.HONEST)
     assert run_batch(config, [], [], StrategyId.HONEST) == []
+
+
+# sha256 over rate.hex() of every run's decoy_error_rate and then every one
+# of its rounds', one line per run, for run_batch of RATE_SEEDS at each
+# (rounds, decoys, threshold) shape and strategy.  Recorded when the rates
+# were stored fields that run_batch summed from s_check's mismatch counts.
+RATE_SHAPES = ((1, 1, 0.0), (4, 4, 0.5), (16, 16, 0.0))
+RATE_SEEDS = tuple(range(300, 312))
+RATES_DIGEST = "055b0993b6ae64703ebff250bad0c1b9146a048b25ddcf323af78a0ce258cfcf"
+
+
+def test_decoy_error_rates_match_recorded_digest():
+    alphabet = list(PauliLabel)
+    lines = []
+    for strategy in StrategyId:
+        for rounds, decoys, threshold in RATE_SHAPES:
+            config = ProtocolConfig(
+                rounds=rounds, decoys_per_sequence=decoys, decoy_error_threshold=threshold
+            )
+            keys = [
+                [alphabet[int(j)] for j in np.random.default_rng(seed).integers(0, 4, size=rounds)]
+                for seed in RATE_SEEDS
+            ]
+            for transcript in run_batch(config, list(RATE_SEEDS), keys, strategy):
+                rates = [transcript.decoy_error_rate] + [
+                    record.decoy_error_rate for record in transcript.rounds
+                ]
+                lines.append(" ".join(rate.hex() for rate in rates))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RATES_DIGEST
+
+
+@pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
+def test_round_records_carry_what_the_strategy_recorded(direction):
+    config = ProtocolConfig(rounds=4, decoys_per_sequence=2, direction=direction)
+    seeds = [21, 22, 23]
+    keys = [[PauliLabel.IY, PauliLabel.Z, PauliLabel.I, PauliLabel.X]] * 3
+    for transcript, run_keys in zip(
+        run_batch(config, seeds, keys, StrategyId.PRE_MEASURE), keys
+    ):
+        for record, key in zip(transcript.rounds, run_keys):
+            assert isinstance(record.eve, EveState)
+            assert record.c == record.eve.c_pre
+            assert record.inferred_key is key
+    for strategy in (StrategyId.HONEST, StrategyId.INTERCEPT_RESEND):
+        for transcript in run_batch(config, seeds, keys, strategy):
+            for record in transcript.rounds:
+                assert record.eve is None and record.inferred_key is None

@@ -44,8 +44,8 @@ def transcript_lines(strategy, rounds, decoys, direction, seed):
         direction=direction,
         seed=seed,
     )
-    transcript, decision, report = run_protocol(config, keys, strategy)
-    lines = [f"seed={seed} decision={decision.value}"]
+    transcript = run_protocol(config, keys, strategy)
+    lines = [f"seed={seed} decision={transcript.decision.value}"]
     for i, rec in enumerate(transcript.rounds):
         decoys_text = ",".join(
             f"{d.owner.value[0]}{d.position}{d.basis.value}{d.prepared}{d.measured}"
@@ -53,7 +53,7 @@ def transcript_lines(strategy, rounds, decoys, direction, seed):
         )
         lines.append(
             f"{i} {rec.decision.value} {rec.aborted_in} c={rec.c} "
-            f"a={rec.a} b={rec.b} guess={report.inferred_keys[i]} [{decoys_text}]"
+            f"a={rec.a} b={rec.b} guess={rec.inferred_key} [{decoys_text}]"
         )
     return lines
 
