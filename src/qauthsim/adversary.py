@@ -8,7 +8,8 @@ protocol qubit before anything is transmitted (Z on his own pair, Bell on
 each party's pair), leaves the decoys alone, and later replays his early c
 outcomes and XORs the party's announcement against his early Bell label to
 read off the round key.  :func:`hook_intercept_resend` is the detectable
-baseline: measure everything in transit, decoys included, in a random basis.
+baseline: measure everything in transit, decoys included, in a random basis,
+leaving the protocol qubits' coins and draws in ``in_transit``, one per row.
 """
 
 from __future__ import annotations
@@ -76,22 +77,22 @@ def hook_intercept_resend(wave: Wave, source) -> None:
     1 X) and uniform draw from the row's generator in ``source.rngs``.
     Each decoy record met is measured here, the way the S1/S2 checks
     measure it, by its eigenstate label's outcome table.  Every row meets
-    the protocol qubits in the same order (A1, A2, B1, B2); their
-    measurements go to the wave's ``in_transit`` list, one entry per qubit
-    for the whole wave.
+    the protocol qubits in the same order, ``protocol.TRANSIT`` (A1, A2,
+    B1, B2); each row's coins and draws for them go to the wave's
+    ``in_transit`` as one (coins, draws) pair, in row order.
     Charlie's own C qubits never travel, so they are left alone.
     """
-    coins: dict = {}
-    draws: dict = {}
+    wave.in_transit = []
     for row, rng in zip(wave.rows, source.rngs):
         total = len(row.alice_seq) + len(row.bob_seq)
         bases = rng.integers(0, 2, size=total).tolist()
         randomness = rng.random(size=total).tolist()
+        coins, draws = [], []
         slots = itertools.chain(row.alice_seq, row.bob_seq)
         for slot, coin, draw in zip(slots, bases, randomness):
             if type(slot) is DecoyRecord:
                 _measure_decoy(slot, coin, draw)
             else:
-                coins.setdefault(slot, []).append(coin)
-                draws.setdefault(slot, []).append(draw)
-    wave.in_transit = [(q, coins[q], draws[q]) for q in coins]
+                coins.append(coin)
+                draws.append(draw)
+        wave.in_transit.append((coins, draws))

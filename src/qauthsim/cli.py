@@ -311,9 +311,8 @@ def render_tables() -> str:
     ]
     for m in BellLabel:
         for n in BellLabel:
-            table = oracle.swap_table(m, n)
             lines.append(f"M={m} N={n}")
-            for (p, q), prob in table.joint.items():
+            for (p, q), prob in oracle.swap_table(m, n).items():
                 if prob > 1e-12:
                     lines.append(f"  P={p} Q={q}  {prob:.4f}")
     lines.append("")

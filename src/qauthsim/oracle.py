@@ -160,27 +160,16 @@ def outcome_distribution(state: qsim.StateVector, plan) -> dict:
     return dist
 
 
-@dataclass
-class SwapTable:
-    """Joint Bell-outcome distribution after swapping two Bell pairs.
-
-    ``inputs`` = (M on (A1, B1), N on (A2, B2)); ``joint`` maps every
-    (P on (A1, A2), Q on (B1, B2)) pair to its probability.
-    """
-
-    inputs: tuple
-    joint: dict
-
-
-def swap_table(m: BellLabel, n: BellLabel) -> SwapTable:
-    """Enumerate the swap of Bell pairs M and N from raw amplitudes."""
+def swap_table(m: BellLabel, n: BellLabel) -> dict:
+    """Enumerate the swap of Bell pairs M on (A1, B1) and N on (A2, B2)
+    from raw amplitudes: the joint distribution, mapping every (P on
+    (A1, A2), Q on (B1, B2)) pair to its probability."""
     state = qsim.init_product(["0"] * 4)  # layout A1=0, B1=1, A2=2, B2=3
     state = qsim.apply_cnot(qsim.apply_hadamard(state, 0), 0, 1)
     state = qsim.apply_cnot(qsim.apply_hadamard(state, 2), 2, 3)
     state = qsim.apply_pauli(state, 1, PauliLabel(m.value))
     state = qsim.apply_pauli(state, 3, PauliLabel(n.value))
-    joint = outcome_distribution(state, [((0, 2), Basis.BELL), ((1, 3), Basis.BELL)])
-    return SwapTable((m, n), joint)
+    return outcome_distribution(state, [((0, 2), Basis.BELL), ((1, 3), Basis.BELL)])
 
 
 def pauli_bell_map(p: PauliLabel, m: BellLabel) -> BellLabel:

@@ -19,7 +19,8 @@ its own generator, seeded by (run seed, i), in the order its run alone
 would draw, so a run's transcript does not depend on the batch it is in;
 :func:`run_protocol` is the batch of one, and the oracle drives a one-row
 wave.  P1 and the S1/S2 decoy checks stay per row, since they touch only
-that row's decoys and stream.
+that row's decoys and stream.  Per-row inputs (E1's keys, the draws, the
+``Wave.in_transit`` entries) are lists in row order, filtered as rows drop.
 
 A row's :class:`RoundRegister` holds only its two transmitted sequences,
 each slot a protocol qubit's index or the decoy itself, a
@@ -76,6 +77,7 @@ class Decision(Enum):
 # Layout of the joint register: round qubits in preparation order.
 C1, A1, B1, C2, A2, B2 = 0, 1, 2, 3, 4, 5
 PROTOCOL_QUBITS = 6
+TRANSIT = (A1, A2, B1, B2)  # the protocol qubits in transit, in sequence order
 
 
 # A decoy is stored as its eigenstate label 2 * basis coin + bit, with basis
@@ -221,19 +223,20 @@ _FRESH_STATE.amps.setflags(write=False)
 class Wave:
     """Round ``i`` of one or more runs, one row per run.
 
-    ``state`` stacks the rows' six-qubit states into one (B, 64) array (a
-    1-D array when B is 1), so each measurement of the round is one kernel
-    call for the whole wave.  It starts as the fresh state of P1 in every
-    row; a one-row wave holds ``_FRESH_STATE`` itself.  ``rows[r]`` is row
-    r's RoundRegister from P1: its sequences, whose decoys only that row's
-    own checks touch.
+    ``state`` stacks the rows' six-qubit states into one (B, 64) array, so
+    each measurement of the round is one kernel call for the whole wave.
+    It starts as the fresh state of P1 in every row; a one-row wave holds
+    ``_FRESH_STATE`` itself, 1-D, and a wave S1/S2 leave one row keeps its
+    (1, 64) batch.  ``rows[r]`` is row r's RoundRegister from P1: its
+    sequences, whose decoys only that row's own checks touch.
 
-    ``in_transit`` lists the measurements an adversary made on protocol
-    qubits in transit, one (qubit, per-row basis coins, per-row draws) per
-    qubit in the order made.  :func:`run_batch` applies them after S1/S2 to
-    the rows that passed: the checks read only decoys and an aborted row's
-    state is never read, so every outcome is the one applying them in P2
-    would give.
+    ``in_transit`` holds an adversary's measurements of protocol qubits in
+    transit (none if empty), one (basis coins, draws) pair of lists per row
+    in ``TRANSIT`` order: :func:`p1_prepare` puts a sequence's protocol
+    qubits in rising slots, so every row meets them in that order.
+    :func:`run_batch` applies them after S1/S2 to the rows that passed: the
+    checks read only decoys and an aborted row's state is never read, so
+    every outcome is the one applying them in P2 would give.
     """
 
     def __init__(self, rows: list):
@@ -496,18 +499,14 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
         if not kept:
             break
         if len(kept) < len(rows):  # so a batched state: one row has nothing to drop
-            # A single row stays 1-D: the kernels take it without a batch
-            # axis and skip the broadcasting a (1, 64) array would cost.
-            amps = wave.state.amps[kept]
-            wave.state = StateVector(PROTOCOL_QUBITS, amps[0] if len(kept) == 1 else amps)
-            wave.in_transit = [
-                (q, [coins[j] for j in kept], [draws[j] for j in kept])
-                for q, coins, draws in wave.in_transit
-            ]
+            wave.state = StateVector(PROTOCOL_QUBITS, wave.state.amps[kept])
+            wave.in_transit = [wave.in_transit[j] for j in kept] if wave.in_transit else []
             rngs = [rngs[j] for j in kept]
         live = [live[j] for j in kept]
-        for q, coins, draws in wave.in_transit:
-            wave.state = _measure_in_bases(wave.state, q, coins, draws)
+        if wave.in_transit:
+            coins, draws = zip(*wave.in_transit)  # per row, each in TRANSIT order
+            for q, q_coins, q_draws in zip(TRANSIT, zip(*coins), zip(*draws)):
+                wave.state = _measure_in_bases(wave.state, q, list(q_coins), list(q_draws))
 
         round_keys = [keys[r][i] for r in live]
         e1_encode(wave, round_keys, config.direction)

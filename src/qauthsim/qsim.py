@@ -8,22 +8,24 @@ instances rather than mutating their input.
 A state's amplitudes may carry a leading batch axis: shape (B, 2^n) holds
 B states of the same register, one per row, the way the protocol module
 holds round i of many sampled runs.  Pauli gates and measurements act on
-every row of a batch at once.
+every row of a batch at once; a Pauli gate, with one label or one per row,
+is one gather and one multiply through a cached per-qubit table of index
+permutations and signs, one row per label.
 
 Nothing in this module draws randomness.  The sampling ``measure_*``
-functions take a uniform draw from ``[0, 1)`` supplied by the caller, one
-per row of a batch, and return ``(outcome, post-state)`` with one outcome
-per row, the shape of the outcome-source interface the protocol module
-uses; exhaustive callers use the ``*_outcomes`` functions, which list every
-outcome of a single state as ``(outcome, probability, post-state)``.  Both
-go through one kernel per basis, written over the optional batch axis, so
-the exhaustive and the sampled results cannot drift apart, and a row of a
-batch gets the outcome its state would get measured alone.  Measurements
-never rotate the state: Z, X and Bell outcomes are the basis's projectors
-applied straight to the flat amplitude array through cached tables over a
-qubit tuple, a 0/1 mask per value of the XOR of those qubits' bits and the
-index permutation that flips them all (one qubit for Z and X, the pair for
-Bell).
+functions take a list of uniform draws from ``[0, 1)``, one per row (a 1-D
+state is one row), and return ``(outcomes, post-state)`` with one outcome
+per row in a list, the shape of the outcome-source interface the protocol
+module uses; exhaustive callers use the ``*_outcomes`` functions, which
+list every outcome of a single state as ``(outcome, probability,
+post-state)``.  Both go through one kernel per basis, written over the
+optional batch axis, so the exhaustive and the sampled results cannot drift
+apart, and a row of a batch gets the outcome its state would get measured
+alone.  Measurements never rotate the state: Z, X and Bell outcomes are the
+basis's projectors applied straight to the flat amplitude array through
+cached tables over a qubit tuple, a 0/1 mask per value of the XOR of those
+qubits' bits and the index permutation that flips them all (one qubit for Z
+and X, the pair for Bell).
 
 Bell states and Pauli operators both carry a two-bit ``(phase, parity)``
 label from one shared base, aligned so that applying a Pauli to one half of
@@ -200,13 +202,6 @@ def _masks(n: int, *qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _z_signs(n: int, q: int) -> np.ndarray:
-    signs = 1.0 - 2.0 * _masks(n, q)[1]
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
 def _flip_perm(n: int, *qubits: int) -> np.ndarray:
     """Permutation of flat indices that flips every one of the distinct
     ``qubits``."""
@@ -225,34 +220,18 @@ def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     return perm
 
 
-def _per_row(choices: list, image) -> np.ndarray:
-    """Every row's ``image(choice)`` for its own entry of ``choices``.
-
-    ``image`` maps a choice to an array covering every row; it is called
-    once per distinct choice, and a choice shared by every row returns its
-    image whole.
-    """
-    first = choices[0]
-    out = image(first)
-    if choices.count(first) == len(choices):
-        return out
-    for choice in dict.fromkeys(choices):
-        if choice != first:
-            rows = np.array([c == choice for c in choices])[:, None]
-            out = np.where(rows, image(choice), out)
-    return out
-
-
-def _pauli_image(amps: np.ndarray, n: int, q: int, label: PauliLabel) -> np.ndarray:
-    if label is PauliLabel.I:
-        return amps.copy()
-    if label is PauliLabel.X:
-        return _flip(amps, _flip_perm(n, q))
-    if label is PauliLabel.Z:
-        return amps * _z_signs(n, q)
-    if label is PauliLabel.IY:  # iY = Z@X
-        return _flip(amps, _flip_perm(n, q)) * _z_signs(n, q)
-    raise ValueError(f"expected a PauliLabel, got {label!r}")
+@lru_cache(maxsize=None)
+def _pauli_table(n: int, q: int) -> tuple:
+    """Row 2 * phase bit + parity bit of the Pauli: the permutation of flat
+    indices (the parity bit flips ``q``) and the signs (the phase bit
+    negates ``q`` = 1) that apply it to qubit ``q``; iY = Z@X."""
+    flip, ident, one = _flip_perm(n, q), np.arange(2**n), np.ones(2**n)
+    z = 1.0 - 2.0 * _masks(n, q)[1]
+    perms = np.stack([ident, flip, ident, flip])
+    signs = np.stack([one, one, z, z]).astype(np.complex128)  # as amps * signs would cast
+    perms.setflags(write=False)
+    signs.setflags(write=False)
+    return perms, signs
 
 
 def apply_pauli(state: StateVector, q: int, label) -> StateVector:
@@ -263,11 +242,22 @@ def apply_pauli(state: StateVector, q: int, label) -> StateVector:
     """
     _require_qubit(state, q)
     n, amps = state.n_qubits, state.amps
+    perms, signs = _pauli_table(n, q)
     if isinstance(label, PauliLabel):
-        return StateVector(n, _pauli_image(amps, n, q, label))
-    if not isinstance(label, list) or len(label) != (len(amps) if amps.ndim == 2 else 1):
+        k = 2 * label.phase_bit + label.parity_bit
+    elif (
+        isinstance(label, list)
+        and len(label) == (len(amps) if amps.ndim == 2 else 1)
+        and all(isinstance(lab, PauliLabel) for lab in label)
+    ):
+        k = [2 * lab.phase_bit + lab.parity_bit for lab in label]
+        if amps.ndim == 2:
+            k = np.array(k)
+            return StateVector(n, np.take_along_axis(amps, perms[k], axis=1) * signs[k])
+        (k,) = k  # a 1-D state is one row
+    else:
         raise ValueError(f"expected a PauliLabel or a list of one per row, got {label!r}")
-    return StateVector(n, _per_row(label, lambda lab: _pauli_image(amps, n, q, lab)))
+    return StateVector(n, _flip(amps, perms[k]) * signs[k])
 
 
 def apply_hadamard(state: StateVector, q: int) -> StateVector:
@@ -393,12 +383,13 @@ def _z_kernel(amps: np.ndarray, n: int, q: int):
     """Projectors |b><b| on qubit ``q``."""
     masks = _masks(n, q)
     weights = np.abs(amps) ** 2
-    totals, ones = _sums(weights), _dots(weights, masks[1])
+    totals = _sums(weights)
+    _check_measured_mass(totals)
+    ones = _dots(weights, masks[1])
 
     def project(bit, root):
         return amps * (masks[bit] / root)
 
-    _check_measured_mass(totals)
     probs = list(map(_z_probs, totals, ones)) if amps.ndim == 2 else _z_probs(totals, ones)
     return probs, project
 
@@ -413,13 +404,13 @@ def _x_kernel(amps: np.ndarray, n: int, q: int):
     With f = X_q amps, p(bit) = (<amps|amps> +- Re<amps|f>)/2 and the post
     state is (amps +- f)/2 over sqrt(p(bit)).
     """
+    _check_measured_mass(_sums(np.abs(amps) ** 2))
     flipped = _flip(amps, _flip_perm(n, q))
     norm2, cross = _overlaps(amps, amps), _overlaps(amps, flipped)
 
     def project(bit, root):
         return _plus_or_minus(amps, flipped, bit) * (0.5 / root)
 
-    _check_measured_mass(norm2)
     probs = list(map(_x_probs, norm2, cross)) if amps.ndim == 2 else _x_probs(norm2, cross)
     return probs, project
 
@@ -437,18 +428,18 @@ def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
     which keeps parity, p(phase, parity) = (W_parity +- C_parity)/2 where W
     and C sum |amps|^2 and Re(conj(amps) f) over that parity's indices.
     """
-    flipped = _flip(amps, _flip_perm(n, q1, q2))
     masks = _masks(n, q1, q2)
-    weights = _masked_sums(masks, np.abs(amps) ** 2)
+    squares = np.abs(amps) ** 2
+    _check_measured_mass(_sums(squares))
+    flipped = _flip(amps, _flip_perm(n, q1, q2))
+    weights = _masked_sums(masks, squares)
     cross = _masked_sums(masks, (amps.conj() * flipped).real)
 
     def project(i, root):  # BellLabel order: phase i >> 1, parity i & 1
         return _plus_or_minus(amps, flipped, i >> 1) * (masks[i & 1] * (0.5 / root))
 
     if amps.ndim == 2:
-        _check_measured_mass([w0 + w1 for w0, w1 in weights])
         return list(map(_bell_probs, weights, cross)), project
-    _check_measured_mass(weights[0] + weights[1])
     return _bell_probs(weights, cross), project
 
 
@@ -515,19 +506,17 @@ def bell_outcomes(state: StateVector, q1: int, q2: int) -> list:
 def _measure(state: StateVector, kernel, outcomes, qubits, randomness):
     """Select and project every row's outcome with one kernel call.
 
-    ``randomness`` is one draw, or a sequence of one draw per row (a 1-D
-    state is one row); the outcome comes back in the same form.
+    ``randomness`` is a list of one draw per row (a 1-D state is one row);
+    the outcomes come back as a list in the same order.
     """
     n = state.n_qubits
-    per_row = not isinstance(randomness, (int, float))
+    rows = len(state.amps) if state.amps.ndim == 2 else 1
+    if not isinstance(randomness, list) or len(randomness) != rows:
+        raise ValueError(f"a state of {rows} row(s) takes a list of one draw per row")
     probs, project = kernel(state.amps, n, *qubits)
     if state.amps.ndim == 1:
-        (draw,) = randomness if per_row else (randomness,)
-        i = _pick(probs, draw)
-        post = StateVector(n, project(i, math.sqrt(probs[i])))
-        return ([outcomes[i]] if per_row else outcomes[i]), post
-    if not per_row or len(randomness) != len(probs):
-        raise ValueError(f"a batch of {len(probs)} rows takes one draw per row")
+        i = _pick(probs, randomness[0])
+        return [outcomes[i]], StateVector(n, project(i, math.sqrt(probs[i])))
     picks = list(map(_pick, probs, randomness))
     roots = np.sqrt([[row[i]] for row, i in zip(probs, picks)])
     post = StateVector(n, project(np.array(picks), roots))

@@ -175,8 +175,8 @@ def test_criterion_5_tables_match_the_simulator():
     swap_ok = True
     for m in BellLabel:
         for n in BellLabel:
-            table = swap_table(m, n)
-            live = {pair: p for pair, p in table.joint.items() if p > 1e-12}
+            joint = swap_table(m, n)
+            live = {pair: p for pair, p in joint.items() if p > 1e-12}
             swap_ok = swap_ok and len(live) == 4
             target = (m.phase_bit ^ n.phase_bit, m.parity_bit ^ n.parity_bit)
             for (p, q), prob in live.items():

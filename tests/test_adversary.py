@@ -26,6 +26,7 @@ from qauthsim.protocol import (
     B2,
     C1,
     C2,
+    TRANSIT,
     DecoyRecord,
     ProtocolConfig,
     Role,
@@ -81,16 +82,16 @@ def test_premeasure_pins_every_later_measurement():
         (eve,) = hook_premeasure(wave, SampleSource([rng]))
         state = wave.state
         probs = {o: p for o, p, _ in qsim.bell_outcomes(state, A1, A2)}
-        label, state = qsim.measure_bell(state, A1, A2, rng.random())
+        (label,), state = qsim.measure_bell(state, A1, A2, [rng.random()])
         assert label is eve.m_pre
         assert probs[label] == pytest.approx(1.0)
         probs = {o: p for o, p, _ in qsim.bell_outcomes(state, B1, B2)}
-        label, state = qsim.measure_bell(state, B1, B2, rng.random())
+        (label,), state = qsim.measure_bell(state, B1, B2, [rng.random()])
         assert label is eve.b_pre
         assert probs[label] == pytest.approx(1.0)
         for qubit, expected in ((C1, eve.c_pre[0]), (C2, eve.c_pre[1])):
             probs = {o: p for o, p, _ in qsim.z_outcomes(state, qubit)}
-            bit, state = qsim.measure_z(state, qubit, rng.random())
+            (bit,), state = qsim.measure_z(state, qubit, [rng.random()])
             assert bit == expected
             assert probs[bit] == pytest.approx(1.0)
 
@@ -225,7 +226,7 @@ def test_intercept_resend_empirical_mismatch_rate():
         for meta in decoys_of(register):
             measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
             state = qsim.init_product([DECOY_KETS[meta.label]])
-            bit, _ = measure(state, 0, rng.random())
+            (bit,), _ = measure(state, 0, [rng.random()])
             checked += 1
             mismatches += int(bit != meta.prepared)
     rate = mismatches / checked
@@ -251,7 +252,7 @@ def test_intercepted_decoys_are_checked_from_the_labels_eve_left():
             s_check(seq, [d for d in records if d.owner is owner], 0.0, rng)
         for d, label in zip(records, left):
             measure = qsim.measure_z if d.basis is Basis.Z else qsim.measure_x
-            bit, _ = measure(qsim.init_product([DECOY_KETS[label]]), 0, twin.random())
+            (bit,), _ = measure(qsim.init_product([DECOY_KETS[label]]), 0, [twin.random()])
             assert d.measured == bit
     assert disturbed
 
@@ -281,8 +282,11 @@ def test_intercept_resend_still_forwards_protocol_qubits():
     register = fresh_register()
     wave = Wave([register])
     hook_intercept_resend(wave, SampleSource([rng]))
-    assert [q for q, _, _ in wave.in_transit] == [A1, A2, B1, B2]
+    [(coins, draws)] = wave.in_transit
+    assert [q for q in register.alice_seq + register.bob_seq if type(q) is int] == list(TRANSIT)
+    assert list(TRANSIT) == [A1, A2, B1, B2]
+    assert len(coins) == len(draws) == len(TRANSIT)
     state = wave.state
-    for q, coins, draws in wave.in_transit:
-        state = _measure_in_bases(state, q, coins, draws)
+    for q, coin, draw in zip(TRANSIT, coins, draws):
+        state = _measure_in_bases(state, q, [coin], [draw])
     assert state.norm() == pytest.approx(1.0)

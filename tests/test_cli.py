@@ -3,6 +3,7 @@ determinism, and exit codes."""
 
 import hashlib
 import json
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -421,6 +422,46 @@ def test_report_bytes_are_pinned():
         text = render_json(report) if fmt == "json" else render_csv(report)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert digests == [digest for _, _, digest in REPORT_PINS]
+
+
+# The benchmark's three report shapes, field for field as its workloads
+# write them: the first 12 configs of seeds 41 and 42 of each, 72 reports.
+# A config's seed is the next getrandbits(63) of random.Random("<shape>:<seed>").
+WORKLOAD_SHAPES = {
+    "premeasure-decoys": lambda i: dict(
+        strategy=StrategyId.PRE_MEASURE, rounds=16, decoys_per_sequence=16,
+        samples=3, direction=(Role.ALICE, Role.BOB)[i % 2],
+    ),
+    "intercept-short": lambda i: dict(
+        strategy=StrategyId.INTERCEPT_RESEND, rounds=1, decoys_per_sequence=1,
+        samples=160, direction=Role.ALICE,
+    ),
+    "exact-tv": lambda i: dict(
+        mode="exact",
+        strategy=(StrategyId.HONEST, StrategyId.PRE_MEASURE, StrategyId.PRE_MEASURE)[i % 3],
+        direction=(Role.ALICE, Role.ALICE, Role.BOB, Role.BOB, Role.ALICE, Role.BOB)[i % 6],
+    ),
+}
+# sha256 over the JSON then the CSV rendering of each shape's 24 reports;
+# recorded before per-row inputs were kept in row order.
+WORKLOAD_DIGESTS = {
+    "premeasure-decoys": "73d7a35626519246c79739abdbf4df98893680126c26588e1f0547b4957f1e54",
+    "intercept-short": "c8b6864e02a631671b8dbf41970ad7a0a98371480dd1f45121fc0f4ee5978acf",
+    "exact-tv": "ba1f546feff6fea80cb1ae624da4da729550f580749cb5ca492d1833cad3976f",
+}
+
+
+@pytest.mark.parametrize("shape", list(WORKLOAD_SHAPES))
+def test_workload_reports_are_pinned(shape):
+    digest = hashlib.sha256()
+    for run_seed in (41, 42):
+        rng = random.Random(f"{shape}:{run_seed}")
+        for i in range(12):
+            fields = WORKLOAD_SHAPES[shape](i)
+            report = build_report(RunConfig(seed=rng.getrandbits(63), **fields))
+            digest.update(render_json(report).encode())
+            digest.update(render_csv(report).encode())
+    assert digest.hexdigest() == WORKLOAD_DIGESTS[shape]
 
 
 def test_json_rendering_round_trips():

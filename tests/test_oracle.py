@@ -150,17 +150,16 @@ def test_branch_source_records_its_path():
 
 
 def test_swap_table_identity_inputs():
-    table = swap_table(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
-    assert table.inputs == (BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
-    live = {pair: p for pair, p in table.joint.items() if p > 1e-12}
+    joint = swap_table(BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)
+    live = {pair: p for pair, p in joint.items() if p > 1e-12}
     assert set(live) == {(label, label) for label in BellLabel}
     for prob in live.values():
         assert prob == pytest.approx(0.25, abs=1e-12)
 
 
 def test_swap_table_mixed_inputs():
-    table = swap_table(BellLabel.PSI_PLUS, BellLabel.PHI_PLUS)
-    live = {pair for pair, p in table.joint.items() if p > 1e-12}
+    joint = swap_table(BellLabel.PSI_PLUS, BellLabel.PHI_PLUS)
+    live = {pair for pair, p in joint.items() if p > 1e-12}
     assert live == {
         (p, q) for p in BellLabel for q in BellLabel
         if (p.phase_bit ^ q.phase_bit, p.parity_bit ^ q.parity_bit) == (0, 1)
@@ -174,7 +173,7 @@ def test_swap_table_joints_are_pinned():
         f"{m} {n} {p} {q} {v.hex()}"
         for m in BellLabel
         for n in BellLabel
-        for (p, q), v in swap_table(m, n).joint.items()
+        for (p, q), v in swap_table(m, n).items()
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "8870334805dd41c3319bfe67f42d65b01398f999ade0fcf1554d7696f4b57519"
@@ -224,10 +223,10 @@ def test_kernel_and_exact_distribution_arithmetic_is_pinned():
 def test_all_sixteen_swap_tables():
     for m in BellLabel:
         for n in BellLabel:
-            table = swap_table(m, n)
-            live = {pair: p for pair, p in table.joint.items() if p > 1e-12}
+            joint = swap_table(m, n)
+            live = {pair: p for pair, p in joint.items() if p > 1e-12}
             assert len(live) == 4
-            assert sum(table.joint.values()) == pytest.approx(1.0, abs=1e-12)
+            assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
             target = (m.phase_bit ^ n.phase_bit, m.parity_bit ^ n.parity_bit)
             for (p, q), prob in live.items():
                 assert abs(prob - 0.25) <= 1e-12

@@ -390,7 +390,7 @@ def test_s_check_draws_once_per_announced_decoy(announced):
     for idx in indices:
         meta = decoys_of(getattr(untouched, side))[idx]
         measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-        bit, _ = measure(decoy_state(meta.label), 0, twin.random())
+        (bit,), _ = measure(decoy_state(meta.label), 0, [twin.random()])
         assert decoys_of(seq)[idx].measured == bit
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -430,10 +430,10 @@ def test_template_table_matches_the_kernel(monkeypatch, key, basis):
     # Each prepared label, measured in Z or X, gives the bit the kernel gives
     # for the same draw and collapses to a label for the kernel's post-state.
     label = PREPARED.index(key)
-    expected = [KERNELS[basis](decoy_state(label), 0, draw) for draw in DRAWS]
+    expected = [KERNELS[basis](decoy_state(label), 0, [draw]) for draw in DRAWS]
     refuse_kernels(monkeypatch)
     coin = int(basis is Basis.X)
-    for draw, (bit, post) in zip(DRAWS, expected):
+    for draw, ((bit,), post) in zip(DRAWS, expected):
         decoy = decoy_record(label)
         assert _measure_decoy(decoy, coin, draw) == bit
         assert decoy.label == 2 * coin + bit
@@ -451,11 +451,11 @@ def test_intercepted_decoy_matches_the_kernel(basis):
     for label, (prepared, _) in enumerate(PREPARED):
         check_coin = int(prepared is Basis.X)
         for first in DRAWS:
-            bit, state = KERNELS[basis](decoy_state(label), 0, first)
+            (bit,), state = KERNELS[basis](decoy_state(label), 0, [first])
             decoy = decoy_record(label)
             assert _measure_decoy(decoy, coin, first) == bit
             for second in DRAWS:
-                checked, _ = KERNELS[prepared](state, 0, second)
+                (checked,), _ = KERNELS[prepared](state, 0, [second])
                 replay = decoy_record(decoy.label)
                 assert _measure_decoy(replay, check_coin, second) == checked
 
@@ -676,7 +676,7 @@ BATCH_CASES = [
         (1, 0, 0.0), (1, 1, 0.0), (4, 1, 0.5), (4, 4, 0.0), (4, 4, 0.5)
     )
     for direction in (Role.ALICE, Role.BOB)
-]
+] + [(StrategyId.INTERCEPT_RESEND, 12, 1, 0.0, Role.ALICE)]
 
 
 @pytest.mark.parametrize(
@@ -684,7 +684,9 @@ BATCH_CASES = [
     BATCH_CASES,
     ids=[f"{c[0].value}-{c[1]}x{c[2]}-t{c[3]}-{c[4].value}" for c in BATCH_CASES],
 )
-def test_run_batch_equals_one_run_at_a_time(strategy, rounds, decoys, threshold, direction):
+def test_run_batch_equals_one_run_at_a_time(
+    monkeypatch, strategy, rounds, decoys, threshold, direction
+):
     config = ProtocolConfig(
         rounds=rounds,
         decoys_per_sequence=decoys,
@@ -694,7 +696,15 @@ def test_run_batch_equals_one_run_at_a_time(strategy, rounds, decoys, threshold,
     rng = np.random.default_rng(rounds * 100 + decoys)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=12)]
     keys = [[list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rounds)] for _ in seeds]
+    shapes = []
+
+    def encode(wave, *args):
+        shapes.append(wave.state.amps.shape)
+        return e1_encode(wave, *args)
+
+    monkeypatch.setattr(protocol, "e1_encode", encode)
     batched = run_batch(config, seeds, keys, strategy)
+    monkeypatch.undo()
     alone = [
         run_protocol(replace(config, seed=seed), run_keys, strategy)
         for seed, run_keys in zip(seeds, keys)
@@ -703,6 +713,9 @@ def test_run_batch_equals_one_run_at_a_time(strategy, rounds, decoys, threshold,
     if strategy is StrategyId.INTERCEPT_RESEND and rounds > 1:
         # some row leaves the waves after round 1
         assert any(t.decision is Decision.ABORT and len(t.rounds) > 1 for t in alone)
+    if rounds == 12:
+        # some wave of several rows shrinks to one, which stays a batch
+        assert (1, 2**PROTOCOL_QUBITS) in shapes
 
 
 def test_run_batch_validates_every_run():

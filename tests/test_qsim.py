@@ -88,7 +88,7 @@ class TestGates:
             qsim.apply_pauli(zero, 0, PauliLabel.IY).amps, [0, -1]
         )
 
-    @pytest.mark.parametrize("label", ["X", BellLabel.PSI_PLUS, None])
+    @pytest.mark.parametrize("label", ["X", BellLabel.PSI_PLUS, None, [BellLabel.PSI_PLUS]])
     def test_pauli_rejects_anything_but_a_pauli_label(self, label):
         with pytest.raises(ValueError):
             qsim.apply_pauli(qsim.init_product(["0"]), 0, label)
@@ -159,22 +159,22 @@ class TestMeasureZ:
     def test_eigenstate_is_deterministic(self):
         one = qsim.init_product(["1"])
         for r in (0.0, 0.3, 0.999):
-            bit, post = qsim.measure_z(one, 0, r)
+            (bit,), post = qsim.measure_z(one, 0, [r])
             assert bit == 1
             assert outcome_probability(qsim.z_outcomes(one, 0), bit) == pytest.approx(1.0)
             assert qsim.same_state(post, one)
 
     def test_plus_splits_on_half(self):
         plus = qsim.init_product(["+"])
-        bit, _ = qsim.measure_z(plus, 0, 0.49)
+        (bit,), _ = qsim.measure_z(plus, 0, [0.49])
         assert bit == 0
         assert outcome_probability(qsim.z_outcomes(plus, 0), bit) == pytest.approx(0.5)
-        bit, _ = qsim.measure_z(plus, 0, 0.51)
+        (bit,), _ = qsim.measure_z(plus, 0, [0.51])
         assert bit == 1
 
     def test_ghz_center_zero_leaves_psi_plus(self):
         ghz = qsim.prepare_ghz_like(qsim.init_product(["0"] * 3), 0, 1, 2)
-        bit, post = qsim.measure_z(ghz, 0, 0.25)
+        (bit,), post = qsim.measure_z(ghz, 0, [0.25])
         assert bit == 0
         assert outcome_probability(qsim.z_outcomes(ghz, 0), bit) == pytest.approx(0.5)
         want = np.zeros(8, dtype=complex)
@@ -187,8 +187,8 @@ class TestMeasureZ:
         for _ in range(20):
             state = random_state(rng, 3)
             q = int(rng.integers(0, 3))
-            bit, post = qsim.measure_z(state, q, rng.random())
-            again, _ = qsim.measure_z(post, q, rng.random())
+            (bit,), post = qsim.measure_z(state, q, [rng.random()])
+            (again,), _ = qsim.measure_z(post, q, [rng.random()])
             assert again == bit
             p = outcome_probability(qsim.z_outcomes(post, q), again)
             assert p == pytest.approx(1.0, abs=1e-10)
@@ -196,31 +196,31 @@ class TestMeasureZ:
     def test_rejects_unnormalised_state(self):
         bad = qsim.StateVector(1, np.array([1.0, 1.0], dtype=complex))
         with pytest.raises(ValueError):
-            qsim.measure_z(bad, 0, 0.5)
+            qsim.measure_z(bad, 0, [0.5])
 
     def test_rejects_randomness_outside_unit_interval(self):
         state = qsim.init_product(["0"])
         with pytest.raises(ValueError):
-            qsim.measure_z(state, 0, 1.0)
+            qsim.measure_z(state, 0, [1.0])
         with pytest.raises(ValueError):
-            qsim.measure_z(state, 0, -0.1)
+            qsim.measure_z(state, 0, [-0.1])
 
 
 class TestMeasureX:
     def test_plus_is_eigenstate(self):
         plus = qsim.init_product(["+"])
-        bit, post = qsim.measure_x(plus, 0, 0.7)
+        (bit,), post = qsim.measure_x(plus, 0, [0.7])
         assert bit == 0
         assert outcome_probability(qsim.x_outcomes(plus, 0), bit) == pytest.approx(1.0)
         assert qsim.same_state(post, plus)
 
     def test_zero_splits_evenly(self):
         zero = qsim.init_product(["0"])
-        bit, post = qsim.measure_x(zero, 0, 0.2)
+        (bit,), post = qsim.measure_x(zero, 0, [0.2])
         assert bit == 0
         assert outcome_probability(qsim.x_outcomes(zero, 0), bit) == pytest.approx(0.5)
         assert qsim.same_state(post, qsim.init_product(["+"]))
-        bit, post = qsim.measure_x(zero, 0, 0.9)
+        (bit,), post = qsim.measure_x(zero, 0, [0.9])
         assert bit == 1
         assert qsim.same_state(post, qsim.init_product(["-"]))
 
@@ -229,7 +229,7 @@ class TestMeasureBell:
     def test_bell_pairs_are_eigenstates(self):
         for label in BellLabel:
             state = qsim.bell_pair(label)
-            got, post = qsim.measure_bell(state, 0, 1, 0.77)
+            (got,), post = qsim.measure_bell(state, 0, 1, [0.77])
             assert got is label
             assert outcome_probability(qsim.bell_outcomes(state, 0, 1), got) == pytest.approx(1.0)
             assert qsim.same_state(post, state)
@@ -237,16 +237,16 @@ class TestMeasureBell:
     def test_zero_zero_splits_between_phi_states(self):
         state = qsim.init_product(["0", "0"])
         outcomes = qsim.bell_outcomes(state, 0, 1)
-        label, _ = qsim.measure_bell(state, 0, 1, 0.25)
+        (label,), _ = qsim.measure_bell(state, 0, 1, [0.25])
         assert label is BellLabel.PHI_PLUS
         assert outcome_probability(outcomes, label) == pytest.approx(0.5)
-        label, _ = qsim.measure_bell(state, 0, 1, 0.75)
+        (label,), _ = qsim.measure_bell(state, 0, 1, [0.75])
         assert label is BellLabel.PHI_MINUS
         assert outcome_probability(outcomes, label) == pytest.approx(0.5)
 
     def test_pauli_x_shifts_psi_minus_to_phi_minus(self):
         state = qsim.apply_pauli(qsim.bell_pair(BellLabel.PSI_MINUS), 1, PauliLabel.X)
-        label, _ = qsim.measure_bell(state, 0, 1, 0.5)
+        (label,), _ = qsim.measure_bell(state, 0, 1, [0.5])
         assert label is BellLabel.PHI_MINUS
         assert outcome_probability(qsim.bell_outcomes(state, 0, 1), label) == pytest.approx(1.0)
 
@@ -254,7 +254,7 @@ class TestMeasureBell:
         for start, pauli in itertools.product(BellLabel, PauliLabel):
             for q in (0, 1):
                 state = qsim.apply_pauli(qsim.bell_pair(start), q, pauli)
-                label, _ = qsim.measure_bell(state, 0, 1, 0.5)
+                (label,), _ = qsim.measure_bell(state, 0, 1, [0.5])
                 assert label is start ^ pauli
                 p = outcome_probability(qsim.bell_outcomes(state, 0, 1), label)
                 assert p == pytest.approx(1.0)
@@ -262,7 +262,7 @@ class TestMeasureBell:
     def test_rejects_equal_indices(self):
         state = qsim.init_product(["0", "0"])
         with pytest.raises(ValueError):
-            qsim.measure_bell(state, 1, 1, 0.5)
+            qsim.measure_bell(state, 1, 1, [0.5])
 
 
 OUTCOMES = {Basis.Z: qsim.z_outcomes, Basis.X: qsim.x_outcomes, Basis.BELL: qsim.bell_outcomes}
@@ -312,7 +312,7 @@ class TestKernelsAgainstDenseProjectors:
             for outcome, proj in zip(outcomes, projectors):
                 projected = proj @ before
                 want_p = float(np.vdot(projected, projected).real)
-                got, post = MEASURE[basis](state, *qubits, acc + want_p / 2)
+                (got,), post = MEASURE[basis](state, *qubits, [acc + want_p / 2])
                 acc += want_p
                 assert got == outcome
                 p = outcome_probability(OUTCOMES[basis](state, *qubits), got)
@@ -334,7 +334,7 @@ class TestKernelsAgainstDenseProjectors:
             assert got[live][1] == pytest.approx(1.0, abs=1e-12)
             assert qsim.same_state(got[live][2], state)
             for r in (0.0, 0.5, 0.999999):
-                bit, post = MEASURE[basis](state, n - 1, r)
+                (bit,), post = MEASURE[basis](state, n - 1, [r])
                 assert bit == live
                 assert qsim.same_state(post, state)
         if n < 2:
@@ -345,7 +345,7 @@ class TestKernelsAgainstDenseProjectors:
             got = qsim.bell_outcomes(state, n - 2, n - 1)
             assert [post is None for _, _, post in got] == [m is not label for m in BellLabel]
             for r in (0.0, 0.5, 0.999999):
-                got_label, post = qsim.measure_bell(state, n - 2, n - 1, r)
+                (got_label,), post = qsim.measure_bell(state, n - 2, n - 1, [r])
                 assert got_label is label
                 assert qsim.same_state(post, state)
 
@@ -445,8 +445,8 @@ class TestPrepareGhz:
     def test_center_outcomes_select_bell_pair(self):
         state = qsim.prepare_ghz_like(qsim.init_product(["0"] * 3), 0, 1, 2)
         for bit, want in ((0, BellLabel.PSI_PLUS), (1, BellLabel.PHI_PLUS)):
-            _, post = qsim.measure_z(state, 0, 0.25 if bit == 0 else 0.75)
-            label, _ = qsim.measure_bell(post, 1, 2, 0.5)
+            _, post = qsim.measure_z(state, 0, [0.25 if bit == 0 else 0.75])
+            (label,), _ = qsim.measure_bell(post, 1, 2, [0.5])
             assert label is want
             assert outcome_probability(qsim.bell_outcomes(post, 1, 2), label) == pytest.approx(1.0)
 
@@ -508,7 +508,7 @@ class TestInvariants:
             state = random_state(rng, n)
             q = int(rng.integers(0, n))
             dist = oracle.outcome_distribution(state, [((q,), Basis.Z)])
-            bit, _ = qsim.measure_z(state, q, rng.random())
+            (bit,), _ = qsim.measure_z(state, q, [rng.random()])
             p = outcome_probability(qsim.z_outcomes(state, q), bit)
             assert p == pytest.approx(dist[(bit,)], abs=1e-10)
 
@@ -534,7 +534,7 @@ class TestInvariants:
                 acc += p
                 if post is not None and want is None and r < acc:
                     want = bit
-            got, _ = qsim.measure_z(state, 1, r)
+            (got,), _ = qsim.measure_z(state, 1, [r])
             assert got == want
 
     def test_same_state_is_phase_blind(self):
@@ -570,7 +570,7 @@ def test_batched_measurements_match_each_row_alone():
             outcomes, post = measure(qsim.StateVector(n, amps), *qubits, draws)
             assert post.amps.shape == amps.shape
             for row, draw, outcome, row_post in zip(amps, draws, outcomes, post.amps):
-                alone, alone_post = measure(qsim.StateVector(n, row.copy()), *qubits, draw)
+                (alone,), alone_post = measure(qsim.StateVector(n, row.copy()), *qubits, [draw])
                 assert outcome == alone
                 np.testing.assert_allclose(row_post, alone_post.amps, rtol=0, atol=1e-12)
 
@@ -586,14 +586,17 @@ def test_batched_measurement_refuses_one_unnormalised_row():
 OUTCOME_LISTS = [(qsim.z_outcomes, 1), (qsim.x_outcomes, 1), (qsim.bell_outcomes, 2)]
 
 
-def test_nan_mass_is_refused():
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nan_mass_is_refused(value):
     # NaN compares false to everything, so a bare "worst > tol" would let it
-    # through; every measurement must refuse it, on one state or in any row.
+    # through, and an infinite amplitude times a zero mask is NaN; every
+    # measurement must refuse both, on one state or in any row, before a
+    # reduction warns.
     bad = qsim.init_product(["+", "0", "-"]).amps.copy()
-    bad[3] = np.nan
+    bad[3] = value
     for measure, arity in BATCH_MEASURES:
         with pytest.raises(ValueError, match="refusing to measure"):
-            measure(qsim.StateVector(3, bad), *range(arity), 0.5)
+            measure(qsim.StateVector(3, bad), *range(arity), [0.5])
     for outcomes, arity in OUTCOME_LISTS:
         with pytest.raises(ValueError, match="refusing to measure"):
             outcomes(qsim.StateVector(3, bad), *range(arity))
@@ -614,6 +617,9 @@ def test_batched_measurement_takes_one_draw_per_row():
         qsim.measure_z(qsim.StateVector(2, amps), 0, 0.5)
     with pytest.raises(ValueError):
         qsim.measure_z(qsim.StateVector(2, amps), 0, [0.5, 1.0, 0.5])
+    for draws in (0.5, [0.5, 0.5], (0.5,)):
+        with pytest.raises(ValueError):
+            qsim.measure_z(qsim.StateVector(2, amps[0]), 0, draws)
 
 
 def test_pauli_takes_one_label_per_row():
