@@ -6,11 +6,11 @@ executes a sampled or exact experiment, writes a JSON or CSV report, and
 prints a one-line summary.  A :class:`RunConfig` is the ProtocolConfig
 its runs execute, plus the fields that pick the strategy, mode and report.
 A sampled run draws its runs' seeds and keys from the master stream one
-chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk in waves
-through :func:`qauthsim.protocol.run_batch` and folds it into five integer
-tallies before drawing the next, so its memory depends on ``WAVE_SIZE`` and
-``rounds``, not on ``samples``; an exact run enumerates each key's
-transcript distribution.
+chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk through
+:func:`qauthsim.protocol.run_batch`, in waves of at most ``WAVE_SIZE``
+(run, round) rows, and folds it into five integer tallies before drawing
+the next, so its memory depends on ``WAVE_SIZE`` and ``rounds``, not on
+``samples``; an exact run enumerates each key's transcript distribution.
 Reports are deterministic under one numpy version: identical configs
 produce byte-identical files (reals at 12 significant digits, no
 timestamps).
@@ -32,15 +32,8 @@ import numpy as np
 
 from . import __version__, oracle, protocol
 from .adversary import StrategyId
-from .protocol import Decision, FieldError, ProtocolConfig, Role, _is_number
+from .protocol import WAVE_SIZE, Decision, FieldError, ProtocolConfig, Role, _is_number
 from .qsim import BellLabel, PauliLabel
-
-
-# Runs per protocol.run_batch call in a sampled report.  Each round of a
-# batch is one kernel call per measurement over a (runs, 64) amplitude
-# array; at 64 runs that array is 64 KB, and the batch's transcripts are all
-# a report holds at once.
-WAVE_SIZE = 64
 
 
 class ConfigError(ValueError):

@@ -9,18 +9,20 @@ measures (E2), and the announcements are verified against the shared key
 :func:`p2_transmit` is the only code that turns a StrategyId into an attack,
 and the PreMeasure attack measures the parties with the same walk as E2.
 
-Every phase from P2 on takes one round type, a :class:`Wave`: round i of
-one or more runs, one row per run.  Its six-qubit states are the rows of
-one amplitude array, so each measurement of the round is one kernel call
-for the whole wave, and every outcome comes back as a list with one entry
-per row.  Sampled runs execute in waves (:func:`run_batch`): round i of
-every run of a batch that has not aborted is one wave.  Each row draws from
-its own generator, seeded by (run seed, i), in the order its run alone
-would draw, so a run's transcript does not depend on the batch it is in;
-:func:`run_protocol` is the batch of one, and the oracle drives a one-row
-wave.  P1 and the S1/S2 decoy checks stay per row, since they touch only
-that row's decoys and stream.  Per-row inputs (E1's keys, the draws, the
-``Wave.in_transit`` entries) are lists in row order, filtered as rows drop.
+Every phase from P2 on takes one round type, a :class:`Wave`: one or more
+rows, each one round of one run.  Its six-qubit states are the rows of one
+amplitude array, so each measurement is one kernel call for the whole
+wave, and every outcome comes back as a list with one entry per row.
+Sampled runs execute in waves of up to ``WAVE_SIZE`` rows (:func:`run_batch`):
+the next rounds of every run of a batch that has not aborted, as many per
+run as the batch's aborts so far suggest it will reach.  Round i of a run draws
+only from its own generator, seeded by (run seed, i), in the order its run
+alone would draw, so a run's transcript does not depend on the batch or
+wave it is in; :func:`run_protocol` is the batch of one, and the oracle
+drives a one-row wave.  P1 and the S1/S2 decoy checks stay per row,
+since they touch only that row's decoys and stream.  Per-row inputs (E1's
+keys, the draws, the ``Wave.in_transit`` entries) are lists in row order,
+filtered as rows drop.
 
 A row's :class:`RoundRegister` holds only its two transmitted sequences,
 each slot a protocol qubit's index or the decoy itself, a
@@ -220,23 +222,29 @@ _FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C2, A2, B2)
 _FRESH_STATE.amps.setflags(write=False)
 
 
+# Rows per wave in run_batch: each measurement of a wave is one kernel call
+# over a (rows, 64) amplitude array, which at 64 rows is 64 KB.
+WAVE_SIZE = 64
+
+
 class Wave:
-    """Round ``i`` of one or more runs, one row per run.
+    """One or more rows, each one round of one run.
 
     ``state`` stacks the rows' six-qubit states into one (B, 64) array, so
-    each measurement of the round is one kernel call for the whole wave.
+    each measurement is one kernel call for the whole wave.
     It starts as the fresh state of P1 in every row; a one-row wave holds
-    ``_FRESH_STATE`` itself, 1-D, and a wave S1/S2 leave one row keeps its
-    (1, 64) batch.  ``rows[r]`` is row r's RoundRegister from P1: its
-    sequences, whose decoys only that row's own checks touch.
+    ``_FRESH_STATE`` itself, 1-D, and a wave of several rows that
+    :func:`run_batch` cuts to one keeps its (1, 64) batch.  ``rows[r]`` is
+    row r's RoundRegister from P1: its sequences, whose decoys only that
+    row's own checks touch.
 
     ``in_transit`` holds an adversary's measurements of protocol qubits in
     transit (none if empty), one (basis coins, draws) pair of lists per row
     in ``TRANSIT`` order: :func:`p1_prepare` puts a sequence's protocol
     qubits in rising slots, so every row meets them in that order.
-    :func:`run_batch` applies them after S1/S2 to the rows that passed: the
-    checks read only decoys and an aborted row's state is never read, so
-    every outcome is the one applying them in P2 would give.
+    :func:`run_batch` applies them after S1/S2 to the rows it keeps: the
+    checks read only decoys and the state of an aborted or dropped row is
+    never read, so every outcome is the one applying them in P2 would give.
     """
 
     def __init__(self, rows: list):
@@ -307,8 +315,8 @@ def p2_transmit(wave: Wave, strategy, source, order=("c", "a", "b")):
     to their receivers over an ideal channel.
 
     This is the one place where a StrategyId becomes an attack.  It runs
-    once per round, before anything leaves Charlie's lab, with the whole
-    round in reach.  PreMeasure measures the six protocol qubits through
+    once per wave, so each round meets it once, before anything leaves
+    Charlie's lab.  PreMeasure measures the six protocol qubits through
     ``source`` with the parties in ``order`` and returns one EveState per
     row; InterceptResend measures every transmitted qubit with draws from
     the source's generators, its protocol-qubit measurements waiting in the
@@ -447,16 +455,22 @@ def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
 
 
 def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
-    """Execute one run of ``config`` per seed, in waves.
+    """Execute one run of ``config`` per seed, in waves of (run, round) rows.
 
     ``seeds[r]`` and ``keys[r]`` (one PauliLabel per round) belong to run
-    r; ``config.seed`` is not read.  Round i of every run still alive forms
-    one Wave, so each measurement of the round is one kernel call for all of
-    them, and a run that aborts leaves the waves after its abort.  Row r
-    draws from its own stream seeded by (seeds[r], i), in the order its run
-    alone would, so a run's result does not depend on the batch it is in.
-    Returns one Transcript per run, in seed order; a run's decision is
-    Accept only if every decoy check passed and every round verified.
+    r; ``config.seed`` is not read.  A wave holds at most ``WAVE_SIZE`` rows:
+    each live run (the first ``WAVE_SIZE`` of them) adds its next k rounds,
+    run after run, rounds rising.  k is max(1, ``WAVE_SIZE`` // live runs),
+    capped at (checked + 1) // (aborts + 1) over the rows that met S1/S2 so
+    far: 1 in the first wave, and about j once runs are seen to abort every
+    j rounds, so a run is seldom given rounds past its abort.  Round i of
+    run r draws from its own stream seeded by (seeds[r], i), in the order
+    its run alone would, so a run's result does not depend on the batch or
+    wave it is in.  A run ends at its first abort, and its later rows in
+    that wave are dropped before E1.  Rows are folded into their runs'
+    transcripts in round order.  Returns one Transcript per run, in seed
+    order; a run's decision is Accept only if every decoy check passed and
+    every round verified.
     """
     if len(keys) != len(seeds):
         raise ValueError(f"got {len(keys)} key lists for {len(seeds)} seeds")
@@ -469,60 +483,73 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
             if not isinstance(k, PauliLabel):
                 raise ValueError(f"keys must be PauliLabel values, got {k!r}")
 
-    if not seeds:
-        return []
     transcripts = [Transcript([], Decision.ACCEPT) for _ in seeds]
-    live = list(range(len(seeds)))
+    live = list(range(len(seeds)))  # runs with rounds left and no abort
+    checked = aborts = 0  # rows that met S1/S2 so far, and those that aborted
 
-    for i in range(config.rounds):
-        rngs = [np.random.default_rng((seeds[r], i)) for r in live]
+    while live:
+        k = min(max(1, WAVE_SIZE // len(live)), (checked + 1) // (aborts + 1))
+        pairs = [  # (run, round) per row; a run's next round is its record count
+            (r, i)
+            for r in live[:WAVE_SIZE]
+            for i in range(len(transcripts[r].rounds), config.rounds)[:k]
+        ]
+        rngs = [np.random.default_rng((seeds[r], i)) for r, i in pairs]
         rows = [p1_prepare(config, rng) for rng in rngs]
         wave = Wave(rows)
         eves = p2_transmit(wave, strategy, SampleSource(rngs)) or [None] * len(rows)
 
-        kept, decoys = [], []
-        for j, r in enumerate(live):
-            row, rng = rows[j], rngs[j]
+        records: list = [None] * len(rows)  # stays None for a dropped row
+        decoys: list = [None] * len(rows)
+        kept, ended = [], set()
+        for j, ((r, _), row, rng) in enumerate(zip(pairs, rows, rngs)):
+            if r in ended:
+                continue  # a later round of a run that aborted in this wave
             alice = [slot for slot in row.alice_seq if type(slot) is DecoyRecord]
             bob = [slot for slot in row.bob_seq if type(slot) is DecoyRecord]
-            decoys.append(alice + bob)
+            decoys[j] = alice + bob
             _, ok_a = s_check(row.alice_seq, alice, config.decoy_error_threshold, rng)
             _, ok_b = s_check(row.bob_seq, bob, config.decoy_error_threshold, rng)
             if ok_a and ok_b:
                 kept.append(j)
                 continue
             phase = PhaseId.S1 if not ok_a else PhaseId.S2
-            transcripts[r].rounds.append(
-                RoundRecord(None, None, None, decoys[j], Decision.ABORT, phase, eve=eves[j])
+            records[j] = RoundRecord(
+                None, None, None, decoys[j], Decision.ABORT, phase, eve=eves[j]
             )
-            transcripts[r].decision = Decision.ABORT
-        if not kept:
-            break
-        if len(kept) < len(rows):  # so a batched state: one row has nothing to drop
-            wave.state = StateVector(PROTOCOL_QUBITS, wave.state.amps[kept])
-            wave.in_transit = [wave.in_transit[j] for j in kept] if wave.in_transit else []
-            rngs = [rngs[j] for j in kept]
-        live = [live[j] for j in kept]
-        if wave.in_transit:
-            coins, draws = zip(*wave.in_transit)  # per row, each in TRANSIT order
-            for q, q_coins, q_draws in zip(TRANSIT, zip(*coins), zip(*draws)):
-                wave.state = _measure_in_bases(wave.state, q, list(q_coins), list(q_draws))
+            ended.add(r)
 
-        round_keys = [keys[r][i] for r in live]
-        e1_encode(wave, round_keys, config.direction)
-        outcomes = e2_measure(wave, SampleSource(rngs))
-        for r, j, key, (a, b, c) in zip(live, kept, round_keys, outcomes):
-            eve, guess = eves[j], None
-            if eve is not None:
-                c = eve.c_pre
-                announced = a if config.direction is Role.ALICE else b
-                guess = adversary.infer_key(eve, announced, config.direction)
-            decision = e3_verify(a, b, c, key)
-            transcripts[r].rounds.append(
-                RoundRecord(c, a, b, decoys[j], decision, eve=eve, inferred_key=guess)
-            )
-            if decision is Decision.REJECT:
-                transcripts[r].decision = Decision.REJECT
+        if kept:
+            if len(kept) < len(rows):  # so a batched state: one row has nothing to drop
+                wave.state = StateVector(PROTOCOL_QUBITS, wave.state.amps[kept])
+                wave.in_transit = [wave.in_transit[j] for j in kept] if wave.in_transit else []
+                rngs = [rngs[j] for j in kept]
+            if wave.in_transit:
+                coins, draws = zip(*wave.in_transit)  # per row, each in TRANSIT order
+                for q, q_coins, q_draws in zip(TRANSIT, zip(*coins), zip(*draws)):
+                    wave.state = _measure_in_bases(wave.state, q, list(q_coins), list(q_draws))
+
+            round_keys = [keys[r][i] for r, i in (pairs[j] for j in kept)]
+            e1_encode(wave, round_keys, config.direction)
+            outcomes = e2_measure(wave, SampleSource(rngs))
+            for j, key, (a, b, c) in zip(kept, round_keys, outcomes):
+                eve, guess = eves[j], None
+                if eve is not None:
+                    c = eve.c_pre
+                    announced = a if config.direction is Role.ALICE else b
+                    guess = adversary.infer_key(eve, announced, config.direction)
+                records[j] = RoundRecord(
+                    c, a, b, decoys[j], e3_verify(a, b, c, key), eve=eve, inferred_key=guess
+                )
+
+        for (r, _), record in zip(pairs, records):
+            if record is not None:
+                transcripts[r].rounds.append(record)
+                if record.decision is not Decision.ACCEPT:
+                    transcripts[r].decision = record.decision
+        checked += len(kept) + len(ended)
+        aborts += len(ended)
+        live = [r for r in live if len(transcripts[r].rounds) < config.rounds and r not in ended]
     return transcripts
 
 

@@ -7,7 +7,7 @@ instances rather than mutating their input.
 
 A state's amplitudes may carry a leading batch axis: shape (B, 2^n) holds
 B states of the same register, one per row, the way the protocol module
-holds round i of many sampled runs.  Pauli gates and measurements act on
+holds rounds of many sampled runs.  Pauli gates and measurements act on
 every row of a batch at once; a Pauli gate, with one label or one per row,
 is one gather and one multiply through a cached per-qubit table of index
 permutations and signs, one row per label.

@@ -109,3 +109,58 @@ def enumerate_branches_from_scratch(pipeline):
         if i < 0:
             return
         script = taken[:i] + [taken[i] + 1]
+
+
+def run_one_round_at_a_time(config, seed, keys, strategy):
+    """A run of ``config`` as a plain loop: one round per step, each on a
+    one-row wave, stopping at the first abort.
+
+    It calls the protocol's phases directly (P1, P2, the S1/S2 checks, the
+    in-transit measurements deferred past them, E1, E2 and E3), one Z or X
+    measurement per in-transit qubit, and shares none of
+    :func:`qauthsim.protocol.run_batch`'s wave filling, row dropping or
+    folding.  Round i draws from the stream seeded by (seed, i).
+    """
+    from qauthsim import qsim
+    from qauthsim.adversary import infer_key
+    from qauthsim.protocol import (
+        TRANSIT, Decision, DecoyRecord, PhaseId, Role, RoundRecord, SampleSource,
+        Transcript, Wave, e1_encode, e2_measure, e3_verify, p1_prepare,
+        p2_transmit, s_check,
+    )
+
+    transcript = Transcript([], Decision.ACCEPT)
+    for i, key in enumerate(keys):
+        rng = np.random.default_rng((seed, i))
+        row = p1_prepare(config, rng)
+        wave = Wave([row])
+        eves = p2_transmit(wave, strategy, SampleSource([rng]))
+        eve = eves[0] if eves else None
+        alice = [slot for slot in row.alice_seq if isinstance(slot, DecoyRecord)]
+        bob = [slot for slot in row.bob_seq if isinstance(slot, DecoyRecord)]
+        _, ok_a = s_check(row.alice_seq, alice, config.decoy_error_threshold, rng)
+        _, ok_b = s_check(row.bob_seq, bob, config.decoy_error_threshold, rng)
+        if not (ok_a and ok_b):
+            phase = PhaseId.S2 if ok_a else PhaseId.S1
+            transcript.rounds.append(
+                RoundRecord(None, None, None, alice + bob, Decision.ABORT, phase, eve=eve)
+            )
+            transcript.decision = Decision.ABORT
+            return transcript
+        for coins, draws in wave.in_transit:
+            for q, coin, draw in zip(TRANSIT, coins, draws):
+                measure = qsim.measure_x if coin else qsim.measure_z
+                _, wave.state = measure(wave.state, q, [draw])
+        e1_encode(wave, [key], config.direction)
+        ((a, b, c),) = e2_measure(wave, SampleSource([rng]))
+        guess = None
+        if eve is not None:
+            c = eve.c_pre
+            guess = infer_key(eve, a if config.direction is Role.ALICE else b, config.direction)
+        decision = e3_verify(a, b, c, key)
+        transcript.rounds.append(
+            RoundRecord(c, a, b, alice + bob, decision, eve=eve, inferred_key=guess)
+        )
+        if decision is Decision.REJECT:
+            transcript.decision = Decision.REJECT
+    return transcript

@@ -1,6 +1,7 @@
 """Tests for the protocol state machine: phases P1 through E3 and full runs."""
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from qauthsim.protocol import (
     C1,
     C2,
     PROTOCOL_QUBITS,
+    WAVE_SIZE,
     Decision,
     DecoyRecord,
     PhaseId,
@@ -249,51 +251,54 @@ def test_p2_unknown_strategy_raises_before_touching_the_register(strategy):
 
 @pytest.mark.parametrize("strategy", list(StrategyId))
 def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch, strategy):
+    # One P2 call per wave, which every round's row meets once, before any
+    # of its decoys is measured: round 0 alone, then, while no round
+    # aborts, rounds 1-2 as one wave and round 3.
     config = ProtocolConfig(rounds=4, decoys_per_sequence=2, seed=9)
-    calls = []
+    calls, rows = [], []
     original = protocol.p2_transmit
 
     def counted(wave, *args):
-        (register,) = wave.rows  # run_protocol is a batch of one run
-        decoys = decoys_of(register.alice_seq, register.bob_seq)
-        assert all(meta.measured is None for meta in decoys)
-        calls.append(decoys)
+        for register in wave.rows:
+            decoys = decoys_of(register.alice_seq, register.bob_seq)
+            assert all(meta.measured is None for meta in decoys)
+            rows.append(decoys)
+        calls.append(len(wave.rows))
         return original(wave, *args)
 
     monkeypatch.setattr(protocol, "p2_transmit", counted)
     transcript = run_protocol(config, [PauliLabel.X] * 4, strategy)
-    assert len(calls) == len(transcript.rounds)
-    assert [r.decoys for r in transcript.rounds] == calls
+    assert calls == [1, 2, 1][: len(calls)]
+    assert sum(calls) >= len(transcript.rounds)
+    assert [r.decoys for r in transcript.rounds] == rows[: len(transcript.rounds)]
 
 
 @pytest.mark.parametrize("strategy", list(StrategyId))
 def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy):
     # Every RoundRecord.decoys entry is the very record in its slot of its
     # row's sequences, Alice's then Bob's in rising position, aborted rounds
-    # included.
-    rows = []
+    # included.  Rows are found by their (seed, round) streams, since a run
+    # that aborts leaves its later rows in the wave prepared but unrecorded.
+    rows = {}
     original = protocol.p1_prepare
 
     def recorded(config, rng):
-        rows.append(original(config, rng))
-        return rows[-1]
+        row = original(config, rng)
+        rows[tuple(rng.bit_generator.seed_seq.entropy)] = row
+        return row
 
     monkeypatch.setattr(protocol, "p1_prepare", recorded)
     config = ProtocolConfig(rounds=4, decoys_per_sequence=3, seed=2)
-    runs = run_batch(config, [5, 6, 7, 8], [[PauliLabel.Z] * 4] * 4, strategy)
-    records = [rec for transcript in runs for rec in transcript.rounds]
-    assert len(records) == len(rows)
-    home = {id(d): row for row in rows for d in decoys_of(row.alice_seq, row.bob_seq)}
-    seen = set()
-    for rec in records:
-        row = home[id(rec.decoys[0])]
-        seen.add(id(row))
-        expected = decoys_of(row.alice_seq, row.bob_seq)
-        assert [id(d) for d in rec.decoys] == [id(d) for d in expected]
-        for d in rec.decoys:
-            seq = row.alice_seq if d.owner is Role.ALICE else row.bob_seq
-            assert seq[d.position] is d
-    assert len(seen) == len(rows)
+    seeds = [5, 6, 7, 8]
+    runs = run_batch(config, seeds, [[PauliLabel.Z] * 4] * 4, strategy)
+    for seed, transcript in zip(seeds, runs):
+        for i, rec in enumerate(transcript.rounds):
+            row = rows[seed, i]
+            expected = decoys_of(row.alice_seq, row.bob_seq)
+            assert [id(d) for d in rec.decoys] == [id(d) for d in expected]
+            for d in rec.decoys:
+                seq = row.alice_seq if d.owner is Role.ALICE else row.bob_seq
+                assert seq[d.position] is d
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +709,6 @@ def test_run_batch_equals_one_run_at_a_time(
 
     monkeypatch.setattr(protocol, "e1_encode", encode)
     batched = run_batch(config, seeds, keys, strategy)
-    monkeypatch.undo()
     alone = [
         run_protocol(replace(config, seed=seed), run_keys, strategy)
         for seed, run_keys in zip(seeds, keys)
@@ -714,8 +718,135 @@ def test_run_batch_equals_one_run_at_a_time(
         # some row leaves the waves after round 1
         assert any(t.decision is Decision.ABORT and len(t.rounds) > 1 for t in alone)
     if rounds == 12:
-        # some wave of several rows shrinks to one, which stays a batch
+        # some wave of several rows shrinks to one, which stays a batch: a
+        # run alone whose round 0 passes then has rounds 1-2 in one wave,
+        # left with one row when its round 1 passes and its round 2 aborts
+        assert any(len(t.rounds) == 3 and t.decision is Decision.ABORT for t in alone)
         assert (1, 2**PROTOCOL_QUBITS) in shapes
+
+
+def record_waves(monkeypatch):
+    """Spy on run_batch's waves: returns the list that gets one list of
+    (seed, round) pairs per wave, its rows in order, read off the streams
+    p1_prepare is handed."""
+    waves, pending = [], []
+    real_prepare, real_wave = protocol.p1_prepare, protocol.Wave
+
+    def prepare(config, rng):
+        pending.append(tuple(rng.bit_generator.seed_seq.entropy))
+        return real_prepare(config, rng)
+
+    class SpiedWave(real_wave):
+        def __init__(self, rows):
+            assert len(rows) == len(pending)
+            waves.append(pending[:])
+            pending.clear()
+            super().__init__(rows)
+
+    monkeypatch.setattr(protocol, "p1_prepare", prepare)
+    monkeypatch.setattr(protocol, "Wave", SpiedWave)
+    return waves
+
+
+REFERENCE_CASES = [
+    (strategy, rounds, decoys, direction, runs)
+    for strategy, rounds, decoys, direction in (
+        (StrategyId.INTERCEPT_RESEND, 12, 1, Role.ALICE),
+        (StrategyId.PRE_MEASURE, 16, 16, Role.ALICE),
+        (StrategyId.PRE_MEASURE, 16, 16, Role.BOB),
+        (StrategyId.HONEST, 4, 4, Role.BOB),
+    )
+    for runs in (1, 3, 64)
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, rounds, decoys, direction, runs",
+    REFERENCE_CASES,
+    ids=[f"{c[0].value}-{c[1]}x{c[2]}-{c[3].value}-{c[4]}runs" for c in REFERENCE_CASES],
+)
+def test_run_batch_equals_the_one_round_at_a_time_reference(
+    monkeypatch, strategy, rounds, decoys, direction, runs
+):
+    config = ProtocolConfig(rounds=rounds, decoys_per_sequence=decoys, direction=direction)
+    rng = np.random.default_rng(runs * 1000 + rounds)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=runs)]
+    keys = [[list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rounds)] for _ in seeds]
+    waves = record_waves(monkeypatch)
+    batched = run_batch(config, seeds, keys, strategy)
+    monkeypatch.undo()
+    alone = [
+        reference.run_one_round_at_a_time(config, seed, run_keys, strategy)
+        for seed, run_keys in zip(seeds, keys)
+    ]
+    assert [run_lines(run) for run in batched] == [run_lines(run) for run in alone]
+    # The first wave holds round 0 of every run (k = 1).  A batch that
+    # never aborts then gives its runs several rounds a wave (k > 1) when
+    # WAVE_SIZE // runs allows it, and one round a wave when it does not.
+    assert waves[0] == [(seed, 0) for seed in seeds]
+    ks = [max(Counter(seed for seed, _ in wave).values()) for wave in waves]
+    if strategy is not StrategyId.INTERCEPT_RESEND:
+        assert (max(ks) > 1) == (WAVE_SIZE // runs > 1)
+    else:
+        # some run aborts inside a speculative window: rows of its later
+        # rounds were prepared in the same wave and dropped
+        recorded = sum(len(run.rounds) for run in batched)
+        assert sum(map(len, waves)) > recorded
+
+
+@pytest.mark.parametrize(
+    "strategy, rounds, decoys, runs, sizes",
+    [
+        (StrategyId.PRE_MEASURE, 16, 16, 3, [3, 12, 33]),
+        (StrategyId.HONEST, 200, 0, 1, [1, 2, 4, 8, 16, 32, 64, 64, 9]),
+        (StrategyId.HONEST, 3, 0, 100, [64, 64, 64, 36, 36, 36]),
+    ],
+)
+def test_waves_are_filled_with_the_next_rounds_of_the_live_runs(
+    monkeypatch, strategy, rounds, decoys, runs, sizes
+):
+    config = ProtocolConfig(rounds=rounds, decoys_per_sequence=decoys)
+    seeds = list(range(100, 100 + runs))
+    waves = record_waves(monkeypatch)
+    run_batch(config, seeds, [[PauliLabel.X] * rounds] * runs, strategy)
+    assert [len(wave) for wave in waves] == sizes
+    assert all(len(wave) <= WAVE_SIZE for wave in waves)
+    for wave in waves:  # run-major, rounds rising within a run
+        assert wave == sorted(wave, key=lambda row: (seeds.index(row[0]), row[1]))
+    rows = [row for wave in waves for row in wave]
+    assert sorted(rows) == sorted((seed, i) for seed in seeds for i in range(rounds))
+
+
+@pytest.mark.parametrize("rounds, decoys, runs", [(12, 1, 12), (16, 4, 3), (16, 4, 64)])
+def test_an_aborting_run_prepares_at_most_k_minus_one_rows_past_its_abort(
+    monkeypatch, rounds, decoys, runs
+):
+    # A wave gives each run k of its rounds, at most (checked + 1) //
+    # (aborts + 1) over the rows checked so far: 1 in the first wave.  A run
+    # that aborts has at most k - 1 rows past its abort, all in the wave of
+    # its aborted round.
+    config = ProtocolConfig(rounds=rounds, decoys_per_sequence=decoys)
+    seeds = list(range(500, 500 + runs))
+    waves = record_waves(monkeypatch)
+    keys = [[PauliLabel.I] * rounds] * runs
+    transcripts = run_batch(config, seeds, keys, StrategyId.INTERCEPT_RESEND)
+    last = {seed: len(run.rounds) - 1 for seed, run in zip(seeds, transcripts)}
+    aborts = {(seed, last[seed]) for seed, run in zip(seeds, transcripts)
+              if run.decision is Decision.ABORT}
+    checked = aborted = 0
+    for wave in waves:
+        k = max(Counter(seed for seed, _ in wave).values())
+        assert k <= (checked + 1) // (aborted + 1)
+        met = [(seed, i) for seed, i in wave if i <= last[seed]]
+        ended = [row for row in met if row in aborts]
+        checked, aborted = checked + len(met), aborted + len(ended)
+        for seed, i in ended:
+            assert sum(s == seed and j > i for s, j in wave) <= k - 1
+        assert all((seed, last[seed]) in ended for seed, i in wave if i > last[seed])
+    rows = [row for wave in waves for row in wave]
+    past = [(seed, i) for seed, i in rows if i > last[seed]]
+    assert len(set(rows)) == len(rows)
+    assert len(rows) - len(past) == sum(len(run.rounds) for run in transcripts)
 
 
 def test_run_batch_validates_every_run():
