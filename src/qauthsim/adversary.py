@@ -14,11 +14,10 @@ leaving the protocol qubits' coins and draws in ``in_transit``, one per row.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .protocol import DecoyRecord, Role, Wave, _measure_decoy, _measure_parties
+from .protocol import Role, Wave, _measure_decoys, _measure_parties
 from .qsim import BellLabel, PauliLabel
 
 
@@ -72,27 +71,24 @@ def hook_intercept_resend(wave: Wave, source) -> None:
     """Measure every transmitted qubit in a uniformly random basis from
     {Z, X} and forward the collapsed eigenstate.
 
-    Each row walks both of its sequences in transmission order; protocol
-    qubits and decoys alike, each with its own pre-drawn basis coin (0 Z,
-    1 X) and uniform draw from the row's generator in ``source.rngs``.
-    Each decoy record met is measured here, the way the S1/S2 checks
-    measure it, by its eigenstate label's outcome table.  Every row meets
-    the protocol qubits in the same order, ``protocol.TRANSIT`` (A1, A2,
-    B1, B2); each row's coins and draws for them go to the wave's
-    ``in_transit`` as one (coins, draws) pair, in row order.
-    Charlie's own C qubits never travel, so they are left alone.
+    Each row's two sequences, Alice's d + 2 slots then Bob's, go out as one
+    stream of 2d + 4 qubits, each with its own pre-drawn basis coin (0 Z,
+    1 X) and uniform draw from the row's generator in ``source.rngs``.  A
+    decoy takes the coin and draw of its slot in the stream and is measured
+    the way the S1/S2 checks measure it, by the ``_DECOY_CUT`` table.  The
+    four slots no decoy holds carry the protocol qubits in
+    ``protocol.TRANSIT`` order (A1, A2, B1, B2); their coins and draws go to
+    the wave's ``in_transit`` as one (coins, draws) pair per row, in row
+    order.  Charlie's own C qubits never travel, so they are left alone.
     """
     wave.in_transit = []
     for row, rng in zip(wave.rows, source.rngs):
-        total = len(row.alice_seq) + len(row.bob_seq)
+        d = len(row.positions) // 2
+        total = 2 * d + 4
         bases = rng.integers(0, 2, size=total).tolist()
         randomness = rng.random(size=total).tolist()
-        coins, draws = [], []
-        slots = itertools.chain(row.alice_seq, row.bob_seq)
-        for slot, coin, draw in zip(slots, bases, randomness):
-            if type(slot) is DecoyRecord:
-                _measure_decoy(slot, coin, draw)
-            else:
-                coins.append(coin)
-                draws.append(draw)
-        wave.in_transit.append((coins, draws))
+        decoy_slots = row.positions[:d] + [d + 2 + pos for pos in row.positions[d:]]
+        _measure_decoys(row, [bases[i] for i in decoy_slots], [randomness[i] for i in decoy_slots])
+        taken = set(decoy_slots)
+        transit = [i for i in range(total) if i not in taken]
+        wave.in_transit.append(([bases[i] for i in transit], [randomness[i] for i in transit]))

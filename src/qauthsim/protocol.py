@@ -24,19 +24,22 @@ since they touch only that row's decoys and stream.  Per-row inputs (E1's
 keys, the draws, the ``Wave.in_transit`` entries) are lists in row order,
 filtered as rows drop.
 
-A row's :class:`RoundRegister` holds only its two transmitted sequences,
-each slot a protocol qubit's index or the decoy itself, a
-:class:`DecoyRecord`; the joint state of the protocol qubits lives in the
-wave alone.  Decoys are never entangled with anything, and P1 prepares each
-in a Z or X eigenstate.  The only thing that ever touches a decoy is a Z or
-X measurement (the S1/S2 checks, or an intercepting adversary), which
-leaves an eigenstate again, so a record carries its decoy's state as an
-eigenstate label (0 for |0>, 1 for |1>, 2 for |+>, 3 for |->).  The outcome
+A row's :class:`RoundRegister` holds its decoys as flat lists in row
+order, Alice's d then Bob's d: each one's slot in its owner's sequence,
+basis coin, prepared bit, current eigenstate label and, once checked, its
+S1/S2 outcome.  The protocol qubits fill the slots no decoy holds, and
+their joint state lives in the wave alone.  Decoys are never entangled
+with anything, and P1 prepares each in a Z or X eigenstate.  The only thing
+that ever touches a decoy is a Z or X measurement (the S1/S2 checks, or an
+intercepting adversary), which leaves an eigenstate again, so a label (0
+for |0>, 1 for |1>, 2 for |+>, 3 for |->) is its whole state.  The outcome
 probabilities of measuring each label in Z or X are tabulated once, at
-import, by the qsim kernels themselves, and a decoy measurement is that
-table's row picked with the kernels' selection rule.  Each decoy check
-takes its uniform draws in one batch per sequence, which yields the same
-stream as one draw per decoy.
+import, by the qsim kernels themselves, and so is the draw at which qsim's
+selection rule turns from outcome 0 to outcome 1: a decoy measurement
+compares one draw with one table entry.  A row's two checks take their
+draws in one batch, the stream of one draw per decoy.  A
+:class:`RoundRecord` keeps its row, and builds :class:`DecoyRecord` views
+of the decoys only when they are read.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -45,6 +48,7 @@ enumerate branches through this same code, P2 and the party walk included).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -96,6 +100,19 @@ _DECOY_PROBS = tuple(
     )
     for ket in _DECOY_KETS
 )
+
+
+def _cut(probs) -> float:
+    """The least draw for which qsim._pick selects outcome 1 of ``probs``."""
+    p0, p1 = probs
+    if p1 <= qsim.ZERO_PROB:
+        return math.inf
+    return p0 if p0 > qsim.ZERO_PROB else 0.0
+
+
+# _DECOY_CUT[label][coin]: measuring decoy ``label`` in basis ``coin`` with
+# draw u gives the bit int(u >= cut), the outcome qsim._pick selects.
+_DECOY_CUT = tuple(tuple(map(_cut, row)) for row in _DECOY_PROBS)
 
 
 def _is_number(value, kinds) -> bool:
@@ -151,36 +168,50 @@ class ProtocolConfig:
 
 @dataclass
 class DecoyRecord:
-    """A decoy in slot ``position`` of its owner's sequence; ``label`` is its
-    current eigenstate label, which each measurement of it updates."""
+    """A checked decoy in slot ``position`` of its owner's sequence, as a
+    RoundRecord reports it: ``label`` is its eigenstate label after the
+    check, and ``measured`` the check's outcome."""
 
     owner: Role
     position: int
     basis: Basis
     prepared: int
     label: int
-    measured: "int | None" = None
+    measured: int
 
 
 @dataclass
 class RoundRegister:
-    """A wave row's transmitted sequences; each slot holds a protocol
-    qubit's index or a DecoyRecord."""
+    """A wave row's decoys as flat lists in row order, Alice's d then Bob's
+    d, each sequence's in rising slot.
 
-    alice_seq: list
-    bob_seq: list
+    ``positions`` are their slots in the owner's sequence of d + 2, the
+    owner's two protocol qubits filling the other two in order; ``coins``
+    their basis coins (0 Z, 1 X); ``prepared`` P1's bits; ``labels`` their
+    current eigenstate labels, which each measurement replaces; and
+    ``measured`` the S1/S2 outcomes, None until :func:`s_check` runs.
+    """
+
+    positions: list
+    coins: list
+    prepared: list
+    labels: list
+    measured: "list | None" = None
 
 
-def _mismatch_rate(decoys: list) -> float:
-    """Share of the checked ``decoys`` whose outcome differs from P1's bit."""
-    mismatches = sum(d.measured != d.prepared for d in decoys)
-    return mismatches / len(decoys) if decoys else 0.0
+def _mismatch_rate(rows) -> float:
+    """Share of the checked decoys of ``rows`` whose outcome differs from P1's bit."""
+    mismatches = total = 0
+    for row in rows:
+        mismatches += sum(m != p for m, p in zip(row.measured, row.prepared))
+        total += len(row.prepared)
+    return mismatches / total if total else 0.0
 
 
 @dataclass
 class RoundRecord:
     """The one record of a round: its public announcements (None after an
-    abort), its checked decoys, its outcome, and what the center's strategy
+    abort), its checked row, its outcome, and what the center's strategy
     recorded.
 
     ``eve`` is the row's EveState under PreMeasure, aborted rounds included,
@@ -191,15 +222,27 @@ class RoundRecord:
     c: "tuple[int, int] | None"
     a: "BellLabel | None"
     b: "BellLabel | None"
-    decoys: list
+    row: RoundRegister
     decision: Decision
     aborted_in: "PhaseId | None" = None
     eve: "adversary.EveState | None" = None
     inferred_key: "PauliLabel | None" = None
 
     @property
+    def decoys(self) -> list:
+        """The row's decoys as DecoyRecords, in row order, built at each read."""
+        row = self.row
+        d = len(row.positions) // 2
+        return [
+            DecoyRecord(Role.ALICE if i < d else Role.BOB, pos, _BASIS_OF_COIN[coin], *rest)
+            for i, (pos, coin, *rest) in enumerate(
+                zip(row.positions, row.coins, row.prepared, row.labels, row.measured)
+            )
+        ]
+
+    @property
     def decoy_error_rate(self) -> float:
-        return _mismatch_rate(self.decoys)
+        return _mismatch_rate([self.row])
 
 
 @dataclass
@@ -211,7 +254,7 @@ class Transcript:
 
     @property
     def decoy_error_rate(self) -> float:
-        return _mismatch_rate([d for record in self.rounds for d in record.decoys])
+        return _mismatch_rate(record.row for record in self.rounds)
 
 
 # |G> x |G> over the six protocol qubits, read-only and shared by every
@@ -235,13 +278,13 @@ class Wave:
     It starts as the fresh state of P1 in every row; a one-row wave holds
     ``_FRESH_STATE`` itself, 1-D, and a wave of several rows that
     :func:`run_batch` cuts to one keeps its (1, 64) batch.  ``rows[r]`` is
-    row r's RoundRegister from P1: its sequences, whose decoys only that
-    row's own checks touch.
+    row r's RoundRegister from P1: its decoy lists, which only that row's
+    own checks and an intercepting adversary touch.
 
     ``in_transit`` holds an adversary's measurements of protocol qubits in
     transit (none if empty), one (basis coins, draws) pair of lists per row
-    in ``TRANSIT`` order: :func:`p1_prepare` puts a sequence's protocol
-    qubits in rising slots, so every row meets them in that order.
+    in ``TRANSIT`` order: a sequence's protocol qubits fill its free slots
+    in order, so every row meets them in that order.
     :func:`run_batch` applies them after S1/S2 to the rows it keeps: the
     checks read only decoys and the state of an aborted or dropped row is
     never read, so every outcome is the one applying them in P2 would give.
@@ -283,31 +326,24 @@ class SampleSource:
 
 
 def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> RoundRegister:
-    """Prepare a row's two decoy-laced sequences; the entangled triples
-    every row starts from are the wave's fresh state.
+    """Prepare a row's decoys; the entangled triples every row starts from
+    are the wave's fresh state.
 
     Draw order from ``rng`` is fixed (Alice's slot permutation, then her d
     basis coins and d bit coins; then the same for Bob) so identical streams
-    give identical registers.  The first d slots of the permutation carry
+    give identical registers.  The first d slots of a permutation carry
     decoys, whose basis and bit coins go to them in rising slot order; each
     decoy's label is 2 * basis coin + bit coin.  ``rng`` may be None when
     ``decoys_per_sequence`` is 0.
     """
-    sequences = []
     d = config.decoys_per_sequence
-    for owner, qubits in ((Role.ALICE, (A1, A2)), (Role.BOB, (B1, B2))):
-        if not d:
-            sequences.append(list(qubits))
-            continue
-        slots = rng.permutation(d + 2).tolist()
-        coins = rng.integers(0, 2, size=2 * d).tolist()  # d basis coins, then d bit coins
-        seq: list = [None] * (d + 2)
-        for pos, q in zip(sorted(slots[d:]), qubits):
-            seq[pos] = q
-        for pos, coin, bit in zip(sorted(slots[:d]), coins, coins[d:]):
-            seq[pos] = DecoyRecord(owner, pos, _BASIS_OF_COIN[coin], bit, 2 * coin + bit)
-        sequences.append(seq)
-    return RoundRegister(*sequences)
+    positions, coins, bits = [], [], []
+    for _ in range(2 if d else 0):  # Alice's sequence, then Bob's
+        positions += sorted(rng.permutation(d + 2)[:d].tolist())
+        drawn = rng.integers(0, 2, size=2 * d).tolist()  # d basis coins, then d bit coins
+        coins += drawn[:d]
+        bits += drawn[d:]
+    return RoundRegister(positions, coins, bits, [2 * c + b for c, b in zip(coins, bits)])
 
 
 def p2_transmit(wave: Wave, strategy, source, order=("c", "a", "b")):
@@ -333,16 +369,18 @@ def p2_transmit(wave: Wave, strategy, source, order=("c", "a", "b")):
     return None
 
 
-def _measure_decoy(decoy: DecoyRecord, coin: int, randomness: float) -> int:
-    """Measure ``decoy`` in basis ``coin`` (0 Z, 1 X) with one uniform draw.
+def _measure_decoys(row: RoundRegister, coins: list, draws: list) -> list:
+    """Measure each of the row's decoys in its basis in ``coins`` (0 Z, 1 X)
+    with its draw in ``draws``, both in row order.
 
-    Picks the outcome from the label's probability table with qsim's
-    selection rule, stores the collapsed eigenstate's label in the record
-    and returns the bit.
+    A decoy's bit is int(draw >= ``_DECOY_CUT[label][coin]``), the outcome
+    qsim's selection rule picks from its label's probabilities, and it
+    collapses to label 2 * coin + bit.  Returns the bits.
     """
-    bit = qsim._pick(_DECOY_PROBS[decoy.label][coin], randomness)
-    decoy.label = 2 * coin + bit
-    return bit
+    bits = [1 if u >= _DECOY_CUT[label][coin] else 0
+            for label, coin, u in zip(row.labels, coins, draws)]
+    row.labels = [2 * coin + bit for coin, bit in zip(coins, bits)]
+    return bits
 
 
 def _measure_in_bases(state: StateVector, q: int, coins: list, draws: list) -> StateVector:
@@ -361,32 +399,26 @@ def _measure_in_bases(state: StateVector, q: int, coins: list, draws: list) -> S
     return StateVector(state.n_qubits, amps)
 
 
-def s_check(
-    sequence: list,
-    announced: list,
-    threshold: float,
-    rng: "np.random.Generator | None",
-) -> tuple:
-    """Measure the announced decoys in their announced bases and compare.
+def s_check(row: RoundRegister, draws: list, threshold: float) -> "PhaseId | None":
+    """S1 then S2: measure each of the row's decoys in its prepared basis
+    and compare the outcome with P1's bit.
 
-    Each DecoyRecord in ``announced`` must sit at its own position in
-    ``sequence``; all are checked before anything is measured.  The uniform
-    draws come in one batch of ``len(announced)`` from ``rng``, the same
-    stream as one draw per decoy in announcement order; an empty
-    announcement draws nothing.  Returns (number of mismatched decoys, pass
-    flag: the mismatch rate over the announced decoys is at most
-    ``threshold``).
+    ``draws`` holds one uniform draw per decoy, in row order, and is
+    checked to fit before anything is measured.  Sets the row's
+    ``measured`` bits and collapsed labels.  Returns the phase of the
+    first sequence whose mismatch rate over its d decoys is above
+    ``threshold``, or None when both pass (always when d is 0).
     """
-    for decoy in announced:
-        if not 0 <= decoy.position < len(sequence) or sequence[decoy.position] is not decoy:
-            raise ValueError(f"no such decoy at position {decoy.position} of this sequence")
-    k = len(announced)
-    draws = rng.random(size=k).tolist() if k else []
-    mismatches = 0
-    for decoy, randomness in zip(announced, draws):
-        decoy.measured = _measure_decoy(decoy, int(decoy.basis is Basis.X), randomness)
-        mismatches += decoy.measured != decoy.prepared
-    return mismatches, (mismatches / k if k else 0.0) <= threshold
+    n = len(row.labels)
+    if len(draws) != n:
+        raise ValueError(f"got {len(draws)} draws for {n} decoys")
+    row.measured = _measure_decoys(row, row.coins, draws)
+    d = n // 2
+    wrong = [m != p for m, p in zip(row.measured, row.prepared)]
+    for phase, owned in ((PhaseId.S1, wrong[:d]), (PhaseId.S2, wrong[d:])):
+        if d and not sum(owned) / d <= threshold:
+            return phase
+    return None
 
 
 def e1_encode(wave: Wave, keys: list, direction: Role) -> Wave:
@@ -486,6 +518,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
     transcripts = [Transcript([], Decision.ACCEPT) for _ in seeds]
     live = list(range(len(seeds)))  # runs with rounds left and no abort
     checked = aborts = 0  # rows that met S1/S2 so far, and those that aborted
+    d, threshold = config.decoys_per_sequence, config.decoy_error_threshold
 
     while live:
         k = min(max(1, WAVE_SIZE // len(live)), (checked + 1) // (aborts + 1))
@@ -500,23 +533,15 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
         eves = p2_transmit(wave, strategy, SampleSource(rngs)) or [None] * len(rows)
 
         records: list = [None] * len(rows)  # stays None for a dropped row
-        decoys: list = [None] * len(rows)
         kept, ended = [], set()
         for j, ((r, _), row, rng) in enumerate(zip(pairs, rows, rngs)):
             if r in ended:
                 continue  # a later round of a run that aborted in this wave
-            alice = [slot for slot in row.alice_seq if type(slot) is DecoyRecord]
-            bob = [slot for slot in row.bob_seq if type(slot) is DecoyRecord]
-            decoys[j] = alice + bob
-            _, ok_a = s_check(row.alice_seq, alice, config.decoy_error_threshold, rng)
-            _, ok_b = s_check(row.bob_seq, bob, config.decoy_error_threshold, rng)
-            if ok_a and ok_b:
+            phase = s_check(row, rng.random(size=2 * d).tolist(), threshold)
+            if phase is None:
                 kept.append(j)
                 continue
-            phase = PhaseId.S1 if not ok_a else PhaseId.S2
-            records[j] = RoundRecord(
-                None, None, None, decoys[j], Decision.ABORT, phase, eve=eves[j]
-            )
+            records[j] = RoundRecord(None, None, None, row, Decision.ABORT, phase, eve=eves[j])
             ended.add(r)
 
         if kept:
@@ -539,7 +564,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
                     announced = a if config.direction is Role.ALICE else b
                     guess = adversary.infer_key(eve, announced, config.direction)
                 records[j] = RoundRecord(
-                    c, a, b, decoys[j], e3_verify(a, b, c, key), eve=eve, inferred_key=guess
+                    c, a, b, rows[j], e3_verify(a, b, c, key), eve=eve, inferred_key=guess
                 )
 
         for (r, _), record in zip(pairs, records):

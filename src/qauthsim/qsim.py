@@ -146,23 +146,6 @@ class StateVector:
                 f"({expected},) or (rows, {expected}) for {self.n_qubits} qubits"
             )
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def overlap(self, other: "StateVector") -> float:
-        """Phase-insensitive overlap |<self|other>|."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("overlap requires equal qubit counts")
-        return float(abs(np.vdot(self.amps, other.amps)))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
-
-
-def same_state(a: StateVector, b: StateVector, tol: float = NORM_TOL) -> bool:
-    """True when the two states agree up to a global phase."""
-    return a.n_qubits == b.n_qubits and abs(a.overlap(b) - 1.0) <= tol
-
 
 def init_product(tags) -> StateVector:
     """Build a product state from per-qubit tags drawn from '0', '1', '+', '-'."""
@@ -564,11 +547,3 @@ def prepare_ghz_like(state: StateVector, qc: int, qa: int, qb: int) -> StateVect
     s = apply_pauli(s, qc, PauliLabel.X)
     return s
 
-
-def bell_pair(label: BellLabel) -> StateVector:
-    """The two-qubit Bell state carrying ``label``: Phi+ with the Pauli of
-    the same bits applied to its second qubit."""
-    s = init_product(["0", "0"])
-    s = apply_hadamard(s, 0)
-    s = apply_cnot(s, 0, 1)
-    return apply_pauli(s, 1, PauliLabel(label.value))

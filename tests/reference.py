@@ -1,8 +1,12 @@
 """Brute-force linear-algebra reference used to cross-check the simulator.
 
-Everything here is built from explicit matrices via ``np.kron`` and dense
-projectors, on purpose: it shares no code path with the package's
-reshape-based gate application or its index-table measurement kernels.
+The matrices and projectors here are built explicitly via ``np.kron``, on
+purpose: they share no code path with the package's reshape-based gate
+application or its index-table measurement kernels.  The state helpers
+(:func:`norm`, :func:`overlap`, :func:`copy_state`, :func:`same_state`,
+:func:`bell_pair`) are what only the tests need of a StateVector, and
+:func:`run_one_round_at_a_time` replays a run through the protocol's phases
+with its own scalar decoy checks.
 """
 
 import itertools
@@ -28,6 +32,41 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+
+def norm(state):
+    """Euclidean norm of a StateVector's amplitudes."""
+    return float(np.linalg.norm(state.amps))
+
+
+def overlap(a, b):
+    """Phase-insensitive overlap |<a|b>| of two StateVectors."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("overlap requires equal qubit counts")
+    return float(abs(np.vdot(a.amps, b.amps)))
+
+
+def copy_state(state):
+    """A StateVector with its own copy of ``state``'s amplitudes."""
+    from qauthsim.qsim import StateVector
+
+    return StateVector(state.n_qubits, state.amps.copy())
+
+
+def same_state(a, b, tol=1e-10):
+    """True when the two StateVectors agree up to a global phase."""
+    return a.n_qubits == b.n_qubits and abs(overlap(a, b) - 1.0) <= tol
+
+
+def bell_pair(label):
+    """The two-qubit Bell StateVector carrying ``label``: Phi+ with the
+    Pauli of the same bits applied to its second qubit."""
+    from qauthsim import qsim
+
+    s = qsim.init_product(["0", "0"])
+    s = qsim.apply_hadamard(s, 0)
+    s = qsim.apply_cnot(s, 0, 1)
+    return qsim.apply_pauli(s, 1, qsim.PauliLabel(label.value))
 
 
 def product_state(tags):
@@ -111,22 +150,47 @@ def enumerate_branches_from_scratch(pipeline):
         script = taken[:i] + [taken[i] + 1]
 
 
+def check_decoys_one_at_a_time(row, threshold, rng):
+    """S1 then S2 on a P1 row as a plain loop: each decoy, in row order,
+    measured in its prepared basis with its own scalar draw, by
+    :func:`qauthsim.qsim._pick` over the label's outcome probabilities.
+
+    Sets the row's ``measured`` bits and collapsed labels, as the
+    protocol's table lookup does, and returns the phase of the first
+    sequence whose mismatch rate is above ``threshold``, or None.
+    """
+    from qauthsim import qsim
+    from qauthsim.protocol import _DECOY_PROBS, PhaseId
+
+    row.measured = []
+    for i, (label, coin) in enumerate(zip(row.labels, row.coins)):
+        bit = qsim._pick(_DECOY_PROBS[label][coin], rng.random())
+        row.labels[i] = 2 * coin + bit
+        row.measured.append(bit)
+    d = len(row.labels) // 2
+    for phase, owned in ((PhaseId.S1, slice(0, d)), (PhaseId.S2, slice(d, 2 * d))):
+        mismatches = sum(m != p for m, p in zip(row.measured[owned], row.prepared[owned]))
+        if d and mismatches / d > threshold:
+            return phase
+    return None
+
+
 def run_one_round_at_a_time(config, seed, keys, strategy):
     """A run of ``config`` as a plain loop: one round per step, each on a
     one-row wave, stopping at the first abort.
 
-    It calls the protocol's phases directly (P1, P2, the S1/S2 checks, the
-    in-transit measurements deferred past them, E1, E2 and E3), one Z or X
-    measurement per in-transit qubit, and shares none of
+    It calls the protocol's phases directly (P1, P2, E1, E2 and E3), checks
+    the decoys with :func:`check_decoys_one_at_a_time` rather than the
+    protocol's table lookup, makes one Z or X measurement per in-transit
+    qubit after the checks, and shares none of
     :func:`qauthsim.protocol.run_batch`'s wave filling, row dropping or
     folding.  Round i draws from the stream seeded by (seed, i).
     """
     from qauthsim import qsim
     from qauthsim.adversary import infer_key
     from qauthsim.protocol import (
-        TRANSIT, Decision, DecoyRecord, PhaseId, Role, RoundRecord, SampleSource,
-        Transcript, Wave, e1_encode, e2_measure, e3_verify, p1_prepare,
-        p2_transmit, s_check,
+        TRANSIT, Decision, Role, RoundRecord, SampleSource, Transcript, Wave,
+        e1_encode, e2_measure, e3_verify, p1_prepare, p2_transmit,
     )
 
     transcript = Transcript([], Decision.ACCEPT)
@@ -136,14 +200,10 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
         wave = Wave([row])
         eves = p2_transmit(wave, strategy, SampleSource([rng]))
         eve = eves[0] if eves else None
-        alice = [slot for slot in row.alice_seq if isinstance(slot, DecoyRecord)]
-        bob = [slot for slot in row.bob_seq if isinstance(slot, DecoyRecord)]
-        _, ok_a = s_check(row.alice_seq, alice, config.decoy_error_threshold, rng)
-        _, ok_b = s_check(row.bob_seq, bob, config.decoy_error_threshold, rng)
-        if not (ok_a and ok_b):
-            phase = PhaseId.S2 if ok_a else PhaseId.S1
+        phase = check_decoys_one_at_a_time(row, config.decoy_error_threshold, rng)
+        if phase is not None:
             transcript.rounds.append(
-                RoundRecord(None, None, None, alice + bob, Decision.ABORT, phase, eve=eve)
+                RoundRecord(None, None, None, row, Decision.ABORT, phase, eve=eve)
             )
             transcript.decision = Decision.ABORT
             return transcript
@@ -159,7 +219,7 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
             guess = infer_key(eve, a if config.direction is Role.ALICE else b, config.direction)
         decision = e3_verify(a, b, c, key)
         transcript.rounds.append(
-            RoundRecord(c, a, b, alice + bob, decision, eve=eve, inferred_key=guess)
+            RoundRecord(c, a, b, row, decision, eve=eve, inferred_key=guess)
         )
         if decision is Decision.REJECT:
             transcript.decision = Decision.REJECT

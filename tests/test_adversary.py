@@ -11,6 +11,8 @@ import copy
 import numpy as np
 import pytest
 
+import reference
+
 from qauthsim import oracle, qsim
 from qauthsim.adversary import (
     EveState,
@@ -27,7 +29,6 @@ from qauthsim.protocol import (
     C1,
     C2,
     TRANSIT,
-    DecoyRecord,
     ProtocolConfig,
     Role,
     SampleSource,
@@ -41,12 +42,6 @@ from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 # A decoy is stored as its eigenstate label 2 * basis coin + bit (Z 0, X 1).
 DECOY_KETS = ("0", "1", "+", "-")
-
-
-def decoys_of(register):
-    """The register's decoy records, Alice's then Bob's in slot order."""
-    slots = register.alice_seq + register.bob_seq
-    return [slot for slot in slots if isinstance(slot, DecoyRecord)]
 
 
 def fresh_register(decoys=0, seed=0):
@@ -120,9 +115,9 @@ def test_premeasure_never_touches_decoys():
     rng = np.random.default_rng(3)
     for _ in range(25):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
-        before = [d.label for d in decoys_of(register)]
+        before = list(register.labels)
         hook_premeasure(Wave([register]), SampleSource([rng]))
-        assert [d.label for d in decoys_of(register)] == before
+        assert register.labels == before
 
 
 def test_infer_key_frozen_examples():
@@ -206,9 +201,9 @@ def test_intercept_resend_touches_decoys():
     total = 0
     for _ in range(50):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
-        before = [d.label for d in decoys_of(register)]
+        before = list(register.labels)
         hook_intercept_resend(Wave([register]), SampleSource([rng]))
-        for prior, label in zip(before, [d.label for d in decoys_of(register)]):
+        for prior, label in zip(before, register.labels):
             total += 1
             if prior != label:
                 changed += 1
@@ -223,37 +218,39 @@ def test_intercept_resend_empirical_mismatch_rate():
     for _ in range(2000):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
         hook_intercept_resend(Wave([register]), SampleSource([rng]))
-        for meta in decoys_of(register):
-            measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-            state = qsim.init_product([DECOY_KETS[meta.label]])
+        for coin, label, prepared in zip(register.coins, register.labels, register.prepared):
+            measure = qsim.measure_x if coin else qsim.measure_z
+            state = qsim.init_product([DECOY_KETS[label]])
             (bit,), _ = measure(state, 0, [rng.random()])
             checked += 1
-            mismatches += int(bit != meta.prepared)
+            mismatches += int(bit != prepared)
     rate = mismatches / checked
     sigma = np.sqrt(0.25 * 0.75 / checked)
     assert abs(rate - 0.25) < 5 * sigma
 
 
 def test_intercepted_decoys_are_checked_from_the_labels_eve_left():
-    # Eve measures the records in their slots; S1/S2 then read each one's
-    # ``measured`` from the label she left on that very record.
+    # Eve measures the decoys in the row's lists, changing only their
+    # labels; S1/S2 then read each one's outcome from the label she left.
     rng = np.random.default_rng(8)
     disturbed = 0
     for _ in range(50):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
-        records = decoys_of(register)
+        sent = copy.deepcopy(register)
         hook_intercept_resend(Wave([register]), SampleSource([rng]))
-        assert [id(d) for d in decoys_of(register)] == [id(d) for d in records]
-        left = [d.label for d in records]
-        disturbed += sum(label != 2 * (d.basis is Basis.X) + d.prepared
-                         for d, label in zip(records, left))
+        assert (register.positions, register.coins, register.prepared) == (
+            sent.positions, sent.coins, sent.prepared
+        )
+        assert register.measured is None
+        left = list(register.labels)
+        disturbed += sum(label != 2 * coin + bit
+                         for coin, bit, label in zip(sent.coins, sent.prepared, left))
         twin = copy.deepcopy(rng)
-        for seq, owner in ((register.alice_seq, Role.ALICE), (register.bob_seq, Role.BOB)):
-            s_check(seq, [d for d in records if d.owner is owner], 0.0, rng)
-        for d, label in zip(records, left):
-            measure = qsim.measure_z if d.basis is Basis.Z else qsim.measure_x
+        s_check(register, rng.random(size=4).tolist(), 0.0)
+        for coin, label, measured in zip(register.coins, left, register.measured):
+            measure = qsim.measure_x if coin else qsim.measure_z
             (bit,), _ = measure(qsim.init_product([DECOY_KETS[label]]), 0, [twin.random()])
-            assert d.measured == bit
+            assert measured == bit
     assert disturbed
 
 
@@ -274,19 +271,39 @@ def test_intercept_resend_detection_rate(decoys, expected):
     assert abs(rate - expected) < 5 * sigma
 
 
-def test_intercept_resend_still_forwards_protocol_qubits():
+@pytest.mark.parametrize("decoys", [0, 1, 3])
+def test_intercept_resend_still_forwards_protocol_qubits(decoys):
     # The attack measures the travelling protocol qubits too, in transit
-    # order; applied the way run_batch applies them, they leave a definite
-    # product of the measured eigenstates, still normalized.
+    # order: the coins and draws of the slots no decoy holds, Alice's
+    # sequence then Bob's.  Applied the way run_batch applies them, they
+    # leave a definite product of the measured eigenstates, still
+    # normalized.
     rng = np.random.default_rng(8)
-    register = fresh_register()
+    register = fresh_register(decoys, seed=decoys)
+    prepared = list(register.labels)
+    twin = copy.deepcopy(rng)
     wave = Wave([register])
     hook_intercept_resend(wave, SampleSource([rng]))
     [(coins, draws)] = wave.in_transit
-    assert [q for q in register.alice_seq + register.bob_seq if type(q) is int] == list(TRANSIT)
+    total = 2 * decoys + 4
+    bases, randomness = twin.integers(0, 2, size=total), twin.random(size=total)
+    owners = [register.positions[:decoys], register.positions[decoys:]]
+    free = [
+        offset + slot
+        for offset, taken in zip((0, decoys + 2), owners)
+        for slot in range(decoys + 2)
+        if slot not in taken
+    ]
+    assert coins == bases[free].tolist() and draws == randomness[free].tolist()
+    # Each decoy was measured with the coin and draw of its own slot.
+    slots = owners[0] + [decoys + 2 + slot for slot in owners[1]]
+    for label, slot, left in zip(prepared, slots, register.labels):
+        measure = qsim.measure_x if bases[slot] else qsim.measure_z
+        (bit,), _ = measure(qsim.init_product([DECOY_KETS[label]]), 0, [float(randomness[slot])])
+        assert left == 2 * bases[slot] + bit
     assert list(TRANSIT) == [A1, A2, B1, B2]
     assert len(coins) == len(draws) == len(TRANSIT)
     state = wave.state
     for q, coin, draw in zip(TRANSIT, coins, draws):
         state = _measure_in_bases(state, q, [coin], [draw])
-    assert state.norm() == pytest.approx(1.0)
+    assert reference.norm(state) == pytest.approx(1.0)

@@ -72,7 +72,7 @@ def test_enumerate_matches_outcome_distribution():
     for _ in range(20):
         n = int(rng.integers(2, 5))
         state = qsim.StateVector(n, rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
-        state = qsim.StateVector(n, state.amps / state.norm())
+        state = qsim.StateVector(n, state.amps / reference.norm(state))
         qubits = list(rng.permutation(n)[:2])
 
         def pipeline(source, state=state, qubits=qubits):
@@ -119,7 +119,7 @@ def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
 
     monkeypatch.setattr(oracle, "BranchSource", Recording)
     plan = [((0,), Basis.Z), ((1,), Basis.Z)]
-    dist = oracle.outcome_distribution(qsim.bell_pair(BellLabel.PHI_PLUS), plan)
+    dist = oracle.outcome_distribution(reference.bell_pair(BellLabel.PHI_PLUS), plan)
     assert dist == {
         (0, 0): pytest.approx(0.5),
         (0, 1): 0.0,
@@ -245,7 +245,7 @@ def test_pauli_bell_map_matches_simulator():
     # exactly one outcome survives and it matches the table.
     for p in PauliLabel:
         for m in BellLabel:
-            state = qsim.bell_pair(m)
+            state = reference.bell_pair(m)
             state = qsim.apply_pauli(state, 0, p)
             live = [
                 (label, prob)
@@ -372,8 +372,7 @@ def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
                 exact_transcript_distribution(strategy, key, direction)
     assert len(rows) == 16  # one per distribution, not one per leaf
     for row in rows:
-        assert row.alice_seq == [protocol.A1, protocol.A2]
-        assert row.bob_seq == [protocol.B1, protocol.B2]
+        assert row == protocol.RoundRegister([], [], [], [])
 
 
 class RecordedSource:

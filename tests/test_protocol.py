@@ -20,14 +20,17 @@ from qauthsim.protocol import (
     C2,
     PROTOCOL_QUBITS,
     WAVE_SIZE,
+    _DECOY_CUT,
+    _DECOY_PROBS,
     Decision,
     DecoyRecord,
     PhaseId,
     ProtocolConfig,
     Role,
+    RoundRegister,
     SampleSource,
     Wave,
-    _measure_decoy,
+    _measure_decoys,
     e1_encode,
     e2_measure,
     e3_verify,
@@ -50,9 +53,25 @@ def fresh_register(decoys=0, seed=0):
     return p1_prepare(config, rng)
 
 
-def decoys_of(*sequences):
-    """The decoy records in the sequences' slots, in slot order."""
-    return [slot for seq in sequences for slot in seq if isinstance(slot, DecoyRecord)]
+def sequences(register):
+    """Alice's and Bob's sequences rebuilt from the register's positions:
+    each slot holds a protocol qubit's index, or ("decoy", i) for the
+    decoy at row index i; the protocol qubits fill the free slots in order."""
+    d = len(register.positions) // 2
+    rebuilt = []
+    for first, qubits in ((0, [A1, A2]), (d, [B1, B2])):
+        seq = [None] * (d + 2)
+        for i in range(first, first + d):
+            assert seq[register.positions[i]] is None
+            seq[register.positions[i]] = ("decoy", i)
+        free = iter(qubits)
+        rebuilt.append([next(free) if slot is None else slot for slot in seq])
+    return rebuilt
+
+
+def mismatches(register, owned=slice(None)):
+    """Checked decoys of the register (in ``owned``) whose outcome differs from P1's bit."""
+    return sum(m != p for m, p in zip(register.measured[owned], register.prepared[owned]))
 
 
 def decoy_state(label):
@@ -103,8 +122,8 @@ def test_p1_without_decoys_builds_double_triple():
     register = fresh_register()
     state = Wave([register]).state
     assert state.n_qubits == PROTOCOL_QUBITS
-    assert register.alice_seq == [A1, A2]
-    assert register.bob_seq == [B1, B2]
+    assert register == RoundRegister([], [], [], [])
+    assert sequences(register) == [[A1, A2], [B1, B2]]
     # Independent reconstruction: the three-qubit resource state has
     # amplitude 1/2 on 001, 010, 100, 111; the register holds two copies.
     triple = np.zeros(8, dtype=complex)
@@ -115,31 +134,27 @@ def test_p1_without_decoys_builds_double_triple():
 
 def test_p1_decoy_structure():
     register = fresh_register(decoys=2, seed=5)
-    assert len(decoys_of(register.alice_seq, register.bob_seq)) == 4
-    owners = [m.owner for m in decoys_of(register.alice_seq, register.bob_seq)]
-    assert owners.count(Role.ALICE) == 2
-    assert owners.count(Role.BOB) == 2
-    for seq, owner, qubits in (
-        (register.alice_seq, Role.ALICE, (A1, A2)),
-        (register.bob_seq, Role.BOB, (B1, B2)),
-    ):
+    for values in (register.positions, register.coins, register.prepared, register.labels):
+        assert len(values) == 4  # Alice's two decoys, then Bob's two
+    assert register.measured is None
+    for seq, qubits in zip(sequences(register), ((A1, A2), (B1, B2))):
         assert len(seq) == 4
-        sent_qubits = [slot for slot in seq if not isinstance(slot, DecoyRecord)]
+        sent_qubits = [slot for slot in seq if type(slot) is int]
         assert sent_qubits == list(qubits)
-        for pos, meta in enumerate(seq):
-            if isinstance(meta, DecoyRecord):
-                assert meta.owner is owner
-                assert meta.position == pos
-                assert meta.measured is None
-                label = meta.label
-                assert label == 2 * (meta.basis is Basis.X) + meta.prepared
+        for pos, slot in enumerate(seq):
+            if type(slot) is tuple:
+                i = slot[1]
+                assert register.positions[i] == pos
+                basis = (Basis.Z, Basis.X)[register.coins[i]]
+                label = register.labels[i]
+                assert label == 2 * (basis is Basis.X) + register.prepared[i]
                 expected = reference.KET[
                     {
                         (Basis.Z, 0): "0",
                         (Basis.Z, 1): "1",
                         (Basis.X, 0): "+",
                         (Basis.X, 1): "-",
-                    }[(meta.basis, meta.prepared)]
+                    }[(basis, register.prepared[i])]
                 ]
                 assert np.allclose(decoy_state(label).amps, expected)
 
@@ -147,29 +162,25 @@ def test_p1_decoy_structure():
 @pytest.mark.parametrize("decoys", [1, 2, 5, 16])
 def test_p1_decoy_slot_layout(decoys):
     # Each sequence carries its owner's two protocol qubits in order and d
-    # decoy records, each in the slot its position names.
+    # decoys, each in the slot its position names.
     rng = np.random.default_rng(decoys)
     for _ in range(20):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=decoys), rng)
-        for owner, seq, qubits in (
-            (Role.ALICE, register.alice_seq, [A1, A2]),
-            (Role.BOB, register.bob_seq, [B1, B2]),
+        assert len(register.positions) == 2 * decoys
+        for seq, qubits, owned in zip(
+            sequences(register), ([A1, A2], [B1, B2]), (range(decoys), range(decoys, 2 * decoys))
         ):
             assert len(seq) == decoys + 2
             assert [slot for slot in seq if type(slot) is int] == qubits
-            metas = decoys_of(seq)
-            assert len(metas) == decoys
-            assert all(m.owner is owner for m in metas)
-            positions = [m.position for m in metas]
+            positions = [register.positions[i] for i in owned]
             assert positions == sorted(set(positions))
-            assert all(seq[m.position] is m for m in metas)
+            assert all(seq[register.positions[i]] == ("decoy", i) for i in owned)
 
 
 def test_p1_is_deterministic_per_stream():
     first = p1_prepare(ProtocolConfig(decoys_per_sequence=3), np.random.default_rng(11))
     second = p1_prepare(ProtocolConfig(decoys_per_sequence=3), np.random.default_rng(11))
-    assert first.alice_seq == second.alice_seq
-    assert first.bob_seq == second.bob_seq
+    assert first == second
 
 
 def test_p1_decoy_positions_cover_all_slots():
@@ -177,8 +188,10 @@ def test_p1_decoy_positions_cover_all_slots():
     rng = np.random.default_rng(23)
     for _ in range(200):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
-        for meta in decoys_of(register.alice_seq, register.bob_seq):
-            seen.add((meta.owner, meta.position, meta.basis, meta.prepared))
+        for owner, pos, coin, bit in zip(
+            (Role.ALICE, Role.BOB), register.positions, register.coins, register.prepared
+        ):
+            seen.add((owner, pos, coin, bit))
     # 1 decoy in 3 slots, 2 bases, 2 bits, both owners: all 24 combinations.
     assert len(seen) == 24
 
@@ -217,11 +230,11 @@ def test_p2_honest_returns_none_and_leaves_state_alone():
     register = fresh_register(decoys=2, seed=1)
     wave = Wave([register])
     before = wave.state.amps.copy()
-    decoys = [d.label for d in decoys_of(register.alice_seq, register.bob_seq)]
+    decoys = list(register.labels)
     source = SampleSource([np.random.default_rng(0)])
     assert p2_transmit(wave, StrategyId.HONEST, source) is None
     assert np.array_equal(wave.state.amps, before)
-    assert [d.label for d in decoys_of(register.alice_seq, register.bob_seq)] == decoys
+    assert register.labels == decoys
 
 
 def test_p2_premeasure_returns_eve_state():
@@ -260,9 +273,8 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
 
     def counted(wave, *args):
         for register in wave.rows:
-            decoys = decoys_of(register.alice_seq, register.bob_seq)
-            assert all(meta.measured is None for meta in decoys)
-            rows.append(decoys)
+            assert register.measured is None
+            rows.append(register)
         calls.append(len(wave.rows))
         return original(wave, *args)
 
@@ -270,15 +282,16 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
     transcript = run_protocol(config, [PauliLabel.X] * 4, strategy)
     assert calls == [1, 2, 1][: len(calls)]
     assert sum(calls) >= len(transcript.rounds)
-    assert [r.decoys for r in transcript.rounds] == rows[: len(transcript.rounds)]
+    assert [r.row for r in transcript.rounds] == rows[: len(transcript.rounds)]
 
 
 @pytest.mark.parametrize("strategy", list(StrategyId))
 def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy):
-    # Every RoundRecord.decoys entry is the very record in its slot of its
-    # row's sequences, Alice's then Bob's in rising position, aborted rounds
-    # included.  Rows are found by their (seed, round) streams, since a run
-    # that aborts leaves its later rows in the wave prepared but unrecorded.
+    # Every RoundRecord.decoys entry equals its row's lists at its index,
+    # Alice's then Bob's in rising position, each in a slot of its owner's
+    # sequence, aborted rounds included.  Rows are found by their (seed,
+    # round) streams, since a run that aborts leaves its later rows in the
+    # wave prepared but unrecorded.
     rows = {}
     original = protocol.p1_prepare
 
@@ -294,11 +307,18 @@ def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy)
     for seed, transcript in zip(seeds, runs):
         for i, rec in enumerate(transcript.rounds):
             row = rows[seed, i]
-            expected = decoys_of(row.alice_seq, row.bob_seq)
-            assert [id(d) for d in rec.decoys] == [id(d) for d in expected]
-            for d in rec.decoys:
-                seq = row.alice_seq if d.owner is Role.ALICE else row.bob_seq
-                assert seq[d.position] is d
+            assert rec.row is row
+            expected = [
+                DecoyRecord(Role.ALICE if j < 3 else Role.BOB, *fields)
+                for j, fields in enumerate(zip(
+                    row.positions, [(Basis.Z, Basis.X)[c] for c in row.coins],
+                    row.prepared, row.labels, row.measured,
+                ))
+            ]
+            assert rec.decoys == expected
+            for j, decoy in enumerate(rec.decoys):
+                seq = sequences(row)[decoy.owner is Role.BOB]
+                assert seq[decoy.position] == ("decoy", j)
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +326,19 @@ def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy)
 
 
 def check_both(register, threshold, rng):
-    """S1 then S2 on every decoy of the register: (total mismatches, both pass)."""
-    results = [
-        s_check(seq, decoys_of(seq), threshold, rng)
-        for seq in (register.alice_seq, register.bob_seq)
-    ]
-    return sum(m for m, _ in results), all(ok for _, ok in results)
+    """S1 then S2 on every decoy of the register, with one batch of draws as
+    run_batch takes them: (total mismatches, both pass)."""
+    phase = s_check(register, rng.random(size=len(register.labels)).tolist(), threshold)
+    return mismatches(register), phase is None
 
 
 def test_s_check_honest_run_sees_no_errors():
     rng = np.random.default_rng(3)
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
-    mismatches, ok = check_both(register, 0.0, rng)
-    assert mismatches == 0
+    mismatched, ok = check_both(register, 0.0, rng)
+    assert mismatched == 0
     assert ok
-    for meta in decoys_of(register.alice_seq, register.bob_seq):
-        assert meta.measured == meta.prepared
+    assert register.measured == register.prepared
 
 
 def test_s_check_flags_tampered_decoys():
@@ -329,74 +346,67 @@ def test_s_check_flags_tampered_decoys():
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
     # Flip every decoy to the orthogonal state of its own basis (the label's
     # bit).  Every check must then fail.
-    decoys = decoys_of(register.alice_seq, register.bob_seq)
-    for meta in decoys:
-        meta.label ^= 1
-    mismatches, ok = check_both(register, 0.0, rng)
-    assert mismatches == len(decoys) == 4
+    register.labels = [label ^ 1 for label in register.labels]
+    mismatched, ok = check_both(register, 0.0, rng)
+    assert mismatched == len(register.labels) == 4
     assert not ok
 
 
 def test_s_check_threshold_tolerates_partial_errors():
     rng = np.random.default_rng(5)
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
-    seq = register.alice_seq
-    decoys = decoys_of(seq)
-    decoys[0].label ^= 1
-    mismatches, ok = s_check(seq, decoys, 0.25, rng)
-    assert mismatches == 1
-    assert ok
+    register.labels[0] ^= 1  # Alice's first decoy
+    assert s_check(register, rng.random(size=8).tolist(), 0.25) is None
+    assert mismatches(register, slice(0, 4)) == 1
     # Checking in its own basis leaves the first decoy flipped: the same
-    # single mismatch in 4 fails just below a 1/4 threshold.
-    assert s_check(seq, decoys, np.nextafter(0.25, 0.0), rng) == (1, False)
-    other = fresh_register(decoys=2, seed=5).alice_seq
-    mismatches, strict = s_check(other, decoys_of(other)[:1], 0.0, rng)
-    assert mismatches == 0
-    assert strict
+    # single mismatch in 4 fails S1 just below a 1/4 threshold.
+    below = np.nextafter(0.25, 0.0)
+    assert s_check(register, rng.random(size=8).tolist(), below) is PhaseId.S1
+    assert mismatches(register, slice(0, 4)) == 1
+    # The same flip in Bob's sequence fails S2, after S1 passes.
+    register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
+    register.labels[4] ^= 1
+    assert s_check(register, rng.random(size=8).tolist(), below) is PhaseId.S2
+    assert s_check(register, rng.random(size=8).tolist(), 0.25) is None
+    other = fresh_register(decoys=2, seed=5)
+    strict = s_check(other, rng.random(size=4).tolist(), 0.0)
+    assert mismatches(other) == 0
+    assert strict is None
 
 
 def test_s_check_empty_announcement_passes():
     register = fresh_register()
-    mismatches, ok = s_check(register.alice_seq, [], 0.0, np.random.default_rng(0))
-    assert mismatches == 0
-    assert ok
+    assert s_check(register, [], 0.0) is None
+    assert register.measured == []
 
 
-def test_s_check_rejects_a_record_not_in_this_sequence():
+@pytest.mark.parametrize("draws", [0, 1, 3])
+def test_s_check_rejects_draws_not_one_per_decoy(draws):
+    # The draws are checked before any decoy is measured.
     register = fresh_register(decoys=1, seed=0)
-    [alice], [bob] = decoys_of(register.alice_seq), decoys_of(register.bob_seq)
+    labels = list(register.labels)
     with pytest.raises(ValueError):
-        s_check(register.alice_seq, [bob], 0.0, np.random.default_rng(0))
-    # Records are checked before any decoy is measured or any draw taken:
-    # Bob's record, an equal copy of Alice's, and one past the sequence's end.
-    rng = np.random.default_rng(1)
-    before = rng.bit_generator.state
-    for stray in (bob, replace(alice), replace(alice, position=99)):
-        with pytest.raises(ValueError):
-            s_check(register.alice_seq, [alice, stray], 0.0, rng)
-    assert rng.bit_generator.state == before
-    assert alice.measured is None
+        s_check(register, [0.5] * draws, 0.0)
+    assert register.measured is None
+    assert register.labels == labels
 
 
-@pytest.mark.parametrize(
-    "announced",
-    [("alice_seq", []), ("alice_seq", [3]), ("bob_seq", [1, 0, 3]), ("bob_seq", range(4))],
-)
-def test_s_check_draws_once_per_announced_decoy(announced):
-    side, indices = announced
-    config = ProtocolConfig(decoys_per_sequence=4)
+@pytest.mark.parametrize("decoys", [0, 1, 4, 16])
+@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.INTERCEPT_RESEND])
+def test_s_check_draws_once_per_announced_decoy(decoys, strategy):
+    config = ProtocolConfig(decoys_per_sequence=decoys)
     rng, twin = np.random.default_rng(31), np.random.default_rng(31)
     register = p1_prepare(config, rng)
     untouched = p1_prepare(config, twin)
-    seq = getattr(register, side)
-    s_check(seq, [decoys_of(seq)[i] for i in indices], 0.0, rng)
-    # The batched draw is the stream of one scalar draw per decoy, in
-    # announcement order, and the bits are those the kernels give for it.
-    for idx in indices:
-        meta = decoys_of(getattr(untouched, side))[idx]
-        measure = qsim.measure_z if meta.basis is Basis.Z else qsim.measure_x
-        (bit,), _ = measure(decoy_state(meta.label), 0, [twin.random()])
-        assert decoys_of(seq)[idx].measured == bit
+    for row, stream in ((register, rng), (untouched, twin)):
+        p2_transmit(Wave([row]), strategy, SampleSource([stream]))
+    s_check(register, rng.random(size=2 * decoys).tolist(), 0.0)
+    # The batched draw is the stream of one scalar draw per decoy, in row
+    # order, and the bits are those the kernels give for it.
+    for i, (label, coin) in enumerate(zip(untouched.labels, untouched.coins)):
+        measure = qsim.measure_x if coin else qsim.measure_z
+        (bit,), _ = measure(decoy_state(label), 0, [twin.random()])
+        assert register.measured[i] == bit
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -417,8 +427,12 @@ DRAWS = [
 PREPARED = [(Basis.Z, 0), (Basis.Z, 1), (Basis.X, 0), (Basis.X, 1)]
 
 
-def decoy_record(label):
-    return DecoyRecord(Role.ALICE, 0, Basis.Z, 0, label)
+def measure_one(label, coin, draw):
+    """One decoy of ``label`` measured in basis ``coin`` by the protocol's
+    table: (bit, collapsed label)."""
+    row = RoundRegister([0], [0], [0], [label])
+    (bit,) = _measure_decoys(row, [coin], [draw])
+    return bit, row.labels[0]
 
 
 def refuse_kernels(monkeypatch):
@@ -439,30 +453,41 @@ def test_template_table_matches_the_kernel(monkeypatch, key, basis):
     refuse_kernels(monkeypatch)
     coin = int(basis is Basis.X)
     for draw, ((bit,), post) in zip(DRAWS, expected):
-        decoy = decoy_record(label)
-        assert _measure_decoy(decoy, coin, draw) == bit
-        assert decoy.label == 2 * coin + bit
-        assert qsim.same_state(decoy_state(decoy.label), post)
-    with pytest.raises(ValueError):
-        _measure_decoy(decoy_record(label), coin, 1.0)
+        got, collapsed = measure_one(label, coin, draw)
+        assert got == bit
+        assert collapsed == 2 * coin + bit
+        assert reference.same_state(decoy_state(collapsed), post)
 
 
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
 def test_intercepted_decoy_matches_the_kernel(basis):
     # Every history a decoy can have: prepared, intercepted in ``basis``,
     # then checked in its prepared basis.  Real states through the kernels
-    # and labels through _measure_decoy pick the same bits for every draw.
+    # and labels through the table pick the same bits for every draw.
     coin = int(basis is Basis.X)
     for label, (prepared, _) in enumerate(PREPARED):
         check_coin = int(prepared is Basis.X)
         for first in DRAWS:
             (bit,), state = KERNELS[basis](decoy_state(label), 0, [first])
-            decoy = decoy_record(label)
-            assert _measure_decoy(decoy, coin, first) == bit
+            got, left = measure_one(label, coin, first)
+            assert got == bit
             for second in DRAWS:
                 (checked,), _ = KERNELS[prepared](state, 0, [second])
-                replay = decoy_record(decoy.label)
-                assert _measure_decoy(replay, check_coin, second) == checked
+                assert measure_one(left, check_coin, second)[0] == checked
+
+
+def test_decoy_cuts_follow_the_kernels_selection_rule():
+    # Every (label, coin) cell: the table's cut selects the outcome
+    # qsim._pick selects from the cell's probabilities, at and around p0.
+    for label, row in enumerate(_DECOY_PROBS):
+        for coin, probs in enumerate(row):
+            p0 = probs[0]
+            draws = [0.0, np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0), 0.5, 1.0 - 2**-53]
+            for u in (float(u) for u in draws):
+                if 0.0 <= u < 1.0:
+                    assert int(u >= _DECOY_CUT[label][coin]) == qsim._pick(probs, u)
+            with pytest.raises(ValueError):
+                qsim._pick(probs, 1.0)  # _pick keeps its range check
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +504,7 @@ def test_e1_identity_key_is_a_no_op():
 @pytest.mark.parametrize("direction,qubit", [(Role.ALICE, A1), (Role.BOB, B1)])
 def test_e1_applies_key_to_first_qubit(direction, qubit):
     wave = Wave([fresh_register()])
-    expected = qsim.apply_pauli(wave.state.copy(), qubit, PauliLabel.X)
+    expected = qsim.apply_pauli(reference.copy_state(wave.state), qubit, PauliLabel.X)
     e1_encode(wave, [PauliLabel.X], direction)
     assert np.allclose(wave.state.amps, expected.amps)
 
@@ -748,27 +773,44 @@ def record_waves(monkeypatch):
     return waves
 
 
+# The InterceptResend cases at threshold 1/4 can land a sequence's
+# mismatch rate exactly on the threshold, where the check still passes.
 REFERENCE_CASES = [
-    (strategy, rounds, decoys, direction, runs)
-    for strategy, rounds, decoys, direction in (
-        (StrategyId.INTERCEPT_RESEND, 12, 1, Role.ALICE),
-        (StrategyId.PRE_MEASURE, 16, 16, Role.ALICE),
-        (StrategyId.PRE_MEASURE, 16, 16, Role.BOB),
-        (StrategyId.HONEST, 4, 4, Role.BOB),
+    (strategy, rounds, decoys, threshold, direction, runs)
+    for strategy, rounds, decoys, threshold, direction in (
+        (StrategyId.INTERCEPT_RESEND, 12, 1, 0.0, Role.ALICE),
+        (StrategyId.INTERCEPT_RESEND, 4, 4, 0.25, Role.ALICE),
+        (StrategyId.INTERCEPT_RESEND, 16, 16, 0.25, Role.BOB),
+        (StrategyId.PRE_MEASURE, 16, 16, 0.0, Role.ALICE),
+        (StrategyId.PRE_MEASURE, 16, 16, 0.0, Role.BOB),
+        (StrategyId.HONEST, 4, 4, 0.0, Role.BOB),
     )
     for runs in (1, 3, 64)
 ]
 
 
+def reference_case_id(case):
+    strategy, rounds, decoys, threshold, direction, runs = case
+    shape = f"{strategy.value}-{rounds}x{decoys}"
+    if threshold:
+        shape += f"-t{threshold}"
+    return f"{shape}-{direction.value}-{runs}runs"
+
+
 @pytest.mark.parametrize(
-    "strategy, rounds, decoys, direction, runs",
+    "strategy, rounds, decoys, threshold, direction, runs",
     REFERENCE_CASES,
-    ids=[f"{c[0].value}-{c[1]}x{c[2]}-{c[3].value}-{c[4]}runs" for c in REFERENCE_CASES],
+    ids=[reference_case_id(c) for c in REFERENCE_CASES],
 )
 def test_run_batch_equals_the_one_round_at_a_time_reference(
-    monkeypatch, strategy, rounds, decoys, direction, runs
+    monkeypatch, strategy, rounds, decoys, threshold, direction, runs
 ):
-    config = ProtocolConfig(rounds=rounds, decoys_per_sequence=decoys, direction=direction)
+    config = ProtocolConfig(
+        rounds=rounds,
+        decoys_per_sequence=decoys,
+        decoy_error_threshold=threshold,
+        direction=direction,
+    )
     rng = np.random.default_rng(runs * 1000 + rounds)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=runs)]
     keys = [[list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rounds)] for _ in seeds]
@@ -787,11 +829,27 @@ def test_run_batch_equals_the_one_round_at_a_time_reference(
     ks = [max(Counter(seed for seed, _ in wave).values()) for wave in waves]
     if strategy is not StrategyId.INTERCEPT_RESEND:
         assert (max(ks) > 1) == (WAVE_SIZE // runs > 1)
-    else:
+    elif not threshold:
         # some run aborts inside a speculative window: rows of its later
         # rounds were prepared in the same wave and dropped
         recorded = sum(len(run.rounds) for run in batched)
         assert sum(map(len, waves)) > recorded
+    elif runs == WAVE_SIZE:
+        # some sequence's mismatch rate lands on the threshold and passes
+        assert any(
+            rec.aborted_in is None and threshold in sequence_rates(rec)
+            for run in batched
+            for rec in run.rounds
+        )
+
+
+def sequence_rates(record):
+    """Alice's and Bob's decoy mismatch rates in a round record."""
+    return [
+        sum(d.measured != d.prepared for d in owned) / len(owned)
+        for owner in (Role.ALICE, Role.BOB)
+        for owned in [[d for d in record.decoys if d.owner is owner]]
+    ]
 
 
 @pytest.mark.parametrize(
