@@ -1,15 +1,16 @@
 """Attack strategies of the center; :func:`qauthsim.protocol.p2_transmit`
 runs the one a StrategyId names at transmission (P2).  Both hooks take
-``(wave, source)``: the round's :class:`qauthsim.protocol.Wave` and its
-outcome source.
+only ``(wave, source)``: the round's :class:`qauthsim.protocol.Wave`, whose
+rows are the rounds' RoundRecords from P1, and its outcome source.
 
 The interesting one is :func:`hook_premeasure`: the center measures every
-protocol qubit before anything is transmitted (Z on his own pair, Bell on
-each party's pair), leaves the decoys alone, and later replays his early c
-outcomes and XORs the party's announcement against his early Bell label to
-read off the round key.  :func:`hook_intercept_resend` is the detectable
-baseline: measure everything in transit, decoys included, in a random basis,
-leaving the protocol qubits' coins and draws in ``in_transit``, one per row.
+protocol qubit before anything is transmitted (Z on his own pair, then Bell
+on each party's pair, an order fixed in code), leaves the decoys alone, and
+later replays his early c outcomes and XORs the party's announcement
+against his early Bell label to read off the round key.
+:func:`hook_intercept_resend` is the detectable baseline: measure
+everything in transit, decoys included, in a random basis, leaving the
+protocol qubits' coins and draws in ``in_transit``, one per row.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ class EveState:
     b_pre: BellLabel
 
 
-def hook_premeasure(wave: Wave, source, order=("c", "a", "b")) -> list:
+def hook_premeasure(wave: Wave, source) -> list:
     """Measure all six protocol qubits before transmission.
 
-    Z on C1 and C2, Bell on (A1, A2) and on (B1, B2): the party walk of
-    the honest E2 measurement, made early.  The measurements act on
-    disjoint qubits, so ``order`` (a permutation of "c", "a", "b") cannot
+    Z on C1 and C2, then Bell on (A1, A2) and on (B1, B2): the party walk
+    of the honest E2 measurement, made early with Charlie's turn first.
+    The measurements act on disjoint qubits, so the order of turns cannot
     change the joint outcome statistics.  Decoy qubits are never touched.
     Returns one EveState per row of the wave.
     """
-    return [EveState(c, a, b) for a, b, c in _measure_parties(wave, source, order)]
+    return [EveState(c, a, b) for a, b, c in _measure_parties(wave, source, ("c", "a", "b"))]
 
 
 def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE) -> PauliLabel:
@@ -79,7 +80,8 @@ def hook_intercept_resend(wave: Wave, source) -> None:
     four slots no decoy holds carry the protocol qubits in
     ``protocol.TRANSIT`` order (A1, A2, B1, B2); their coins and draws go to
     the wave's ``in_transit`` as one (coins, draws) pair per row, in row
-    order.  Charlie's own C qubits never travel, so they are left alone.
+    order: what is left of the row's drawn lists once the decoy slots are
+    deleted.  Charlie's own C qubits never travel, so they are left alone.
     """
     wave.in_transit = []
     for row, rng in zip(wave.rows, source.rngs):
@@ -89,6 +91,6 @@ def hook_intercept_resend(wave: Wave, source) -> None:
         randomness = rng.random(size=total).tolist()
         decoy_slots = row.positions[:d] + [d + 2 + pos for pos in row.positions[d:]]
         _measure_decoys(row, [bases[i] for i in decoy_slots], [randomness[i] for i in decoy_slots])
-        taken = set(decoy_slots)
-        transit = [i for i in range(total) if i not in taken]
-        wave.in_transit.append(([bases[i] for i in transit], [randomness[i] for i in transit]))
+        for i in reversed(decoy_slots):  # rising, so each deletion leaves the rest in place
+            del bases[i], randomness[i]
+        wave.in_transit.append((bases, randomness))

@@ -16,9 +16,11 @@ shares with the previous one: every outcome list of the tree is computed
 exactly once.  It is the package's only enumerator:
 :func:`outcome_distribution` (a measurement plan on a bare state) and
 :func:`exact_transcript_distribution` (a protocol round, its enumerated
-mass checked at run time) are pipelines it runs.  A round's P1 row is
+mass checked at run time) are pipelines it runs.  A round's P1 record is
 decoy-free, so nothing draws from it or changes it: each distribution
-prepares it once and every leaf's wave shares it.  Sampled runs reduce to
+prepares it once and every leaf's wave shares it.  No function here takes
+an order of the parties' turns: the round is walked in the sampler's
+orders, which are fixed in code.  Sampled runs reduce to
 five integer tallies that :func:`sampled_rates` turns into Wilson intervals.
 """
 
@@ -38,6 +40,9 @@ MASS_TOL = 1e-12
 
 # The strategies exact mode enumerates; InterceptResend is sampled only.
 EXACT_STRATEGIES = (StrategyId.HONEST, StrategyId.PRE_MEASURE)
+
+# The standard normal quantile of 0.975: Wilson intervals are 95% bands.
+_WILSON_Z = 1.959963984540054
 
 
 class BranchSource:
@@ -188,19 +193,14 @@ _CELLS = tuple(
 
 
 def exact_transcript_distribution(
-    strategy: StrategyId,
-    key: PauliLabel,
-    direction: Role = Role.ALICE,
-    hook_order=("c", "a", "b"),
-    measure_order=("a", "b", "c"),
+    strategy: StrategyId, key: PauliLabel, direction: Role = Role.ALICE
 ) -> dict:
     """Exact distribution of the public round transcript (c, a, b).
 
     Enumerates every branch of a decoy-free round (decoys are independent of
     the protocol qubits and are checked separately).  Returns the full
-    64-cell map keyed by ((c1, c2), a, b).  The order arguments permute the
-    enumeration order of the parties' measurements; the distribution must
-    not depend on them.  The key and both orders are checked for every
+    64-cell map keyed by ((c1, c2), a, b).  The parties are measured in the
+    orders the sampler uses, fixed in code.  The key is checked for every
     strategy before anything is enumerated.  Raises ValueError when the
     leaf probabilities do not sum to 1 within ``MASS_TOL``.
     """
@@ -210,18 +210,16 @@ def exact_transcript_distribution(
         )
     if not isinstance(key, PauliLabel):
         raise ValueError(f"key must be a PauliLabel, got {key!r}")
-    protocol._check_order(hook_order)
-    protocol._check_order(measure_order)
-    # One decoy-free P1 row per distribution: nothing draws from it or
+    # One decoy-free P1 record per distribution: nothing draws from it or
     # changes it, so every leaf's wave shares it.  Building its config also
     # checks the direction before anything is enumerated.
     row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
 
     def pipeline(source):
         wave = protocol.Wave([row])
-        eves = protocol.p2_transmit(wave, strategy, source, hook_order)
+        eves = protocol.p2_transmit(wave, strategy, source)
         protocol.e1_encode(wave, [key], direction)
-        [(a, b, c)] = protocol.e2_measure(wave, source, measure_order)
+        [(a, b, c)] = protocol.e2_measure(wave, source)
         if eves is not None:
             c = eves[0].c_pre
         return c, a, b
@@ -242,8 +240,8 @@ def tv_distance(d1: dict, d2: dict) -> float:
     return 0.5 * sum(abs(d1[k] - d2[k]) for k in d1)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial rate (default 95%).
+def wilson_interval(successes: int, trials: int):
+    """Wilson score interval for a binomial rate at 95%.
 
     Stays inside [0, 1] and behaves sensibly at observed rates of exactly
     0 or 1, which this package hits by design.
@@ -252,6 +250,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
+    z = _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -8,6 +8,8 @@ measures (E2), and the announcements are verified against the shared key
 (E3).  The center's strategy acts in P2, before anything is sent:
 :func:`p2_transmit` is the only code that turns a StrategyId into an attack,
 and the PreMeasure attack measures the parties with the same walk as E2.
+Both walks fix their order of turns in code: Charlie, Alice, Bob in the
+attack, and Alice, Bob, Charlie in E2.
 
 Every phase from P2 on takes one round type, a :class:`Wave`: one or more
 rows, each one round of one run.  Its six-qubit states are the rows of one
@@ -24,22 +26,23 @@ since they touch only that row's decoys and stream.  Per-row inputs (E1's
 keys, the draws, the ``Wave.in_transit`` entries) are lists in row order,
 filtered as rows drop.
 
-A row's :class:`RoundRegister` holds its decoys as flat lists in row
-order, Alice's d then Bob's d: each one's slot in its owner's sequence,
-basis coin, prepared bit, current eigenstate label and, once checked, its
-S1/S2 outcome.  The protocol qubits fill the slots no decoy holds, and
-their joint state lives in the wave alone.  Decoys are never entangled
-with anything, and P1 prepares each in a Z or X eigenstate.  The only thing
-that ever touches a decoy is a Z or X measurement (the S1/S2 checks, or an
-intercepting adversary), which leaves an eigenstate again, so a label (0
-for |0>, 1 for |1>, 2 for |+>, 3 for |->) is its whole state.  The outcome
-probabilities of measuring each label in Z or X are tabulated once, at
-import, by the qsim kernels themselves, and so is the draw at which qsim's
-selection rule turns from outcome 0 to outcome 1: a decoy measurement
-compares one draw with one table entry.  A row's two checks take their
-draws in one batch, the stream of one draw per decoy.  A
-:class:`RoundRecord` keeps its row, and builds :class:`DecoyRecord` views
-of the decoys only when they are read.
+A round has one record, the :class:`RoundRecord` that P1 creates and the
+later phases fill in; the transcript holds that same object.  It keeps the
+round's decoys as flat lists in row order, Alice's d then Bob's d: each
+one's slot in its owner's sequence, basis coin, prepared bit, current
+eigenstate label and, once checked, its S1/S2 outcome.  The protocol
+qubits fill the slots no decoy holds, and their joint state lives in the
+wave alone.  Decoys are never entangled with anything, and P1 prepares
+each in a Z or X eigenstate.  The only thing that ever touches a decoy is
+a Z or X measurement (the S1/S2 checks, or an intercepting adversary),
+which leaves an eigenstate again, so a label (0 for |0>, 1 for |1>, 2 for
+|+>, 3 for |->) is its whole state.  The outcome probabilities of
+measuring each label in Z or X are tabulated once, at import, by the qsim
+kernels themselves, and so is the draw at which qsim's selection rule
+turns from outcome 0 to outcome 1: a decoy measurement compares one draw
+with one table entry.  A row's two checks take their draws in one batch,
+the stream of one draw per decoy.  A record builds :class:`DecoyRecord`
+views of its decoys only when they are read.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -180,16 +183,34 @@ class DecoyRecord:
     measured: int
 
 
-@dataclass
-class RoundRegister:
-    """A wave row's decoys as flat lists in row order, Alice's d then Bob's
-    d, each sequence's in rising slot.
+def _mismatch_rate(records) -> float:
+    """Share of the checked decoys of ``records`` whose outcome differs from P1's bit."""
+    mismatches = total = 0
+    for record in records:
+        mismatches += sum(m != p for m, p in zip(record.measured, record.prepared))
+        total += len(record.prepared)
+    return mismatches / total if total else 0.0
 
-    ``positions`` are their slots in the owner's sequence of d + 2, the
-    owner's two protocol qubits filling the other two in order; ``coins``
-    their basis coins (0 Z, 1 X); ``prepared`` P1's bits; ``labels`` their
-    current eigenstate labels, which each measurement replaces; and
-    ``measured`` the S1/S2 outcomes, None until :func:`s_check` runs.
+
+@dataclass
+class RoundRecord:
+    """The one record of a round, from P1 on.
+
+    P1 creates it with the round's decoys as flat lists in row order,
+    Alice's d then Bob's d, each sequence's in rising slot: ``positions``
+    are their slots in the owner's sequence of d + 2, the owner's two
+    protocol qubits filling the other two in order; ``coins`` their basis
+    coins (0 Z, 1 X); ``prepared`` P1's bits; ``labels`` their current
+    eigenstate labels, which each measurement replaces; and ``measured``
+    the S1/S2 outcomes, None until :func:`s_check` runs.
+
+    The later phases fill in the rest: the public announcements ``c``,
+    ``a`` and ``b`` (None after an abort), the ``decision`` (None until the
+    round is decided, so for good on a row dropped past its run's abort)
+    and the phase it ``aborted_in``.  ``eve`` is the round's EveState under
+    PreMeasure, aborted rounds included, and None otherwise;
+    ``inferred_key`` is the key the center read off the announcement, None
+    where the round aborted or ``eve`` is None.
     """
 
     positions: list
@@ -197,52 +218,28 @@ class RoundRegister:
     prepared: list
     labels: list
     measured: "list | None" = None
-
-
-def _mismatch_rate(rows) -> float:
-    """Share of the checked decoys of ``rows`` whose outcome differs from P1's bit."""
-    mismatches = total = 0
-    for row in rows:
-        mismatches += sum(m != p for m, p in zip(row.measured, row.prepared))
-        total += len(row.prepared)
-    return mismatches / total if total else 0.0
-
-
-@dataclass
-class RoundRecord:
-    """The one record of a round: its public announcements (None after an
-    abort), its checked row, its outcome, and what the center's strategy
-    recorded.
-
-    ``eve`` is the row's EveState under PreMeasure, aborted rounds included,
-    and None otherwise; ``inferred_key`` is the key the center read off the
-    announcement, None where the round aborted or ``eve`` is None.
-    """
-
-    c: "tuple[int, int] | None"
-    a: "BellLabel | None"
-    b: "BellLabel | None"
-    row: RoundRegister
-    decision: Decision
+    c: "tuple[int, int] | None" = None
+    a: "BellLabel | None" = None
+    b: "BellLabel | None" = None
+    decision: "Decision | None" = None
     aborted_in: "PhaseId | None" = None
     eve: "adversary.EveState | None" = None
     inferred_key: "PauliLabel | None" = None
 
     @property
     def decoys(self) -> list:
-        """The row's decoys as DecoyRecords, in row order, built at each read."""
-        row = self.row
-        d = len(row.positions) // 2
+        """The round's decoys as DecoyRecords, in row order, built at each read."""
+        d = len(self.positions) // 2
         return [
             DecoyRecord(Role.ALICE if i < d else Role.BOB, pos, _BASIS_OF_COIN[coin], *rest)
             for i, (pos, coin, *rest) in enumerate(
-                zip(row.positions, row.coins, row.prepared, row.labels, row.measured)
+                zip(self.positions, self.coins, self.prepared, self.labels, self.measured)
             )
         ]
 
     @property
     def decoy_error_rate(self) -> float:
-        return _mismatch_rate([self.row])
+        return _mismatch_rate([self])
 
 
 @dataclass
@@ -254,7 +251,7 @@ class Transcript:
 
     @property
     def decoy_error_rate(self) -> float:
-        return _mismatch_rate(record.row for record in self.rounds)
+        return _mismatch_rate(self.rounds)
 
 
 # |G> x |G> over the six protocol qubits, read-only and shared by every
@@ -278,8 +275,8 @@ class Wave:
     It starts as the fresh state of P1 in every row; a one-row wave holds
     ``_FRESH_STATE`` itself, 1-D, and a wave of several rows that
     :func:`run_batch` cuts to one keeps its (1, 64) batch.  ``rows[r]`` is
-    row r's RoundRegister from P1: its decoy lists, which only that row's
-    own checks and an intercepting adversary touch.
+    row r's RoundRecord from P1: its decoy lists are touched only by that
+    row's own checks and an intercepting adversary.
 
     ``in_transit`` holds an adversary's measurements of protocol qubits in
     transit (none if empty), one (basis coins, draws) pair of lists per row
@@ -325,13 +322,13 @@ class SampleSource:
         return qsim.measure_bell(state, q1, q2, self._draws())
 
 
-def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> RoundRegister:
-    """Prepare a row's decoys; the entangled triples every row starts from
-    are the wave's fresh state.
+def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> RoundRecord:
+    """Create a round's record with its decoys prepared; the entangled
+    triples every row starts from are the wave's fresh state.
 
     Draw order from ``rng`` is fixed (Alice's slot permutation, then her d
     basis coins and d bit coins; then the same for Bob) so identical streams
-    give identical registers.  The first d slots of a permutation carry
+    give identical records.  The first d slots of a permutation carry
     decoys, whose basis and bit coins go to them in rising slot order; each
     decoy's label is 2 * basis coin + bit coin.  ``rng`` may be None when
     ``decoys_per_sequence`` is 0.
@@ -343,25 +340,25 @@ def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> Rou
         drawn = rng.integers(0, 2, size=2 * d).tolist()  # d basis coins, then d bit coins
         coins += drawn[:d]
         bits += drawn[d:]
-    return RoundRegister(positions, coins, bits, [2 * c + b for c, b in zip(coins, bits)])
+    return RoundRecord(positions, coins, bits, [2 * c + b for c, b in zip(coins, bits)])
 
 
-def p2_transmit(wave: Wave, strategy, source, order=("c", "a", "b")):
+def p2_transmit(wave: Wave, strategy, source):
     """Let the center's strategy act on the wave, then hand the sequences
     to their receivers over an ideal channel.
 
     This is the one place where a StrategyId becomes an attack.  It runs
     once per wave, so each round meets it once, before anything leaves
     Charlie's lab.  PreMeasure measures the six protocol qubits through
-    ``source`` with the parties in ``order`` and returns one EveState per
-    row; InterceptResend measures every transmitted qubit with draws from
-    the source's generators, its protocol-qubit measurements waiting in the
-    wave's ``in_transit``; Honest does nothing.  Returns None unless the
+    ``source`` and returns one EveState per row; InterceptResend measures
+    every transmitted qubit with draws from the source's generators, its
+    protocol-qubit measurements waiting in the wave's ``in_transit``;
+    Honest does nothing.  Returns None unless the
     strategy records EveStates; an unknown strategy raises before the wave
     is touched.
     """
     if strategy is adversary.StrategyId.PRE_MEASURE:
-        return adversary.hook_premeasure(wave, source, order)
+        return adversary.hook_premeasure(wave, source)
     if strategy is adversary.StrategyId.INTERCEPT_RESEND:
         adversary.hook_intercept_resend(wave, source)
     elif strategy is not adversary.StrategyId.HONEST:
@@ -369,7 +366,7 @@ def p2_transmit(wave: Wave, strategy, source, order=("c", "a", "b")):
     return None
 
 
-def _measure_decoys(row: RoundRegister, coins: list, draws: list) -> list:
+def _measure_decoys(row: RoundRecord, coins: list, draws: list) -> list:
     """Measure each of the row's decoys in its basis in ``coins`` (0 Z, 1 X)
     with its draw in ``draws``, both in row order.
 
@@ -399,7 +396,7 @@ def _measure_in_bases(state: StateVector, q: int, coins: list, draws: list) -> S
     return StateVector(state.n_qubits, amps)
 
 
-def s_check(row: RoundRegister, draws: list, threshold: float) -> "PhaseId | None":
+def s_check(row: RoundRecord, draws: list, threshold: float) -> "PhaseId | None":
     """S1 then S2: measure each of the row's decoys in its prepared basis
     and compare the outcome with P1's bit.
 
@@ -434,20 +431,14 @@ def e1_encode(wave: Wave, keys: list, direction: Role) -> Wave:
     return wave
 
 
-def _check_order(order) -> None:
-    """Require ``order`` to be a permutation of the parties "a", "b", "c"."""
-    if sorted(order) != ["a", "b", "c"]:
-        raise ValueError(f"order must be a permutation of 'a', 'b', 'c', got {order!r}")
-
-
 def _measure_parties(wave: Wave, source, order) -> list:
     """Measure each party's protocol qubits, the parties taking turns in ``order``.
 
     Party "a" is a Bell measurement on (A1, A2), "b" one on (B1, B2), and
-    "c" Z on C1 then C2.  ``order`` is checked to permute the three before
-    anything is measured.  Returns one (a, b, (c1, c2)) per row.
+    "c" Z on C1 then C2; ``order`` is a permutation of the three.  The
+    measurements act on disjoint qubits, so the joint outcome distribution
+    cannot depend on it.  Returns one (a, b, (c1, c2)) per row.
     """
-    _check_order(order)
     results = {}
     for party in order:
         if party == "a":
@@ -461,15 +452,14 @@ def _measure_parties(wave: Wave, source, order) -> list:
     return list(zip(results["a"], results["b"], results["c"]))
 
 
-def e2_measure(wave: Wave, source, order=("a", "b", "c")) -> list:
+def e2_measure(wave: Wave, source) -> list:
     """Measure the round: Alice Bell on (A1, A2), Bob Bell on (B1, B2),
-    Charlie Z on C1 then C2; returns one (a, b, (c1, c2)) per row.
+    then Charlie Z on C1 then C2; returns one (a, b, (c1, c2)) per row.
 
-    ``order`` permutes the three parties' turns; the measurements act on
-    disjoint qubits, so the joint outcome distribution cannot depend on it.
-    The walk is the one the PreMeasure attack makes in P2.
+    The walk is the one the PreMeasure attack makes in P2, in another
+    order of turns.
     """
-    return _measure_parties(wave, source, order)
+    return _measure_parties(wave, source, ("a", "b", "c"))
 
 
 def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
@@ -499,10 +489,10 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
     run r draws from its own stream seeded by (seeds[r], i), in the order
     its run alone would, so a run's result does not depend on the batch or
     wave it is in.  A run ends at its first abort, and its later rows in
-    that wave are dropped before E1.  Rows are folded into their runs'
-    transcripts in round order.  Returns one Transcript per run, in seed
-    order; a run's decision is Accept only if every decoy check passed and
-    every round verified.
+    that wave are dropped before E1, their records left undecided.  The
+    decided records are folded into their runs' transcripts in round
+    order.  Returns one Transcript per run, in seed order; a run's decision
+    is Accept only if every decoy check passed and every round verified.
     """
     if len(keys) != len(seeds):
         raise ValueError(f"got {len(keys)} key lists for {len(seeds)} seeds")
@@ -530,9 +520,9 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
         rngs = [np.random.default_rng((seeds[r], i)) for r, i in pairs]
         rows = [p1_prepare(config, rng) for rng in rngs]
         wave = Wave(rows)
-        eves = p2_transmit(wave, strategy, SampleSource(rngs)) or [None] * len(rows)
+        for row, eve in zip(rows, p2_transmit(wave, strategy, SampleSource(rngs)) or ()):
+            row.eve = eve
 
-        records: list = [None] * len(rows)  # stays None for a dropped row
         kept, ended = [], set()
         for j, ((r, _), row, rng) in enumerate(zip(pairs, rows, rngs)):
             if r in ended:
@@ -541,7 +531,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
             if phase is None:
                 kept.append(j)
                 continue
-            records[j] = RoundRecord(None, None, None, row, Decision.ABORT, phase, eve=eves[j])
+            row.decision, row.aborted_in = Decision.ABORT, phase
             ended.add(r)
 
         if kept:
@@ -558,20 +548,19 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
             e1_encode(wave, round_keys, config.direction)
             outcomes = e2_measure(wave, SampleSource(rngs))
             for j, key, (a, b, c) in zip(kept, round_keys, outcomes):
-                eve, guess = eves[j], None
-                if eve is not None:
-                    c = eve.c_pre
+                row = rows[j]
+                if row.eve is not None:
+                    c = row.eve.c_pre
                     announced = a if config.direction is Role.ALICE else b
-                    guess = adversary.infer_key(eve, announced, config.direction)
-                records[j] = RoundRecord(
-                    c, a, b, rows[j], e3_verify(a, b, c, key), eve=eve, inferred_key=guess
-                )
+                    row.inferred_key = adversary.infer_key(row.eve, announced, config.direction)
+                row.c, row.a, row.b = c, a, b
+                row.decision = e3_verify(a, b, c, key)
 
-        for (r, _), record in zip(pairs, records):
-            if record is not None:
-                transcripts[r].rounds.append(record)
-                if record.decision is not Decision.ACCEPT:
-                    transcripts[r].decision = record.decision
+        for (r, _), row in zip(pairs, rows):
+            if row.decision is not None:  # None for a row dropped past its run's abort
+                transcripts[r].rounds.append(row)
+                if row.decision is not Decision.ACCEPT:
+                    transcripts[r].decision = row.decision
         checked += len(kept) + len(ended)
         aborts += len(ended)
         live = [r for r in live if len(transcripts[r].rounds) < config.rounds and r not in ended]

@@ -151,7 +151,7 @@ def enumerate_branches_from_scratch(pipeline):
 
 
 def check_decoys_one_at_a_time(row, threshold, rng):
-    """S1 then S2 on a P1 row as a plain loop: each decoy, in row order,
+    """S1 then S2 on a P1 record as a plain loop: each decoy, in row order,
     measured in its prepared basis with its own scalar draw, by
     :func:`qauthsim.qsim._pick` over the label's outcome probabilities.
 
@@ -179,8 +179,9 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
     """A run of ``config`` as a plain loop: one round per step, each on a
     one-row wave, stopping at the first abort.
 
-    It calls the protocol's phases directly (P1, P2, E1, E2 and E3), checks
-    the decoys with :func:`check_decoys_one_at_a_time` rather than the
+    It calls the protocol's phases directly (P1, P2, E1, E2 and E3) and
+    fills in the record P1 returns as the round goes.  It checks the
+    decoys with :func:`check_decoys_one_at_a_time` rather than the
     protocol's table lookup, makes one Z or X measurement per in-transit
     qubit after the checks, and shares none of
     :func:`qauthsim.protocol.run_batch`'s wave filling, row dropping or
@@ -189,22 +190,21 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
     from qauthsim import qsim
     from qauthsim.adversary import infer_key
     from qauthsim.protocol import (
-        TRANSIT, Decision, Role, RoundRecord, SampleSource, Transcript, Wave,
+        TRANSIT, Decision, Role, SampleSource, Transcript, Wave,
         e1_encode, e2_measure, e3_verify, p1_prepare, p2_transmit,
     )
 
     transcript = Transcript([], Decision.ACCEPT)
     for i, key in enumerate(keys):
         rng = np.random.default_rng((seed, i))
-        row = p1_prepare(config, rng)
-        wave = Wave([row])
+        record = p1_prepare(config, rng)
+        transcript.rounds.append(record)
+        wave = Wave([record])
         eves = p2_transmit(wave, strategy, SampleSource([rng]))
-        eve = eves[0] if eves else None
-        phase = check_decoys_one_at_a_time(row, config.decoy_error_threshold, rng)
+        record.eve = eves[0] if eves else None
+        phase = check_decoys_one_at_a_time(record, config.decoy_error_threshold, rng)
         if phase is not None:
-            transcript.rounds.append(
-                RoundRecord(None, None, None, row, Decision.ABORT, phase, eve=eve)
-            )
+            record.decision, record.aborted_in = Decision.ABORT, phase
             transcript.decision = Decision.ABORT
             return transcript
         for coins, draws in wave.in_transit:
@@ -213,14 +213,12 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
                 _, wave.state = measure(wave.state, q, [draw])
         e1_encode(wave, [key], config.direction)
         ((a, b, c),) = e2_measure(wave, SampleSource([rng]))
-        guess = None
-        if eve is not None:
-            c = eve.c_pre
-            guess = infer_key(eve, a if config.direction is Role.ALICE else b, config.direction)
-        decision = e3_verify(a, b, c, key)
-        transcript.rounds.append(
-            RoundRecord(c, a, b, row, decision, eve=eve, inferred_key=guess)
-        )
-        if decision is Decision.REJECT:
+        if record.eve is not None:
+            c = record.eve.c_pre
+            announced = a if config.direction is Role.ALICE else b
+            record.inferred_key = infer_key(record.eve, announced, config.direction)
+        record.c, record.a, record.b = c, a, b
+        record.decision = e3_verify(a, b, c, key)
+        if record.decision is Decision.REJECT:
             transcript.decision = Decision.REJECT
     return transcript

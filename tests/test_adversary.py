@@ -34,6 +34,7 @@ from qauthsim.protocol import (
     SampleSource,
     Wave,
     _measure_in_bases,
+    _measure_parties,
     p1_prepare,
     s_check,
 )
@@ -92,23 +93,14 @@ def test_premeasure_pins_every_later_measurement():
 
 
 def test_premeasure_order_invariant_support():
-    # the hook may measure the three subsystems in any order; the constraint
-    # between outcomes cannot depend on it, since the observables commute.
+    # the hook's walk takes the turns c, a, b; in any order the constraint
+    # between outcomes is the same, since the observables commute.
     rng = np.random.default_rng(2)
     for order in (("c", "a", "b"), ("a", "b", "c"), ("b", "c", "a")):
         for _ in range(30):
             wave = Wave([fresh_register()])
-            (eve,) = hook_premeasure(wave, SampleSource([rng]), order=order)
-            c1, c2 = eve.c_pre
-            assert (eve.m_pre.phase_bit ^ eve.b_pre.phase_bit,
-                    eve.m_pre.parity_bit ^ eve.b_pre.parity_bit) == (0, c1 ^ c2)
-
-
-def test_premeasure_rejects_bad_order():
-    wave = Wave([fresh_register()])
-    source = SampleSource([np.random.default_rng(0)])
-    with pytest.raises(ValueError):
-        hook_premeasure(wave, source, order=("c", "c", "a"))
+            [(m, b, (c1, c2))] = _measure_parties(wave, SampleSource([rng]), order)
+            assert (m.phase_bit ^ b.phase_bit, m.parity_bit ^ b.parity_bit) == (0, c1 ^ c2)
 
 
 def test_premeasure_never_touches_decoys():

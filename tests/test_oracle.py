@@ -305,22 +305,6 @@ def test_exact_distribution_rejects_sampled_only_strategy():
 
 
 @pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
-@pytest.mark.parametrize(
-    "orders",
-    [{"hook_order": ("z",)}, {"hook_order": ("a", "a", "b")}, {"measure_order": ("a", "b")}],
-)
-def test_exact_distribution_rejects_bad_orders_before_enumerating(
-    monkeypatch, strategy, orders
-):
-    def refuse(script):
-        raise AssertionError("enumerated with a bad order")
-
-    monkeypatch.setattr(oracle, "BranchSource", refuse)
-    with pytest.raises(ValueError):
-        exact_transcript_distribution(strategy, PauliLabel.I, **orders)
-
-
-@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
 @pytest.mark.parametrize("key", ["X", BellLabel.PSI_PLUS, None])
 def test_exact_distribution_rejects_non_pauli_keys_before_enumerating(
     monkeypatch, strategy, key
@@ -337,9 +321,9 @@ def test_exact_distribution_runs_p2_once_per_leaf(monkeypatch):
     calls, leaves = [], []
     original = protocol.p2_transmit
 
-    def counted(wave, strategy, source, order=("c", "a", "b")):
-        calls.append((strategy, order))
-        return original(wave, strategy, source, order)
+    def counted(wave, strategy, source):
+        calls.append(strategy)
+        return original(wave, strategy, source)
 
     def counting_enumerate(pipeline):
         for result, probability in enumerate_branches(pipeline):
@@ -348,13 +332,12 @@ def test_exact_distribution_runs_p2_once_per_leaf(monkeypatch):
 
     monkeypatch.setattr(protocol, "p2_transmit", counted)
     monkeypatch.setattr(oracle, "enumerate_branches", counting_enumerate)
-    order = ("a", "c", "b")
     for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
         calls.clear()
         leaves.clear()
-        exact_transcript_distribution(strategy, PauliLabel.Z, hook_order=order)
+        exact_transcript_distribution(strategy, PauliLabel.Z)
         assert leaves
-        assert calls == [(strategy, order)] * len(leaves)
+        assert calls == [strategy] * len(leaves)
 
 
 def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
@@ -372,7 +355,7 @@ def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
                 exact_transcript_distribution(strategy, key, direction)
     assert len(rows) == 16  # one per distribution, not one per leaf
     for row in rows:
-        assert row == protocol.RoundRegister([], [], [], [])
+        assert row == protocol.RoundRecord([], [], [], [])
 
 
 class RecordedSource:
@@ -406,22 +389,65 @@ def test_both_sources_return_one_outcome_per_row_as_a_list(make_source):
     assert all(type(outcome) is list for outcome in source.returned)
 
 
+def _hexed(dist):
+    return {cell: p.hex() for cell, p in dist.items()}
+
+
+# The orders of the parties' turns the program fixes: the PreMeasure
+# attack's walk in P2, and E2's.
+HOOK_ORDER, MEASURE_ORDER = ("c", "a", "b"), ("a", "b", "c")
+
+
+def exact_with_orders(strategy, key, direction, hook_order, measure_order):
+    """The exact transcript map of a round whose two party walks take their
+    turns in the given orders.
+
+    It is exact_transcript_distribution's pipeline with P2 and E2 made by
+    protocol._measure_parties directly, enumerated by whatever
+    ``oracle.enumerate_branches`` is at call time.
+    """
+    row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
+
+    def pipeline(source):
+        wave = protocol.Wave([row])
+        c_pre = None
+        if strategy is StrategyId.PRE_MEASURE:
+            [(_, _, c_pre)] = protocol._measure_parties(wave, source, hook_order)
+        protocol.e1_encode(wave, [key], direction)
+        [(a, b, c)] = protocol._measure_parties(wave, source, measure_order)
+        return (c if c_pre is None else c_pre), a, b
+
+    cells = dict.fromkeys(oracle._CELLS, 0.0)
+    for cell, probability in oracle.enumerate_branches(pipeline):
+        cells[cell] += probability
+    return cells
+
+
 def test_exact_distribution_order_invariance():
     baseline = exact_transcript_distribution(StrategyId.PRE_MEASURE, PauliLabel.X)
     orders = [("c", "a", "b"), ("a", "c", "b"), ("b", "a", "c"), ("c", "b", "a")]
     for order in orders:
-        permuted = exact_transcript_distribution(
-            StrategyId.PRE_MEASURE, PauliLabel.X, hook_order=order
+        permuted = exact_with_orders(
+            StrategyId.PRE_MEASURE, PauliLabel.X, Role.ALICE, order, MEASURE_ORDER
         )
         assert tv_distance(baseline, permuted) <= 1e-12
+    honest = exact_transcript_distribution(StrategyId.HONEST, PauliLabel.X)
     for order in orders[1:]:
-        if sorted(order) != ["a", "b", "c"]:
-            continue
-        permuted = exact_transcript_distribution(
-            StrategyId.HONEST, PauliLabel.X, measure_order=order
+        permuted = exact_with_orders(
+            StrategyId.HONEST, PauliLabel.X, Role.ALICE, HOOK_ORDER, order
         )
-        honest = exact_transcript_distribution(StrategyId.HONEST, PauliLabel.X)
         assert tv_distance(honest, permuted) <= 1e-12
+
+
+@pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
+@pytest.mark.parametrize("key", list(PauliLabel))
+@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
+def test_exact_with_orders_at_the_fixed_orders_is_the_program(strategy, key, direction):
+    # Bit for bit, so the order-permuted maps below are the program's maps
+    # with only the orders changed.
+    program = exact_transcript_distribution(strategy, key, direction)
+    local = exact_with_orders(strategy, key, direction, HOOK_ORDER, MEASURE_ORDER)
+    assert _hexed(local) == _hexed(program)
 
 
 ORDERS = list(itertools.permutations(("a", "b", "c")))
@@ -436,15 +462,11 @@ EXACT_COMBINATIONS = list(
 )
 
 
-def _hexed(dist):
-    return {cell: p.hex() for cell, p in dist.items()}
-
-
 def test_reused_outcome_lists_give_bitwise_equal_distributions(monkeypatch):
     assert len(EXACT_COMBINATIONS) == 576
-    fast = [_hexed(exact_transcript_distribution(*combo)) for combo in EXACT_COMBINATIONS]
+    fast = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
     monkeypatch.setattr(oracle, "enumerate_branches", reference.enumerate_branches_from_scratch)
-    slow = [_hexed(exact_transcript_distribution(*combo)) for combo in EXACT_COMBINATIONS]
+    slow = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
     assert fast == slow
 
 

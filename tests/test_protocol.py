@@ -27,7 +27,7 @@ from qauthsim.protocol import (
     PhaseId,
     ProtocolConfig,
     Role,
-    RoundRegister,
+    RoundRecord,
     SampleSource,
     Wave,
     _measure_decoys,
@@ -122,7 +122,7 @@ def test_p1_without_decoys_builds_double_triple():
     register = fresh_register()
     state = Wave([register]).state
     assert state.n_qubits == PROTOCOL_QUBITS
-    assert register == RoundRegister([], [], [], [])
+    assert register == RoundRecord([], [], [], [])
     assert sequences(register) == [[A1, A2], [B1, B2]]
     # Independent reconstruction: the three-qubit resource state has
     # amplitude 1/2 on 001, 010, 100, 111; the register holds two copies.
@@ -282,7 +282,8 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
     transcript = run_protocol(config, [PauliLabel.X] * 4, strategy)
     assert calls == [1, 2, 1][: len(calls)]
     assert sum(calls) >= len(transcript.rounds)
-    assert [r.row for r in transcript.rounds] == rows[: len(transcript.rounds)]
+    # P1's records are the transcript's, the same objects
+    assert list(map(id, transcript.rounds)) == list(map(id, rows[: len(transcript.rounds)]))
 
 
 @pytest.mark.parametrize("strategy", list(StrategyId))
@@ -307,7 +308,7 @@ def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy)
     for seed, transcript in zip(seeds, runs):
         for i, rec in enumerate(transcript.rounds):
             row = rows[seed, i]
-            assert rec.row is row
+            assert rec is row
             expected = [
                 DecoyRecord(Role.ALICE if j < 3 else Role.BOB, *fields)
                 for j, fields in enumerate(zip(
@@ -430,7 +431,7 @@ PREPARED = [(Basis.Z, 0), (Basis.Z, 1), (Basis.X, 0), (Basis.X, 1)]
 def measure_one(label, coin, draw):
     """One decoy of ``label`` measured in basis ``coin`` by the protocol's
     table: (bit, collapsed label)."""
-    row = RoundRegister([0], [0], [0], [label])
+    row = RoundRecord([0], [0], [0], [label])
     (bit,) = _measure_decoys(row, [coin], [draw])
     return bit, row.labels[0]
 
@@ -528,19 +529,16 @@ def test_e2_outcomes_satisfy_round_correlation():
         assert a.parity_bit ^ b.parity_bit == c[0] ^ c[1]
 
 
-def test_e2_rejects_bad_order():
-    wave = Wave([fresh_register()])
-    with pytest.raises(ValueError):
-        e2_measure(wave, SampleSource([np.random.default_rng(0)]), order=("a", "a", "b"))
-
-
 def test_e2_order_does_not_change_joint_distribution():
+    # E2's walk takes the parties' turns a, b, c; any other order gives the
+    # same support.
     plans = {}
     for order in (("a", "b", "c"), ("c", "b", "a"), ("b", "c", "a")):
         counts = {}
         rng = np.random.default_rng(7)
         for _ in range(400):
-            [(a, b, c)] = e2_measure(Wave([fresh_register()]), SampleSource([rng]), order=order)
+            wave, source = Wave([fresh_register()]), SampleSource([rng])
+            [(a, b, c)] = protocol._measure_parties(wave, source, order)
             counts[(c, a, b)] = counts.get((c, a, b), 0) + 1
         plans[order] = counts
     supports = [frozenset(counts) for counts in plans.values()]
@@ -873,6 +871,35 @@ def test_waves_are_filled_with_the_next_rounds_of_the_live_runs(
         assert wave == sorted(wave, key=lambda row: (seeds.index(row[0]), row[1]))
     rows = [row for wave in waves for row in wave]
     assert sorted(rows) == sorted((seed, i) for seed in seeds for i in range(rounds))
+
+
+def test_rows_dropped_past_an_abort_stay_undecided(monkeypatch):
+    # P1's record is the round's only record: a row prepared past its run's
+    # abort keeps decision None and is in no transcript, and every record a
+    # transcript holds is decided.
+    prepared = []
+    original = protocol.p1_prepare
+
+    def recorded(config, rng):
+        prepared.append(original(config, rng))
+        return prepared[-1]
+
+    monkeypatch.setattr(protocol, "p1_prepare", recorded)
+    config = ProtocolConfig(rounds=16, decoys_per_sequence=16, decoy_error_threshold=0.25)
+    master = np.random.default_rng(5)  # three runs, drawn as the cli draws them
+    seeds, keys = [], []
+    for _ in range(3):
+        seeds.append(int(master.integers(0, 2**63)))
+        keys.append([list(PauliLabel)[int(k)] for k in master.integers(0, 4, size=16)])
+    transcripts = run_batch(config, seeds, keys, StrategyId.INTERCEPT_RESEND)
+    held = {id(rec) for t in transcripts for rec in t.rounds}
+    assert all(rec.decision is not None for t in transcripts for rec in t.rounds)
+    dropped = [rec for rec in prepared if id(rec) not in held]
+    assert dropped  # the batch did prepare rows past some run's abort
+    for rec in dropped:
+        assert rec.decision is None and rec.aborted_in is None
+        assert rec.c is rec.a is rec.b is rec.inferred_key is None
+        assert rec.measured is None  # never checked
 
 
 @pytest.mark.parametrize("rounds, decoys, runs", [(12, 1, 12), (16, 4, 3), (16, 4, 64)])
