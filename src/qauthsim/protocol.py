@@ -17,14 +17,14 @@ amplitude array, so each measurement is one kernel call for the whole
 wave, and every outcome comes back as a list with one entry per row.
 Sampled runs execute in waves of up to ``WAVE_SIZE`` rows (:func:`run_batch`):
 the next rounds of every run of a batch that has not aborted, as many per
-run as the batch's aborts so far suggest it will reach.  Round i of a run draws
-only from its own generator, seeded by (run seed, i), in the order its run
-alone would draw, so a run's transcript does not depend on the batch or
-wave it is in; :func:`run_protocol` is the batch of one, and the oracle
-drives a one-row wave.  P1 and the S1/S2 decoy checks stay per row,
-since they touch only that row's decoys and stream.  Per-row inputs (E1's
-keys, the draws, the ``Wave.in_transit`` entries) are lists in row order,
-filtered as rows drop.
+run as the config's :func:`abort_probability` says it will reach.  Round
+i of a run draws only from its own generator, seeded by (run seed, i), in
+the order its run alone would draw, so a run's transcript does not depend
+on the batch or wave it is in; :func:`run_protocol` is the batch of one,
+and the oracle drives a one-row wave.  P1 and the S1/S2 decoy checks stay
+per row, since they touch only that row's decoys and stream.  Per-row
+inputs (E1's keys, the draws, the ``Wave.in_transit`` entries) are lists
+in row order, filtered as rows drop.
 
 A round has one record, the :class:`RoundRecord` that P1 creates and the
 later phases fill in; the transcript holds that same object.  It keeps the
@@ -51,6 +51,7 @@ enumerate branches through this same code, P2 and the party walk included).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -116,6 +117,37 @@ def _cut(probs) -> float:
 # _DECOY_CUT[label][coin]: measuring decoy ``label`` in basis ``coin`` with
 # draw u gives the bit int(u >= cut), the outcome qsim._pick selects.
 _DECOY_CUT = tuple(tuple(map(_cut, row)) for row in _DECOY_PROBS)
+
+
+@functools.lru_cache
+def abort_probability(strategy, d: int, threshold: float) -> float:
+    """The chance that one round under ``strategy`` aborts in S1/S2, with
+    d decoys per sequence checked against ``threshold``.
+
+    0 unless an intercept disturbs the decoys.  Under InterceptResend one
+    decoy is enumerated through ``_DECOY_PROBS`` (its prepared label, Eve's
+    basis coin and outcome, the check in the prepared basis) for q, the
+    chance its check misses P1's bit (1/4).  A sequence with m of its d
+    checks missing fails :func:`s_check`'s test ``m / d <= threshold``
+    with binomial(d, q) probability; a round aborts unless both pass.
+    """
+    if strategy is not adversary.StrategyId.INTERCEPT_RESEND or not d:
+        return 0.0
+    q = sum(
+        _DECOY_PROBS[label][coin][bit] * _DECOY_PROBS[2 * coin + bit][label // 2][1 - label % 2]
+        for label in range(4)
+        for coin in (0, 1)
+        for bit in (0, 1)
+    ) / 8  # each label with chance 1/4, each of Eve's coins with chance 1/2
+    # Each binomial term in logs, since comb(d, m) overflows a float from d ~ 1030.
+    log_q, log_r = math.log(q), math.log1p(-q)
+    fail = sum(
+        math.exp(math.lgamma(d + 1) - math.lgamma(m + 1) - math.lgamma(d - m + 1)
+                 + m * log_q + (d - m) * log_r)
+        for m in range(d + 1)
+        if not m / d <= threshold
+    )
+    return 1.0 - (1.0 - fail) ** 2
 
 
 def _is_number(value, kinds) -> bool:
@@ -202,7 +234,8 @@ class RoundRecord:
     protocol qubits filling the other two in order; ``coins`` their basis
     coins (0 Z, 1 X); ``prepared`` P1's bits; ``labels`` their current
     eigenstate labels, which each measurement replaces; and ``measured``
-    the S1/S2 outcomes, None until :func:`s_check` runs.
+    the S1/S2 outcomes, None until :func:`s_check` runs (reading ``decoys``
+    or ``decoy_error_rate`` before then raises ValueError).
 
     The later phases fill in the rest: the public announcements ``c``,
     ``a`` and ``b`` (None after an abort), the ``decision`` (None until the
@@ -226,9 +259,14 @@ class RoundRecord:
     eve: "adversary.EveState | None" = None
     inferred_key: "PauliLabel | None" = None
 
+    def _require_checked(self) -> None:
+        if self.measured is None:
+            raise ValueError("this round's decoys were never checked in S1/S2")
+
     @property
     def decoys(self) -> list:
         """The round's decoys as DecoyRecords, in row order, built at each read."""
+        self._require_checked()
         d = len(self.positions) // 2
         return [
             DecoyRecord(Role.ALICE if i < d else Role.BOB, pos, _BASIS_OF_COIN[coin], *rest)
@@ -239,6 +277,7 @@ class RoundRecord:
 
     @property
     def decoy_error_rate(self) -> float:
+        self._require_checked()
         return _mismatch_rate([self])
 
 
@@ -483,17 +522,21 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
     r; ``config.seed`` is not read.  A wave holds at most ``WAVE_SIZE`` rows:
     each live run (the first ``WAVE_SIZE`` of them) adds its next k rounds,
     run after run, rounds rising.  k is max(1, ``WAVE_SIZE`` // live runs),
-    capped at (checked + 1) // (aborts + 1) over the rows that met S1/S2 so
-    far: 1 in the first wave, and about j once runs are seen to abort every
-    j rounds, so a run is seldom given rounds past its abort.  Round i of
-    run r draws from its own stream seeded by (seeds[r], i), in the order
-    its run alone would, so a run's result does not depend on the batch or
-    wave it is in.  A run ends at its first abort, and its later rows in
-    that wave are dropped before E1, their records left undecided.  The
-    decided records are folded into their runs' transcripts in round
-    order.  Returns one Transcript per run, in seed order; a run's decision
-    is Accept only if every decoy check passed and every round verified.
+    capped at the expected run length: int(1 / p), at least 1, for the
+    round's :func:`abort_probability` p, or ``config.rounds`` when p is 0.
+    So a batch that cannot abort fills whole waves from the start, and a
+    run is seldom given rounds past its abort.  Round i of run r draws from
+    its own stream seeded by (seeds[r], i), in the order its run alone
+    would, so a run's result does not depend on the batch or wave it is in.
+    A run ends at its first abort, and its later rows in that wave are
+    dropped before E1, their records left undecided.  The decided records
+    are folded into their runs' transcripts in round order.  An unknown
+    ``strategy`` raises ValueError before any round is prepared.  Returns
+    one Transcript per run, in seed order; a run's decision is Accept only
+    if every decoy check passed and every round verified.
     """
+    if not isinstance(strategy, adversary.StrategyId):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if len(keys) != len(seeds):
         raise ValueError(f"got {len(keys)} key lists for {len(seeds)} seeds")
     for seed in seeds:
@@ -507,11 +550,12 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
 
     transcripts = [Transcript([], Decision.ACCEPT) for _ in seeds]
     live = list(range(len(seeds)))  # runs with rounds left and no abort
-    checked = aborts = 0  # rows that met S1/S2 so far, and those that aborted
     d, threshold = config.decoys_per_sequence, config.decoy_error_threshold
+    p = abort_probability(strategy, d, threshold)
+    cap = max(1, int(1 / p)) if p else config.rounds
 
     while live:
-        k = min(max(1, WAVE_SIZE // len(live)), (checked + 1) // (aborts + 1))
+        k = min(max(1, WAVE_SIZE // len(live)), cap)
         pairs = [  # (run, round) per row; a run's next round is its record count
             (r, i)
             for r in live[:WAVE_SIZE]
@@ -561,8 +605,6 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
                 transcripts[r].rounds.append(row)
                 if row.decision is not Decision.ACCEPT:
                     transcripts[r].decision = row.decision
-        checked += len(kept) + len(ended)
-        aborts += len(ended)
         live = [r for r in live if len(transcripts[r].rounds) < config.rounds and r not in ended]
     return transcripts
 

@@ -464,6 +464,39 @@ def test_workload_reports_are_pinned(shape):
     assert digest.hexdigest() == WORKLOAD_DIGESTS[shape]
 
 
+# Multi-round InterceptResend reports, the traffic in which the cap on the
+# rounds a run adds to a wave decides how many rows are prepared past an
+# abort: the CLI defaults (k = 1) at two sample counts, and one decoy per
+# sequence at threshold 0 (k = 2).  sha256 over the JSON then the CSV
+# rendering at seeds 41 and 42, recorded at commit d192625, while k was
+# still capped by the aborts the batch had seen so far.
+INTERCEPT_ROUNDS_SHAPES = {
+    "defaults-5": (
+        dict(samples=5),
+        "e09ea52f7b81b6c6b648118aeade1b311e7254d29765e9b46cfebccf6fb89148",
+    ),
+    "defaults-300": (
+        dict(samples=300),
+        "137450e38eb2c70d9a68510a7b38e46dcf022e9f3a18d577f3e8a6188a3ecd28",
+    ),
+    "16x1-t0-64": (
+        dict(rounds=16, decoys_per_sequence=1, decoy_error_threshold=0.0, samples=64),
+        "317cf89bcc11653b8f0eee8004e7143815812a5090a4f583596e538eaf008981",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(INTERCEPT_ROUNDS_SHAPES))
+def test_multi_round_intercept_reports_are_pinned(shape):
+    fields, expected = INTERCEPT_ROUNDS_SHAPES[shape]
+    digest = hashlib.sha256()
+    for seed in (41, 42):
+        report = build_report(RunConfig(strategy=StrategyId.INTERCEPT_RESEND, seed=seed, **fields))
+        digest.update(render_json(report).encode())
+        digest.update(render_csv(report).encode())
+    assert digest.hexdigest() == expected
+
+
 def test_json_rendering_round_trips():
     report = build_report(small_sampled_config())
     text = render_json(report)

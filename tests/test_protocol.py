@@ -1,8 +1,10 @@
 """Tests for the protocol state machine: phases P1 through E3 and full runs."""
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +132,17 @@ def test_p1_without_decoys_builds_double_triple():
     triple[[0b001, 0b010, 0b100, 0b111]] = 0.5
     expected = np.kron(triple, triple)
     assert np.allclose(state.amps, expected)
+
+
+@pytest.mark.parametrize("decoys", [0, 2])
+def test_p1_record_refuses_to_report_unchecked_decoys(decoys):
+    # Until S1/S2 measure them the decoys have no outcomes to report, with
+    # or without decoys in the round.
+    record = fresh_register(decoys)
+    with pytest.raises(ValueError, match="never checked"):
+        record.decoys
+    with pytest.raises(ValueError, match="never checked"):
+        record.decoy_error_rate
 
 
 def test_p1_decoy_structure():
@@ -265,8 +278,9 @@ def test_p2_unknown_strategy_raises_before_touching_the_register(strategy):
 @pytest.mark.parametrize("strategy", list(StrategyId))
 def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch, strategy):
     # One P2 call per wave, which every round's row meets once, before any
-    # of its decoys is measured: round 0 alone, then, while no round
-    # aborts, rounds 1-2 as one wave and round 3.
+    # of its decoys is measured: all four rounds in one wave when no round
+    # can abort, and one round a wave under InterceptResend, whose rounds
+    # here abort with probability 0.68 (cap 1).
     config = ProtocolConfig(rounds=4, decoys_per_sequence=2, seed=9)
     calls, rows = [], []
     original = protocol.p2_transmit
@@ -280,7 +294,10 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
 
     monkeypatch.setattr(protocol, "p2_transmit", counted)
     transcript = run_protocol(config, [PauliLabel.X] * 4, strategy)
-    assert calls == [1, 2, 1][: len(calls)]
+    if strategy is StrategyId.INTERCEPT_RESEND:
+        assert calls == [1] * len(calls)
+    else:
+        assert calls == [4]
     assert sum(calls) >= len(transcript.rounds)
     # P1's records are the transcript's, the same objects
     assert list(map(id, transcript.rounds)) == list(map(id, rows[: len(transcript.rounds)]))
@@ -639,6 +656,14 @@ def test_run_protocol_rejects_unknown_strategy():
         run_protocol(ProtocolConfig(), [PauliLabel.I], "Eavesdrop")
 
 
+def test_run_batch_rejects_an_unknown_strategy_before_any_round():
+    # An unhashable one too: the strategy is checked before the memoised
+    # abort probability is looked up, and before any round is prepared.
+    for strategy in ("Eavesdrop", ["Eavesdrop"]):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            run_batch(ProtocolConfig(), [], [], strategy)
+
+
 def test_run_protocol_aborts_on_intercept_resend():
     # With 8 decoys per sequence a resend round survives with probability
     # (3/4)^16, so a handful of rounds all but guarantees an abort.
@@ -675,6 +700,72 @@ def test_run_protocol_premeasure_round_records():
     for record in transcript.rounds:
         assert record.decoy_error_rate == 0.0
         assert record.c == record.eve.c_pre
+
+
+# ---------------------------------------------------------------------------
+# abort_probability: the exact per-round abort chance that sizes the waves
+
+
+@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
+@pytest.mark.parametrize("decoys, threshold", [(0, 0.0), (1, 0.0), (16, 0.25)])
+def test_abort_probability_is_zero_when_no_decoy_is_disturbed(strategy, decoys, threshold):
+    for p in (
+        protocol.abort_probability(strategy, decoys, threshold),
+        protocol.abort_probability(StrategyId.INTERCEPT_RESEND, 0, threshold),
+    ):
+        assert p == 0.0 and type(p) is float
+
+
+def test_abort_probability_under_intercept_resend():
+    # Each decoy's check misses P1's bit with probability 1/4, so at
+    # threshold 0 a round passes only if all 2d decoys match.
+    ir = StrategyId.INTERCEPT_RESEND
+    assert abs(protocol.abort_probability(ir, 1, 0.0) - 7 / 16) <= 1e-15
+    assert abs(protocol.abort_probability(ir, 4, 0.0) - (1 - (3 / 4) ** 8)) <= 1e-15
+    for decoys in (1, 4, 16):  # every mismatch count passes threshold 1
+        assert protocol.abort_probability(ir, decoys, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("decoys, threshold", [(3, 1 / 3), (16, 0.25), (1100, 0.25)])
+def test_abort_probability_matches_exact_rationals(decoys, threshold):
+    # The binomial sum in exact arithmetic at q = 1/4, over integers (one
+    # term is comb(d, m) 3^(d - m) / 4^d); at 1100 decoys comb(d, m) no
+    # longer fits a float.
+    fail = Fraction(sum(
+        math.comb(decoys, m) * 3 ** (decoys - m)
+        for m in range(decoys + 1)
+        if not m / decoys <= threshold
+    ), 4**decoys)
+    expected = 1 - (1 - fail) ** 2
+    p = protocol.abort_probability(StrategyId.INTERCEPT_RESEND, decoys, threshold)
+    assert abs(p - float(expected)) <= 1e-12
+
+
+def test_run_batch_runs_a_round_of_many_decoys():
+    config = ProtocolConfig(decoys_per_sequence=1100)
+    (transcript,) = run_batch(config, [1], [[PauliLabel.I]], StrategyId.INTERCEPT_RESEND)
+    assert transcript.decision is Decision.ABORT
+
+
+@pytest.mark.parametrize("decoys", [1, 2, 4])
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
+def test_abort_probability_matches_sampled_rounds(monkeypatch, decoys, threshold):
+    config = ProtocolConfig(decoys_per_sequence=decoys, decoy_error_threshold=threshold)
+    runs = 4000
+    seeds = list(range(7000, 7000 + runs))
+    transcripts = run_batch(config, seeds, [[PauliLabel.I]] * runs, StrategyId.INTERCEPT_RESEND)
+    aborts = sum(t.decision is Decision.ABORT for t in transcripts)
+    monkeypatch.setattr(oracle, "_WILSON_Z", 5.0)
+    low, high = oracle.wilson_interval(aborts, runs)
+    assert low <= protocol.abort_probability(StrategyId.INTERCEPT_RESEND, decoys, threshold) <= high
+
+
+def test_abort_probability_is_memoised():
+    args = (StrategyId.INTERCEPT_RESEND, 3, 1 / 3)
+    first = protocol.abort_probability(*args)
+    hits = protocol.abort_probability.cache_info().hits
+    assert protocol.abort_probability(*args) is first
+    assert protocol.abort_probability.cache_info().hits == hits + 1
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +878,14 @@ REFERENCE_CASES = [
 ]
 
 
+def wave_cap(strategy, rounds, decoys, threshold):
+    """The most rounds run_batch gives one run in a wave: about the expected
+    run length 1 / p for the round's abort probability p, all its rounds
+    when p is 0."""
+    p = protocol.abort_probability(strategy, decoys, threshold)
+    return max(1, int(1 / p)) if p else rounds
+
+
 def reference_case_id(case):
     strategy, rounds, decoys, threshold, direction, runs = case
     shape = f"{strategy.value}-{rounds}x{decoys}"
@@ -820,18 +919,30 @@ def test_run_batch_equals_the_one_round_at_a_time_reference(
         for seed, run_keys in zip(seeds, keys)
     ]
     assert [run_lines(run) for run in batched] == [run_lines(run) for run in alone]
-    # The first wave holds round 0 of every run (k = 1).  A batch that
-    # never aborts then gives its runs several rounds a wave (k > 1) when
-    # WAVE_SIZE // runs allows it, and one round a wave when it does not.
-    assert waves[0] == [(seed, 0) for seed in seeds]
+    # Each wave gives its runs at most k rounds each: max(1, WAVE_SIZE //
+    # live runs), capped by the config alone, so the first wave holds the
+    # first k rounds of every run.  A batch that never aborts gives its runs
+    # several rounds a wave (k > 1) when WAVE_SIZE // runs allows it, and
+    # one round a wave when it does not.
+    cap = wave_cap(strategy, rounds, decoys, threshold)
+    k = min(max(1, WAVE_SIZE // runs), cap)
+    assert waves[0] == [(seed, i) for seed in seeds for i in range(k)]
     ks = [max(Counter(seed for seed, _ in wave).values()) for wave in waves]
+    for wave, wave_k in zip(waves, ks):
+        assert wave_k <= min(max(1, WAVE_SIZE // len({seed for seed, _ in wave})), cap)
     if strategy is not StrategyId.INTERCEPT_RESEND:
         assert (max(ks) > 1) == (WAVE_SIZE // runs > 1)
     elif not threshold:
-        # some run aborts inside a speculative window: rows of its later
-        # rounds were prepared in the same wave and dropped
+        # An aborting run has at most cap - 1 rows prepared past its abort.
+        # With several runs some run aborts inside a speculative window, so
+        # rows of its later rounds were prepared in the same wave and
+        # dropped; the run alone aborts in round 1, the last row of its
+        # first two-round wave.
         recorded = sum(len(run.rounds) for run in batched)
-        assert sum(map(len, waves)) > recorded
+        dropped = sum(map(len, waves)) - recorded
+        aborted = sum(run.decision is Decision.ABORT for run in batched)
+        assert dropped <= (cap - 1) * aborted
+        assert (dropped > 0) == (runs > 1)
     elif runs == WAVE_SIZE:
         # some sequence's mismatch rate lands on the threshold and passes
         assert any(
@@ -853,8 +964,8 @@ def sequence_rates(record):
 @pytest.mark.parametrize(
     "strategy, rounds, decoys, runs, sizes",
     [
-        (StrategyId.PRE_MEASURE, 16, 16, 3, [3, 12, 33]),
-        (StrategyId.HONEST, 200, 0, 1, [1, 2, 4, 8, 16, 32, 64, 64, 9]),
+        (StrategyId.PRE_MEASURE, 16, 16, 3, [48]),
+        (StrategyId.HONEST, 200, 0, 1, [64, 64, 64, 8]),
         (StrategyId.HONEST, 3, 0, 100, [64, 64, 64, 36, 36, 36]),
     ],
 )
@@ -876,7 +987,8 @@ def test_waves_are_filled_with_the_next_rounds_of_the_live_runs(
 def test_rows_dropped_past_an_abort_stay_undecided(monkeypatch):
     # P1's record is the round's only record: a row prepared past its run's
     # abort keeps decision None and is in no transcript, and every record a
-    # transcript holds is decided.
+    # transcript holds is decided.  One decoy per sequence at threshold 0
+    # aborts a round with probability 7/16, so runs get two rounds a wave.
     prepared = []
     original = protocol.p1_prepare
 
@@ -885,7 +997,7 @@ def test_rows_dropped_past_an_abort_stay_undecided(monkeypatch):
         return prepared[-1]
 
     monkeypatch.setattr(protocol, "p1_prepare", recorded)
-    config = ProtocolConfig(rounds=16, decoys_per_sequence=16, decoy_error_threshold=0.25)
+    config = ProtocolConfig(rounds=16, decoys_per_sequence=1)
     master = np.random.default_rng(5)  # three runs, drawn as the cli draws them
     seeds, keys = [], []
     for _ in range(3):
@@ -900,16 +1012,23 @@ def test_rows_dropped_past_an_abort_stay_undecided(monkeypatch):
         assert rec.decision is None and rec.aborted_in is None
         assert rec.c is rec.a is rec.b is rec.inferred_key is None
         assert rec.measured is None  # never checked
+        with pytest.raises(ValueError, match="never checked"):
+            rec.decoys
+        with pytest.raises(ValueError, match="never checked"):
+            rec.decoy_error_rate
 
 
-@pytest.mark.parametrize("rounds, decoys, runs", [(12, 1, 12), (16, 4, 3), (16, 4, 64)])
+@pytest.mark.parametrize(
+    "rounds, decoys, runs, cap", [(12, 1, 12, 2), (16, 4, 3, 1), (16, 4, 64, 1)]
+)
 def test_an_aborting_run_prepares_at_most_k_minus_one_rows_past_its_abort(
-    monkeypatch, rounds, decoys, runs
+    monkeypatch, rounds, decoys, runs, cap
 ):
-    # A wave gives each run k of its rounds, at most (checked + 1) //
-    # (aborts + 1) over the rows checked so far: 1 in the first wave.  A run
-    # that aborts has at most k - 1 rows past its abort, all in the wave of
-    # its aborted round.
+    # A wave gives each run k of its rounds, at most the config's cap: 2 for
+    # one decoy per sequence (abort probability 7/16), 1 for four (0.90).  A
+    # run that aborts has at most k - 1 rows past its abort, all in the wave
+    # of its aborted round.
+    assert wave_cap(StrategyId.INTERCEPT_RESEND, rounds, decoys, 0.0) == cap
     config = ProtocolConfig(rounds=rounds, decoys_per_sequence=decoys)
     seeds = list(range(500, 500 + runs))
     waves = record_waves(monkeypatch)
@@ -918,13 +1037,10 @@ def test_an_aborting_run_prepares_at_most_k_minus_one_rows_past_its_abort(
     last = {seed: len(run.rounds) - 1 for seed, run in zip(seeds, transcripts)}
     aborts = {(seed, last[seed]) for seed, run in zip(seeds, transcripts)
               if run.decision is Decision.ABORT}
-    checked = aborted = 0
     for wave in waves:
         k = max(Counter(seed for seed, _ in wave).values())
-        assert k <= (checked + 1) // (aborted + 1)
-        met = [(seed, i) for seed, i in wave if i <= last[seed]]
-        ended = [row for row in met if row in aborts]
-        checked, aborted = checked + len(met), aborted + len(ended)
+        assert k <= cap
+        ended = [row for row in wave if row in aborts]
         for seed, i in ended:
             assert sum(s == seed and j > i for s, j in wave) <= k - 1
         assert all((seed, last[seed]) in ended for seed, i in wave if i > last[seed])
