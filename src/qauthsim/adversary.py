@@ -74,7 +74,7 @@ def hook_intercept_resend(wave: Wave, source) -> None:
 
     Each row's two sequences, Alice's d + 2 slots then Bob's, go out as one
     stream of 2d + 4 qubits, each with its own pre-drawn basis coin (0 Z,
-    1 X) and uniform draw from the row's generator in ``source.rngs``.  A
+    1 X) and uniform draw from the row's stream in ``source.streams``.  A
     decoy takes the coin and draw of its slot in the stream and is measured
     the way the S1/S2 checks measure it, by the ``_DECOY_CUT`` table.  The
     four slots no decoy holds carry the protocol qubits in
@@ -84,11 +84,11 @@ def hook_intercept_resend(wave: Wave, source) -> None:
     deleted.  Charlie's own C qubits never travel, so they are left alone.
     """
     wave.in_transit = []
-    for row, rng in zip(wave.rows, source.rngs):
+    for row, stream in zip(wave.rows, source.streams):
         d = len(row.positions) // 2
         total = 2 * d + 4
-        bases = rng.integers(0, 2, size=total).tolist()
-        randomness = rng.random(size=total).tolist()
+        bases = stream.coins(total)
+        randomness = stream.draws(total)
         decoy_slots = row.positions[:d] + [d + 2 + pos for pos in row.positions[d:]]
         _measure_decoys(row, [bases[i] for i in decoy_slots], [randomness[i] for i in decoy_slots])
         for i in reversed(decoy_slots):  # rising, so each deletion leaves the rest in place

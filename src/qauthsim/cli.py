@@ -11,9 +11,11 @@ chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk through
 (run, round) rows, and folds it into five integer tallies before drawing
 the next, so its memory depends on ``WAVE_SIZE`` and ``rounds``, not on
 ``samples``; an exact run enumerates each key's transcript distribution.
-Reports are deterministic under one numpy version: identical configs
-produce byte-identical files (reals at 12 significant digits, no
-timestamps).
+Reports are deterministic: identical configs produce byte-identical files
+(reals at 12 significant digits, no timestamps).  Every draw is read off
+the raw words of a PCG64 bit generator by code fixed in
+:mod:`qauthsim.protocol`, so a report depends on numpy only through its
+stable SeedSequence seeding and PCG64 stream.
 
 Exit codes: 0 success, 2 configuration error, 3 report I/O error.
 """
@@ -27,8 +29,6 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, oracle, protocol
 from .adversary import StrategyId
@@ -188,14 +188,8 @@ def _rate_fields(prefix: str, estimate) -> dict:
 
 
 def _sampled_results(config: RunConfig) -> list:
-    master = np.random.default_rng(config.seed)
-    alphabet = list(PauliLabel)
     trials = accepted = detected = guesses = hits = 0
-    for start in range(0, config.samples, WAVE_SIZE):
-        seeds, keys = [], []
-        for _ in range(min(WAVE_SIZE, config.samples - start)):
-            seeds.append(int(master.integers(0, 2**63)))
-            keys.append([alphabet[int(j)] for j in master.integers(0, 4, size=config.rounds)])
+    for seeds, keys in protocol._master_chunks(config.seed, config.rounds, config.samples):
         runs = protocol.run_batch(config, seeds, keys, config.strategy)
         for transcript, run_keys in zip(runs, keys):
             for record, key in zip(transcript.rounds, run_keys):

@@ -18,7 +18,7 @@ wave, and every outcome comes back as a list with one entry per row.
 Sampled runs execute in waves of up to ``WAVE_SIZE`` rows (:func:`run_batch`):
 the next rounds of every run of a batch that has not aborted, as many per
 run as the config's :func:`abort_probability` says it will reach.  Round
-i of a run draws only from its own generator, seeded by (run seed, i), in
+i of a run draws only from its own stream, ``PCG64((run seed, i))``, in
 the order its run alone would draw, so a run's transcript does not depend
 on the batch or wave it is in; :func:`run_protocol` is the batch of one,
 and the oracle drives a one-row wave.  P1 and the S1/S2 decoy checks stay
@@ -43,6 +43,14 @@ turns from outcome 0 to outcome 1: a decoy measurement compares one draw
 with one table entry.  A row's two checks take their draws in one batch,
 the stream of one draw per decoy.  A record builds :class:`DecoyRecord`
 views of its decoys only when they are read.
+
+Every draw is read off raw 64-bit PCG64 words, as the values numpy's
+Generator would draw from the same words (``random``, ``integers``,
+``permutation``).  A round's come from a :class:`_RowStream`:
+:func:`_row_streams` reads one block of words per row, sized for the
+config by :func:`_draw_plan`, and converts the whole wave's blocks at
+once.  A sampled report's run seeds and keys come from
+:func:`_master_chunks`.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -334,10 +342,167 @@ class Wave:
         self.in_transit: list = []
 
 
-class SampleSource:
-    """Measurement outcome source for a wave: one numpy Generator per row.
+def _halves_of(words) -> list:
+    """The 32-bit halves of 64-bit ``words``, low half first (a row each for a 2-D block)."""
+    return np.asarray(words, "<u8").view("<u4").tolist()
 
-    Each measurement takes one uniform draw from every row's generator and
+
+def _draws_of(words) -> list:
+    """Each word's random() draw: its top 53 bits over 2**53."""
+    return ((np.asarray(words) >> 11) * 2.0**-53).tolist()
+
+
+@functools.lru_cache
+def _shuffle_steps(n: int) -> tuple:
+    """Fisher-Yates over n slots: i from n - 1 down to 1, each with the least all-ones mask >= i."""
+    return tuple((i, (1 << i.bit_length()) - 1) for i in range(n - 1, 0, -1))
+
+
+class _RowStream:
+    """One row's draws, read off the raw 64-bit words of ``bit_generator``
+    as numpy's Generator reads them: ``draws`` gives random(), (w >> 11) *
+    2**-53 of the next word; ``coins`` integers(0, 2), the top bit of the
+    next 32-bit half; ``perm`` permutation(n), swapping each Fisher-Yates
+    i with the first half whose masked value is at most i.  A 32-bit draw
+    takes a word's low half and leaves its high half pending for the next
+    one, across any 64-bit draws between.
+
+    ``_halves`` holds the halves of the first words of ``_words`` and
+    ``_draws`` the draws of its words from ``_w0`` on; a draw past either
+    converts more, reading on from ``bit_generator`` past ``_words``.
+    """
+
+    __slots__ = ("bit_generator", "_words", "_halves", "_h", "_draws", "_w0", "_u")
+
+    def __init__(self, bit_generator, words=(), halves=(), draws=(), w0=0):
+        self.bit_generator, self._words, self._w0 = bit_generator, np.asarray(words, np.uint64), w0
+        self._halves, self._draws = list(halves), list(draws)
+        self._h = 0  # the next half; an odd one is a word's pending high half
+        self._u = None  # the word after the 64-bit draws since the last 32-bit one
+
+    def _raw(self, lo: int, hi: int):
+        if hi > len(self._words):
+            more = self.bit_generator.random_raw(hi - len(self._words))
+            self._words = np.concatenate((self._words, more))
+        return self._words[lo:hi]
+
+    def _need_halves(self, end: int) -> None:
+        short, w = end - len(self._halves), len(self._halves) // 2
+        if short > 0:
+            self._halves += _halves_of(self._raw(w, w + max((short + 1) // 2, 32)))
+
+    def _next_half(self) -> int:
+        """The next half's index, a pending one moved past the 64-bit draws since."""
+        h, u = self._h, self._u
+        if u is not None:
+            self._u = None
+            self._need_halves(2 * u)
+            if h % 2:
+                self._halves[2 * u - 1] = self._halves[h]
+            h = self._h = 2 * u - h % 2
+        return h
+
+    def perm(self, n: int) -> list:
+        slots = list(range(n))
+        halves, k = self._halves, self._next_half()
+        end = len(halves)
+        for i, mask in _shuffle_steps(n):
+            j = n
+            while j > i:
+                if k == end:
+                    self._need_halves(k + 1)  # extends ``halves`` in place
+                    end = len(halves)
+                j = halves[k] & mask
+                k += 1
+            slots[i], slots[j] = slots[j], slots[i]
+        self._h = k
+        return slots
+
+    def coins(self, n: int) -> list:
+        k = self._next_half()
+        self._need_halves(k + n)
+        self._h = k + n
+        return [half >> 31 for half in self._halves[k:k + n]]
+
+    def draws(self, n: int) -> list:
+        w = (self._h + 1) // 2 if self._u is None else self._u  # past a pending half
+        if w < self._w0:
+            self._draws[:0] = _draws_of(self._raw(w, self._w0))
+            self._w0 = w
+        i, end = w - self._w0, self._w0 + len(self._draws)
+        if w + n > end:
+            self._draws += _draws_of(self._raw(end, max(w + n, end + 32)))
+        self._u = w + n
+        return self._draws[i:i + n]
+
+
+@functools.lru_cache
+def _draw_plan(strategy, d: int) -> tuple:
+    """What :func:`_row_streams` reads of a round's stream up front under
+    ``strategy`` with d decoys per sequence: (words converted to halves,
+    first word converted to a draw, words read).
+
+    A round's 32-bit draws all come first: P1's two permutations of d + 2
+    slots and 4d coins (none at d = 0), then an intercept's 2d + 4 coins.
+    Permutation step i takes 2**i.bit_length() / (i + 1) halves on
+    average; the expected number plus 8 are converted.  The draws start at
+    the word after the last half, so not before ``least`` halves, and
+    number an intercept's 2d + 4, a pre-measurement's 4, S1/S2's 2d and
+    E2's 4.
+    """
+    intercept = 2 * d + 4 if strategy is adversary.StrategyId.INTERCEPT_RESEND else 0
+    steps = range(1, d + 2) if d else range(0)
+    least = 2 * len(steps) + 4 * d + intercept
+    expected = 2 * sum(2 ** i.bit_length() / (i + 1) for i in steps) + 4 * d + intercept
+    halves_words = math.ceil(expected / 2) + (4 if d else 0)
+    draws = intercept + (4 if strategy is adversary.StrategyId.PRE_MEASURE else 0) + 2 * d + 4
+    return halves_words, (least + 1) // 2, halves_words + draws
+
+
+def _row_streams(keys: list, plan: tuple) -> list:
+    """One :class:`_RowStream` per (run seed, round) in ``keys`` on
+    ``PCG64(key)``, each with the block of words ``plan`` reads, the whole
+    wave's blocks converted at once."""
+    halves_words, w0, words = plan
+    gens = [np.random.PCG64(key) for key in keys]
+    block = np.array([gen.random_raw(words) for gen in gens])
+    halves, draws = _halves_of(block[:, :halves_words]), _draws_of(block[:, w0:])
+    return [_RowStream(*row, w0) for row in zip(gens, block, halves, draws)]
+
+
+def _master_chunks(seed: int, rounds: int, runs: int):
+    """The run seeds and round keys of ``runs`` runs from the master stream
+    ``PCG64(seed)``, as (seeds, keys) chunks of at most WAVE_SIZE runs.
+
+    They are the values numpy's Generator draws as integers(0, 2**63), then
+    integers(0, 4, size=rounds), per run: a seed is a word w as w >> 1 and
+    a key the top two bits of a 32-bit half, a word's low half first, and a
+    half one run's keys leave pending is the next run's first.  Each chunk
+    reads the words it may need and drops those it used.
+    """
+    master = np.random.PCG64(seed)
+    alphabet = list(PauliLabel)
+    raw, pending = master.random_raw(0), []
+    for start in range(0, runs, WAVE_SIZE):
+        chunk = min(WAVE_SIZE, runs - start)
+        most = chunk * (1 + (rounds + 1) // 2)  # the words these runs read at most
+        raw = np.concatenate((raw, master.random_raw(max(0, most - len(raw)))))
+        words, halves, w = raw.tolist(), _halves_of(raw), 0
+        seeds, keys = [], []
+        for _ in range(chunk):
+            seeds.append(words[w] >> 1)
+            fresh, h = rounds - len(pending), 2 * w + 2
+            keys.append([alphabet[half >> 30] for half in pending + halves[h:h + fresh]])
+            w += 1 + (fresh + 1) // 2
+            pending = halves[2 * w - 1:2 * w] if fresh % 2 else []
+        raw = raw[w:]
+        yield seeds, keys
+
+
+class SampleSource:
+    """Measurement outcome source for a wave: one :class:`_RowStream` per row.
+
+    Each measurement takes one uniform draw from every row's stream and
     returns the rows' outcomes as a list, so each row's stream is drawn in
     the same order as if its run were alone.  The oracle module provides a
     scripted source for a one-row wave with the same three methods, so the
@@ -345,11 +510,11 @@ class SampleSource:
     enumerated.
     """
 
-    def __init__(self, rngs: list):
-        self.rngs = rngs
+    def __init__(self, streams: list):
+        self.streams = streams
 
     def _draws(self) -> list:
-        return [rng.random() for rng in self.rngs]
+        return [stream.draws(1)[0] for stream in self.streams]
 
     def measure_z(self, state: StateVector, q: int):
         return qsim.measure_z(state, q, self._draws())
@@ -361,22 +526,22 @@ class SampleSource:
         return qsim.measure_bell(state, q1, q2, self._draws())
 
 
-def p1_prepare(config: ProtocolConfig, rng: "np.random.Generator | None") -> RoundRecord:
+def p1_prepare(config: ProtocolConfig, stream: "_RowStream | None") -> RoundRecord:
     """Create a round's record with its decoys prepared; the entangled
     triples every row starts from are the wave's fresh state.
 
-    Draw order from ``rng`` is fixed (Alice's slot permutation, then her d
-    basis coins and d bit coins; then the same for Bob) so identical streams
-    give identical records.  The first d slots of a permutation carry
-    decoys, whose basis and bit coins go to them in rising slot order; each
-    decoy's label is 2 * basis coin + bit coin.  ``rng`` may be None when
-    ``decoys_per_sequence`` is 0.
+    Draw order from ``stream`` is fixed (Alice's slot permutation, then her
+    d basis coins and d bit coins; then the same for Bob) so identical
+    streams give identical records.  The first d slots of a permutation
+    carry decoys, whose basis and bit coins go to them in rising slot
+    order; each decoy's label is 2 * basis coin + bit coin.  ``stream`` may
+    be None when ``decoys_per_sequence`` is 0, since P1 then draws nothing.
     """
     d = config.decoys_per_sequence
     positions, coins, bits = [], [], []
     for _ in range(2 if d else 0):  # Alice's sequence, then Bob's
-        positions += sorted(rng.permutation(d + 2)[:d].tolist())
-        drawn = rng.integers(0, 2, size=2 * d).tolist()  # d basis coins, then d bit coins
+        positions += sorted(stream.perm(d + 2)[:d])
+        drawn = stream.coins(2 * d)  # d basis coins, then d bit coins
         coins += drawn[:d]
         bits += drawn[d:]
     return RoundRecord(positions, coins, bits, [2 * c + b for c, b in zip(coins, bits)])
@@ -390,7 +555,7 @@ def p2_transmit(wave: Wave, strategy, source):
     once per wave, so each round meets it once, before anything leaves
     Charlie's lab.  PreMeasure measures the six protocol qubits through
     ``source`` and returns one EveState per row; InterceptResend measures
-    every transmitted qubit with draws from the source's generators, its
+    every transmitted qubit with draws from the source's row streams, its
     protocol-qubit measurements waiting in the wave's ``in_transit``;
     Honest does nothing.  Returns None unless the
     strategy records EveStates; an unknown strategy raises before the wave
@@ -553,6 +718,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
     d, threshold = config.decoys_per_sequence, config.decoy_error_threshold
     p = abort_probability(strategy, d, threshold)
     cap = max(1, int(1 / p)) if p else config.rounds
+    plan = _draw_plan(strategy, d)
 
     while live:
         k = min(max(1, WAVE_SIZE // len(live)), cap)
@@ -561,17 +727,17 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
             for r in live[:WAVE_SIZE]
             for i in range(len(transcripts[r].rounds), config.rounds)[:k]
         ]
-        rngs = [np.random.default_rng((seeds[r], i)) for r, i in pairs]
-        rows = [p1_prepare(config, rng) for rng in rngs]
+        streams = _row_streams([(seeds[r], i) for r, i in pairs], plan)
+        rows = [p1_prepare(config, stream) for stream in streams]
         wave = Wave(rows)
-        for row, eve in zip(rows, p2_transmit(wave, strategy, SampleSource(rngs)) or ()):
+        for row, eve in zip(rows, p2_transmit(wave, strategy, SampleSource(streams)) or ()):
             row.eve = eve
 
         kept, ended = [], set()
-        for j, ((r, _), row, rng) in enumerate(zip(pairs, rows, rngs)):
+        for j, ((r, _), row, stream) in enumerate(zip(pairs, rows, streams)):
             if r in ended:
                 continue  # a later round of a run that aborted in this wave
-            phase = s_check(row, rng.random(size=2 * d).tolist(), threshold)
+            phase = s_check(row, stream.draws(2 * d), threshold)
             if phase is None:
                 kept.append(j)
                 continue
@@ -582,7 +748,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
             if len(kept) < len(rows):  # so a batched state: one row has nothing to drop
                 wave.state = StateVector(PROTOCOL_QUBITS, wave.state.amps[kept])
                 wave.in_transit = [wave.in_transit[j] for j in kept] if wave.in_transit else []
-                rngs = [rngs[j] for j in kept]
+                streams = [streams[j] for j in kept]
             if wave.in_transit:
                 coins, draws = zip(*wave.in_transit)  # per row, each in TRANSIT order
                 for q, q_coins, q_draws in zip(TRANSIT, zip(*coins), zip(*draws)):
@@ -590,7 +756,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
 
             round_keys = [keys[r][i] for r, i in (pairs[j] for j in kept)]
             e1_encode(wave, round_keys, config.direction)
-            outcomes = e2_measure(wave, SampleSource(rngs))
+            outcomes = e2_measure(wave, SampleSource(streams))
             for j, key, (a, b, c) in zip(kept, round_keys, outcomes):
                 row = rows[j]
                 if row.eve is not None:
@@ -613,8 +779,8 @@ def run_protocol(config: ProtocolConfig, keys, strategy) -> Transcript:
     """Execute a full run: P1 through E3 for each round.
 
     ``keys`` holds one PauliLabel per round.  Returns the run's Transcript.
-    This is :func:`run_batch` with one row, so round ``i`` uses the rng
-    stream seeded by (config.seed, i), and identical inputs give identical
+    This is :func:`run_batch` with one row, so round ``i`` reads the stream
+    ``PCG64((config.seed, i))``, and identical inputs give identical
     transcripts.
     """
     return run_batch(config, [config.seed], [keys], strategy)[0]

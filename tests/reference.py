@@ -6,7 +6,7 @@ application or its index-table measurement kernels.  The state helpers
 (:func:`norm`, :func:`overlap`, :func:`copy_state`, :func:`same_state`,
 :func:`bell_pair`) are what only the tests need of a StateVector, and
 :func:`run_one_round_at_a_time` replays a run through the protocol's phases
-with its own scalar decoy checks.
+with numpy's own draws and its own scalar decoy checks.
 """
 
 import itertools
@@ -175,32 +175,69 @@ def check_decoys_one_at_a_time(row, threshold, rng):
     return None
 
 
+class GeneratorStream:
+    """A numpy Generator behind the draw methods the phases call on a row
+    stream: ``coins`` is ``integers(0, 2, size=n)`` and ``draws`` is
+    ``random(size=n)``, drawn by numpy itself rather than read off raw words
+    as the program does."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def coins(self, n):
+        return self.rng.integers(0, 2, size=n).tolist()
+
+    def draws(self, n):
+        return self.rng.random(size=n).tolist()
+
+
+def prepare_one_round(config, rng):
+    """P1's record drawn by a numpy Generator: for Alice's sequence then
+    Bob's, ``permutation(d + 2)``, whose first d slots carry the decoys in
+    rising order, and ``integers(0, 2, size=2d)``, their d basis coins then
+    d bits."""
+    from qauthsim.protocol import RoundRecord
+
+    d = config.decoys_per_sequence
+    positions, coins, bits = [], [], []
+    for _ in range(2 if d else 0):
+        positions += sorted(rng.permutation(d + 2)[:d].tolist())
+        drawn = rng.integers(0, 2, size=2 * d).tolist()
+        coins += drawn[:d]
+        bits += drawn[d:]
+    return RoundRecord(positions, coins, bits, [2 * c + b for c, b in zip(coins, bits)])
+
+
 def run_one_round_at_a_time(config, seed, keys, strategy):
     """A run of ``config`` as a plain loop: one round per step, each on a
     one-row wave, stopping at the first abort.
 
-    It calls the protocol's phases directly (P1, P2, E1, E2 and E3) and
-    fills in the record P1 returns as the round goes.  It checks the
-    decoys with :func:`check_decoys_one_at_a_time` rather than the
-    protocol's table lookup, makes one Z or X measurement per in-transit
-    qubit after the checks, and shares none of
+    Round i draws from ``np.random.default_rng((seed, i))`` through numpy's
+    own ``permutation``, ``integers`` and ``random``: it builds P1's record
+    with :func:`prepare_one_round` and hands the phases a
+    :class:`GeneratorStream`.  So it checks the program's draws, read off
+    raw PCG64 words, against numpy's.  It calls the protocol's phases
+    directly (P2, E1, E2 and E3) and fills in the record as the round goes.
+    It checks the decoys with :func:`check_decoys_one_at_a_time` rather
+    than the protocol's table lookup, makes one Z or X measurement per
+    in-transit qubit after the checks, and shares none of
     :func:`qauthsim.protocol.run_batch`'s wave filling, row dropping or
-    folding.  Round i draws from the stream seeded by (seed, i).
+    folding.
     """
     from qauthsim import qsim
     from qauthsim.adversary import infer_key
     from qauthsim.protocol import (
         TRANSIT, Decision, Role, SampleSource, Transcript, Wave,
-        e1_encode, e2_measure, e3_verify, p1_prepare, p2_transmit,
+        e1_encode, e2_measure, e3_verify, p2_transmit,
     )
 
     transcript = Transcript([], Decision.ACCEPT)
     for i, key in enumerate(keys):
         rng = np.random.default_rng((seed, i))
-        record = p1_prepare(config, rng)
+        record = prepare_one_round(config, rng)
         transcript.rounds.append(record)
         wave = Wave([record])
-        eves = p2_transmit(wave, strategy, SampleSource([rng]))
+        eves = p2_transmit(wave, strategy, SampleSource([GeneratorStream(rng)]))
         record.eve = eves[0] if eves else None
         phase = check_decoys_one_at_a_time(record, config.decoy_error_threshold, rng)
         if phase is not None:
@@ -212,7 +249,7 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
                 measure = qsim.measure_x if coin else qsim.measure_z
                 _, wave.state = measure(wave.state, q, [draw])
         e1_encode(wave, [key], config.direction)
-        ((a, b, c),) = e2_measure(wave, SampleSource([rng]))
+        ((a, b, c),) = e2_measure(wave, SampleSource([GeneratorStream(rng)]))
         if record.eve is not None:
             c = record.eve.c_pre
             announced = a if config.direction is Role.ALICE else b

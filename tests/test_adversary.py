@@ -33,6 +33,7 @@ from qauthsim.protocol import (
     Role,
     SampleSource,
     Wave,
+    _RowStream,
     _measure_in_bases,
     _measure_parties,
     p1_prepare,
@@ -45,9 +46,15 @@ from qauthsim.qsim import Basis, BellLabel, PauliLabel
 DECOY_KETS = ("0", "1", "+", "-")
 
 
+def row_stream(seed):
+    """The program's stream for one row on PCG64(seed): it draws what
+    ``np.random.default_rng(seed)`` draws."""
+    return _RowStream(np.random.PCG64(seed))
+
+
 def fresh_register(decoys=0, seed=0):
     config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
-    rng = np.random.default_rng(seed) if decoys else None
+    rng = row_stream(seed) if decoys else None
     return p1_prepare(config, rng)
 
 
@@ -62,7 +69,7 @@ def test_strategy_ids():
 
 
 def test_premeasure_outcomes_satisfy_swap_constraint():
-    rng = np.random.default_rng(0)
+    rng = row_stream(0)
     for _ in range(100):
         (eve,) = hook_premeasure(Wave([fresh_register()]), SampleSource([rng]))
         c1, c2 = eve.c_pre
@@ -72,22 +79,22 @@ def test_premeasure_outcomes_satisfy_swap_constraint():
 
 def test_premeasure_pins_every_later_measurement():
     # After the hook, re-measuring the same observables is deterministic.
-    rng = np.random.default_rng(1)
+    rng = row_stream(1)
     for _ in range(20):
         wave = Wave([fresh_register()])
         (eve,) = hook_premeasure(wave, SampleSource([rng]))
         state = wave.state
         probs = {o: p for o, p, _ in qsim.bell_outcomes(state, A1, A2)}
-        (label,), state = qsim.measure_bell(state, A1, A2, [rng.random()])
+        (label,), state = qsim.measure_bell(state, A1, A2, rng.draws(1))
         assert label is eve.m_pre
         assert probs[label] == pytest.approx(1.0)
         probs = {o: p for o, p, _ in qsim.bell_outcomes(state, B1, B2)}
-        (label,), state = qsim.measure_bell(state, B1, B2, [rng.random()])
+        (label,), state = qsim.measure_bell(state, B1, B2, rng.draws(1))
         assert label is eve.b_pre
         assert probs[label] == pytest.approx(1.0)
         for qubit, expected in ((C1, eve.c_pre[0]), (C2, eve.c_pre[1])):
             probs = {o: p for o, p, _ in qsim.z_outcomes(state, qubit)}
-            (bit,), state = qsim.measure_z(state, qubit, [rng.random()])
+            (bit,), state = qsim.measure_z(state, qubit, rng.draws(1))
             assert bit == expected
             assert probs[bit] == pytest.approx(1.0)
 
@@ -95,7 +102,7 @@ def test_premeasure_pins_every_later_measurement():
 def test_premeasure_order_invariant_support():
     # the hook's walk takes the turns c, a, b; in any order the constraint
     # between outcomes is the same, since the observables commute.
-    rng = np.random.default_rng(2)
+    rng = row_stream(2)
     for order in (("c", "a", "b"), ("a", "b", "c"), ("b", "c", "a")):
         for _ in range(30):
             wave = Wave([fresh_register()])
@@ -104,7 +111,7 @@ def test_premeasure_order_invariant_support():
 
 
 def test_premeasure_never_touches_decoys():
-    rng = np.random.default_rng(3)
+    rng = row_stream(3)
     for _ in range(25):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
         before = list(register.labels)
@@ -138,7 +145,7 @@ def test_infer_key_requires_state():
 
 
 def test_premeasure_then_encode_recovers_every_key():
-    rng = np.random.default_rng(4)
+    rng = row_stream(4)
     for key in PauliLabel:
         for direction in (Role.ALICE, Role.BOB):
             for _ in range(25):
@@ -188,7 +195,7 @@ def test_intercept_resend_single_decoy_mismatch_is_one_quarter(basis, bit):
 
 
 def test_intercept_resend_touches_decoys():
-    rng = np.random.default_rng(6)
+    rng = row_stream(6)
     changed = 0
     total = 0
     for _ in range(50):
@@ -204,7 +211,7 @@ def test_intercept_resend_touches_decoys():
 
 
 def test_intercept_resend_empirical_mismatch_rate():
-    rng = np.random.default_rng(7)
+    rng = row_stream(7)
     mismatches = 0
     checked = 0
     for _ in range(2000):
@@ -213,7 +220,7 @@ def test_intercept_resend_empirical_mismatch_rate():
         for coin, label, prepared in zip(register.coins, register.labels, register.prepared):
             measure = qsim.measure_x if coin else qsim.measure_z
             state = qsim.init_product([DECOY_KETS[label]])
-            (bit,), _ = measure(state, 0, [rng.random()])
+            (bit,), _ = measure(state, 0, rng.draws(1))
             checked += 1
             mismatches += int(bit != prepared)
     rate = mismatches / checked
@@ -224,7 +231,7 @@ def test_intercept_resend_empirical_mismatch_rate():
 def test_intercepted_decoys_are_checked_from_the_labels_eve_left():
     # Eve measures the decoys in the row's lists, changing only their
     # labels; S1/S2 then read each one's outcome from the label she left.
-    rng = np.random.default_rng(8)
+    rng = row_stream(8)
     disturbed = 0
     for _ in range(50):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
@@ -238,10 +245,10 @@ def test_intercepted_decoys_are_checked_from_the_labels_eve_left():
         disturbed += sum(label != 2 * coin + bit
                          for coin, bit, label in zip(sent.coins, sent.prepared, left))
         twin = copy.deepcopy(rng)
-        s_check(register, rng.random(size=4).tolist(), 0.0)
+        s_check(register, rng.draws(4), 0.0)
         for coin, label, measured in zip(register.coins, left, register.measured):
             measure = qsim.measure_x if coin else qsim.measure_z
-            (bit,), _ = measure(qsim.init_product([DECOY_KETS[label]]), 0, [twin.random()])
+            (bit,), _ = measure(qsim.init_product([DECOY_KETS[label]]), 0, twin.draws(1))
             assert measured == bit
     assert disturbed
 
@@ -270,10 +277,9 @@ def test_intercept_resend_still_forwards_protocol_qubits(decoys):
     # sequence then Bob's.  Applied the way run_batch applies them, they
     # leave a definite product of the measured eigenstates, still
     # normalized.
-    rng = np.random.default_rng(8)
+    rng, twin = row_stream(8), np.random.default_rng(8)
     register = fresh_register(decoys, seed=decoys)
     prepared = list(register.labels)
-    twin = copy.deepcopy(rng)
     wave = Wave([register])
     hook_intercept_resend(wave, SampleSource([rng]))
     [(coins, draws)] = wave.in_transit

@@ -360,25 +360,9 @@ def test_sampled_memory_is_bounded_by_the_wave_size():
 
 def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):
     # WAVE_SIZE + 1 samples take two run_batch calls; the tallies must be
-    # those of every run executed alone on the report's own master draws.
-    config = RunConfig(
-        rounds=2, decoys_per_sequence=1, samples=WAVE_SIZE + 1, seed=21,
-        strategy=StrategyId.INTERCEPT_RESEND,
-    )
-    master = np.random.default_rng(config.seed)
-    expected = [0, 0, 0, 0, 0]
-    for _ in range(config.samples):
-        seed = int(master.integers(0, 2**63))
-        keys = [list(PauliLabel)[int(j)] for j in master.integers(0, 4, size=config.rounds)]
-        run_config = ProtocolConfig(rounds=2, decoys_per_sequence=1, seed=seed)
-        transcript = protocol.run_protocol(run_config, keys, config.strategy)
-        for record, key in zip(transcript.rounds, keys):
-            guess = record.inferred_key
-            expected[0] += 1
-            expected[1] += record.decision is Decision.ACCEPT
-            expected[2] += record.decision is Decision.ABORT
-            expected[3] += guess is not None
-            expected[4] += guess is not None and guess is key
+    # those of every run executed alone on the master draws numpy's
+    # Generator makes.  With 3 rounds each run's keys leave a half of the
+    # master stream pending for the next run's, across the chunk too.
     calls, tallies = [], []
     real_run, real_rates = protocol.run_batch, oracle.sampled_rates
 
@@ -386,11 +370,33 @@ def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):
         calls.append(len(args[1]))
         return real_run(*args)
 
-    monkeypatch.setattr(protocol, "run_batch", run)
-    monkeypatch.setattr(oracle, "sampled_rates", lambda *c: tallies.append(c) or real_rates(*c))
-    build_report(config)
-    assert calls == [WAVE_SIZE, 1]
-    assert tallies == [tuple(expected)]
+    for rounds in (2, 3):
+        config = RunConfig(
+            rounds=rounds, decoys_per_sequence=1, samples=WAVE_SIZE + 1, seed=21,
+            strategy=StrategyId.INTERCEPT_RESEND,
+        )
+        master = np.random.default_rng(config.seed)
+        expected = [0, 0, 0, 0, 0]
+        for _ in range(config.samples):
+            seed = int(master.integers(0, 2**63))
+            keys = [list(PauliLabel)[int(j)] for j in master.integers(0, 4, size=config.rounds)]
+            run_config = ProtocolConfig(rounds=rounds, decoys_per_sequence=1, seed=seed)
+            transcript = protocol.run_protocol(run_config, keys, config.strategy)
+            for record, key in zip(transcript.rounds, keys):
+                guess = record.inferred_key
+                expected[0] += 1
+                expected[1] += record.decision is Decision.ACCEPT
+                expected[2] += record.decision is Decision.ABORT
+                expected[3] += guess is not None
+                expected[4] += guess is not None and guess is key
+        calls.clear()
+        tallies.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "run_batch", run)
+            patch.setattr(oracle, "sampled_rates", lambda *c: tallies.append(c) or real_rates(*c))
+            build_report(config)
+        assert calls == [WAVE_SIZE, 1]
+        assert tallies == [tuple(expected)]
 
 
 # Two reports of each benchmark workload's shape, one rendered as CSV; the

@@ -378,7 +378,7 @@ class RecordedSource:
 
 @pytest.mark.parametrize(
     "make_source",
-    [lambda: BranchSource([1, 1]), lambda: protocol.SampleSource([np.random.default_rng(5)])],
+    [lambda: BranchSource([1, 1]), lambda: protocol.SampleSource([protocol._RowStream(np.random.PCG64(5))])],
     ids=["BranchSource", "SampleSource"],
 )
 def test_both_sources_return_one_outcome_per_row_as_a_list(make_source):

@@ -32,6 +32,7 @@ from qauthsim.protocol import (
     RoundRecord,
     SampleSource,
     Wave,
+    _RowStream,
     _measure_decoys,
     e1_encode,
     e2_measure,
@@ -49,9 +50,15 @@ from qauthsim.qsim import Basis, BellLabel, PauliLabel
 DECOY_KETS = ("0", "1", "+", "-")
 
 
+def row_stream(seed):
+    """The program's stream for one row on PCG64(seed): it draws what
+    ``np.random.default_rng(seed)`` draws."""
+    return _RowStream(np.random.PCG64(seed))
+
+
 def fresh_register(decoys=0, seed=0):
     config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
-    rng = np.random.default_rng(seed) if decoys else None
+    rng = row_stream(seed) if decoys else None
     return p1_prepare(config, rng)
 
 
@@ -176,7 +183,7 @@ def test_p1_decoy_structure():
 def test_p1_decoy_slot_layout(decoys):
     # Each sequence carries its owner's two protocol qubits in order and d
     # decoys, each in the slot its position names.
-    rng = np.random.default_rng(decoys)
+    rng = row_stream(decoys)
     for _ in range(20):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=decoys), rng)
         assert len(register.positions) == 2 * decoys
@@ -191,14 +198,14 @@ def test_p1_decoy_slot_layout(decoys):
 
 
 def test_p1_is_deterministic_per_stream():
-    first = p1_prepare(ProtocolConfig(decoys_per_sequence=3), np.random.default_rng(11))
-    second = p1_prepare(ProtocolConfig(decoys_per_sequence=3), np.random.default_rng(11))
+    first = p1_prepare(ProtocolConfig(decoys_per_sequence=3), row_stream(11))
+    second = p1_prepare(ProtocolConfig(decoys_per_sequence=3), row_stream(11))
     assert first == second
 
 
 def test_p1_decoy_positions_cover_all_slots():
     seen = set()
-    rng = np.random.default_rng(23)
+    rng = row_stream(23)
     for _ in range(200):
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
         for owner, pos, coin, bit in zip(
@@ -244,7 +251,7 @@ def test_p2_honest_returns_none_and_leaves_state_alone():
     wave = Wave([register])
     before = wave.state.amps.copy()
     decoys = list(register.labels)
-    source = SampleSource([np.random.default_rng(0)])
+    source = SampleSource([row_stream(0)])
     assert p2_transmit(wave, StrategyId.HONEST, source) is None
     assert np.array_equal(wave.state.amps, before)
     assert register.labels == decoys
@@ -252,7 +259,7 @@ def test_p2_honest_returns_none_and_leaves_state_alone():
 
 def test_p2_premeasure_returns_eve_state():
     wave = Wave([fresh_register()])
-    source = SampleSource([np.random.default_rng(3)])
+    source = SampleSource([row_stream(3)])
     (eve,) = p2_transmit(wave, StrategyId.PRE_MEASURE, source)
     assert isinstance(eve, EveState)
     assert eve.m_pre ^ eve.b_pre is BellLabel.from_bits(0, eve.c_pre[0] ^ eve.c_pre[1])
@@ -260,7 +267,7 @@ def test_p2_premeasure_returns_eve_state():
 
 def test_p2_intercept_resend_returns_none():
     register = fresh_register(decoys=2, seed=1)
-    rng = np.random.default_rng(4)
+    rng = row_stream(4)
     wave = Wave([register])
     assert p2_transmit(wave, StrategyId.INTERCEPT_RESEND, SampleSource([rng])) is None
 
@@ -346,12 +353,12 @@ def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy)
 def check_both(register, threshold, rng):
     """S1 then S2 on every decoy of the register, with one batch of draws as
     run_batch takes them: (total mismatches, both pass)."""
-    phase = s_check(register, rng.random(size=len(register.labels)).tolist(), threshold)
+    phase = s_check(register, rng.draws(len(register.labels)), threshold)
     return mismatches(register), phase is None
 
 
 def test_s_check_honest_run_sees_no_errors():
-    rng = np.random.default_rng(3)
+    rng = row_stream(3)
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
     mismatched, ok = check_both(register, 0.0, rng)
     assert mismatched == 0
@@ -360,7 +367,7 @@ def test_s_check_honest_run_sees_no_errors():
 
 
 def test_s_check_flags_tampered_decoys():
-    rng = np.random.default_rng(4)
+    rng = row_stream(4)
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
     # Flip every decoy to the orthogonal state of its own basis (the label's
     # bit).  Every check must then fail.
@@ -371,23 +378,23 @@ def test_s_check_flags_tampered_decoys():
 
 
 def test_s_check_threshold_tolerates_partial_errors():
-    rng = np.random.default_rng(5)
+    rng = row_stream(5)
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
     register.labels[0] ^= 1  # Alice's first decoy
-    assert s_check(register, rng.random(size=8).tolist(), 0.25) is None
+    assert s_check(register, rng.draws(8), 0.25) is None
     assert mismatches(register, slice(0, 4)) == 1
     # Checking in its own basis leaves the first decoy flipped: the same
     # single mismatch in 4 fails S1 just below a 1/4 threshold.
     below = np.nextafter(0.25, 0.0)
-    assert s_check(register, rng.random(size=8).tolist(), below) is PhaseId.S1
+    assert s_check(register, rng.draws(8), below) is PhaseId.S1
     assert mismatches(register, slice(0, 4)) == 1
     # The same flip in Bob's sequence fails S2, after S1 passes.
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
     register.labels[4] ^= 1
-    assert s_check(register, rng.random(size=8).tolist(), below) is PhaseId.S2
-    assert s_check(register, rng.random(size=8).tolist(), 0.25) is None
+    assert s_check(register, rng.draws(8), below) is PhaseId.S2
+    assert s_check(register, rng.draws(8), 0.25) is None
     other = fresh_register(decoys=2, seed=5)
-    strict = s_check(other, rng.random(size=4).tolist(), 0.0)
+    strict = s_check(other, rng.draws(4), 0.0)
     assert mismatches(other) == 0
     assert strict is None
 
@@ -413,19 +420,19 @@ def test_s_check_rejects_draws_not_one_per_decoy(draws):
 @pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.INTERCEPT_RESEND])
 def test_s_check_draws_once_per_announced_decoy(decoys, strategy):
     config = ProtocolConfig(decoys_per_sequence=decoys)
-    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+    rng, twin = row_stream(31), row_stream(31)
     register = p1_prepare(config, rng)
     untouched = p1_prepare(config, twin)
     for row, stream in ((register, rng), (untouched, twin)):
         p2_transmit(Wave([row]), strategy, SampleSource([stream]))
-    s_check(register, rng.random(size=2 * decoys).tolist(), 0.0)
+    s_check(register, rng.draws(2 * decoys), 0.0)
     # The batched draw is the stream of one scalar draw per decoy, in row
     # order, and the bits are those the kernels give for it.
     for i, (label, coin) in enumerate(zip(untouched.labels, untouched.coins)):
         measure = qsim.measure_x if coin else qsim.measure_z
-        (bit,), _ = measure(decoy_state(label), 0, [twin.random()])
+        (bit,), _ = measure(decoy_state(label), 0, twin.draws(1))
         assert register.measured[i] == bit
-    assert rng.bit_generator.state == twin.bit_generator.state
+    assert rng.draws(4) == twin.draws(4)  # both streams stand at the same word
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +544,7 @@ def test_e1_rejects_charlie():
 
 
 def test_e2_outcomes_satisfy_round_correlation():
-    rng = np.random.default_rng(6)
+    rng = row_stream(6)
     for _ in range(50):
         [(a, b, c)] = e2_measure(Wave([fresh_register()]), SampleSource([rng]))
         assert isinstance(a, BellLabel)
@@ -552,7 +559,7 @@ def test_e2_order_does_not_change_joint_distribution():
     plans = {}
     for order in (("a", "b", "c"), ("c", "b", "a"), ("b", "c", "a")):
         counts = {}
-        rng = np.random.default_rng(7)
+        rng = row_stream(7)
         for _ in range(400):
             wave, source = Wave([fresh_register()]), SampleSource([rng])
             [(a, b, c)] = protocol._measure_parties(wave, source, order)

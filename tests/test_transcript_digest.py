@@ -29,6 +29,14 @@ DIGESTS = {
     (StrategyId.HONEST, 4, 4, Role.BOB): (
         "a728afc2108074c8d60762ff7311d45eb168592aa55a6081fca12d6271c77bbe"
     ),
+    # No decoys: P1 draws nothing, and a round's first draw is its
+    # intercept's coins or its first measurement.  Recorded at commit a5ddecc.
+    (StrategyId.INTERCEPT_RESEND, 4, 0, Role.BOB): (
+        "5f3796d408eb5dfc3bf177a0c2599b7f4c76b5ddcfe1413cc4c6749d592d8984"
+    ),
+    (StrategyId.HONEST, 3, 0, Role.ALICE): (
+        "f612d27ae99c851d42b3e630854ffbff3dc38966abe6826ec6ce301133a1948b"
+    ),
 }
 
 
