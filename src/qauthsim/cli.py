@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__, oracle, protocol
@@ -80,6 +80,8 @@ class RunConfig(ProtocolConfig):
                 "exact mode enumerates Honest and PreMeasure only; "
                 "InterceptResend is sampled"
             )
+        if self.output_path == "":
+            raise FieldError("output_path", "the report path must not be empty")
         if self.format not in ("json", "csv"):
             raise FieldError(
                 "format", f"format must be 'json' or 'csv', got {self.format!r}"
@@ -339,12 +341,12 @@ def cmd_tables(out=None) -> int:
     return 0
 
 
-def cmd_run(config: RunConfig, output_override=None, out=None, err=None) -> int:
+def cmd_run(config: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     report = build_report(config)
     text = render_json(report) if config.format == "json" else render_csv(report)
-    path = output_override or config.output_path or f"report.{config.format}"
+    path = config.output_path or f"report.{config.format}"
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -381,10 +383,15 @@ def main(argv=None) -> int:
         return cmd_tables()
     try:
         config = load_config(args.config)
+        if args.output is not None:
+            config = replace(config, output_path=args.output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return cmd_run(config, args.output)
+    except FieldError as exc:  # only --output is checked outside load_config
+        print(f"error: --output: {exc}", file=sys.stderr)
+        return 2
+    return cmd_run(config)
 
 
 if __name__ == "__main__":

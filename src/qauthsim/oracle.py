@@ -74,8 +74,7 @@ class BranchSource:
         if depth < len(self.known):
             live = self.known[depth]
         else:
-            options = outcomes(*args)
-            live = [o for o in options if o[2] is not None and o[1] > qsim.ZERO_PROB]
+            live = [o for o in outcomes(*args) if o[2] is not None]
         index = self._script[depth] if depth < len(self._script) else 0
         outcome, p, post = live[index]
         self.lists.append(live)

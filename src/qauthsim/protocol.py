@@ -114,17 +114,9 @@ _DECOY_PROBS = tuple(
 )
 
 
-def _cut(probs) -> float:
-    """The least draw for which qsim._pick selects outcome 1 of ``probs``."""
-    p0, p1 = probs
-    if p1 <= qsim.ZERO_PROB:
-        return math.inf
-    return p0 if p0 > qsim.ZERO_PROB else 0.0
-
-
 # _DECOY_CUT[label][coin]: measuring decoy ``label`` in basis ``coin`` with
 # draw u gives the bit int(u >= cut), the outcome qsim._pick selects.
-_DECOY_CUT = tuple(tuple(map(_cut, row)) for row in _DECOY_PROBS)
+_DECOY_CUT = tuple(tuple(map(qsim._cut, row)) for row in _DECOY_PROBS)
 
 
 @functools.lru_cache

@@ -7,10 +7,11 @@ instances rather than mutating their input.
 
 A state's amplitudes may carry a leading batch axis: shape (B, 2^n) holds
 B states of the same register, one per row, the way the protocol module
-holds rounds of many sampled runs.  Pauli gates and measurements act on
-every row of a batch at once; a Pauli gate, with one label or one per row,
-is one gather and one multiply through a cached per-qubit table of index
-permutations and signs, one row per label.
+holds rounds of many sampled runs.  Every gate and measurement acts on
+every row of a batch at once (only the ``*_outcomes`` lists refuse one),
+through cached per-qubit tables of index permutations and signs: a Pauli,
+with one label or one per row, is one gather and one multiply, Hadamard is
+(X + Z)/sqrt(2), and CNOT is the target's flip where the control is 1.
 
 Nothing in this module draws randomness.  The sampling ``measure_*``
 functions take a list of uniform draws from ``[0, 1)``, one per row (a 1-D
@@ -121,8 +122,6 @@ _LABEL_NAMES = {
     PauliLabel.IY: "iY",
 }
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT2_INV
-
 _SINGLE_QUBIT_STATES = {
     "0": np.array([1, 0], dtype=np.complex128),
     "1": np.array([0, 1], dtype=np.complex128),
@@ -166,8 +165,8 @@ def _require_qubit(state: StateVector, q: int) -> None:
         )
 
 
-# Flat-index helpers, cached per register shape.  Measurements and Pauli
-# gates then reduce to dot products, sign flips, and permutation lookups on
+# Flat-index helpers, cached per register shape.  Measurements and gates
+# then reduce to dot products, sign flips, and permutation lookups on
 # the flat amplitude array, which is considerably cheaper than rearranging a
 # (2, ..., 2) tensor per call.  Cached arrays are marked read-only; they are
 # shared across all states of the same shape.
@@ -189,16 +188,6 @@ def _flip_perm(n: int, *qubits: int) -> np.ndarray:
     """Permutation of flat indices that flips every one of the distinct
     ``qubits``."""
     perm = np.arange(2**n) ^ sum(1 << (n - 1 - q) for q in qubits)
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=None)
-def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
-    """Permutation flipping ``target`` on indices where ``control`` is set."""
-    idx = np.arange(2**n)
-    cbit = (idx >> (n - 1 - control)) & 1
-    perm = idx ^ (cbit << (n - 1 - target))
     perm.setflags(write=False)
     return perm
 
@@ -244,20 +233,22 @@ def apply_pauli(state: StateVector, q: int, label) -> StateVector:
 
 
 def apply_hadamard(state: StateVector, q: int) -> StateVector:
+    """Apply H = (X + Z)/sqrt(2) to qubit ``q`` of every row."""
     _require_qubit(state, q)
     n, amps = state.n_qubits, state.amps
-    moved = amps.reshape((2,) * n).swapaxes(q, -1)
-    out = (moved @ HADAMARD).swapaxes(q, -1).reshape(-1)
-    return StateVector(n, out)
+    perms, signs = _pauli_table(n, q)
+    return StateVector(n, (_flip(amps, perms[1]) + amps * signs[2]) * _SQRT2_INV)
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
+    """Flip ``target`` of every row where ``control`` is 1."""
     _require_qubit(state, control)
     _require_qubit(state, target)
     if control == target:
         raise ValueError("cnot control and target must differ")
-    n = state.n_qubits
-    return StateVector(n, state.amps[_cnot_perm(n, control, target)])
+    n, amps = state.n_qubits, state.amps
+    flipped = _flip(amps, _flip_perm(n, target))
+    return StateVector(n, np.where(_masks(n, control)[1] == 1.0, flipped, amps))
 
 
 def _check_measured_mass(masses) -> None:
@@ -445,6 +436,13 @@ def _pick(probs, randomness: float) -> int:
     return live
 
 
+def _cut(probs) -> float:
+    """The least draw for which ``_pick`` selects outcome 1 of two-outcome
+    ``probs``: 0.0 or p0, whichever it selects 1 at first, or inf if neither."""
+    draws = (u for u in (0.0, probs[0]) if u < 1.0 and _pick(probs, u) == 1)
+    return next(draws, math.inf)
+
+
 def _outcome_list(state: StateVector, kernel, outcomes, qubits) -> list:
     if state.amps.ndim != 1:
         raise ValueError("outcome lists take a single state, not a batch")
@@ -536,8 +534,8 @@ def prepare_ghz_like(state: StateVector, qc: int, qa: int, qb: int) -> StateVect
         raise ValueError("ghz preparation needs three distinct qubits")
     for q in (qc, qa, qb):
         _require_qubit(state, q)
-        (_, p1), _ = _z_kernel(state.amps, state.n_qubits, q)
-        if p1 > NORM_TOL:
+        probs, _ = _z_kernel(state.amps, state.n_qubits, q)
+        if np.any(np.atleast_2d(probs)[:, 1] > NORM_TOL):
             raise ValueError(f"qubit {q} must be in |0> before ghz preparation")
     s = apply_hadamard(state, qa)
     s = apply_cnot(s, qa, qb)

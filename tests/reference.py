@@ -1,12 +1,12 @@
 """Brute-force linear-algebra reference used to cross-check the simulator.
 
 The matrices and projectors here are built explicitly via ``np.kron``, on
-purpose: they share no code path with the package's reshape-based gate
-application or its index-table measurement kernels.  The state helpers
-(:func:`norm`, :func:`overlap`, :func:`copy_state`, :func:`same_state`,
-:func:`bell_pair`) are what only the tests need of a StateVector, and
-:func:`run_one_round_at_a_time` replays a run through the protocol's phases
-with numpy's own draws and its own scalar decoy checks.
+purpose: they share no code path with the package's index-table gates or
+measurement kernels.  The state helpers (:func:`norm`, :func:`overlap`,
+:func:`copy_state`, :func:`same_state`, :func:`bell_pair`) are what only
+the tests need of a StateVector, and :func:`run_one_round_at_a_time`
+replays a run through the protocol's phases with numpy's own draws and its
+own scalar decoy checks.
 """
 
 import itertools

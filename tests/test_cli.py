@@ -158,6 +158,7 @@ def test_out_of_range_values_are_rejected(tmp_path, line):
         ("strategy = Replay\n", "strategy", 1),
         ("# mode\nmode = approximate\n", "mode", 2),
         ("format = xml\n", "format", 1),
+        ("rounds = 1\noutput_path =\n", "output_path", 2),
     ],
 )
 def test_validation_errors_name_the_key_and_line(tmp_path, text, key, lineno):
@@ -603,6 +604,18 @@ def test_main_output_path_from_config(tmp_path, capsys):
     assert run_main(["run", "--config", str(config)]) == 0
     assert out_path.exists()
     assert str(out_path) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, extra, named",
+    [("output_path =\n", [], "output_path"), ("", ["--output", ""], "--output")],
+)
+def test_main_refuses_an_empty_report_path(tmp_path, monkeypatch, capsys, text, extra, named):
+    config = write_config(tmp_path, "samples = 5\nrounds = 1\n" + text)
+    monkeypatch.chdir(tmp_path)
+    assert run_main(["run", "--config", str(config), *extra]) == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.glob("report.*"))
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

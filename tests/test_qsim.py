@@ -461,6 +461,9 @@ class TestPrepareGhz:
     def test_rejects_occupied_qubits(self):
         with pytest.raises(ValueError):
             qsim.prepare_ghz_like(qsim.init_product(["0", "1", "0"]), 0, 1, 2)
+        rows = np.stack([qsim.init_product(tags).amps for tags in ("000", "010", "000")])
+        with pytest.raises(ValueError, match="must be in"):
+            qsim.prepare_ghz_like(qsim.StateVector(3, rows), 0, 1, 2)
         with pytest.raises(ValueError):
             qsim.prepare_ghz_like(qsim.init_product(["0"] * 3), 0, 0, 2)
 
@@ -622,13 +625,41 @@ def test_batched_measurement_takes_one_draw_per_row():
             qsim.measure_z(qsim.StateVector(2, amps[0]), 0, draws)
 
 
-def test_pauli_takes_one_label_per_row():
+def _ghz_ready_batch(rng, rows):
+    """Rows of 4 qubits with qubits 0, 2 and 3 in |0> and qubit 1 random."""
+    amps = np.zeros((rows, 16), dtype=complex)
+    amps[:, [0b0000, 0b0100]] = random_batch(rng, 1, rows)
+    return amps
+
+
+# Each gate as (state, labels) -> state; only the Pauli with a label list
+# reads them.  The batch gets one label per row, and each row's reference
+# gets its bare label, so the list path is checked against the single-label
+# path.
+BATCH_GATES = {
+    "pauli": lambda s, labels: qsim.apply_pauli(s, 1, PauliLabel.IY),
+    "pauli-list": lambda s, labels: qsim.apply_pauli(s, 1, labels),
+    "hadamard": lambda s, labels: qsim.apply_hadamard(s, 1),
+    "cnot": lambda s, labels: qsim.apply_cnot(s, 1, 3),
+    "ghz": lambda s, labels: qsim.prepare_ghz_like(s, 3, 0, 2),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 64])
+@pytest.mark.parametrize("gate", sorted(BATCH_GATES))
+def test_pauli_takes_one_label_per_row(gate, rows):
+    # Every gate acts on each row of a batch as on that row alone.
     rng = np.random.default_rng(34)
-    amps = random_batch(rng, 3, 6)
-    labels = [list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=6)]
-    got = qsim.apply_pauli(qsim.StateVector(3, amps), 1, labels)
+    amps = _ghz_ready_batch(rng, rows) if gate == "ghz" else random_batch(rng, 4, rows)
+    labels = [list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rows)]
+    apply = BATCH_GATES[gate]
+    got = apply(qsim.StateVector(4, amps), labels)
+    assert got.amps.shape == amps.shape
     for row, label, row_got in zip(amps, labels, got.amps):
-        expected = qsim.apply_pauli(qsim.StateVector(3, row.copy()), 1, label)
+        expected = apply(qsim.StateVector(4, row.copy()), label)
         assert np.array_equal(row_got, expected.amps)
-    with pytest.raises(ValueError):
-        qsim.apply_pauli(qsim.StateVector(3, amps), 1, labels[:5])
+    if gate == "pauli-list":
+        wrong_lengths = [labels + labels[:1]] + ([labels[:-1]] if rows > 1 else [])
+        for wrong in wrong_lengths:
+            with pytest.raises(ValueError):
+                qsim.apply_pauli(qsim.StateVector(4, amps), 1, wrong)
