@@ -328,7 +328,7 @@ def _summary_line(report: dict, path) -> str:
             parts.append(f"key_recovery_rate={row['key_recovery_rate']}")
     else:
         parts += [
-            "keys=4",
+            f"keys={len(rows)}",
             f"max_tv_vs_honest={max(r['tv_distance_vs_honest'] for r in rows)}",
             f"min_accept_probability={min(r['accept_probability'] for r in rows)}",
         ]

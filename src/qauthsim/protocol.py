@@ -41,8 +41,8 @@ measuring each label in Z or X are tabulated once, at import, by the qsim
 kernels themselves, and so is the draw at which qsim's selection rule
 turns from outcome 0 to outcome 1: a decoy measurement compares one draw
 with one table entry.  A row's two checks take their draws in one batch,
-the stream of one draw per decoy.  A record builds :class:`DecoyRecord`
-views of its decoys only when they are read.
+the stream of one draw per decoy.  A record is read through its own
+fields alone: a decoy's mismatch is ``measured[i] != prepared[i]``.
 
 Every draw is read off raw 64-bit PCG64 words, as the values numpy's
 Generator would draw from the same words (``random``, ``integers``,
@@ -67,7 +67,7 @@ from enum import Enum
 import numpy as np
 
 from . import qsim
-from .qsim import Basis, BellLabel, PauliLabel, StateVector
+from .qsim import BellLabel, PauliLabel, StateVector
 
 
 class Role(Enum):
@@ -101,7 +101,6 @@ TRANSIT = (A1, A2, B1, B2)  # the protocol qubits in transit, in sequence order
 # A decoy is stored as its eigenstate label 2 * basis coin + bit, with basis
 # coin 0 for Z and 1 for X: label 0 is |0>, 1 is |1>, 2 is |+> and 3 is |->.
 _DECOY_KETS = ("0", "1", "+", "-")
-_BASIS_OF_COIN = (Basis.Z, Basis.X)
 
 # _DECOY_PROBS[label][coin]: the outcome probabilities of measuring decoy
 # ``label`` in basis ``coin``, computed once by the qsim kernels themselves.
@@ -202,29 +201,6 @@ class ProtocolConfig:
 
 
 @dataclass
-class DecoyRecord:
-    """A checked decoy in slot ``position`` of its owner's sequence, as a
-    RoundRecord reports it: ``label`` is its eigenstate label after the
-    check, and ``measured`` the check's outcome."""
-
-    owner: Role
-    position: int
-    basis: Basis
-    prepared: int
-    label: int
-    measured: int
-
-
-def _mismatch_rate(records) -> float:
-    """Share of the checked decoys of ``records`` whose outcome differs from P1's bit."""
-    mismatches = total = 0
-    for record in records:
-        mismatches += sum(m != p for m, p in zip(record.measured, record.prepared))
-        total += len(record.prepared)
-    return mismatches / total if total else 0.0
-
-
-@dataclass
 class RoundRecord:
     """The one record of a round, from P1 on.
 
@@ -234,8 +210,7 @@ class RoundRecord:
     protocol qubits filling the other two in order; ``coins`` their basis
     coins (0 Z, 1 X); ``prepared`` P1's bits; ``labels`` their current
     eigenstate labels, which each measurement replaces; and ``measured``
-    the S1/S2 outcomes, None until :func:`s_check` runs (reading ``decoys``
-    or ``decoy_error_rate`` before then raises ValueError).
+    the S1/S2 outcomes, None until :func:`s_check` runs.
 
     The later phases fill in the rest: the public announcements ``c``,
     ``a`` and ``b`` (None after an abort), the ``decision`` (None until the
@@ -259,27 +234,6 @@ class RoundRecord:
     eve: "adversary.EveState | None" = None
     inferred_key: "PauliLabel | None" = None
 
-    def _require_checked(self) -> None:
-        if self.measured is None:
-            raise ValueError("this round's decoys were never checked in S1/S2")
-
-    @property
-    def decoys(self) -> list:
-        """The round's decoys as DecoyRecords, in row order, built at each read."""
-        self._require_checked()
-        d = len(self.positions) // 2
-        return [
-            DecoyRecord(Role.ALICE if i < d else Role.BOB, pos, _BASIS_OF_COIN[coin], *rest)
-            for i, (pos, coin, *rest) in enumerate(
-                zip(self.positions, self.coins, self.prepared, self.labels, self.measured)
-            )
-        ]
-
-    @property
-    def decoy_error_rate(self) -> float:
-        self._require_checked()
-        return _mismatch_rate([self])
-
 
 @dataclass
 class Transcript:
@@ -287,10 +241,6 @@ class Transcript:
 
     rounds: list
     decision: Decision
-
-    @property
-    def decoy_error_rate(self) -> float:
-        return _mismatch_rate(self.rounds)
 
 
 # |G> x |G> over the six protocol qubits, read-only and shared by every

@@ -6,7 +6,9 @@ measurement kernels.  The state helpers (:func:`norm`, :func:`overlap`,
 :func:`copy_state`, :func:`same_state`, :func:`bell_pair`) are what only
 the tests need of a StateVector, and :func:`run_one_round_at_a_time`
 replays a run through the protocol's phases with numpy's own draws and its
-own scalar decoy checks.
+own scalar decoy checks.  :func:`decoy_text` and :func:`decoy_error_rate`
+read a checked RoundRecord's decoy lists the way the transcript pins
+print them.
 """
 
 import itertools
@@ -173,6 +175,29 @@ def check_decoys_one_at_a_time(row, threshold, rng):
         if d and mismatches / d > threshold:
             return phase
     return None
+
+
+def decoy_text(record):
+    """A checked record's decoys as one string, in row order: per decoy its
+    owner's initial (Alice's d, then Bob's d), slot, basis (Z or X),
+    prepared bit and S1/S2 outcome, comma-separated, as in ``A3Z01``."""
+    d = len(record.positions) // 2
+    return ",".join(
+        f"{'AB'[i >= d]}{pos}{'ZX'[coin]}{bit}{outcome}"
+        for i, (pos, coin, bit, outcome) in enumerate(
+            zip(record.positions, record.coins, record.prepared, record.measured)
+        )
+    )
+
+
+def decoy_error_rate(records):
+    """Share of the checked decoys of ``records`` whose S1/S2 outcome
+    differs from P1's bit, 0.0 when they hold none."""
+    mismatches = total = 0
+    for record in records:
+        mismatches += sum(m != p for m, p in zip(record.measured, record.prepared))
+        total += len(record.prepared)
+    return mismatches / total if total else 0.0
 
 
 class GeneratorStream:

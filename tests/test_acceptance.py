@@ -135,7 +135,7 @@ def test_criterion_3_decoys_are_never_disturbed():
             total_rounds += len(transcript.rounds)
             clean = clean and transcript.decision is Decision.ACCEPT
             for record in transcript.rounds:
-                clean = clean and record.decoy_error_rate == 0.0
+                clean = clean and reference.decoy_error_rate([record]) == 0.0
     ok = clean and total_rounds >= 10_000
     report(
         3,

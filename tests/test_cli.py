@@ -5,12 +5,13 @@ import hashlib
 import json
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qauthsim import __version__, oracle, protocol
+from qauthsim import __version__, oracle, protocol, qsim
 from qauthsim.adversary import StrategyId
 from qauthsim.cli import (
     WAVE_SIZE,
@@ -359,6 +360,51 @@ def test_sampled_memory_is_bounded_by_the_wave_size():
     assert abs(large - small) < 64 * 1024, (small, large)
 
 
+# The parties' walk (protocol._measure_parties) makes one measurement-kernel
+# call each for Alice's Bell pair, Bob's Bell pair, C1 and C2.  E2 walks
+# every wave that keeps a row past S1/S2, and the PreMeasure hook every wave
+# in P2.  Before E2 each in-transit qubit takes one call per basis that the
+# kept rows' coins name.
+WALK_CALLS = 4
+
+
+@pytest.mark.parametrize(
+    "strategy, rounds, decoys, samples",
+    [(StrategyId.HONEST, 16, 4, 3), (StrategyId.PRE_MEASURE, 16, 16, 3),
+     (StrategyId.INTERCEPT_RESEND, 1, 4, 160)],
+)
+def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, decoys, samples):
+    waves = []  # per wave: its rows, rows kept, kernel calls and qubits measured in both bases
+
+    def spy(module, name, count):  # count each call, then make it
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: count(*args) or real(*args))
+
+    spy(protocol, "_row_streams", lambda keys, plan: waves.append(Counter(rows=len(keys))))
+    spy(qsim, "_measure", lambda *args: waves[-1].update(calls=1))
+    spy(protocol, "e1_encode", lambda wave, keys, direction: waves[-1].update(kept=len(keys)))
+    spy(protocol, "_measure_in_bases",
+        lambda state, q, coins, draws: waves[-1].update(mixed=len(set(coins)) == 2))
+    build_report(RunConfig(rounds=rounds, decoys_per_sequence=decoys, samples=samples,
+                           strategy=strategy))
+    if strategy is StrategyId.INTERCEPT_RESEND:
+        # One round a run, so each chunk of at most WAVE_SIZE runs is one wave.
+        sizes = [min(WAVE_SIZE, samples - s) for s in range(0, samples, WAVE_SIZE)]
+        transit = len(protocol.TRANSIT)
+        assert any(wave["kept"] for wave in waves)
+        for wave in waves:
+            expected = WALK_CALLS + transit + wave["mixed"] if wave["kept"] else 0
+            assert wave["calls"] == expected
+            assert not wave["kept"] or WALK_CALLS + transit <= expected <= WALK_CALLS + 2 * transit
+    else:
+        # No round can abort, so a run's k is all its rounds: one wave.
+        assert protocol.abort_probability(strategy, decoys, 0.0) == 0.0
+        sizes = [samples * rounds]
+        walks = 1 + (strategy is StrategyId.PRE_MEASURE)
+        assert waves == [Counter(rows=sizes[0], kept=sizes[0], calls=walks * WALK_CALLS)]
+    assert [wave["rows"] for wave in waves] == sizes
+
+
 def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):
     # WAVE_SIZE + 1 samples take two run_batch calls; the tallies must be
     # those of every run executed alone on the master draws numpy's
@@ -650,6 +696,7 @@ def test_main_exact_run_summary(tmp_path, capsys):
     assert run_main(["run", "--config", str(config), "--output", str(out_path)]) == 0
     summary = capsys.readouterr().out
     assert "mode=exact" in summary
+    assert f" keys={len(PauliLabel)} " in summary  # one result row per key
     assert "min_accept_probability=1.0" in summary
     text = out_path.read_text(encoding="utf-8")
     assert text.count("\n") == 1 + 10 + 4  # comments, header, one row per key

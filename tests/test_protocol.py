@@ -25,7 +25,6 @@ from qauthsim.protocol import (
     _DECOY_CUT,
     _DECOY_PROBS,
     Decision,
-    DecoyRecord,
     PhaseId,
     ProtocolConfig,
     Role,
@@ -139,17 +138,6 @@ def test_p1_without_decoys_builds_double_triple():
     triple[[0b001, 0b010, 0b100, 0b111]] = 0.5
     expected = np.kron(triple, triple)
     assert np.allclose(state.amps, expected)
-
-
-@pytest.mark.parametrize("decoys", [0, 2])
-def test_p1_record_refuses_to_report_unchecked_decoys(decoys):
-    # Until S1/S2 measure them the decoys have no outcomes to report, with
-    # or without decoys in the round.
-    record = fresh_register(decoys)
-    with pytest.raises(ValueError, match="never checked"):
-        record.decoys
-    with pytest.raises(ValueError, match="never checked"):
-        record.decoy_error_rate
 
 
 def test_p1_decoy_structure():
@@ -312,8 +300,8 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
 
 @pytest.mark.parametrize("strategy", list(StrategyId))
 def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy):
-    # Every RoundRecord.decoys entry equals its row's lists at its index,
-    # Alice's then Bob's in rising position, each in a slot of its owner's
+    # Every checked decoy of a recorded round, Alice's then Bob's in rising
+    # position, sits in the slot its position names in its owner's
     # sequence, aborted rounds included.  Rows are found by their (seed,
     # round) streams, since a run that aborts leaves its later rows in the
     # wave prepared but unrecorded.
@@ -327,23 +315,16 @@ def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy)
 
     monkeypatch.setattr(protocol, "p1_prepare", recorded)
     config = ProtocolConfig(rounds=4, decoys_per_sequence=3, seed=2)
-    seeds = [5, 6, 7, 8]
+    d, seeds = config.decoys_per_sequence, [5, 6, 7, 8]
     runs = run_batch(config, seeds, [[PauliLabel.Z] * 4] * 4, strategy)
     for seed, transcript in zip(seeds, runs):
         for i, rec in enumerate(transcript.rounds):
-            row = rows[seed, i]
-            assert rec is row
-            expected = [
-                DecoyRecord(Role.ALICE if j < 3 else Role.BOB, *fields)
-                for j, fields in enumerate(zip(
-                    row.positions, [(Basis.Z, Basis.X)[c] for c in row.coins],
-                    row.prepared, row.labels, row.measured,
-                ))
-            ]
-            assert rec.decoys == expected
-            for j, decoy in enumerate(rec.decoys):
-                seq = sequences(row)[decoy.owner is Role.BOB]
-                assert seq[decoy.position] == ("decoy", j)
+            assert rec is rows[seed, i]
+            assert len(rec.measured) == len(rec.positions) == 2 * d
+            assert rec.positions[:d] == sorted(rec.positions[:d])
+            assert rec.positions[d:] == sorted(rec.positions[d:])
+            for j, pos in enumerate(rec.positions):
+                assert sequences(rec)[j >= d][pos] == ("decoy", j)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +597,11 @@ def test_run_protocol_honest_accepts():
     keys = [PauliLabel.I, PauliLabel.X, PauliLabel.Z, PauliLabel.IY]
     transcript = run_protocol(config, keys, StrategyId.HONEST)
     assert transcript.decision is Decision.ACCEPT
-    assert transcript.decoy_error_rate == 0.0
+    assert reference.decoy_error_rate(transcript.rounds) == 0.0
     assert len(transcript.rounds) == 4
     for record in transcript.rounds:
         assert record.decision is Decision.ACCEPT
-        assert record.decoy_error_rate == 0.0
+        assert reference.decoy_error_rate([record]) == 0.0
         assert record.aborted_in is None
     assert [record.eve for record in transcript.rounds] == [None] * 4
     assert [record.inferred_key for record in transcript.rounds] == [None] * 4
@@ -683,8 +664,8 @@ def test_run_protocol_aborts_on_intercept_resend():
     assert last.decision is Decision.ABORT
     assert last.aborted_in in (PhaseId.S1, PhaseId.S2)
     assert last.c is None and last.a is None and last.b is None
-    assert last.decoy_error_rate > 0.0
-    assert transcript.decoy_error_rate > 0.0
+    assert reference.decoy_error_rate([last]) > 0.0
+    assert reference.decoy_error_rate(transcript.rounds) > 0.0
 
 
 def test_run_protocol_abort_stops_at_first_failed_round():
@@ -705,7 +686,7 @@ def test_run_protocol_premeasure_round_records():
     assert transcript.decision is Decision.ACCEPT
     assert [record.inferred_key for record in transcript.rounds] == keys
     for record in transcript.rounds:
-        assert record.decoy_error_rate == 0.0
+        assert reference.decoy_error_rate([record]) == 0.0
         assert record.c == record.eve.c_pre
 
 
@@ -781,16 +762,13 @@ def test_abort_probability_is_memoised():
 
 def run_lines(transcript):
     """A run as text, in the transcript-digest format plus the run's totals."""
-    lines = [f"decision={transcript.decision.value} rate={transcript.decoy_error_rate!r}"]
+    rate = reference.decoy_error_rate(transcript.rounds)
+    lines = [f"decision={transcript.decision.value} rate={rate!r}"]
     for i, rec in enumerate(transcript.rounds):
-        decoys_text = ",".join(
-            f"{d.owner.value[0]}{d.position}{d.basis.value}{d.prepared}{d.measured}"
-            for d in rec.decoys
-        )
         lines.append(
             f"{i} {rec.decision.value} {rec.aborted_in} c={rec.c} a={rec.a} b={rec.b} "
-            f"rate={rec.decoy_error_rate!r} eve={rec.eve} "
-            f"guess={rec.inferred_key} [{decoys_text}]"
+            f"rate={reference.decoy_error_rate([rec])!r} eve={rec.eve} "
+            f"guess={rec.inferred_key} [{reference.decoy_text(rec)}]"
         )
     return lines
 
@@ -961,11 +939,9 @@ def test_run_batch_equals_the_one_round_at_a_time_reference(
 
 def sequence_rates(record):
     """Alice's and Bob's decoy mismatch rates in a round record."""
-    return [
-        sum(d.measured != d.prepared for d in owned) / len(owned)
-        for owner in (Role.ALICE, Role.BOB)
-        for owned in [[d for d in record.decoys if d.owner is owner]]
-    ]
+    d = len(record.positions) // 2
+    wrong = [m != p for m, p in zip(record.measured, record.prepared)]
+    return [sum(wrong[:d]) / d, sum(wrong[d:]) / d]
 
 
 @pytest.mark.parametrize(
@@ -1019,10 +995,6 @@ def test_rows_dropped_past_an_abort_stay_undecided(monkeypatch):
         assert rec.decision is None and rec.aborted_in is None
         assert rec.c is rec.a is rec.b is rec.inferred_key is None
         assert rec.measured is None  # never checked
-        with pytest.raises(ValueError, match="never checked"):
-            rec.decoys
-        with pytest.raises(ValueError, match="never checked"):
-            rec.decoy_error_rate
 
 
 @pytest.mark.parametrize(
@@ -1069,10 +1041,11 @@ def test_run_batch_validates_every_run():
     assert run_batch(config, [], [], StrategyId.HONEST) == []
 
 
-# sha256 over rate.hex() of every run's decoy_error_rate and then every one
-# of its rounds', one line per run, for run_batch of RATE_SEEDS at each
-# (rounds, decoys, threshold) shape and strategy.  Recorded when the rates
-# were stored fields that run_batch summed from s_check's mismatch counts.
+# sha256 over rate.hex() of every run's decoy error rate and then every one
+# of its rounds', as reference.decoy_error_rate sums them, one line per run,
+# for run_batch of RATE_SEEDS at each (rounds, decoys, threshold) shape and
+# strategy.  Recorded when the rates were stored fields that run_batch
+# summed from s_check's mismatch counts.
 RATE_SHAPES = ((1, 1, 0.0), (4, 4, 0.5), (16, 16, 0.0))
 RATE_SEEDS = tuple(range(300, 312))
 RATES_DIGEST = "055b0993b6ae64703ebff250bad0c1b9146a048b25ddcf323af78a0ce258cfcf"
@@ -1091,8 +1064,8 @@ def test_decoy_error_rates_match_recorded_digest():
                 for seed in RATE_SEEDS
             ]
             for transcript in run_batch(config, list(RATE_SEEDS), keys, strategy):
-                rates = [transcript.decoy_error_rate] + [
-                    record.decoy_error_rate for record in transcript.rounds
+                rates = [reference.decoy_error_rate(transcript.rounds)] + [
+                    reference.decoy_error_rate([record]) for record in transcript.rounds
                 ]
                 lines.append(" ".join(rate.hex() for rate in rates))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RATES_DIGEST

@@ -12,6 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference
+
 from qauthsim.adversary import StrategyId
 from qauthsim.protocol import ProtocolConfig, Role, run_protocol
 from qauthsim.qsim import PauliLabel
@@ -55,13 +57,9 @@ def transcript_lines(strategy, rounds, decoys, direction, seed):
     transcript = run_protocol(config, keys, strategy)
     lines = [f"seed={seed} decision={transcript.decision.value}"]
     for i, rec in enumerate(transcript.rounds):
-        decoys_text = ",".join(
-            f"{d.owner.value[0]}{d.position}{d.basis.value}{d.prepared}{d.measured}"
-            for d in rec.decoys
-        )
         lines.append(
             f"{i} {rec.decision.value} {rec.aborted_in} c={rec.c} "
-            f"a={rec.a} b={rec.b} guess={rec.inferred_key} [{decoys_text}]"
+            f"a={rec.a} b={rec.b} guess={rec.inferred_key} [{reference.decoy_text(rec)}]"
         )
     return lines
 
