@@ -15,7 +15,9 @@ Reports are deterministic: identical configs produce byte-identical files
 (reals at 12 significant digits, no timestamps).  Every draw is read off
 the raw words of a PCG64 bit generator by code fixed in
 :mod:`qauthsim.protocol`, so a report depends on numpy only through its
-stable SeedSequence seeding and PCG64 stream.
+stable SeedSequence seeding and PCG64 stream.  A wave of several rows
+seeds its streams with the protocol module's restatement of SeedSequence,
+which tier-1 checks against numpy's.
 
 Exit codes: 0 success, 2 configuration error, 3 report I/O error.
 """

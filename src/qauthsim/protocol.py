@@ -49,8 +49,10 @@ Generator would draw from the same words (``random``, ``integers``,
 ``permutation``).  A round's come from a :class:`_RowStream`:
 :func:`_row_streams` reads one block of words per row, sized for the
 config by :func:`_draw_plan`, and converts the whole wave's blocks at
-once.  A sampled report's run seeds and keys come from
-:func:`_master_chunks`.
+once.  A wave of several rows seeds its rows' streams in one pass of
+:func:`_seed_states`, a restatement of numpy's SeedSequence that tier-1
+checks against numpy; a wave of one seeds through numpy.  A sampled
+report's run seeds and keys come from :func:`_master_chunks`.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -177,9 +180,9 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not _is_number(self.rounds, int) or self.rounds < 1:
+        if not _is_number(self.rounds, int) or not 1 <= self.rounds < 2**64:
             raise FieldError(
-                "rounds", f"rounds must be a positive integer, got {self.rounds!r}"
+                "rounds", f"rounds must be a positive integer below 2**64, got {self.rounds!r}"
             )
         if not _is_number(self.decoys_per_sequence, int) or self.decoys_per_sequence < 0:
             raise FieldError(
@@ -301,7 +304,7 @@ def _shuffle_steps(n: int) -> tuple:
 
 
 class _RowStream:
-    """One row's draws, read off the raw 64-bit words of ``bit_generator``
+    """One row's draws, read off the raw 64-bit words of ``PCG64(key)``
     as numpy's Generator reads them: ``draws`` gives random(), (w >> 11) *
     2**-53 of the next word; ``coins`` integers(0, 2), the top bit of the
     next 32-bit half; ``perm`` permutation(n), swapping each Fisher-Yates
@@ -311,20 +314,23 @@ class _RowStream:
 
     ``_halves`` holds the halves of the first words of ``_words`` and
     ``_draws`` the draws of its words from ``_w0`` on; a draw past either
-    converts more, reading on from ``bit_generator`` past ``_words``.
+    converts more.  ``_words`` starts as the block :func:`_row_streams`
+    read; a read past it seeds ``PCG64(key)`` again and jumps it past the
+    words held, so each word is read once however often a row refills.
     """
 
-    __slots__ = ("bit_generator", "_words", "_halves", "_h", "_draws", "_w0", "_u")
+    __slots__ = ("key", "_words", "_halves", "_h", "_draws", "_w0", "_u")
 
-    def __init__(self, bit_generator, words=(), halves=(), draws=(), w0=0):
-        self.bit_generator, self._words, self._w0 = bit_generator, np.asarray(words, np.uint64), w0
+    def __init__(self, key, words=(), halves=(), draws=(), w0=0):
+        self.key, self._words, self._w0 = key, np.asarray(words, np.uint64), w0
         self._halves, self._draws = list(halves), list(draws)
         self._h = 0  # the next half; an odd one is a word's pending high half
         self._u = None  # the word after the 64-bit draws since the last 32-bit one
 
     def _raw(self, lo: int, hi: int):
         if hi > len(self._words):
-            more = self.bit_generator.random_raw(hi - len(self._words))
+            held = len(self._words)
+            more = np.random.PCG64(self.key).advance(held).random_raw(hi - held)
             self._words = np.concatenate((self._words, more))
         return self._words[lo:hi]
 
@@ -401,15 +407,97 @@ def _draw_plan(strategy, d: int) -> tuple:
     return halves_words, (least + 1) // 2, halves_words + draws
 
 
+def _hash_steps(init: int, mult: int, n: int) -> tuple:
+    """The (xor, multiplier) constants of n SeedSequence hash steps: step k
+    xors init * mult**k and multiplies by init * mult**(k + 1), mod 2**32."""
+    consts = [init * mult**k & 0xFFFFFFFF for k in range(n + 1)]
+    return tuple(zip(consts, consts[1:]))
+
+
+# numpy's SeedSequence constants, in call order: 4 pool words then 12
+# mixes, and 8 state words; its mix multipliers, the right one as 2**32
+# minus it so that a lane never borrows; PCG64's LCG multiplier.
+_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 2**32 - 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.cache
+def _reader() -> tuple:
+    """The one PCG64 that reads the blocks of waves of several rows, its
+    state set per row, and the lock that keeps other threads off it
+    meanwhile.  Making a PCG64 is most of what seeding a row through numpy
+    costs, so it is made once, at first use: importing numpy's random
+    module adds about 5 MB to a process that never seeds a stream."""
+    return np.random.PCG64(0), threading.Lock()
+
+
+def _seed_states(keys: list) -> list:
+    """The starting (state, inc) of ``PCG64(key)`` for each (run seed,
+    round) in ``keys``, all keys hashed at once.
+
+    This restates numpy's SeedSequence and PCG64 seeding.  A key's entropy
+    is its seed's 32-bit words, low first, then its round's.  A seed is
+    below 2**64 (:func:`_check_seed`) and so is a round
+    (:class:`ProtocolConfig` refuses rounds >= 2**64), so that is at most
+    4 words, and the pool of 4 pads with zeros.  The hash runs on Python
+    ints that hold one 64-bit lane per key: each 32 x 32-bit product stays
+    in its lane, and a mask clears what a >> 16 brings in from the next.
+    The 8 state words give each key's (initstate, initseq), which go
+    through PCG64's two seeding LCG steps.  tests/test_draws.py checks
+    every lane against numpy's own seeding.
+    """
+    n = len(keys)
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
+    m32, m16 = 0xFFFFFFFF * ones, 0xFFFF * ones
+
+    def hashmix(lanes: int, step: tuple) -> int:
+        lanes = (lanes ^ step[0] * ones) * step[1] & m32
+        return lanes ^ (lanes >> 16 & m16)
+
+    # A key's entropy words as one int, its seed's then its round's.
+    entropy = b"".join((s | i << (64 if s >> 32 else 32)).to_bytes(16, "little") for s, i in keys)
+    words = np.frombuffer(entropy, "<u4").reshape(n, 4).T.astype("<u8")
+    steps = iter(_POOL_STEPS)
+    pool = [hashmix(int.from_bytes(w.tobytes(), "little"), next(steps)) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (_MIX_L * pool[dst] & m32) + _MIX_R * hashmix(pool[src], next(steps)) & m32
+                pool[dst] = mixed ^ (mixed >> 16 & m16)
+    state = [hashmix(pool[k % 4], step) for k, step in enumerate(_STATE_STEPS)]
+    state64 = b"".join((lo | hi << 32).to_bytes(8 * n, "little")
+                       for lo, hi in zip(state[::2], state[1::2]))
+    mask, starts = 2**128 - 1, []
+    for s_hi, s_lo, q_hi, q_lo in np.frombuffer(state64, "<u8").reshape(4, n).T.tolist():
+        inc = (q_hi << 65 | q_lo << 1 | 1) & mask
+        starts.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & mask, inc))
+    return starts
+
+
 def _row_streams(keys: list, plan: tuple) -> list:
     """One :class:`_RowStream` per (run seed, round) in ``keys`` on
     ``PCG64(key)``, each with the block of words ``plan`` reads, the whole
-    wave's blocks converted at once."""
+    wave's blocks converted at once.
+
+    A wave of one row seeds its ``PCG64(key)`` through numpy.  A wave of
+    several takes every row's start from :func:`_seed_states` and reads
+    each row's block through one PCG64 whose state is set per row.
+    """
     halves_words, w0, words = plan
-    gens = [np.random.PCG64(key) for key in keys]
-    block = np.array([gen.random_raw(words) for gen in gens])
+    if len(keys) == 1:
+        block = np.random.PCG64(keys[0]).random_raw((1, words))
+    else:
+        (reader, lock), rows = _reader(), []
+        with lock:
+            for state, inc in _seed_states(keys):
+                reader.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+                rows.append(reader.random_raw(words))
+        block = np.array(rows)
     halves, draws = _halves_of(block[:, :halves_words]), _draws_of(block[:, w0:])
-    return [_RowStream(*row, w0) for row in zip(gens, block, halves, draws)]
+    return [_RowStream(*row, w0) for row in zip(keys, block, halves, draws)]
 
 
 def _master_chunks(seed: int, rounds: int, runs: int):

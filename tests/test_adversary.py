@@ -49,7 +49,7 @@ DECOY_KETS = ("0", "1", "+", "-")
 def row_stream(seed):
     """The program's stream for one row on PCG64(seed): it draws what
     ``np.random.default_rng(seed)`` draws."""
-    return _RowStream(np.random.PCG64(seed))
+    return _RowStream(seed)
 
 
 def fresh_register(decoys=0, seed=0):

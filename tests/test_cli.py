@@ -147,6 +147,7 @@ def test_out_of_range_values_are_rejected(tmp_path, line):
     "text, key, lineno",
     [
         ("# runs\nrounds = 0\n", "rounds", 2),
+        ("samples = 1\nrounds = 100000000000000000000\n", "rounds", 2),
         ("mode = sampled\n\nsamples = 0\n", "samples", 3),
         ("seed = 18446744073709551616\n", "seed", 1),
         ("mode = exact\nrounds = 2\nstrategy = InterceptResend\n", "strategy", 3),
@@ -375,12 +376,20 @@ WALK_CALLS = 4
 )
 def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, decoys, samples):
     waves = []  # per wave: its rows, rows kept, kernel calls and qubits measured in both bases
+    seeded, recorded = [], []  # (run seed, round) of each stream seeded and each round recorded
 
     def spy(module, name, count):  # count each call, then make it
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: count(*args) or real(*args))
 
-    spy(protocol, "_row_streams", lambda keys, plan: waves.append(Counter(rows=len(keys))))
+    def batch(config, seeds, keys, strategy, real=protocol.run_batch):
+        runs = real(config, seeds, keys, strategy)
+        recorded.extend((seed, i) for seed, run in zip(seeds, runs) for i in range(len(run.rounds)))
+        return runs
+
+    monkeypatch.setattr(protocol, "run_batch", batch)
+    spy(protocol, "_row_streams",
+        lambda keys, plan: seeded.extend(keys) or waves.append(Counter(rows=len(keys))))
     spy(qsim, "_measure", lambda *args: waves[-1].update(calls=1))
     spy(protocol, "e1_encode", lambda wave, keys, direction: waves[-1].update(kept=len(keys)))
     spy(protocol, "_measure_in_bases",
@@ -403,6 +412,11 @@ def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, d
         walks = 1 + (strategy is StrategyId.PRE_MEASURE)
         assert waves == [Counter(rows=sizes[0], kept=sizes[0], calls=walks * WALK_CALLS)]
     assert [wave["rows"] for wave in waves] == sizes
+    # Each row seeds its own stream once: no round is seeded twice, and
+    # every row is recorded (no run here has a round past an abort), so
+    # the streams seeded are the rounds recorded, sum(sizes) of them.
+    assert len(set(seeded)) == len(seeded) == sum(sizes)
+    assert sorted(seeded) == sorted(recorded)
 
 
 def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):

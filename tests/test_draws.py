@@ -14,6 +14,8 @@ is carried across the 64-bit draws; and ``default_rng(seed)`` drawing
 """
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -118,6 +120,14 @@ def planned(strategy, decoys):
     return lambda pair: protocol._row_streams([pair], plan)[0]
 
 
+def mid_wave(strategy, decoys):
+    """The same, for the middle row of a 3-row wave whose other keys fill
+    every entropy word, so its start comes from the wave's lane hash."""
+    plan = protocol._draw_plan(strategy, decoys)
+    around = [(2**64 - 1, 2**32), (2**32, 2**64 - 1)]
+    return lambda pair: protocol._row_streams([around[0], pair, around[1]], plan)[1]
+
+
 def tiny_block(pair):
     """A two-word block, one word of halves: most draws read past it."""
     return protocol._row_streams([pair], (1, 0, 2))[0]
@@ -130,23 +140,82 @@ def late_block(pair):
 
 
 def no_block(pair):
-    """No block at all: every draw reads on from the bit generator."""
-    return protocol._RowStream(np.random.PCG64(pair))
+    """No block at all: every draw reads on from a fresh ``PCG64(pair)``."""
+    return protocol._RowStream(pair)
+
+
+STREAMS = ["planned", "mid_wave", "tiny_block", "late_block", "no_block"]
+
+
+def factory(stream, strategy, decoys):
+    make = globals()[stream]
+    return make(strategy, decoys) if stream in ("planned", "mid_wave") else make
 
 
 @pytest.mark.parametrize("case", list(ROW_DIGESTS), ids=lambda c: f"{c[0].value}-{c[1]}")
-@pytest.mark.parametrize("stream", ["planned", "tiny_block", "late_block", "no_block"])
+@pytest.mark.parametrize("stream", STREAMS)
 def test_row_draws_match_numpy(case, stream):
     strategy, decoys = case
-    make = planned(strategy, decoys) if stream == "planned" else globals()[stream]
+    make = factory(stream, strategy, decoys)
     assert _sha(row_lines(make, strategy, decoys)) == ROW_DIGESTS[case]
 
 
-@pytest.mark.parametrize("stream", ["planned", "tiny_block", "late_block", "no_block"])
+@pytest.mark.parametrize("stream", STREAMS)
 def test_draws_past_the_block_read_on_from_the_same_stream(stream):
     strategy = StrategyId.INTERCEPT_RESEND
-    make = planned(strategy, 1100) if stream == "planned" else globals()[stream]
+    make = factory(stream, strategy, 1100)
     assert _sha(row_lines(make, strategy, 1100, LARGE_PAIRS)) == LARGE_DIGEST
+
+
+# Seeds and rounds at each entropy-word boundary: one word, the largest
+# one word, two words, the largest two.
+EDGE_WORDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+EDGE_KEYS = [(seed, i) for seed in EDGE_WORDS for i in EDGE_WORDS]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64])
+def test_wave_seeding_matches_numpy(size):
+    # A wave of ``size`` rows from each edge key on, wrapping round the 25,
+    # so every key sits in every lane of the small waves and beside each
+    # kind of neighbour.  A row's start (state, inc) and its words, in the
+    # block and read past it, are numpy's for PCG64(key).
+    n = 24
+    for start in range(len(EDGE_KEYS)):
+        keys = [EDGE_KEYS[(start + j) % len(EDGE_KEYS)] for j in range(size)]
+        streams = protocol._row_streams(keys, (0, 0, n))
+        for key, (state, inc), stream in zip(keys, protocol._seed_states(keys), streams):
+            numpy_stream = np.random.PCG64(key)
+            assert numpy_stream.state["state"] == {"state": state, "inc": inc}
+            assert stream._raw(0, 2 * n).tolist() == numpy_stream.random_raw(2 * n).tolist()
+
+
+def test_waves_in_threads_read_their_own_rows():
+    # Waves of several rows share one reader, its state set per row.  Six
+    # threads on a short switch interval each build waves of their own
+    # keys; every row must still hold its own key's words.
+    n, waves = 8, 200
+    expected = {key: np.random.PCG64(key).random_raw(n).tolist() for key in EDGE_KEYS}
+    wrong = []
+
+    def build(offset):
+        for w in range(waves):
+            keys = [EDGE_KEYS[(offset + w + j) % len(EDGE_KEYS)] for j in range(5)]
+            for key, stream in zip(keys, protocol._row_streams(keys, (0, 0, n))):
+                if stream._raw(0, n).tolist() != expected[key]:
+                    wrong.append(key)
+
+    threads = [threading.Thread(target=build, args=(t,)) for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("case", list(MASTER_DIGESTS), ids=lambda c: f"seed{c[0]}-r{c[1]}")

@@ -52,7 +52,7 @@ DECOY_KETS = ("0", "1", "+", "-")
 def row_stream(seed):
     """The program's stream for one row on PCG64(seed): it draws what
     ``np.random.default_rng(seed)`` draws."""
-    return _RowStream(np.random.PCG64(seed))
+    return _RowStream(seed)
 
 
 def fresh_register(decoys=0, seed=0):
@@ -310,7 +310,7 @@ def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy)
 
     def recorded(config, rng):
         row = original(config, rng)
-        rows[tuple(rng.bit_generator.seed_seq.entropy)] = row
+        rows[rng.key] = row
         return row
 
     monkeypatch.setattr(protocol, "p1_prepare", recorded)
@@ -832,7 +832,7 @@ def record_waves(monkeypatch):
     real_prepare, real_wave = protocol.p1_prepare, protocol.Wave
 
     def prepare(config, rng):
-        pending.append(tuple(rng.bit_generator.seed_seq.entropy))
+        pending.append(rng.key)
         return real_prepare(config, rng)
 
     class SpiedWave(real_wave):
