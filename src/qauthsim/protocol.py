@@ -49,10 +49,11 @@ Generator would draw from the same words (``random``, ``integers``,
 ``permutation``).  A round's come from a :class:`_RowStream`:
 :func:`_row_streams` reads one block of words per row, sized for the
 config by :func:`_draw_plan`, and converts the whole wave's blocks at
-once.  A wave of several rows seeds its rows' streams in one pass of
-:func:`_seed_states`, a restatement of numpy's SeedSequence that tier-1
-checks against numpy; a wave of one seeds through numpy.  A sampled
-report's run seeds and keys come from :func:`_master_chunks`.
+once.  The first row seeds its ``PCG64(key)`` through numpy; the other
+rows' starts come in one pass of :func:`_seed_states`, a restatement of
+numpy's SeedSequence that tier-1 checks against numpy, and each is set on
+that same PCG64 in turn.  A sampled report's run seeds and keys come from
+:func:`_master_chunks`.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -423,16 +423,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 2**32 - 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@functools.cache
-def _reader() -> tuple:
-    """The one PCG64 that reads the blocks of waves of several rows, its
-    state set per row, and the lock that keeps other threads off it
-    meanwhile.  Making a PCG64 is most of what seeding a row through numpy
-    costs, so it is made once, at first use: importing numpy's random
-    module adds about 5 MB to a process that never seeds a stream."""
-    return np.random.PCG64(0), threading.Lock()
-
-
 def _seed_states(keys: list) -> list:
     """The starting (state, inc) of ``PCG64(key)`` for each (run seed,
     round) in ``keys``, all keys hashed at once.
@@ -448,6 +438,8 @@ def _seed_states(keys: list) -> list:
     through PCG64's two seeding LCG steps.  tests/test_draws.py checks
     every lane against numpy's own seeding.
     """
+    if not keys:
+        return []
     n = len(keys)
     ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
     m32, m16 = 0xFFFFFFFF * ones, 0xFFFF * ones
@@ -481,21 +473,18 @@ def _row_streams(keys: list, plan: tuple) -> list:
     ``PCG64(key)``, each with the block of words ``plan`` reads, the whole
     wave's blocks converted at once.
 
-    A wave of one row seeds its ``PCG64(key)`` through numpy.  A wave of
-    several takes every row's start from :func:`_seed_states` and reads
-    each row's block through one PCG64 whose state is set per row.
+    The first row's ``PCG64(key)`` is seeded through numpy and reads its
+    block; every later row's start comes from :func:`_seed_states`, set on
+    that same PCG64 before it reads the row's block.
     """
     halves_words, w0, words = plan
-    if len(keys) == 1:
-        block = np.random.PCG64(keys[0]).random_raw((1, words))
-    else:
-        (reader, lock), rows = _reader(), []
-        with lock:
-            for state, inc in _seed_states(keys):
-                reader.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
-                rows.append(reader.random_raw(words))
-        block = np.array(rows)
+    reader = np.random.PCG64(keys[0])
+    rows = [reader.random_raw(words)]
+    for state, inc in _seed_states(keys[1:]):
+        reader.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        rows.append(reader.random_raw(words))
+    block = np.array(rows)
     halves, draws = _halves_of(block[:, :halves_words]), _draws_of(block[:, w0:])
     return [_RowStream(*row, w0) for row in zip(keys, block, halves, draws)]
 

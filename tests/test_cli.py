@@ -3,10 +3,14 @@ determinism, and exit codes."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +421,94 @@ def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, d
     # the streams seeded are the rounds recorded, sum(sizes) of them.
     assert len(set(seeded)) == len(seeded) == sum(sizes)
     assert sorted(seeded) == sorted(recorded)
+
+
+@pytest.mark.parametrize("decoys, samples", [(4, 160), (1, 64)])
+def test_rows_prepared_past_an_abort_are_bounded_by_the_cap(monkeypatch, decoys, samples):
+    # run_batch gives each live run at most k = max(1, int(1 / p)) rows a
+    # wave, p being abort_probability.  A run that does not abort in a wave
+    # has every row of it recorded; the wave it aborts in is its last and
+    # drops at most its k - 1 rows after the aborting one.  So rows
+    # prepared <= rounds recorded + (k - 1) x runs, equal when k = 1.
+    config = RunConfig(rounds=16, decoys_per_sequence=decoys, samples=samples, seed=5,
+                       strategy=StrategyId.INTERCEPT_RESEND)
+    prepared, recorded = [], []
+    real_prepare, real_batch = protocol.p1_prepare, protocol.run_batch
+
+    def batch(*args):
+        runs = real_batch(*args)
+        recorded.extend(len(run.rounds) for run in runs)
+        return runs
+
+    monkeypatch.setattr(protocol, "p1_prepare",
+                        lambda *args: prepared.append(1) or real_prepare(*args))
+    monkeypatch.setattr(protocol, "run_batch", batch)
+    build_report(config)
+    p = protocol.abort_probability(config.strategy, decoys, config.decoy_error_threshold)
+    k = max(1, int(1 / p))
+    bound = sum(recorded) + (k - 1) * samples
+    assert len(recorded) == samples
+    if k == 1:
+        assert len(prepared) == bound
+    else:
+        assert sum(recorded) <= len(prepared) < bound
+
+
+@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
+def test_exact_outcome_lists_are_the_internal_nodes_of_each_tree(monkeypatch, strategy):
+    # enumerate_branches replays the pipeline once per leaf, each pass with
+    # the outcome lists of the prefix it shares with the one before, so each
+    # internal node of the tree (a distinct proper prefix of a leaf's path)
+    # computes its list once.  A report enumerates each key's round under
+    # its strategy, and under PreMeasure the Honest baseline as well.
+    trees = []  # per enumeration: its leaf paths and its outcome-list calls
+    real_enumerate, real_list = oracle.enumerate_branches, qsim._outcome_list
+
+    class Recording(oracle.BranchSource):
+        def __init__(self, script):
+            super().__init__(script)
+            trees[-1]["paths"].append(self.taken)
+
+    def enumerate_branches(pipeline):
+        trees.append({"paths": [], "calls": 0})
+        yield from real_enumerate(pipeline)
+
+    def outcome_list(*args):
+        trees[-1]["calls"] += 1
+        return real_list(*args)
+
+    monkeypatch.setattr(oracle, "BranchSource", Recording)
+    monkeypatch.setattr(oracle, "enumerate_branches", enumerate_branches)
+    monkeypatch.setattr(qsim, "_outcome_list", outcome_list)
+    build_report(RunConfig(mode="exact", strategy=strategy))
+    assert len(trees) == len(PauliLabel) * (1 + (strategy is StrategyId.PRE_MEASURE))
+    for tree in trees:
+        paths = tree["paths"]
+        internal = {tuple(taken[:depth]) for taken in paths for depth in range(len(taken))}
+        assert tree["calls"] == len(internal)
+        assert len(internal) < sum(map(len, paths))  # so lists were reused
+
+
+def test_a_process_that_seeds_no_stream_never_imports_numpy_random():
+    # Loading numpy.random costs an exact-mode process about 5 MB of peak
+    # RSS, so only code that seeds a stream may import it.
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def loads_numpy_random(code):
+        script = f"import sys\n{code}\nprint('numpy.random' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        return run.stdout.split()[-1] == "True"
+
+    if loads_numpy_random("import numpy"):
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert not loads_numpy_random(
+        "from qauthsim.adversary import StrategyId\n"
+        "from qauthsim.cli import RunConfig, build_report\n"
+        "build_report(RunConfig(mode='exact', strategy=StrategyId.PRE_MEASURE))"
+    )
 
 
 def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):

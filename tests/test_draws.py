@@ -190,9 +190,9 @@ def test_wave_seeding_matches_numpy(size):
 
 
 def test_waves_in_threads_read_their_own_rows():
-    # Waves of several rows share one reader, its state set per row.  Six
-    # threads on a short switch interval each build waves of their own
-    # keys; every row must still hold its own key's words.
+    # A wave reads every row's block through its own PCG64, its state set
+    # per row.  Six threads on a short switch interval each build waves of
+    # their own keys; every row must still hold its own key's words.
     n, waves = 8, 200
     expected = {key: np.random.PCG64(key).random_raw(n).tolist() for key in EDGE_KEYS}
     wrong = []
