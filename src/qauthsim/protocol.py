@@ -255,15 +255,16 @@ _FRESH_STATE.amps.setflags(write=False)
 
 
 # Rows per wave in run_batch: each measurement of a wave is one kernel call
-# over a (rows, 64) amplitude array, which at 64 rows is 64 KB.
-WAVE_SIZE = 64
+# over a (rows, 64) amplitude array, and a wave holds as many rows as fit in
+# 64 KB of it.  The protocol's amplitudes are real, 8 bytes each: 128 rows.
+WAVE_SIZE = 64 * 1024 // _FRESH_STATE.amps.nbytes
 
 
 class Wave:
     """One or more rows, each one round of one run.
 
-    ``state`` stacks the rows' six-qubit states into one (B, 64) array, so
-    each measurement is one kernel call for the whole wave.
+    ``state`` stacks the rows' six-qubit states into one (B, 64) float64
+    array, so each measurement is one kernel call for the whole wave.
     It starts as the fresh state of P1 in every row; a one-row wave holds
     ``_FRESH_STATE`` itself, 1-D, and a wave of several rows that
     :func:`run_batch` cuts to one keeps its (1, 64) batch.  ``rows[r]`` is
@@ -515,6 +516,7 @@ def _master_chunks(seed: int, rounds: int, runs: int):
             w += 1 + (fresh + 1) // 2
             pending = halves[2 * w - 1:2 * w] if fresh % 2 else []
         raw = raw[w:]
+        del words, halves  # not held while the caller runs this chunk
         yield seeds, keys
 
 

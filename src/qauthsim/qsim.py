@@ -28,6 +28,14 @@ cached tables over a qubit tuple, a 0/1 mask per value of the XOR of those
 qubits' bits and the index permutation that flips them all (one qubit for Z
 and X, the pair for Bell).
 
+A state's amplitudes keep the dtype it was built with.  Every table a gate
+or projector reads is real, so a real state stays float64 through every
+gate and measurement, and a complex one stays complex128.  The protocol
+needs no complex number: its qubit states (``init_product``'s 0, 1, + and
+-), Hadamard, CNOT, the Paulis I, X, Z and iY = Z@X, and the Z, X and Bell
+projectors are all real matrices, so its amplitudes are float64 and cost
+half the bytes of complex ones.
+
 Bell states and Pauli operators both carry a two-bit ``(phase, parity)``
 label from one shared base, aligned so that applying a Pauli to one half of
 a Bell pair XORs the labels, and entanglement swapping constrains the XOR of
@@ -123,10 +131,10 @@ _LABEL_NAMES = {
 }
 
 _SINGLE_QUBIT_STATES = {
-    "0": np.array([1, 0], dtype=np.complex128),
-    "1": np.array([0, 1], dtype=np.complex128),
-    "+": np.array([_SQRT2_INV, _SQRT2_INV], dtype=np.complex128),
-    "-": np.array([_SQRT2_INV, -_SQRT2_INV], dtype=np.complex128),
+    "0": np.array([1.0, 0.0]),
+    "1": np.array([0.0, 1.0]),
+    "+": np.array([_SQRT2_INV, _SQRT2_INV]),
+    "-": np.array([_SQRT2_INV, -_SQRT2_INV]),
 }
 
 
@@ -200,7 +208,7 @@ def _pauli_table(n: int, q: int) -> tuple:
     flip, ident, one = _flip_perm(n, q), np.arange(2**n), np.ones(2**n)
     z = 1.0 - 2.0 * _masks(n, q)[1]
     perms = np.stack([ident, flip, ident, flip])
-    signs = np.stack([one, one, z, z]).astype(np.complex128)  # as amps * signs would cast
+    signs = np.stack([one, one, z, z])
     perms.setflags(write=False)
     signs.setflags(write=False)
     return perms, signs
@@ -317,11 +325,13 @@ def _masked_sums(masks: np.ndarray, values: np.ndarray) -> list:
 
 
 def _overlaps(bras: np.ndarray, kets: np.ndarray):
-    """Re<bra|ket> (of each row).
+    """Re<bra|ket> (of each row): the X kernel's overlaps.
 
-    The complex products are the exception to the rule above: a row's
-    result can differ from vdot's in the last bit (vdot's own bits depend on
-    how its operands are aligned in memory), which moves an outcome only for
+    They are the exception to the rule above, for real and complex
+    amplitudes alike: a row's result can differ from vdot's in the last bit
+    (vdot's own bits depend on how its operands are aligned in memory), and
+    so can a real state's from its complex cast's, since vdot and matmul sum
+    real and complex operands differently.  Either moves an outcome only for
     a draw within that bit of an outcome boundary.
     """
     if bras.ndim == 1:

@@ -102,8 +102,9 @@ ROW_DIGESTS = {
 # rejections, so a row reads well past any small block.
 LARGE_PAIRS = [(0, 0), (2**64 - 1, 2**32 - 1)]
 LARGE_DIGEST = "28bcb0db94f1ec2d64996b6e55b073340eb6ce47bc13b37a61deb7bec4a3314b"
-# (master seed, rounds) -> sha256 of master_lines: 130 runs cross two
-# 64-run chunks, and odd rounds leave a half pending from run to run.
+# (master seed, rounds) -> sha256 of master_lines: 130 runs cross a
+# boundary between chunks of WAVE_SIZE runs, and odd rounds leave a half
+# pending from run to run.
 MASTER_DIGESTS = {
     (0, 1): "25ac41e2f11873d30a80dab293e73ad2272283f0b0713fce8310f3df50a0b7ac",
     (0, 3): "4ae8a35a515181ae06cfcd0bf7a81d43f27f5ddf37177e28027b4798898e4134",

@@ -948,8 +948,11 @@ def sequence_rates(record):
     "strategy, rounds, decoys, runs, sizes",
     [
         (StrategyId.PRE_MEASURE, 16, 16, 3, [48]),
-        (StrategyId.HONEST, 200, 0, 1, [64, 64, 64, 8]),
-        (StrategyId.HONEST, 3, 0, 100, [64, 64, 64, 36, 36, 36]),
+        # One run of 3 W + 8 rounds, and W + W // 2 + 4 runs of 3 rounds,
+        # for W = WAVE_SIZE: the first W runs fill three waves, then the rest.
+        (StrategyId.HONEST, 3 * WAVE_SIZE + 8, 0, 1, [WAVE_SIZE] * 3 + [8]),
+        (StrategyId.HONEST, 3, 0, WAVE_SIZE + WAVE_SIZE // 2 + 4,
+         [WAVE_SIZE] * 3 + [WAVE_SIZE // 2 + 4] * 3),
     ],
 )
 def test_waves_are_filled_with_the_next_rounds_of_the_live_runs(
@@ -965,6 +968,35 @@ def test_waves_are_filled_with_the_next_rounds_of_the_live_runs(
         assert wave == sorted(wave, key=lambda row: (seeds.index(row[0]), row[1]))
     rows = [row for wave in waves for row in wave]
     assert sorted(rows) == sorted((seed, i) for seed in seeds for i in range(rounds))
+
+
+def test_protocol_amplitudes_are_real(monkeypatch):
+    # Every state, gate, key Pauli and projector the protocol uses is real,
+    # so its amplitudes are float64, 8 bytes each, and a wave's 64 KB
+    # amplitude array holds WAVE_SIZE rows.
+    assert protocol._FRESH_STATE.amps.dtype == np.float64
+    assert WAVE_SIZE == 64 * 1024 // (8 * 2**PROTOCOL_QUBITS)
+    measured, posts = [], []  # sampled waves' states at E2; exact post-states
+    real_measure, real_list = protocol.e2_measure, qsim._outcome_list
+
+    def measure(wave, source):
+        measured.append(wave.state)
+        return real_measure(wave, source)
+
+    def outcome_list(*args):
+        outcomes = real_list(*args)
+        posts.extend(post for _, _, post in outcomes if post is not None)
+        return outcomes
+
+    monkeypatch.setattr(protocol, "e2_measure", measure)
+    monkeypatch.setattr(qsim, "_outcome_list", outcome_list)
+    config = ProtocolConfig(rounds=16, decoys_per_sequence=1)
+    keys = [[PauliLabel.IY] * 16] * 40
+    for strategy in (StrategyId.INTERCEPT_RESEND, StrategyId.PRE_MEASURE):
+        run_batch(config, list(range(40)), keys, strategy)
+    assert measured and {state.amps.dtype for state in measured} == {np.dtype(np.float64)}
+    oracle.exact_transcript_distribution(StrategyId.PRE_MEASURE, PauliLabel.IY)
+    assert posts and {post.amps.dtype for post in posts} == {np.dtype(np.float64)}
 
 
 def test_rows_dropped_past_an_abort_stay_undecided(monkeypatch):

@@ -561,7 +561,13 @@ def random_batch(rng, n, rows):
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
+def real_rows(amps):
+    """The real part of each row of ``amps``, renormalised: a float64 batch."""
+    return amps.real / np.linalg.norm(amps.real, axis=1, keepdims=True)
+
+
 def test_batched_measurements_match_each_row_alone():
+    # A complex batch and a float64 one; each output keeps its input's dtype.
     rng = np.random.default_rng(31)
     for n in range(1, 7):
         amps = random_batch(rng, n, 9)
@@ -570,12 +576,17 @@ def test_batched_measurements_match_each_row_alone():
                 continue
             qubits = [int(q) for q in rng.choice(n, size=arity, replace=False)]
             draws = rng.random(size=len(amps)).tolist()
-            outcomes, post = measure(qsim.StateVector(n, amps), *qubits, draws)
-            assert post.amps.shape == amps.shape
-            for row, draw, outcome, row_post in zip(amps, draws, outcomes, post.amps):
-                (alone,), alone_post = measure(qsim.StateVector(n, row.copy()), *qubits, [draw])
-                assert outcome == alone
-                np.testing.assert_allclose(row_post, alone_post.amps, rtol=0, atol=1e-12)
+            for batch in (amps, real_rows(amps)):
+                outcomes, post = measure(qsim.StateVector(n, batch), *qubits, draws)
+                assert post.amps.shape == batch.shape
+                assert post.amps.dtype == batch.dtype
+                for row, draw, outcome, row_post in zip(batch, draws, outcomes, post.amps):
+                    (alone,), alone_post = measure(
+                        qsim.StateVector(n, row.copy()), *qubits, [draw]
+                    )
+                    assert outcome == alone
+                    assert alone_post.amps.dtype == batch.dtype
+                    np.testing.assert_allclose(row_post, alone_post.amps, rtol=0, atol=1e-12)
 
 
 def test_batched_measurement_refuses_one_unnormalised_row():
@@ -648,16 +659,20 @@ BATCH_GATES = {
 @pytest.mark.parametrize("rows", [1, 2, 3, 64])
 @pytest.mark.parametrize("gate", sorted(BATCH_GATES))
 def test_pauli_takes_one_label_per_row(gate, rows):
-    # Every gate acts on each row of a batch as on that row alone.
+    # Every gate acts on each row of a batch as on that row alone, on a
+    # complex batch and a float64 one, and keeps its input's dtype.
     rng = np.random.default_rng(34)
     amps = _ghz_ready_batch(rng, rows) if gate == "ghz" else random_batch(rng, 4, rows)
     labels = [list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rows)]
     apply = BATCH_GATES[gate]
-    got = apply(qsim.StateVector(4, amps), labels)
-    assert got.amps.shape == amps.shape
-    for row, label, row_got in zip(amps, labels, got.amps):
-        expected = apply(qsim.StateVector(4, row.copy()), label)
-        assert np.array_equal(row_got, expected.amps)
+    for batch in (amps, real_rows(amps)):
+        got = apply(qsim.StateVector(4, batch), labels)
+        assert got.amps.shape == batch.shape
+        assert got.amps.dtype == batch.dtype
+        for row, label, row_got in zip(batch, labels, got.amps):
+            expected = apply(qsim.StateVector(4, row.copy()), label)
+            assert expected.amps.dtype == batch.dtype
+            assert np.array_equal(row_got, expected.amps)
     if gate == "pauli-list":
         wrong_lengths = [labels + labels[:1]] + ([labels[:-1]] if rows > 1 else [])
         for wrong in wrong_lengths:
