@@ -182,12 +182,14 @@ def _twelve(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _rate_fields(prefix: str, estimate) -> dict:
+def _rate_fields(prefix: str, successes: int, trials: int) -> dict:
+    """A rate, its Wilson 95% band and its trials, as report fields."""
+    low, high = oracle.wilson_interval(successes, trials)
     return {
-        f"{prefix}_rate": _twelve(estimate.rate),
-        f"{prefix}_low": _twelve(estimate.low),
-        f"{prefix}_high": _twelve(estimate.high),
-        f"{prefix}_trials": estimate.trials,
+        f"{prefix}_rate": _twelve(successes / trials),
+        f"{prefix}_low": _twelve(low),
+        f"{prefix}_high": _twelve(high),
+        f"{prefix}_trials": trials,
     }
 
 
@@ -203,18 +205,17 @@ def _sampled_results(config: RunConfig) -> list:
                 if record.inferred_key is not None:
                     guesses += 1
                     hits += record.inferred_key is key
-    rates = oracle.sampled_rates(trials, accepted, detected, guesses, hits)
     row = dict.fromkeys(_CSV_COLUMNS)
     row.update(
         strategy=config.strategy.value,
         mode="sampled",
         samples=config.samples,
         rounds_executed=trials,
-        **_rate_fields("accept", rates.accept),
-        **_rate_fields("detection", rates.detection),
+        **_rate_fields("accept", accepted, trials),
+        **_rate_fields("detection", detected, trials),
     )
-    if rates.key_recovery is not None:
-        row.update(_rate_fields("key_recovery", rates.key_recovery))
+    if guesses:
+        row.update(_rate_fields("key_recovery", hits, guesses))
     return [row]
 
 

@@ -20,15 +20,15 @@ mass checked at run time) are pipelines it runs.  A round's P1 record is
 decoy-free, so nothing draws from it or changes it: each distribution
 prepares it once and every leaf's wave shares it.  No function here takes
 an order of the parties' turns: the round is walked in the sampler's
-orders, which are fixed in code.  Sampled runs reduce to
-five integer tallies that :func:`sampled_rates` turns into Wilson intervals.
+orders, which are fixed in code.  Sampled runs reduce to five integer
+tallies, and :mod:`qauthsim.cli` turns each tally pair into rate fields
+through :func:`wilson_interval`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import protocol, qsim
 from .adversary import StrategyId
@@ -52,10 +52,10 @@ class BranchSource:
     one-entry list, the shape :class:`qauthsim.protocol.SampleSource`
     returns for a wave.  At measurement ``i`` it takes live option
     ``script[i]`` (or the first live option beyond the script's end) from
-    the outcome list, accumulating the branch probability.  ``taken`` and
-    ``counts`` record the path and the live-option fan-out actually
-    encountered, which is what the enumeration needs to advance to the next
-    branch; ``lists`` records the live outcome list of every depth.  Depths
+    the outcome list, accumulating the branch probability.  ``taken``
+    records the path and ``lists`` the live outcome list of every depth, so
+    ``len(lists[i])`` is the fan-out at depth ``i``: together they are what
+    the enumeration needs to advance to the next branch.  Depths
     below ``len(known)`` take their list from ``known`` instead of computing
     it, which is exact when ``known`` holds the lists of a pass whose script
     shares that prefix.
@@ -66,7 +66,6 @@ class BranchSource:
         self.known = []
         self.lists = []
         self.taken = []
-        self.counts = []
         self.probability = 1.0
 
     def _choose(self, outcomes, *args):
@@ -79,7 +78,6 @@ class BranchSource:
         outcome, p, post = live[index]
         self.lists.append(live)
         self.taken.append(index)
-        self.counts.append(len(live))
         self.probability *= p
         return [outcome], post
 
@@ -110,14 +108,14 @@ def enumerate_branches(pipeline):
         source.known = known
         result = pipeline(source)
         yield result, source.probability
-        taken, counts = source.taken, source.counts
+        taken, lists = source.taken, source.lists
         i = len(taken) - 1
-        while i >= 0 and taken[i] + 1 >= counts[i]:
+        while i >= 0 and taken[i] + 1 >= len(lists[i]):
             i -= 1
         if i < 0:
             return
         script = taken[:i] + [taken[i] + 1]
-        known = source.lists[: i + 1]
+        known = lists[: i + 1]
 
 
 def _validate_plan(state: qsim.StateVector, plan) -> None:
@@ -257,38 +255,3 @@ def wilson_interval(successes: int, trials: int):
         phat * (1 - phat) / trials + z * z / (4 * trials * trials)
     )
     return max(0.0, center - half), min(1.0, center + half)
-
-
-@dataclass
-class RateEstimate:
-    rate: float
-    low: float
-    high: float
-    trials: int
-
-
-@dataclass
-class RatesReport:
-    accept: RateEstimate
-    detection: RateEstimate
-    key_recovery: "RateEstimate | None"
-
-
-def _estimate(successes: int, trials: int) -> RateEstimate:
-    low, high = wilson_interval(successes, trials)
-    return RateEstimate(successes / trials, low, high, trials)
-
-
-def sampled_rates(
-    trials: int, accepted: int, detected: int, guesses: int, hits: int
-) -> RatesReport:
-    """Accept/detection/key-recovery rates with Wilson 95% bands from tallies.
-
-    ``accepted`` and ``detected`` count rounds out of ``trials``; ``hits``
-    counts correct key inferences out of the ``guesses`` rounds where the
-    strategy made one (no key-recovery rate when there were none).
-    """
-    if trials <= 0:
-        raise ValueError("no round results to summarise")
-    recovery = _estimate(hits, guesses) if guesses else None
-    return RatesReport(_estimate(accepted, trials), _estimate(detected, trials), recovery)

@@ -143,9 +143,9 @@ def enumerate_branches_from_scratch(pipeline):
         source = BranchSource(script)
         result = pipeline(source)
         yield result, source.probability
-        taken, counts = source.taken, source.counts
+        taken, lists = source.taken, source.lists
         i = len(taken) - 1
-        while i >= 0 and taken[i] + 1 >= counts[i]:
+        while i >= 0 and taken[i] + 1 >= len(lists[i]):
             i -= 1
         if i < 0:
             return

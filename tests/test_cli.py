@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qauthsim import __version__, oracle, protocol, qsim
+from qauthsim import __version__, cli, oracle, protocol, qsim
 from qauthsim.adversary import StrategyId
 from qauthsim.cli import (
     WAVE_SIZE,
@@ -27,6 +27,7 @@ from qauthsim.cli import (
     render_csv,
     render_json,
     render_tables,
+    _twelve,
 )
 from qauthsim.protocol import Decision, ProtocolConfig, Role
 from qauthsim.qsim import PauliLabel
@@ -266,25 +267,98 @@ def test_exact_report_enumerates_the_honest_baseline_once(monkeypatch, strategy,
         assert row["support_size"] == 16
 
 
+def spy_tallies(monkeypatch):
+    """Return a list that gains, per sampled report, the tallies the report
+    hands ``oracle.wilson_interval``: (trials, accepted, detected, key
+    guesses, key hits), with 0 guesses and hits when no key was guessed."""
+    real_results, real_wilson = cli._sampled_results, oracle.wilson_interval
+    calls, tallies = [], []
+
+    def wilson(successes, trials):
+        calls.append((successes, trials))
+        return real_wilson(successes, trials)
+
+    def results(config):
+        calls.clear()
+        rows = real_results(config)
+        (accepted, trials), (detected, detection_trials), *recovery = calls
+        assert detection_trials == trials
+        hits, guesses = recovery[0] if recovery else (0, 0)
+        tallies.append((trials, accepted, detected, guesses, hits))
+        return rows
+
+    monkeypatch.setattr(oracle, "wilson_interval", wilson)
+    monkeypatch.setattr(cli, "_sampled_results", results)
+    return tallies
+
+
 def record_sampled_runs(monkeypatch, fixed):
     """Run every sample of a sampled report on ``fixed`` (seed included) with
     the report's own keys; return the runs and the tallies handed to
-    ``oracle.sampled_rates``."""
-    real_run, real_rates = protocol.run_batch, oracle.sampled_rates
-    runs, tallies = [], []
+    ``oracle.wilson_interval``."""
+    real_run = protocol.run_batch
+    runs = []
 
     def run(config, seeds, keys, strategy):
         results = real_run(fixed, [fixed.seed] * len(seeds), keys, strategy)
         runs.extend(results)
         return results
 
-    def rates(*counts):
-        tallies.append(counts)
-        return real_rates(*counts)
+    monkeypatch.setattr(protocol, "run_batch", run)
+    return runs, spy_tallies(monkeypatch)
+
+
+def garble_key_guesses(monkeypatch):
+    """Make every sampled run guess no key in its first round and a wrong
+    key in its second, so a PreMeasure report counts fewer guesses than
+    rounds and fewer hits than guesses."""
+    real_run = protocol.run_batch
+
+    def run(config, seeds, keys, strategy):
+        results = real_run(config, seeds, keys, strategy)
+        for transcript, run_keys in zip(results, keys):
+            first, second = transcript.rounds[:2]
+            first.inferred_key = None
+            second.inferred_key = next(k for k in PauliLabel if k is not run_keys[1])
+        return results
 
     monkeypatch.setattr(protocol, "run_batch", run)
-    monkeypatch.setattr(oracle, "sampled_rates", rates)
-    return runs, tallies
+
+
+@pytest.mark.parametrize(
+    "strategy, garbled",
+    [(strategy, False) for strategy in StrategyId] + [(StrategyId.PRE_MEASURE, True)],
+    ids=[strategy.value for strategy in StrategyId] + ["PreMeasure-garbled"],
+)
+def test_sampled_rate_fields_follow_their_tallies(monkeypatch, strategy, garbled):
+    # Each rate, its Wilson band and its trials are the report's own tallies
+    # read through oracle.wilson_interval at 12 digits.  Key recovery is
+    # reported only when the strategy guessed a key, out of the rounds it
+    # guessed in: under PreMeasure, every round unless garbled.
+    wilson = oracle.wilson_interval
+    tallies = spy_tallies(monkeypatch)
+    if garbled:
+        garble_key_guesses(monkeypatch)
+    config = small_sampled_config(strategy=strategy, rounds=4, samples=40)
+    (row,) = build_report(config)["results"]
+    [(trials, accepted, detected, guesses, hits)] = tallies
+    rates = {"accept": (accepted, trials), "detection": (detected, trials)}
+    recovery = [row[f"key_recovery_{field}"] for field in ("rate", "low", "high", "trials")]
+    if strategy is not StrategyId.PRE_MEASURE:
+        assert guesses == 0
+        assert recovery == [None] * 4
+    else:
+        assert trials == 4 * 40
+        assert (guesses, hits) == ((3 * 40, 2 * 40) if garbled else (trials, trials))
+        rates["key_recovery"] = (hits, guesses)
+    for prefix, (tally, n) in rates.items():
+        assert row[f"{prefix}_trials"] == n
+        successes = round(row[f"{prefix}_rate"] * n)
+        assert successes == tally
+        low, high = wilson(successes, n)
+        assert row[f"{prefix}_rate"] == _twelve(successes / n)
+        assert row[f"{prefix}_low"] == _twelve(low)
+        assert row[f"{prefix}_high"] == _twelve(high)
 
 
 def test_sampled_tallies_honest_and_premeasure(monkeypatch):
@@ -520,8 +594,8 @@ def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):
     # those of every run executed alone on the master draws numpy's
     # Generator makes.  With 3 rounds each run's keys leave a half of the
     # master stream pending for the next run's, across the chunk too.
-    calls, tallies = [], []
-    real_run, real_rates = protocol.run_batch, oracle.sampled_rates
+    calls = []
+    real_run = protocol.run_batch
 
     def run(*args):
         calls.append(len(args[1]))
@@ -547,10 +621,9 @@ def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):
                 expected[3] += guess is not None
                 expected[4] += guess is not None and guess is key
         calls.clear()
-        tallies.clear()
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "run_batch", run)
-            patch.setattr(oracle, "sampled_rates", lambda *c: tallies.append(c) or real_rates(*c))
+            tallies = spy_tallies(patch)
             build_report(config)
         assert calls == [WAVE_SIZE, 1]
         assert tallies == [tuple(expected)]

@@ -15,7 +15,6 @@ from qauthsim.oracle import (
     enumerate_branches,
     exact_transcript_distribution,
     pauli_bell_map,
-    sampled_rates,
     swap_table,
     tv_distance,
     wilson_interval,
@@ -141,7 +140,7 @@ def test_branch_source_records_its_path():
     result = pipeline(source)
     assert result == (1, 0)
     assert source.taken == [1, 0]
-    assert source.counts == [2, 2]
+    assert [len(live) for live in source.lists] == [2, 2]
     assert source.probability == pytest.approx(0.25)
 
 
@@ -615,31 +614,6 @@ def test_wilson_interval_rejects_bad_counts():
         wilson_interval(5, 4)
     with pytest.raises(ValueError):
         wilson_interval(-1, 4)
-
-
-def test_sampled_rates_requires_data():
-    with pytest.raises(ValueError):
-        sampled_rates(trials=0, accepted=0, detected=0, guesses=0, hits=0)
-
-
-def test_sampled_rates_counts():
-    # Four rounds: two accepted with the key recovered, one detected without
-    # a guess, one rejected with a wrong guess.
-    rates = sampled_rates(trials=4, accepted=2, detected=1, guesses=3, hits=2)
-    assert rates.accept.rate == pytest.approx(0.5)
-    assert rates.accept.trials == 4
-    assert rates.detection.rate == pytest.approx(0.25)
-    assert rates.key_recovery.rate == pytest.approx(2 / 3)
-    assert rates.key_recovery.trials == 3
-    low, high = wilson_interval(2, 4)
-    assert rates.accept.low == pytest.approx(low)
-    assert rates.accept.high == pytest.approx(high)
-
-
-def test_sampled_rates_without_inference():
-    rates = sampled_rates(trials=3, accepted=3, detected=0, guesses=0, hits=0)
-    assert rates.key_recovery is None
-    assert rates.accept.rate == 1.0
 
 
 def test_sampled_rounds_match_exact_distribution():
