@@ -10,7 +10,9 @@ chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk through
 :func:`qauthsim.protocol.run_batch`, in waves of at most ``WAVE_SIZE``
 (run, round) rows, and folds it into five integer tallies before drawing
 the next, so its memory depends on ``WAVE_SIZE`` and ``rounds``, not on
-``samples``; an exact run enumerates each key's transcript distribution.
+``samples``; an exact run enumerates its strategy's round once for all
+four keys' transcript distributions, P2's branches shared by the keys, and
+Honest's once more for the baseline under PreMeasure.
 Reports are deterministic: identical configs produce byte-identical files
 (reals at 12 significant digits, no timestamps).  Every draw is read off
 the raw words of a PCG64 bit generator by code fixed in
@@ -220,18 +222,14 @@ def _sampled_results(config: RunConfig) -> list:
 
 
 def _exact_results(config: RunConfig) -> list:
+    maps = oracle.exact_transcript_distribution(config.strategy, config.direction)
+    honest = (
+        maps
+        if config.strategy is StrategyId.HONEST
+        else oracle.exact_transcript_distribution(StrategyId.HONEST, config.direction)
+    )
     rows = []
-    for key in PauliLabel:
-        dist = oracle.exact_transcript_distribution(
-            config.strategy, key, config.direction
-        )
-        honest = (
-            dist
-            if config.strategy is StrategyId.HONEST
-            else oracle.exact_transcript_distribution(
-                StrategyId.HONEST, key, config.direction
-            )
-        )
+    for key, dist in maps.items():
         # Cells only ever gain positive leaf probabilities, so skipping the
         # exact zeros leaves the sum bitwise unchanged.
         accept = sum(
@@ -244,7 +242,7 @@ def _exact_results(config: RunConfig) -> list:
             strategy=config.strategy.value,
             mode="exact",
             key=str(key),
-            tv_distance_vs_honest=_twelve(oracle.tv_distance(dist, honest)),
+            tv_distance_vs_honest=_twelve(oracle.tv_distance(dist, honest[key])),
             accept_probability=_twelve(accept),
             support_size=sum(1 for p in dist.values() if p > 1e-12),
         )

@@ -15,9 +15,12 @@ outcomes, so each replay is handed the outcome lists along the prefix it
 shares with the previous one: every outcome list of the tree is computed
 exactly once.  It is the package's only enumerator:
 :func:`outcome_distribution` (a measurement plan on a bare state) and
-:func:`exact_transcript_distribution` (a protocol round, its enumerated
-mass checked at run time) are pipelines it runs.  A round's P1 record is
-decoy-free, so nothing draws from it or changes it: each distribution
+:func:`exact_transcript_distribution` (a protocol round's four key maps,
+each one's enumerated mass checked at run time) run pipelines on it.  The
+round runs in two stages: P2 acts before E1 reads the key, so its branches
+are enumerated once per (strategy, direction) and shared by the four keys,
+and each P2 leaf starts one E1 + E2 enumeration per key.  A round's P1
+record is decoy-free, so nothing draws from it or changes it: each call
 prepares it once and every leaf's wave shares it.  No function here takes
 an order of the parties' turns: the round is walked in the sampler's
 orders, which are fixed in code.  Sampled runs reduce to five integer
@@ -58,7 +61,8 @@ class BranchSource:
     the enumeration needs to advance to the next branch.  Depths
     below ``len(known)`` take their list from ``known`` instead of computing
     it, which is exact when ``known`` holds the lists of a pass whose script
-    shares that prefix.
+    shares that prefix.  A pipeline that continues a branch of an earlier
+    enumeration sets ``probability`` to that branch's before it measures.
     """
 
     def __init__(self, script):
@@ -189,45 +193,54 @@ _CELLS = tuple(
 )
 
 
-def exact_transcript_distribution(
-    strategy: StrategyId, key: PauliLabel, direction: Role = Role.ALICE
-) -> dict:
-    """Exact distribution of the public round transcript (c, a, b).
+def exact_transcript_distribution(strategy: StrategyId, direction: Role = Role.ALICE) -> dict:
+    """Exact distributions of the public round transcript (c, a, b), one per key.
 
     Enumerates every branch of a decoy-free round (decoys are independent of
-    the protocol qubits and are checked separately).  Returns the full
-    64-cell map keyed by ((c1, c2), a, b).  The parties are measured in the
-    orders the sampler uses, fixed in code.  The key is checked for every
-    strategy before anything is enumerated.  Raises ValueError when the
-    leaf probabilities do not sum to 1 within ``MASS_TOL``.
+    the protocol qubits and are checked separately).  Returns
+    ``{PauliLabel: cells}``, each the full 64-cell map keyed by
+    ((c1, c2), a, b).  P2 acts before E1 reads the key, so its branches are
+    enumerated once and the four keys share them: from each P2 leaf's state
+    and EveStates, each key's E1 and E2 are enumerated with the leaf's
+    probability as their starting product, which gives every branch the
+    float product, and every cell the order of sums, of one walk through
+    the whole round.  The parties are measured in the orders the sampler
+    uses, fixed in code.  Raises ValueError when a key's leaf
+    probabilities do not sum to 1 within ``MASS_TOL``.
     """
     if strategy not in EXACT_STRATEGIES:
         raise ValueError(
             f"exact enumeration covers Honest and PreMeasure, not {strategy!r}"
         )
-    if not isinstance(key, PauliLabel):
-        raise ValueError(f"key must be a PauliLabel, got {key!r}")
-    # One decoy-free P1 record per distribution: nothing draws from it or
-    # changes it, so every leaf's wave shares it.  Building its config also
-    # checks the direction before anything is enumerated.
+    # One decoy-free P1 record per call: nothing draws from it or changes
+    # it, so every leaf's wave shares it.  Building its config also checks
+    # the direction before anything is enumerated.
     row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
 
-    def pipeline(source):
+    def transmit(source):
         wave = protocol.Wave([row])
         eves = protocol.p2_transmit(wave, strategy, source)
-        protocol.e1_encode(wave, [key], direction)
-        [(a, b, c)] = protocol.e2_measure(wave, source)
-        if eves is not None:
-            c = eves[0].c_pre
-        return c, a, b
+        return wave.state, eves
 
-    cells = dict.fromkeys(_CELLS, 0.0)
-    for (c, a, b), probability in enumerate_branches(pipeline):
-        cells[(c, a, b)] += probability
-    mass = sum(cells.values())
-    if abs(1.0 - mass) > MASS_TOL:
-        raise ValueError(f"enumerated probability mass is {mass!r}, not 1")
-    return cells
+    maps = {key: dict.fromkeys(_CELLS, 0.0) for key in PauliLabel}
+    for (state, eves), start in enumerate_branches(transmit):
+        for key, cells in maps.items():
+
+            def measure(source):
+                source.probability = start  # continue the P2 branch's product
+                wave = protocol.Wave([row])
+                wave.state = state
+                protocol.e1_encode(wave, [key], direction)
+                [(a, b, c)] = protocol.e2_measure(wave, source)
+                return (c if eves is None else eves[0].c_pre), a, b
+
+            for cell, probability in enumerate_branches(measure):
+                cells[cell] += probability
+    for cells in maps.values():
+        mass = sum(cells.values())
+        if abs(1.0 - mass) > MASS_TOL:
+            raise ValueError(f"enumerated probability mass is {mass!r}, not 1")
+    return maps
 
 
 def tv_distance(d1: dict, d2: dict) -> float:

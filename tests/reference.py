@@ -8,10 +8,13 @@ the tests need of a StateVector, and :func:`run_one_round_at_a_time`
 replays a run through the protocol's phases with numpy's own draws and its
 own scalar decoy checks.  :func:`decoy_text` and :func:`decoy_error_rate`
 read a checked RoundRecord's decoy lists the way the transcript pins
-print them.
+print them.  :func:`exact_round_in_fractions` walks a decoy-free round in
+exact rational arithmetic, with its own sparse states and matrices, and
+:func:`record_trees` records each tree the oracle's enumerator walks.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -150,6 +153,150 @@ def enumerate_branches_from_scratch(pipeline):
         if i < 0:
             return
         script = taken[:i] + [taken[i] + 1]
+
+
+def record_trees(monkeypatch):
+    """Record every enumeration tree the oracle walks from here on.
+
+    Returns a list that gains one dict per ``oracle.enumerate_branches``
+    call, in call order: its leaf ``paths`` (each pass's
+    ``BranchSource.taken``) and the number of outcome ``lists`` its passes
+    computed (``qsim._outcome_list`` calls).  A tree's passes may run while
+    another tree is paused between its leaves, as P2's tree is while its
+    leaves' E1 + E2 trees run, so each record is the one whose generator is
+    being resumed.
+    """
+    from qauthsim import oracle, qsim
+
+    trees, active = [], []
+    real_enumerate, real_list = oracle.enumerate_branches, qsim._outcome_list
+
+    class RecordingBranchSource(oracle.BranchSource):
+        def __init__(self, script):
+            super().__init__(script)
+            active[-1]["paths"].append(self.taken)
+
+    def enumerate_tree(pipeline):
+        tree = {"paths": [], "lists": 0}
+        trees.append(tree)
+        branches = real_enumerate(pipeline)
+        while True:
+            active.append(tree)
+            try:
+                branch = next(branches, None)
+            finally:
+                active.pop()
+            if branch is None:
+                return
+            yield branch
+
+    def outcome_list(*args):
+        active[-1]["lists"] += 1
+        return real_list(*args)
+
+    monkeypatch.setattr(oracle, "BranchSource", RecordingBranchSource)
+    monkeypatch.setattr(oracle, "enumerate_branches", enumerate_tree)
+    monkeypatch.setattr(qsim, "_outcome_list", outcome_list)
+    return trees
+
+
+# Exact arithmetic: every state the protocol reaches before normalising is
+# rational.  |G> = (|0>_c Psi+_ab + |1>_c Phi+_ab)/sqrt(2) has amplitudes
+# 1/2, the key Paulis are real 0/+-1 matrices, and the Z and Bell
+# projectors have entries 0, +-1/2 and 1.  So an unnormalised branch vector
+# P_k ... P_1 psi is rational, and its squared norm is the branch's exact
+# probability.  States are sparse dicts from six-bit tuples, in the round's
+# qubit layout (C1, A1, B1, C2, A2, B2), to Fractions.
+
+_FRACTION_PAULI = {
+    "I": ((1, 0), (0, 1)),
+    "X": ((0, 1), (1, 0)),
+    "Z": ((1, 0), (0, -1)),
+    "iY": ((0, 1), (-1, 0)),
+}
+
+_FRACTION_Z = ((0, ((1, 0), (0, 0))), (1, ((0, 0), (0, 1))))  # (bit, |bit><bit|)
+
+
+def _fraction_bell_projector(phase, parity):
+    """|B><B| for B = (|0 parity> + (-1)^phase |1 (1 - parity)>)/sqrt(2)."""
+    vec = [0, 0, 0, 0]
+    vec[parity], vec[2 + (1 - parity)] = 1, (-1) ** phase
+    return tuple(tuple(Fraction(x * y, 2) for y in vec) for x in vec)
+
+
+def _fraction_bell():
+    from qauthsim.qsim import BellLabel
+
+    return tuple((label, _fraction_bell_projector(*label.value)) for label in BellLabel)
+
+
+def _fraction_fresh_state():
+    """|G> on (C1, A1, B1) times |G> on (C2, A2, B2): amplitude 1/4 on each
+    of the 16 strings whose two triples both have odd parity."""
+    return {
+        bits: Fraction(1, 4)
+        for bits in itertools.product((0, 1), repeat=6)
+        if sum(bits[:3]) % 2 == 1 and sum(bits[3:]) % 2 == 1
+    }
+
+
+def _fraction_apply(op, qubits, state):
+    """Apply matrix ``op`` over ``qubits`` (the first qubit its high bit)."""
+    out = {}
+    width = len(qubits)
+    for bits, amp in state.items():
+        col = sum(bits[q] << (width - 1 - i) for i, q in enumerate(qubits))
+        for row in range(2**width):
+            entry = op[row][col]
+            if entry:
+                new = list(bits)
+                for i, q in enumerate(qubits):
+                    new[q] = (row >> (width - 1 - i)) & 1
+                new = tuple(new)
+                out[new] = out.get(new, 0) + entry * amp
+    return {bits: amp for bits, amp in out.items() if amp}
+
+
+def _fraction_branches(state, walk):
+    """Every (outcomes, unnormalised state) of a walk of projective
+    measurements, each (qubits, [(outcome, projector)]), that is not zero."""
+    if not walk:
+        yield (), state
+        return
+    (qubits, projectors), rest = walk[0], walk[1:]
+    for outcome, projector in projectors:
+        post = _fraction_apply(projector, qubits, state)
+        if post:
+            for tail, final in _fraction_branches(post, rest):
+                yield (outcome,) + tail, final
+
+
+def exact_round_in_fractions(premeasure, key, direction):
+    """A decoy-free round's 64-cell transcript map ((c1, c2), a, b) in
+    exact rational arithmetic, sharing no kernel code with qsim.
+
+    With ``premeasure`` Charlie first measures Z on C1 and C2 and Bell on
+    (A1, A2) and (B1, B2), and announces his early c.  Then the key Pauli
+    acts on A1 (Alice) or B1 (Bob), and Alice and Bob measure Bell on their
+    pairs and Charlie Z on C1 and C2.
+    """
+    from qauthsim.qsim import BellLabel
+
+    bell, c_pair = _fraction_bell(), [((0,), _FRACTION_Z), ((3,), _FRACTION_Z)]
+    parties = [((1, 4), bell), ((2, 5), bell)]
+    target = {"Alice": 1, "Bob": 2}[direction.value]
+    cells = {
+        ((c1, c2), a, b): Fraction(0)
+        for c1 in (0, 1) for c2 in (0, 1) for a in BellLabel for b in BellLabel
+    }
+    early = _fraction_branches(_fraction_fresh_state(), c_pair + parties if premeasure else [])
+    for pre, state in early:
+        state = _fraction_apply(_FRACTION_PAULI[str(key)], (target,), state)
+        for (a, b, c1, c2), final in _fraction_branches(state, parties + c_pair):
+            c = pre[:2] if premeasure else (c1, c2)
+            cells[c, a, b] += sum(amp * amp for amp in final.values())
+    return cells
 
 
 def check_decoys_one_at_a_time(row, threshold, rng):

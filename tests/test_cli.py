@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 
 from qauthsim import __version__, cli, oracle, protocol, qsim
 from qauthsim.adversary import StrategyId
@@ -248,9 +249,11 @@ def test_exact_report_shape():
 
 @pytest.mark.parametrize(
     "strategy, calls",
-    [(StrategyId.HONEST, 4), (StrategyId.PRE_MEASURE, 8)],
+    [(StrategyId.HONEST, 1), (StrategyId.PRE_MEASURE, 2)],
 )
 def test_exact_report_enumerates_the_honest_baseline_once(monkeypatch, strategy, calls):
+    # One call gives all four keys' maps, so a report makes one call per
+    # strategy it reads: its own, and Honest for the baseline.
     seen = []
     real = oracle.exact_transcript_distribution
 
@@ -261,7 +264,7 @@ def test_exact_report_enumerates_the_honest_baseline_once(monkeypatch, strategy,
     monkeypatch.setattr(oracle, "exact_transcript_distribution", counting)
     report = build_report(RunConfig(mode="exact", strategy=strategy))
     assert len(seen) == calls
-    assert seen.count(StrategyId.HONEST) == 4
+    assert seen.count(StrategyId.HONEST) == 1
     for row in report["results"]:
         assert row["tv_distance_vs_honest"] <= 1e-12
         assert row["support_size"] == 16
@@ -532,39 +535,33 @@ def test_rows_prepared_past_an_abort_are_bounded_by_the_cap(monkeypatch, decoys,
         assert sum(recorded) <= len(prepared) < bound
 
 
-@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
-def test_exact_outcome_lists_are_the_internal_nodes_of_each_tree(monkeypatch, strategy):
+@pytest.mark.parametrize(
+    "strategy, lists", [(StrategyId.HONEST, 116), (StrategyId.PRE_MEASURE, 395)]
+)
+def test_exact_outcome_lists_are_the_internal_nodes_of_each_tree(monkeypatch, strategy, lists):
     # enumerate_branches replays the pipeline once per leaf, each pass with
     # the outcome lists of the prefix it shares with the one before, so each
     # internal node of the tree (a distinct proper prefix of a leaf's path)
-    # computes its list once.  A report enumerates each key's round under
-    # its strategy, and under PreMeasure the Honest baseline as well.
-    trees = []  # per enumeration: its leaf paths and its outcome-list calls
-    real_enumerate, real_list = oracle.enumerate_branches, qsim._outcome_list
-
-    class Recording(oracle.BranchSource):
-        def __init__(self, script):
-            super().__init__(script)
-            trees[-1]["paths"].append(self.taken)
-
-    def enumerate_branches(pipeline):
-        trees.append({"paths": [], "calls": 0})
-        yield from real_enumerate(pipeline)
-
-    def outcome_list(*args):
-        trees[-1]["calls"] += 1
-        return real_list(*args)
-
-    monkeypatch.setattr(oracle, "BranchSource", Recording)
-    monkeypatch.setattr(oracle, "enumerate_branches", enumerate_branches)
-    monkeypatch.setattr(qsim, "_outcome_list", outcome_list)
+    # computes its list once.  A report enumerates its strategy's round,
+    # and under PreMeasure the Honest baseline as well: per strategy, one
+    # P2 tree, then one E1 + E2 tree per P2 leaf and key.  So an Honest
+    # round's 29 lists are all E2's, and a PreMeasure round computes P2's
+    # 23 lists once, not once per key (464 lists), and 64 lists of E2 per key.
+    trees = reference.record_trees(monkeypatch)
     build_report(RunConfig(mode="exact", strategy=strategy))
-    assert len(trees) == len(PauliLabel) * (1 + (strategy is StrategyId.PRE_MEASURE))
+    honest_trees = 1 + len(PauliLabel)  # Honest's P2 measures nothing: one leaf
+    premeasure_trees = 1 + 16 * len(PauliLabel)
+    attacked = strategy is StrategyId.PRE_MEASURE
+    assert len(trees) == honest_trees + attacked * premeasure_trees
+    nodes = steps = 0
     for tree in trees:
         paths = tree["paths"]
         internal = {tuple(taken[:depth]) for taken in paths for depth in range(len(taken))}
-        assert tree["calls"] == len(internal)
-        assert len(internal) < sum(map(len, paths))  # so lists were reused
+        assert tree["lists"] == len(internal)
+        nodes += len(internal)
+        steps += sum(map(len, paths))
+    assert nodes == lists
+    assert nodes < steps  # so lists were reused
 
 
 def test_a_process_that_seeds_no_stream_never_imports_numpy_random():

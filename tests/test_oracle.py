@@ -3,6 +3,7 @@ exact transcript distributions, and the statistics helpers."""
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,12 +203,17 @@ def test_kernel_and_exact_distribution_arithmetic_is_pinned():
             kernel_lines += _outcome_lines("X", (q,), qsim.x_outcomes(state, q))
         for q1, q2 in itertools.permutations(range(n), 2):
             kernel_lines += _outcome_lines("Bell", (q1, q2), qsim.bell_outcomes(state, q1, q2))
+    maps = {
+        (strategy, direction): exact_transcript_distribution(strategy, direction)
+        for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE)
+        for direction in (Role.ALICE, Role.BOB)
+    }
     exact_lines = [
         f"{strategy.value} {key} {direction.value} {cell} {p.hex()}"
         for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE)
         for key in PauliLabel
         for direction in (Role.ALICE, Role.BOB)
-        for cell, p in exact_transcript_distribution(strategy, key, direction).items()
+        for cell, p in maps[strategy, direction][key].items()
     ]
     digests = [
         hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -274,7 +280,7 @@ def honest_support(key):
 
 
 def test_exact_distribution_honest_identity_key():
-    dist = exact_transcript_distribution(StrategyId.HONEST, PauliLabel.I)
+    dist = exact_transcript_distribution(StrategyId.HONEST)[PauliLabel.I]
     assert len(dist) == 64
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
     live = {cell for cell, p in dist.items() if p > 1e-12}
@@ -285,7 +291,7 @@ def test_exact_distribution_honest_identity_key():
 
 @pytest.mark.parametrize("key", list(PauliLabel))
 def test_exact_distribution_support_shifts_with_key(key):
-    dist = exact_transcript_distribution(StrategyId.HONEST, key)
+    dist = exact_transcript_distribution(StrategyId.HONEST)[key]
     live = {cell for cell, p in dist.items() if p > 1e-12}
     assert live == honest_support(key)
 
@@ -293,50 +299,77 @@ def test_exact_distribution_support_shifts_with_key(key):
 @pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
 @pytest.mark.parametrize("key", list(PauliLabel))
 def test_premeasure_distribution_matches_honest(key, direction):
-    honest = exact_transcript_distribution(StrategyId.HONEST, key, direction)
-    attacked = exact_transcript_distribution(StrategyId.PRE_MEASURE, key, direction)
+    honest = exact_transcript_distribution(StrategyId.HONEST, direction)[key]
+    attacked = exact_transcript_distribution(StrategyId.PRE_MEASURE, direction)[key]
     assert tv_distance(honest, attacked) <= 1e-12
+
+
+def test_exact_maps_are_the_exact_arithmetic_maps():
+    # reference.exact_round_in_fractions walks the round in Fractions with
+    # its own matrices, so the P2 stage the keys share is checked against
+    # arithmetic that shares no code with the enumerator or the kernels.
+    tolerance = Fraction(1, 2**54)
+    for direction in (Role.ALICE, Role.BOB):
+        program = {
+            strategy: exact_transcript_distribution(strategy, direction)
+            for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE)
+        }
+        for key in PauliLabel:
+            honest = reference.exact_round_in_fractions(False, key, direction)
+            attacked = reference.exact_round_in_fractions(True, key, direction)
+            assert attacked == honest
+            assert sum(honest.values()) == 1
+            assert sum(1 for p in honest.values() if p) == 16
+            for strategy, exact in (
+                (StrategyId.HONEST, honest),
+                (StrategyId.PRE_MEASURE, attacked),
+            ):
+                cells = program[strategy][key]
+                assert list(cells) == list(exact)
+                for cell, p in cells.items():
+                    assert abs(Fraction(p) - exact[cell]) <= tolerance, (strategy, key, cell)
 
 
 def test_exact_distribution_rejects_sampled_only_strategy():
     with pytest.raises(ValueError):
-        exact_transcript_distribution(StrategyId.INTERCEPT_RESEND, PauliLabel.I)
+        exact_transcript_distribution(StrategyId.INTERCEPT_RESEND)
 
 
 @pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
-@pytest.mark.parametrize("key", ["X", BellLabel.PSI_PLUS, None])
-def test_exact_distribution_rejects_non_pauli_keys_before_enumerating(
-    monkeypatch, strategy, key
+@pytest.mark.parametrize("direction", ["Alice", Role.CHARLIE, None])
+def test_exact_distribution_rejects_bad_directions_before_enumerating(
+    monkeypatch, strategy, direction
 ):
     def refuse(script):
-        raise AssertionError("enumerated with a bad key")
+        raise AssertionError("enumerated with a bad direction")
 
     monkeypatch.setattr(oracle, "BranchSource", refuse)
     with pytest.raises(ValueError):
-        exact_transcript_distribution(strategy, key)
+        exact_transcript_distribution(strategy, direction)
 
 
 def test_exact_distribution_runs_p2_once_per_leaf(monkeypatch):
-    calls, leaves = [], []
+    # The first enumeration of a call is P2's tree, and each of its leaves
+    # starts one E1 + E2 tree per key; P2 runs once per P2 leaf, not once
+    # per key or per leaf of the whole round.
+    calls = []
     original = protocol.p2_transmit
 
     def counted(wave, strategy, source):
         calls.append(strategy)
         return original(wave, strategy, source)
 
-    def counting_enumerate(pipeline):
-        for result, probability in enumerate_branches(pipeline):
-            leaves.append(result)
-            yield result, probability
-
     monkeypatch.setattr(protocol, "p2_transmit", counted)
-    monkeypatch.setattr(oracle, "enumerate_branches", counting_enumerate)
-    for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
+    trees = reference.record_trees(monkeypatch)
+    for strategy, p2_leaves in ((StrategyId.HONEST, 1), (StrategyId.PRE_MEASURE, 16)):
         calls.clear()
-        leaves.clear()
-        exact_transcript_distribution(strategy, PauliLabel.Z)
-        assert leaves
-        assert calls == [strategy] * len(leaves)
+        trees.clear()
+        exact_transcript_distribution(strategy)
+        leaves = [len(tree["paths"]) for tree in trees]
+        assert calls == [strategy] * p2_leaves
+        assert leaves[0] == p2_leaves
+        assert len(leaves) == 1 + p2_leaves * len(PauliLabel)
+        assert sum(leaves[1:]) == 16 * len(PauliLabel)  # a round's 16 leaves per key
 
 
 def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
@@ -349,10 +382,9 @@ def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
 
     monkeypatch.setattr(protocol, "p1_prepare", recorded)
     for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
-        for key in PauliLabel:
-            for direction in (Role.ALICE, Role.BOB):
-                exact_transcript_distribution(strategy, key, direction)
-    assert len(rows) == 16  # one per distribution, not one per leaf
+        for direction in (Role.ALICE, Role.BOB):
+            exact_transcript_distribution(strategy, direction)
+    assert len(rows) == 4  # one per call, not one per key or per leaf
     for row in rows:
         assert row == protocol.RoundRecord([], [], [], [])
 
@@ -401,8 +433,9 @@ def exact_with_orders(strategy, key, direction, hook_order, measure_order):
     """The exact transcript map of a round whose two party walks take their
     turns in the given orders.
 
-    It is exact_transcript_distribution's pipeline with P2 and E2 made by
-    protocol._measure_parties directly, enumerated by whatever
+    It is exact_transcript_distribution's round for one key, walked in one
+    enumeration from P2 to E2, with P2 and E2 made by
+    protocol._measure_parties directly and enumerated by whatever
     ``oracle.enumerate_branches`` is at call time.
     """
     row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
@@ -423,14 +456,14 @@ def exact_with_orders(strategy, key, direction, hook_order, measure_order):
 
 
 def test_exact_distribution_order_invariance():
-    baseline = exact_transcript_distribution(StrategyId.PRE_MEASURE, PauliLabel.X)
+    baseline = exact_transcript_distribution(StrategyId.PRE_MEASURE)[PauliLabel.X]
     orders = [("c", "a", "b"), ("a", "c", "b"), ("b", "a", "c"), ("c", "b", "a")]
     for order in orders:
         permuted = exact_with_orders(
             StrategyId.PRE_MEASURE, PauliLabel.X, Role.ALICE, order, MEASURE_ORDER
         )
         assert tv_distance(baseline, permuted) <= 1e-12
-    honest = exact_transcript_distribution(StrategyId.HONEST, PauliLabel.X)
+    honest = exact_transcript_distribution(StrategyId.HONEST)[PauliLabel.X]
     for order in orders[1:]:
         permuted = exact_with_orders(
             StrategyId.HONEST, PauliLabel.X, Role.ALICE, HOOK_ORDER, order
@@ -443,8 +476,10 @@ def test_exact_distribution_order_invariance():
 @pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
 def test_exact_with_orders_at_the_fixed_orders_is_the_program(strategy, key, direction):
     # Bit for bit, so the order-permuted maps below are the program's maps
-    # with only the orders changed.
-    program = exact_transcript_distribution(strategy, key, direction)
+    # with only the orders changed.  exact_with_orders walks the whole
+    # round in one enumeration, so this also holds the program's shared P2
+    # stage to the one-pass tree.
+    program = exact_transcript_distribution(strategy, direction)[key]
     local = exact_with_orders(strategy, key, direction, HOOK_ORDER, MEASURE_ORDER)
     assert _hexed(local) == _hexed(program)
 
@@ -469,40 +504,25 @@ def test_reused_outcome_lists_give_bitwise_equal_distributions(monkeypatch):
     assert fast == slow
 
 
-def _record_enumeration(monkeypatch, strategy, key, direction):
-    """Run one exact enumeration; return its outcome-list calls and leaf paths."""
-    paths = []
-    calls = []
-
-    class RecordingBranchSource(BranchSource):
-        def __init__(self, script):
-            super().__init__(script)
-            paths.append(self.taken)
-
-    def counting(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(oracle, "BranchSource", RecordingBranchSource)
-    for name in ("z_outcomes", "x_outcomes", "bell_outcomes"):
-        monkeypatch.setattr(qsim, name, counting(getattr(qsim, name)))
-    exact_transcript_distribution(strategy, key, direction)
-    return calls, paths
-
-
 @pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
 @pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
 def test_each_outcome_list_is_computed_once(monkeypatch, strategy, direction):
-    calls, paths = _record_enumeration(monkeypatch, strategy, PauliLabel.IY, direction)
-    prefixes = {tuple(taken[:k]) for taken in paths for k in range(len(taken))}
-    assert len(calls) == len(prefixes)
-    assert len(calls) < sum(len(taken) for taken in paths)
+    # Per tree: P2's, then one E1 + E2 tree per P2 leaf and key.
+    trees = reference.record_trees(monkeypatch)
+    exact_transcript_distribution(strategy, direction)
+    for tree in trees:
+        paths = tree["paths"]
+        prefixes = {tuple(taken[:k]) for taken in paths for k in range(len(taken))}
+        assert tree["lists"] == len(prefixes)
+    # Lists were reused: fewer were computed than a walk per leaf would make.
+    lists = sum(tree["lists"] for tree in trees)
+    assert lists < sum(len(taken) for tree in trees for taken in tree["paths"])
 
 
 def _with_last_leaf(enumerate_branches, reweigh):
+    """Wrap an enumerator so that every tree it enumerates, P2's and each
+    E1 + E2 tree alike, has its last leaf's probability reweighed."""
+
     def enumerate_with_last_leaf_reweighed(pipeline):
         leaves = list(enumerate_branches(pipeline))
         result, p = leaves[-1]
@@ -522,17 +542,21 @@ def test_exact_distribution_checks_the_enumerated_mass(monkeypatch, reweigh):
         oracle, "enumerate_branches", _with_last_leaf(oracle.enumerate_branches, reweigh)
     )
     with pytest.raises(ValueError, match="probability mass"):
-        exact_transcript_distribution(StrategyId.PRE_MEASURE, PauliLabel.X)
+        exact_transcript_distribution(StrategyId.PRE_MEASURE)
 
 
 def test_exact_distribution_admits_rounding_in_the_mass(monkeypatch):
     monkeypatch.setattr(
         oracle,
         "enumerate_branches",
-        _with_last_leaf(oracle.enumerate_branches, lambda p: p + 1e-13),
+        _with_last_leaf(oracle.enumerate_branches, lambda p: p + 1e-14),
     )
-    dist = exact_transcript_distribution(StrategyId.PRE_MEASURE, PauliLabel.X)
-    assert sum(dist.values()) == pytest.approx(1.0, abs=oracle.MASS_TOL)
+    # A key's map sums the last P2 leaf's tree, which starts from that leaf,
+    # and 16 one-leaf E1 + E2 trees: 17 reweighed leaves, 1.7e-13 in all.
+    maps = exact_transcript_distribution(StrategyId.PRE_MEASURE)
+    for dist in maps.values():
+        assert sum(dist.values()) == pytest.approx(1.0, abs=oracle.MASS_TOL)
+        assert sum(dist.values()) != 1.0
 
 
 def test_verification_rule_is_the_unique_affine_fit():
@@ -619,7 +643,7 @@ def test_wilson_interval_rejects_bad_counts():
 def test_sampled_rounds_match_exact_distribution():
     # 100k honest rounds with the identity key; every cell of the empirical
     # distribution sits within 5 binomial standard errors of the exact one.
-    exact = exact_transcript_distribution(StrategyId.HONEST, PauliLabel.I)
+    exact = exact_transcript_distribution(StrategyId.HONEST)[PauliLabel.I]
     counts = {cell: 0 for cell in exact}
     total = 100_000
     rounds_per_run = 200

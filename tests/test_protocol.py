@@ -577,8 +577,7 @@ def test_e3_requires_all_announcements():
 
 
 def test_e3_accepts_every_honest_branch_for_the_true_key():
-    for key in PauliLabel:
-        dist = oracle.exact_transcript_distribution(StrategyId.HONEST, key)
+    for key, dist in oracle.exact_transcript_distribution(StrategyId.HONEST).items():
         for (c, a, b), prob in dist.items():
             if prob <= 1e-12:
                 continue
@@ -995,7 +994,7 @@ def test_protocol_amplitudes_are_real(monkeypatch):
     for strategy in (StrategyId.INTERCEPT_RESEND, StrategyId.PRE_MEASURE):
         run_batch(config, list(range(40)), keys, strategy)
     assert measured and {state.amps.dtype for state in measured} == {np.dtype(np.float64)}
-    oracle.exact_transcript_distribution(StrategyId.PRE_MEASURE, PauliLabel.IY)
+    oracle.exact_transcript_distribution(StrategyId.PRE_MEASURE)
     assert posts and {post.amps.dtype for post in posts} == {np.dtype(np.float64)}
 
 
