@@ -11,8 +11,8 @@ chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk through
 (run, round) rows, and folds it into five integer tallies before drawing
 the next, so its memory depends on ``WAVE_SIZE`` and ``rounds``, not on
 ``samples``; an exact run enumerates its strategy's round once for all
-four keys' transcript distributions, P2's branches shared by the keys, and
-Honest's once more for the baseline under PreMeasure.
+four keys' transcript distributions, the keys' branches rows of the same
+passes, and Honest's once more for the baseline under PreMeasure.
 Reports are deterministic: identical configs produce byte-identical files
 (reals at 12 significant digits, no timestamps).  Every draw is read off
 the raw words of a PCG64 bit generator by code fixed in

@@ -5,27 +5,26 @@ amplitudes rather than trusted as label arithmetic; transcript distributions
 are obtained by exhaustive branch enumeration.  The enumeration drives the
 very same phase functions the sampler uses, P2's strategy dispatch
 (:func:`qauthsim.protocol.p2_transmit`) and the parties' measurement walk
-included, on a one-row :class:`qauthsim.protocol.Wave`:
+included, on a :class:`qauthsim.protocol.Wave` with one row per branch:
 :class:`BranchSource` implements the outcome-source interface of
 :class:`qauthsim.protocol.SampleSource`, one outcome per row in a list, but
-replays scripted choices instead of drawing randomness, and
-:func:`enumerate_branches` re-executes a pipeline once per measurement
-branch in depth-first order.  A pipeline must be deterministic given its
-outcomes, so each replay is handed the outcome lists along the prefix it
-shares with the previous one: every outcome list of the tree is computed
-exactly once.  It is the package's only enumerator:
+follows each row's scripted choices instead of drawing randomness, and
+:func:`enumerate_branches` runs a pipeline in passes.  A pass hands the
+pipeline a source with one row per script, so each of its measurements is
+one kernel call over every row, and the unexplored siblings of the rows'
+paths are the next pass's scripts.  A pipeline takes that source and
+returns one result per row; a 1-D state it hands the source stands for
+every row.  It is the package's only enumerator:
 :func:`outcome_distribution` (a measurement plan on a bare state) and
 :func:`exact_transcript_distribution` (a protocol round's four key maps,
 each one's enumerated mass checked at run time) run pipelines on it.  The
-round runs in two stages: P2 acts before E1 reads the key, so its branches
-are enumerated once per (strategy, direction) and shared by the four keys,
-and each P2 leaf starts one E1 + E2 enumeration per key.  A round's P1
-record is decoy-free, so nothing draws from it or changes it: each call
-prepares it once and every leaf's wave shares it.  No function here takes
-an order of the parties' turns: the round is walked in the sampler's
-orders, which are fixed in code.  Sampled runs reduce to five integer
-tallies, and :mod:`qauthsim.cli` turns each tally pair into rate fields
-through :func:`wilson_interval`.
+round is one pipeline: its P1 record is decoy-free, so nothing draws from
+it or changes it, and each call prepares it once for every row; the four
+keys are the roots of the enumeration, rows of the same passes, and E1
+applies each row's own.  No function here takes an order of the parties'
+turns: the round is walked in the sampler's orders, which are fixed in
+code.  Sampled runs reduce to five integer tallies, and :mod:`qauthsim.cli`
+turns each tally pair into rate fields through :func:`wilson_interval`.
 """
 
 from __future__ import annotations
@@ -49,82 +48,98 @@ _WILSON_Z = 1.959963984540054
 
 
 class BranchSource:
-    """Outcome source that follows a scripted branch of the measurement tree.
+    """Outcome source that follows one scripted branch per row.
 
-    It serves a single state, a one-row wave, and returns each outcome as a
-    one-entry list, the shape :class:`qauthsim.protocol.SampleSource`
-    returns for a wave.  At measurement ``i`` it takes live option
-    ``script[i]`` (or the first live option beyond the script's end) from
-    the outcome list, accumulating the branch probability.  ``taken``
-    records the path and ``lists`` the live outcome list of every depth, so
-    ``len(lists[i])`` is the fan-out at depth ``i``: together they are what
-    the enumeration needs to advance to the next branch.  Depths
-    below ``len(known)`` take their list from ``known`` instead of computing
-    it, which is exact when ``known`` holds the lists of a pass whose script
-    shares that prefix.  A pipeline that continues a branch of an earlier
-    enumeration sets ``probability`` to that branch's before it measures.
+    ``scripts`` holds one script per row.  Each measurement is one
+    ``qsim.measure_*`` call over every row (a 1-D state is first repeated
+    into one row per script), and it returns the rows' outcomes as a list,
+    the shape :class:`qauthsim.protocol.SampleSource` returns for a wave.
+    At its measurement ``i``, row ``r`` takes live option ``scripts[r][i]``
+    (or the first live option beyond its script's end) and multiplies
+    ``probability[r]`` by its probability.  ``taken[r]`` is the row's path
+    and ``fanouts[r]`` the number of live options at each of its depths,
+    both tuples: together they are what the enumeration needs to find the
+    row's unexplored siblings.  ``roots[r]`` is the root the row's branch
+    grows from, which :func:`enumerate_branches` sets (None on a bare
+    source).
     """
 
-    def __init__(self, script):
-        self._script = script
-        self.known = []
-        self.lists = []
-        self.taken = []
-        self.probability = 1.0
+    def __init__(self, scripts):
+        self.scripts = scripts
+        self.roots = [None] * len(scripts)
+        self.taken = [()] * len(scripts)
+        self.fanouts = [()] * len(scripts)
+        self.probability = [1.0] * len(scripts)
 
-    def _choose(self, outcomes, *args):
-        depth = len(self.taken)
-        if depth < len(self.known):
-            live = self.known[depth]
-        else:
-            live = [o for o in outcomes(*args) if o[2] is not None]
-        index = self._script[depth] if depth < len(self._script) else 0
-        outcome, p, post = live[index]
-        self.lists.append(live)
-        self.taken.append(index)
-        self.probability *= p
-        return [outcome], post
+    def _select(self, probs) -> list:
+        """Each row's scripted live outcome, given the rows' probabilities."""
+        depth = len(self.taken[0])  # every row is measured alike
+        lives = [[i for i, p in enumerate(row) if p > qsim.ZERO_PROB] for row in probs]
+        indexes = [script[depth] if depth < len(script) else 0 for script in self.scripts]
+        picks = [live[index] for live, index in zip(lives, indexes)]
+        self.taken[:] = [path + (index,) for path, index in zip(self.taken, indexes)]
+        self.fanouts[:] = [row + (len(live),) for row, live in zip(self.fanouts, lives)]
+        self.probability[:] = [p * row[i] for p, row, i in zip(self.probability, probs, picks)]
+        return picks
+
+    def _measure(self, measure, state, *qubits):
+        if state.amps.ndim == 1:  # a 1-D state stands for every row
+            state = qsim.StateVector(state.n_qubits, state.amps[None].repeat(len(self.scripts), 0))
+        return measure(state, *qubits, self._select)
 
     def measure_z(self, state, q):
-        return self._choose(qsim.z_outcomes, state, q)
+        return self._measure(qsim.measure_z, state, q)
 
     def measure_x(self, state, q):
-        return self._choose(qsim.x_outcomes, state, q)
+        return self._measure(qsim.measure_x, state, q)
 
     def measure_bell(self, state, q1, q2):
-        return self._choose(qsim.bell_outcomes, state, q1, q2)
+        return self._measure(qsim.measure_bell, state, q1, q2)
 
 
-def enumerate_branches(pipeline):
+def enumerate_branches(pipeline, roots=(None,)):
     """Yield (result, probability) over every measurement branch of ``pipeline``.
 
-    ``pipeline`` is a callable taking one outcome source; it is re-executed
-    once per leaf, in depth-first order, and must be deterministic given
-    the outcomes it receives.  Each pass reuses the outcome lists of the
-    prefix it shares with the previous pass, so every outcome list is
-    computed once.  Probabilities over all yielded branches sum to 1
-    (zero-probability branches are never entered).
+    ``pipeline`` is a callable that takes a :class:`BranchSource` with one
+    row per script and returns one result per row; it must measure every
+    row alike and be deterministic given the outcomes each row receives.
+    It runs once per pass.  The first pass has one row per entry of
+    ``roots``, each with an empty script; a pipeline reads each row's root
+    from ``source.roots``.  A row's unexplored siblings, every live option
+    after the first at each depth past its script, are the next pass's
+    scripts, until a pass finds none.  The leaves are then yielded root by
+    root, each root's in depth-first path order.  Each root's probabilities
+    sum to 1 (zero-probability branches are never entered).
     """
-    script: list = []
-    known: list = []
-    while True:
-        source = BranchSource(script)
-        source.known = known
-        result = pipeline(source)
-        yield result, source.probability
-        taken, lists = source.taken, source.lists
-        i = len(taken) - 1
-        while i >= 0 and taken[i] + 1 >= len(lists[i]):
-            i -= 1
-        if i < 0:
-            return
-        script = taken[:i] + [taken[i] + 1]
-        known = lists[: i + 1]
+    leaves = []
+    rows = [(r, ()) for r in range(len(roots))]  # (root index, script) per row
+    while rows:
+        source = BranchSource([script for _, script in rows])
+        source.roots = [roots[r] for r, _ in rows]
+        results = pipeline(source)
+        if len(results) != len(rows):
+            raise ValueError(f"a pipeline returned {len(results)} results for {len(rows)} rows")
+        siblings = []
+        for (r, script), path, fanouts, result, p in zip(
+            rows, source.taken, source.fanouts, results, source.probability
+        ):
+            leaves.append(((r, path), result, p))
+            siblings += [
+                (r, path[:depth] + (k,))
+                for depth in range(len(script), len(path))
+                for k in range(1, fanouts[depth])
+            ]
+        rows = siblings
+    leaves.sort(key=lambda leaf: leaf[0])
+    for _, result, p in leaves:
+        yield result, p
 
 
 def _validate_plan(state: qsim.StateVector, plan) -> None:
     seen = set()
     for qubits, basis in plan:
+        if not isinstance(basis, Basis):
+            raise ValueError(f"a measurement plan's basis must be a Basis, got {basis!r}")
         want = 2 if basis is Basis.BELL else 1
         if len(qubits) != want:
             raise ValueError(
@@ -148,16 +163,13 @@ def outcome_distribution(state: qsim.StateVector, plan) -> dict:
     _validate_plan(state, plan)
 
     def pipeline(source):
-        current, outcomes = state, []
+        current, rows = state, [()] * len(source.roots)
         for qubits, basis in plan:
-            if basis is Basis.BELL:
-                (outcome,), current = source.measure_bell(current, *qubits)
-            elif basis is Basis.Z:
-                (outcome,), current = source.measure_z(current, qubits[0])
-            else:
-                (outcome,), current = source.measure_x(current, qubits[0])
-            outcomes.append(outcome)
-        return tuple(outcomes)
+            measure = {Basis.Z: source.measure_z, Basis.X: source.measure_x,
+                       Basis.BELL: source.measure_bell}[basis]
+            outcomes, current = measure(current, *qubits)
+            rows = [row + (outcome,) for row, outcome in zip(rows, outcomes)]
+        return rows
 
     spaces = [tuple(BellLabel) if basis is Basis.BELL else (0, 1) for _, basis in plan]
     dist = {key: 0.0 for key in itertools.product(*spaces)}
@@ -187,9 +199,11 @@ def pauli_bell_map(p: PauliLabel, m: BellLabel) -> BellLabel:
     return m ^ p
 
 
-# The 64 cells ((c1, c2), a, b) of a round's public transcript.
-_CELLS = tuple(
-    ((c1, c2), a, b) for c1 in (0, 1) for c2 in (0, 1) for a in BellLabel for b in BellLabel
+# The 64 cells ((c1, c2), a, b) of a round's public transcript, each at 0.0:
+# a key's map starts as a copy, which keeps the cells' hashes.
+_CELLS = dict.fromkeys(
+    (((c1, c2), a, b) for c1 in (0, 1) for c2 in (0, 1) for a in BellLabel for b in BellLabel),
+    0.0,
 )
 
 
@@ -199,43 +213,36 @@ def exact_transcript_distribution(strategy: StrategyId, direction: Role = Role.A
     Enumerates every branch of a decoy-free round (decoys are independent of
     the protocol qubits and are checked separately).  Returns
     ``{PauliLabel: cells}``, each the full 64-cell map keyed by
-    ((c1, c2), a, b).  P2 acts before E1 reads the key, so its branches are
-    enumerated once and the four keys share them: from each P2 leaf's state
-    and EveStates, each key's E1 and E2 are enumerated with the leaf's
-    probability as their starting product, which gives every branch the
-    float product, and every cell the order of sums, of one walk through
-    the whole round.  The parties are measured in the orders the sampler
-    uses, fixed in code.  Raises ValueError when a key's leaf
-    probabilities do not sum to 1 within ``MASS_TOL``.
+    ((c1, c2), a, b).  The round is one pipeline, P2 then E1 then E2, whose
+    roots are the four keys: each pass's rows share the call's P1 record,
+    and E1 applies each row's own key.  So each branch's probability is the
+    float product, and each cell the order of sums, of one depth-first
+    walk through the round for its key.  The parties are measured in the
+    orders the sampler uses, fixed in code.  Raises ValueError when a key's
+    leaf probabilities do not sum to 1 within ``MASS_TOL``.
     """
     if strategy not in EXACT_STRATEGIES:
         raise ValueError(
             f"exact enumeration covers Honest and PreMeasure, not {strategy!r}"
         )
     # One decoy-free P1 record per call: nothing draws from it or changes
-    # it, so every leaf's wave shares it.  Building its config also checks
-    # the direction before anything is enumerated.
+    # it, so every row of every pass shares it.  Building its config also
+    # checks the direction before anything is enumerated.
     row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
 
-    def transmit(source):
-        wave = protocol.Wave([row])
-        eves = protocol.p2_transmit(wave, strategy, source)
-        return wave.state, eves
+    def round_(source):
+        keys = source.roots
+        wave = protocol.Wave([row] * len(keys))
+        eves = protocol.p2_transmit(wave, strategy, source) or [None] * len(keys)
+        protocol.e1_encode(wave, keys, direction)
+        return [
+            (key, ((c if eve is None else eve.c_pre), a, b))
+            for key, eve, (a, b, c) in zip(keys, eves, protocol.e2_measure(wave, source))
+        ]
 
-    maps = {key: dict.fromkeys(_CELLS, 0.0) for key in PauliLabel}
-    for (state, eves), start in enumerate_branches(transmit):
-        for key, cells in maps.items():
-
-            def measure(source):
-                source.probability = start  # continue the P2 branch's product
-                wave = protocol.Wave([row])
-                wave.state = state
-                protocol.e1_encode(wave, [key], direction)
-                [(a, b, c)] = protocol.e2_measure(wave, source)
-                return (c if eves is None else eves[0].c_pre), a, b
-
-            for cell, probability in enumerate_branches(measure):
-                cells[cell] += probability
+    maps = {key: _CELLS.copy() for key in PauliLabel}
+    for (key, cell), probability in enumerate_branches(round_, tuple(PauliLabel)):
+        maps[key][cell] += probability
     for cells in maps.values():
         mass = sum(cells.values())
         if abs(1.0 - mass) > MASS_TOL:

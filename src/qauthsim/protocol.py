@@ -21,7 +21,7 @@ run as the config's :func:`abort_probability` says it will reach.  Round
 i of a run draws only from its own stream, ``PCG64((run seed, i))``, in
 the order its run alone would draw, so a run's transcript does not depend
 on the batch or wave it is in; :func:`run_protocol` is the batch of one,
-and the oracle drives a one-row wave.  P1 and the S1/S2 decoy checks stay
+and the oracle drives waves of one row per branch.  P1 and the S1/S2 decoy checks stay
 per row, since they touch only that row's decoys and stream.  Per-row
 inputs (E1's keys, the draws, the ``Wave.in_transit`` entries) are lists
 in row order, filtered as rows drop.
@@ -526,8 +526,8 @@ class SampleSource:
     Each measurement takes one uniform draw from every row's stream and
     returns the rows' outcomes as a list, so each row's stream is drawn in
     the same order as if its run were alone.  The oracle module provides a
-    scripted source for a one-row wave with the same three methods, so the
-    phase functions below never know whether they are being sampled or
+    scripted source, one branch per row, with the same three methods, so
+    the phase functions below never know whether they are being sampled or
     enumerated.
     """
 

@@ -17,16 +17,18 @@ Nothing in this module draws randomness.  The sampling ``measure_*``
 functions take a list of uniform draws from ``[0, 1)``, one per row (a 1-D
 state is one row), and return ``(outcomes, post-state)`` with one outcome
 per row in a list, the shape of the outcome-source interface the protocol
-module uses; exhaustive callers use the ``*_outcomes`` functions, which
-list every outcome of a single state as ``(outcome, probability,
-post-state)``.  Both go through one kernel per basis, written over the
-optional batch axis, so the exhaustive and the sampled results cannot drift
-apart, and a row of a batch gets the outcome its state would get measured
-alone.  Measurements never rotate the state: Z, X and Bell outcomes are the
-basis's projectors applied straight to the flat amplitude array through
-cached tables over a qubit tuple, a 0/1 mask per value of the XOR of those
-qubits' bits and the index permutation that flips them all (one qubit for Z
-and X, the pair for Bell).
+module uses.  A batch may take a selector in place of the draws, a
+callable that picks each row's outcome from the rows' probabilities: the
+oracle's scripted branches are selected that way, a pass of rows per
+call.  The ``*_outcomes`` functions list every outcome of a single state
+as ``(outcome, probability, post-state)``.  All go through one kernel per
+basis, written over the optional batch axis, so the exhaustive and the
+sampled results cannot drift apart, and a row of a batch gets the outcome
+its state would get measured alone.  Measurements never rotate the state:
+Z, X and Bell outcomes are the basis's projectors applied straight to the
+flat amplitude array through cached tables over a qubit tuple, a 0/1 mask
+per value of the XOR of those qubits' bits and the index permutation that
+flips them all (one qubit for Z and X, the pair for Bell).
 
 A state's amplitudes keep the dtype it was built with.  Every table a gate
 or projector reads is real, so a real state stays float64 through every
@@ -497,18 +499,22 @@ def bell_outcomes(state: StateVector, q1: int, q2: int) -> list:
 def _measure(state: StateVector, kernel, outcomes, qubits, randomness):
     """Select and project every row's outcome with one kernel call.
 
-    ``randomness`` is a list of one draw per row (a 1-D state is one row);
-    the outcomes come back as a list in the same order.
+    ``randomness`` is a list of one draw per row (a 1-D state is one row),
+    each selecting its row's outcome by :func:`_pick`; or, for a batch, a
+    selector: a callable that takes the rows' probability tuples and returns
+    one outcome index per row.  The outcomes come back as a list in row
+    order.
     """
     n = state.n_qubits
     rows = len(state.amps) if state.amps.ndim == 2 else 1
-    if not isinstance(randomness, list) or len(randomness) != rows:
+    select = state.amps.ndim == 2 and callable(randomness)
+    if not select and (not isinstance(randomness, list) or len(randomness) != rows):
         raise ValueError(f"a state of {rows} row(s) takes a list of one draw per row")
     probs, project = kernel(state.amps, n, *qubits)
     if state.amps.ndim == 1:
         i = _pick(probs, randomness[0])
         return [outcomes[i]], StateVector(n, project(i, math.sqrt(probs[i])))
-    picks = list(map(_pick, probs, randomness))
+    picks = randomness(probs) if select else list(map(_pick, probs, randomness))
     roots = np.sqrt([[row[i]] for row, i in zip(probs, picks)])
     post = StateVector(n, project(np.array(picks), roots))
     return [outcomes[i] for i in picks], post

@@ -8,9 +8,12 @@ the tests need of a StateVector, and :func:`run_one_round_at_a_time`
 replays a run through the protocol's phases with numpy's own draws and its
 own scalar decoy checks.  :func:`decoy_text` and :func:`decoy_error_rate`
 read a checked RoundRecord's decoy lists the way the transcript pins
-print them.  :func:`exact_round_in_fractions` walks a decoy-free round in
-exact rational arithmetic, with its own sparse states and matrices, and
-:func:`record_trees` records each tree the oracle's enumerator walks.
+print them.  :func:`enumerate_branches_depth_first` is the oracle's
+enumeration as a one-row depth-first walk on the single-state outcome
+lists.  :func:`round_leaves_in_fractions` walks a decoy-free round in
+exact rational arithmetic, with its own sparse states and matrices, for
+:func:`exact_round_in_fractions`, and :func:`decoy_miss_in_fractions`
+measures a decoy with rational density matrices.
 """
 
 import itertools
@@ -132,72 +135,67 @@ def joint_distribution(amps, projector_lists):
     return dist
 
 
-def enumerate_branches_from_scratch(pipeline):
-    """The enumerator as it was before outcome lists were reused.
+class ScriptedOneRowSource:
+    """A one-row outcome source that follows one scripted branch, taking
+    each outcome from the single-state ``qsim.*_outcomes`` lists.
 
-    It re-runs ``pipeline`` from scratch for every leaf, on a
-    :class:`qauthsim.oracle.BranchSource` that is handed no known lists, so
-    every outcome list along every path is computed afresh.
+    It has the outcome-source interface of the oracle's
+    :class:`qauthsim.oracle.BranchSource` for a one-row pass, ``roots``
+    included, and shares no code with it.  At its measurement ``i`` it
+    takes live outcome ``script[i]`` (or the first live one beyond the
+    script's end); ``taken`` records the path, ``fanouts`` the number of
+    live outcomes at each depth, and ``probability`` the branch's product.
     """
-    from qauthsim.oracle import BranchSource
 
-    script: list = []
-    while True:
-        source = BranchSource(script)
-        result = pipeline(source)
-        yield result, source.probability
-        taken, lists = source.taken, source.lists
-        i = len(taken) - 1
-        while i >= 0 and taken[i] + 1 >= len(lists[i]):
-            i -= 1
-        if i < 0:
-            return
-        script = taken[:i] + [taken[i] + 1]
+    def __init__(self, script, root):
+        self.script, self.roots = script, [root]
+        self.taken, self.fanouts, self.probability = [], [], 1.0
+
+    def _choose(self, outcomes, *args):
+        from qauthsim import qsim
+
+        live = [o for o in getattr(qsim, outcomes)(*args) if o[2] is not None]
+        depth = len(self.taken)
+        index = self.script[depth] if depth < len(self.script) else 0
+        outcome, p, post = live[index]
+        self.taken.append(index)
+        self.fanouts.append(len(live))
+        self.probability *= p
+        return [outcome], post
+
+    def measure_z(self, state, q):
+        return self._choose("z_outcomes", state, q)
+
+    def measure_x(self, state, q):
+        return self._choose("x_outcomes", state, q)
+
+    def measure_bell(self, state, q1, q2):
+        return self._choose("bell_outcomes", state, q1, q2)
 
 
-def record_trees(monkeypatch):
-    """Record every enumeration tree the oracle walks from here on.
+def enumerate_branches_depth_first(pipeline, roots=(None,)):
+    """The oracle's enumeration as a one-row depth-first walk.
 
-    Returns a list that gains one dict per ``oracle.enumerate_branches``
-    call, in call order: its leaf ``paths`` (each pass's
-    ``BranchSource.taken``) and the number of outcome ``lists`` its passes
-    computed (``qsim._outcome_list`` calls).  A tree's passes may run while
-    another tree is paused between its leaves, as P2's tree is while its
-    leaves' E1 + E2 trees run, so each record is the one whose generator is
-    being resumed.
+    For each root in turn, ``pipeline`` runs once per leaf on a
+    :class:`ScriptedOneRowSource`, each leaf's script being the next branch
+    in depth-first order after the last leaf's path, and every outcome list
+    along the path is computed afresh.  Yields (result, probability) in the
+    order :func:`qauthsim.oracle.enumerate_branches` promises: root by root,
+    each root's leaves in depth-first path order.
     """
-    from qauthsim import oracle, qsim
-
-    trees, active = [], []
-    real_enumerate, real_list = oracle.enumerate_branches, qsim._outcome_list
-
-    class RecordingBranchSource(oracle.BranchSource):
-        def __init__(self, script):
-            super().__init__(script)
-            active[-1]["paths"].append(self.taken)
-
-    def enumerate_tree(pipeline):
-        tree = {"paths": [], "lists": 0}
-        trees.append(tree)
-        branches = real_enumerate(pipeline)
+    for root in roots:
+        script: list = []
         while True:
-            active.append(tree)
-            try:
-                branch = next(branches, None)
-            finally:
-                active.pop()
-            if branch is None:
-                return
-            yield branch
-
-    def outcome_list(*args):
-        active[-1]["lists"] += 1
-        return real_list(*args)
-
-    monkeypatch.setattr(oracle, "BranchSource", RecordingBranchSource)
-    monkeypatch.setattr(oracle, "enumerate_branches", enumerate_tree)
-    monkeypatch.setattr(qsim, "_outcome_list", outcome_list)
-    return trees
+            source = ScriptedOneRowSource(script, root)
+            [result] = pipeline(source)
+            yield result, source.probability
+            taken, fanouts = source.taken, source.fanouts
+            i = len(taken) - 1
+            while i >= 0 and taken[i] + 1 >= fanouts[i]:
+                i -= 1
+            if i < 0:
+                break
+            script = taken[:i] + [taken[i] + 1]
 
 
 # Exact arithmetic: every state the protocol reaches before normalising is
@@ -272,31 +270,76 @@ def _fraction_branches(state, walk):
                 yield (outcome,) + tail, final
 
 
-def exact_round_in_fractions(premeasure, key, direction):
-    """A decoy-free round's 64-cell transcript map ((c1, c2), a, b) in
-    exact rational arithmetic, sharing no kernel code with qsim.
+def round_leaves_in_fractions(premeasure, key, direction):
+    """Every branch of a decoy-free round in exact rational arithmetic, as
+    (early outcomes, outcomes, probability), sharing no kernel code with
+    qsim.
 
     With ``premeasure`` Charlie first measures Z on C1 and C2 and Bell on
-    (A1, A2) and (B1, B2), and announces his early c.  Then the key Pauli
-    acts on A1 (Alice) or B1 (Bob), and Alice and Bob measure Bell on their
-    pairs and Charlie Z on C1 and C2.
+    (A1, A2) and (B1, B2), whose outcomes (c1, c2, a, b) are the early
+    ones; without it they are ().  Then the key Pauli acts on A1 (Alice) or
+    B1 (Bob), and Alice and Bob measure Bell on their pairs and Charlie Z on
+    C1 and C2, the outcomes (a, b, c1, c2).
     """
-    from qauthsim.qsim import BellLabel
-
     bell, c_pair = _fraction_bell(), [((0,), _FRACTION_Z), ((3,), _FRACTION_Z)]
     parties = [((1, 4), bell), ((2, 5), bell)]
     target = {"Alice": 1, "Bob": 2}[direction.value]
+    early = _fraction_branches(_fraction_fresh_state(), c_pair + parties if premeasure else [])
+    for pre, state in early:
+        state = _fraction_apply(_FRACTION_PAULI[str(key)], (target,), state)
+        for outcomes, final in _fraction_branches(state, parties + c_pair):
+            yield pre, outcomes, sum(amp * amp for amp in final.values())
+
+
+def exact_round_in_fractions(premeasure, key, direction):
+    """A decoy-free round's 64-cell transcript map ((c1, c2), a, b) in
+    exact rational arithmetic, from :func:`round_leaves_in_fractions`:
+    under ``premeasure`` Charlie announces his early c.
+    """
+    from qauthsim.qsim import BellLabel
+
     cells = {
         ((c1, c2), a, b): Fraction(0)
         for c1 in (0, 1) for c2 in (0, 1) for a in BellLabel for b in BellLabel
     }
-    early = _fraction_branches(_fraction_fresh_state(), c_pair + parties if premeasure else [])
-    for pre, state in early:
-        state = _fraction_apply(_FRACTION_PAULI[str(key)], (target,), state)
-        for (a, b, c1, c2), final in _fraction_branches(state, parties + c_pair):
-            c = pre[:2] if premeasure else (c1, c2)
-            cells[c, a, b] += sum(amp * amp for amp in final.values())
+    for pre, (a, b, c1, c2), p in round_leaves_in_fractions(premeasure, key, direction):
+        c = pre[:2] if premeasure else (c1, c2)
+        cells[c, a, b] += p
     return cells
+
+
+# A decoy's eigenstate projectors by basis coin (0 Z, 1 X), each (bit,
+# |bit><bit|): a decoy of label 2 * coin + bit is the density matrix of its
+# projector, and one-qubit Z and X measurements keep every entry rational.
+_FRACTION_DECOY = (
+    _FRACTION_Z,
+    tuple(
+        (bit, tuple(tuple(Fraction((-1) ** (bit * (i + j)), 2) for j in (0, 1)) for i in (0, 1)))
+        for bit in (0, 1)
+    ),
+)
+
+
+def _fraction_product(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in (0, 1)) for j in (0, 1)) for i in (0, 1))
+
+
+def decoy_miss_in_fractions():
+    """The chance, in exact arithmetic, that an intercepted decoy's check
+    misses P1's bit: each of the four labels with chance 1/4 is measured in
+    one of Eve's two bases with chance 1/2 (post-state P rho P / p), then in
+    its prepared basis, which misses when it reads the other bit."""
+    total = Fraction(0)
+    for label in range(4):
+        rho = _FRACTION_DECOY[label // 2][label % 2][1]
+        for coin in (0, 1):
+            for _, eve in _FRACTION_DECOY[coin]:
+                # P rho P is the post-state times Eve's outcome probability,
+                # so the trace of the miss projector on it is their product.
+                post = _fraction_product(_fraction_product(eve, rho), eve)
+                miss = _fraction_product(_FRACTION_DECOY[label // 2][1 - label % 2][1], post)
+                total += Fraction(miss[0][0] + miss[1][1], 8)
+    return total
 
 
 def check_decoys_one_at_a_time(row, threshold, rng):

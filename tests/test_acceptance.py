@@ -72,12 +72,14 @@ def test_criterion_2_key_recovery_is_certain():
         for direction in (Role.ALICE, Role.BOB):
 
             def pipeline(source, key=key, direction=direction):
-                wave = Wave([p1_prepare(ProtocolConfig(), None)])
-                (eve,) = hook_premeasure(wave, source)
-                e1_encode(wave, [key], direction)
-                [(a, b, _)] = e2_measure(wave, source)
-                announced = a if direction is Role.ALICE else b
-                return infer_key(eve, announced, direction) is key
+                rows = len(source.roots)
+                wave = Wave([p1_prepare(ProtocolConfig(), None)] * rows)
+                eves = hook_premeasure(wave, source)
+                e1_encode(wave, [key] * rows, direction)
+                return [
+                    infer_key(eve, a if direction is Role.ALICE else b, direction) is key
+                    for eve, (a, b, _) in zip(eves, e2_measure(wave, source))
+                ]
 
             total = 0.0
             for hit, prob in enumerate_branches(pipeline):

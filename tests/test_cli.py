@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import reference
 
 from qauthsim import __version__, cli, oracle, protocol, qsim
 from qauthsim.adversary import StrategyId
@@ -533,35 +532,6 @@ def test_rows_prepared_past_an_abort_are_bounded_by_the_cap(monkeypatch, decoys,
         assert len(prepared) == bound
     else:
         assert sum(recorded) <= len(prepared) < bound
-
-
-@pytest.mark.parametrize(
-    "strategy, lists", [(StrategyId.HONEST, 116), (StrategyId.PRE_MEASURE, 395)]
-)
-def test_exact_outcome_lists_are_the_internal_nodes_of_each_tree(monkeypatch, strategy, lists):
-    # enumerate_branches replays the pipeline once per leaf, each pass with
-    # the outcome lists of the prefix it shares with the one before, so each
-    # internal node of the tree (a distinct proper prefix of a leaf's path)
-    # computes its list once.  A report enumerates its strategy's round,
-    # and under PreMeasure the Honest baseline as well: per strategy, one
-    # P2 tree, then one E1 + E2 tree per P2 leaf and key.  So an Honest
-    # round's 29 lists are all E2's, and a PreMeasure round computes P2's
-    # 23 lists once, not once per key (464 lists), and 64 lists of E2 per key.
-    trees = reference.record_trees(monkeypatch)
-    build_report(RunConfig(mode="exact", strategy=strategy))
-    honest_trees = 1 + len(PauliLabel)  # Honest's P2 measures nothing: one leaf
-    premeasure_trees = 1 + 16 * len(PauliLabel)
-    attacked = strategy is StrategyId.PRE_MEASURE
-    assert len(trees) == honest_trees + attacked * premeasure_trees
-    nodes = steps = 0
-    for tree in trees:
-        paths = tree["paths"]
-        internal = {tuple(taken[:depth]) for taken in paths for depth in range(len(taken))}
-        assert tree["lists"] == len(internal)
-        nodes += len(internal)
-        steps += sum(map(len, paths))
-    assert nodes == lists
-    assert nodes < steps  # so lists were reused
 
 
 def test_a_process_that_seeds_no_stream_never_imports_numpy_random():

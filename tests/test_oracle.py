@@ -3,6 +3,7 @@ exact transcript distributions, and the statistics helpers."""
 
 import hashlib
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import reference
 
 from qauthsim import oracle, protocol, qsim
-from qauthsim.adversary import StrategyId
+from qauthsim.adversary import EveState, StrategyId, infer_key
 from qauthsim.oracle import (
     BranchSource,
     enumerate_branches,
@@ -29,14 +30,14 @@ from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 
 def test_enumerate_pipeline_without_measurements():
-    branches = list(enumerate_branches(lambda source: "done"))
+    branches = list(enumerate_branches(lambda source: ["done"]))
     assert branches == [("done", 1.0)]
 
 
 def test_enumerate_single_qubit_split():
     def pipeline(source):
-        (bit,), _ = source.measure_z(qsim.init_product(["+"]), 0)
-        return bit
+        bits, _ = source.measure_z(qsim.init_product(["+"]), 0)
+        return bits
 
     branches = dict(enumerate_branches(pipeline))
     assert set(branches) == {0, 1}
@@ -46,8 +47,8 @@ def test_enumerate_single_qubit_split():
 
 def test_enumerate_skips_dead_branches():
     def pipeline(source):
-        (bit,), _ = source.measure_z(qsim.init_product(["0"]), 0)
-        return bit
+        bits, _ = source.measure_z(qsim.init_product(["0"]), 0)
+        return bits
 
     assert list(enumerate_branches(pipeline)) == [(0, 1.0)]
 
@@ -56,10 +57,10 @@ def test_enumerate_nested_probabilities_sum_to_one():
     def pipeline(source):
         state = qsim.init_product(["+", "0", "+"])
         state = qsim.apply_cnot(state, 0, 1)
-        (b0,), state = source.measure_z(state, 0)
-        (b1,), state = source.measure_x(state, 1)
-        (b2,), state = source.measure_z(state, 2)
-        return (b0, b1, b2)
+        b0, state = source.measure_z(state, 0)
+        b1, state = source.measure_x(state, 1)
+        b2, state = source.measure_z(state, 2)
+        return list(zip(b0, b1, b2))
 
     branches = list(enumerate_branches(pipeline))
     assert sum(p for _, p in branches) == pytest.approx(1.0, abs=1e-12)
@@ -76,9 +77,9 @@ def test_enumerate_matches_outcome_distribution():
         qubits = list(rng.permutation(n)[:2])
 
         def pipeline(source, state=state, qubits=qubits):
-            (b0,), post = source.measure_z(state, qubits[0])
-            (b1,), _ = source.measure_x(post, qubits[1])
-            return (b0,), (b1,)
+            b0, post = source.measure_z(state, qubits[0])
+            b1, _ = source.measure_x(post, qubits[1])
+            return [((z,), (x,)) for z, x in zip(b0, b1)]
 
         enumerated = {}
         for (z_bit, x_bit), prob in enumerate_branches(pipeline):
@@ -98,6 +99,8 @@ def test_enumerate_matches_outcome_distribution():
         [((0, 1), Basis.Z)],
         [((2,), Basis.X)],
         [((0,), Basis.Z), ((0, 1), Basis.BELL)],
+        [((0,), "Z")],  # a basis's name is not a Basis
+        [((0,), Basis.Z), ((1,), None)],
     ],
 )
 def test_outcome_distribution_rejects_bad_plans_before_measuring(monkeypatch, plan):
@@ -113,8 +116,8 @@ def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
     paths = []
 
     class Recording(BranchSource):
-        def __init__(self, script):
-            super().__init__(script)
+        def __init__(self, scripts):
+            super().__init__(scripts)
             paths.append(self.taken)
 
     monkeypatch.setattr(oracle, "BranchSource", Recording)
@@ -126,23 +129,24 @@ def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
         (1, 0): 0.0,
         (1, 1): pytest.approx(0.5),
     }
-    # One pass per live leaf: the second Z has a single live outcome.
-    assert paths == [[0, 0], [1, 0]]
+    # One row per live leaf: the second Z has a single live outcome.
+    assert [list(path) for taken in paths for path in taken] == [[0, 0], [1, 0]]
 
 
 def test_branch_source_records_its_path():
     def pipeline(source):
         state = qsim.init_product(["+", "+"])
-        (b0,), state = source.measure_z(state, 0)
-        (b1,), state = source.measure_z(state, 1)
-        return (b0, b1)
+        b0, state = source.measure_z(state, 0)
+        b1, state = source.measure_z(state, 1)
+        return list(zip(b0, b1))
 
-    source = BranchSource([1, 0])
-    result = pipeline(source)
+    source = BranchSource([[1, 0]])
+    [result] = pipeline(source)
     assert result == (1, 0)
-    assert source.taken == [1, 0]
-    assert [len(live) for live in source.lists] == [2, 2]
-    assert source.probability == pytest.approx(0.25)
+    [taken] = source.taken
+    assert list(taken) == [1, 0]
+    assert list(source.fanouts[0]) == [2, 2]
+    assert source.probability == [pytest.approx(0.25)]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +334,30 @@ def test_exact_maps_are_the_exact_arithmetic_maps():
                     assert abs(Fraction(p) - exact[cell]) <= tolerance, (strategy, key, cell)
 
 
+def test_the_papers_numbers_are_exact_fractions():
+    # In the exact arithmetic of tests/reference.py: PreMeasure recovers
+    # every key in both directions with probability exactly 1 (the mass of
+    # the leaves where infer_key reads the key off the announcement), an
+    # intercepted decoy's check misses P1's bit with probability exactly
+    # 1/4, and so one decoy per sequence at threshold 0 catches a round with
+    # probability exactly 1 - (3/4)^2 = 7/16.
+    for direction in (Role.ALICE, Role.BOB):
+        for key in PauliLabel:
+            recovered = Fraction(0)
+            leaves = reference.round_leaves_in_fractions(True, key, direction)
+            for (c1, c2, m_pre, b_pre), (a, b, _, _), p in leaves:
+                announced = a if direction is Role.ALICE else b
+                if infer_key(EveState((c1, c2), m_pre, b_pre), announced, direction) is key:
+                    recovered += p
+            assert recovered == 1, (key, direction)
+    miss = reference.decoy_miss_in_fractions()
+    assert miss == Fraction(1, 4)
+    caught = 1 - (1 - miss) ** 2  # a sequence fails when its one check misses
+    assert caught == Fraction(7, 16)
+    p = protocol.abort_probability(StrategyId.INTERCEPT_RESEND, 1, 0.0)
+    assert abs(p - float(caught)) <= 1e-15
+
+
 def test_exact_distribution_rejects_sampled_only_strategy():
     with pytest.raises(ValueError):
         exact_transcript_distribution(StrategyId.INTERCEPT_RESEND)
@@ -346,30 +374,6 @@ def test_exact_distribution_rejects_bad_directions_before_enumerating(
     monkeypatch.setattr(oracle, "BranchSource", refuse)
     with pytest.raises(ValueError):
         exact_transcript_distribution(strategy, direction)
-
-
-def test_exact_distribution_runs_p2_once_per_leaf(monkeypatch):
-    # The first enumeration of a call is P2's tree, and each of its leaves
-    # starts one E1 + E2 tree per key; P2 runs once per P2 leaf, not once
-    # per key or per leaf of the whole round.
-    calls = []
-    original = protocol.p2_transmit
-
-    def counted(wave, strategy, source):
-        calls.append(strategy)
-        return original(wave, strategy, source)
-
-    monkeypatch.setattr(protocol, "p2_transmit", counted)
-    trees = reference.record_trees(monkeypatch)
-    for strategy, p2_leaves in ((StrategyId.HONEST, 1), (StrategyId.PRE_MEASURE, 16)):
-        calls.clear()
-        trees.clear()
-        exact_transcript_distribution(strategy)
-        leaves = [len(tree["paths"]) for tree in trees]
-        assert calls == [strategy] * p2_leaves
-        assert leaves[0] == p2_leaves
-        assert len(leaves) == 1 + p2_leaves * len(PauliLabel)
-        assert sum(leaves[1:]) == 16 * len(PauliLabel)  # a round's 16 leaves per key
 
 
 def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
@@ -409,7 +413,7 @@ class RecordedSource:
 
 @pytest.mark.parametrize(
     "make_source",
-    [lambda: BranchSource([1, 1]), lambda: protocol.SampleSource([protocol._RowStream(5)])],
+    [lambda: BranchSource([[1, 1]]), lambda: protocol.SampleSource([protocol._RowStream(5)])],
     ids=["BranchSource", "SampleSource"],
 )
 def test_both_sources_return_one_outcome_per_row_as_a_list(make_source):
@@ -441,13 +445,14 @@ def exact_with_orders(strategy, key, direction, hook_order, measure_order):
     row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
 
     def pipeline(source):
-        wave = protocol.Wave([row])
-        c_pre = None
+        rows = len(source.roots)
+        wave = protocol.Wave([row] * rows)
+        c_pre = [None] * rows
         if strategy is StrategyId.PRE_MEASURE:
-            [(_, _, c_pre)] = protocol._measure_parties(wave, source, hook_order)
-        protocol.e1_encode(wave, [key], direction)
-        [(a, b, c)] = protocol._measure_parties(wave, source, measure_order)
-        return (c if c_pre is None else c_pre), a, b
+            c_pre = [c for _, _, c in protocol._measure_parties(wave, source, hook_order)]
+        protocol.e1_encode(wave, [key] * rows, direction)
+        outcomes = protocol._measure_parties(wave, source, measure_order)
+        return [((c if pre is None else pre), a, b) for pre, (a, b, c) in zip(c_pre, outcomes)]
 
     cells = dict.fromkeys(oracle._CELLS, 0.0)
     for cell, probability in oracle.enumerate_branches(pipeline):
@@ -476,9 +481,9 @@ def test_exact_distribution_order_invariance():
 @pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
 def test_exact_with_orders_at_the_fixed_orders_is_the_program(strategy, key, direction):
     # Bit for bit, so the order-permuted maps below are the program's maps
-    # with only the orders changed.  exact_with_orders walks the whole
-    # round in one enumeration, so this also holds the program's shared P2
-    # stage to the one-pass tree.
+    # with only the orders changed.  exact_with_orders enumerates one key,
+    # so this also holds the program's four keys, rows of the same passes,
+    # to one key's enumeration.
     program = exact_transcript_distribution(strategy, direction)[key]
     local = exact_with_orders(strategy, key, direction, HOOK_ORDER, MEASURE_ORDER)
     assert _hexed(local) == _hexed(program)
@@ -496,40 +501,86 @@ EXACT_COMBINATIONS = list(
 )
 
 
-def test_reused_outcome_lists_give_bitwise_equal_distributions(monkeypatch):
+def test_pass_wise_enumeration_gives_the_depth_first_maps_bitwise(monkeypatch):
+    # Every map of every strategy, key, direction and pair of orders, bit for
+    # bit, against reference.enumerate_branches_depth_first: a one-row walk
+    # on the single-state outcome lists that shares no code with
+    # oracle.BranchSource.
     assert len(EXACT_COMBINATIONS) == 576
-    fast = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
-    monkeypatch.setattr(oracle, "enumerate_branches", reference.enumerate_branches_from_scratch)
-    slow = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
-    assert fast == slow
+    passes = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
+    monkeypatch.setattr(oracle, "enumerate_branches", reference.enumerate_branches_depth_first)
+    walked = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
+    assert passes == walked
 
 
 @pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
-@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
-def test_each_outcome_list_is_computed_once(monkeypatch, strategy, direction):
-    # Per tree: P2's, then one E1 + E2 tree per P2 leaf and key.
-    trees = reference.record_trees(monkeypatch)
+@pytest.mark.parametrize(
+    "strategy, measurements", [(StrategyId.HONEST, 4), (StrategyId.PRE_MEASURE, 8)]
+)
+def test_an_exact_round_is_four_passes_of_one_kernel_call_per_measurement(
+    monkeypatch, strategy, measurements, direction
+):
+    # A round's 16 leaves per key, for the four keys at once: the first pass
+    # holds one row per key, each later pass the unexplored siblings of the
+    # rows before it.  Each measurement of a pass is one kernel call over all
+    # of its rows, so a call makes 4 (Honest, E2 alone) or 8 (PreMeasure,
+    # P2 and E2) per pass.
+    passes, kernels = [], []
+
+    class Recording(BranchSource):
+        def __init__(self, scripts):
+            super().__init__(scripts)
+            passes.append(self)
+
+    monkeypatch.setattr(oracle, "BranchSource", Recording)
+    for name in ("_z_kernel", "_x_kernel", "_bell_kernel"):
+        real = getattr(qsim, name)
+        monkeypatch.setattr(
+            qsim, name, lambda *args, real=real, name=name: kernels.append(name) or real(*args)
+        )
     exact_transcript_distribution(strategy, direction)
-    for tree in trees:
-        paths = tree["paths"]
-        prefixes = {tuple(taken[:k]) for taken in paths for k in range(len(taken))}
-        assert tree["lists"] == len(prefixes)
-    # Lists were reused: fewer were computed than a walk per leaf would make.
-    lists = sum(tree["lists"] for tree in trees)
-    assert lists < sum(len(taken) for tree in trees for taken in tree["paths"])
+    assert [len(source.roots) for source in passes] == [4, 20, 28, 12]
+    leaves = [(key, path) for source in passes for key, path in zip(source.roots, source.taken)]
+    assert len(set(leaves)) == len(leaves) == 64  # every leaf path reached once
+    assert Counter(key for key, _ in leaves) == {key: 16 for key in PauliLabel}
+    assert {len(path) for _, path in leaves} == {measurements}
+    assert len(kernels) == 4 * measurements
+    assert "_x_kernel" not in kernels
+    # The leaves are those of a one-row depth-first walk of the same round.
+    walked = []
+
+    class RecordingWalk(reference.ScriptedOneRowSource):
+        def __init__(self, script, root):
+            super().__init__(script, root)
+            walked.append(self)
+
+    monkeypatch.setattr(reference, "ScriptedOneRowSource", RecordingWalk)
+    monkeypatch.setattr(oracle, "enumerate_branches", reference.enumerate_branches_depth_first)
+    exact_transcript_distribution(strategy, direction)
+    assert len(walked) == 64
+    assert {(source.roots[0], tuple(source.taken)) for source in walked} == set(leaves)
 
 
 def _with_last_leaf(enumerate_branches, reweigh):
-    """Wrap an enumerator so that every tree it enumerates, P2's and each
-    E1 + E2 tree alike, has its last leaf's probability reweighed."""
+    """Wrap an enumerator so that every enumeration it makes has its last
+    leaf's probability reweighed."""
 
-    def enumerate_with_last_leaf_reweighed(pipeline):
-        leaves = list(enumerate_branches(pipeline))
+    def enumerate_with_last_leaf_reweighed(pipeline, *roots):
+        leaves = list(enumerate_branches(pipeline, *roots))
         result, p = leaves[-1]
         leaves[-1] = (result, reweigh(p))
         return iter(leaves)
 
     return enumerate_with_last_leaf_reweighed
+
+
+def _with_every_leaf(enumerate_branches, reweigh):
+    """Wrap an enumerator so that every leaf it yields is reweighed."""
+
+    def enumerate_with_every_leaf_reweighed(pipeline, *roots):
+        return ((result, reweigh(p)) for result, p in enumerate_branches(pipeline, *roots))
+
+    return enumerate_with_every_leaf_reweighed
 
 
 @pytest.mark.parametrize(
@@ -549,10 +600,9 @@ def test_exact_distribution_admits_rounding_in_the_mass(monkeypatch):
     monkeypatch.setattr(
         oracle,
         "enumerate_branches",
-        _with_last_leaf(oracle.enumerate_branches, lambda p: p + 1e-14),
+        _with_every_leaf(oracle.enumerate_branches, lambda p: p + 1e-14),
     )
-    # A key's map sums the last P2 leaf's tree, which starts from that leaf,
-    # and 16 one-leaf E1 + E2 trees: 17 reweighed leaves, 1.7e-13 in all.
+    # Every key's 16 leaves are reweighed: 1.6e-13 in all, inside MASS_TOL.
     maps = exact_transcript_distribution(StrategyId.PRE_MEASURE)
     for dist in maps.values():
         assert sum(dist.values()) == pytest.approx(1.0, abs=oracle.MASS_TOL)

@@ -976,24 +976,24 @@ def test_protocol_amplitudes_are_real(monkeypatch):
     assert protocol._FRESH_STATE.amps.dtype == np.float64
     assert WAVE_SIZE == 64 * 1024 // (8 * 2**PROTOCOL_QUBITS)
     measured, posts = [], []  # sampled waves' states at E2; exact post-states
-    real_measure, real_list = protocol.e2_measure, qsim._outcome_list
+    real_measure, real_kernel_measure = protocol.e2_measure, qsim._measure
 
     def measure(wave, source):
         measured.append(wave.state)
         return real_measure(wave, source)
 
-    def outcome_list(*args):
-        outcomes = real_list(*args)
-        posts.extend(post for _, _, post in outcomes if post is not None)
-        return outcomes
+    def kernel_measure(*args):
+        outcomes, post = real_kernel_measure(*args)
+        posts.append(post)
+        return outcomes, post
 
     monkeypatch.setattr(protocol, "e2_measure", measure)
-    monkeypatch.setattr(qsim, "_outcome_list", outcome_list)
     config = ProtocolConfig(rounds=16, decoys_per_sequence=1)
     keys = [[PauliLabel.IY] * 16] * 40
     for strategy in (StrategyId.INTERCEPT_RESEND, StrategyId.PRE_MEASURE):
         run_batch(config, list(range(40)), keys, strategy)
     assert measured and {state.amps.dtype for state in measured} == {np.dtype(np.float64)}
+    monkeypatch.setattr(qsim, "_measure", kernel_measure)
     oracle.exact_transcript_distribution(StrategyId.PRE_MEASURE)
     assert posts and {post.amps.dtype for post in posts} == {np.dtype(np.float64)}
 

@@ -636,6 +636,33 @@ def test_batched_measurement_takes_one_draw_per_row():
             qsim.measure_z(qsim.StateVector(2, amps[0]), 0, draws)
 
 
+def test_a_selector_picks_each_rows_outcome_of_a_batch():
+    # The selector sees the rows' probability tuples and returns one outcome
+    # index per row; each row is projected onto its pick as if a draw had
+    # picked it.  A 1-D state takes draws only.
+    rng = np.random.default_rng(36)
+    for measure, arity in BATCH_MEASURES:
+        amps = real_rows(random_batch(rng, 3, 4))
+        state = qsim.StateVector(3, amps)
+        seen = []
+
+        def last_outcome(probs):
+            seen.append(probs)
+            return [len(row) - 1 for row in probs]
+
+        outcomes, post = measure(state, *range(arity), last_outcome)
+        [probs] = seen
+        assert len(probs) == len(amps)
+        for row, row_probs, outcome, row_post in zip(amps, probs, outcomes, post.amps):
+            # The draw just below 1 picks the last outcome when it is live.
+            (alone,), alone_post = measure(qsim.StateVector(3, row), *range(arity), [1 - 2**-53])
+            assert row_probs[-1] > qsim.ZERO_PROB
+            assert outcome == alone
+            np.testing.assert_allclose(row_post, alone_post.amps, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            measure(qsim.StateVector(3, amps[0]), *range(arity), last_outcome)
+
+
 def _ghz_ready_batch(rng, rows):
     """Rows of 4 qubits with qubits 0, 2 and 3 in |0> and qubit 1 random."""
     amps = np.zeros((rows, 16), dtype=complex)
