@@ -7,12 +7,13 @@ prints a one-line summary.  A :class:`RunConfig` is the ProtocolConfig
 its runs execute, plus the fields that pick the strategy, mode and report.
 A sampled run draws its runs' seeds and keys from the master stream one
 chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk through
-:func:`qauthsim.protocol.run_batch`, in waves of at most ``WAVE_SIZE``
-(run, round) rows, and folds it into five integer tallies before drawing
-the next, so its memory depends on ``WAVE_SIZE`` and ``rounds``, not on
-``samples``; an exact run enumerates its strategy's round once for all
-four keys' transcript distributions, the keys' branches rows of the same
-passes, and Honest's once more for the baseline under PreMeasure.
+:func:`qauthsim.protocol.run_batch` in waves of at most ``WAVE_SIZE``
+(run, round) rows, and folds each wave's rows into five integer tallies as
+the wave ends.  So it holds one wave's records, never a run's, and one
+chunk's keys at 8 bytes per round per run, whatever ``samples`` is.  An
+exact run enumerates its strategy's round once for all four keys'
+transcript distributions, the keys' branches rows of the same passes, and
+Honest's once more for the baseline under PreMeasure.
 Reports are deterministic: identical configs produce byte-identical files
 (reals at 12 significant digits, no timestamps).  Every draw is read off
 the raw words of a PCG64 bit generator by code fixed in
@@ -198,15 +199,14 @@ def _rate_fields(prefix: str, successes: int, trials: int) -> dict:
 def _sampled_results(config: RunConfig) -> list:
     trials = accepted = detected = guesses = hits = 0
     for seeds, keys in protocol._master_chunks(config.seed, config.rounds, config.samples):
-        runs = protocol.run_batch(config, seeds, keys, config.strategy)
-        for transcript, run_keys in zip(runs, keys):
-            for record, key in zip(transcript.rounds, run_keys):
-                trials += 1
-                accepted += record.decision is Decision.ACCEPT
-                detected += record.decision is Decision.ABORT
-                if record.inferred_key is not None:
-                    guesses += 1
-                    hits += record.inferred_key is key
+        for r, i, record in protocol.run_batch(config, seeds, keys, config.strategy):
+            trials += record.decision is not None  # None: dropped past its run's abort
+            accepted += record.decision is Decision.ACCEPT
+            detected += record.decision is Decision.ABORT
+            if record.inferred_key is not None:
+                guesses += 1
+                hits += record.inferred_key is keys[r][i]
+        del seeds, keys  # not held while the next chunk is read
     row = dict.fromkeys(_CSV_COLUMNS)
     row.update(
         strategy=config.strategy.value,

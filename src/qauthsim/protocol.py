@@ -27,7 +27,7 @@ inputs (E1's keys, the draws, the ``Wave.in_transit`` entries) are lists
 in row order, filtered as rows drop.
 
 A round has one record, the :class:`RoundRecord` that P1 creates and the
-later phases fill in; the transcript holds that same object.  It keeps the
+later phases fill in; :func:`run_batch` yields that same object.  It keeps the
 round's decoys as flat lists in row order, Alice's d then Bob's d: each
 one's slot in its owner's sequence, basis coin, prepared bit, current
 eigenstate label and, once checked, its S1/S2 outcome.  The protocol
@@ -240,7 +240,7 @@ class RoundRecord:
 
 @dataclass
 class Transcript:
-    """A run's result: its round records in order, and its decision."""
+    """A run's result (:func:`run_protocol`): its decided records in order, and its decision."""
 
     rounds: list
     decision: Decision
@@ -504,19 +504,19 @@ def _master_chunks(seed: int, rounds: int, runs: int):
     alphabet = list(PauliLabel)
     raw, pending = master.random_raw(0), []
     for start in range(0, runs, WAVE_SIZE):
+        seeds, keys = [], []  # the last chunk's are not held while this one is read
         chunk = min(WAVE_SIZE, runs - start)
         most = chunk * (1 + (rounds + 1) // 2)  # the words these runs read at most
         raw = np.concatenate((raw, master.random_raw(max(0, most - len(raw)))))
-        words, halves, w = raw.tolist(), _halves_of(raw), 0
-        seeds, keys = [], []
+        tops, w = (np.asarray(raw, "<u8").view("<u4") >> 30).tolist(), 0  # 0-3, cached ints
         for _ in range(chunk):
-            seeds.append(words[w] >> 1)
+            seeds.append(int(raw[w]) >> 1)
             fresh, h = rounds - len(pending), 2 * w + 2
-            keys.append([alphabet[half >> 30] for half in pending + halves[h:h + fresh]])
+            keys.append([alphabet[top] for top in pending + tops[h:h + fresh]])
             w += 1 + (fresh + 1) // 2
-            pending = halves[2 * w - 1:2 * w] if fresh % 2 else []
+            pending = tops[2 * w - 1:2 * w] if fresh % 2 else []
         raw = raw[w:]
-        del words, halves  # not held while the caller runs this chunk
+        del tops  # not held while the caller runs this chunk
         yield seeds, keys
 
 
@@ -701,7 +701,7 @@ def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
     return Decision.ACCEPT if guess is key else Decision.REJECT
 
 
-def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
+def run_batch(config: ProtocolConfig, seeds, keys, strategy):
     """Execute one run of ``config`` per seed, in waves of (run, round) rows.
 
     ``seeds[r]`` and ``keys[r]`` (one PauliLabel per round) belong to run
@@ -713,13 +713,12 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
     So a batch that cannot abort fills whole waves from the start, and a
     run is seldom given rounds past its abort.  Round i of run r draws from
     its own stream seeded by (seeds[r], i), in the order its run alone
-    would, so a run's result does not depend on the batch or wave it is in.
+    would, so a run's rows do not depend on the batch or wave it is in.
     A run ends at its first abort, and its later rows in that wave are
-    dropped before E1, their records left undecided.  The decided records
-    are folded into their runs' transcripts in round order.  An unknown
-    ``strategy`` raises ValueError before any round is prepared.  Returns
-    one Transcript per run, in seed order; a run's decision is Accept only
-    if every decoy check passed and every round verified.
+    dropped before E1, their records left undecided.  As each wave ends,
+    this generator yields (run, round, record) for every row the wave
+    prepared, in row order, and it keeps no record past that wave.  An
+    unknown ``strategy`` raises ValueError before any round is prepared.
     """
     if not isinstance(strategy, adversary.StrategyId):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -734,7 +733,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
             if not isinstance(k, PauliLabel):
                 raise ValueError(f"keys must be PauliLabel values, got {k!r}")
 
-    transcripts = [Transcript([], Decision.ACCEPT) for _ in seeds]
+    following, ended = [0] * len(seeds), set()  # each run's next round; the runs that aborted
     live = list(range(len(seeds)))  # runs with rounds left and no abort
     d, threshold = config.decoys_per_sequence, config.decoy_error_threshold
     p = abort_probability(strategy, d, threshold)
@@ -743,10 +742,10 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
 
     while live:
         k = min(max(1, WAVE_SIZE // len(live)), cap)
-        pairs = [  # (run, round) per row; a run's next round is its record count
+        pairs = [  # (run, round) per row
             (r, i)
             for r in live[:WAVE_SIZE]
-            for i in range(len(transcripts[r].rounds), config.rounds)[:k]
+            for i in range(following[r], config.rounds)[:k]
         ]
         streams = _row_streams([(seeds[r], i) for r, i in pairs], plan)
         rows = [p1_prepare(config, stream) for stream in streams]
@@ -754,7 +753,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
         for row, eve in zip(rows, p2_transmit(wave, strategy, SampleSource(streams)) or ()):
             row.eve = eve
 
-        kept, ended = [], set()
+        kept = []
         for j, ((r, _), row, stream) in enumerate(zip(pairs, rows, streams)):
             if r in ended:
                 continue  # a later round of a run that aborted in this wave
@@ -787,24 +786,25 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy) -> list:
                 row.c, row.a, row.b = c, a, b
                 row.decision = e3_verify(a, b, c, key)
 
-        for (r, _), row in zip(pairs, rows):
-            if row.decision is not None:  # None for a row dropped past its run's abort
-                transcripts[r].rounds.append(row)
-                if row.decision is not Decision.ACCEPT:
-                    transcripts[r].decision = row.decision
-        live = [r for r in live if len(transcripts[r].rounds) < config.rounds and r not in ended]
-    return transcripts
+        for (r, i), row in zip(pairs, rows):
+            following[r] += row.decision is not None  # None for a row dropped past its run's abort
+            yield r, i, row
+        del rows, wave, streams  # not held while the next wave is prepared
+        live = [r for r in live if following[r] < config.rounds and r not in ended]
 
 
 def run_protocol(config: ProtocolConfig, keys, strategy) -> Transcript:
     """Execute a full run: P1 through E3 for each round.
 
-    ``keys`` holds one PauliLabel per round.  Returns the run's Transcript.
-    This is :func:`run_batch` with one row, so round ``i`` reads the stream
-    ``PCG64((config.seed, i))``, and identical inputs give identical
-    transcripts.
+    ``keys`` holds one PauliLabel per round.  This is :func:`run_batch` with
+    one run, so round ``i`` reads the stream ``PCG64((config.seed, i))``.
+    Returns the run's Transcript: its decided records, in round order, and
+    as its decision the last that is not Accept, else Accept.
     """
-    return run_batch(config, [config.seed], [keys], strategy)[0]
+    rounds = [row for _, _, row in run_batch(config, [config.seed], [keys], strategy)
+              if row.decision is not None]
+    rejected = [row.decision for row in rounds if row.decision is not Decision.ACCEPT]
+    return Transcript(rounds, rejected[-1] if rejected else Decision.ACCEPT)
 
 
 # The adversary module imports its protocol names from this one, so it is

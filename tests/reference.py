@@ -8,10 +8,13 @@ the tests need of a StateVector, and :func:`run_one_round_at_a_time`
 replays a run through the protocol's phases with numpy's own draws and its
 own scalar decoy checks.  :func:`decoy_text` and :func:`decoy_error_rate`
 read a checked RoundRecord's decoy lists the way the transcript pins
-print them.  :func:`enumerate_branches_depth_first` is the oracle's
-enumeration as a one-row depth-first walk on the single-state outcome
-lists.  :func:`round_leaves_in_fractions` walks a decoy-free round in
-exact rational arithmetic, with its own sparse states and matrices, for
+print them.  :func:`gather_transcripts` gathers the rows
+:func:`qauthsim.protocol.run_batch` yields into one Transcript per run,
+and :func:`batch_transcripts` runs a batch that way.
+:func:`enumerate_branches_depth_first` is the oracle's enumeration as a
+one-row depth-first walk on the single-state outcome lists.
+:func:`round_leaves_in_fractions` walks a decoy-free round in exact
+rational arithmetic, with its own sparse states and matrices, for
 :func:`exact_round_in_fractions`, and :func:`decoy_miss_in_fractions`
 measures a decoy with rational density matrices.
 """
@@ -436,8 +439,7 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
     It checks the decoys with :func:`check_decoys_one_at_a_time` rather
     than the protocol's table lookup, makes one Z or X measurement per
     in-transit qubit after the checks, and shares none of
-    :func:`qauthsim.protocol.run_batch`'s wave filling, row dropping or
-    folding.
+    :func:`qauthsim.protocol.run_batch`'s wave filling or row dropping.
     """
     from qauthsim import qsim
     from qauthsim.adversary import infer_key
@@ -474,3 +476,31 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
         if record.decision is Decision.REJECT:
             transcript.decision = Decision.REJECT
     return transcript
+
+
+def gather_transcripts(rows, runs):
+    """One Transcript for each of ``runs`` runs from the (run, round,
+    record) rows :func:`qauthsim.protocol.run_batch` yields, by
+    ``run_protocol``'s rule: a run's decided records in round order, and as
+    its decision the last that is not Accept, else Accept.  A record left
+    undecided, a row dropped past its run's abort, is in no transcript.
+    Checks that each run's decided records come in round order.
+    """
+    from qauthsim.protocol import Decision, Transcript
+
+    transcripts = [Transcript([], Decision.ACCEPT) for _ in range(runs)]
+    for r, i, record in rows:
+        if record.decision is not None:
+            assert i == len(transcripts[r].rounds), (r, i)
+            transcripts[r].rounds.append(record)
+            if record.decision is not Decision.ACCEPT:
+                transcripts[r].decision = record.decision
+    return transcripts
+
+
+def batch_transcripts(config, seeds, keys, strategy):
+    """:func:`qauthsim.protocol.run_batch` of one run per seed, gathered into
+    one Transcript per run, in seed order."""
+    from qauthsim import protocol
+
+    return gather_transcripts(protocol.run_batch(config, seeds, keys, strategy), len(seeds))

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
+
 from qauthsim import __version__, cli, oracle, protocol, qsim
 from qauthsim.adversary import StrategyId
 from qauthsim.cli import (
@@ -302,9 +304,11 @@ def record_sampled_runs(monkeypatch, fixed):
     runs = []
 
     def run(config, seeds, keys, strategy):
-        results = real_run(fixed, [fixed.seed] * len(seeds), keys, strategy)
-        runs.extend(results)
-        return results
+        rows = []
+        for row in real_run(fixed, [fixed.seed] * len(seeds), keys, strategy):
+            rows.append(row)
+            yield row
+        runs.extend(reference.gather_transcripts(rows, len(seeds)))
 
     monkeypatch.setattr(protocol, "run_batch", run)
     return runs, spy_tallies(monkeypatch)
@@ -317,12 +321,12 @@ def garble_key_guesses(monkeypatch):
     real_run = protocol.run_batch
 
     def run(config, seeds, keys, strategy):
-        results = real_run(config, seeds, keys, strategy)
-        for transcript, run_keys in zip(results, keys):
-            first, second = transcript.rounds[:2]
-            first.inferred_key = None
-            second.inferred_key = next(k for k in PauliLabel if k is not run_keys[1])
-        return results
+        for r, i, record in real_run(config, seeds, keys, strategy):
+            if record.decision is not None and i == 0:
+                record.inferred_key = None
+            elif record.decision is not None and i == 1:
+                record.inferred_key = next(k for k in PauliLabel if k is not keys[r][1])
+            yield r, i, record
 
     monkeypatch.setattr(protocol, "run_batch", run)
 
@@ -402,12 +406,14 @@ def test_sampled_tallies_mark_aborts(monkeypatch):
 
 
 def test_sampled_memory_does_not_grow_with_samples(monkeypatch):
-    # Every sample returns one prebuilt 16-round run, so the report's own
-    # bookkeeping is all that could grow with ``samples``.
+    # Every sample yields the rows of one prebuilt 16-round run, so the
+    # report's own bookkeeping is all that could grow with ``samples``.
     fixed = ProtocolConfig(rounds=16, decoys_per_sequence=4, seed=1)
     prebuilt = protocol.run_protocol(fixed, [PauliLabel.I] * 16, StrategyId.PRE_MEASURE)
     monkeypatch.setattr(
-        protocol, "run_batch", lambda config, seeds, keys, strategy: [prebuilt] * len(seeds)
+        protocol, "run_batch", lambda config, seeds, keys, strategy: (
+            (r, i, record) for r in range(len(seeds)) for i, record in enumerate(prebuilt.rounds)
+        )
     )
 
     def peak(samples):
@@ -445,6 +451,25 @@ def test_sampled_memory_is_bounded_by_the_wave_size():
     assert abs(large - small) < 64 * 1024, (small, large)
 
 
+def test_sampled_memory_does_not_grow_with_rounds():
+    # Unstubbed: run_batch yields each wave's rows as the wave ends and the
+    # report folds them into its tallies, so no run's records are held past
+    # their wave.  2 runs of 2048 rounds take 32 waves of 128 rows and peak
+    # like 2 runs of 256; what grows is the chunk's keys, 8 bytes a round.
+    def peak(rounds):
+        config = RunConfig(rounds=rounds, decoys_per_sequence=0, samples=2)
+        tracemalloc.start()
+        try:
+            build_report(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(256)  # warm any lazily built caches
+    short, long = peak(256), peak(2048)
+    assert long <= 1.25 * short, (short, long)
+
+
 # The parties' walk (protocol._measure_parties) makes one measurement-kernel
 # call each for Alice's Bell pair, Bob's Bell pair, C1 and C2.  E2 walks
 # every wave that keeps a row past S1/S2, and the PreMeasure hook every wave
@@ -467,9 +492,10 @@ def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, d
         monkeypatch.setattr(module, name, lambda *args: count(*args) or real(*args))
 
     def batch(config, seeds, keys, strategy, real=protocol.run_batch):
-        runs = real(config, seeds, keys, strategy)
-        recorded.extend((seed, i) for seed, run in zip(seeds, runs) for i in range(len(run.rounds)))
-        return runs
+        for r, i, record in real(config, seeds, keys, strategy):
+            if record.decision is not None:
+                recorded.append((seeds[r], i))
+            yield r, i, record
 
     monkeypatch.setattr(protocol, "run_batch", batch)
     spy(protocol, "_row_streams",
@@ -509,16 +535,21 @@ def test_rows_prepared_past_an_abort_are_bounded_by_the_cap(monkeypatch, decoys,
     # wave, p being abort_probability.  A run that does not abort in a wave
     # has every row of it recorded; the wave it aborts in is its last and
     # drops at most its k - 1 rows after the aborting one.  So rows
-    # prepared <= rounds recorded + (k - 1) x runs, equal when k = 1.
+    # prepared <= rounds recorded + (k - 1) x runs, equal when k = 1.  The
+    # engine yields every row it prepares, and the ones it dropped are the
+    # rows it yields undecided.
     config = RunConfig(rounds=16, decoys_per_sequence=decoys, samples=samples, seed=5,
                        strategy=StrategyId.INTERCEPT_RESEND)
-    prepared, recorded = [], []
+    prepared, recorded, yielded = [], [], []
     real_prepare, real_batch = protocol.p1_prepare, protocol.run_batch
 
-    def batch(*args):
-        runs = real_batch(*args)
-        recorded.extend(len(run.rounds) for run in runs)
-        return runs
+    def batch(config, seeds, keys, strategy):
+        rows = []
+        for row in real_batch(config, seeds, keys, strategy):
+            rows.append(row)
+            yield row
+        recorded.extend(len(run.rounds) for run in reference.gather_transcripts(rows, len(seeds)))
+        yielded.extend(rows)
 
     monkeypatch.setattr(protocol, "p1_prepare",
                         lambda *args: prepared.append(1) or real_prepare(*args))
@@ -532,6 +563,9 @@ def test_rows_prepared_past_an_abort_are_bounded_by_the_cap(monkeypatch, decoys,
         assert len(prepared) == bound
     else:
         assert sum(recorded) <= len(prepared) < bound
+    assert len(yielded) == len(prepared)
+    undecided = [record for _, _, record in yielded if record.decision is None]
+    assert len(undecided) == len(prepared) - sum(recorded)
 
 
 def test_a_process_that_seeds_no_stream_never_imports_numpy_random():

@@ -38,7 +38,6 @@ from qauthsim.protocol import (
     e3_verify,
     p1_prepare,
     p2_transmit,
-    run_batch,
     run_protocol,
     s_check,
 )
@@ -225,7 +224,7 @@ def test_waves_start_from_the_read_only_fresh_state():
     config = ProtocolConfig(rounds=6, decoys_per_sequence=2, seed=12)
     for strategy in StrategyId:
         run_protocol(config, [PauliLabel.X] * 6, strategy)
-        run_batch(config, [1, 2, 3], [[PauliLabel.X] * 6] * 3, strategy)
+        reference.batch_transcripts(config, [1, 2, 3], [[PauliLabel.X] * 6] * 3, strategy)
     assert protocol._FRESH_STATE is fresh
     assert np.array_equal(fresh.amps, before)
 
@@ -316,7 +315,7 @@ def test_round_records_hold_the_decoys_in_their_sequences(monkeypatch, strategy)
     monkeypatch.setattr(protocol, "p1_prepare", recorded)
     config = ProtocolConfig(rounds=4, decoys_per_sequence=3, seed=2)
     d, seeds = config.decoys_per_sequence, [5, 6, 7, 8]
-    runs = run_batch(config, seeds, [[PauliLabel.Z] * 4] * 4, strategy)
+    runs = reference.batch_transcripts(config, seeds, [[PauliLabel.Z] * 4] * 4, strategy)
     for seed, transcript in zip(seeds, runs):
         for i, rec in enumerate(transcript.rounds):
             assert rec is rows[seed, i]
@@ -648,7 +647,7 @@ def test_run_batch_rejects_an_unknown_strategy_before_any_round():
     # abort probability is looked up, and before any round is prepared.
     for strategy in ("Eavesdrop", ["Eavesdrop"]):
         with pytest.raises(ValueError, match="unknown strategy"):
-            run_batch(ProtocolConfig(), [], [], strategy)
+            reference.batch_transcripts(ProtocolConfig(), [], [], strategy)
 
 
 def test_run_protocol_aborts_on_intercept_resend():
@@ -730,7 +729,7 @@ def test_abort_probability_matches_exact_rationals(decoys, threshold):
 
 def test_run_batch_runs_a_round_of_many_decoys():
     config = ProtocolConfig(decoys_per_sequence=1100)
-    (transcript,) = run_batch(config, [1], [[PauliLabel.I]], StrategyId.INTERCEPT_RESEND)
+    (transcript,) = reference.batch_transcripts(config, [1], [[PauliLabel.I]], StrategyId.INTERCEPT_RESEND)
     assert transcript.decision is Decision.ABORT
 
 
@@ -740,7 +739,7 @@ def test_abort_probability_matches_sampled_rounds(monkeypatch, decoys, threshold
     config = ProtocolConfig(decoys_per_sequence=decoys, decoy_error_threshold=threshold)
     runs = 4000
     seeds = list(range(7000, 7000 + runs))
-    transcripts = run_batch(config, seeds, [[PauliLabel.I]] * runs, StrategyId.INTERCEPT_RESEND)
+    transcripts = reference.batch_transcripts(config, seeds, [[PauliLabel.I]] * runs, StrategyId.INTERCEPT_RESEND)
     aborts = sum(t.decision is Decision.ABORT for t in transcripts)
     monkeypatch.setattr(oracle, "_WILSON_Z", 5.0)
     low, high = oracle.wilson_interval(aborts, runs)
@@ -806,7 +805,7 @@ def test_run_batch_equals_one_run_at_a_time(
         return e1_encode(wave, *args)
 
     monkeypatch.setattr(protocol, "e1_encode", encode)
-    batched = run_batch(config, seeds, keys, strategy)
+    batched = reference.batch_transcripts(config, seeds, keys, strategy)
     alone = [
         run_protocol(replace(config, seed=seed), run_keys, strategy)
         for seed, run_keys in zip(seeds, keys)
@@ -896,7 +895,7 @@ def test_run_batch_equals_the_one_round_at_a_time_reference(
     seeds = [int(s) for s in rng.integers(0, 2**63, size=runs)]
     keys = [[list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rounds)] for _ in seeds]
     waves = record_waves(monkeypatch)
-    batched = run_batch(config, seeds, keys, strategy)
+    batched = reference.batch_transcripts(config, seeds, keys, strategy)
     monkeypatch.undo()
     alone = [
         reference.run_one_round_at_a_time(config, seed, run_keys, strategy)
@@ -960,7 +959,7 @@ def test_waves_are_filled_with_the_next_rounds_of_the_live_runs(
     config = ProtocolConfig(rounds=rounds, decoys_per_sequence=decoys)
     seeds = list(range(100, 100 + runs))
     waves = record_waves(monkeypatch)
-    run_batch(config, seeds, [[PauliLabel.X] * rounds] * runs, strategy)
+    reference.batch_transcripts(config, seeds, [[PauliLabel.X] * rounds] * runs, strategy)
     assert [len(wave) for wave in waves] == sizes
     assert all(len(wave) <= WAVE_SIZE for wave in waves)
     for wave in waves:  # run-major, rounds rising within a run
@@ -991,7 +990,7 @@ def test_protocol_amplitudes_are_real(monkeypatch):
     config = ProtocolConfig(rounds=16, decoys_per_sequence=1)
     keys = [[PauliLabel.IY] * 16] * 40
     for strategy in (StrategyId.INTERCEPT_RESEND, StrategyId.PRE_MEASURE):
-        run_batch(config, list(range(40)), keys, strategy)
+        reference.batch_transcripts(config, list(range(40)), keys, strategy)
     assert measured and {state.amps.dtype for state in measured} == {np.dtype(np.float64)}
     monkeypatch.setattr(qsim, "_measure", kernel_measure)
     oracle.exact_transcript_distribution(StrategyId.PRE_MEASURE)
@@ -1017,7 +1016,7 @@ def test_rows_dropped_past_an_abort_stay_undecided(monkeypatch):
     for _ in range(3):
         seeds.append(int(master.integers(0, 2**63)))
         keys.append([list(PauliLabel)[int(k)] for k in master.integers(0, 4, size=16)])
-    transcripts = run_batch(config, seeds, keys, StrategyId.INTERCEPT_RESEND)
+    transcripts = reference.batch_transcripts(config, seeds, keys, StrategyId.INTERCEPT_RESEND)
     held = {id(rec) for t in transcripts for rec in t.rounds}
     assert all(rec.decision is not None for t in transcripts for rec in t.rounds)
     dropped = [rec for rec in prepared if id(rec) not in held]
@@ -1043,7 +1042,7 @@ def test_an_aborting_run_prepares_at_most_k_minus_one_rows_past_its_abort(
     seeds = list(range(500, 500 + runs))
     waves = record_waves(monkeypatch)
     keys = [[PauliLabel.I] * rounds] * runs
-    transcripts = run_batch(config, seeds, keys, StrategyId.INTERCEPT_RESEND)
+    transcripts = reference.batch_transcripts(config, seeds, keys, StrategyId.INTERCEPT_RESEND)
     last = {seed: len(run.rounds) - 1 for seed, run in zip(seeds, transcripts)}
     aborts = {(seed, last[seed]) for seed, run in zip(seeds, transcripts)
               if run.decision is Decision.ABORT}
@@ -1064,12 +1063,12 @@ def test_run_batch_validates_every_run():
     config = ProtocolConfig(rounds=2)
     keys = [PauliLabel.I, PauliLabel.X]
     with pytest.raises(protocol.FieldError):
-        run_batch(config, [1, 2**64], [keys, keys], StrategyId.HONEST)
+        reference.batch_transcripts(config, [1, 2**64], [keys, keys], StrategyId.HONEST)
     with pytest.raises(ValueError):
-        run_batch(config, [1, 2], [keys, keys[:1]], StrategyId.HONEST)
+        reference.batch_transcripts(config, [1, 2], [keys, keys[:1]], StrategyId.HONEST)
     with pytest.raises(ValueError):
-        run_batch(config, [1, 2], [keys], StrategyId.HONEST)
-    assert run_batch(config, [], [], StrategyId.HONEST) == []
+        reference.batch_transcripts(config, [1, 2], [keys], StrategyId.HONEST)
+    assert reference.batch_transcripts(config, [], [], StrategyId.HONEST) == []
 
 
 # sha256 over rate.hex() of every run's decoy error rate and then every one
@@ -1094,7 +1093,7 @@ def test_decoy_error_rates_match_recorded_digest():
                 [alphabet[int(j)] for j in np.random.default_rng(seed).integers(0, 4, size=rounds)]
                 for seed in RATE_SEEDS
             ]
-            for transcript in run_batch(config, list(RATE_SEEDS), keys, strategy):
+            for transcript in reference.batch_transcripts(config, list(RATE_SEEDS), keys, strategy):
                 rates = [reference.decoy_error_rate(transcript.rounds)] + [
                     reference.decoy_error_rate([record]) for record in transcript.rounds
                 ]
@@ -1108,13 +1107,13 @@ def test_round_records_carry_what_the_strategy_recorded(direction):
     seeds = [21, 22, 23]
     keys = [[PauliLabel.IY, PauliLabel.Z, PauliLabel.I, PauliLabel.X]] * 3
     for transcript, run_keys in zip(
-        run_batch(config, seeds, keys, StrategyId.PRE_MEASURE), keys
+        reference.batch_transcripts(config, seeds, keys, StrategyId.PRE_MEASURE), keys
     ):
         for record, key in zip(transcript.rounds, run_keys):
             assert isinstance(record.eve, EveState)
             assert record.c == record.eve.c_pre
             assert record.inferred_key is key
     for strategy in (StrategyId.HONEST, StrategyId.INTERCEPT_RESEND):
-        for transcript in run_batch(config, seeds, keys, strategy):
+        for transcript in reference.batch_transcripts(config, seeds, keys, strategy):
             for record in transcript.rounds:
                 assert record.eve is None and record.inferred_key is None
