@@ -12,8 +12,8 @@ chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk through
 the wave ends.  So it holds one wave's records, never a run's, and one
 chunk's keys at 8 bytes per round per run, whatever ``samples`` is.  An
 exact run enumerates its strategy's round once for all four keys'
-transcript distributions, the keys' branches rows of the same passes, and
-Honest's once more for the baseline under PreMeasure.
+transcript distributions, the keys' branches rows of the same two passes,
+and Honest's once more for the baseline under PreMeasure.
 Reports are deterministic: identical configs produce byte-identical files
 (reals at 12 significant digits, no timestamps).  Every draw is read off
 the raw words of a PCG64 bit generator by code fixed in
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -357,7 +358,10 @@ def cmd_run(config: RunConfig, out=None, err=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state on it, and building it costs more than a report's rendering."""
     parser = argparse.ArgumentParser(
         prog="qauthsim",
         description="Simulate a three-party quantum authentication protocol "
@@ -379,7 +383,11 @@ def main(argv=None) -> int:
     run_parser.add_argument(
         "--output", help="report path (overrides output_path from the config)"
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "tables":
         return cmd_tables()
     try:

@@ -11,8 +11,10 @@ included, on a :class:`qauthsim.protocol.Wave` with one row per branch:
 follows each row's scripted choices instead of drawing randomness, and
 :func:`enumerate_branches` runs a pipeline in passes.  A pass hands the
 pipeline a source with one row per script, so each of its measurements is
-one kernel call over every row, and the unexplored siblings of the rows'
-paths are the next pass's scripts.  A pipeline takes that source and
+one kernel call over every row.  The next pass scripts each unexplored
+sibling of the rows' paths with every tail below it that the row's own
+fanouts predict, so a tree whose sibling subtrees branch alike, as a
+protocol round's do, takes two passes.  A pipeline takes that source and
 returns one result per row; a 1-D state it hands the source stands for
 every row.  It is the package's only enumerator:
 :func:`outcome_distribution` (a measurement plan on a bare state) and
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from . import protocol, qsim
 from .adversary import StrategyId
@@ -56,12 +59,14 @@ class BranchSource:
     the shape :class:`qauthsim.protocol.SampleSource` returns for a wave.
     At its measurement ``i``, row ``r`` takes live option ``scripts[r][i]``
     (or the first live option beyond its script's end) and multiplies
-    ``probability[r]`` by its probability.  ``taken[r]`` is the row's path
-    and ``fanouts[r]`` the number of live options at each of its depths,
-    both tuples: together they are what the enumeration needs to find the
-    row's unexplored siblings.  ``roots[r]`` is the root the row's branch
-    grows from, which :func:`enumerate_branches` sets (None on a bare
-    source).
+    ``probability[r]`` by its probability.  A script may name an option its
+    row does not have: the row then takes its first live option and
+    ``branch[r]`` is False, for the row is no branch of the tree.
+    ``taken[r]`` is the row's path and ``fanouts[r]`` the number of live
+    options at each of its depths, both tuples: together they are what the
+    enumeration needs to find the row's unexplored siblings.  ``roots[r]``
+    is the root the row's branch grows from, which
+    :func:`enumerate_branches` sets (None on a bare source).
     """
 
     def __init__(self, scripts):
@@ -70,13 +75,20 @@ class BranchSource:
         self.taken = [()] * len(scripts)
         self.fanouts = [()] * len(scripts)
         self.probability = [1.0] * len(scripts)
+        self.branch = [True] * len(scripts)
 
     def _select(self, probs) -> list:
         """Each row's scripted live outcome, given the rows' probabilities."""
         depth = len(self.taken[0])  # every row is measured alike
         lives = [[i for i, p in enumerate(row) if p > qsim.ZERO_PROB] for row in probs]
         indexes = [script[depth] if depth < len(script) else 0 for script in self.scripts]
-        picks = [live[index] for live, index in zip(lives, indexes)]
+        try:
+            picks = [live[index] for live, index in zip(lives, indexes)]
+        except IndexError:  # a script named an option its row does not have
+            for r, (live, index) in enumerate(zip(lives, indexes)):
+                if index >= len(live):
+                    self.branch[r], indexes[r] = False, 0
+            picks = [live[index] for live, index in zip(lives, indexes)]
         self.taken[:] = [path + (index,) for path, index in zip(self.taken, indexes)]
         self.fanouts[:] = [row + (len(live),) for row, live in zip(self.fanouts, lives)]
         self.probability[:] = [p * row[i] for p, row, i in zip(self.probability, probs, picks)]
@@ -105,32 +117,52 @@ def enumerate_branches(pipeline, roots=(None,)):
     row alike and be deterministic given the outcomes each row receives.
     It runs once per pass.  The first pass has one row per entry of
     ``roots``, each with an empty script; a pipeline reads each row's root
-    from ``source.roots``.  A row's unexplored siblings, every live option
-    after the first at each depth past its script, are the next pass's
-    scripts, until a pass finds none.  The leaves are then yielded root by
-    root, each root's in depth-first path order.  Each root's probabilities
-    sum to 1 (zero-probability branches are never entered).
+    from ``source.roots``.  Past the last nonzero option of its script, a
+    row stands for its path's prefixes: at each such depth, every live
+    option no earlier script covered is one the next pass takes, each
+    followed by every tail the row's own fanouts below that depth predict.
+    A row whose script names an option the tree lacks is no branch and is
+    dropped; one that finds more options than its script was predicted
+    from leaves them to the next pass.  The passes end when one finds no
+    option left, so a tree whose sibling subtrees branch alike takes two.
+    The leaves are then yielded root by root, each root's in depth-first
+    path order; a leaf reached twice is a ValueError.  Each root's
+    probabilities sum to 1 (zero-probability branches are never entered).
     """
     leaves = []
-    rows = [(r, ()) for r in range(len(roots))]  # (root index, script) per row
+    # (root index, script, the fanouts the script was predicted from) per row
+    rows = [(r, (), ()) for r in range(len(roots))]
     while rows:
-        source = BranchSource([script for _, script in rows])
-        source.roots = [roots[r] for r, _ in rows]
+        source = BranchSource([script for _, script, _ in rows])
+        source.roots = [roots[r] for r, _, _ in rows]
         results = pipeline(source)
         if len(results) != len(rows):
             raise ValueError(f"a pipeline returned {len(results)} results for {len(rows)} rows")
-        siblings = []
-        for (r, script), path, fanouts, result, p in zip(
-            rows, source.taken, source.fanouts, results, source.probability
+        scripts = []
+        for (r, script, predicted), path, fanouts, branch, result, p in zip(
+            rows, source.taken, source.fanouts, source.branch, results, source.probability
         ):
+            if not branch:
+                continue
             leaves.append(((r, path), result, p))
-            siblings += [
-                (r, path[:depth] + (k,))
-                for depth in range(len(script), len(path))
-                for k in range(1, fanouts[depth])
-            ]
-        rows = siblings
+            if fanouts == predicted:  # its prediction missed no option
+                continue
+            start = len(script)  # the row stands for its prefix past its last nonzero option
+            while start and not script[start - 1]:
+                start -= 1
+            for depth in range(start, len(path)):
+                # Options before ``first`` are scripted: predicted, or the one the row took.
+                first = predicted[depth] if depth < len(predicted) else 1
+                scripts += [
+                    (r, path[:depth] + (k,) + tail, fanouts)
+                    for k in range(first, fanouts[depth])
+                    for tail in itertools.product(*map(range, fanouts[depth + 1:]))
+                ]
+        rows = scripts
     leaves.sort(key=lambda leaf: leaf[0])
+    keys = [key for key, _, _ in leaves]
+    if any(map(operator.eq, keys, keys[1:])):
+        raise ValueError("an enumeration reached a branch twice")
     for _, result, p in leaves:
         yield result, p
 

@@ -75,6 +75,11 @@ class _TwoBitLabel(Enum):
     alphabet carrying the bitwise XOR.
     """
 
+    # Members are singletons compared by identity, so the object hash is
+    # theirs: a C slot, where Enum's hashes the member's name in Python on
+    # every lookup of a cell keyed by labels.
+    __hash__ = object.__hash__
+
     def __init__(self, phase: int, parity: int):
         # Plain attributes: read on every label XOR and verification, where
         # a property over ``value`` costs several times more.

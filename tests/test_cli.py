@@ -836,6 +836,23 @@ def test_main_output_path_from_config(tmp_path, capsys):
     assert str(out_path) in capsys.readouterr().out
 
 
+def test_main_calls_in_one_process_share_no_state(tmp_path, capsys):
+    # The parser is built once per process: what one call parses must not
+    # reach the next.
+    from_config = tmp_path / "from_config.json"
+    config = write_config(tmp_path, f"samples = 5\nrounds = 1\noutput_path = {from_config}\n")
+    given = tmp_path / "given.json"
+    assert run_main(["run", "--config", str(config), "--output", str(given)]) == 0
+    assert given.exists() and not from_config.exists()
+    assert run_main(["run", "--config", str(config)]) == 0
+    assert from_config.read_bytes() == given.read_bytes()
+    capsys.readouterr()
+    bad = write_config(tmp_path, "shots = 5\n", name="bad.cfg")
+    assert run_main(["run", "--config", str(bad), "--output", str(given)]) == 2
+    assert "shots" in capsys.readouterr().err
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize(
     "text, extra, named",
     [("output_path =\n", [], "output_path"), ("", ["--output", ""], "--output")],

@@ -517,14 +517,15 @@ def test_pass_wise_enumeration_gives_the_depth_first_maps_bitwise(monkeypatch):
 @pytest.mark.parametrize(
     "strategy, measurements", [(StrategyId.HONEST, 4), (StrategyId.PRE_MEASURE, 8)]
 )
-def test_an_exact_round_is_four_passes_of_one_kernel_call_per_measurement(
+def test_an_exact_round_is_two_passes_of_one_kernel_call_per_measurement(
     monkeypatch, strategy, measurements, direction
 ):
     # A round's 16 leaves per key, for the four keys at once: the first pass
-    # holds one row per key, each later pass the unexplored siblings of the
-    # rows before it.  Each measurement of a pass is one kernel call over all
-    # of its rows, so a call makes 4 (Honest, E2 alone) or 8 (PreMeasure,
-    # P2 and E2) per pass.
+    # holds one row per key, and the second every branch its rows' fanouts
+    # predict, all of them real, since every subtree of a round has the same
+    # fanouts.  Each measurement of a pass is one kernel call over all of its
+    # rows, so a call makes 4 (Honest, E2 alone) or 8 (PreMeasure, P2 and
+    # E2) per pass.
     passes, kernels = [], []
 
     class Recording(BranchSource):
@@ -539,12 +540,13 @@ def test_an_exact_round_is_four_passes_of_one_kernel_call_per_measurement(
             qsim, name, lambda *args, real=real, name=name: kernels.append(name) or real(*args)
         )
     exact_transcript_distribution(strategy, direction)
-    assert [len(source.roots) for source in passes] == [4, 20, 28, 12]
+    assert [len(source.roots) for source in passes] == [4, 60]
+    assert all(branch for source in passes for branch in source.branch)  # no row dropped
     leaves = [(key, path) for source in passes for key, path in zip(source.roots, source.taken)]
     assert len(set(leaves)) == len(leaves) == 64  # every leaf path reached once
     assert Counter(key for key, _ in leaves) == {key: 16 for key in PauliLabel}
     assert {len(path) for _, path in leaves} == {measurements}
-    assert len(kernels) == 4 * measurements
+    assert len(kernels) == 2 * measurements
     assert "_x_kernel" not in kernels
     # The leaves are those of a one-row depth-first walk of the same round.
     walked = []
@@ -559,6 +561,120 @@ def test_an_exact_round_is_four_passes_of_one_kernel_call_per_measurement(
     exact_transcript_distribution(strategy, direction)
     assert len(walked) == 64
     assert {(source.roots[0], tuple(source.taken)) for source in walked} == set(leaves)
+
+
+def _plan_pipeline(states, plan):
+    """A pipeline that measures ``plan`` on each row's root state.
+
+    ``states`` maps a root to its amplitudes and ``plan`` lists (qubits,
+    Basis) entries.  A row's result is its root and its outcomes.
+    """
+    n = len(next(iter(states.values()))).bit_length() - 1
+
+    def pipeline(source):
+        amps = [states[root] for root in source.roots]
+        state = qsim.StateVector(n, amps[0] if len(amps) == 1 else np.array(amps))
+        rows = [(root,) for root in source.roots]
+        for qubits, basis in plan:
+            measure = {Basis.Z: source.measure_z, Basis.BELL: source.measure_bell}[basis]
+            outcomes, state = measure(state, *qubits)
+            rows = [row + (outcome,) for row, outcome in zip(rows, outcomes)]
+        return rows
+
+    return pipeline
+
+
+def _enumerated(monkeypatch, states, plan):
+    """The oracle's and the depth-first walk's leaves, probabilities in hex,
+    and the oracle's passes."""
+    passes = []
+
+    class Recording(BranchSource):
+        def __init__(self, scripts):
+            super().__init__(scripts)
+            passes.append(self)
+
+    pipeline = _plan_pipeline(states, plan)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "BranchSource", Recording)
+        leaves = [(r, p.hex()) for r, p in enumerate_branches(pipeline, tuple(states))]
+    walked = [
+        (r, p.hex()) for r, p in reference.enumerate_branches_depth_first(pipeline, tuple(states))
+    ]
+    return leaves, walked, passes
+
+
+SQRT3 = np.sqrt(1 / 3)
+ZZ = [((0,), Basis.Z), ((1,), Basis.Z)]
+
+
+def test_a_predicted_branch_the_tree_lacks_is_dropped(monkeypatch):
+    # (|00> + |01> + |10>)/sqrt(3): the first path's fanouts are (2, 2), so
+    # the second pass also scripts (1, 1), which |10> does not have.
+    state = np.array([SQRT3, SQRT3, SQRT3, 0.0])
+    leaves, walked, passes = _enumerated(monkeypatch, {"s": state}, ZZ)
+    assert leaves == walked
+    assert [result for result, _ in leaves] == [("s", 0, 0), ("s", 0, 1), ("s", 1, 0)]
+    assert [source.scripts for source in passes] == [[()], [(1, 0), (1, 1), (0, 1)]]
+    assert [source.branch for source in passes] == [[True], [True, False, True]]
+
+
+def test_a_branch_the_first_path_did_not_predict_takes_another_pass(monkeypatch):
+    # (|00> + |10> + |11>)/sqrt(3): the first path's fanouts are (2, 1), so
+    # the second pass scripts (1, 0) alone and finds that |1.> has two
+    # outcomes; the third takes the one no script covered.
+    state = np.array([SQRT3, 0.0, SQRT3, SQRT3])
+    leaves, walked, passes = _enumerated(monkeypatch, {"s": state}, ZZ)
+    assert leaves == walked
+    assert [result for result, _ in leaves] == [("s", 0, 0), ("s", 1, 0), ("s", 1, 1)]
+    assert [source.scripts for source in passes] == [[()], [(1, 0)], [(1, 1)]]
+    assert all(branch for source in passes for branch in source.branch)
+
+
+def test_sparse_random_trees_enumerate_as_the_depth_first_walk_bitwise(monkeypatch):
+    # Sparse states give trees whose subtrees differ in fanout, so passes
+    # drop mispredicted rows and take unpredicted branches.  X measurements
+    # are left out: an X row's last bit can depend on the rows it is batched
+    # with, which a one-row walk does not reproduce.
+    rng = np.random.default_rng(29)
+    dropped = extra_passes = 0
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        states = {}
+        for root in range(int(rng.integers(1, 4))):
+            amps = rng.normal(size=2**n)
+            amps[rng.random(2**n) < rng.uniform(0.3, 0.85)] = 0.0
+            amps[rng.integers(2**n)] = 1.0  # never the zero vector
+            states[root] = amps / np.linalg.norm(amps)
+        qubits, plan = list(rng.permutation(n)), []
+        while qubits:
+            if len(qubits) >= 2 and rng.random() < 0.5:
+                plan.append(((int(qubits.pop()), int(qubits.pop())), Basis.BELL))
+            else:
+                plan.append(((int(qubits.pop()),), Basis.Z))
+        leaves, walked, passes = _enumerated(monkeypatch, states, plan)
+        assert leaves == walked
+        dropped += sum(not branch for source in passes for branch in source.branch)
+        extra_passes += len(passes) > 2
+    assert dropped and extra_passes  # both of the rule's corrections ran
+
+
+def test_an_enumeration_that_reaches_a_branch_twice_is_an_error():
+    # A pipeline that is not deterministic: after the first pass it measures
+    # one qubit instead of two, so the second pass's (1, 0) and (1, 1) both
+    # end at path (1,).
+    calls = []
+
+    def pipeline(source):
+        calls.append(source)
+        state = qsim.init_product(["+", "+"])
+        bits, state = source.measure_z(state, 0)
+        if len(calls) == 1:
+            source.measure_z(state, 1)
+        return bits
+
+    with pytest.raises(ValueError, match="twice"):
+        list(enumerate_branches(pipeline))
 
 
 def _with_last_leaf(enumerate_branches, reweigh):

@@ -78,6 +78,14 @@ class TestLabels:
         assert str(BellLabel.PHI_MINUS) == "Phi-"
         assert str(PauliLabel.IY) == "iY"
 
+    def test_labels_hash_by_identity(self):
+        # Members are singletons, so a label's hash is the C object hash,
+        # and a label built from its bits finds the same dict entry.
+        for label in (*BellLabel, *PauliLabel):
+            assert hash(label) == object.__hash__(label)
+            cells = {((0, 1), label): label}
+            assert cells[((0, 1), type(label).from_bits(*label.value))] is label
+
 
 class TestGates:
     def test_pauli_on_basis_states(self):
