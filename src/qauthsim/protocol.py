@@ -46,14 +46,15 @@ fields alone: a decoy's mismatch is ``measured[i] != prepared[i]``.
 
 Every draw is read off raw 64-bit PCG64 words, as the values numpy's
 Generator would draw from the same words (``random``, ``integers``,
-``permutation``).  A round's come from a :class:`_RowStream`:
-:func:`_row_streams` reads one block of words per row, sized for the
-config by :func:`_draw_plan`, and converts the whole wave's blocks at
-once.  The first row seeds its ``PCG64(key)`` through numpy; the other
-rows' starts come in one pass of :func:`_seed_states`, a restatement of
-numpy's SeedSequence that tier-1 checks against numpy, and each is set on
-that same PCG64 in turn.  A sampled report's run seeds and keys come from
-:func:`_master_chunks`.
+``permutation``).  A round's come from a :class:`_RowStream`, which
+takes them in one order, the 32-bit draws and then the 64-bit draws, and
+refuses any other.  :func:`_row_streams` reads one block of words per
+row, sized for the config by :func:`_draw_plan`, and converts the whole
+wave's blocks at once.  The first row seeds its ``PCG64(key)`` through
+numpy; the other rows' starts come in one pass of :func:`_seed_states`, a
+restatement of numpy's SeedSequence that tier-1 checks against numpy, and
+each is set on that same PCG64 in turn.  A sampled report's run seeds and
+keys come from :func:`_master_chunks`.
 
 All measurement outcomes flow through an outcome source object
 (:class:`SampleSource` here; the oracle module swaps in a scripted source to
@@ -309,9 +310,10 @@ class _RowStream:
     as numpy's Generator reads them: ``draws`` gives random(), (w >> 11) *
     2**-53 of the next word; ``coins`` integers(0, 2), the top bit of the
     next 32-bit half; ``perm`` permutation(n), swapping each Fisher-Yates
-    i with the first half whose masked value is at most i.  A 32-bit draw
-    takes a word's low half and leaves its high half pending for the next
-    one, across any 64-bit draws between.
+    i with the first half whose masked value is at most i.  A round's
+    32-bit draws come first and its 64-bit draws from the word after the
+    last half, the order :func:`_draw_plan` sizes a block for; any other
+    raises ValueError.
 
     ``_halves`` holds the halves of the first words of ``_words`` and
     ``_draws`` the draws of its words from ``_w0`` on; a draw past either
@@ -325,8 +327,8 @@ class _RowStream:
     def __init__(self, key, words=(), halves=(), draws=(), w0=0):
         self.key, self._words, self._w0 = key, np.asarray(words, np.uint64), w0
         self._halves, self._draws = list(halves), list(draws)
-        self._h = 0  # the next half; an odd one is a word's pending high half
-        self._u = None  # the word after the 64-bit draws since the last 32-bit one
+        self._h = 0  # the next half; an odd one is a word's high half
+        self._u = None  # the next 64-bit draw's word, None before the first
 
     def _raw(self, lo: int, hi: int):
         if hi > len(self._words):
@@ -340,20 +342,11 @@ class _RowStream:
         if short > 0:
             self._halves += _halves_of(self._raw(w, w + max((short + 1) // 2, 32)))
 
-    def _next_half(self) -> int:
-        """The next half's index, a pending one moved past the 64-bit draws since."""
-        h, u = self._h, self._u
-        if u is not None:
-            self._u = None
-            self._need_halves(2 * u)
-            if h % 2:
-                self._halves[2 * u - 1] = self._halves[h]
-            h = self._h = 2 * u - h % 2
-        return h
-
     def perm(self, n: int) -> list:
+        if self._u is not None:
+            raise ValueError("a 32-bit draw after a 64-bit one")
         slots = list(range(n))
-        halves, k = self._halves, self._next_half()
+        halves, k = self._halves, self._h
         end = len(halves)
         for i, mask in _shuffle_steps(n):
             j = n
@@ -368,17 +361,18 @@ class _RowStream:
         return slots
 
     def coins(self, n: int) -> list:
-        k = self._next_half()
+        if self._u is not None:
+            raise ValueError("a 32-bit draw after a 64-bit one")
+        k = self._h
         self._need_halves(k + n)
         self._h = k + n
         return [half >> 31 for half in self._halves[k:k + n]]
 
     def draws(self, n: int) -> list:
-        w = (self._h + 1) // 2 if self._u is None else self._u  # past a pending half
-        if w < self._w0:
-            self._draws[:0] = _draws_of(self._raw(w, self._w0))
-            self._w0 = w
+        w = (self._h + 1) // 2 if self._u is None else self._u
         i, end = w - self._w0, self._w0 + len(self._draws)
+        if i < 0:
+            raise ValueError(f"a draw at word {w}, before the block's first draw {self._w0}")
         if w + n > end:
             self._draws += _draws_of(self._raw(end, max(w + n, end + 32)))
         self._u = w + n
@@ -397,7 +391,9 @@ def _draw_plan(strategy, d: int) -> tuple:
     average; the expected number plus 8 are converted.  The draws start at
     the word after the last half, so not before ``least`` halves, and
     number an intercept's 2d + 4, a pre-measurement's 4, S1/S2's 2d and
-    E2's 4.
+    E2's 4.  :class:`_RowStream` checks this order as it draws: a 32-bit
+    draw after a 64-bit one, or a draw before the first word converted to
+    draws, raises ValueError.
     """
     intercept = 2 * d + 4 if strategy is adversary.StrategyId.INTERCEPT_RESEND else 0
     steps = range(1, d + 2) if d else range(0)

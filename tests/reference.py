@@ -13,10 +13,13 @@ print them.  :func:`gather_transcripts` gathers the rows
 and :func:`batch_transcripts` runs a batch that way.
 :func:`enumerate_branches_depth_first` is the oracle's enumeration as a
 one-row depth-first walk on the single-state outcome lists.
-:func:`round_leaves_in_fractions` walks a decoy-free round in exact
-rational arithmetic, with its own sparse states and matrices, for
-:func:`exact_round_in_fractions`, and :func:`decoy_miss_in_fractions`
-measures a decoy with rational density matrices.
+:func:`round_leaves_in_fractions` walks a decoy-free round under any of
+the three strategies in exact rational arithmetic, with its own sparse
+states and matrices, for :func:`exact_round_in_fractions`, and
+:func:`decoy_miss_in_fractions` measures a decoy with rational density
+matrices.  :class:`GeneratorStream` puts numpy's own Generator behind a
+row stream's draw methods, :func:`row_stream` is the program's stream for
+one row, and :func:`fresh_register` is a round's P1 record.
 """
 
 import itertools
@@ -203,7 +206,7 @@ def enumerate_branches_depth_first(pipeline, roots=(None,)):
 
 # Exact arithmetic: every state the protocol reaches before normalising is
 # rational.  |G> = (|0>_c Psi+_ab + |1>_c Phi+_ab)/sqrt(2) has amplitudes
-# 1/2, the key Paulis are real 0/+-1 matrices, and the Z and Bell
+# 1/2, the key Paulis are real 0/+-1 matrices, and the Z, X and Bell
 # projectors have entries 0, +-1/2 and 1.  So an unnormalised branch vector
 # P_k ... P_1 psi is rational, and its squared norm is the branch's exact
 # probability.  States are sparse dicts from six-bit tuples, in the round's
@@ -217,6 +220,10 @@ _FRACTION_PAULI = {
 }
 
 _FRACTION_Z = ((0, ((1, 0), (0, 0))), (1, ((0, 0), (0, 1))))  # (bit, |bit><bit|)
+_FRACTION_X = tuple(  # (bit, (I +- X)/2), |+><+| for bit 0 and |-><-| for bit 1
+    (bit, tuple(tuple(Fraction((-1) ** (bit * (i + j)), 2) for j in (0, 1)) for i in (0, 1)))
+    for bit in (0, 1)
+)
 
 
 def _fraction_bell_projector(phase, parity):
@@ -273,40 +280,66 @@ def _fraction_branches(state, walk):
                 yield (outcome,) + tail, final
 
 
-def round_leaves_in_fractions(premeasure, key, direction):
-    """Every branch of a decoy-free round in exact rational arithmetic, as
-    (early outcomes, outcomes, probability), sharing no kernel code with
-    qsim.
+def _fraction_early_walks(strategy, c_pair, parties):
+    """Each (chance, walk) of what ``strategy`` measures before the key.
 
-    With ``premeasure`` Charlie first measures Z on C1 and C2 and Bell on
-    (A1, A2) and (B1, B2), whose outcomes (c1, c2, a, b) are the early
-    ones; without it they are ().  Then the key Pauli acts on A1 (Alice) or
-    B1 (Bob), and Alice and Bob measure Bell on their pairs and Charlie Z on
-    C1 and C2, the outcomes (a, b, c1, c2).
+    Honest measures nothing.  Under PreMeasure Charlie measures Z on C1 and
+    C2 and Bell on (A1, A2) and (B1, B2).  Under InterceptResend Eve
+    measures A1, A2, B1 and B2 in ``TRANSIT`` order, each in Z or in X with
+    chance 1/2: one walk of chance 1/16 per choice of the four bases, each
+    outcome its (basis coin, bit).
+    """
+    from qauthsim.adversary import StrategyId
+    from qauthsim.protocol import TRANSIT
+
+    if strategy is StrategyId.PRE_MEASURE:
+        return [(1, c_pair + parties)]
+    if strategy is StrategyId.INTERCEPT_RESEND:
+        bases = [tuple(((coin, bit), projector) for bit, projector in _FRACTION_DECOY[coin])
+                 for coin in (0, 1)]
+        return [
+            (Fraction(1, 16), [((q,), bases[coin]) for q, coin in zip(TRANSIT, coins)])
+            for coins in itertools.product((0, 1), repeat=len(TRANSIT))
+        ]
+    return [(1, [])]
+
+
+def round_leaves_in_fractions(strategy, key, direction):
+    """Every branch of a decoy-free round under ``strategy`` in exact
+    rational arithmetic, as (early outcomes, outcomes, probability),
+    sharing no kernel code with qsim.
+
+    The early outcomes are those of :func:`_fraction_early_walks`: () under
+    Honest, Charlie's (c1, c2, a, b) under PreMeasure, and Eve's four
+    (basis coin, bit) under InterceptResend.  Then the key Pauli acts on A1
+    (Alice) or B1 (Bob), and Alice and Bob measure Bell on their pairs and
+    Charlie Z on C1 and C2, the outcomes (a, b, c1, c2).
     """
     bell, c_pair = _fraction_bell(), [((0,), _FRACTION_Z), ((3,), _FRACTION_Z)]
     parties = [((1, 4), bell), ((2, 5), bell)]
     target = {"Alice": 1, "Bob": 2}[direction.value]
-    early = _fraction_branches(_fraction_fresh_state(), c_pair + parties if premeasure else [])
-    for pre, state in early:
-        state = _fraction_apply(_FRACTION_PAULI[str(key)], (target,), state)
-        for outcomes, final in _fraction_branches(state, parties + c_pair):
-            yield pre, outcomes, sum(amp * amp for amp in final.values())
+    for chance, walk in _fraction_early_walks(strategy, c_pair, parties):
+        for pre, state in _fraction_branches(_fraction_fresh_state(), walk):
+            state = _fraction_apply(_FRACTION_PAULI[str(key)], (target,), state)
+            for outcomes, final in _fraction_branches(state, parties + c_pair):
+                yield pre, outcomes, chance * sum(amp * amp for amp in final.values())
 
 
-def exact_round_in_fractions(premeasure, key, direction):
-    """A decoy-free round's 64-cell transcript map ((c1, c2), a, b) in
-    exact rational arithmetic, from :func:`round_leaves_in_fractions`:
-    under ``premeasure`` Charlie announces his early c.
+def exact_round_in_fractions(strategy, key, direction):
+    """A decoy-free round's 64-cell transcript map ((c1, c2), a, b) under
+    ``strategy`` in exact rational arithmetic, from
+    :func:`round_leaves_in_fractions`: under PreMeasure Charlie announces
+    his early c.
     """
+    from qauthsim.adversary import StrategyId
     from qauthsim.qsim import BellLabel
 
     cells = {
         ((c1, c2), a, b): Fraction(0)
         for c1 in (0, 1) for c2 in (0, 1) for a in BellLabel for b in BellLabel
     }
-    for pre, (a, b, c1, c2), p in round_leaves_in_fractions(premeasure, key, direction):
-        c = pre[:2] if premeasure else (c1, c2)
+    for pre, (a, b, c1, c2), p in round_leaves_in_fractions(strategy, key, direction):
+        c = pre[:2] if strategy is StrategyId.PRE_MEASURE else (c1, c2)
         cells[c, a, b] += p
     return cells
 
@@ -314,13 +347,7 @@ def exact_round_in_fractions(premeasure, key, direction):
 # A decoy's eigenstate projectors by basis coin (0 Z, 1 X), each (bit,
 # |bit><bit|): a decoy of label 2 * coin + bit is the density matrix of its
 # projector, and one-qubit Z and X measurements keep every entry rational.
-_FRACTION_DECOY = (
-    _FRACTION_Z,
-    tuple(
-        (bit, tuple(tuple(Fraction((-1) ** (bit * (i + j)), 2) for j in (0, 1)) for i in (0, 1)))
-        for bit in (0, 1)
-    ),
-)
+_FRACTION_DECOY = (_FRACTION_Z, _FRACTION_X)
 
 
 def _fraction_product(a, b):
@@ -395,18 +422,45 @@ def decoy_error_rate(records):
 
 class GeneratorStream:
     """A numpy Generator behind the draw methods the phases call on a row
-    stream: ``coins`` is ``integers(0, 2, size=n)`` and ``draws`` is
-    ``random(size=n)``, drawn by numpy itself rather than read off raw words
-    as the program does."""
+    stream: ``perm`` is ``permutation(n)``, ``coins`` is ``integers(0, 2,
+    size=n)`` and ``draws`` is ``random(size=n)``, drawn by numpy itself
+    rather than read off raw words as the program does.  Unlike the
+    program's stream it draws in any order: a 32-bit draw after a 64-bit
+    one takes the half the last 32-bit draw left pending."""
 
     def __init__(self, rng):
         self.rng = rng
+
+    def perm(self, n):
+        return self.rng.permutation(n).tolist()
 
     def coins(self, n):
         return self.rng.integers(0, 2, size=n).tolist()
 
     def draws(self, n):
         return self.rng.random(size=n).tolist()
+
+
+# A decoy is stored as its eigenstate label 2 * basis coin + bit (Z 0, X 1).
+DECOY_KETS = ("0", "1", "+", "-")
+
+
+def row_stream(key):
+    """The program's stream for one row on PCG64(key): it draws what
+    ``np.random.default_rng(key)`` draws, in a round's order, its 32-bit
+    draws (``perm``, ``coins``) before its 64-bit ones (``draws``)."""
+    from qauthsim.protocol import _RowStream
+
+    return _RowStream(key)
+
+
+def fresh_register(decoys=0, seed=0):
+    """P1's record of one round with ``decoys`` per sequence, drawn from
+    ``row_stream(seed)``; with no decoys P1 draws nothing."""
+    from qauthsim.protocol import ProtocolConfig, p1_prepare
+
+    config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
+    return p1_prepare(config, row_stream(seed) if decoys else None)
 
 
 def prepare_one_round(config, rng):

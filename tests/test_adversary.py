@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import DECOY_KETS, fresh_register, row_stream
 
 from qauthsim import oracle, qsim
 from qauthsim.adversary import (
@@ -33,29 +34,12 @@ from qauthsim.protocol import (
     Role,
     SampleSource,
     Wave,
-    _RowStream,
     _measure_in_bases,
     _measure_parties,
     p1_prepare,
     s_check,
 )
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
-
-
-# A decoy is stored as its eigenstate label 2 * basis coin + bit (Z 0, X 1).
-DECOY_KETS = ("0", "1", "+", "-")
-
-
-def row_stream(seed):
-    """The program's stream for one row on PCG64(seed): it draws what
-    ``np.random.default_rng(seed)`` draws."""
-    return _RowStream(seed)
-
-
-def fresh_register(decoys=0, seed=0):
-    config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
-    rng = row_stream(seed) if decoys else None
-    return p1_prepare(config, rng)
 
 
 def test_strategy_ids():
@@ -111,8 +95,8 @@ def test_premeasure_order_invariant_support():
 
 
 def test_premeasure_never_touches_decoys():
-    rng = row_stream(3)
-    for _ in range(25):
+    for i in range(25):
+        rng = row_stream((3, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
         before = list(register.labels)
         hook_premeasure(Wave([register]), SampleSource([rng]))
@@ -195,10 +179,10 @@ def test_intercept_resend_single_decoy_mismatch_is_one_quarter(basis, bit):
 
 
 def test_intercept_resend_touches_decoys():
-    rng = row_stream(6)
     changed = 0
     total = 0
-    for _ in range(50):
+    for i in range(50):
+        rng = row_stream((6, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
         before = list(register.labels)
         hook_intercept_resend(Wave([register]), SampleSource([rng]))
@@ -211,10 +195,10 @@ def test_intercept_resend_touches_decoys():
 
 
 def test_intercept_resend_empirical_mismatch_rate():
-    rng = row_stream(7)
     mismatches = 0
     checked = 0
-    for _ in range(2000):
+    for i in range(2000):
+        rng = row_stream((7, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
         hook_intercept_resend(Wave([register]), SampleSource([rng]))
         for coin, label, prepared in zip(register.coins, register.labels, register.prepared):
@@ -231,9 +215,9 @@ def test_intercept_resend_empirical_mismatch_rate():
 def test_intercepted_decoys_are_checked_from_the_labels_eve_left():
     # Eve measures the decoys in the row's lists, changing only their
     # labels; S1/S2 then read each one's outcome from the label she left.
-    rng = row_stream(8)
     disturbed = 0
-    for _ in range(50):
+    for i in range(50):
+        rng = row_stream((8, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
         sent = copy.deepcopy(register)
         hook_intercept_resend(Wave([register]), SampleSource([rng]))

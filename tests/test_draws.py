@@ -8,9 +8,16 @@ numpy 2.4.6's ``Generator``: ``default_rng((seed, i))`` drawing in the order
 a round draws (P1's ``permutation`` and ``integers(0, 2)`` coins, an
 intercept's ``integers(0, 2)`` coins and ``random`` draws, a
 pre-measurement's four ``random()``, S1/S2's ``random(size=2d)``, E2's four
-``random()``), then P1 once more, so the half a 32-bit draw leaves pending
-is carried across the 64-bit draws; and ``default_rng(seed)`` drawing
-``integers(0, 2**63)`` and ``integers(0, 4, size=rounds)`` per run.
+``random()``), then P1 once more, whose 32-bit draws take the half the first
+P1 left pending; and ``default_rng(seed)`` drawing ``integers(0, 2**63)`` and
+``integers(0, 4, size=rounds)`` per run.
+
+The row digests pin numpy's own lines, drawn through
+``reference.GeneratorStream`` from whichever numpy runs the tests.  A
+program stream draws in one order only, a round's 32-bit draws and then its
+64-bit draws, so its lines are checked against numpy's line for line
+without the second P1, which it refuses with ValueError; so does a draw
+before the first word its block converted to draws.
 """
 
 import hashlib
@@ -19,6 +26,8 @@ import threading
 
 import numpy as np
 import pytest
+
+import reference
 
 from qauthsim import protocol
 from qauthsim.adversary import StrategyId
@@ -32,10 +41,10 @@ def _hexes(draws) -> str:
     return ",".join(float(u).hex() for u in draws)
 
 
-def row_lines(make_stream, strategy, decoys, pairs=PAIRS) -> list:
+def row_lines(make_stream, strategy, decoys, pairs=PAIRS, again=True) -> list:
     """One line per (seed, round) pair: every draw a round makes under
     ``strategy`` with ``decoys`` per sequence, in its order, from the
-    stream ``make_stream(pair)``, then a second P1."""
+    stream ``make_stream(pair)``, then with ``again`` a second P1."""
     config = ProtocolConfig(decoys_per_sequence=decoys)
     lines = []
     for pair in pairs:
@@ -49,10 +58,16 @@ def row_lines(make_stream, strategy, decoys, pairs=PAIRS) -> list:
             parts.append(f"premeasure {_hexes(stream.draws(1)[0] for _ in range(4))}")
         parts.append(f"s_check {_hexes(stream.draws(2 * decoys))}")
         parts.append(f"e2 {_hexes(stream.draws(1)[0] for _ in range(4))}")
-        again = p1_prepare(config, stream)
-        parts.append(f"again {again.positions} {again.coins} {again.prepared}")
+        if again:
+            second = p1_prepare(config, stream)
+            parts.append(f"again {second.positions} {second.coins} {second.prepared}")
         lines.append(" ".join(parts))
     return lines
+
+
+def numpy_stream(pair):
+    """numpy's own Generator for ``pair``, behind the row stream's methods."""
+    return reference.GeneratorStream(np.random.default_rng(pair))
 
 
 def master_lines(seed, rounds, runs=130) -> list:
@@ -134,18 +149,12 @@ def tiny_block(pair):
     return protocol._row_streams([pair], (1, 0, 2))[0]
 
 
-def late_block(pair):
-    """A block whose first converted draw is word 8, with no halves: a
-    round's halves and first draws are converted from words before it."""
-    return protocol._row_streams([pair], (0, 8, 12))[0]
-
-
 def no_block(pair):
     """No block at all: every draw reads on from a fresh ``PCG64(pair)``."""
     return protocol._RowStream(pair)
 
 
-STREAMS = ["planned", "mid_wave", "tiny_block", "late_block", "no_block"]
+STREAMS = ["planned", "mid_wave", "tiny_block", "no_block"]
 
 
 def factory(stream, strategy, decoys):
@@ -153,19 +162,74 @@ def factory(stream, strategy, decoys):
     return make(strategy, decoys) if stream in ("planned", "mid_wave") else make
 
 
+def check_against_numpy(make_stream, strategy, decoys, pairs=PAIRS):
+    """The program's lines from ``make_stream`` are numpy's without the
+    second P1, and each of its streams then refuses that P1 (at d = 0 P1
+    draws nothing, so there is nothing to refuse)."""
+    streams = []
+
+    def kept(pair):
+        streams.append(make_stream(pair))
+        return streams[-1]
+
+    expected = row_lines(numpy_stream, strategy, decoys, pairs, again=False)
+    assert row_lines(kept, strategy, decoys, pairs, again=False) == expected
+    config = ProtocolConfig(decoys_per_sequence=decoys)
+    for stream in streams:
+        if decoys:
+            with pytest.raises(ValueError, match="32-bit draw after a 64-bit one"):
+                p1_prepare(config, stream)
+
+
+@pytest.mark.parametrize("case", list(ROW_DIGESTS), ids=lambda c: f"{c[0].value}-{c[1]}")
+def test_numpy_row_lines_give_the_recorded_digests(case):
+    assert _sha(row_lines(numpy_stream, *case)) == ROW_DIGESTS[case]
+
+
+def test_numpy_row_lines_past_any_block_give_the_recorded_digest():
+    lines = row_lines(numpy_stream, StrategyId.INTERCEPT_RESEND, 1100, LARGE_PAIRS)
+    assert _sha(lines) == LARGE_DIGEST
+
+
 @pytest.mark.parametrize("case", list(ROW_DIGESTS), ids=lambda c: f"{c[0].value}-{c[1]}")
 @pytest.mark.parametrize("stream", STREAMS)
 def test_row_draws_match_numpy(case, stream):
     strategy, decoys = case
-    make = factory(stream, strategy, decoys)
-    assert _sha(row_lines(make, strategy, decoys)) == ROW_DIGESTS[case]
+    check_against_numpy(factory(stream, strategy, decoys), strategy, decoys)
 
 
 @pytest.mark.parametrize("stream", STREAMS)
 def test_draws_past_the_block_read_on_from_the_same_stream(stream):
     strategy = StrategyId.INTERCEPT_RESEND
-    make = factory(stream, strategy, 1100)
-    assert _sha(row_lines(make, strategy, 1100, LARGE_PAIRS)) == LARGE_DIGEST
+    check_against_numpy(factory(stream, strategy, 1100), strategy, 1100, LARGE_PAIRS)
+
+
+def test_a_draw_before_the_blocks_first_draw_is_refused():
+    # A block whose first converted draw is word 8: on these keys P1 at one
+    # decoy per sequence takes 8 to 10 halves, so the round's first draw is
+    # word 4 or 5, which the block never converted.
+    config = ProtocolConfig(decoys_per_sequence=1)
+    for pair in PAIRS:
+        stream = protocol._row_streams([pair], (0, 8, 12))[0]
+        p1_prepare(config, stream)
+        with pytest.raises(ValueError, match="before the block's first draw"):
+            stream.draws(1)
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("draw", ["coins", "perm"])
+def test_a_32_bit_draw_after_a_64_bit_one_is_refused(stream, draw):
+    # A round's draws up to its intercept's first random() draw, then one
+    # more 32-bit draw.  The planned block holds halves past the ones the
+    # round took, so the refusal does not rest on a conversion past it.
+    make = factory(stream, StrategyId.INTERCEPT_RESEND, 1)
+    for pair in PAIRS:
+        row = make(pair)
+        p1_prepare(ProtocolConfig(decoys_per_sequence=1), row)
+        row.coins(6)
+        row.draws(1)
+        with pytest.raises(ValueError, match="32-bit draw after a 64-bit one"):
+            getattr(row, draw)(3)
 
 
 # Seeds and rounds at each entropy-word boundary: one word, the largest

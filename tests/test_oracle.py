@@ -21,7 +21,7 @@ from qauthsim.oracle import (
     tv_distance,
     wilson_interval,
 )
-from qauthsim.protocol import ProtocolConfig, Role, run_protocol
+from qauthsim.protocol import Decision, ProtocolConfig, Role, e3_verify, run_protocol
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 
@@ -319,8 +319,8 @@ def test_exact_maps_are_the_exact_arithmetic_maps():
             for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE)
         }
         for key in PauliLabel:
-            honest = reference.exact_round_in_fractions(False, key, direction)
-            attacked = reference.exact_round_in_fractions(True, key, direction)
+            honest = reference.exact_round_in_fractions(StrategyId.HONEST, key, direction)
+            attacked = reference.exact_round_in_fractions(StrategyId.PRE_MEASURE, key, direction)
             assert attacked == honest
             assert sum(honest.values()) == 1
             assert sum(1 for p in honest.values() if p) == 16
@@ -344,7 +344,7 @@ def test_the_papers_numbers_are_exact_fractions():
     for direction in (Role.ALICE, Role.BOB):
         for key in PauliLabel:
             recovered = Fraction(0)
-            leaves = reference.round_leaves_in_fractions(True, key, direction)
+            leaves = reference.round_leaves_in_fractions(StrategyId.PRE_MEASURE, key, direction)
             for (c1, c2, m_pre, b_pre), (a, b, _, _), p in leaves:
                 announced = a if direction is Role.ALICE else b
                 if infer_key(EveState((c1, c2), m_pre, b_pre), announced, direction) is key:
@@ -356,6 +356,25 @@ def test_the_papers_numbers_are_exact_fractions():
     assert caught == Fraction(7, 16)
     p = protocol.abort_probability(StrategyId.INTERCEPT_RESEND, 1, 0.0)
     assert abs(p - float(caught)) <= 1e-15
+
+
+def test_intercept_resend_numbers_are_exact_fractions():
+    # In the exact arithmetic of tests/reference.py, Eve measures A1, A2,
+    # B1 and B2 before the key, each in Z or X with chance 1/2.  A
+    # decoy-free round then accepts with probability exactly 9/32, and its
+    # transcript map has mass exactly 1 on all 64 cells, exactly 23/32 from
+    # Honest's in total variation.  Every key in both directions gives the
+    # same numbers; one key and direction keeps the test near a second.
+    key, direction = PauliLabel.X, Role.BOB
+    honest = reference.exact_round_in_fractions(StrategyId.HONEST, key, direction)
+    attacked = reference.exact_round_in_fractions(StrategyId.INTERCEPT_RESEND, key, direction)
+    assert sum(attacked.values()) == 1
+    assert sum(1 for p in attacked.values() if p) == 64
+    assert sum(abs(attacked[cell] - honest[cell]) for cell in honest) / 2 == Fraction(23, 32)
+    accepted = sum(
+        p for (c, a, b), p in attacked.items() if e3_verify(a, b, c, key) is Decision.ACCEPT
+    )
+    assert accepted == Fraction(9, 32)
 
 
 def test_exact_distribution_rejects_sampled_only_strategy():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import DECOY_KETS, fresh_register, row_stream
 
 from qauthsim import oracle, protocol, qsim
 from qauthsim.adversary import EveState, StrategyId
@@ -31,7 +32,6 @@ from qauthsim.protocol import (
     RoundRecord,
     SampleSource,
     Wave,
-    _RowStream,
     _measure_decoys,
     e1_encode,
     e2_measure,
@@ -42,22 +42,6 @@ from qauthsim.protocol import (
     s_check,
 )
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
-
-
-# A decoy is stored as its eigenstate label 2 * basis coin + bit (Z 0, X 1).
-DECOY_KETS = ("0", "1", "+", "-")
-
-
-def row_stream(seed):
-    """The program's stream for one row on PCG64(seed): it draws what
-    ``np.random.default_rng(seed)`` draws."""
-    return _RowStream(seed)
-
-
-def fresh_register(decoys=0, seed=0):
-    config = ProtocolConfig(rounds=1, decoys_per_sequence=decoys, seed=seed)
-    rng = row_stream(seed) if decoys else None
-    return p1_prepare(config, rng)
 
 
 def sequences(register):
@@ -358,7 +342,7 @@ def test_s_check_flags_tampered_decoys():
 
 
 def test_s_check_threshold_tolerates_partial_errors():
-    rng = row_stream(5)
+    rng = row_stream((5, 0))
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
     register.labels[0] ^= 1  # Alice's first decoy
     assert s_check(register, rng.draws(8), 0.25) is None
@@ -369,6 +353,7 @@ def test_s_check_threshold_tolerates_partial_errors():
     assert s_check(register, rng.draws(8), below) is PhaseId.S1
     assert mismatches(register, slice(0, 4)) == 1
     # The same flip in Bob's sequence fails S2, after S1 passes.
+    rng = row_stream((5, 1))
     register = p1_prepare(ProtocolConfig(decoys_per_sequence=4), rng)
     register.labels[4] ^= 1
     assert s_check(register, rng.draws(8), below) is PhaseId.S2
