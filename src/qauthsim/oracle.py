@@ -11,10 +11,11 @@ included, on a :class:`qauthsim.protocol.Wave` with one row per branch:
 follows each row's scripted choices instead of drawing randomness, and
 :func:`enumerate_branches` runs a pipeline in passes.  A pass hands the
 pipeline a source with one row per script, so each of its measurements is
-one kernel call over every row.  The next pass scripts each unexplored
-sibling of the rows' paths with every tail below it that the row's own
-fanouts predict, so a tree whose sibling subtrees branch alike, as a
-protocol round's do, takes two passes.  A pipeline takes that source and
+one kernel call over every row, and its selection a few array steps over
+the kernel's (rows, outcomes) probabilities.  The next pass scripts each
+unexplored sibling of the rows' paths with every tail below it that the
+row's own fanouts predict, so a tree whose sibling subtrees branch alike,
+as a protocol round's do, takes two passes.  A pipeline takes that source and
 returns one result per row; a 1-D state it hands the source stands for
 every row.  It is the package's only enumerator:
 :func:`outcome_distribution` (a measurement plan on a bare state) and
@@ -34,6 +35,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+
+import numpy as np
 
 from . import protocol, qsim
 from .adversary import StrategyId
@@ -67,32 +70,52 @@ class BranchSource:
     enumeration needs to find the row's unexplored siblings.  ``roots[r]``
     is the root the row's branch grows from, which
     :func:`enumerate_branches` sets (None on a bare source).
+
+    A measurement selects in array steps over the kernel's (rows, outcomes)
+    probabilities, with the scripts held as one zero-padded array.  The four
+    per-row lists are filled in place once per pass, by :meth:`finish`, so
+    a list read at ``__init__`` sees them.
     """
 
     def __init__(self, scripts):
         self.scripts = scripts
-        self.roots = [None] * len(scripts)
-        self.taken = [()] * len(scripts)
-        self.fanouts = [()] * len(scripts)
-        self.probability = [1.0] * len(scripts)
-        self.branch = [True] * len(scripts)
+        rows, width = len(scripts), max(map(len, scripts), default=0)
+        columns = list(itertools.zip_longest(*scripts, fillvalue=0))  # one per depth
+        self._scripts = np.array(columns, dtype=np.intp).reshape(width, rows).T
+        self._indexes, self._counts = [], []
+        self._probability, self._branch = np.ones(rows), np.ones(rows, dtype=bool)
+        self.roots = [None] * rows
+        self.taken = [()] * rows
+        self.fanouts = [()] * rows
+        self.probability = [1.0] * rows
+        self.branch = [True] * rows
 
-    def _select(self, probs) -> list:
-        """Each row's scripted live outcome, given the rows' probabilities."""
-        depth = len(self.taken[0])  # every row is measured alike
-        lives = [[i for i, p in enumerate(row) if p > qsim.ZERO_PROB] for row in probs]
-        indexes = [script[depth] if depth < len(script) else 0 for script in self.scripts]
-        try:
-            picks = [live[index] for live, index in zip(lives, indexes)]
-        except IndexError:  # a script named an option its row does not have
-            for r, (live, index) in enumerate(zip(lives, indexes)):
-                if index >= len(live):
-                    self.branch[r], indexes[r] = False, 0
-            picks = [live[index] for live, index in zip(lives, indexes)]
-        self.taken[:] = [path + (index,) for path, index in zip(self.taken, indexes)]
-        self.fanouts[:] = [row + (len(live),) for row, live in zip(self.fanouts, lives)]
-        self.probability[:] = [p * row[i] for p, row, i in zip(self.probability, probs, picks)]
+    def _select(self, probs: np.ndarray) -> np.ndarray:
+        """Each row's scripted live outcome, given the rows' (rows, outcomes)
+        probabilities."""
+        depth = len(self._indexes)  # every row is measured alike
+        ranks = (probs > qsim.ZERO_PROB).cumsum(axis=1)  # a live option's rank, from 1
+        counts = ranks[:, -1]
+        padded = depth < self._scripts.shape[1]
+        index = self._scripts[:, depth] if padded else np.zeros_like(counts)
+        over = index >= counts  # a script named an option its row does not have
+        if over.any():
+            self._branch &= ~over
+            index = np.where(over, 0, index)
+        picks = (ranks > index[:, None]).argmax(axis=1)
+        self._indexes.append(index)
+        self._counts.append(counts)
+        self._probability = self._probability * probs[np.arange(len(probs)), picks]
         return picks
+
+    def finish(self) -> None:
+        """Fill ``taken``, ``fanouts``, ``probability`` and ``branch`` with
+        each row's path, live counts, probability and flag, in place."""
+        for paths, columns in ((self.taken, self._indexes), (self.fanouts, self._counts)):
+            if columns:
+                paths[:] = zip(*map(np.ndarray.tolist, columns))
+        self.probability[:] = self._probability.tolist()
+        self.branch[:] = self._branch.tolist()
 
     def _measure(self, measure, state, *qubits):
         if state.amps.ndim == 1:  # a 1-D state stands for every row
@@ -136,6 +159,7 @@ def enumerate_branches(pipeline, roots=(None,)):
         source = BranchSource([script for _, script, _ in rows])
         source.roots = [roots[r] for r, _, _ in rows]
         results = pipeline(source)
+        source.finish()
         if len(results) != len(rows):
             raise ValueError(f"a pipeline returned {len(results)} results for {len(rows)} rows")
         scripts = []

@@ -18,10 +18,11 @@ functions take a list of uniform draws from ``[0, 1)``, one per row (a 1-D
 state is one row), and return ``(outcomes, post-state)`` with one outcome
 per row in a list, the shape of the outcome-source interface the protocol
 module uses.  A batch may take a selector in place of the draws, a
-callable that picks each row's outcome from the rows' probabilities: the
-oracle's scripted branches are selected that way, a pass of rows per
-call.  The ``*_outcomes`` functions list every outcome of a single state
-as ``(outcome, probability, post-state)``.  All go through one kernel per
+callable that picks each row's outcome from the rows' probabilities, one
+(B, k) float64 array, and must pick one live outcome per row: the oracle's
+scripted branches are selected that way, a pass of rows per call.  The
+``*_outcomes`` functions list every outcome of a single state as
+``(outcome, probability, post-state)``.  All go through one kernel per
 basis, written over the optional batch axis, so the exhaustive and the
 sampled results cannot drift apart, and a row of a batch gets the outcome
 its state would get measured alone.  Measurements never rotate the state:
@@ -268,16 +269,12 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
 
 def _check_measured_mass(masses) -> None:
     """Refuse a measurement when a row's measured mass (sum of |amps|^2) is
-    not 1, or not finite; ``masses`` is one float, or a list of one per
-    row."""
+    not 1, or not finite; ``masses`` is one float, or an array of one per
+    row, whose max carries any NaN."""
     if isinstance(masses, float):
         worst = abs(masses - 1.0)
     else:
-        worst = max(max(masses) - 1.0, 1.0 - min(masses))
-        # max and min may skip a NaN that is not first; the sum carries it.
-        total = sum(masses)
-        if not math.isfinite(total):
-            worst = abs(total)
+        worst = float(np.abs(masses - 1.0).max())
     if not worst <= MEASURE_NORM_TOL:
         raise ValueError(
             f"state norm deviates from 1 by {worst:.3e}; "
@@ -296,14 +293,14 @@ def _require_pair(state: StateVector, q1: int, q2: int) -> None:
 # and the exhaustive ``*_outcomes`` functions.  A kernel takes a flat
 # amplitude array with an optional leading batch axis, checks the measured
 # mass and returns the outcome probabilities (a tuple in outcome order, or
-# for a batch a list of one such tuple per row) together with
-# ``project(i, root)``: the amplitudes projected onto outcome ``i`` and
-# divided by ``root``, the square root of the outcome's probability.  For a
-# batch, ``i`` is a (B,) array of per-row outcomes and ``root`` a (B, 1)
-# column.  No kernel rotates the state: each applies its projectors to the
+# for a batch a (B, k) float64 array, one row of k outcomes per state)
+# together with ``project(i, root)``: the amplitudes projected onto outcome
+# ``i`` and divided by ``root``, the square root of the outcome's
+# probability.  For a batch, ``i`` is a (B,) array of per-row outcomes and
+# ``root`` a (B, 1) column.  No kernel rotates the state: each applies its projectors to the
 # flat amplitudes directly.
 #
-# The reductions below return one value for a 1-D array and a list of one
+# The reductions below return one value for a 1-D array and an array of one
 # per row for a batch.  A 1-D array takes numpy's vector product; a batch
 # takes a stacked matmul, which computes every row with that same product,
 # so a row's bits, and so its outcome, do not depend on the batch it is in.
@@ -314,21 +311,22 @@ _BELL_ORDER = tuple(BellLabel)
 
 def _sums(values: np.ndarray):
     """The sum of ``values`` (of each row)."""
-    return float(values.sum()) if values.ndim == 1 else values.sum(axis=1).tolist()
+    return float(values.sum()) if values.ndim == 1 else values.sum(axis=1)
 
 
 def _dots(values: np.ndarray, weights: np.ndarray):
     """The dot product of ``values`` (of each row) with the 1-D ``weights``."""
     if values.ndim == 1:
         return float(values @ weights)
-    return np.matmul(values[:, None, :], weights[:, None])[:, 0, 0].tolist()
+    return np.matmul(values[:, None, :], weights[:, None])[:, 0, 0]
 
 
-def _masked_sums(masks: np.ndarray, values: np.ndarray) -> list:
-    """The sums of ``values`` (of each row) over every mask row, as a list."""
+def _masked_sums(masks: np.ndarray, values: np.ndarray):
+    """The sums of ``values`` (of each row) over every mask row: a list for
+    a 1-D array, a (B, masks) array for a batch."""
     if values.ndim == 1:
         return (masks @ values).tolist()
-    return np.matmul(masks, values[:, :, None])[:, :, 0].tolist()
+    return np.matmul(masks, values[:, :, None])[:, :, 0]
 
 
 def _overlaps(bras: np.ndarray, kets: np.ndarray):
@@ -343,7 +341,7 @@ def _overlaps(bras: np.ndarray, kets: np.ndarray):
     """
     if bras.ndim == 1:
         return float(np.vdot(bras, kets).real)
-    return np.matmul(bras.conj()[:, None, :], kets[:, :, None])[:, 0, 0].real.tolist()
+    return np.matmul(bras.conj()[:, None, :], kets[:, :, None])[:, 0, 0].real
 
 
 def _flip(amps: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -366,10 +364,6 @@ def _plus_or_minus(amps: np.ndarray, flipped: np.ndarray, minus) -> np.ndarray:
     return amps + flipped * _SIGNS[minus]
 
 
-def _z_probs(total: float, p1: float) -> tuple:
-    return total - p1, p1
-
-
 def _z_kernel(amps: np.ndarray, n: int, q: int):
     """Projectors |b><b| on qubit ``q``."""
     masks = _masks(n, q)
@@ -381,12 +375,9 @@ def _z_kernel(amps: np.ndarray, n: int, q: int):
     def project(bit, root):
         return amps * (masks[bit] / root)
 
-    probs = list(map(_z_probs, totals, ones)) if amps.ndim == 2 else _z_probs(totals, ones)
-    return probs, project
-
-
-def _x_probs(norm2: float, cross: float) -> tuple:
-    return 0.5 * (norm2 + cross), 0.5 * (norm2 - cross)
+    if amps.ndim == 2:
+        return np.column_stack([totals - ones, ones]), project
+    return (totals - ones, ones), project
 
 
 def _x_kernel(amps: np.ndarray, n: int, q: int):
@@ -402,13 +393,9 @@ def _x_kernel(amps: np.ndarray, n: int, q: int):
     def project(bit, root):
         return _plus_or_minus(amps, flipped, bit) * (0.5 / root)
 
-    probs = list(map(_x_probs, norm2, cross)) if amps.ndim == 2 else _x_probs(norm2, cross)
-    return probs, project
-
-
-def _bell_probs(weights: list, cross: list) -> tuple:
-    (w0, w1), (c0, c1) = weights, cross
-    return 0.5 * (w0 + c0), 0.5 * (w1 + c1), 0.5 * (w0 - c0), 0.5 * (w1 - c1)
+    if amps.ndim == 2:
+        return np.column_stack([0.5 * (norm2 + cross), 0.5 * (norm2 - cross)]), project
+    return (0.5 * (norm2 + cross), 0.5 * (norm2 - cross)), project
 
 
 def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
@@ -430,8 +417,9 @@ def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
         return _plus_or_minus(amps, flipped, i >> 1) * (masks[i & 1] * (0.5 / root))
 
     if amps.ndim == 2:
-        return list(map(_bell_probs, weights, cross)), project
-    return _bell_probs(weights, cross), project
+        return np.concatenate([0.5 * (weights + cross), 0.5 * (weights - cross)], axis=1), project
+    (w0, w1), (c0, c1) = weights, cross
+    return (0.5 * (w0 + c0), 0.5 * (w1 + c1), 0.5 * (w0 - c0), 0.5 * (w1 - c1)), project
 
 
 def _pick(probs, randomness: float) -> int:
@@ -506,9 +494,10 @@ def _measure(state: StateVector, kernel, outcomes, qubits, randomness):
 
     ``randomness`` is a list of one draw per row (a 1-D state is one row),
     each selecting its row's outcome by :func:`_pick`; or, for a batch, a
-    selector: a callable that takes the rows' probability tuples and returns
-    one outcome index per row.  The outcomes come back as a list in row
-    order.
+    selector: a callable that takes the rows' (B, k) probability array and
+    returns one outcome index per row, as a list or an integer array.  A
+    pick that is not one live outcome per row is a ValueError.  The
+    outcomes come back as a list in row order.
     """
     n = state.n_qubits
     rows = len(state.amps) if state.amps.ndim == 2 else 1
@@ -519,10 +508,23 @@ def _measure(state: StateVector, kernel, outcomes, qubits, randomness):
     if state.amps.ndim == 1:
         i = _pick(probs, randomness[0])
         return [outcomes[i]], StateVector(n, project(i, math.sqrt(probs[i])))
-    picks = randomness(probs) if select else list(map(_pick, probs, randomness))
-    roots = np.sqrt([[row[i]] for row, i in zip(probs, picks)])
-    post = StateVector(n, project(np.array(picks), roots))
-    return [outcomes[i] for i in picks], post
+    picks = np.asarray(
+        randomness(probs) if select else list(map(_pick, probs.tolist(), randomness))
+    )
+    # _pick selects a live outcome of its row; a selector's picks are checked.
+    if select and (
+        picks.shape != (rows,)
+        or picks.dtype.kind not in "iu"
+        or not 0 <= picks.min() <= picks.max() < probs.shape[1]
+    ):
+        raise ValueError(
+            f"a batch of {rows} row(s) takes one outcome index per row, got {picks!r}"
+        )
+    chosen = probs[np.arange(rows), picks]
+    if select and not chosen.min() > ZERO_PROB:
+        raise ValueError(f"a pick selects an outcome of probability at most {ZERO_PROB}")
+    post = StateVector(n, project(picks, np.sqrt(chosen)[:, None]))
+    return [outcomes[i] for i in picks.tolist()], post
 
 
 def measure_z(state: StateVector, q: int, randomness):

@@ -12,7 +12,9 @@ print them.  :func:`gather_transcripts` gathers the rows
 :func:`qauthsim.protocol.run_batch` yields into one Transcript per run,
 and :func:`batch_transcripts` runs a batch that way.
 :func:`enumerate_branches_depth_first` is the oracle's enumeration as a
-one-row depth-first walk on the single-state outcome lists.
+one-row depth-first walk on the single-state outcome lists, and
+:class:`ListSelect` is its per-measurement selection rule row by row, on
+Python lists.
 :func:`round_leaves_in_fractions` walks a decoy-free round under any of
 the three strategies in exact rational arithmetic, with its own sparse
 states and matrices, for :func:`exact_round_in_fractions`, and
@@ -177,6 +179,42 @@ class ScriptedOneRowSource:
 
     def measure_bell(self, state, q1, q2):
         return self._choose("bell_outcomes", state, q1, q2)
+
+
+class ListSelect:
+    """The selection rule of :class:`qauthsim.oracle.BranchSource`, row by
+    row on Python lists.
+
+    ``select`` takes the rows' probabilities as a list of one list per row
+    and returns each row's pick: row ``r`` takes live option
+    ``scripts[r][depth]`` (option 0 past its script's end), an option being
+    live above ``ZERO_PROB``; a script that names an option its row does
+    not have sets ``branch[r]`` False and takes option 0.  ``taken`` and
+    ``fanouts`` grow by one entry per row, and ``probability`` is the
+    running product, all updated at every call.
+    """
+
+    def __init__(self, scripts):
+        self.scripts = scripts
+        self.taken = [()] * len(scripts)
+        self.fanouts = [()] * len(scripts)
+        self.probability = [1.0] * len(scripts)
+        self.branch = [True] * len(scripts)
+
+    def select(self, probs) -> list:
+        from qauthsim import qsim
+
+        depth = len(self.taken[0])
+        lives = [[i for i, p in enumerate(row) if p > qsim.ZERO_PROB] for row in probs]
+        indexes = [script[depth] if depth < len(script) else 0 for script in self.scripts]
+        for r, (live, index) in enumerate(zip(lives, indexes)):
+            if index >= len(live):
+                self.branch[r], indexes[r] = False, 0
+        picks = [live[index] for live, index in zip(lives, indexes)]
+        self.taken = [path + (index,) for path, index in zip(self.taken, indexes)]
+        self.fanouts = [row + (len(live),) for row, live in zip(self.fanouts, lives)]
+        self.probability = [p * row[i] for p, row, i in zip(self.probability, probs, picks)]
+        return picks
 
 
 def enumerate_branches_depth_first(pipeline, roots=(None,)):

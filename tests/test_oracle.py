@@ -143,10 +143,44 @@ def test_branch_source_records_its_path():
     source = BranchSource([[1, 0]])
     [result] = pipeline(source)
     assert result == (1, 0)
+    assert source.taken == [()]  # the lists are filled once per pass
+    source.finish()
     [taken] = source.taken
     assert list(taken) == [1, 0]
     assert list(source.fanouts[0]) == [2, 2]
     assert source.probability == [pytest.approx(0.25)]
+
+
+def test_array_selection_matches_the_per_row_rule_bitwise():
+    # BranchSource._select against reference.ListSelect, the same rule row
+    # by row on lists.  The probabilities mix exact zeros, ZERO_PROB itself
+    # (not live) and the next float above it (live), and some scripts name
+    # options their rows do not have, or end early.
+    rng = np.random.default_rng(31)
+    edge = [0.0, qsim.ZERO_PROB, float(np.nextafter(qsim.ZERO_PROB, 1.0))]
+    dropped = 0
+    for _ in range(300):
+        rows, k, depths = int(rng.integers(1, 8)), int(rng.choice([2, 4])), int(rng.integers(1, 5))
+        scripts = [
+            tuple(int(i) for i in rng.integers(0, k + 1, size=rng.integers(0, depths + 2)))
+            for _ in range(rows)
+        ]
+        source, ref = BranchSource(scripts), reference.ListSelect(scripts)
+        for _ in range(depths):
+            probs = rng.random((rows, k))
+            probs[rng.random((rows, k)) < 0.4] = 0.0
+            spots = rng.random((rows, k)) < 0.3
+            probs[spots] = rng.choice(edge, size=spots.sum())
+            probs[np.arange(rows), rng.integers(0, k, size=rows)] = rng.random(rows) + 0.1
+            picks = source._select(probs)
+            assert picks.tolist() == ref.select(probs.tolist())
+        source.finish()
+        assert source.taken == ref.taken
+        assert source.fanouts == ref.fanouts
+        assert source.branch == ref.branch
+        assert [p.hex() for p in source.probability] == [p.hex() for p in ref.probability]
+        dropped += ref.branch.count(False)
+    assert dropped  # some script overran its row's live options
 
 
 # ---------------------------------------------------------------------------

@@ -623,7 +623,7 @@ def test_nan_mass_is_refused(value):
         with pytest.raises(ValueError, match="refusing to measure"):
             outcomes(qsim.StateVector(3, bad), *range(arity))
     good = random_batch(np.random.default_rng(35), 3, 4)
-    for row in (0, 3):
+    for row in (0, 1, 3):
         amps = good.copy()
         amps[row] = bad
         for measure, arity in BATCH_MEASURES:
@@ -669,6 +669,60 @@ def test_a_selector_picks_each_rows_outcome_of_a_batch():
             np.testing.assert_allclose(row_post, alone_post.amps, rtol=0, atol=1e-12)
         with pytest.raises(ValueError):
             measure(qsim.StateVector(3, amps[0]), *range(arity), last_outcome)
+
+
+def test_a_selector_must_pick_one_outcome_per_row():
+    # A pick list of the wrong length, shape or type, or an index outside
+    # the outcomes, is refused before anything is projected.
+    amps = real_rows(random_batch(np.random.default_rng(37), 3, 4))
+    for measure, arity in BATCH_MEASURES:
+        outcomes = 4 if arity == 2 else 2
+        wrong = ([0, 0, 0], [0] * 5, [[0]] * 4, [0.0] * 4, [0, -1, 0, 0], [0, outcomes, 0, 0])
+        for picks in wrong:
+            with pytest.raises(ValueError, match="one outcome index per row"):
+                measure(qsim.StateVector(3, amps), *range(arity), lambda probs, picks=picks: picks)
+
+
+def test_a_selector_must_pick_a_live_outcome():
+    # Outcome 1 has probability 0 in row 0 and about 1e-15, below
+    # ZERO_PROB, in row 1: a pick of either is refused.  Projecting the
+    # first would divide by a zero root.
+    amps = np.array([[1.0, 0.0], [np.sqrt(1.0 - 1e-15), np.sqrt(1e-15)]])
+    state = qsim.StateVector(1, amps)
+    probs, _ = qsim._z_kernel(amps, 1, 0)
+    assert probs[0, 1] == 0.0 and 0.0 < probs[1, 1] <= qsim.ZERO_PROB
+    for picks in ([1, 0], [0, 1], [1, 1]):
+        with pytest.raises(ValueError, match="probability at most"):
+            qsim.measure_z(state, 0, lambda probs, picks=picks: picks)
+    outcomes, _ = qsim.measure_z(state, 0, lambda probs: [0, 0])
+    assert outcomes == [0, 0]
+
+
+def test_batch_probabilities_are_one_array_of_the_rows_tuples():
+    # A batch's kernel probabilities are one (rows, outcomes) float64
+    # array, and each Z and Bell row is bitwise its state's 1-D tuple.  X
+    # rows are only close: the X overlaps are the documented exception
+    # (qsim._overlaps, ROADMAP item 15), whose last bit may depend on the
+    # batch.
+    rng = np.random.default_rng(38)
+    kernels = [(qsim._z_kernel, 1, True), (qsim._x_kernel, 1, False), (qsim._bell_kernel, 2, True)]
+    for _ in range(40):
+        n, rows = int(rng.integers(2, 7)), int(rng.integers(1, 8))
+        complex_amps = random_batch(rng, n, rows)
+        for amps in (complex_amps, real_rows(complex_amps)):
+            for kernel, arity, bitwise in kernels:
+                qubits = [int(q) for q in rng.permutation(n)[:arity]]
+                probs, _ = kernel(amps, n, *qubits)
+                assert type(probs) is np.ndarray
+                assert probs.dtype == np.float64
+                assert probs.shape == (rows, 2 * arity)
+                for batch_row, amps_row in zip(probs, amps):
+                    alone, _ = kernel(amps_row, n, *qubits)
+                    assert type(alone) is tuple
+                    if bitwise:
+                        assert [p.hex() for p in batch_row.tolist()] == [p.hex() for p in alone]
+                    else:
+                        np.testing.assert_allclose(batch_row, alone, rtol=0, atol=1e-15)
 
 
 def _ghz_ready_batch(rng, rows):
