@@ -19,8 +19,8 @@ as a protocol round's do, takes two passes.  A pipeline takes that source and
 returns one result per row; a 1-D state it hands the source stands for
 every row.  It is the package's only enumerator:
 :func:`outcome_distribution` (a measurement plan on a bare state) and
-:func:`exact_transcript_distribution` (a protocol round's four key maps,
-each one's enumerated mass checked at run time) run pipelines on it.  The
+:func:`exact_transcript_distribution` (a protocol round's four key maps)
+run pipelines on it, and each checks its enumerated mass at run time.  The
 round is one pipeline: its P1 record is decoy-free, so nothing draws from
 it or changes it, and each call prepares it once for every row; the four
 keys are the roots of the enumeration, rows of the same passes, and E1
@@ -191,6 +191,13 @@ def enumerate_branches(pipeline, roots=(None,)):
         yield result, p
 
 
+def _check_mass(dist: dict) -> None:
+    """Refuse an enumerated distribution whose mass is NaN or off 1 by over ``MASS_TOL``."""
+    mass = sum(dist.values())
+    if not abs(1.0 - mass) <= MASS_TOL:
+        raise ValueError(f"enumerated probability mass is {mass!r}, not 1")
+
+
 def _validate_plan(state: qsim.StateVector, plan) -> None:
     seen = set()
     for qubits, basis in plan:
@@ -214,7 +221,8 @@ def outcome_distribution(state: qsim.StateVector, plan) -> dict:
     ``plan`` is a list of (qubit tuple, Basis) entries: Z and X entries name
     one qubit, Bell entries name two.  Returns a dict over the full product
     outcome space (zero-probability cells included), keyed by tuples of
-    per-measurement outcomes in plan order.
+    per-measurement outcomes in plan order.  Raises ValueError when the
+    enumerated mass is not 1 within ``MASS_TOL``.
     """
     _validate_plan(state, plan)
 
@@ -231,6 +239,7 @@ def outcome_distribution(state: qsim.StateVector, plan) -> dict:
     dist = {key: 0.0 for key in itertools.product(*spaces)}
     for key, probability in enumerate_branches(pipeline):
         dist[key] += probability
+    _check_mass(dist)
     return dist
 
 
@@ -300,9 +309,7 @@ def exact_transcript_distribution(strategy: StrategyId, direction: Role = Role.A
     for (key, cell), probability in enumerate_branches(round_, tuple(PauliLabel)):
         maps[key][cell] += probability
     for cells in maps.values():
-        mass = sum(cells.values())
-        if abs(1.0 - mass) > MASS_TOL:
-            raise ValueError(f"enumerated probability mass is {mass!r}, not 1")
+        _check_mass(cells)
     return maps
 
 

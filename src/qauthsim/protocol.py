@@ -107,12 +107,11 @@ TRANSIT = (A1, A2, B1, B2)  # the protocol qubits in transit, in sequence order
 _DECOY_KETS = ("0", "1", "+", "-")
 
 # _DECOY_PROBS[label][coin]: the outcome probabilities of measuring decoy
-# ``label`` in basis ``coin``, computed once by the qsim kernels themselves.
+# ``label`` in basis ``coin``, computed once by the Z and X kernels behind
+# qsim.measure_z and qsim.measure_x.
 _DECOY_PROBS = tuple(
-    tuple(
-        tuple(p for _, p, _ in outcomes(qsim.init_product([ket]), 0))
-        for outcomes in (qsim.z_outcomes, qsim.x_outcomes)
-    )
+    tuple(kernel(qsim.init_product([ket]).amps, 1, 0)[0]
+          for kernel in (qsim._z_kernel, qsim._x_kernel))
     for ket in _DECOY_KETS
 )
 

@@ -8,22 +8,21 @@ instances rather than mutating their input.
 A state's amplitudes may carry a leading batch axis: shape (B, 2^n) holds
 B states of the same register, one per row, the way the protocol module
 holds rounds of many sampled runs.  Every gate and measurement acts on
-every row of a batch at once (only the ``*_outcomes`` lists refuse one),
-through cached per-qubit tables of index permutations and signs: a Pauli,
-with one label or one per row, is one gather and one multiply, Hadamard is
-(X + Z)/sqrt(2), and CNOT is the target's flip where the control is 1.
+every row of a batch at once, through cached per-qubit tables of index
+permutations and signs: a Pauli, with one label or one per row, is one
+gather and one multiply, Hadamard is (X + Z)/sqrt(2), and CNOT is the
+target's flip where the control is 1.
 
-Nothing in this module draws randomness.  The sampling ``measure_*``
-functions take a list of uniform draws from ``[0, 1)``, one per row (a 1-D
-state is one row), and return ``(outcomes, post-state)`` with one outcome
-per row in a list, the shape of the outcome-source interface the protocol
-module uses.  A batch may take a selector in place of the draws, a
-callable that picks each row's outcome from the rows' probabilities, one
-(B, k) float64 array, and must pick one live outcome per row: the oracle's
-scripted branches are selected that way, a pass of rows per call.  The
-``*_outcomes`` functions list every outcome of a single state as
-``(outcome, probability, post-state)``.  All go through one kernel per
-basis, written over the optional batch axis, so the exhaustive and the
+Nothing in this module draws randomness.  The ``measure_*`` functions are
+the one way to measure: they take a list of uniform draws from ``[0, 1)``,
+one per row (a 1-D state is one row), and return ``(outcomes,
+post-state)`` with one outcome per row in a list, the shape of the
+outcome-source interface the protocol module uses.  A batch may take a
+selector in place of the draws, a callable that picks each row's outcome
+from the rows' probabilities, one (B, k) float64 array, and must pick one
+live outcome per row: the oracle's exhaustive enumeration selects its
+scripted branches that way, a pass of rows per call.  Each basis has one
+kernel, written over the optional batch axis, so the exhaustive and the
 sampled results cannot drift apart, and a row of a batch gets the outcome
 its state would get measured alone.  Measurements never rotate the state:
 Z, X and Bell outcomes are the basis's projectors applied straight to the
@@ -289,15 +288,15 @@ def _require_pair(state: StateVector, q1: int, q2: int) -> None:
         raise ValueError("bell measurement needs two distinct qubits")
 
 
-# Measurement kernels, one per basis, shared by the sampling ``measure_*``
-# and the exhaustive ``*_outcomes`` functions.  A kernel takes a flat
-# amplitude array with an optional leading batch axis, checks the measured
-# mass and returns the outcome probabilities (a tuple in outcome order, or
-# for a batch a (B, k) float64 array, one row of k outcomes per state)
-# together with ``project(i, root)``: the amplitudes projected onto outcome
-# ``i`` and divided by ``root``, the square root of the outcome's
-# probability.  For a batch, ``i`` is a (B,) array of per-row outcomes and
-# ``root`` a (B, 1) column.  No kernel rotates the state: each applies its projectors to the
+# Measurement kernels, one per basis, behind ``measure_*``, whether a row's
+# outcome is drawn or selected.  A kernel takes a flat amplitude array with
+# an optional leading batch axis, checks the measured mass and returns the
+# outcome probabilities (a tuple in outcome order, or for a batch a (B, k)
+# float64 array, one row of k outcomes per state) together with
+# ``project(i, root)``: the amplitudes projected onto outcome ``i`` and
+# divided by ``root``, the square root of the outcome's probability.  For a
+# batch, ``i`` is a (B,) array of per-row outcomes and ``root`` a (B, 1)
+# column.  No kernel rotates the state: each applies its projectors to the
 # flat amplitudes directly.
 #
 # The reductions below return one value for a 1-D array and an array of one
@@ -446,47 +445,6 @@ def _cut(probs) -> float:
     ``probs``: 0.0 or p0, whichever it selects 1 at first, or inf if neither."""
     draws = (u for u in (0.0, probs[0]) if u < 1.0 and _pick(probs, u) == 1)
     return next(draws, math.inf)
-
-
-def _outcome_list(state: StateVector, kernel, outcomes, qubits) -> list:
-    if state.amps.ndim != 1:
-        raise ValueError("outcome lists take a single state, not a batch")
-    n = state.n_qubits
-    probs, project = kernel(state.amps, n, *qubits)
-    return [
-        (outcome, p, None if p <= ZERO_PROB else StateVector(n, project(i, math.sqrt(p))))
-        for i, (outcome, p) in enumerate(zip(outcomes, probs))
-    ]
-
-
-def z_outcomes(state: StateVector, q: int) -> list:
-    """Both Z outcomes on qubit ``q`` as (bit, probability, post-state).
-
-    Outcomes with numerically zero probability carry ``None`` in place of a
-    post-measurement state.
-    """
-    _require_qubit(state, q)
-    return _outcome_list(state, _z_kernel, _BITS, (q,))
-
-
-def x_outcomes(state: StateVector, q: int) -> list:
-    """Both X outcomes on qubit ``q``; bit 0 means |+>, bit 1 means |->.
-
-    Projects with (I +- X_q)/2 directly on the amplitudes.
-    """
-    _require_qubit(state, q)
-    return _outcome_list(state, _x_kernel, _BITS, (q,))
-
-
-def bell_outcomes(state: StateVector, q1: int, q2: int) -> list:
-    """All four Bell outcomes on the ordered pair (q1, q2), in BellLabel order.
-
-    Each outcome's probability and post-state come from its stabiliser
-    projector, built from the Z_q1 Z_q2 parity and the X_q1 X_q2 flip of the
-    amplitude array.
-    """
-    _require_pair(state, q1, q2)
-    return _outcome_list(state, _bell_kernel, _BELL_ORDER, (q1, q2))
 
 
 def _measure(state: StateVector, kernel, outcomes, qubits, randomness):

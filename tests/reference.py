@@ -12,7 +12,8 @@ print them.  :func:`gather_transcripts` gathers the rows
 :func:`qauthsim.protocol.run_batch` yields into one Transcript per run,
 and :func:`batch_transcripts` runs a batch that way.
 :func:`enumerate_branches_depth_first` is the oracle's enumeration as a
-one-row depth-first walk on the single-state outcome lists, and
+one-row depth-first walk on :func:`outcome_list`, a single state's
+outcomes read off qsim's own 1-D kernels, and
 :class:`ListSelect` is its per-measurement selection rule row by row, on
 Python lists.
 :func:`round_leaves_in_fractions` walks a decoy-free round under any of
@@ -25,6 +26,7 @@ one row, and :func:`fresh_register` is a round's P1 record.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -143,9 +145,36 @@ def joint_distribution(amps, projector_lists):
     return dist
 
 
+def outcome_list(basis, state, *qubits):
+    """Every outcome of measuring the single state ``state`` in ``basis`` on
+    ``qubits``, as (outcome, probability, post-state) in outcome order
+    (bits 0 and 1, or BellLabel order).  An outcome at or below
+    ``qsim.ZERO_PROB`` carries None in place of a post-state.
+
+    Unlike the rest of this module it is no independent reference: it
+    reads qsim's own 1-D kernels, the ones behind ``qsim.measure_*``, for
+    the tests that need every outcome of a state at once.
+    """
+    from qauthsim import qsim
+
+    kernel, outcomes = {
+        qsim.Basis.Z: (qsim._z_kernel, (0, 1)),
+        qsim.Basis.X: (qsim._x_kernel, (0, 1)),
+        qsim.Basis.BELL: (qsim._bell_kernel, tuple(qsim.BellLabel)),
+    }[basis]
+    assert state.amps.ndim == 1, "an outcome list takes a single state"
+    n = state.n_qubits
+    probs, project = kernel(state.amps, n, *qubits)
+    return [
+        (outcome, p, None if p <= qsim.ZERO_PROB
+         else qsim.StateVector(n, project(i, math.sqrt(p))))
+        for i, (outcome, p) in enumerate(zip(outcomes, probs))
+    ]
+
+
 class ScriptedOneRowSource:
     """A one-row outcome source that follows one scripted branch, taking
-    each outcome from the single-state ``qsim.*_outcomes`` lists.
+    each outcome from :func:`outcome_list`.
 
     It has the outcome-source interface of the oracle's
     :class:`qauthsim.oracle.BranchSource` for a one-row pass, ``roots``
@@ -159,10 +188,10 @@ class ScriptedOneRowSource:
         self.script, self.roots = script, [root]
         self.taken, self.fanouts, self.probability = [], [], 1.0
 
-    def _choose(self, outcomes, *args):
-        from qauthsim import qsim
+    def _choose(self, basis, *args):
+        from qauthsim.qsim import Basis
 
-        live = [o for o in getattr(qsim, outcomes)(*args) if o[2] is not None]
+        live = [o for o in outcome_list(Basis(basis), *args) if o[2] is not None]
         depth = len(self.taken)
         index = self.script[depth] if depth < len(self.script) else 0
         outcome, p, post = live[index]
@@ -172,13 +201,13 @@ class ScriptedOneRowSource:
         return [outcome], post
 
     def measure_z(self, state, q):
-        return self._choose("z_outcomes", state, q)
+        return self._choose("Z", state, q)
 
     def measure_x(self, state, q):
-        return self._choose("x_outcomes", state, q)
+        return self._choose("X", state, q)
 
     def measure_bell(self, state, q1, q2):
-        return self._choose("bell_outcomes", state, q1, q2)
+        return self._choose("Bell", state, q1, q2)
 
 
 class ListSelect:

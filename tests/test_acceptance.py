@@ -182,7 +182,7 @@ def test_criterion_5_tables_match_the_simulator():
             state = qsim.apply_pauli(reference.bell_pair(m), 0, p)
             live = [
                 (label, prob)
-                for label, prob, _ in qsim.bell_outcomes(state, 0, 1)
+                for label, prob, _ in reference.outcome_list(Basis.BELL, state, 0, 1)
                 if prob > 1e-12
             ]
             pauli_ok = pauli_ok and len(live) == 1

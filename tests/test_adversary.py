@@ -68,16 +68,16 @@ def test_premeasure_pins_every_later_measurement():
         wave = Wave([fresh_register()])
         (eve,) = hook_premeasure(wave, SampleSource([rng]))
         state = wave.state
-        probs = {o: p for o, p, _ in qsim.bell_outcomes(state, A1, A2)}
+        probs = {o: p for o, p, _ in reference.outcome_list(Basis.BELL, state, A1, A2)}
         (label,), state = qsim.measure_bell(state, A1, A2, rng.draws(1))
         assert label is eve.m_pre
         assert probs[label] == pytest.approx(1.0)
-        probs = {o: p for o, p, _ in qsim.bell_outcomes(state, B1, B2)}
+        probs = {o: p for o, p, _ in reference.outcome_list(Basis.BELL, state, B1, B2)}
         (label,), state = qsim.measure_bell(state, B1, B2, rng.draws(1))
         assert label is eve.b_pre
         assert probs[label] == pytest.approx(1.0)
         for qubit, expected in ((C1, eve.c_pre[0]), (C2, eve.c_pre[1])):
-            probs = {o: p for o, p, _ in qsim.z_outcomes(state, qubit)}
+            probs = {o: p for o, p, _ in reference.outcome_list(Basis.Z, state, qubit)}
             (bit,), state = qsim.measure_z(state, qubit, rng.draws(1))
             assert bit == expected
             assert probs[bit] == pytest.approx(1.0)
@@ -159,14 +159,13 @@ def per_decoy_mismatch_probability(basis, bit):
         (Basis.X, 0): "+",
         (Basis.X, 1): "-",
     }[(basis, bit)]
-    owner_outcomes = qsim.z_outcomes if basis is Basis.Z else qsim.x_outcomes
     total = 0.0
-    for eve_outcomes in (qsim.z_outcomes, qsim.x_outcomes):
+    for eve_basis in (Basis.Z, Basis.X):
         state = qsim.init_product([prepared])
-        for _, p_eve, post in eve_outcomes(state, 0):
+        for _, p_eve, post in reference.outcome_list(eve_basis, state, 0):
             if post is None:
                 continue
-            for owner_bit, p_owner, _ in owner_outcomes(post, 0):
+            for owner_bit, p_owner, _ in reference.outcome_list(basis, post, 0):
                 if owner_bit != bit:
                     total += 0.5 * p_eve * p_owner
     return total

@@ -112,6 +112,17 @@ def test_outcome_distribution_rejects_bad_plans_before_measuring(monkeypatch, pl
         oracle.outcome_distribution(qsim.init_product(["0", "0"]), plan)
 
 
+def test_outcome_distribution_checks_the_enumerated_mass():
+    # A state 1e-8 off its norm passes the kernels' MEASURE_NORM_TOL (1e-6),
+    # but the mass of its distribution, about 1 + 2e-8, is not 1 within
+    # MASS_TOL: outcome_distribution refuses it as exact_transcript_distribution
+    # refuses its maps.
+    state = qsim.StateVector(1, qsim.init_product(["+"]).amps * (1 + 1e-8))
+    qsim.measure_z(state, 0, [0.5])
+    with pytest.raises(ValueError, match="enumerated probability mass is .*, not 1"):
+        oracle.outcome_distribution(state, [((0,), Basis.Z)])
+
+
 def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
     paths = []
 
@@ -228,8 +239,9 @@ def _outcome_lines(kind, qubits, outcomes):
 def test_kernel_and_exact_distribution_arithmetic_is_pinned():
     # Bit for bit, so that a 1-ulp change in any kernel fails here even when
     # no sampled outcome or rounded report moves: every probability and
-    # post-state amplitude of the three outcome lists on seeded random
-    # states of 1-6 qubits (every qubit, every ordered pair), and every cell
+    # post-state amplitude of every Z, X and Bell outcome, read off the 1-D
+    # kernels by reference.outcome_list, on seeded random states of 1-6
+    # qubits (every qubit, every ordered pair), and every cell
     # of the 16 exact transcript distributions.
     rng = np.random.default_rng(8)
     kernel_lines = []
@@ -237,10 +249,11 @@ def test_kernel_and_exact_distribution_arithmetic_is_pinned():
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         state = qsim.StateVector(n, amps / np.linalg.norm(amps))
         for q in range(n):
-            kernel_lines += _outcome_lines("Z", (q,), qsim.z_outcomes(state, q))
-            kernel_lines += _outcome_lines("X", (q,), qsim.x_outcomes(state, q))
+            kernel_lines += _outcome_lines("Z", (q,), reference.outcome_list(Basis.Z, state, q))
+            kernel_lines += _outcome_lines("X", (q,), reference.outcome_list(Basis.X, state, q))
         for q1, q2 in itertools.permutations(range(n), 2):
-            kernel_lines += _outcome_lines("Bell", (q1, q2), qsim.bell_outcomes(state, q1, q2))
+            pair = reference.outcome_list(Basis.BELL, state, q1, q2)
+            kernel_lines += _outcome_lines("Bell", (q1, q2), pair)
     maps = {
         (strategy, direction): exact_transcript_distribution(strategy, direction)
         for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE)
@@ -292,7 +305,7 @@ def test_pauli_bell_map_matches_simulator():
             state = qsim.apply_pauli(state, 0, p)
             live = [
                 (label, prob)
-                for label, prob, _ in qsim.bell_outcomes(state, 0, 1)
+                for label, prob, _ in reference.outcome_list(Basis.BELL, state, 0, 1)
                 if prob > 1e-12
             ]
             assert len(live) == 1
@@ -557,8 +570,8 @@ EXACT_COMBINATIONS = list(
 def test_pass_wise_enumeration_gives_the_depth_first_maps_bitwise(monkeypatch):
     # Every map of every strategy, key, direction and pair of orders, bit for
     # bit, against reference.enumerate_branches_depth_first: a one-row walk
-    # on the single-state outcome lists that shares no code with
-    # oracle.BranchSource.
+    # on reference.outcome_list, the 1-D kernels' outcomes of one state,
+    # that shares no code with oracle.BranchSource.
     assert len(EXACT_COMBINATIONS) == 576
     passes = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
     monkeypatch.setattr(oracle, "enumerate_branches", reference.enumerate_branches_depth_first)

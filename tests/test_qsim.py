@@ -17,9 +17,9 @@ from qauthsim.qsim import Basis, BellLabel, PauliLabel
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
-def outcome_probability(outcomes, outcome):
-    """Probability of ``outcome`` in a ``*_outcomes`` list."""
-    return next(p for o, p, _ in outcomes if o == outcome)
+def outcome_probability(outcome, basis, state, *qubits):
+    """Probability of ``outcome`` in ``state``'s :func:`reference.outcome_list`."""
+    return next(p for o, p, _ in reference.outcome_list(basis, state, *qubits) if o == outcome)
 
 
 def random_state(rng, n):
@@ -169,14 +169,14 @@ class TestMeasureZ:
         for r in (0.0, 0.3, 0.999):
             (bit,), post = qsim.measure_z(one, 0, [r])
             assert bit == 1
-            assert outcome_probability(qsim.z_outcomes(one, 0), bit) == pytest.approx(1.0)
+            assert outcome_probability(bit, Basis.Z, one, 0) == pytest.approx(1.0)
             assert reference.same_state(post, one)
 
     def test_plus_splits_on_half(self):
         plus = qsim.init_product(["+"])
         (bit,), _ = qsim.measure_z(plus, 0, [0.49])
         assert bit == 0
-        assert outcome_probability(qsim.z_outcomes(plus, 0), bit) == pytest.approx(0.5)
+        assert outcome_probability(bit, Basis.Z, plus, 0) == pytest.approx(0.5)
         (bit,), _ = qsim.measure_z(plus, 0, [0.51])
         assert bit == 1
 
@@ -184,7 +184,7 @@ class TestMeasureZ:
         ghz = qsim.prepare_ghz_like(qsim.init_product(["0"] * 3), 0, 1, 2)
         (bit,), post = qsim.measure_z(ghz, 0, [0.25])
         assert bit == 0
-        assert outcome_probability(qsim.z_outcomes(ghz, 0), bit) == pytest.approx(0.5)
+        assert outcome_probability(bit, Basis.Z, ghz, 0) == pytest.approx(0.5)
         want = np.zeros(8, dtype=complex)
         want[0b001] = SQ2
         want[0b010] = SQ2
@@ -198,7 +198,7 @@ class TestMeasureZ:
             (bit,), post = qsim.measure_z(state, q, [rng.random()])
             (again,), _ = qsim.measure_z(post, q, [rng.random()])
             assert again == bit
-            p = outcome_probability(qsim.z_outcomes(post, q), again)
+            p = outcome_probability(again, Basis.Z, post, q)
             assert p == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_unnormalised_state(self):
@@ -219,14 +219,14 @@ class TestMeasureX:
         plus = qsim.init_product(["+"])
         (bit,), post = qsim.measure_x(plus, 0, [0.7])
         assert bit == 0
-        assert outcome_probability(qsim.x_outcomes(plus, 0), bit) == pytest.approx(1.0)
+        assert outcome_probability(bit, Basis.X, plus, 0) == pytest.approx(1.0)
         assert reference.same_state(post, plus)
 
     def test_zero_splits_evenly(self):
         zero = qsim.init_product(["0"])
         (bit,), post = qsim.measure_x(zero, 0, [0.2])
         assert bit == 0
-        assert outcome_probability(qsim.x_outcomes(zero, 0), bit) == pytest.approx(0.5)
+        assert outcome_probability(bit, Basis.X, zero, 0) == pytest.approx(0.5)
         assert reference.same_state(post, qsim.init_product(["+"]))
         (bit,), post = qsim.measure_x(zero, 0, [0.9])
         assert bit == 1
@@ -239,24 +239,23 @@ class TestMeasureBell:
             state = reference.bell_pair(label)
             (got,), post = qsim.measure_bell(state, 0, 1, [0.77])
             assert got is label
-            assert outcome_probability(qsim.bell_outcomes(state, 0, 1), got) == pytest.approx(1.0)
+            assert outcome_probability(got, Basis.BELL, state, 0, 1) == pytest.approx(1.0)
             assert reference.same_state(post, state)
 
     def test_zero_zero_splits_between_phi_states(self):
         state = qsim.init_product(["0", "0"])
-        outcomes = qsim.bell_outcomes(state, 0, 1)
         (label,), _ = qsim.measure_bell(state, 0, 1, [0.25])
         assert label is BellLabel.PHI_PLUS
-        assert outcome_probability(outcomes, label) == pytest.approx(0.5)
+        assert outcome_probability(label, Basis.BELL, state, 0, 1) == pytest.approx(0.5)
         (label,), _ = qsim.measure_bell(state, 0, 1, [0.75])
         assert label is BellLabel.PHI_MINUS
-        assert outcome_probability(outcomes, label) == pytest.approx(0.5)
+        assert outcome_probability(label, Basis.BELL, state, 0, 1) == pytest.approx(0.5)
 
     def test_pauli_x_shifts_psi_minus_to_phi_minus(self):
         state = qsim.apply_pauli(reference.bell_pair(BellLabel.PSI_MINUS), 1, PauliLabel.X)
         (label,), _ = qsim.measure_bell(state, 0, 1, [0.5])
         assert label is BellLabel.PHI_MINUS
-        assert outcome_probability(qsim.bell_outcomes(state, 0, 1), label) == pytest.approx(1.0)
+        assert outcome_probability(label, Basis.BELL, state, 0, 1) == pytest.approx(1.0)
 
     def test_pauli_action_is_label_xor(self):
         for start, pauli in itertools.product(BellLabel, PauliLabel):
@@ -264,7 +263,7 @@ class TestMeasureBell:
                 state = qsim.apply_pauli(reference.bell_pair(start), q, pauli)
                 (label,), _ = qsim.measure_bell(state, 0, 1, [0.5])
                 assert label is start ^ pauli
-                p = outcome_probability(qsim.bell_outcomes(state, 0, 1), label)
+                p = outcome_probability(label, Basis.BELL, state, 0, 1)
                 assert p == pytest.approx(1.0)
 
     def test_rejects_equal_indices(self):
@@ -273,7 +272,6 @@ class TestMeasureBell:
             qsim.measure_bell(state, 1, 1, [0.5])
 
 
-OUTCOMES = {Basis.Z: qsim.z_outcomes, Basis.X: qsim.x_outcomes, Basis.BELL: qsim.bell_outcomes}
 MEASURE = {Basis.Z: qsim.measure_z, Basis.X: qsim.measure_x, Basis.BELL: qsim.measure_bell}
 
 
@@ -301,7 +299,7 @@ class TestKernelsAgainstDenseProjectors:
     def test_outcome_lists(self, n):
         state, before = frozen_random_state(600 + n, n)
         for basis, qubits, outcomes, projectors in dense_cases(n):
-            got = OUTCOMES[basis](state, *qubits)
+            got = reference.outcome_list(basis, state, *qubits)
             assert [entry[0] for entry in got] == outcomes
             for (_, p, post), proj in zip(got, projectors):
                 projected = proj @ before
@@ -323,7 +321,7 @@ class TestKernelsAgainstDenseProjectors:
                 (got,), post = MEASURE[basis](state, *qubits, [acc + want_p / 2])
                 acc += want_p
                 assert got == outcome
-                p = outcome_probability(OUTCOMES[basis](state, *qubits), got)
+                p = outcome_probability(got, basis, state, *qubits)
                 assert p == pytest.approx(want_p, abs=1e-12)
                 np.testing.assert_allclose(
                     post.amps, projected / np.sqrt(want_p), atol=1e-12
@@ -333,14 +331,14 @@ class TestKernelsAgainstDenseProjectors:
     @pytest.mark.parametrize("n", (1, 3))
     def test_dead_outcomes_carry_no_state(self, n):
         # Eigenstates of each measurement, embedded at the last qubits of an
-        # n-qubit register whose other qubits hold |+>.
+        # n-qubit register whose other qubits hold |+>.  Every other outcome
+        # is dead, at most ZERO_PROB, and no draw selects it.
         rest = ["+"] * (n - 1)
         for basis, tag, live in ((Basis.Z, "1", 1), (Basis.X, "-", 1), (Basis.X, "+", 0)):
             state = qsim.init_product(rest + [tag])
-            got = OUTCOMES[basis](state, n - 1)
-            assert [post is None for _, _, post in got] == [b != live for b in (0, 1)]
+            got = reference.outcome_list(basis, state, n - 1)
+            assert [p <= qsim.ZERO_PROB for _, p, _ in got] == [b != live for b in (0, 1)]
             assert got[live][1] == pytest.approx(1.0, abs=1e-12)
-            assert reference.same_state(got[live][2], state)
             for r in (0.0, 0.5, 0.999999):
                 (bit,), post = MEASURE[basis](state, n - 1, [r])
                 assert bit == live
@@ -350,8 +348,8 @@ class TestKernelsAgainstDenseProjectors:
         for label in BellLabel:
             pair = reference.bell_pair(label)
             state = qsim.StateVector(n, np.kron(qsim.init_product(rest[:-1]).amps, pair.amps))
-            got = qsim.bell_outcomes(state, n - 2, n - 1)
-            assert [post is None for _, _, post in got] == [m is not label for m in BellLabel]
+            got = reference.outcome_list(Basis.BELL, state, n - 2, n - 1)
+            assert [p <= qsim.ZERO_PROB for _, p, _ in got] == [m is not label for m in BellLabel]
             for r in (0.0, 0.5, 0.999999):
                 (got_label,), post = qsim.measure_bell(state, n - 2, n - 1, [r])
                 assert got_label is label
@@ -456,7 +454,7 @@ class TestPrepareGhz:
             _, post = qsim.measure_z(state, 0, [0.25 if bit == 0 else 0.75])
             (label,), _ = qsim.measure_bell(post, 1, 2, [0.5])
             assert label is want
-            assert outcome_probability(qsim.bell_outcomes(post, 1, 2), label) == pytest.approx(1.0)
+            assert outcome_probability(label, Basis.BELL, post, 1, 2) == pytest.approx(1.0)
 
     def test_works_on_scrambled_indices(self):
         state = qsim.prepare_ghz_like(qsim.init_product(["0"] * 4), 2, 0, 3)
@@ -520,7 +518,7 @@ class TestInvariants:
             q = int(rng.integers(0, n))
             dist = oracle.outcome_distribution(state, [((q,), Basis.Z)])
             (bit,), _ = qsim.measure_z(state, q, [rng.random()])
-            p = outcome_probability(qsim.z_outcomes(state, q), bit)
+            p = outcome_probability(bit, Basis.Z, state, q)
             assert p == pytest.approx(dist[(bit,)], abs=1e-10)
 
     def test_distribution_completeness(self):
@@ -538,7 +536,7 @@ class TestInvariants:
         for _ in range(20):
             state = random_state(rng, 3)
             r = rng.random()
-            options = qsim.z_outcomes(state, 1)
+            options = reference.outcome_list(Basis.Z, state, 1)
             acc = 0.0
             want = None
             for bit, p, post in options:
@@ -605,9 +603,6 @@ def test_batched_measurement_refuses_one_unnormalised_row():
             measure(qsim.StateVector(3, amps), *range(arity), [0.5] * 5)
 
 
-OUTCOME_LISTS = [(qsim.z_outcomes, 1), (qsim.x_outcomes, 1), (qsim.bell_outcomes, 2)]
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_nan_mass_is_refused(value):
     # NaN compares false to everything, so a bare "worst > tol" would let it
@@ -619,9 +614,6 @@ def test_nan_mass_is_refused(value):
     for measure, arity in BATCH_MEASURES:
         with pytest.raises(ValueError, match="refusing to measure"):
             measure(qsim.StateVector(3, bad), *range(arity), [0.5])
-    for outcomes, arity in OUTCOME_LISTS:
-        with pytest.raises(ValueError, match="refusing to measure"):
-            outcomes(qsim.StateVector(3, bad), *range(arity))
     good = random_batch(np.random.default_rng(35), 3, 4)
     for row in (0, 1, 3):
         amps = good.copy()
