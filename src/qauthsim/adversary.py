@@ -6,8 +6,9 @@ rows are the rounds' RoundRecords from P1, and its outcome source.
 The interesting one is :func:`hook_premeasure`: the center measures every
 protocol qubit before anything is transmitted (Z on his own pair, then Bell
 on each party's pair, an order fixed in code), leaves the decoys alone, and
-later replays his early c outcomes and XORs the party's announcement
-against his early Bell label to read off the round key.
+XORs the party's announcement against his early Bell label to read off the
+round key.  His C qubits collapsed when he measured them, so E2's own Z
+measurements announce his early c outcomes.
 :func:`hook_intercept_resend` is the detectable baseline: measure
 everything in transit, decoys included, in a random basis, leaving the
 protocol qubits' coins and draws in ``in_transit``, one per row.
@@ -33,9 +34,12 @@ class EveState:
     """Charlie's early outcomes for one round of one run.
 
     The swap constraint m_pre XOR b_pre = (0, c1 XOR c2) holds for every
-    branch.  He announces ``c_pre`` verbatim in E3: the C qubits collapsed
-    when he first measured them, so a fresh honest measurement would return
-    the same bits anyway.
+    branch.  The C qubits collapsed when he first measured them, and
+    neither E1's Pauli nor the parties' Bell measurements touch them, so
+    E2's own Z measurements return ``c_pre``, and E3 verifies the bits he
+    first measured.
+    ``tests/test_oracle.py::test_premeasure_leaves_e2_measuring_the_early_center_bits``
+    checks this on every enumerated branch.
     """
 
     c_pre: tuple

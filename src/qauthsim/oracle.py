@@ -298,12 +298,9 @@ def exact_transcript_distribution(strategy: StrategyId, direction: Role = Role.A
     def round_(source):
         keys = source.roots
         wave = protocol.Wave([row] * len(keys))
-        eves = protocol.p2_transmit(wave, strategy, source) or [None] * len(keys)
+        protocol.p2_transmit(wave, strategy, source)
         protocol.e1_encode(wave, keys, direction)
-        return [
-            (key, ((c if eve is None else eve.c_pre), a, b))
-            for key, eve, (a, b, c) in zip(keys, eves, protocol.e2_measure(wave, source))
-        ]
+        return [(key, (c, a, b)) for key, (a, b, c) in zip(keys, protocol.e2_measure(wave, source))]
 
     maps = {key: _CELLS.copy() for key in PauliLabel}
     for (key, cell), probability in enumerate_branches(round_, tuple(PauliLabel)):

@@ -775,7 +775,6 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
             for j, key, (a, b, c) in zip(kept, round_keys, outcomes):
                 row = rows[j]
                 if row.eve is not None:
-                    c = row.eve.c_pre
                     announced = a if config.direction is Role.ALICE else b
                     row.inferred_key = adversary.infer_key(row.eve, announced, config.direction)
                 row.c, row.a, row.b = c, a, b

@@ -11,7 +11,7 @@ import pytest
 import reference
 
 from qauthsim import oracle, protocol, qsim
-from qauthsim.adversary import EveState, StrategyId, infer_key
+from qauthsim.adversary import EveState, StrategyId, hook_premeasure, infer_key
 from qauthsim.oracle import (
     BranchSource,
     enumerate_branches,
@@ -353,6 +353,33 @@ def test_premeasure_distribution_matches_honest(key, direction):
     honest = exact_transcript_distribution(StrategyId.HONEST, direction)[key]
     attacked = exact_transcript_distribution(StrategyId.PRE_MEASURE, direction)[key]
     assert tv_distance(honest, attacked) <= 1e-12
+
+
+@pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
+def test_premeasure_leaves_e2_measuring_the_early_center_bits(direction):
+    # Under PreMeasure the announced c is E2's own Z outcome, as under
+    # Honest: Charlie's early Z measurement collapsed C1 and C2, and neither
+    # E1's Pauli nor the parties' Bell measurements touch them.  So on every
+    # branch E2's c is the EveState's c_pre, and no E2 measurement branches:
+    # each key's round is the hook's 16 branches, with mass 1.
+    row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
+
+    def pipeline(source):
+        keys = source.roots
+        wave = protocol.Wave([row] * len(keys))
+        eves = hook_premeasure(wave, source)
+        protocol.e1_encode(wave, keys, direction)
+        outcomes = protocol.e2_measure(wave, source)
+        return [(key, c == eve.c_pre) for key, eve, (_, _, c) in zip(keys, eves, outcomes)]
+
+    leaves, mass = Counter(), dict.fromkeys(PauliLabel, 0.0)
+    for (key, same), probability in enumerate_branches(pipeline, tuple(PauliLabel)):
+        assert same, key
+        leaves[key] += 1
+        mass[key] += probability
+    assert leaves == dict.fromkeys(PauliLabel, 16)
+    for key, total in mass.items():
+        assert abs(1.0 - total) <= oracle.MASS_TOL, key
 
 
 def test_exact_maps_are_the_exact_arithmetic_maps():
@@ -889,3 +916,46 @@ def test_sampled_rounds_match_exact_distribution():
         sigma = np.sqrt(prob * (1 - prob) / total)
         observed = counts[cell] / total
         assert abs(observed - prob) <= max(5 * sigma, 1e-12), cell
+
+
+# The 0.999 quantile of chi-squared with 60 degrees of freedom (64 live
+# cells less 4 keys): 99.607, scipy.stats.chi2.ppf(0.999, 60), hard-coded
+# because CI installs no scipy.
+CHI2_60_999 = 99.61
+
+
+@pytest.mark.parametrize(
+    "strategy, direction, first_seed",
+    [
+        (StrategyId.HONEST, Role.ALICE, 1000),
+        (StrategyId.HONEST, Role.BOB, 1064),
+        (StrategyId.PRE_MEASURE, Role.ALICE, 1128),
+        (StrategyId.PRE_MEASURE, Role.BOB, 1192),
+    ],
+    ids=["Honest-Alice", "Honest-Bob", "PreMeasure-Alice", "PreMeasure-Bob"],
+)
+def test_sampled_transcripts_fit_the_exact_honest_maps(strategy, direction, first_seed):
+    # The sampler's own path, P2's early walk included, against the exact
+    # Honest maps: 64 runs of 100 rounds at d = 2, keys cycling, each case
+    # on its own 64 seeds.  The (key, cell) counts fit the 64 live cells,
+    # and no round lands outside the honest support.
+    honest = exact_transcript_distribution(StrategyId.HONEST, direction)
+    alphabet = list(PauliLabel)
+    rounds, runs = 100, 64
+    keys = [alphabet[i % 4] for i in range(rounds)]
+    seeds = range(first_seed, first_seed + runs)
+    config = ProtocolConfig(rounds=rounds, decoys_per_sequence=2, direction=direction)
+    counts = Counter()
+    for _, i, row in protocol.run_batch(config, seeds, [keys] * runs, strategy):
+        assert row.decision is not None  # neither strategy disturbs a decoy
+        counts[keys[i], (row.c, row.a, row.b)] += 1
+    assert sum(counts.values()) == runs * rounds
+    per_key = runs * rounds // 4  # each run's 100 rounds cycle the 4 keys
+    live = {(key, cell) for key, cells in honest.items() for cell, p in cells.items() if p > 1e-12}
+    assert len(live) == 64
+    assert set(counts) <= live
+    chi2 = sum(
+        (counts[key, cell] - per_key * honest[key][cell]) ** 2 / (per_key * honest[key][cell])
+        for key, cell in live
+    )
+    assert chi2 <= CHI2_60_999
