@@ -1,6 +1,7 @@
 """Tests for the command-line harness: config parsing, report rendering,
 determinism, and exit codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -434,6 +435,32 @@ def test_sampled_memory_does_not_grow_with_samples(monkeypatch):
     assert eight <= 1.25 * one, (one, eight)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [dict(strategy=StrategyId.HONEST), dict(strategy=StrategyId.PRE_MEASURE),
+     dict(strategy=StrategyId.INTERCEPT_RESEND, decoys_per_sequence=1),
+     dict(mode="exact"), dict(mode="exact", strategy=StrategyId.PRE_MEASURE)],
+    ids=["Honest", "PreMeasure", "InterceptResend", "exact-Honest", "exact-PreMeasure"],
+)
+def test_a_report_leaves_no_cyclic_garbage(settings):
+    # cli freezes the import heap on the premise that a report's objects
+    # are freed by reference counting alone: a record, wave, stream or
+    # source that pointed back at its owner would wait for a collection.
+    # The sampled configs run three waves each.  render_json's indent
+    # encoder makes a cycle of its own, outside build_report.
+    config = RunConfig(**{"rounds": 16, "decoys_per_sequence": 4, "samples": 20, "seed": 3,
+                          **settings})
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        build_report(config)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_sampled_memory_is_bounded_by_the_wave_size():
     # Unstubbed: every run goes through protocol.run_batch, one chunk of at
     # most WAVE_SIZE runs at a time, so 8 chunks peak like 2.
@@ -568,18 +595,21 @@ def test_rows_prepared_past_an_abort_are_bounded_by_the_cap(monkeypatch, decoys,
     assert len(undecided) == len(prepared) - sum(recorded)
 
 
+def run_python(script, cwd=None):
+    """Last word a fresh interpreter prints running ``script``, with this
+    checkout's ``src`` first on its path."""
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         cwd=cwd, capture_output=True, text=True, check=True)
+    return run.stdout.split()[-1]
+
+
 def test_a_process_that_seeds_no_stream_never_imports_numpy_random():
     # Loading numpy.random costs an exact-mode process about 5 MB of peak
     # RSS, so only code that seeds a stream may import it.
-    src = str(Path(protocol.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-
     def loads_numpy_random(code):
-        script = f"import sys\n{code}\nprint('numpy.random' in sys.modules)"
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True)
-        return run.stdout.split()[-1] == "True"
+        return run_python(f"import sys\n{code}\nprint('numpy.random' in sys.modules)") == "True"
 
     if loads_numpy_random("import numpy"):
         pytest.skip("this numpy imports numpy.random with numpy itself")
@@ -588,6 +618,28 @@ def test_a_process_that_seeds_no_stream_never_imports_numpy_random():
         "from qauthsim.cli import RunConfig, build_report\n"
         "build_report(RunConfig(mode='exact', strategy=StrategyId.PRE_MEASURE))"
     )
+
+
+def test_the_import_heap_is_frozen_once_per_process(tmp_path):
+    # Importing cli freezes everything loaded so far, numpy included, so a
+    # full collection skips it.  Afterwards the frozen count can only fall,
+    # as reference counting frees frozen objects (the first report's lazy
+    # numpy.random import frees a few); a freeze per report would raise it
+    # by that report's objects.
+    write_config(tmp_path, "rounds = 2\nsamples = 5\nstrategy = InterceptResend\n")
+    script = (
+        "import gc, numpy\n"
+        "loaded = len(gc.get_objects())\n"
+        "from qauthsim import cli\n"
+        "frozen = gc.get_freeze_count()\n"
+        "assert frozen >= loaded, (frozen, loaded)\n"
+        "for _ in range(2):\n"
+        "    assert cli.main(['run', '--config', 'run.cfg', '--output', 'run.json']) == 0\n"
+        "    assert gc.get_freeze_count() <= frozen, (gc.get_freeze_count(), frozen)\n"
+        "    frozen = gc.get_freeze_count()\n"
+        "print('ok')\n"
+    )
+    assert run_python(script, cwd=tmp_path) == "ok"
 
 
 def test_sampled_tallies_cross_a_chunk_boundary(monkeypatch):
