@@ -10,8 +10,9 @@ XORs the party's announcement against his early Bell label to read off the
 round key.  His C qubits collapsed when he measured them, so E2's own Z
 measurements announce his early c outcomes.
 :func:`hook_intercept_resend` is the detectable baseline: measure
-everything in transit, decoys included, in a random basis, leaving the
-protocol qubits' coins and draws in ``in_transit``, one per row.
+everything in transit, decoys included, in a random basis, by table
+lookups: the decoys here, the protocol qubits in ``run_batch`` from the
+coins and draws left in ``in_transit``, one pair per row.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def hook_intercept_resend(wave: Wave, source) -> None:
     ``protocol.TRANSIT`` order (A1, A2, B1, B2); their coins and draws go to
     the wave's ``in_transit`` as one (coins, draws) pair per row, in row
     order: what is left of the row's drawn lists once the decoy slots are
-    deleted.  Charlie's own C qubits never travel, so they are left alone.
+    deleted, for ``run_batch`` to walk to a ``_transit_table`` leaf.
+    Charlie's own C qubits never travel, so they are left alone.
     """
     wave.in_transit = []
     for row, stream in zip(wave.rows, source.streams):

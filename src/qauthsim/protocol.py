@@ -24,7 +24,7 @@ on the batch or wave it is in; :func:`run_protocol` is the batch of one,
 and the oracle drives waves of one row per branch.  P1 and the S1/S2 decoy checks stay
 per row, since they touch only that row's decoys and stream.  Per-row
 inputs (E1's keys, the draws, the ``Wave.in_transit`` entries) are lists
-in row order, filtered as rows drop.
+in row order, read only for the rows that stay.
 
 A round has one record, the :class:`RoundRecord` that P1 creates and the
 later phases fill in; :func:`run_batch` yields that same object.  It keeps the
@@ -42,7 +42,9 @@ kernels themselves, and so is the draw at which qsim's selection rule
 turns from outcome 0 to outcome 1: a decoy measurement compares one draw
 with one table entry.  A row's two checks take their draws in one batch,
 the stream of one draw per decoy.  A record is read through its own
-fields alone: a decoy's mismatch is ``measured[i] != prepared[i]``.
+fields alone: a decoy's mismatch is ``measured[i] != prepared[i]``.  The
+protocol qubits an intercept measures in transit, always on the fresh
+state, are tabulated the same way on first use (:func:`_transit_table`).
 
 Every draw is read off raw 64-bit PCG64 words, as the values numpy's
 Generator would draw from the same words (``random``, ``integers``,
@@ -275,7 +277,8 @@ class Wave:
     transit (none if empty), one (basis coins, draws) pair of lists per row
     in ``TRANSIT`` order: a sequence's protocol qubits fill its free slots
     in order, so every row meets them in that order.
-    :func:`run_batch` applies them after S1/S2 to the rows it keeps: the
+    :func:`run_batch` applies them after S1/S2 to the rows it keeps, as
+    one gather of the :func:`_transit_table` leaves their walks reach: the
     checks read only decoys and the state of an aborted or dropped row is
     never read, so every outcome is the one applying them in P2 would give.
     """
@@ -286,6 +289,47 @@ class Wave:
             PROTOCOL_QUBITS, np.tile(_FRESH_STATE.amps, (len(rows), 1))
         )
         self.in_transit: list = []
+
+
+@functools.cache
+def _transit_table() -> tuple:
+    """(probs, cuts, leaves): the tree of an intercept's measurements of
+    ``TRANSIT`` on ``_FRESH_STATE``, which no phase touches before them.
+
+    Basis coin c (0 Z, 1 X) and bit b lead from node n of level k to node
+    2 * (2n + c) + b of level k + 1.  ``probs[k][2n + c]`` holds the outcome
+    probabilities of that measurement and ``cuts[k][2n + c]`` their
+    ``qsim._cut``.  ``leaves`` holds level 4's 256 post-states, NaN where no
+    draw reaches, so a row gathered from one fails E2's mass check.  One
+    kernel call per level and basis builds it, on first use.
+    """
+    amps, probs, cuts = _FRESH_STATE.amps[None], [], []
+    for q in TRANSIT:
+        live = ~np.isnan(amps[:, 0])
+        level = np.full((len(amps), 2, 2), np.nan)  # [node, coin, bit]
+        post = np.empty((len(amps), 2, 2, amps.shape[1]))
+        for coin, kernel in enumerate((qsim._z_kernel, qsim._x_kernel)):
+            level[live, coin], project = kernel(amps[live], PROTOCOL_QUBITS, q)
+            for bit in (0, 1):  # a dead outcome's root is floored here and its row NaN'd below
+                root = np.sqrt(np.maximum(level[live, coin, bit], qsim.ZERO_PROB))[:, None]
+                post[live, coin, bit] = project(np.full(len(root), bit), root)
+        post[~(level > qsim.ZERO_PROB)] = np.nan
+        probs.append(level.reshape(-1, 2))
+        cuts.append(tuple(map(qsim._cut, probs[-1].tolist())))
+        amps = post.reshape(-1, amps.shape[1])
+    for table in (*probs, amps):
+        table.setflags(write=False)
+    return tuple(probs), tuple(cuts), amps
+
+
+def _transit_leaf(coins, draws) -> int:
+    """The ``_transit_table`` leaf a row's in-transit basis coins and draws
+    reach, each bit int(draw >= cut) as in :func:`_measure_decoys`."""
+    node = 0
+    for cut, coin, u in zip(_transit_table()[1], coins, draws):
+        i = 2 * node + coin
+        node = 2 * i + (u >= cut[i])
+    return node
 
 
 def _halves_of(words) -> list:
@@ -600,22 +644,6 @@ def _measure_decoys(row: RoundRecord, coins: list, draws: list) -> list:
     return bits
 
 
-def _measure_in_bases(state: StateVector, q: int, coins: list, draws: list) -> StateVector:
-    """Measure qubit ``q`` of every row in the row's own basis (coin 0 Z,
-    1 X) with the row's draw; the rows sharing a basis are measured
-    together.  Returns the post-measurement state."""
-    if coins.count(coins[0]) == len(coins):
-        measure = qsim.measure_x if coins[0] else qsim.measure_z
-        return measure(state, q, draws)[1]
-    amps = np.empty_like(state.amps)
-    for coin, measure in enumerate((qsim.measure_z, qsim.measure_x)):
-        rows = [j for j, c in enumerate(coins) if c == coin]
-        part = StateVector(state.n_qubits, state.amps[rows])
-        _, post = measure(part, q, [draws[j] for j in rows])
-        amps[rows] = post.amps
-    return StateVector(state.n_qubits, amps)
-
-
 def s_check(row: RoundRecord, draws: list, threshold: float) -> "PhaseId | None":
     """S1 then S2: measure each of the row's decoys in its prepared basis
     and compare the outcome with P1's bit.
@@ -760,14 +788,14 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
             ended.add(r)
 
         if kept:
-            if len(kept) < len(rows):  # so a batched state: one row has nothing to drop
+            streams = [streams[j] for j in kept]
+            if wave.in_transit:  # each kept row's state is its in-transit walk's leaf
+                leaves = [_transit_leaf(*wave.in_transit[j]) for j in kept]
+                wave.state = StateVector(
+                    PROTOCOL_QUBITS, _transit_table()[2][leaves[0] if len(rows) == 1 else leaves]
+                )
+            elif len(kept) < len(rows):  # so a batched state: one row has nothing to drop
                 wave.state = StateVector(PROTOCOL_QUBITS, wave.state.amps[kept])
-                wave.in_transit = [wave.in_transit[j] for j in kept] if wave.in_transit else []
-                streams = [streams[j] for j in kept]
-            if wave.in_transit:
-                coins, draws = zip(*wave.in_transit)  # per row, each in TRANSIT order
-                for q, q_coins, q_draws in zip(TRANSIT, zip(*coins), zip(*draws)):
-                    wave.state = _measure_in_bases(wave.state, q, list(q_coins), list(q_draws))
 
             round_keys = [keys[r][i] for r, i in (pairs[j] for j in kept)]
             e1_encode(wave, round_keys, config.direction)

@@ -29,13 +29,16 @@ from qauthsim.protocol import (
     B2,
     C1,
     C2,
+    PROTOCOL_QUBITS,
     TRANSIT,
     ProtocolConfig,
     Role,
     SampleSource,
     Wave,
-    _measure_in_bases,
+    _FRESH_STATE,
     _measure_parties,
+    _transit_leaf,
+    _transit_table,
     p1_prepare,
     s_check,
 )
@@ -257,9 +260,9 @@ def test_intercept_resend_detection_rate(decoys, expected):
 def test_intercept_resend_still_forwards_protocol_qubits(decoys):
     # The attack measures the travelling protocol qubits too, in transit
     # order: the coins and draws of the slots no decoy holds, Alice's
-    # sequence then Bob's.  Applied the way run_batch applies them, they
-    # leave a definite product of the measured eigenstates, still
-    # normalized.
+    # sequence then Bob's.  Applied the way run_batch applies them,
+    # through the transit table, they give bit for bit the state that Z
+    # and X measurements of the fresh state leave, still normalized.
     rng, twin = row_stream(8), np.random.default_rng(8)
     register = fresh_register(decoys, seed=decoys)
     prepared = list(register.labels)
@@ -284,7 +287,12 @@ def test_intercept_resend_still_forwards_protocol_qubits(decoys):
         assert left == 2 * bases[slot] + bit
     assert list(TRANSIT) == [A1, A2, B1, B2]
     assert len(coins) == len(draws) == len(TRANSIT)
-    state = wave.state
+    assert wave.state is _FRESH_STATE
+    leaf, state = 0, wave.state
     for q, coin, draw in zip(TRANSIT, coins, draws):
-        state = _measure_in_bases(state, q, [coin], [draw])
-    assert reference.norm(state) == pytest.approx(1.0)
+        (bit,), state = (qsim.measure_x if coin else qsim.measure_z)(state, q, [draw])
+        leaf = 4 * leaf + 2 * coin + bit
+    assert _transit_leaf(coins, draws) == leaf
+    table_state = _transit_table()[2][leaf]
+    assert table_state.tobytes() == state.amps.tobytes()
+    assert reference.norm(qsim.StateVector(PROTOCOL_QUBITS, table_state)) == pytest.approx(1.0)

@@ -18,7 +18,7 @@ import pytest
 
 import reference
 
-from qauthsim import __version__, cli, oracle, protocol, qsim
+from qauthsim import __version__, adversary, cli, oracle, protocol, qsim
 from qauthsim.adversary import StrategyId
 from qauthsim.cli import (
     WAVE_SIZE,
@@ -500,8 +500,8 @@ def test_sampled_memory_does_not_grow_with_rounds():
 # The parties' walk (protocol._measure_parties) makes one measurement-kernel
 # call each for Alice's Bell pair, Bob's Bell pair, C1 and C2.  E2 walks
 # every wave that keeps a row past S1/S2, and the PreMeasure hook every wave
-# in P2.  Before E2 each in-transit qubit takes one call per basis that the
-# kept rows' coins name.
+# in P2.  The in-transit qubits take none: each kept row's state is read off
+# protocol's transit table, which is built once per process, not per wave.
 WALK_CALLS = 4
 
 
@@ -511,7 +511,7 @@ WALK_CALLS = 4
      (StrategyId.INTERCEPT_RESEND, 1, 4, 160)],
 )
 def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, decoys, samples):
-    waves = []  # per wave: its rows, rows kept, kernel calls and qubits measured in both bases
+    waves = []  # per wave: its rows, rows kept and kernel calls
     seeded, recorded = [], []  # (run seed, round) of each stream seeded and each round recorded
 
     def spy(module, name, count):  # count each call, then make it
@@ -529,19 +529,14 @@ def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, d
         lambda keys, plan: seeded.extend(keys) or waves.append(Counter(rows=len(keys))))
     spy(qsim, "_measure", lambda *args: waves[-1].update(calls=1))
     spy(protocol, "e1_encode", lambda wave, keys, direction: waves[-1].update(kept=len(keys)))
-    spy(protocol, "_measure_in_bases",
-        lambda state, q, coins, draws: waves[-1].update(mixed=len(set(coins)) == 2))
     build_report(RunConfig(rounds=rounds, decoys_per_sequence=decoys, samples=samples,
                            strategy=strategy))
     if strategy is StrategyId.INTERCEPT_RESEND:
         # One round a run, so each chunk of at most WAVE_SIZE runs is one wave.
         sizes = [min(WAVE_SIZE, samples - s) for s in range(0, samples, WAVE_SIZE)]
-        transit = len(protocol.TRANSIT)
         assert any(wave["kept"] for wave in waves)
         for wave in waves:
-            expected = WALK_CALLS + transit + wave["mixed"] if wave["kept"] else 0
-            assert wave["calls"] == expected
-            assert not wave["kept"] or WALK_CALLS + transit <= expected <= WALK_CALLS + 2 * transit
+            assert wave["calls"] == (WALK_CALLS if wave["kept"] else 0)
     else:
         # No round can abort, so a run's k is all its rounds: one wave.
         assert protocol.abort_probability(strategy, decoys, 0.0) == 0.0
@@ -554,6 +549,30 @@ def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, d
     # the streams seeded are the rounds recorded, sum(sizes) of them.
     assert len(set(seeded)) == len(seeded) == sum(sizes)
     assert sorted(seeded) == sorted(recorded)
+
+
+def test_sampled_intercepts_make_no_x_measurement(monkeypatch):
+    # An intercept draws an X coin for about half of what it measures, but a
+    # sampled run reads decoys off _DECOY_CUT and the in-transit protocol
+    # qubits off the transit table, built here before the spies (once per
+    # process): neither a report nor a one-row run calls the X kernel.
+    protocol._transit_table()
+    calls, coins = [], []
+    for name in ("measure_x", "_x_kernel"):
+        real = getattr(qsim, name)
+        monkeypatch.setattr(qsim, name, lambda *args, real=real: calls.append(1) or real(*args))
+    hook = adversary.hook_intercept_resend
+    monkeypatch.setattr(adversary, "hook_intercept_resend", lambda wave, source: hook(
+        wave, source) or coins.extend(coin for row, _ in wave.in_transit for coin in row))
+
+    report = build_report(RunConfig(rounds=4, decoys_per_sequence=0, samples=20,
+                                    strategy=StrategyId.INTERCEPT_RESEND))
+    assert report["results"][0]["rounds_executed"] == 80 and 1 in coins
+    del coins[:]
+    config = ProtocolConfig(rounds=1, seed=3)
+    transcript = protocol.run_protocol(config, [PauliLabel.X], StrategyId.INTERCEPT_RESEND)
+    assert len(transcript.rounds) == 1 and 1 in coins
+    assert calls == []
 
 
 @pytest.mark.parametrize("decoys, samples", [(4, 160), (1, 64)])

@@ -1,6 +1,7 @@
 """Tests for the protocol state machine: phases P1 through E3 and full runs."""
 
 import hashlib
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -478,6 +479,56 @@ def test_decoy_cuts_follow_the_kernels_selection_rule():
                     assert int(u >= _DECOY_CUT[label][coin]) == qsim._pick(probs, u)
             with pytest.raises(ValueError):
                 qsim._pick(probs, 1.0)  # _pick keeps its range check
+
+
+def test_transit_table_follows_the_kernels_walk():
+    # Every coin pattern, with draws just below, at and just above each
+    # live cut: the table's leaf and post-state are the ones Z and X
+    # measurements of TRANSIT on the fresh state give, 1-D and batched,
+    # bit for bit.  A cut at 0 or inf (one outcome dead) takes one draw.
+    probs, cuts, leaves = protocol._transit_table()
+    assert protocol._transit_table() is protocol._transit_table()
+    assert [len(level) for level in cuts] == [2 * 4**k for k in range(4)]
+    assert leaves.shape == (256, 2**PROTOCOL_QUBITS)
+    assert not leaves.flags.writeable and not any(level.flags.writeable for level in probs)
+    assert all(isinstance(level, tuple) for level in cuts)
+
+    def walk(coins, draws, amps):
+        leaf, state = 0, qsim.StateVector(PROTOCOL_QUBITS, amps)
+        for q, coin, u in zip(protocol.TRANSIT, coins, draws):
+            (bit,), state = (qsim.measure_x if coin else qsim.measure_z)(state, q, [u])
+            leaf = 4 * leaf + 2 * coin + bit
+        return leaf, state.amps.reshape(-1)
+
+    def draw_paths(coins, node=0, draws=()):
+        if len(draws) == len(coins):
+            yield list(draws)
+            return
+        i = 2 * node + coins[len(draws)]
+        cut = cuts[len(draws)][i]
+        near = [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)] if 0.0 < cut < 1.0 else [0.5]
+        for u in map(float, near):
+            yield from draw_paths(coins, 2 * i + (u >= cut), draws + (u,))
+
+    walked = set()
+    for coins in itertools.product((0, 1), repeat=len(protocol.TRANSIT)):
+        for draws in draw_paths(coins):
+            leaf = protocol._transit_leaf(coins, draws)
+            for amps in (protocol._FRESH_STATE.amps, protocol._FRESH_STATE.amps[None]):
+                got, post = walk(coins, draws, amps)
+                assert got == leaf and post.tobytes() == leaves[leaf].tobytes()
+            walked.add(leaf)
+
+    # The leaves a draw in [0, 1) can reach: bit 0 below a cut above 0,
+    # bit 1 from a cut below 1.  They are the live leaves; the rest are NaN.
+    reached = [0]
+    for level in cuts:
+        reached = [2 * i + bit for node in reached for i in (2 * node, 2 * node + 1)
+                   for bit, ok in ((0, level[i] > 0.0), (1, level[i] < 1.0)) if ok]
+    dead = sorted(set(range(256)) - set(reached))
+    assert len(reached) == len(set(reached)) == 196
+    assert walked == set(reached)
+    assert np.isfinite(leaves[reached]).all() and np.isnan(leaves[dead]).all()
 
 
 # ---------------------------------------------------------------------------
