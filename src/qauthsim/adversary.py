@@ -1,14 +1,16 @@
 """Attack strategies of the center; :func:`qauthsim.protocol.p2_transmit`
-runs the one a StrategyId names at transmission (P2).  Both hooks take
-only ``(wave, source)``: the round's :class:`qauthsim.protocol.Wave`, whose
-rows are the rounds' RoundRecords from P1, and its outcome source.
+runs the one a StrategyId names at transmission (P2).  Both hooks take only
+the round's :class:`qauthsim.protocol.Wave`, whose rows are the rounds'
+RoundRecords from P1 and whose streams are their draws.
 
 The interesting one is :func:`hook_premeasure`: the center measures every
 protocol qubit before anything is transmitted (Z on his own pair, then Bell
 on each party's pair, an order fixed in code), leaves the decoys alone, and
 XORs the party's announcement against his early Bell label to read off the
-round key.  His C qubits collapsed when he measured them, so E2's own Z
-measurements announce his early c outcomes.
+round key.  His measurements are a walk down the P2 levels of the round
+table (:func:`qauthsim.protocol._p2_tree`), so each row's state after them
+is one of its 16 leaves.  His C qubits collapsed when he measured them, so
+E2's own Z measurements announce his early c outcomes.
 :func:`hook_intercept_resend` is the detectable baseline: measure
 everything in transit, decoys included, in a random basis, by table
 lookups: the decoys here, the protocol qubits in ``run_batch`` from the
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .protocol import Role, Wave, _measure_decoys, _measure_parties
+from .protocol import _BELLS, Role, Wave, _measure_decoys, _p2_tree, _walk
 from .qsim import BellLabel, PauliLabel
 
 
@@ -48,16 +50,20 @@ class EveState:
     b_pre: BellLabel
 
 
-def hook_premeasure(wave: Wave, source) -> list:
+def hook_premeasure(wave: Wave) -> list:
     """Measure all six protocol qubits before transmission.
 
-    Z on C1 and C2, then Bell on (A1, A2) and on (B1, B2): the party walk
-    of the honest E2 measurement, made early with Charlie's turn first.
-    The measurements act on disjoint qubits, so the order of turns cannot
-    change the joint outcome statistics.  Decoy qubits are never touched.
-    Returns one EveState per row of the wave.
+    Z on C1 and C2, then Bell on (A1, A2) and on (B1, B2): E2's party walk
+    made early with Charlie's turn first, each row with four draws from its
+    stream, walked down the P2 levels of the round table to the leaf that
+    becomes the row's state.  The measurements act on disjoint qubits, so
+    the order of turns cannot change the joint outcome statistics.  Decoy
+    qubits are never touched.  Returns one EveState per row of the wave.
     """
-    return [EveState(c, a, b) for a, b, c in _measure_parties(wave, source, ("c", "a", "b"))]
+    levels, _ = _p2_tree(StrategyId.PRE_MEASURE)
+    draws = [stream.draws(4) for stream in wave.streams]
+    wave.leaves, (c1, c2, m, b) = _walk(levels, wave.leaves, draws)
+    return [EveState(c, _BELLS[i], _BELLS[j]) for c, i, j in zip(zip(c1, c2), m, b)]
 
 
 def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE) -> PauliLabel:
@@ -73,24 +79,25 @@ def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE)
     return PauliLabel((announced ^ reference).value)
 
 
-def hook_intercept_resend(wave: Wave, source) -> None:
+def hook_intercept_resend(wave: Wave) -> None:
     """Measure every transmitted qubit in a uniformly random basis from
     {Z, X} and forward the collapsed eigenstate.
 
     Each row's two sequences, Alice's d + 2 slots then Bob's, go out as one
     stream of 2d + 4 qubits, each with its own pre-drawn basis coin (0 Z,
-    1 X) and uniform draw from the row's stream in ``source.streams``.  A
+    1 X) and uniform draw from the row's stream in ``wave.streams``.  A
     decoy takes the coin and draw of its slot in the stream and is measured
     the way the S1/S2 checks measure it, by the ``_DECOY_CUT`` table.  The
     four slots no decoy holds carry the protocol qubits in
     ``protocol.TRANSIT`` order (A1, A2, B1, B2); their coins and draws go to
     the wave's ``in_transit`` as one (coins, draws) pair per row, in row
     order: what is left of the row's drawn lists once the decoy slots are
-    deleted, for ``run_batch`` to walk to a ``_transit_table`` leaf.
+    deleted, for ``run_batch`` to walk to a leaf of the intercept's P2
+    levels (:func:`qauthsim.protocol._p2_tree`).
     Charlie's own C qubits never travel, so they are left alone.
     """
     wave.in_transit = []
-    for row, stream in zip(wave.rows, source.streams):
+    for row, stream in zip(wave.rows, wave.streams):
         d = len(row.positions) // 2
         total = 2 * d + 4
         bases = stream.coins(total)

@@ -10,10 +10,10 @@ chunk of at most ``WAVE_SIZE`` runs at a time, executes each chunk through
 :func:`qauthsim.protocol.run_batch` in waves of at most ``WAVE_SIZE``
 (run, round) rows, and folds each wave's rows into five integer tallies as
 the wave ends.  So it holds one wave's records, never a run's, and one
-chunk's keys at 8 bytes per round per run, whatever ``samples`` is.  An
-exact run enumerates its strategy's round once for all four keys'
-transcript distributions, the keys' branches rows of the same two passes,
-and Honest's once more for the baseline under PreMeasure.
+chunk's keys at one byte per round per run, whatever ``samples`` is.  An
+exact run sums its strategy's round table for all four keys' transcript
+distributions, and Honest's too for the baseline under PreMeasure; each
+table is built once per process.
 Reports are deterministic: identical configs produce byte-identical files
 (reals at 12 significant digits, no timestamps).  Every draw is read off
 the raw words of a PCG64 bit generator by code fixed in
@@ -211,7 +211,7 @@ def _sampled_results(config: RunConfig) -> list:
             detected += record.decision is Decision.ABORT
             if record.inferred_key is not None:
                 guesses += 1
-                hits += record.inferred_key is keys[r][i]
+                hits += record.inferred_key is protocol._KEYS[keys[r][i]]
         del seeds, keys  # not held while the next chunk is read
     row = dict.fromkeys(_CSV_COLUMNS)
     row.update(

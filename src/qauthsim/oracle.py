@@ -1,33 +1,31 @@
 """Brute-force ground truth for the protocol and its attacks.
 
 Entanglement-swapping tables and Pauli-on-Bell maps are recomputed from
-amplitudes rather than trusted as label arithmetic; transcript distributions
-are obtained by exhaustive branch enumeration.  The enumeration drives the
-very same phase functions the sampler uses, P2's strategy dispatch
-(:func:`qauthsim.protocol.p2_transmit`) and the parties' measurement walk
-included, on a :class:`qauthsim.protocol.Wave` with one row per branch:
-:class:`BranchSource` implements the outcome-source interface of
-:class:`qauthsim.protocol.SampleSource`, one outcome per row in a list, but
-follows each row's scripted choices instead of drawing randomness, and
-:func:`enumerate_branches` runs a pipeline in passes.  A pass hands the
-pipeline a source with one row per script, so each of its measurements is
-one kernel call over every row, and its selection a few array steps over
-the kernel's (rows, outcomes) probabilities.  The next pass scripts each
-unexplored sibling of the rows' paths with every tail below it that the
-row's own fanouts predict, so a tree whose sibling subtrees branch alike,
-as a protocol round's do, takes two passes.  A pipeline takes that source and
-returns one result per row; a 1-D state it hands the source stands for
-every row.  It is the package's only enumerator:
-:func:`outcome_distribution` (a measurement plan on a bare state) and
-:func:`exact_transcript_distribution` (a protocol round's four key maps)
-run pipelines on it, and each checks its enumerated mass at run time.  The
-round is one pipeline: its P1 record is decoy-free, so nothing draws from
-it or changes it, and each call prepares it once for every row; the four
-keys are the roots of the enumeration, rows of the same passes, and E1
-applies each row's own.  No function here takes an order of the parties'
-turns: the round is walked in the sampler's orders, which are fixed in
-code.  Sampled runs reduce to five integer tallies, and :mod:`qauthsim.cli`
-turns each tally pair into rate fields through :func:`wilson_interval`.
+amplitudes rather than trusted as label arithmetic.  A protocol round's
+transcript distributions (:func:`exact_transcript_distribution`) are a
+depth-first sum over the very round table the sampler walks
+(:func:`qauthsim.protocol._round_table`): P2's levels, then E2's from each
+P2 leaf and key, every node's outcome probabilities computed once per
+process by the qsim kernels.  No function here takes an order of the
+parties' turns: the table holds the round in the sampler's orders, which
+are fixed in code.
+
+Only measurement plans on a bare state (:func:`outcome_distribution`, and
+so :func:`swap_table`) run on the pass enumerator,
+:func:`enumerate_branches`.  It runs a pipeline in passes:
+:class:`BranchSource` is an outcome source with ``measure_*`` methods that
+returns one outcome per row in a list and follows each row's scripted
+choices instead of drawing randomness.  A pass hands the pipeline a source
+with one row per script, so each of its measurements is one kernel call
+over every row, and its selection a few array steps over the kernel's
+(rows, outcomes) probabilities.  The next pass scripts each unexplored
+sibling of the rows' paths with every tail below it that the row's own
+fanouts predict, so a tree whose sibling subtrees branch alike takes two
+passes.  A pipeline takes that source and returns one result per row; a
+1-D state it hands the source stands for every row.  Both distributions
+check their enumerated mass at run time.  Sampled runs reduce to five
+integer tallies, and :mod:`qauthsim.cli` turns each tally pair into rate
+fields through :func:`wilson_interval`.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import numpy as np
 
 from . import protocol, qsim
 from .adversary import StrategyId
-from .protocol import ProtocolConfig, Role
+from .protocol import _BELLS, ProtocolConfig, Role
 from .qsim import Basis, BellLabel, PauliLabel
 
 # Largest |1 - mass| an exact enumeration may leave before it is an error.
@@ -58,8 +56,7 @@ class BranchSource:
 
     ``scripts`` holds one script per row.  Each measurement is one
     ``qsim.measure_*`` call over every row (a 1-D state is first repeated
-    into one row per script), and it returns the rows' outcomes as a list,
-    the shape :class:`qauthsim.protocol.SampleSource` returns for a wave.
+    into one row per script), and it returns the rows' outcomes as a list.
     At its measurement ``i``, row ``r`` takes live option ``scripts[r][i]``
     (or the first live option beyond its script's end) and multiplies
     ``probability[r]`` by its probability.  A script may name an option its
@@ -272,40 +269,47 @@ _CELLS = dict.fromkeys(
 )
 
 
+def _paths(levels, node: int, probability: float, outcomes=()):
+    """Yield (outcomes, leaf, probability) for every live path down the
+    round table's ``levels`` from ``node``, depth first: outcomes in rising
+    order at each level, each probability ``probability`` times the node
+    probabilities along the path, multiplied in walk order."""
+    if not levels:
+        yield outcomes, node, probability
+        return
+    (probs, children), rest = levels[0], levels[1:]
+    for i, (p, child) in enumerate(zip(probs[node].tolist(), children[node].tolist())):
+        if child >= 0:
+            yield from _paths(rest, child, probability * p, outcomes + (i,))
+
+
 def exact_transcript_distribution(strategy: StrategyId, direction: Role = Role.ALICE) -> dict:
     """Exact distributions of the public round transcript (c, a, b), one per key.
 
-    Enumerates every branch of a decoy-free round (decoys are independent of
-    the protocol qubits and are checked separately).  Returns
+    Sums every branch of a decoy-free round (decoys are independent of the
+    protocol qubits and are checked separately) over the round table of
+    ``strategy`` and ``direction`` that the sampler walks.  Returns
     ``{PauliLabel: cells}``, each the full 64-cell map keyed by
-    ((c1, c2), a, b).  The round is one pipeline, P2 then E1 then E2, whose
-    roots are the four keys: each pass's rows share the call's P1 record,
-    and E1 applies each row's own key.  So each branch's probability is the
-    float product, and each cell the order of sums, of one depth-first
-    walk through the round for its key.  The parties are measured in the
-    orders the sampler uses, fixed in code.  Raises ValueError when a key's
-    leaf probabilities do not sum to 1 within ``MASS_TOL``.
+    ((c1, c2), a, b): E2's own outcomes, which under PreMeasure are
+    Charlie's early c.  A key's leaves are its P2 paths in depth-first
+    order, each followed by the E2 paths of its leaf and key: a leaf's
+    probability is the float product along the path, P2's then E2's, and
+    each cell sums its leaves in that order.  Raises ValueError when a
+    key's leaf probabilities do not sum to 1 within ``MASS_TOL``.
     """
     if strategy not in EXACT_STRATEGIES:
         raise ValueError(
             f"exact enumeration covers Honest and PreMeasure, not {strategy!r}"
         )
-    # One decoy-free P1 record per call: nothing draws from it or changes
-    # it, so every row of every pass shares it.  Building its config also
-    # checks the direction before anything is enumerated.
-    row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
-
-    def round_(source):
-        keys = source.roots
-        wave = protocol.Wave([row] * len(keys))
-        protocol.p2_transmit(wave, strategy, source)
-        protocol.e1_encode(wave, keys, direction)
-        return [(key, (c, a, b)) for key, (a, b, c) in zip(keys, protocol.e2_measure(wave, source))]
-
-    maps = {key: _CELLS.copy() for key in PauliLabel}
-    for (key, cell), probability in enumerate_branches(round_, tuple(PauliLabel)):
-        maps[key][cell] += probability
-    for cells in maps.values():
+    ProtocolConfig(direction=direction)  # checks the direction before anything is built
+    table = protocol._round_table(strategy, direction)
+    roots = table.e2_roots(range(len(table.leaves)))
+    maps = {}
+    for code, key in enumerate(PauliLabel):
+        cells = maps[key] = _CELLS.copy()
+        for _, leaf, p in _paths(table.p2, 0, 1.0):
+            for (a, b, c1, c2), _, q in _paths(table.e2, roots[leaf] + code, p):
+                cells[(c1, c2), _BELLS[a], _BELLS[b]] += q
         _check_mass(cells)
     return maps
 

@@ -7,32 +7,40 @@ party encodes the round key as a Pauli on her first qubit (E1), everyone
 measures (E2), and the announcements are verified against the shared key
 (E3).  The center's strategy acts in P2, before anything is sent:
 :func:`p2_transmit` is the only code that turns a StrategyId into an attack,
-and the PreMeasure attack measures the parties with the same walk as E2.
-Both walks fix their order of turns in code: Charlie, Alice, Bob in the
-attack, and Alice, Bob, Charlie in E2.
+and the PreMeasure attack measures the parties as E2 does.  Both walks fix
+their order of turns in code: Charlie, Alice, Bob in the attack, and
+Alice, Bob, Charlie in E2.
+
+Every state a round's measurements see lies in a small fixed tree per
+strategy and direction, so a round is tabulated once per process as one
+:class:`_RoundTable` (:func:`_round_table`): the strategy's P2 levels from
+the fresh state (:func:`_p2_tree`), then E2's levels from each P2 leaf with
+each key's Pauli applied (E1), each level's outcome probabilities and
+live children built by the qsim kernels (:func:`_levels`).  The sampler
+walks it (:func:`_walk`), each outcome picked by ``qsim._pick`` with the
+draw the kernels' measurement would have taken, and the oracle sums it.
 
 Every phase from P2 on takes one round type, a :class:`Wave`: one or more
-rows, each one round of one run.  Its six-qubit states are the rows of one
-amplitude array, so each measurement is one kernel call for the whole
-wave, and every outcome comes back as a list with one entry per row.
-Sampled runs execute in waves of up to ``WAVE_SIZE`` rows (:func:`run_batch`):
-the next rounds of every run of a batch that has not aborted, as many per
-run as the config's :func:`abort_probability` says it will reach.  Round
-i of a run draws only from its own stream, ``PCG64((run seed, i))``, in
-the order its run alone would draw, so a run's transcript does not depend
-on the batch or wave it is in; :func:`run_protocol` is the batch of one,
-and the oracle drives waves of one row per branch.  P1 and the S1/S2 decoy checks stay
-per row, since they touch only that row's decoys and stream.  Per-row
-inputs (E1's keys, the draws, the ``Wave.in_transit`` entries) are lists
-in row order, read only for the rows that stay.
+rows, each one round of one run.  It holds the rows' records, streams and
+node indices into the table, no amplitudes.  Sampled runs execute in
+waves of up to ``WAVE_SIZE`` rows (:func:`run_batch`): the next rounds of
+every run of a batch that has not aborted, as many per run as the
+config's :func:`abort_probability` says it will reach.  Round i of a run
+draws only from its own stream, ``PCG64((run seed, i))``, in the order its
+run alone would draw, so a run's transcript does not depend on the batch
+or wave it is in; :func:`run_protocol` is the batch of one.  P1 and the
+S1/S2 decoy checks stay per row, since they touch only that row's decoys
+and stream.  Per-row inputs (the key codes, the draws, the
+``Wave.in_transit`` entries) are lists in row order, read only for the
+rows that stay.
 
 A round has one record, the :class:`RoundRecord` that P1 creates and the
 later phases fill in; :func:`run_batch` yields that same object.  It keeps the
 round's decoys as flat lists in row order, Alice's d then Bob's d: each
 one's slot in its owner's sequence, basis coin, prepared bit, current
 eigenstate label and, once checked, its S1/S2 outcome.  The protocol
-qubits fill the slots no decoy holds, and their joint state lives in the
-wave alone.  Decoys are never entangled with anything, and P1 prepares
+qubits fill the slots no decoy holds, and their joint state is a node of
+the round table.  Decoys are never entangled with anything, and P1 prepares
 each in a Z or X eigenstate.  The only thing that ever touches a decoy is
 a Z or X measurement (the S1/S2 checks, or an intercepting adversary),
 which leaves an eigenstate again, so a label (0 for |0>, 1 for |1>, 2 for
@@ -44,7 +52,7 @@ with one table entry.  A row's two checks take their draws in one batch,
 the stream of one draw per decoy.  A record is read through its own
 fields alone: a decoy's mismatch is ``measured[i] != prepared[i]``.  The
 protocol qubits an intercept measures in transit, always on the fresh
-state, are tabulated the same way on first use (:func:`_transit_table`).
+state, are its P2 levels of the round table.
 
 Every draw is read off raw 64-bit PCG64 words, as the values numpy's
 Generator would draw from the same words (``random``, ``integers``,
@@ -56,11 +64,8 @@ wave's blocks at once.  The first row seeds its ``PCG64(key)`` through
 numpy; the other rows' starts come in one pass of :func:`_seed_states`, a
 restatement of numpy's SeedSequence that tier-1 checks against numpy, and
 each is set on that same PCG64 in turn.  A sampled report's run seeds and
-keys come from :func:`_master_chunks`.
-
-All measurement outcomes flow through an outcome source object
-(:class:`SampleSource` here; the oracle module swaps in a scripted source to
-enumerate branches through this same code, P2 and the party walk included).
+keys come from :func:`_master_chunks`, a run's keys as one byte of key
+code a round.
 """
 
 from __future__ import annotations
@@ -248,88 +253,187 @@ class Transcript:
     decision: Decision
 
 
-# |G> x |G> over the six protocol qubits, read-only and shared by every
-# one-row wave: no phase writes amplitudes in place, each returns a new state.
+# |G> x |G> over the six protocol qubits, the state P1 leaves every row
+# in: read-only, the one root of every round table.
 _FRESH_STATE = qsim.init_product(["0"] * PROTOCOL_QUBITS)
 _FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C1, A1, B1)
 _FRESH_STATE = qsim.prepare_ghz_like(_FRESH_STATE, C2, A2, B2)
 _FRESH_STATE.amps.setflags(write=False)
 
 
-# Rows per wave in run_batch: each measurement of a wave is one kernel call
-# over a (rows, 64) amplitude array, and a wave holds as many rows as fit in
-# 64 KB of it.  The protocol's amplitudes are real, 8 bytes each: 128 rows.
-WAVE_SIZE = 64 * 1024 // _FRESH_STATE.amps.nbytes
+# Rows per wave in run_batch, and runs per chunk of _master_chunks.
+WAVE_SIZE = 128
+
+# A round key is stored as its code 2 * phase bit + parity bit, its index
+# here; a Bell outcome's index is its label's in _BELLS, the kernels' order.
+_KEYS = tuple(PauliLabel)
+_BELLS = tuple(BellLabel)
+
+# The walks of a round, each a tuple of levels (kernels, qubits).  A level
+# of two kernels is an intercept's: a two-way level, whose basis coin (0 Z,
+# 1 X) picks the kernel that measures a node.
+_Z, _X, _BELL = qsim._z_kernel, qsim._x_kernel, qsim._bell_kernel
+_PREMEASURE_PLAN = (((_Z,), (C1,)), ((_Z,), (C2,)), ((_BELL,), (A1, A2)), ((_BELL,), (B1, B2)))
+_TRANSIT_PLAN = tuple(((_Z, _X), (q,)) for q in TRANSIT)
+_E2_PLAN = (((_BELL,), (A1, A2)), ((_BELL,), (B1, B2)), ((_Z,), (C1,)), ((_Z,), (C2,)))
 
 
-class Wave:
-    """One or more rows, each one round of one run.
+def _level(probs: np.ndarray) -> tuple:
+    """(probs, children) of one tree level, both read-only.
 
-    ``state`` stacks the rows' six-qubit states into one (B, 64) float64
-    array, so each measurement is one kernel call for the whole wave.
-    It starts as the fresh state of P1 in every row; a one-row wave holds
-    ``_FRESH_STATE`` itself, 1-D, and a wave of several rows that
-    :func:`run_batch` cuts to one keeps its (1, 64) batch.  ``rows[r]`` is
-    row r's RoundRecord from P1: its decoy lists are touched only by that
-    row's own checks and an intercepting adversary.
-
-    ``in_transit`` holds an adversary's measurements of protocol qubits in
-    transit (none if empty), one (basis coins, draws) pair of lists per row
-    in ``TRANSIT`` order: a sequence's protocol qubits fill its free slots
-    in order, so every row meets them in that order.
-    :func:`run_batch` applies them after S1/S2 to the rows it keeps, as
-    one gather of the :func:`_transit_table` leaves their walks reach: the
-    checks read only decoys and the state of an aborted or dropped row is
-    never read, so every outcome is the one applying them in P2 would give.
+    Row ``C * n + c`` of ``probs`` holds the chances of the outcomes of
+    node n measured by the level's kernel c, of C.  ``children`` has the
+    same shape: the node of the next level each outcome leads to, the live
+    entries (above ``qsim.ZERO_PROB``) numbered in C order, or -1 for a
+    dead one.
     """
+    live = probs > qsim.ZERO_PROB
+    children = np.full(probs.shape, -1, dtype=np.int32)
+    children[live] = np.arange(np.count_nonzero(live))
+    probs.setflags(write=False)
+    children.setflags(write=False)
+    return probs, children
 
-    def __init__(self, rows: list):
-        self.rows = rows
-        self.state = _FRESH_STATE if len(rows) == 1 else StateVector(
-            PROTOCOL_QUBITS, np.tile(_FRESH_STATE.amps, (len(rows), 1))
-        )
-        self.in_transit: list = []
+
+def _levels(amps: np.ndarray, plan, leaves: bool = True) -> tuple:
+    """(levels, leaves): ``plan`` applied level by level to the root
+    states, the rows of ``amps``.
+
+    Each level is one kernel call per kernel over all of its nodes, which
+    also checks every node's mass, and ``levels[k]`` is its
+    :func:`_level`.  A live outcome's post-state is the kernel's
+    projection, the next level's node; ``leaves`` holds the last level's,
+    one row per child, unless ``leaves`` is False (then None).
+    """
+    levels = []
+    for k, (kernels, qubits) in enumerate(plan):
+        measured = [kernel(amps, PROTOCOL_QUBITS, *qubits) for kernel in kernels]
+        probs = np.stack([p for p, _ in measured], 1)  # (nodes, kernels, outcomes)
+        levels.append(_level(probs.reshape(-1, probs.shape[2])))
+        if k + 1 == len(plan) and not leaves:
+            return tuple(levels), None
+        children = levels[-1][1].reshape(probs.shape)
+        post = np.empty((np.count_nonzero(children >= 0), amps.shape[1]))
+        for c, (p, project) in enumerate(measured):
+            for i, live in enumerate((children[:, c] >= 0).T):
+                # A dead outcome's root is floored here and its row not kept.
+                root = np.sqrt(np.maximum(p[:, i:i + 1], qsim.ZERO_PROB))
+                post[children[live, c, i]] = project(i, root)[live]
+        amps = post
+    return tuple(levels), amps
 
 
 @functools.cache
-def _transit_table() -> tuple:
-    """(probs, cuts, leaves): the tree of an intercept's measurements of
-    ``TRANSIT`` on ``_FRESH_STATE``, which no phase touches before them.
-
-    Basis coin c (0 Z, 1 X) and bit b lead from node n of level k to node
-    2 * (2n + c) + b of level k + 1.  ``probs[k][2n + c]`` holds the outcome
-    probabilities of that measurement and ``cuts[k][2n + c]`` their
-    ``qsim._cut``.  ``leaves`` holds level 4's 256 post-states, NaN where no
-    draw reaches, so a row gathered from one fails E2's mass check.  One
-    kernel call per level and basis builds it, on first use.
+def _p2_tree(strategy) -> tuple:
+    """(levels, leaves) of the walk ``strategy`` makes in P2, from the fresh
+    state, which nothing touches before it: PreMeasure measures the six
+    protocol qubits, Charlie's pair first, then Alice's and Bob's; an
+    intercept measures ``TRANSIT`` in the bases its coins pick.  Honest
+    walks no level, and its one leaf is the fresh state.
     """
-    amps, probs, cuts = _FRESH_STATE.amps[None], [], []
-    for q in TRANSIT:
-        live = ~np.isnan(amps[:, 0])
-        level = np.full((len(amps), 2, 2), np.nan)  # [node, coin, bit]
-        post = np.empty((len(amps), 2, 2, amps.shape[1]))
-        for coin, kernel in enumerate((qsim._z_kernel, qsim._x_kernel)):
-            level[live, coin], project = kernel(amps[live], PROTOCOL_QUBITS, q)
-            for bit in (0, 1):  # a dead outcome's root is floored here and its row NaN'd below
-                root = np.sqrt(np.maximum(level[live, coin, bit], qsim.ZERO_PROB))[:, None]
-                post[live, coin, bit] = project(np.full(len(root), bit), root)
-        post[~(level > qsim.ZERO_PROB)] = np.nan
-        probs.append(level.reshape(-1, 2))
-        cuts.append(tuple(map(qsim._cut, probs[-1].tolist())))
-        amps = post.reshape(-1, amps.shape[1])
-    for table in (*probs, amps):
-        table.setflags(write=False)
-    return tuple(probs), tuple(cuts), amps
+    plan = {
+        adversary.StrategyId.PRE_MEASURE: _PREMEASURE_PLAN,
+        adversary.StrategyId.INTERCEPT_RESEND: _TRANSIT_PLAN,
+    }.get(strategy, ())
+    return _levels(_FRESH_STATE.amps[None], plan)
 
 
-def _transit_leaf(coins, draws) -> int:
-    """The ``_transit_table`` leaf a row's in-transit basis coins and draws
-    reach, each bit int(draw >= cut) as in :func:`_measure_decoys`."""
-    node = 0
-    for cut, coin, u in zip(_transit_table()[1], coins, draws):
-        i = 2 * node + coin
-        node = 2 * i + (u >= cut[i])
-    return node
+# P2 leaves whose E2 trees one _levels call builds: its states then peak at
+# about a quarter megabyte under InterceptResend, whose first wave may reach
+# dozens of leaves, and a report's peak memory stays near the parent's.
+_LEAVES_PER_BUILD = 4
+
+
+class _RoundTable:
+    """The round of one strategy and direction as one tree: P2's levels
+    (:func:`_p2_tree`), then E2's.  The sampler walks it and the oracle
+    sums it.
+
+    E1 enters as E2's roots: P2 leaf L with key code k applied to the
+    authenticating party's first qubit is root ``roots[L] + k`` of ``e2``,
+    the levels of E2's measurements (Alice's pair, Bob's pair, then C1 and
+    C2) over every root built so far.  A leaf's four roots and their trees
+    are built the first time a walk reaches it (:meth:`e2_roots`) and
+    appended to ``e2``; no post-state below the P2 leaves is kept.
+    """
+
+    def __init__(self, strategy, direction: Role):
+        if direction not in (Role.ALICE, Role.BOB):
+            raise ValueError("direction must be Alice or Bob")
+        self.qubit = A1 if direction is Role.ALICE else B1
+        self.p2, self.leaves = _p2_tree(strategy)
+        self.roots = np.full(len(self.leaves), -1, dtype=np.intp)
+        self.e2 = ()
+
+    def e2_roots(self, leaves) -> list:
+        """Each P2 leaf's first E2 root (key code 0), building the trees of
+        the leaves no walk reached before."""
+        first = self.roots[leaves].tolist()
+        if -1 in first:
+            new = sorted({leaf for leaf, root in zip(leaves, first) if root < 0})
+            self.roots[new] = (len(self.e2[0][0]) if self.e2 else 0) + 4 * np.arange(len(new))
+            # Each level's probabilities: the table's so far, then each build's.
+            stacks = [[probs] for probs, _ in self.e2] or [[] for _ in _E2_PLAN]
+            for start in range(0, len(new), _LEAVES_PER_BUILD):
+                chunk = new[start:start + _LEAVES_PER_BUILD]
+                keyed = qsim.apply_pauli(StateVector(PROTOCOL_QUBITS, self.leaves[np.repeat(chunk, 4)]),
+                                         self.qubit, list(_KEYS) * len(chunk))
+                for stack, (probs, _) in zip(stacks, _levels(keyed.amps, _E2_PLAN, leaves=False)[0]):
+                    stack.append(probs)
+            self.e2 = tuple(_level(np.concatenate(stack)) for stack in stacks)
+            first = self.roots[leaves].tolist()
+        return first
+
+
+@functools.cache
+def _round_table(strategy, direction: Role) -> _RoundTable:
+    """The one :class:`_RoundTable` of ``strategy`` and ``direction`` per process."""
+    return _RoundTable(strategy, direction)
+
+
+def _walk(levels, nodes: list, draws, coins=None) -> tuple:
+    """Walk each row from its node in ``nodes`` down ``levels``.
+
+    At level k, row r takes the outcome its draw ``draws[r][k]`` picks by
+    ``qsim._pick`` from its node's probabilities in basis ``coins[r][k]``
+    of a two-way level (the level's one kernel without ``coins``).  A walk
+    that reaches a dead child raises ValueError.  Returns the nodes reached
+    below the last level, and each level's outcomes, as lists in row order.
+    """
+    outcomes, columns = [], list(zip(*draws))
+    for k, (probs, children) in enumerate(levels):
+        rows = nodes if coins is None else [2 * node + row[k] for node, row in zip(nodes, coins)]
+        picks = list(map(qsim._pick, probs.take(rows, 0).tolist(), columns[k]))
+        nodes = list(map(children.item, rows, picks))
+        if -1 in nodes:
+            raise ValueError("a walk reached an outcome of probability at most ZERO_PROB")
+        outcomes.append(picks)
+    return nodes, outcomes
+
+
+class Wave:
+    """One or more rows, each one round of one run.  It holds no
+    amplitudes: a row's state is a node of its round's table.
+
+    ``rows[r]`` is row r's RoundRecord from P1 and ``streams[r]`` its
+    :class:`_RowStream`; a row's decoy lists are touched only by its own
+    checks and an intercepting adversary.  ``leaves[r]`` is the P2 leaf of
+    :func:`_p2_tree` the row's state is once its strategy's walk has run:
+    the fresh state, 0, until then, and PreMeasure walks in P2.
+
+    ``in_transit`` holds an intercept's measurements of protocol qubits in
+    transit (none if empty), one (basis coins, draws) pair of lists per row
+    in ``TRANSIT`` order: a sequence's protocol qubits fill its free slots
+    in order, so every row meets them in that order.  :func:`run_batch`
+    walks them after S1/S2 for the rows it keeps: the checks read only
+    decoys and an aborted or dropped row's state is never read, so every
+    outcome is the one walking them in P2 would give.
+    """
+
+    def __init__(self, rows: list, streams: list):
+        self.rows, self.streams = rows, streams
+        self.leaves = [0] * len(rows)
+        self.in_transit: list = []
 
 
 def _halves_of(words) -> list:
@@ -531,7 +635,8 @@ def _row_streams(keys: list, plan: tuple) -> list:
 
 def _master_chunks(seed: int, rounds: int, runs: int):
     """The run seeds and round keys of ``runs`` runs from the master stream
-    ``PCG64(seed)``, as (seeds, keys) chunks of at most WAVE_SIZE runs.
+    ``PCG64(seed)``, as (seeds, keys) chunks of at most WAVE_SIZE runs; a
+    run's keys are one ``bytes`` of key codes, one byte a round.
 
     They are the values numpy's Generator draws as integers(0, 2**63), then
     integers(0, 4, size=rounds), per run: a seed is a word w as w >> 1 and
@@ -540,50 +645,22 @@ def _master_chunks(seed: int, rounds: int, runs: int):
     reads the words it may need and drops those it used.
     """
     master = np.random.PCG64(seed)
-    alphabet = list(PauliLabel)
-    raw, pending = master.random_raw(0), []
+    raw, pending = master.random_raw(0), b""
     for start in range(0, runs, WAVE_SIZE):
         seeds, keys = [], []  # the last chunk's are not held while this one is read
         chunk = min(WAVE_SIZE, runs - start)
         most = chunk * (1 + (rounds + 1) // 2)  # the words these runs read at most
         raw = np.concatenate((raw, master.random_raw(max(0, most - len(raw)))))
-        tops, w = (np.asarray(raw, "<u8").view("<u4") >> 30).tolist(), 0  # 0-3, cached ints
+        tops, w = (np.asarray(raw, "<u8").view("<u4") >> 30).astype(np.uint8), 0
         for _ in range(chunk):
             seeds.append(int(raw[w]) >> 1)
             fresh, h = rounds - len(pending), 2 * w + 2
-            keys.append([alphabet[top] for top in pending + tops[h:h + fresh]])
+            keys.append(pending + tops[h:h + fresh].tobytes())
             w += 1 + (fresh + 1) // 2
-            pending = tops[2 * w - 1:2 * w] if fresh % 2 else []
+            pending = tops[2 * w - 1:2 * w].tobytes() if fresh % 2 else b""
         raw = raw[w:]
         del tops  # not held while the caller runs this chunk
         yield seeds, keys
-
-
-class SampleSource:
-    """Measurement outcome source for a wave: one :class:`_RowStream` per row.
-
-    Each measurement takes one uniform draw from every row's stream and
-    returns the rows' outcomes as a list, so each row's stream is drawn in
-    the same order as if its run were alone.  The oracle module provides a
-    scripted source, one branch per row, with the same three methods, so
-    the phase functions below never know whether they are being sampled or
-    enumerated.
-    """
-
-    def __init__(self, streams: list):
-        self.streams = streams
-
-    def _draws(self) -> list:
-        return [stream.draws(1)[0] for stream in self.streams]
-
-    def measure_z(self, state: StateVector, q: int):
-        return qsim.measure_z(state, q, self._draws())
-
-    def measure_x(self, state: StateVector, q: int):
-        return qsim.measure_x(state, q, self._draws())
-
-    def measure_bell(self, state: StateVector, q1: int, q2: int):
-        return qsim.measure_bell(state, q1, q2, self._draws())
 
 
 def p1_prepare(config: ProtocolConfig, stream: "_RowStream | None") -> RoundRecord:
@@ -607,24 +684,24 @@ def p1_prepare(config: ProtocolConfig, stream: "_RowStream | None") -> RoundReco
     return RoundRecord(positions, coins, bits, [2 * c + b for c, b in zip(coins, bits)])
 
 
-def p2_transmit(wave: Wave, strategy, source):
+def p2_transmit(wave: Wave, strategy):
     """Let the center's strategy act on the wave, then hand the sequences
     to their receivers over an ideal channel.
 
     This is the one place where a StrategyId becomes an attack.  It runs
     once per wave, so each round meets it once, before anything leaves
-    Charlie's lab.  PreMeasure measures the six protocol qubits through
-    ``source`` and returns one EveState per row; InterceptResend measures
-    every transmitted qubit with draws from the source's row streams, its
-    protocol-qubit measurements waiting in the wave's ``in_transit``;
-    Honest does nothing.  Returns None unless the
-    strategy records EveStates; an unknown strategy raises before the wave
-    is touched.
+    Charlie's lab.  PreMeasure walks the six protocol qubits' measurements
+    to each row's P2 leaf with draws from the row's stream and returns one
+    EveState per row; InterceptResend measures every transmitted qubit with
+    coins and draws from the row streams, its protocol-qubit measurements
+    waiting in the wave's ``in_transit``; Honest does nothing.  Returns
+    None unless the strategy records EveStates; an unknown strategy raises
+    before the wave is touched.
     """
     if strategy is adversary.StrategyId.PRE_MEASURE:
-        return adversary.hook_premeasure(wave, source)
+        return adversary.hook_premeasure(wave)
     if strategy is adversary.StrategyId.INTERCEPT_RESEND:
-        adversary.hook_intercept_resend(wave, source)
+        adversary.hook_intercept_resend(wave)
     elif strategy is not adversary.StrategyId.HONEST:
         raise ValueError(f"unknown strategy {strategy!r}")
     return None
@@ -666,50 +743,6 @@ def s_check(row: RoundRecord, draws: list, threshold: float) -> "PhaseId | None"
     return None
 
 
-def e1_encode(wave: Wave, keys: list, direction: Role) -> Wave:
-    """Apply each row's round key, a PauliLabel in ``keys``, to the
-    authenticating party's first qubit."""
-    if direction is Role.ALICE:
-        q = A1
-    elif direction is Role.BOB:
-        q = B1
-    else:
-        raise ValueError("direction must be Alice or Bob")
-    wave.state = qsim.apply_pauli(wave.state, q, keys)
-    return wave
-
-
-def _measure_parties(wave: Wave, source, order) -> list:
-    """Measure each party's protocol qubits, the parties taking turns in ``order``.
-
-    Party "a" is a Bell measurement on (A1, A2), "b" one on (B1, B2), and
-    "c" Z on C1 then C2; ``order`` is a permutation of the three.  The
-    measurements act on disjoint qubits, so the joint outcome distribution
-    cannot depend on it.  Returns one (a, b, (c1, c2)) per row.
-    """
-    results = {}
-    for party in order:
-        if party == "a":
-            results["a"], wave.state = source.measure_bell(wave.state, A1, A2)
-        elif party == "b":
-            results["b"], wave.state = source.measure_bell(wave.state, B1, B2)
-        else:
-            c1, wave.state = source.measure_z(wave.state, C1)
-            c2, wave.state = source.measure_z(wave.state, C2)
-            results["c"] = zip(c1, c2)
-    return list(zip(results["a"], results["b"], results["c"]))
-
-
-def e2_measure(wave: Wave, source) -> list:
-    """Measure the round: Alice Bell on (A1, A2), Bob Bell on (B1, B2),
-    then Charlie Z on C1 then C2; returns one (a, b, (c1, c2)) per row.
-
-    The walk is the one the PreMeasure attack makes in P2, in another
-    order of turns.
-    """
-    return _measure_parties(wave, source, ("a", "b", "c"))
-
-
 def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
     """Check the announcements against the shared round key.
 
@@ -727,8 +760,9 @@ def e3_verify(a: BellLabel, b: BellLabel, c, key: PauliLabel) -> Decision:
 def run_batch(config: ProtocolConfig, seeds, keys, strategy):
     """Execute one run of ``config`` per seed, in waves of (run, round) rows.
 
-    ``seeds[r]`` and ``keys[r]`` (one PauliLabel per round) belong to run
-    r; ``config.seed`` is not read.  A wave holds at most ``WAVE_SIZE`` rows:
+    ``seeds[r]`` and ``keys[r]`` (a ``bytes`` of one key code per round,
+    the index of its PauliLabel in ``_KEYS``) belong to run r;
+    ``config.seed`` is not read.  A wave holds at most ``WAVE_SIZE`` rows:
     each live run (the first ``WAVE_SIZE`` of them) adds its next k rounds,
     run after run, rounds rising.  k is max(1, ``WAVE_SIZE`` // live runs),
     capped at the expected run length: int(1 / p), at least 1, for the
@@ -738,10 +772,13 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
     its own stream seeded by (seeds[r], i), in the order its run alone
     would, so a run's rows do not depend on the batch or wave it is in.
     A run ends at its first abort, and its later rows in that wave are
-    dropped before E1, their records left undecided.  As each wave ends,
-    this generator yields (run, round, record) for every row the wave
-    prepared, in row order, and it keeps no record past that wave.  An
-    unknown ``strategy`` raises ValueError before any round is prepared.
+    dropped before E1, their records left undecided.  Each kept row walks
+    the round table of ``strategy`` and the direction
+    (:func:`_round_table`) from its P2 leaf and key with E2's four draws,
+    so no wave calls a measurement kernel.  As each wave ends, this
+    generator yields (run, round, record) for every row the wave prepared,
+    in row order, and it keeps no record past that wave.  An unknown
+    ``strategy`` raises ValueError before any round is prepared.
     """
     if not isinstance(strategy, adversary.StrategyId):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -750,11 +787,12 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
     for seed in seeds:
         _check_seed(seed)
     for run_keys in keys:
+        if not isinstance(run_keys, bytes):
+            raise ValueError(f"a run's keys must be bytes of key codes, got {run_keys!r}")
         if len(run_keys) != config.rounds:
             raise ValueError(f"got {len(run_keys)} keys for {config.rounds} rounds")
-        for k in run_keys:
-            if not isinstance(k, PauliLabel):
-                raise ValueError(f"keys must be PauliLabel values, got {k!r}")
+        if max(run_keys) >= len(_KEYS):
+            raise ValueError(f"key codes must lie below {len(_KEYS)}, got {max(run_keys)}")
 
     following, ended = [0] * len(seeds), set()  # each run's next round; the runs that aborted
     live = list(range(len(seeds)))  # runs with rounds left and no abort
@@ -762,6 +800,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
     p = abort_probability(strategy, d, threshold)
     cap = max(1, int(1 / p)) if p else config.rounds
     plan = _draw_plan(strategy, d)
+    table = _round_table(strategy, config.direction)
 
     while live:
         k = min(max(1, WAVE_SIZE // len(live)), cap)
@@ -772,8 +811,8 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
         ]
         streams = _row_streams([(seeds[r], i) for r, i in pairs], plan)
         rows = [p1_prepare(config, stream) for stream in streams]
-        wave = Wave(rows)
-        for row, eve in zip(rows, p2_transmit(wave, strategy, SampleSource(streams)) or ()):
+        wave = Wave(rows, streams)
+        for row, eve in zip(rows, p2_transmit(wave, strategy) or ()):
             row.eve = eve
 
         kept = []
@@ -788,25 +827,22 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
             ended.add(r)
 
         if kept:
-            streams = [streams[j] for j in kept]
-            if wave.in_transit:  # each kept row's state is its in-transit walk's leaf
-                leaves = [_transit_leaf(*wave.in_transit[j]) for j in kept]
-                wave.state = StateVector(
-                    PROTOCOL_QUBITS, _transit_table()[2][leaves[0] if len(rows) == 1 else leaves]
-                )
-            elif len(kept) < len(rows):  # so a batched state: one row has nothing to drop
-                wave.state = StateVector(PROTOCOL_QUBITS, wave.state.amps[kept])
-
-            round_keys = [keys[r][i] for r, i in (pairs[j] for j in kept)]
-            e1_encode(wave, round_keys, config.direction)
-            outcomes = e2_measure(wave, SampleSource(streams))
-            for j, key, (a, b, c) in zip(kept, round_keys, outcomes):
+            if wave.in_transit:  # each kept row's P2 leaf is its in-transit walk's
+                coins, draws = zip(*(wave.in_transit[j] for j in kept))
+                leaves, _ = _walk(table.p2, [0] * len(kept), draws, coins)
+            else:
+                leaves = [wave.leaves[j] for j in kept]
+            codes = [keys[r][i] for r, i in (pairs[j] for j in kept)]
+            # e2_roots builds any tree a leaf lacks, so it runs before table.e2 is read.
+            roots = [root + code for root, code in zip(table.e2_roots(leaves), codes)]
+            _, (alice, bob, c1, c2) = _walk(table.e2, roots, [streams[j].draws(4) for j in kept])
+            for j, code, a, b, c in zip(kept, codes, alice, bob, zip(c1, c2)):
                 row = rows[j]
+                row.c, row.a, row.b = c, _BELLS[a], _BELLS[b]
                 if row.eve is not None:
-                    announced = a if config.direction is Role.ALICE else b
+                    announced = row.a if config.direction is Role.ALICE else row.b
                     row.inferred_key = adversary.infer_key(row.eve, announced, config.direction)
-                row.c, row.a, row.b = c, a, b
-                row.decision = e3_verify(a, b, c, key)
+                row.decision = e3_verify(row.a, row.b, c, _KEYS[code])
 
         for (r, i), row in zip(pairs, rows):
             following[r] += row.decision is not None  # None for a row dropped past its run's abort
@@ -818,12 +854,17 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
 def run_protocol(config: ProtocolConfig, keys, strategy) -> Transcript:
     """Execute a full run: P1 through E3 for each round.
 
-    ``keys`` holds one PauliLabel per round.  This is :func:`run_batch` with
+    ``keys`` holds one PauliLabel per round, checked and converted once to
+    the key codes :func:`run_batch` takes.  This is :func:`run_batch` with
     one run, so round ``i`` reads the stream ``PCG64((config.seed, i))``.
     Returns the run's Transcript: its decided records, in round order, and
     as its decision the last that is not Accept, else Accept.
     """
-    rounds = [row for _, _, row in run_batch(config, [config.seed], [keys], strategy)
+    for k in keys:
+        if not isinstance(k, PauliLabel):
+            raise ValueError(f"keys must be PauliLabel values, got {k!r}")
+    codes = bytes(2 * k.phase_bit + k.parity_bit for k in keys)
+    rounds = [row for _, _, row in run_batch(config, [config.seed], [codes], strategy)
               if row.decision is not None]
     rejected = [row.decision for row in rounds if row.decision is not Decision.ACCEPT]
     return Transcript(rounds, rejected[-1] if rejected else Decision.ACCEPT)

@@ -14,17 +14,16 @@ gather and one multiply, Hadamard is (X + Z)/sqrt(2), and CNOT is the
 target's flip where the control is 1.
 
 Nothing in this module draws randomness.  The ``measure_*`` functions are
-the one way to measure: they take a list of uniform draws from ``[0, 1)``,
-one per row (a 1-D state is one row), and return ``(outcomes,
-post-state)`` with one outcome per row in a list, the shape of the
-outcome-source interface the protocol module uses.  A batch may take a
+the one way to measure a state: they take a list of uniform draws from
+``[0, 1)``, one per row (a 1-D state is one row), and return ``(outcomes,
+post-state)`` with one outcome per row in a list.  A batch may take a
 selector in place of the draws, a callable that picks each row's outcome
 from the rows' probabilities, one (B, k) float64 array, and must pick one
-live outcome per row: the oracle's exhaustive enumeration selects its
-scripted branches that way, a pass of rows per call.  Each basis has one
-kernel, written over the optional batch axis, so the exhaustive and the
-sampled results cannot drift apart, and a row of a batch gets the outcome
-its state would get measured alone.  Measurements never rotate the state:
+live outcome per row: the oracle's pass enumerator selects its scripted
+branches that way, a pass of rows per call.  Each basis has one kernel,
+written over the optional batch axis, which the protocol's round tables
+call directly, and a row of a batch gets the outcome its state would get
+measured alone.  Measurements never rotate the state:
 Z, X and Bell outcomes are the basis's projectors applied straight to the
 flat amplitude array through cached tables over a qubit tuple, a 0/1 mask
 per value of the XOR of those qubits' bits and the index permutation that
@@ -303,6 +302,9 @@ def _require_pair(state: StateVector, q1: int, q2: int) -> None:
 # per row for a batch.  A 1-D array takes numpy's vector product; a batch
 # takes a stacked matmul, which computes every row with that same product,
 # so a row's bits, and so its outcome, do not depend on the batch it is in.
+# That holds for C-contiguous rows, which is why :func:`_flip` returns a
+# batch in C order: numpy lays out ``amps[:, perm]`` in Fortran order, and
+# a stacked matmul or sum over such rows adds their terms in another order.
 
 _BITS = (0, 1)
 _BELL_ORDER = tuple(BellLabel)
@@ -329,23 +331,18 @@ def _masked_sums(masks: np.ndarray, values: np.ndarray):
 
 
 def _overlaps(bras: np.ndarray, kets: np.ndarray):
-    """Re<bra|ket> (of each row): the X kernel's overlaps.
-
-    They are the exception to the rule above, for real and complex
-    amplitudes alike: a row's result can differ from vdot's in the last bit
-    (vdot's own bits depend on how its operands are aligned in memory), and
-    so can a real state's from its complex cast's, since vdot and matmul sum
-    real and complex operands differently.  Either moves an outcome only for
-    a draw within that bit of an outcome boundary.
-    """
+    """Re<bra|ket> (of each row): the X kernel's overlaps, under the rule
+    above for real and complex amplitudes alike.  A real state's bits can
+    still differ from its complex cast's, since numpy sums real and complex
+    operands differently."""
     if bras.ndim == 1:
         return float(np.vdot(bras, kets).real)
     return np.matmul(bras.conj()[:, None, :], kets[:, :, None])[:, 0, 0].real
 
 
 def _flip(amps: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """The amplitudes (of each row) permuted by ``perm``."""
-    return amps[perm] if amps.ndim == 1 else amps[:, perm]
+    """The amplitudes (of each row) permuted by ``perm``, a batch's in C order."""
+    return amps[perm] if amps.ndim == 1 else np.ascontiguousarray(amps[:, perm])
 
 
 # _SIGNS[m] is the (1,) column +1 (m = 0) or -1 (m = 1).

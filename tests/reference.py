@@ -5,12 +5,13 @@ purpose: they share no code path with the package's index-table gates or
 measurement kernels.  The state helpers (:func:`norm`, :func:`overlap`,
 :func:`copy_state`, :func:`same_state`, :func:`bell_pair`) are what only
 the tests need of a StateVector, and :func:`run_one_round_at_a_time`
-replays a run through the protocol's phases with numpy's own draws and its
-own scalar decoy checks.  :func:`decoy_text` and :func:`decoy_error_rate`
-read a checked RoundRecord's decoy lists the way the transcript pins
-print them.  :func:`gather_transcripts` gathers the rows
+replays a run round by round with numpy's own draws, its own scalar decoy
+checks and ``qsim.measure_*`` on one 1-D state, none of the protocol's
+phase code.  :func:`decoy_text` and :func:`decoy_error_rate` read a
+checked RoundRecord's decoy lists the way the transcript pins print them.  :func:`gather_transcripts` gathers the rows
 :func:`qauthsim.protocol.run_batch` yields into one Transcript per run,
-and :func:`batch_transcripts` runs a batch that way.
+and :func:`batch_transcripts` runs a batch that way, its PauliLabel keys
+given as :func:`key_codes`.
 :func:`enumerate_branches_depth_first` is the oracle's enumeration as a
 one-row depth-first walk on :func:`outcome_list`, a single state's
 outcomes read off qsim's own 1-D kernels, and
@@ -548,52 +549,76 @@ def prepare_one_round(config, rng):
 
 
 def run_one_round_at_a_time(config, seed, keys, strategy):
-    """A run of ``config`` as a plain loop: one round per step, each on a
-    one-row wave, stopping at the first abort.
+    """A run of ``config`` as a plain loop: one round per step, each on one
+    1-D state measured by ``qsim.measure_*``, stopping at the first abort.
 
     Round i draws from ``np.random.default_rng((seed, i))`` through numpy's
     own ``permutation``, ``integers`` and ``random``: it builds P1's record
-    with :func:`prepare_one_round` and hands the phases a
-    :class:`GeneratorStream`.  So it checks the program's draws, read off
-    raw PCG64 words, against numpy's.  It calls the protocol's phases
-    directly (P2, E1, E2 and E3) and fills in the record as the round goes.
-    It checks the decoys with :func:`check_decoys_one_at_a_time` rather
-    than the protocol's table lookup, makes one Z or X measurement per
-    in-transit qubit after the checks, and shares none of
-    :func:`qauthsim.protocol.run_batch`'s wave filling or row dropping.
+    with :func:`prepare_one_round`.  So it checks the program's draws, read
+    off raw PCG64 words, against numpy's.  It shares none of the
+    protocol's waves, round tables or phase functions: under PreMeasure it
+    measures C1 and C2 in Z, then (A1, A2) and (B1, B2) in Bell, one draw
+    each; under InterceptResend it takes 2d + 4 coins and 2d + 4 draws,
+    measures each decoy slot's decoy by ``qsim._pick`` over its label's
+    outcome probabilities, and each protocol qubit in Z or X after the
+    decoy checks (:func:`check_decoys_one_at_a_time`).  Then the key's
+    Pauli acts on A1 or B1, Alice and Bob measure Bell and Charlie Z on C1
+    and C2, one draw each, and the round is verified and the key inferred
+    by their label arithmetic.
     """
     from qauthsim import qsim
-    from qauthsim.adversary import infer_key
+    from qauthsim.adversary import EveState, StrategyId
     from qauthsim.protocol import (
-        TRANSIT, Decision, Role, SampleSource, Transcript, Wave,
-        e1_encode, e2_measure, e3_verify, p2_transmit,
+        _DECOY_PROBS, A1, A2, B1, B2, C1, C2, TRANSIT, Decision, Role, Transcript,
     )
+    from qauthsim.qsim import PauliLabel
 
+    fresh = qsim.init_product(["0"] * 6)
+    fresh = qsim.prepare_ghz_like(qsim.prepare_ghz_like(fresh, C1, A1, B1), C2, A2, B2)
+    d = config.decoys_per_sequence
     transcript = Transcript([], Decision.ACCEPT)
     for i, key in enumerate(keys):
         rng = np.random.default_rng((seed, i))
         record = prepare_one_round(config, rng)
         transcript.rounds.append(record)
-        wave = Wave([record])
-        eves = p2_transmit(wave, strategy, SampleSource([GeneratorStream(rng)]))
-        record.eve = eves[0] if eves else None
+        state, transit = fresh, []
+        if strategy is StrategyId.PRE_MEASURE:
+            (c1,), state = qsim.measure_z(state, C1, [rng.random()])
+            (c2,), state = qsim.measure_z(state, C2, [rng.random()])
+            (m,), state = qsim.measure_bell(state, A1, A2, [rng.random()])
+            (b,), state = qsim.measure_bell(state, B1, B2, [rng.random()])
+            record.eve = EveState((c1, c2), m, b)
+        elif strategy is StrategyId.INTERCEPT_RESEND:
+            coins = rng.integers(0, 2, size=2 * d + 4).tolist()
+            draws = rng.random(size=2 * d + 4).tolist()
+            slots = record.positions[:d] + [d + 2 + pos for pos in record.positions[d:]]
+            for j, slot in enumerate(slots):
+                bit = qsim._pick(_DECOY_PROBS[record.labels[j]][coins[slot]], draws[slot])
+                record.labels[j] = 2 * coins[slot] + bit
+            transit = [(coin, u) for slot, (coin, u) in enumerate(zip(coins, draws))
+                       if slot not in slots]
         phase = check_decoys_one_at_a_time(record, config.decoy_error_threshold, rng)
         if phase is not None:
             record.decision, record.aborted_in = Decision.ABORT, phase
             transcript.decision = Decision.ABORT
             return transcript
-        for coins, draws in wave.in_transit:
-            for q, coin, draw in zip(TRANSIT, coins, draws):
-                measure = qsim.measure_x if coin else qsim.measure_z
-                _, wave.state = measure(wave.state, q, [draw])
-        e1_encode(wave, [key], config.direction)
-        ((a, b, c),) = e2_measure(wave, SampleSource([GeneratorStream(rng)]))
+        for q, (coin, u) in zip(TRANSIT, transit):
+            _, state = (qsim.measure_x if coin else qsim.measure_z)(state, q, [u])
+        state = qsim.apply_pauli(state, A1 if config.direction is Role.ALICE else B1, key)
+        (a,), state = qsim.measure_bell(state, A1, A2, [rng.random()])
+        (b,), state = qsim.measure_bell(state, B1, B2, [rng.random()])
+        (c1,), state = qsim.measure_z(state, C1, [rng.random()])
+        (c2,), state = qsim.measure_z(state, C2, [rng.random()])
+        c = (c1, c2)
         if record.eve is not None:
             c = record.eve.c_pre
             announced = a if config.direction is Role.ALICE else b
-            record.inferred_key = infer_key(record.eve, announced, config.direction)
+            early = record.eve.m_pre if config.direction is Role.ALICE else record.eve.b_pre
+            record.inferred_key = PauliLabel((announced ^ early).value)
         record.c, record.a, record.b = c, a, b
-        record.decision = e3_verify(a, b, c, key)
+        guess = PauliLabel.from_bits(a.phase_bit ^ b.phase_bit,
+                                     a.parity_bit ^ b.parity_bit ^ c[0] ^ c[1])
+        record.decision = Decision.ACCEPT if guess is key else Decision.REJECT
         if record.decision is Decision.REJECT:
             transcript.decision = Decision.REJECT
     return transcript
@@ -619,9 +644,17 @@ def gather_transcripts(rows, runs):
     return transcripts
 
 
+def key_codes(keys):
+    """A run's PauliLabel keys as the ``bytes`` of key codes
+    :func:`qauthsim.protocol.run_batch` takes: 2 * phase bit + parity bit."""
+    return bytes(2 * key.phase_bit + key.parity_bit for key in keys)
+
+
 def batch_transcripts(config, seeds, keys, strategy):
-    """:func:`qauthsim.protocol.run_batch` of one run per seed, gathered into
-    one Transcript per run, in seed order."""
+    """:func:`qauthsim.protocol.run_batch` of one run per seed, ``keys[r]``
+    run r's PauliLabel keys, gathered into one Transcript per run, in seed
+    order."""
     from qauthsim import protocol
 
-    return gather_transcripts(protocol.run_batch(config, seeds, keys, strategy), len(seeds))
+    codes = [key_codes(run_keys) for run_keys in keys]
+    return gather_transcripts(protocol.run_batch(config, seeds, codes, strategy), len(seeds))

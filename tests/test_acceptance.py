@@ -22,8 +22,8 @@ import pytest
 
 import reference
 
-from qauthsim import oracle, qsim
-from qauthsim.adversary import StrategyId, hook_premeasure, infer_key
+from qauthsim import oracle, protocol, qsim
+from qauthsim.adversary import EveState, StrategyId, infer_key
 from qauthsim.oracle import (
     enumerate_branches,
     exact_transcript_distribution,
@@ -33,14 +33,16 @@ from qauthsim.oracle import (
     wilson_interval,
 )
 from qauthsim.protocol import (
+    A1,
+    A2,
+    B1,
+    B2,
+    C1,
+    C2,
     Decision,
     ProtocolConfig,
     Role,
-    Wave,
-    e1_encode,
-    e2_measure,
     e3_verify,
-    p1_prepare,
     run_protocol,
 )
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
@@ -65,20 +67,27 @@ def test_criterion_1_transcripts_are_indistinguishable():
 
 
 def test_criterion_2_key_recovery_is_certain():
-    # Exact: every enumeration branch, every key, both directions.
+    # Exact: every enumeration branch, every key, both directions, each
+    # branch a round measured by qsim's kernels through the enumerator:
+    # Charlie's early Z on C1 and C2 and Bell on both pairs, the key's
+    # Pauli, then Alice's and Bob's Bell measurements.
     branches_ok = True
     n_branches = 0
     for key in PauliLabel:
         for direction in (Role.ALICE, Role.BOB):
 
             def pipeline(source, key=key, direction=direction):
-                rows = len(source.roots)
-                wave = Wave([p1_prepare(ProtocolConfig(), None)] * rows)
-                eves = hook_premeasure(wave, source)
-                e1_encode(wave, [key] * rows, direction)
+                c1, state = source.measure_z(protocol._FRESH_STATE, C1)
+                c2, state = source.measure_z(state, C2)
+                m, state = source.measure_bell(state, A1, A2)
+                b, state = source.measure_bell(state, B1, B2)
+                state = qsim.apply_pauli(state, A1 if direction is Role.ALICE else B1, key)
+                alice, state = source.measure_bell(state, A1, A2)
+                bob, state = source.measure_bell(state, B1, B2)
+                announced = alice if direction is Role.ALICE else bob
                 return [
-                    infer_key(eve, a if direction is Role.ALICE else b, direction) is key
-                    for eve, (a, b, _) in zip(eves, e2_measure(wave, source))
+                    infer_key(EveState(c, early_m, early_b), party, direction) is key
+                    for c, early_m, early_b, party in zip(zip(c1, c2), m, b, announced)
                 ]
 
             total = 0.0

@@ -14,7 +14,7 @@ import pytest
 import reference
 from reference import DECOY_KETS, fresh_register, row_stream
 
-from qauthsim import oracle, qsim
+from qauthsim import oracle, protocol, qsim
 from qauthsim.adversary import (
     EveState,
     StrategyId,
@@ -33,12 +33,7 @@ from qauthsim.protocol import (
     TRANSIT,
     ProtocolConfig,
     Role,
-    SampleSource,
     Wave,
-    _FRESH_STATE,
-    _measure_parties,
-    _transit_leaf,
-    _transit_table,
     p1_prepare,
     s_check,
 )
@@ -55,10 +50,16 @@ def test_strategy_ids():
 # pre-measurement
 
 
+def premeasured_state(wave):
+    """The one-row wave's state after PreMeasure's walk: its P2 leaf, 1-D."""
+    leaves = protocol._p2_tree(StrategyId.PRE_MEASURE)[1]
+    return qsim.StateVector(PROTOCOL_QUBITS, leaves[wave.leaves[0]])
+
+
 def test_premeasure_outcomes_satisfy_swap_constraint():
     rng = row_stream(0)
     for _ in range(100):
-        (eve,) = hook_premeasure(Wave([fresh_register()]), SampleSource([rng]))
+        (eve,) = hook_premeasure(Wave([fresh_register()], [rng]))
         c1, c2 = eve.c_pre
         assert eve.m_pre.phase_bit ^ eve.b_pre.phase_bit == 0
         assert eve.m_pre.parity_bit ^ eve.b_pre.parity_bit == c1 ^ c2
@@ -68,9 +69,9 @@ def test_premeasure_pins_every_later_measurement():
     # After the hook, re-measuring the same observables is deterministic.
     rng = row_stream(1)
     for _ in range(20):
-        wave = Wave([fresh_register()])
-        (eve,) = hook_premeasure(wave, SampleSource([rng]))
-        state = wave.state
+        wave = Wave([fresh_register()], [rng])
+        (eve,) = hook_premeasure(wave)
+        state = premeasured_state(wave)
         probs = {o: p for o, p, _ in reference.outcome_list(Basis.BELL, state, A1, A2)}
         (label,), state = qsim.measure_bell(state, A1, A2, rng.draws(1))
         assert label is eve.m_pre
@@ -88,13 +89,22 @@ def test_premeasure_pins_every_later_measurement():
 
 def test_premeasure_order_invariant_support():
     # the hook's walk takes the turns c, a, b; in any order the constraint
-    # between outcomes is the same, since the observables commute.
+    # between outcomes is the same, since the observables commute.  Each
+    # order is built as a tree by the round table's builder and walked.
+    levels_of = {
+        "c1": ((qsim._z_kernel,), (C1,)), "c2": ((qsim._z_kernel,), (C2,)),
+        "a": ((qsim._bell_kernel,), (A1, A2)), "b": ((qsim._bell_kernel,), (B1, B2)),
+    }
+    turns = {"c": ["c1", "c2"], "a": ["a"], "b": ["b"]}
     rng = row_stream(2)
     for order in (("c", "a", "b"), ("a", "b", "c"), ("b", "c", "a")):
+        names = [name for party in order for name in turns[party]]
+        levels, _ = protocol._levels(protocol._FRESH_STATE.amps[None], [levels_of[n] for n in names])
         for _ in range(30):
-            wave = Wave([fresh_register()])
-            [(m, b, (c1, c2))] = _measure_parties(wave, SampleSource([rng]), order)
-            assert (m.phase_bit ^ b.phase_bit, m.parity_bit ^ b.parity_bit) == (0, c1 ^ c2)
+            _, picks = protocol._walk(levels, [0], [rng.draws(4)])
+            got = {name: pick for name, [pick] in zip(names, picks)}
+            m, b = protocol._BELLS[got["a"]], protocol._BELLS[got["b"]]
+            assert (m.phase_bit ^ b.phase_bit, m.parity_bit ^ b.parity_bit) == (0, got["c1"] ^ got["c2"])
 
 
 def test_premeasure_never_touches_decoys():
@@ -102,7 +112,7 @@ def test_premeasure_never_touches_decoys():
         rng = row_stream((3, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
         before = list(register.labels)
-        hook_premeasure(Wave([register]), SampleSource([rng]))
+        hook_premeasure(Wave([register], [rng]))
         assert register.labels == before
 
 
@@ -136,13 +146,12 @@ def test_premeasure_then_encode_recovers_every_key():
     for key in PauliLabel:
         for direction in (Role.ALICE, Role.BOB):
             for _ in range(25):
-                wave = Wave([fresh_register()])
-                source = SampleSource([rng])
-                (eve,) = hook_premeasure(wave, source)
+                wave = Wave([fresh_register()], [rng])
+                (eve,) = hook_premeasure(wave)
                 qubit = A1 if direction is Role.ALICE else B1
-                wave.state = qsim.apply_pauli(wave.state, qubit, key)
+                state = qsim.apply_pauli(premeasured_state(wave), qubit, key)
                 pair = (A1, A2) if direction is Role.ALICE else (B1, B2)
-                (announced,), wave.state = source.measure_bell(wave.state, *pair)
+                (announced,), _ = qsim.measure_bell(state, *pair, rng.draws(1))
                 assert infer_key(eve, announced, direction) is key
 
 
@@ -187,7 +196,7 @@ def test_intercept_resend_touches_decoys():
         rng = row_stream((6, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
         before = list(register.labels)
-        hook_intercept_resend(Wave([register]), SampleSource([rng]))
+        hook_intercept_resend(Wave([register], [rng]))
         for prior, label in zip(before, register.labels):
             total += 1
             if prior != label:
@@ -202,7 +211,7 @@ def test_intercept_resend_empirical_mismatch_rate():
     for i in range(2000):
         rng = row_stream((7, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
-        hook_intercept_resend(Wave([register]), SampleSource([rng]))
+        hook_intercept_resend(Wave([register], [rng]))
         for coin, label, prepared in zip(register.coins, register.labels, register.prepared):
             measure = qsim.measure_x if coin else qsim.measure_z
             state = qsim.init_product([DECOY_KETS[label]])
@@ -222,7 +231,7 @@ def test_intercepted_decoys_are_checked_from_the_labels_eve_left():
         rng = row_stream((8, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
         sent = copy.deepcopy(register)
-        hook_intercept_resend(Wave([register]), SampleSource([rng]))
+        hook_intercept_resend(Wave([register], [rng]))
         assert (register.positions, register.coins, register.prepared) == (
             sent.positions, sent.coins, sent.prepared
         )
@@ -261,13 +270,14 @@ def test_intercept_resend_still_forwards_protocol_qubits(decoys):
     # The attack measures the travelling protocol qubits too, in transit
     # order: the coins and draws of the slots no decoy holds, Alice's
     # sequence then Bob's.  Applied the way run_batch applies them,
-    # through the transit table, they give bit for bit the state that Z
-    # and X measurements of the fresh state leave, still normalized.
+    # down the intercept's P2 levels of the round table, they give bit for
+    # bit the state that Z and X measurements of the fresh state leave,
+    # still normalized.
     rng, twin = row_stream(8), np.random.default_rng(8)
     register = fresh_register(decoys, seed=decoys)
     prepared = list(register.labels)
-    wave = Wave([register])
-    hook_intercept_resend(wave, SampleSource([rng]))
+    wave = Wave([register], [rng])
+    hook_intercept_resend(wave)
     [(coins, draws)] = wave.in_transit
     total = 2 * decoys + 4
     bases, randomness = twin.integers(0, 2, size=total), twin.random(size=total)
@@ -287,12 +297,12 @@ def test_intercept_resend_still_forwards_protocol_qubits(decoys):
         assert left == 2 * bases[slot] + bit
     assert list(TRANSIT) == [A1, A2, B1, B2]
     assert len(coins) == len(draws) == len(TRANSIT)
-    assert wave.state is _FRESH_STATE
-    leaf, state = 0, wave.state
+    assert wave.leaves == [0]  # the fresh state, walked in run_batch
+    state = protocol._FRESH_STATE
     for q, coin, draw in zip(TRANSIT, coins, draws):
-        (bit,), state = (qsim.measure_x if coin else qsim.measure_z)(state, q, [draw])
-        leaf = 4 * leaf + 2 * coin + bit
-    assert _transit_leaf(coins, draws) == leaf
-    table_state = _transit_table()[2][leaf]
+        _, state = (qsim.measure_x if coin else qsim.measure_z)(state, q, [draw])
+    levels, leaves = protocol._p2_tree(StrategyId.INTERCEPT_RESEND)
+    [leaf], _ = protocol._walk(levels, [0], [draws], [coins])
+    table_state = leaves[leaf]
     assert table_state.tobytes() == state.amps.tobytes()
     assert reference.norm(qsim.StateVector(PROTOCOL_QUBITS, table_state)) == pytest.approx(1.0)

@@ -326,7 +326,7 @@ def garble_key_guesses(monkeypatch):
             if record.decision is not None and i == 0:
                 record.inferred_key = None
             elif record.decision is not None and i == 1:
-                record.inferred_key = next(k for k in PauliLabel if k is not keys[r][1])
+                record.inferred_key = next(k for k in PauliLabel if k is not protocol._KEYS[keys[r][1]])
             yield r, i, record
 
     monkeypatch.setattr(protocol, "run_batch", run)
@@ -497,12 +497,14 @@ def test_sampled_memory_does_not_grow_with_rounds():
     assert long <= 1.25 * short, (short, long)
 
 
-# The parties' walk (protocol._measure_parties) makes one measurement-kernel
-# call each for Alice's Bell pair, Bob's Bell pair, C1 and C2.  E2 walks
-# every wave that keeps a row past S1/S2, and the PreMeasure hook every wave
-# in P2.  The in-transit qubits take none: each kept row's state is read off
-# protocol's transit table, which is built once per process, not per wave.
-WALK_CALLS = 4
+# No wave calls a measurement kernel: a kept row walks its round table
+# (protocol._round_table) from its P2 leaf, and PreMeasure's hook walks the
+# table's P2 levels.  The tables are built once per process, each build one
+# protocol._levels call: the strategy's P2 tree when its round table is
+# first made, before any wave, and E2's trees once for each P2 leaf a wave
+# first reaches (one leaf under Honest, up to 16 under PreMeasure and 196
+# in-transit leaves under InterceptResend), protocol._LEAVES_PER_BUILD
+# leaves a call at most.
 
 
 @pytest.mark.parametrize(
@@ -511,12 +513,15 @@ WALK_CALLS = 4
      (StrategyId.INTERCEPT_RESEND, 1, 4, 160)],
 )
 def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, decoys, samples):
-    waves = []  # per wave: its rows, rows kept and kernel calls
+    protocol._p2_tree.cache_clear()  # so this report builds its tables
+    protocol._round_table.cache_clear()
+    waves = [Counter()]  # per wave: its rows, rows kept, kernel calls and builds; [0] before any
     seeded, recorded = [], []  # (run seed, round) of each stream seeded and each round recorded
+    reached, building = set(), []  # the P2 leaves E2 was walked from; set inside e2_roots
 
-    def spy(module, name, count):  # count each call, then make it
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args: count(*args) or real(*args))
+    def spy(owner, name, count):  # count each call, then make it
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: count(*args) or real(*args, **kw))
 
     def batch(config, seeds, keys, strategy, real=protocol.run_batch):
         for r, i, record in real(config, seeds, keys, strategy):
@@ -524,25 +529,44 @@ def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, d
                 recorded.append((seeds[r], i))
             yield r, i, record
 
+    def roots(table, leaves, real=protocol._RoundTable.e2_roots):
+        waves[-1].update(kept=len(leaves), new=len(set(leaves) - reached))
+        reached.update(leaves)
+        building.append(True)
+        try:
+            return real(table, leaves)
+        finally:
+            building.pop()
+
     monkeypatch.setattr(protocol, "run_batch", batch)
     spy(protocol, "_row_streams",
         lambda keys, plan: seeded.extend(keys) or waves.append(Counter(rows=len(keys))))
-    spy(qsim, "_measure", lambda *args: waves[-1].update(calls=1))
-    spy(protocol, "e1_encode", lambda wave, keys, direction: waves[-1].update(kept=len(keys)))
+    def kernel_call(*args):
+        if not building:
+            waves[-1].update(calls=1)
+
+    for name in ("_measure", "_z_kernel", "_x_kernel", "_bell_kernel", "apply_pauli"):
+        spy(qsim, name, kernel_call)
+    spy(protocol, "_levels", lambda amps, plan: waves[-1].update(builds=1))
+    monkeypatch.setattr(protocol._RoundTable, "e2_roots", roots)
     build_report(RunConfig(rounds=rounds, decoys_per_sequence=decoys, samples=samples,
                            strategy=strategy))
+    assert waves.pop(0) == Counter(builds=1)  # the P2 tree
+    assert sum(wave["new"] for wave in waves) == len(reached) >= 1
+    for wave in waves:
+        assert wave["calls"] == 0
+        assert wave["builds"] == -(-wave["new"] // protocol._LEAVES_PER_BUILD)
     if strategy is StrategyId.INTERCEPT_RESEND:
         # One round a run, so each chunk of at most WAVE_SIZE runs is one wave.
         sizes = [min(WAVE_SIZE, samples - s) for s in range(0, samples, WAVE_SIZE)]
         assert any(wave["kept"] for wave in waves)
-        for wave in waves:
-            assert wave["calls"] == (WALK_CALLS if wave["kept"] else 0)
     else:
         # No round can abort, so a run's k is all its rounds: one wave.
         assert protocol.abort_probability(strategy, decoys, 0.0) == 0.0
         sizes = [samples * rounds]
-        walks = 1 + (strategy is StrategyId.PRE_MEASURE)
-        assert waves == [Counter(rows=sizes[0], kept=sizes[0], calls=walks * WALK_CALLS)]
+        builds = -(-len(reached) // protocol._LEAVES_PER_BUILD)
+        assert waves == [Counter(rows=sizes[0], kept=sizes[0], new=len(reached), builds=builds)]
+        assert (len(reached) == 1) == (strategy is StrategyId.HONEST)
     assert [wave["rows"] for wave in waves] == sizes
     # Each row seeds its own stream once: no round is seeded twice, and
     # every row is recorded (no run here has a round past an abort), so
@@ -554,16 +578,18 @@ def test_kernel_calls_per_wave_follow_the_walks(monkeypatch, strategy, rounds, d
 def test_sampled_intercepts_make_no_x_measurement(monkeypatch):
     # An intercept draws an X coin for about half of what it measures, but a
     # sampled run reads decoys off _DECOY_CUT and the in-transit protocol
-    # qubits off the transit table, built here before the spies (once per
-    # process): neither a report nor a one-row run calls the X kernel.
-    protocol._transit_table()
+    # qubits off the round table, whose E2 trees are all built here before
+    # the spies (once per process): neither a report nor a one-row run
+    # calls the X kernel.
+    table = protocol._round_table(StrategyId.INTERCEPT_RESEND, Role.ALICE)
+    table.e2_roots(range(len(table.leaves)))
     calls, coins = [], []
     for name in ("measure_x", "_x_kernel"):
         real = getattr(qsim, name)
         monkeypatch.setattr(qsim, name, lambda *args, real=real: calls.append(1) or real(*args))
     hook = adversary.hook_intercept_resend
-    monkeypatch.setattr(adversary, "hook_intercept_resend", lambda wave, source: hook(
-        wave, source) or coins.extend(coin for row, _ in wave.in_transit for coin in row))
+    monkeypatch.setattr(adversary, "hook_intercept_resend", lambda wave: hook(
+        wave) or coins.extend(coin for row, _ in wave.in_transit for coin in row))
 
     report = build_report(RunConfig(rounds=4, decoys_per_sequence=0, samples=20,
                                     strategy=StrategyId.INTERCEPT_RESEND))

@@ -71,11 +71,12 @@ def numpy_stream(pair):
 
 
 def master_lines(seed, rounds, runs=130) -> list:
-    """One line per run of the master stream: its seed, then its keys."""
+    """One line per run of the master stream: its seed, then its keys, each
+    key code printed as its PauliLabel."""
     return [
-        f"{run_seed} {' '.join(map(str, keys))}"
+        f"{run_seed} {' '.join(str(protocol._KEYS[code]) for code in codes)}"
         for seeds, chunk_keys in protocol._master_chunks(seed, rounds, runs)
-        for run_seed, keys in zip(seeds, chunk_keys)
+        for run_seed, codes in zip(seeds, chunk_keys)
     ]
 
 
@@ -285,7 +286,16 @@ def test_waves_in_threads_read_their_own_rows():
 
 @pytest.mark.parametrize("case", list(MASTER_DIGESTS), ids=lambda c: f"seed{c[0]}-r{c[1]}")
 def test_master_stream_matches_numpy(case):
+    # A run's keys are one byte of key code a round, the codes numpy's
+    # Generator draws as integers(0, 4) after the run's seed.
     assert _sha(master_lines(*case)) == MASTER_DIGESTS[case]
+    seed, rounds = case
+    generator = np.random.default_rng(seed)
+    for seeds, chunk_keys in protocol._master_chunks(seed, rounds, 130):
+        for run_seed, codes in zip(seeds, chunk_keys):
+            assert type(codes) is bytes and len(codes) == rounds
+            assert run_seed == int(generator.integers(0, 2**63))
+            assert list(codes) == generator.integers(0, 4, size=rounds).tolist()
 
 
 # The start of a row's draws under InterceptResend at one decoy per

@@ -11,7 +11,7 @@ import pytest
 import reference
 
 from qauthsim import oracle, protocol, qsim
-from qauthsim.adversary import EveState, StrategyId, hook_premeasure, infer_key
+from qauthsim.adversary import EveState, StrategyId, infer_key
 from qauthsim.oracle import (
     BranchSource,
     enumerate_branches,
@@ -21,7 +21,9 @@ from qauthsim.oracle import (
     tv_distance,
     wilson_interval,
 )
-from qauthsim.protocol import Decision, ProtocolConfig, Role, e3_verify, run_protocol
+from qauthsim.protocol import (
+    A1, A2, B1, B2, C1, C2, Decision, ProtocolConfig, Role, e3_verify, run_protocol,
+)
 from qauthsim.qsim import Basis, BellLabel, PauliLabel
 
 
@@ -360,23 +362,17 @@ def test_premeasure_leaves_e2_measuring_the_early_center_bits(direction):
     # Under PreMeasure the announced c is E2's own Z outcome, as under
     # Honest: Charlie's early Z measurement collapsed C1 and C2, and neither
     # E1's Pauli nor the parties' Bell measurements touch them.  So on every
-    # branch E2's c is the EveState's c_pre, and no E2 measurement branches:
-    # each key's round is the hook's 16 branches, with mass 1.
-    row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
-
-    def pipeline(source):
-        keys = source.roots
-        wave = protocol.Wave([row] * len(keys))
-        eves = hook_premeasure(wave, source)
-        protocol.e1_encode(wave, keys, direction)
-        outcomes = protocol.e2_measure(wave, source)
-        return [(key, c == eve.c_pre) for key, eve, (_, _, c) in zip(keys, eves, outcomes)]
-
+    # path of the round table E2's c is the early c_pre, and no E2
+    # measurement branches: each key's round is P2's 16 paths, with mass 1.
+    table = protocol._round_table(StrategyId.PRE_MEASURE, direction)
+    roots = table.e2_roots(range(len(table.leaves)))
     leaves, mass = Counter(), dict.fromkeys(PauliLabel, 0.0)
-    for (key, same), probability in enumerate_branches(pipeline, tuple(PauliLabel)):
-        assert same, key
-        leaves[key] += 1
-        mass[key] += probability
+    for code, key in enumerate(PauliLabel):
+        for (c1, c2, _, _), leaf, p in oracle._paths(table.p2, 0, 1.0):
+            [((_, _, e1, e2), _, q)] = oracle._paths(table.e2, roots[leaf] + code, p)
+            assert (e1, e2) == (c1, c2), key
+            leaves[key] += 1
+            mass[key] += q
     assert leaves == dict.fromkeys(PauliLabel, 16)
     for key, total in mass.items():
         assert abs(1.0 - total) <= oracle.MASS_TOL, key
@@ -461,15 +457,18 @@ def test_exact_distribution_rejects_sampled_only_strategy():
 def test_exact_distribution_rejects_bad_directions_before_enumerating(
     monkeypatch, strategy, direction
 ):
-    def refuse(script):
-        raise AssertionError("enumerated with a bad direction")
+    def refuse(*args):
+        raise AssertionError("built or summed a table with a bad direction")
 
-    monkeypatch.setattr(oracle, "BranchSource", refuse)
+    monkeypatch.setattr(protocol, "_round_table", refuse)
     with pytest.raises(ValueError):
         exact_transcript_distribution(strategy, direction)
 
 
-def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
+def test_exact_distributions_prepare_no_p1_row_and_build_each_table_once(monkeypatch):
+    # A decoy-free round's table grows from the fresh state, so an exact
+    # call prepares no P1 record, and its tables are built once per process:
+    # a second call sums the same table to the same bits.
     rows = []
     original = protocol.p1_prepare
 
@@ -480,10 +479,13 @@ def test_exact_distributions_prepare_one_p1_row_and_leave_it_alone(monkeypatch):
     monkeypatch.setattr(protocol, "p1_prepare", recorded)
     for strategy in (StrategyId.HONEST, StrategyId.PRE_MEASURE):
         for direction in (Role.ALICE, Role.BOB):
-            exact_transcript_distribution(strategy, direction)
-    assert len(rows) == 4  # one per call, not one per key or per leaf
-    for row in rows:
-        assert row == protocol.RoundRecord([], [], [], [])
+            first = exact_transcript_distribution(strategy, direction)
+            table = protocol._round_table(strategy, direction)
+            e2 = table.e2
+            again = exact_transcript_distribution(strategy, direction)
+            assert protocol._round_table(strategy, direction) is table and table.e2 is e2
+            assert {k: _hexed(v) for k, v in again.items()} == {k: _hexed(v) for k, v in first.items()}
+    assert rows == []
 
 
 class RecordedSource:
@@ -504,17 +506,15 @@ class RecordedSource:
         return recorded
 
 
-@pytest.mark.parametrize(
-    "make_source",
-    [lambda: BranchSource([[1, 1]]), lambda: protocol.SampleSource([protocol._RowStream(5)])],
-    ids=["BranchSource", "SampleSource"],
-)
-def test_both_sources_return_one_outcome_per_row_as_a_list(make_source):
-    source = RecordedSource(make_source())
-    wave = protocol.Wave([protocol.p1_prepare(ProtocolConfig(), None)])
-    [(a, b, (c1, c2))] = protocol.e2_measure(wave, source)
+def test_branch_source_returns_one_outcome_per_row_as_a_list():
+    source = RecordedSource(BranchSource([[1, 1]]))
+    [a], state = source.measure_bell(protocol._FRESH_STATE, A1, A2)
+    [b], state = source.measure_bell(state, B1, B2)
+    [c1], state = source.measure_z(state, C1)
+    [c2], state = source.measure_z(state, C2)
     assert source.returned == [[a], [b], [c1], [c2]]
     assert all(type(outcome) is list for outcome in source.returned)
+    assert a.phase_bit == b.phase_bit and a.parity_bit ^ b.parity_bit == c1 ^ c2
 
 
 def _hexed(dist):
@@ -526,27 +526,43 @@ def _hexed(dist):
 HOOK_ORDER, MEASURE_ORDER = ("c", "a", "b"), ("a", "b", "c")
 
 
-def exact_with_orders(strategy, key, direction, hook_order, measure_order):
-    """The exact transcript map of a round whose two party walks take their
-    turns in the given orders.
+def exact_pipeline(strategy, key, direction, hook_order=HOOK_ORDER, measure_order=MEASURE_ORDER):
+    """A decoy-free round for one key as an enumeration pipeline on qsim's
+    measurements alone, none of the round table: under PreMeasure the
+    parties measured early in ``hook_order``, the key's Pauli on A1 or B1,
+    then the parties in ``measure_order``.  A row's result is its cell
+    ((c1, c2), a, b), with Charlie's early c under PreMeasure."""
 
-    It is exact_transcript_distribution's round for one key, walked in one
-    enumeration from P2 to E2, with P2 and E2 made by
-    protocol._measure_parties directly and enumerated by whatever
-    ``oracle.enumerate_branches`` is at call time.
-    """
-    row = protocol.p1_prepare(ProtocolConfig(direction=direction), None)
+    def walk(source, state, order):
+        got = {}
+        for party in order:
+            if party == "c":
+                got["c1"], state = source.measure_z(state, C1)
+                got["c2"], state = source.measure_z(state, C2)
+            else:
+                got[party], state = source.measure_bell(state, *{"a": (A1, A2), "b": (B1, B2)}[party])
+        return got, state
 
     def pipeline(source):
-        rows = len(source.roots)
-        wave = protocol.Wave([row] * rows)
-        c_pre = [None] * rows
+        state, c_pre = protocol._FRESH_STATE, [None] * len(source.roots)
         if strategy is StrategyId.PRE_MEASURE:
-            c_pre = [c for _, _, c in protocol._measure_parties(wave, source, hook_order)]
-        protocol.e1_encode(wave, [key] * rows, direction)
-        outcomes = protocol._measure_parties(wave, source, measure_order)
-        return [((c if pre is None else pre), a, b) for pre, (a, b, c) in zip(c_pre, outcomes)]
+            early, state = walk(source, state, hook_order)
+            c_pre = list(zip(early["c1"], early["c2"]))
+        state = qsim.apply_pauli(state, A1 if direction is Role.ALICE else B1, key)
+        got, _ = walk(source, state, measure_order)
+        return [
+            ((c if pre is None else pre), a, b)
+            for pre, a, b, c in zip(c_pre, got["a"], got["b"], zip(got["c1"], got["c2"]))
+        ]
 
+    return pipeline
+
+
+def exact_with_orders(strategy, key, direction, hook_order, measure_order):
+    """The exact transcript map of one key's round whose two party walks
+    take their turns in the given orders: :func:`exact_pipeline` summed by
+    whatever ``oracle.enumerate_branches`` is at call time."""
+    pipeline = exact_pipeline(strategy, key, direction, hook_order, measure_order)
     cells = dict.fromkeys(oracle._CELLS, 0.0)
     for cell, probability in oracle.enumerate_branches(pipeline):
         cells[cell] += probability
@@ -573,10 +589,9 @@ def test_exact_distribution_order_invariance():
 @pytest.mark.parametrize("key", list(PauliLabel))
 @pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
 def test_exact_with_orders_at_the_fixed_orders_is_the_program(strategy, key, direction):
-    # Bit for bit, so the order-permuted maps below are the program's maps
-    # with only the orders changed.  exact_with_orders enumerates one key,
-    # so this also holds the program's four keys, rows of the same passes,
-    # to one key's enumeration.
+    # Bit for bit: the table sum is the pass enumerator's sum of qsim's
+    # measurements at the program's orders, so the order-permuted maps below
+    # are the program's maps with only the orders changed.
     program = exact_transcript_distribution(strategy, direction)[key]
     local = exact_with_orders(strategy, key, direction, HOOK_ORDER, MEASURE_ORDER)
     assert _hexed(local) == _hexed(program)
@@ -606,54 +621,55 @@ def test_pass_wise_enumeration_gives_the_depth_first_maps_bitwise(monkeypatch):
     assert passes == walked
 
 
+def table_leaves(strategy, direction):
+    """(key, cell, probability in hex) of every leaf the exact sum adds, in
+    its order."""
+    table = protocol._round_table(strategy, direction)
+    roots = table.e2_roots(range(len(table.leaves)))
+    return [
+        (key, ((c1, c2), protocol._BELLS[a], protocol._BELLS[b]), q.hex())
+        for code, key in enumerate(PauliLabel)
+        for _, leaf, p in oracle._paths(table.p2, 0, 1.0)
+        for (a, b, c1, c2), _, q in oracle._paths(table.e2, roots[leaf] + code, p)
+    ]
+
+
 @pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
-@pytest.mark.parametrize(
-    "strategy, measurements", [(StrategyId.HONEST, 4), (StrategyId.PRE_MEASURE, 8)]
-)
-def test_an_exact_round_is_two_passes_of_one_kernel_call_per_measurement(
-    monkeypatch, strategy, measurements, direction
+@pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
+def test_an_exact_round_is_a_sum_over_its_table_with_no_kernel_call(
+    monkeypatch, strategy, direction
 ):
-    # A round's 16 leaves per key, for the four keys at once: the first pass
-    # holds one row per key, and the second every branch its rows' fanouts
-    # predict, all of them real, since every subtree of a round has the same
-    # fanouts.  Each measurement of a pass is one kernel call over all of its
-    # rows, so a call makes 4 (Honest, E2 alone) or 8 (PreMeasure, P2 and
-    # E2) per pass.
-    passes, kernels = [], []
+    # Once its table is built, an exact round enumerates nothing and calls
+    # no kernel: it sums the table's 16 leaves per key in depth-first order.
+    # They are the leaves of a one-row depth-first walk of the same round
+    # on qsim's 1-D kernels, in the same order and with the same bits.
+    leaves = table_leaves(strategy, direction)
+    calls = []
 
-    class Recording(BranchSource):
-        def __init__(self, scripts):
-            super().__init__(scripts)
-            passes.append(self)
+    def refuse(*args):
+        raise AssertionError("an exact round ran the pass enumerator")
 
-    monkeypatch.setattr(oracle, "BranchSource", Recording)
-    for name in ("_z_kernel", "_x_kernel", "_bell_kernel"):
+    monkeypatch.setattr(oracle, "BranchSource", refuse)
+    for name in ("_measure", "_z_kernel", "_x_kernel", "_bell_kernel", "apply_pauli"):
         real = getattr(qsim, name)
-        monkeypatch.setattr(
-            qsim, name, lambda *args, real=real, name=name: kernels.append(name) or real(*args)
-        )
-    exact_transcript_distribution(strategy, direction)
-    assert [len(source.roots) for source in passes] == [4, 60]
-    assert all(branch for source in passes for branch in source.branch)  # no row dropped
-    leaves = [(key, path) for source in passes for key, path in zip(source.roots, source.taken)]
-    assert len(set(leaves)) == len(leaves) == 64  # every leaf path reached once
-    assert Counter(key for key, _ in leaves) == {key: 16 for key in PauliLabel}
-    assert {len(path) for _, path in leaves} == {measurements}
-    assert len(kernels) == 2 * measurements
-    assert "_x_kernel" not in kernels
-    # The leaves are those of a one-row depth-first walk of the same round.
-    walked = []
-
-    class RecordingWalk(reference.ScriptedOneRowSource):
-        def __init__(self, script, root):
-            super().__init__(script, root)
-            walked.append(self)
-
-    monkeypatch.setattr(reference, "ScriptedOneRowSource", RecordingWalk)
-    monkeypatch.setattr(oracle, "enumerate_branches", reference.enumerate_branches_depth_first)
-    exact_transcript_distribution(strategy, direction)
-    assert len(walked) == 64
-    assert {(source.roots[0], tuple(source.taken)) for source in walked} == set(leaves)
+        monkeypatch.setattr(qsim, name, lambda *args, real=real: calls.append(1) or real(*args))
+    maps = exact_transcript_distribution(strategy, direction)
+    assert calls == []
+    assert Counter(key for key, _, _ in leaves) == {key: 16 for key in PauliLabel}
+    for key in PauliLabel:
+        summed = dict.fromkeys(oracle._CELLS, 0.0)
+        for leaf_key, cell, p in leaves:
+            if leaf_key is key:
+                summed[cell] += float.fromhex(p)
+        assert _hexed(summed) == _hexed(maps[key])
+    monkeypatch.undo()
+    walked = [
+        (key, cell, p.hex())
+        for key in PauliLabel
+        for cell, p in reference.enumerate_branches_depth_first(
+            exact_pipeline(strategy, key, direction))
+    ]
+    assert walked == leaves
 
 
 def _plan_pipeline(states, plan):
@@ -669,7 +685,8 @@ def _plan_pipeline(states, plan):
         state = qsim.StateVector(n, amps[0] if len(amps) == 1 else np.array(amps))
         rows = [(root,) for root in source.roots]
         for qubits, basis in plan:
-            measure = {Basis.Z: source.measure_z, Basis.BELL: source.measure_bell}[basis]
+            measure = {Basis.Z: source.measure_z, Basis.X: source.measure_x,
+                       Basis.BELL: source.measure_bell}[basis]
             outcomes, state = measure(state, *qubits)
             rows = [row + (outcome,) for row, outcome in zip(rows, outcomes)]
         return rows
@@ -727,8 +744,8 @@ def test_a_branch_the_first_path_did_not_predict_takes_another_pass(monkeypatch)
 def test_sparse_random_trees_enumerate_as_the_depth_first_walk_bitwise(monkeypatch):
     # Sparse states give trees whose subtrees differ in fanout, so passes
     # drop mispredicted rows and take unpredicted branches.  X measurements
-    # are left out: an X row's last bit can depend on the rows it is batched
-    # with, which a one-row walk does not reproduce.
+    # are in: a batch row gets its 1-D bits in every basis, so the one-row
+    # walk reproduces a pass's X rows too.
     rng = np.random.default_rng(29)
     dropped = extra_passes = 0
     for _ in range(150):
@@ -744,7 +761,7 @@ def test_sparse_random_trees_enumerate_as_the_depth_first_walk_bitwise(monkeypat
             if len(qubits) >= 2 and rng.random() < 0.5:
                 plan.append(((int(qubits.pop()), int(qubits.pop())), Basis.BELL))
             else:
-                plan.append(((int(qubits.pop()),), Basis.Z))
+                plan.append(((int(qubits.pop()),), (Basis.Z, Basis.X)[int(rng.integers(2))]))
         leaves, walked, passes = _enumerated(monkeypatch, states, plan)
         assert leaves == walked
         dropped += sum(not branch for source in passes for branch in source.branch)
@@ -792,26 +809,33 @@ def _with_every_leaf(enumerate_branches, reweigh):
     return enumerate_with_every_leaf_reweighed
 
 
+def reweighed_table(monkeypatch, reweigh, every):
+    """Swap the PreMeasure Alice table's first P2 level, Charlie's Z on C1
+    at about 1/2 each, for one whose last live probability (every live one,
+    with ``every``) is reweighed: each key's mass moves by what it moves."""
+    table = protocol._round_table(StrategyId.PRE_MEASURE, Role.ALICE)
+    probs, _ = table.p2[0]
+    assert probs[0].tolist() == pytest.approx([0.5, 0.5])
+    probs = probs.copy()
+    for i in (0, 1) if every else (1,):
+        probs[0, i] = reweigh(probs[0, i])
+    monkeypatch.setattr(table, "p2", (protocol._level(probs), *table.p2[1:]))
+
+
 @pytest.mark.parametrize(
     "reweigh",
     [lambda p: 0.0, lambda p: p / 2, lambda p: p - 1e-11, lambda p: p + 1e-11],
     ids=["dropped", "halved", "minus-1e-11", "plus-1e-11"],
 )
 def test_exact_distribution_checks_the_enumerated_mass(monkeypatch, reweigh):
-    monkeypatch.setattr(
-        oracle, "enumerate_branches", _with_last_leaf(oracle.enumerate_branches, reweigh)
-    )
+    reweighed_table(monkeypatch, reweigh, every=False)
     with pytest.raises(ValueError, match="probability mass"):
         exact_transcript_distribution(StrategyId.PRE_MEASURE)
 
 
 def test_exact_distribution_admits_rounding_in_the_mass(monkeypatch):
-    monkeypatch.setattr(
-        oracle,
-        "enumerate_branches",
-        _with_every_leaf(oracle.enumerate_branches, lambda p: p + 1e-14),
-    )
-    # Every key's 16 leaves are reweighed: 1.6e-13 in all, inside MASS_TOL.
+    # Both of C1's outcomes gain 1e-14: 2e-14 in all per key, inside MASS_TOL.
+    reweighed_table(monkeypatch, lambda p: p + 1e-14, every=True)
     maps = exact_transcript_distribution(StrategyId.PRE_MEASURE)
     for dist in maps.values():
         assert sum(dist.values()) == pytest.approx(1.0, abs=oracle.MASS_TOL)
@@ -946,7 +970,8 @@ def test_sampled_transcripts_fit_the_exact_honest_maps(strategy, direction, firs
     seeds = range(first_seed, first_seed + runs)
     config = ProtocolConfig(rounds=rounds, decoys_per_sequence=2, direction=direction)
     counts = Counter()
-    for _, i, row in protocol.run_batch(config, seeds, [keys] * runs, strategy):
+    codes = reference.key_codes(keys)
+    for _, i, row in protocol.run_batch(config, seeds, [codes] * runs, strategy):
         assert row.decision is not None  # neither strategy disturbs a decoy
         counts[keys[i], (row.c, row.a, row.b)] += 1
     assert sum(counts.values()) == runs * rounds

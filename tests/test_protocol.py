@@ -1,7 +1,6 @@
 """Tests for the protocol state machine: phases P1 through E3 and full runs."""
 
 import hashlib
-import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -31,11 +30,8 @@ from qauthsim.protocol import (
     ProtocolConfig,
     Role,
     RoundRecord,
-    SampleSource,
     Wave,
     _measure_decoys,
-    e1_encode,
-    e2_measure,
     e3_verify,
     p1_prepare,
     p2_transmit,
@@ -112,7 +108,7 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_p1_without_decoys_builds_double_triple():
     register = fresh_register()
-    state = Wave([register]).state
+    state = protocol._FRESH_STATE  # every row's state after P1
     assert state.n_qubits == PROTOCOL_QUBITS
     assert register == RoundRecord([], [], [], [])
     assert sequences(register) == [[A1, A2], [B1, B2]]
@@ -189,22 +185,25 @@ def test_p1_decoy_positions_cover_all_slots():
 
 
 def test_p1_charlie_qubit_is_unbiased():
-    state = Wave([fresh_register()]).state
-    dist = oracle.outcome_distribution(state, [((C1,), Basis.Z)])
+    dist = oracle.outcome_distribution(protocol._FRESH_STATE, [((C1,), Basis.Z)])
     assert dist[(0,)] == pytest.approx(0.5)
     assert dist[(1,)] == pytest.approx(0.5)
 
 
-def test_waves_start_from_the_read_only_fresh_state():
+def test_waves_start_every_row_at_the_read_only_fresh_state():
+    # A wave holds no amplitudes: a row's state is a node of its round
+    # table, P2 leaf 0 until its strategy walks, and every P2 tree grows
+    # from the read-only fresh state, which no run changes.
     fresh = protocol._FRESH_STATE
-    assert Wave([fresh_register()]).state is fresh
     assert not fresh.amps.flags.writeable
     rows = [fresh_register(), fresh_register(decoys=2, seed=3), fresh_register(decoys=1)]
-    wave = Wave(rows)
-    assert wave.rows is rows
-    assert wave.state.amps.shape == (3, 2**PROTOCOL_QUBITS)
-    for amps in wave.state.amps:
-        assert np.array_equal(amps, fresh.amps)
+    streams = [row_stream(k) for k in range(3)]
+    wave = Wave(rows, streams)
+    assert wave.rows is rows and wave.streams is streams
+    assert wave.leaves == [0, 0, 0] and wave.in_transit == []
+    assert not hasattr(wave, "state")
+    assert protocol._p2_tree(StrategyId.HONEST) == ((), protocol._p2_tree(StrategyId.HONEST)[1])
+    assert protocol._p2_tree(StrategyId.HONEST)[1].tobytes() == fresh.amps.tobytes()
     before = fresh.amps.copy()
     config = ProtocolConfig(rounds=6, decoys_per_sequence=2, seed=12)
     for strategy in StrategyId:
@@ -220,28 +219,29 @@ def test_waves_start_from_the_read_only_fresh_state():
 
 def test_p2_honest_returns_none_and_leaves_state_alone():
     register = fresh_register(decoys=2, seed=1)
-    wave = Wave([register])
-    before = wave.state.amps.copy()
+    stream, twin = row_stream(0), row_stream(0)
+    wave = Wave([register], [stream])
     decoys = list(register.labels)
-    source = SampleSource([row_stream(0)])
-    assert p2_transmit(wave, StrategyId.HONEST, source) is None
-    assert np.array_equal(wave.state.amps, before)
+    assert p2_transmit(wave, StrategyId.HONEST) is None
+    assert wave.leaves == [0] and wave.in_transit == []
     assert register.labels == decoys
+    assert stream.draws(4) == twin.draws(4)  # nothing drawn
 
 
 def test_p2_premeasure_returns_eve_state():
-    wave = Wave([fresh_register()])
-    source = SampleSource([row_stream(3)])
-    (eve,) = p2_transmit(wave, StrategyId.PRE_MEASURE, source)
+    wave = Wave([fresh_register()], [row_stream(3)])
+    (eve,) = p2_transmit(wave, StrategyId.PRE_MEASURE)
     assert isinstance(eve, EveState)
     assert eve.m_pre ^ eve.b_pre is BellLabel.from_bits(0, eve.c_pre[0] ^ eve.c_pre[1])
+    assert 0 <= wave.leaves[0] < len(protocol._p2_tree(StrategyId.PRE_MEASURE)[1]) == 16
 
 
 def test_p2_intercept_resend_returns_none():
     register = fresh_register(decoys=2, seed=1)
-    rng = row_stream(4)
-    wave = Wave([register])
-    assert p2_transmit(wave, StrategyId.INTERCEPT_RESEND, SampleSource([rng])) is None
+    wave = Wave([register], [row_stream(4)])
+    assert p2_transmit(wave, StrategyId.INTERCEPT_RESEND) is None
+    [(coins, draws)] = wave.in_transit
+    assert len(coins) == len(draws) == len(protocol.TRANSIT)
 
 
 @pytest.mark.parametrize("strategy", ["PreMeasure", None, Decision.ACCEPT])
@@ -251,7 +251,7 @@ def test_p2_unknown_strategy_raises_before_touching_the_register(strategy):
             raise AssertionError(f"register.{name} read")
 
     with pytest.raises(ValueError):
-        p2_transmit(Untouchable(), strategy, Untouchable())
+        p2_transmit(Untouchable(), strategy)
 
 
 @pytest.mark.parametrize("strategy", list(StrategyId))
@@ -390,7 +390,7 @@ def test_s_check_draws_once_per_announced_decoy(decoys, strategy):
     register = p1_prepare(config, rng)
     untouched = p1_prepare(config, twin)
     for row, stream in ((register, rng), (untouched, twin)):
-        p2_transmit(Wave([row]), strategy, SampleSource([stream]))
+        p2_transmit(Wave([row], [stream]), strategy)
     s_check(register, rng.draws(2 * decoys), 0.0)
     # The batched draw is the stream of one scalar draw per decoy, in row
     # order, and the bits are those the kernels give for it.
@@ -481,78 +481,128 @@ def test_decoy_cuts_follow_the_kernels_selection_rule():
                 qsim._pick(probs, 1.0)  # _pick keeps its range check
 
 
-def test_transit_table_follows_the_kernels_walk():
-    # Every coin pattern, with draws just below, at and just above each
-    # live cut: the table's leaf and post-state are the ones Z and X
-    # measurements of TRANSIT on the fresh state give, 1-D and batched,
-    # bit for bit.  A cut at 0 or inf (one outcome dead) takes one draw.
-    probs, cuts, leaves = protocol._transit_table()
-    assert protocol._transit_table() is protocol._transit_table()
-    assert [len(level) for level in cuts] == [2 * 4**k for k in range(4)]
-    assert leaves.shape == (256, 2**PROTOCOL_QUBITS)
-    assert not leaves.flags.writeable and not any(level.flags.writeable for level in probs)
-    assert all(isinstance(level, tuple) for level in cuts)
+# Each level of a round's walks: the bases a level may measure in, each
+# (basis, qubits), one per basis coin of an intercept's level.
+P2_PLANS = {
+    StrategyId.HONEST: [],
+    StrategyId.PRE_MEASURE: [[(Basis.Z, (C1,))], [(Basis.Z, (C2,))],
+                             [(Basis.BELL, (A1, A2))], [(Basis.BELL, (B1, B2))]],
+    StrategyId.INTERCEPT_RESEND: [[(Basis.Z, (q,)), (Basis.X, (q,))] for q in protocol.TRANSIT],
+}
+E2_PLAN = [[(Basis.BELL, (A1, A2))], [(Basis.BELL, (B1, B2))], [(Basis.Z, (C1,))], [(Basis.Z, (C2,))]]
 
-    def walk(coins, draws, amps):
-        leaf, state = 0, qsim.StateVector(PROTOCOL_QUBITS, amps)
-        for q, coin, u in zip(protocol.TRANSIT, coins, draws):
-            (bit,), state = (qsim.measure_x if coin else qsim.measure_z)(state, q, [u])
-            leaf = 4 * leaf + 2 * coin + bit
-        return leaf, state.amps.reshape(-1)
 
-    def draw_paths(coins, node=0, draws=()):
-        if len(draws) == len(coins):
-            yield list(draws)
-            return
-        i = 2 * node + coins[len(draws)]
-        cut = cuts[len(draws)][i]
-        near = [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)] if 0.0 < cut < 1.0 else [0.5]
-        for u in map(float, near):
-            yield from draw_paths(coins, 2 * i + (u >= cut), draws + (u,))
+def check_levels(levels, plan, node, state, leaves, seen):
+    """Check ``levels`` below ``node`` against a 1-D kernel walk of ``plan``
+    from ``state``, bit for bit: each node's probabilities in each basis,
+    -1 for each dead outcome's child and, for each live one, the child
+    checked in turn against the outcome's post-state.  The last level's
+    (child, post-state) pairs go to ``leaves``, and every node checked to
+    ``seen`` as (levels left, node).  A level of C bases holds node n's
+    row in basis c at row C * n + c."""
+    (probs, children), rest = levels[0], levels[1:]
+    seen.append((len(plan), node))
+    for c, (basis, qubits) in enumerate(plan[0]):
+        row = len(plan[0]) * node + c
+        outcomes = reference.outcome_list(basis, state, *qubits)
+        assert probs[row].tobytes() == np.array([p for _, p, _ in outcomes]).tobytes()
+        for i, (_, _, post) in enumerate(outcomes):
+            child = int(children[row, i])
+            assert (child >= 0) == (post is not None)
+            if post is not None and rest:
+                check_levels(rest, plan[1:], child, post, leaves, seen)
+            elif post is not None:
+                leaves.append((child, post))
 
-    walked = set()
-    for coins in itertools.product((0, 1), repeat=len(protocol.TRANSIT)):
-        for draws in draw_paths(coins):
-            leaf = protocol._transit_leaf(coins, draws)
-            for amps in (protocol._FRESH_STATE.amps, protocol._FRESH_STATE.amps[None]):
-                got, post = walk(coins, draws, amps)
-                assert got == leaf and post.tobytes() == leaves[leaf].tobytes()
-            walked.add(leaf)
 
-    # The leaves a draw in [0, 1) can reach: bit 0 below a cut above 0,
-    # bit 1 from a cut below 1.  They are the live leaves; the rest are NaN.
-    reached = [0]
-    for level in cuts:
-        reached = [2 * i + bit for node in reached for i in (2 * node, 2 * node + 1)
-                   for bit, ok in ((0, level[i] > 0.0), (1, level[i] < 1.0)) if ok]
-    dead = sorted(set(range(256)) - set(reached))
-    assert len(reached) == len(set(reached)) == 196
-    assert walked == set(reached)
-    assert np.isfinite(leaves[reached]).all() and np.isnan(leaves[dead]).all()
+@pytest.mark.parametrize("direction", [Role.ALICE, Role.BOB])
+@pytest.mark.parametrize("strategy", list(StrategyId))
+def test_round_tables_follow_the_kernels_walk(strategy, direction):
+    # Every node of the round table, P2's and E2's under every live P2
+    # leaf (196 of an intercept's 256 coin and bit patterns) and key,
+    # equals a walk of qsim's 1-D kernels from the fresh state, bit for
+    # bit: its outcome probabilities, its dead outcomes and its children.
+    # E1 enters as the keys' Paulis on the authenticating party's first
+    # qubit, and the table is built once per process, read-only.
+    table = protocol._round_table(strategy, direction)
+    assert protocol._round_table(strategy, direction) is table
+    assert table.p2 is protocol._p2_tree(strategy)[0]
+    fresh = protocol._FRESH_STATE
+    p2_leaves, seen = [], []
+    if table.p2:
+        check_levels(table.p2, P2_PLANS[strategy], 0, fresh, p2_leaves, seen)
+    else:
+        p2_leaves.append((0, fresh))
+    assert sorted(leaf for leaf, _ in p2_leaves) == list(range(len(table.leaves)))
+    assert len(table.leaves) == {StrategyId.HONEST: 1, StrategyId.PRE_MEASURE: 16,
+                                 StrategyId.INTERCEPT_RESEND: 196}[strategy]
+    for leaf, post in p2_leaves:
+        assert table.leaves[leaf].tobytes() == post.amps.tobytes()
+    roots = table.e2_roots(range(len(table.leaves)))
+    assert sorted(roots) == list(range(0, 4 * len(roots), 4))
+    qubit = A1 if direction is Role.ALICE else B1
+    e2_leaves, e2_seen = [], []
+    for leaf, post in p2_leaves:
+        for code, key in enumerate(PauliLabel):
+            keyed = qsim.apply_pauli(post, qubit, key)
+            check_levels(table.e2, E2_PLAN, roots[leaf] + code, keyed, e2_leaves, e2_seen)
+    # Every node was reached once, and no level holds a node no walk reaches.
+    for levels, plan, nodes in ((table.p2, P2_PLANS[strategy], seen), (table.e2, E2_PLAN, e2_seen)):
+        assert len(set(nodes)) == len(nodes)
+        assert len(nodes) == sum(len(probs) // len(bases) for (probs, _), bases in zip(levels, plan))
+        for probs, children in levels:
+            assert not probs.flags.writeable and not children.flags.writeable
+    assert len(e2_leaves) == np.count_nonzero(table.e2[-1][1] >= 0)
+
+
+def test_a_walk_into_a_dead_child_raises():
+    # A table whose child index disagrees with its probabilities: the walk
+    # refuses the -1 rather than reading the next level's last node.
+    probs, children = protocol._level(np.array([[0.5, 0.5]]))
+    assert children.tolist() == [[0, 1]]
+    levels = ((probs, np.array([[0, -1]])), protocol._level(np.array([[1.0, 0.0]])))
+    nodes, outcomes = protocol._walk(levels, [0], [[0.25, 0.5]])
+    assert nodes == [0] and outcomes == [[0], [0]]
+    with pytest.raises(ValueError):
+        protocol._walk(levels, [0], [[0.75, 0.5]])
+
+
+def test_an_intercept_walk_takes_each_level_in_its_coins_basis():
+    # Walked with coins, a transit level is two-way: node n's coin c picks
+    # row 2n + c, measured in Z or X, and qsim._pick picks from that row;
+    # every coin and draw lands on the child its basis and outcome name.
+    (probs, children), *_ = protocol._p2_tree(StrategyId.INTERCEPT_RESEND)[0]
+    assert probs.shape == (2, 2)
+    for coin in (0, 1):
+        for u in (0.0, 0.3, 0.5, float(np.nextafter(0.5, 1.0)), 0.9):
+            nodes, [[bit]] = protocol._walk(((probs, children),), [0], [[u]], [[coin]])
+            assert bit == qsim._pick(probs[coin].tolist(), u)
+            assert nodes == [children[coin, bit]]
 
 
 # ---------------------------------------------------------------------------
 # E1: key encoding
 
 
-def test_e1_identity_key_is_a_no_op():
-    wave = Wave([fresh_register()])
-    before = wave.state.amps.copy()
-    e1_encode(wave, [PauliLabel.I], Role.ALICE)
-    assert np.array_equal(wave.state.amps, before)
-
-
 @pytest.mark.parametrize("direction,qubit", [(Role.ALICE, A1), (Role.BOB, B1)])
-def test_e1_applies_key_to_first_qubit(direction, qubit):
-    wave = Wave([fresh_register()])
-    expected = qsim.apply_pauli(reference.copy_state(wave.state), qubit, PauliLabel.X)
-    e1_encode(wave, [PauliLabel.X], direction)
-    assert np.allclose(wave.state.amps, expected.amps)
+def test_e1_enters_the_table_as_key_roots(direction, qubit):
+    # E2's root for a P2 leaf and key is the leaf with the key's Pauli on
+    # the authenticating party's first qubit; key I leaves it as it is.
+    table = protocol._round_table(StrategyId.HONEST, direction)
+    [root] = table.e2_roots([0])
+    probs = table.e2[0][0]
+    fresh = protocol._FRESH_STATE
+    for code, key in enumerate(PauliLabel):
+        keyed = qsim.apply_pauli(fresh, qubit, key)
+        expected, _ = qsim._bell_kernel(keyed.amps, PROTOCOL_QUBITS, A1, A2)
+        assert probs[root + code].tolist() == list(expected)
+    identity, _ = qsim._bell_kernel(fresh.amps, PROTOCOL_QUBITS, A1, A2)
+    assert probs[root].tolist() == list(identity)
 
 
 def test_e1_rejects_charlie():
     with pytest.raises(ValueError):
-        e1_encode(Wave([fresh_register()]), [PauliLabel.X], Role.CHARLIE)
+        protocol._RoundTable(StrategyId.HONEST, Role.CHARLIE)
 
 
 # ---------------------------------------------------------------------------
@@ -560,29 +610,47 @@ def test_e1_rejects_charlie():
 
 
 def test_e2_outcomes_satisfy_round_correlation():
+    table = protocol._round_table(StrategyId.HONEST, Role.ALICE)
+    roots = table.e2_roots([0])  # key I
     rng = row_stream(6)
     for _ in range(50):
-        [(a, b, c)] = e2_measure(Wave([fresh_register()]), SampleSource([rng]))
-        assert isinstance(a, BellLabel)
-        assert isinstance(b, BellLabel)
+        _, [[a], [b], [c1], [c2]] = protocol._walk(table.e2, roots, [rng.draws(4)])
+        a, b = protocol._BELLS[a], protocol._BELLS[b]
         assert a.phase_bit ^ b.phase_bit == 0
-        assert a.parity_bit ^ b.parity_bit == c[0] ^ c[1]
+        assert a.parity_bit ^ b.parity_bit == c1 ^ c2
 
 
 def test_e2_order_does_not_change_joint_distribution():
-    # E2's walk takes the parties' turns a, b, c; any other order gives the
-    # same support.
-    plans = {}
-    for order in (("a", "b", "c"), ("c", "b", "a"), ("b", "c", "a")):
-        counts = {}
-        rng = row_stream(7)
-        for _ in range(400):
-            wave, source = Wave([fresh_register()]), SampleSource([rng])
-            [(a, b, c)] = protocol._measure_parties(wave, source, order)
-            counts[(c, a, b)] = counts.get((c, a, b), 0) + 1
-        plans[order] = counts
-    supports = [frozenset(counts) for counts in plans.values()]
-    assert supports[0] == supports[1] == supports[2]
+    # The parties measure disjoint qubits, so the order of their turns
+    # cannot change the joint distribution: E2's order, PreMeasure's and a
+    # third, each built as a table by the same builder and summed exactly.
+    turns = {
+        "a": ((qsim._bell_kernel,), (A1, A2)), "b": ((qsim._bell_kernel,), (B1, B2)),
+        "c1": ((qsim._z_kernel,), (C1,)), "c2": ((qsim._z_kernel,), (C2,)),
+    }
+
+    def joint(order):
+        levels, _ = protocol._levels(protocol._FRESH_STATE.amps[None], [turns[t] for t in order])
+        dist = {}
+
+        def walk(k, node, p, got):
+            if k == len(levels):
+                dist[got["c1"], got["c2"], got["a"], got["b"]] = p
+                return
+            probs, children = levels[k]
+            for i, q in enumerate(probs[node].tolist()):
+                if children[node, i] >= 0:
+                    walk(k + 1, children[node, i], p * q, {**got, order[k]: i})
+
+        walk(0, 0, 1.0, {})
+        return dist
+
+    plans = [joint(order) for order in (("a", "b", "c1", "c2"), ("c1", "c2", "a", "b"),
+                                        ("b", "c1", "c2", "a"))]
+    assert len(plans[0]) == 16
+    for dist in plans[1:]:
+        assert dist.keys() == plans[0].keys()
+        assert all(abs(dist[k] - plans[0][k]) <= 1e-15 for k in dist)
 
 
 # ---------------------------------------------------------------------------
@@ -834,13 +902,20 @@ def test_run_batch_equals_one_run_at_a_time(
     rng = np.random.default_rng(rounds * 100 + decoys)
     seeds = [int(s) for s in rng.integers(0, 2**63, size=12)]
     keys = [[list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rounds)] for _ in seeds]
-    shapes = []
+    walks = []  # (wave rows, rows walking E2) per wave that keeps a row
+    real_wave, real_roots = protocol.Wave, protocol._RoundTable.e2_roots
 
-    def encode(wave, *args):
-        shapes.append(wave.state.amps.shape)
-        return e1_encode(wave, *args)
+    class SpiedWave(real_wave):
+        def __init__(self, rows, streams):
+            walks.append([len(rows), None])
+            super().__init__(rows, streams)
 
-    monkeypatch.setattr(protocol, "e1_encode", encode)
+    def roots(table, leaves):
+        walks[-1][1] = len(leaves)
+        return real_roots(table, leaves)
+
+    monkeypatch.setattr(protocol, "Wave", SpiedWave)
+    monkeypatch.setattr(protocol._RoundTable, "e2_roots", roots)
     batched = reference.batch_transcripts(config, seeds, keys, strategy)
     alone = [
         run_protocol(replace(config, seed=seed), run_keys, strategy)
@@ -851,11 +926,11 @@ def test_run_batch_equals_one_run_at_a_time(
         # some row leaves the waves after round 1
         assert any(t.decision is Decision.ABORT and len(t.rounds) > 1 for t in alone)
     if rounds == 12:
-        # some wave of several rows shrinks to one, which stays a batch: a
-        # run alone whose round 0 passes then has rounds 1-2 in one wave,
-        # left with one row when its round 1 passes and its round 2 aborts
+        # some wave of several rows keeps one for E2: a run alone whose
+        # round 0 passes then has rounds 1-2 in one wave, left with one row
+        # when its round 1 passes and its round 2 aborts
         assert any(len(t.rounds) == 3 and t.decision is Decision.ABORT for t in alone)
-        assert (1, 2**PROTOCOL_QUBITS) in shapes
+        assert [2, 1] in walks
 
 
 def record_waves(monkeypatch):
@@ -870,11 +945,11 @@ def record_waves(monkeypatch):
         return real_prepare(config, rng)
 
     class SpiedWave(real_wave):
-        def __init__(self, rows):
+        def __init__(self, rows, streams):
             assert len(rows) == len(pending)
             waves.append(pending[:])
             pending.clear()
-            super().__init__(rows)
+            super().__init__(rows, streams)
 
     monkeypatch.setattr(protocol, "p1_prepare", prepare)
     monkeypatch.setattr(protocol, "Wave", SpiedWave)
@@ -1006,31 +1081,28 @@ def test_waves_are_filled_with_the_next_rounds_of_the_live_runs(
 
 def test_protocol_amplitudes_are_real(monkeypatch):
     # Every state, gate, key Pauli and projector the protocol uses is real,
-    # so its amplitudes are float64, 8 bytes each, and a wave's 64 KB
-    # amplitude array holds WAVE_SIZE rows.
+    # so its amplitudes are float64, 8 bytes each: the fresh state, and
+    # every state a round table's build measures or keeps, for every
+    # strategy and direction.  A wave holds no amplitudes, at most
+    # WAVE_SIZE rows of records, streams and node indices.
     assert protocol._FRESH_STATE.amps.dtype == np.float64
-    assert WAVE_SIZE == 64 * 1024 // (8 * 2**PROTOCOL_QUBITS)
-    measured, posts = [], []  # sampled waves' states at E2; exact post-states
-    real_measure, real_kernel_measure = protocol.e2_measure, qsim._measure
+    assert WAVE_SIZE == 128
+    measured = []
+    real_levels = protocol._levels
 
-    def measure(wave, source):
-        measured.append(wave.state)
-        return real_measure(wave, source)
+    def levels(amps, plan, leaves=True):
+        built = real_levels(amps, plan, leaves)
+        measured.extend((amps.dtype, built[1].dtype) if leaves else (amps.dtype,))
+        return built
 
-    def kernel_measure(*args):
-        outcomes, post = real_kernel_measure(*args)
-        posts.append(post)
-        return outcomes, post
-
-    monkeypatch.setattr(protocol, "e2_measure", measure)
-    config = ProtocolConfig(rounds=16, decoys_per_sequence=1)
-    keys = [[PauliLabel.IY] * 16] * 40
-    for strategy in (StrategyId.INTERCEPT_RESEND, StrategyId.PRE_MEASURE):
-        reference.batch_transcripts(config, list(range(40)), keys, strategy)
-    assert measured and {state.amps.dtype for state in measured} == {np.dtype(np.float64)}
-    monkeypatch.setattr(qsim, "_measure", kernel_measure)
-    oracle.exact_transcript_distribution(StrategyId.PRE_MEASURE)
-    assert posts and {post.amps.dtype for post in posts} == {np.dtype(np.float64)}
+    monkeypatch.setattr(protocol, "_levels", levels)
+    for strategy in StrategyId:
+        for direction in (Role.ALICE, Role.BOB):
+            table = protocol._RoundTable(strategy, direction)  # built afresh, not cached
+            table.e2_roots(range(min(len(table.leaves), 8)))
+            assert table.leaves.dtype == np.float64
+        protocol._p2_tree.__wrapped__(strategy)
+    assert len(measured) > 2 * len(StrategyId) and set(measured) == {np.dtype(np.float64)}
 
 
 def test_rows_dropped_past_an_abort_stay_undecided(monkeypatch):

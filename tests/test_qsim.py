@@ -692,17 +692,14 @@ def test_a_selector_must_pick_a_live_outcome():
 
 def test_batch_probabilities_are_one_array_of_the_rows_tuples():
     # A batch's kernel probabilities are one (rows, outcomes) float64
-    # array, and each Z and Bell row is bitwise its state's 1-D tuple.  X
-    # rows are only close: the X overlaps are the documented exception
-    # (qsim._overlaps, ROADMAP item 15), whose last bit may depend on the
-    # batch.
+    # array, and each row is bitwise its state's 1-D tuple, in every basis.
     rng = np.random.default_rng(38)
-    kernels = [(qsim._z_kernel, 1, True), (qsim._x_kernel, 1, False), (qsim._bell_kernel, 2, True)]
+    kernels = [(qsim._z_kernel, 1), (qsim._x_kernel, 1), (qsim._bell_kernel, 2)]
     for _ in range(40):
         n, rows = int(rng.integers(2, 7)), int(rng.integers(1, 8))
         complex_amps = random_batch(rng, n, rows)
         for amps in (complex_amps, real_rows(complex_amps)):
-            for kernel, arity, bitwise in kernels:
+            for kernel, arity in kernels:
                 qubits = [int(q) for q in rng.permutation(n)[:arity]]
                 probs, _ = kernel(amps, n, *qubits)
                 assert type(probs) is np.ndarray
@@ -711,10 +708,27 @@ def test_batch_probabilities_are_one_array_of_the_rows_tuples():
                 for batch_row, amps_row in zip(probs, amps):
                     alone, _ = kernel(amps_row, n, *qubits)
                     assert type(alone) is tuple
-                    if bitwise:
-                        assert [p.hex() for p in batch_row.tolist()] == [p.hex() for p in alone]
-                    else:
-                        np.testing.assert_allclose(batch_row, alone, rtol=0, atol=1e-15)
+                    assert [p.hex() for p in batch_row.tolist()] == [p.hex() for p in alone]
+
+
+@pytest.mark.parametrize("rows", [2, 128, 600])
+@pytest.mark.parametrize("kernel, arity", [(qsim._z_kernel, 1), (qsim._x_kernel, 1),
+                                           (qsim._bell_kernel, 2)],
+                         ids=["Z", "X", "Bell"])
+def test_every_kernel_gives_a_batch_row_its_1d_bits(kernel, arity, rows):
+    # One reduction rule for every kernel, at any batch size: a batch's
+    # flipped amplitudes are C-contiguous, so each row's stacked matmul or
+    # sum adds its terms in the 1-D order, for real and complex states of
+    # the protocol's six qubits alike.
+    rng = np.random.default_rng(rows + arity)
+    complex_amps = random_batch(rng, 6, rows)
+    for amps in (complex_amps, real_rows(complex_amps)):
+        assert qsim._flip(amps, qsim._flip_perm(6, 2)).flags.c_contiguous
+        for _ in range(3):
+            qubits = [int(q) for q in rng.permutation(6)[:arity]]
+            probs, _ = kernel(amps, 6, *qubits)
+            alone = [kernel(row, 6, *qubits)[0] for row in amps]
+            assert probs.tobytes() == np.array(alone).tobytes()
 
 
 def _ghz_ready_batch(rng, rows):
