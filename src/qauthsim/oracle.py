@@ -218,9 +218,13 @@ def outcome_distribution(state: qsim.StateVector, plan) -> dict:
     ``plan`` is a list of (qubit tuple, Basis) entries: Z and X entries name
     one qubit, Bell entries name two.  Returns a dict over the full product
     outcome space (zero-probability cells included), keyed by tuples of
-    per-measurement outcomes in plan order.  Raises ValueError when the
-    enumerated mass is not 1 within ``MASS_TOL``.
+    per-measurement outcomes in plan order.  ``state`` is one state, 1-D
+    or a one-row batch.  Raises ValueError for a batch of more rows, and
+    when the enumerated mass is not 1 within ``MASS_TOL``.
     """
+    if state.amps.size != 2**state.n_qubits:
+        raise ValueError(f"an outcome distribution takes one state, got {len(state.amps)} rows")
+    state = qsim.StateVector(state.n_qubits, state.amps.reshape(-1))
     _validate_plan(state, plan)
 
     def pipeline(source):

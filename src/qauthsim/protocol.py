@@ -115,9 +115,9 @@ _DECOY_KETS = ("0", "1", "+", "-")
 
 # _DECOY_PROBS[label][coin]: the outcome probabilities of measuring decoy
 # ``label`` in basis ``coin``, computed once by the Z and X kernels behind
-# qsim.measure_z and qsim.measure_x.
+# qsim.measure_z and qsim.measure_x, row 0 of a one-row batch.
 _DECOY_PROBS = tuple(
-    tuple(kernel(qsim.init_product([ket]).amps, 1, 0)[0]
+    tuple(tuple(kernel(qsim.init_product([ket]).amps[None], 1, 0)[0][0].tolist())
           for kernel in (qsim._z_kernel, qsim._x_kernel))
     for ket in _DECOY_KETS
 )

@@ -21,9 +21,10 @@ selector in place of the draws, a callable that picks each row's outcome
 from the rows' probabilities, one (B, k) float64 array, and must pick one
 live outcome per row: the oracle's pass enumerator selects its scripted
 branches that way, a pass of rows per call.  Each basis has one kernel,
-written over the optional batch axis, which the protocol's round tables
-call directly, and a row of a batch gets the outcome its state would get
-measured alone.  Measurements never rotate the state:
+which takes a batch only and which the protocol's round tables call
+directly; ``measure_*`` hands it a 1-D state as a one-row view and gives
+the post-state back 1-D.  A row of a batch gets the bits its state would
+get measured alone.  Measurements never rotate the state:
 Z, X and Bell outcomes are the basis's projectors applied straight to the
 flat amplitude array through cached tables over a qubit tuple, a 0/1 mask
 per value of the XOR of those qubits' bits and the index permutation that
@@ -231,19 +232,14 @@ def apply_pauli(state: StateVector, q: int, label) -> StateVector:
     perms, signs = _pauli_table(n, q)
     if isinstance(label, PauliLabel):
         k = 2 * label.phase_bit + label.parity_bit
-    elif (
-        isinstance(label, list)
-        and len(label) == (len(amps) if amps.ndim == 2 else 1)
-        and all(isinstance(lab, PauliLabel) for lab in label)
-    ):
-        k = [2 * lab.phase_bit + lab.parity_bit for lab in label]
-        if amps.ndim == 2:
-            k = np.array(k)
-            return StateVector(n, np.take_along_axis(amps, perms[k], axis=1) * signs[k])
-        (k,) = k  # a 1-D state is one row
-    else:
+        return StateVector(n, _flip(amps, perms[k]) * signs[k])
+    rows = amps.reshape(-1, 2**n)
+    if not (isinstance(label, list) and len(label) == len(rows)
+            and all(isinstance(lab, PauliLabel) for lab in label)):
         raise ValueError(f"expected a PauliLabel or a list of one per row, got {label!r}")
-    return StateVector(n, _flip(amps, perms[k]) * signs[k])
+    k = np.array([2 * lab.phase_bit + lab.parity_bit for lab in label])
+    picked = np.take_along_axis(rows, perms[k], axis=1) * signs[k]
+    return StateVector(n, picked.reshape(amps.shape))
 
 
 def apply_hadamard(state: StateVector, q: int) -> StateVector:
@@ -265,14 +261,11 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return StateVector(n, np.where(_masks(n, control)[1] == 1.0, flipped, amps))
 
 
-def _check_measured_mass(masses) -> None:
+def _check_measured_mass(masses: np.ndarray) -> None:
     """Refuse a measurement when a row's measured mass (sum of |amps|^2) is
-    not 1, or not finite; ``masses`` is one float, or an array of one per
-    row, whose max carries any NaN."""
-    if isinstance(masses, float):
-        worst = abs(masses - 1.0)
-    else:
-        worst = float(np.abs(masses - 1.0).max())
+    not 1, or not finite; ``masses`` holds one per row, and their max
+    carries any NaN."""
+    worst = float(np.abs(masses - 1.0).max())
     if not worst <= MEASURE_NORM_TOL:
         raise ValueError(
             f"state norm deviates from 1 by {worst:.3e}; "
@@ -288,92 +281,71 @@ def _require_pair(state: StateVector, q1: int, q2: int) -> None:
 
 
 # Measurement kernels, one per basis, behind ``measure_*``, whether a row's
-# outcome is drawn or selected.  A kernel takes a flat amplitude array with
-# an optional leading batch axis, checks the measured mass and returns the
-# outcome probabilities (a tuple in outcome order, or for a batch a (B, k)
-# float64 array, one row of k outcomes per state) together with
-# ``project(i, root)``: the amplitudes projected onto outcome ``i`` and
-# divided by ``root``, the square root of the outcome's probability.  For a
-# batch, ``i`` is a (B,) array of per-row outcomes and ``root`` a (B, 1)
-# column.  No kernel rotates the state: each applies its projectors to the
-# flat amplitudes directly.
+# outcome is drawn or selected.  A kernel takes a (B, 2^n) batch of flat
+# amplitudes, checks the measured mass and returns the outcome
+# probabilities, a (B, k) float64 array with one row of k outcomes per
+# state, together with ``project(i, root)``: the amplitudes projected onto
+# outcome ``i``, a (B,) array of per-row outcomes, and divided by ``root``,
+# the (B, 1) column of the square roots of the outcomes' probabilities.
+# No kernel rotates the state: each applies its projectors to the flat
+# amplitudes directly.
 #
-# The reductions below return one value for a 1-D array and an array of one
-# per row for a batch.  A 1-D array takes numpy's vector product; a batch
-# takes a stacked matmul, which computes every row with that same product,
-# so a row's bits, and so its outcome, do not depend on the batch it is in.
-# That holds for C-contiguous rows, which is why :func:`_flip` returns a
-# batch in C order: numpy lays out ``amps[:, perm]`` in Fortran order, and
-# a stacked matmul or sum over such rows adds their terms in another order.
+# The reductions below take a batch and return an array of one value per
+# row.  Each is a stacked matmul or a sum along the rows, which computes
+# every row with the same product, so a row's bits, and so its outcome, do
+# not depend on the batch it is in.  That holds for C-contiguous rows,
+# which is why :func:`_flip` takes its permutation: numpy lays out the fancy
+# index ``amps[:, perm]`` in Fortran order, and a stacked matmul or sum
+# over such rows adds their terms in another order.
 
 _BITS = (0, 1)
 _BELL_ORDER = tuple(BellLabel)
 
 
-def _sums(values: np.ndarray):
-    """The sum of ``values`` (of each row)."""
-    return float(values.sum()) if values.ndim == 1 else values.sum(axis=1)
-
-
-def _dots(values: np.ndarray, weights: np.ndarray):
-    """The dot product of ``values`` (of each row) with the 1-D ``weights``."""
-    if values.ndim == 1:
-        return float(values @ weights)
+def _dots(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``values`` with the 1-D ``weights``."""
     return np.matmul(values[:, None, :], weights[:, None])[:, 0, 0]
 
 
-def _masked_sums(masks: np.ndarray, values: np.ndarray):
-    """The sums of ``values`` (of each row) over every mask row: a list for
-    a 1-D array, a (B, masks) array for a batch."""
-    if values.ndim == 1:
-        return (masks @ values).tolist()
+def _masked_sums(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The sums of each row of ``values`` over every mask row, as a
+    (B, masks) array."""
     return np.matmul(masks, values[:, :, None])[:, :, 0]
 
 
-def _overlaps(bras: np.ndarray, kets: np.ndarray):
-    """Re<bra|ket> (of each row): the X kernel's overlaps, under the rule
+def _overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Re<bra|ket> of each row: the X kernel's overlaps, under the rule
     above for real and complex amplitudes alike.  A real state's bits can
     still differ from its complex cast's, since numpy sums real and complex
     operands differently."""
-    if bras.ndim == 1:
-        return float(np.vdot(bras, kets).real)
     return np.matmul(bras.conj()[:, None, :], kets[:, :, None])[:, 0, 0].real
 
 
 def _flip(amps: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """The amplitudes (of each row) permuted by ``perm``, a batch's in C order."""
-    return amps[perm] if amps.ndim == 1 else np.ascontiguousarray(amps[:, perm])
+    """The amplitudes of each row permuted by ``perm``, in C order: a
+    ``take`` allocates its result C-contiguous."""
+    return amps.take(perm, axis=-1)
 
 
-# _SIGNS[m] is the (1,) column +1 (m = 0) or -1 (m = 1).
+# _SIGNS[m] is the (1,) column +1 (m = 0) or -1 (m = 1): amps + flipped *
+# _SIGNS[minus] is amps - flipped on the rows whose flag ``minus`` is 1,
+# else amps + flipped.
 _SIGNS = np.array([[1.0], [-1.0]])
 _SIGNS.setflags(write=False)
-
-
-def _plus_or_minus(amps: np.ndarray, flipped: np.ndarray, minus) -> np.ndarray:
-    """amps - flipped where ``minus`` is 1, else amps + flipped; ``minus``
-    is an int, or a (B,) array with one flag per row.  A row's values equal
-    the int form's, though an exact zero may come out with the other sign,
-    which no probability or outcome can see."""
-    if isinstance(minus, int):
-        return amps - flipped if minus else amps + flipped
-    return amps + flipped * _SIGNS[minus]
 
 
 def _z_kernel(amps: np.ndarray, n: int, q: int):
     """Projectors |b><b| on qubit ``q``."""
     masks = _masks(n, q)
     weights = np.abs(amps) ** 2
-    totals = _sums(weights)
+    totals = weights.sum(axis=1)
     _check_measured_mass(totals)
     ones = _dots(weights, masks[1])
 
     def project(bit, root):
         return amps * (masks[bit] / root)
 
-    if amps.ndim == 2:
-        return np.column_stack([totals - ones, ones]), project
-    return (totals - ones, ones), project
+    return np.column_stack([totals - ones, ones]), project
 
 
 def _x_kernel(amps: np.ndarray, n: int, q: int):
@@ -382,16 +354,14 @@ def _x_kernel(amps: np.ndarray, n: int, q: int):
     With f = X_q amps, p(bit) = (<amps|amps> +- Re<amps|f>)/2 and the post
     state is (amps +- f)/2 over sqrt(p(bit)).
     """
-    _check_measured_mass(_sums(np.abs(amps) ** 2))
+    _check_measured_mass((np.abs(amps) ** 2).sum(axis=1))
     flipped = _flip(amps, _flip_perm(n, q))
     norm2, cross = _overlaps(amps, amps), _overlaps(amps, flipped)
 
     def project(bit, root):
-        return _plus_or_minus(amps, flipped, bit) * (0.5 / root)
+        return (amps + flipped * _SIGNS[bit]) * (0.5 / root)
 
-    if amps.ndim == 2:
-        return np.column_stack([0.5 * (norm2 + cross), 0.5 * (norm2 - cross)]), project
-    return (0.5 * (norm2 + cross), 0.5 * (norm2 - cross)), project
+    return np.column_stack([0.5 * (norm2 + cross), 0.5 * (norm2 - cross)]), project
 
 
 def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
@@ -404,18 +374,15 @@ def _bell_kernel(amps: np.ndarray, n: int, q1: int, q2: int):
     """
     masks = _masks(n, q1, q2)
     squares = np.abs(amps) ** 2
-    _check_measured_mass(_sums(squares))
+    _check_measured_mass(squares.sum(axis=1))
     flipped = _flip(amps, _flip_perm(n, q1, q2))
     weights = _masked_sums(masks, squares)
     cross = _masked_sums(masks, (amps.conj() * flipped).real)
 
     def project(i, root):  # BellLabel order: phase i >> 1, parity i & 1
-        return _plus_or_minus(amps, flipped, i >> 1) * (masks[i & 1] * (0.5 / root))
+        return (amps + flipped * _SIGNS[i >> 1]) * (masks[i & 1] * (0.5 / root))
 
-    if amps.ndim == 2:
-        return np.concatenate([0.5 * (weights + cross), 0.5 * (weights - cross)], axis=1), project
-    (w0, w1), (c0, c1) = weights, cross
-    return (0.5 * (w0 + c0), 0.5 * (w1 + c1), 0.5 * (w0 - c0), 0.5 * (w1 - c1)), project
+    return np.concatenate([0.5 * (weights + cross), 0.5 * (weights - cross)], axis=1), project
 
 
 def _pick(probs, randomness: float) -> int:
@@ -447,22 +414,21 @@ def _cut(probs) -> float:
 def _measure(state: StateVector, kernel, outcomes, qubits, randomness):
     """Select and project every row's outcome with one kernel call.
 
-    ``randomness`` is a list of one draw per row (a 1-D state is one row),
-    each selecting its row's outcome by :func:`_pick`; or, for a batch, a
-    selector: a callable that takes the rows' (B, k) probability array and
-    returns one outcome index per row, as a list or an integer array.  A
-    pick that is not one live outcome per row is a ValueError.  The
-    outcomes come back as a list in row order.
+    ``randomness`` is a list of one draw per row, each selecting its row's
+    outcome by :func:`_pick`; or, for a batch, a selector: a callable that
+    takes the rows' (B, k) probability array and returns one outcome index
+    per row, as a list or an integer array.  A pick that is not one live
+    outcome per row is a ValueError.  The outcomes come back as a list in
+    row order.  A 1-D state is measured as a one-row batch, and its
+    post-state comes back 1-D.
     """
-    n = state.n_qubits
-    rows = len(state.amps) if state.amps.ndim == 2 else 1
-    select = state.amps.ndim == 2 and callable(randomness)
+    n, amps = state.n_qubits, state.amps
+    select = amps.ndim == 2 and callable(randomness)
+    batch = amps.reshape(-1, 2**n)  # a 1-D state as a one-row view
+    rows = len(batch)
     if not select and (not isinstance(randomness, list) or len(randomness) != rows):
         raise ValueError(f"a state of {rows} row(s) takes a list of one draw per row")
-    probs, project = kernel(state.amps, n, *qubits)
-    if state.amps.ndim == 1:
-        i = _pick(probs, randomness[0])
-        return [outcomes[i]], StateVector(n, project(i, math.sqrt(probs[i])))
+    probs, project = kernel(batch, n, *qubits)
     picks = np.asarray(
         randomness(probs) if select else list(map(_pick, probs.tolist(), randomness))
     )
@@ -478,8 +444,8 @@ def _measure(state: StateVector, kernel, outcomes, qubits, randomness):
     chosen = probs[np.arange(rows), picks]
     if select and not chosen.min() > ZERO_PROB:
         raise ValueError(f"a pick selects an outcome of probability at most {ZERO_PROB}")
-    post = StateVector(n, project(picks, np.sqrt(chosen)[:, None]))
-    return [outcomes[i] for i in picks.tolist()], post
+    post = project(picks, np.sqrt(chosen)[:, None]).reshape(amps.shape)
+    return [outcomes[i] for i in picks.tolist()], StateVector(n, post)
 
 
 def measure_z(state: StateVector, q: int, randomness):
@@ -512,8 +478,8 @@ def prepare_ghz_like(state: StateVector, qc: int, qa: int, qb: int) -> StateVect
         raise ValueError("ghz preparation needs three distinct qubits")
     for q in (qc, qa, qb):
         _require_qubit(state, q)
-        probs, _ = _z_kernel(state.amps, state.n_qubits, q)
-        if np.any(np.atleast_2d(probs)[:, 1] > NORM_TOL):
+        probs, _ = _z_kernel(state.amps.reshape(-1, 2**state.n_qubits), state.n_qubits, q)
+        if np.any(probs[:, 1] > NORM_TOL):
             raise ValueError(f"qubit {q} must be in |0> before ghz preparation")
     s = apply_hadamard(state, qa)
     s = apply_cnot(s, qa, qb)

@@ -14,7 +14,7 @@ and :func:`batch_transcripts` runs a batch that way, its PauliLabel keys
 given as :func:`key_codes`.
 :func:`enumerate_branches_depth_first` is the oracle's enumeration as a
 one-row depth-first walk on :func:`outcome_list`, a single state's
-outcomes read off qsim's own 1-D kernels, and
+outcomes read off qsim's own kernels as a one-row batch, and
 :class:`ListSelect` is its per-measurement selection rule row by row, on
 Python lists.
 :func:`round_leaves_in_fractions` walks a decoy-free round under any of
@@ -153,8 +153,9 @@ def outcome_list(basis, state, *qubits):
     ``qsim.ZERO_PROB`` carries None in place of a post-state.
 
     Unlike the rest of this module it is no independent reference: it
-    reads qsim's own 1-D kernels, the ones behind ``qsim.measure_*``, for
-    the tests that need every outcome of a state at once.
+    reads qsim's own kernels, the ones behind ``qsim.measure_*``, on the
+    state as a one-row batch, for the tests that need every outcome of a
+    state at once.
     """
     from qauthsim import qsim
 
@@ -165,11 +166,11 @@ def outcome_list(basis, state, *qubits):
     }[basis]
     assert state.amps.ndim == 1, "an outcome list takes a single state"
     n = state.n_qubits
-    probs, project = kernel(state.amps, n, *qubits)
+    probs, project = kernel(state.amps[None], n, *qubits)
     return [
         (outcome, p, None if p <= qsim.ZERO_PROB
-         else qsim.StateVector(n, project(i, math.sqrt(p))))
-        for i, (outcome, p) in enumerate(zip(outcomes, probs))
+         else qsim.StateVector(n, project(np.array([i]), np.array([[math.sqrt(p)]]))[0]))
+        for i, (outcome, p) in enumerate(zip(outcomes, probs[0].tolist()))
     ]
 
 

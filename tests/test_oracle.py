@@ -125,6 +125,22 @@ def test_outcome_distribution_checks_the_enumerated_mass():
         oracle.outcome_distribution(state, [((0,), Basis.Z)])
 
 
+def test_outcome_distribution_takes_one_state(monkeypatch):
+    # A batch of |00> and |11> is two states, not one: refused before
+    # anything is enumerated, not read off row 0.  A one-row batch is its
+    # row, bit for bit, though a pass of its branches holds three rows.
+    two_rows = qsim.StateVector(2, np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+    plan = [((0,), Basis.Z), ((1,), Basis.Z)]
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "BranchSource", lambda scripts: pytest.fail("enumerated"))
+        with pytest.raises(ValueError, match="takes one state, got 2 rows"):
+            oracle.outcome_distribution(two_rows, [((0,), Basis.Z)])
+    state = qsim.init_product(["+", "-"])
+    one_row = qsim.StateVector(2, state.amps[None])
+    assert _hexed(oracle.outcome_distribution(one_row, plan)) == _hexed(
+        oracle.outcome_distribution(state, plan))
+
+
 def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
     paths = []
 
@@ -241,10 +257,10 @@ def _outcome_lines(kind, qubits, outcomes):
 def test_kernel_and_exact_distribution_arithmetic_is_pinned():
     # Bit for bit, so that a 1-ulp change in any kernel fails here even when
     # no sampled outcome or rounded report moves: every probability and
-    # post-state amplitude of every Z, X and Bell outcome, read off the 1-D
-    # kernels by reference.outcome_list, on seeded random states of 1-6
-    # qubits (every qubit, every ordered pair), and every cell
-    # of the 16 exact transcript distributions.
+    # post-state amplitude of every Z, X and Bell outcome, read off the
+    # kernels by reference.outcome_list (each state a one-row batch), on
+    # seeded random states of 1-6 qubits (every qubit, every ordered
+    # pair), and every cell of the 16 exact transcript distributions.
     rng = np.random.default_rng(8)
     kernel_lines = []
     for n in range(1, 7):
@@ -612,7 +628,7 @@ EXACT_COMBINATIONS = list(
 def test_pass_wise_enumeration_gives_the_depth_first_maps_bitwise(monkeypatch):
     # Every map of every strategy, key, direction and pair of orders, bit for
     # bit, against reference.enumerate_branches_depth_first: a one-row walk
-    # on reference.outcome_list, the 1-D kernels' outcomes of one state,
+    # on reference.outcome_list, the kernels' outcomes of one state,
     # that shares no code with oracle.BranchSource.
     assert len(EXACT_COMBINATIONS) == 576
     passes = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
@@ -642,7 +658,8 @@ def test_an_exact_round_is_a_sum_over_its_table_with_no_kernel_call(
     # Once its table is built, an exact round enumerates nothing and calls
     # no kernel: it sums the table's 16 leaves per key in depth-first order.
     # They are the leaves of a one-row depth-first walk of the same round
-    # on qsim's 1-D kernels, in the same order and with the same bits.
+    # on qsim's kernels, one state at a time, in the same order and with
+    # the same bits.
     leaves = table_leaves(strategy, direction)
     calls = []
 
@@ -744,8 +761,8 @@ def test_a_branch_the_first_path_did_not_predict_takes_another_pass(monkeypatch)
 def test_sparse_random_trees_enumerate_as_the_depth_first_walk_bitwise(monkeypatch):
     # Sparse states give trees whose subtrees differ in fanout, so passes
     # drop mispredicted rows and take unpredicted branches.  X measurements
-    # are in: a batch row gets its 1-D bits in every basis, so the one-row
-    # walk reproduces a pass's X rows too.
+    # are in: a batch row gets its one-row bits in every basis, so the
+    # one-row walk reproduces a pass's X rows too.
     rng = np.random.default_rng(29)
     dropped = extra_passes = 0
     for _ in range(150):

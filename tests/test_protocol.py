@@ -493,13 +493,13 @@ E2_PLAN = [[(Basis.BELL, (A1, A2))], [(Basis.BELL, (B1, B2))], [(Basis.Z, (C1,))
 
 
 def check_levels(levels, plan, node, state, leaves, seen):
-    """Check ``levels`` below ``node`` against a 1-D kernel walk of ``plan``
-    from ``state``, bit for bit: each node's probabilities in each basis,
-    -1 for each dead outcome's child and, for each live one, the child
-    checked in turn against the outcome's post-state.  The last level's
-    (child, post-state) pairs go to ``leaves``, and every node checked to
-    ``seen`` as (levels left, node).  A level of C bases holds node n's
-    row in basis c at row C * n + c."""
+    """Check ``levels`` below ``node`` against a one-state kernel walk of
+    ``plan`` from ``state``, bit for bit: each node's probabilities in
+    each basis, -1 for each dead outcome's child and, for each live one,
+    the child checked in turn against the outcome's post-state.  The last
+    level's (child, post-state) pairs go to ``leaves``, and every node
+    checked to ``seen`` as (levels left, node).  A level of C bases holds
+    node n's row in basis c at row C * n + c."""
     (probs, children), rest = levels[0], levels[1:]
     seen.append((len(plan), node))
     for c, (basis, qubits) in enumerate(plan[0]):
@@ -520,8 +520,8 @@ def check_levels(levels, plan, node, state, leaves, seen):
 def test_round_tables_follow_the_kernels_walk(strategy, direction):
     # Every node of the round table, P2's and E2's under every live P2
     # leaf (196 of an intercept's 256 coin and bit patterns) and key,
-    # equals a walk of qsim's 1-D kernels from the fresh state, bit for
-    # bit: its outcome probabilities, its dead outcomes and its children.
+    # equals a one-state walk of qsim's kernels from the fresh state, bit
+    # for bit: its outcome probabilities, its dead outcomes and its children.
     # E1 enters as the keys' Paulis on the authenticating party's first
     # qubit, and the table is built once per process, read-only.
     table = protocol._round_table(strategy, direction)
@@ -594,10 +594,10 @@ def test_e1_enters_the_table_as_key_roots(direction, qubit):
     fresh = protocol._FRESH_STATE
     for code, key in enumerate(PauliLabel):
         keyed = qsim.apply_pauli(fresh, qubit, key)
-        expected, _ = qsim._bell_kernel(keyed.amps, PROTOCOL_QUBITS, A1, A2)
-        assert probs[root + code].tolist() == list(expected)
-    identity, _ = qsim._bell_kernel(fresh.amps, PROTOCOL_QUBITS, A1, A2)
-    assert probs[root].tolist() == list(identity)
+        expected, _ = qsim._bell_kernel(keyed.amps[None], PROTOCOL_QUBITS, A1, A2)
+        assert probs[root + code].tolist() == expected[0].tolist()
+    identity, _ = qsim._bell_kernel(fresh.amps[None], PROTOCOL_QUBITS, A1, A2)
+    assert probs[root].tolist() == identity[0].tolist()
 
 
 def test_e1_rejects_charlie():

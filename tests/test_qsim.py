@@ -690,9 +690,10 @@ def test_a_selector_must_pick_a_live_outcome():
     assert outcomes == [0, 0]
 
 
-def test_batch_probabilities_are_one_array_of_the_rows_tuples():
+def test_batch_probabilities_are_one_array_of_the_rows_one_row_arrays():
     # A batch's kernel probabilities are one (rows, outcomes) float64
-    # array, and each row is bitwise its state's 1-D tuple, in every basis.
+    # array, and each row is bitwise its state's own, measured as a one-row
+    # batch, in every basis.
     rng = np.random.default_rng(38)
     kernels = [(qsim._z_kernel, 1), (qsim._x_kernel, 1), (qsim._bell_kernel, 2)]
     for _ in range(40):
@@ -705,30 +706,70 @@ def test_batch_probabilities_are_one_array_of_the_rows_tuples():
                 assert type(probs) is np.ndarray
                 assert probs.dtype == np.float64
                 assert probs.shape == (rows, 2 * arity)
-                for batch_row, amps_row in zip(probs, amps):
-                    alone, _ = kernel(amps_row, n, *qubits)
-                    assert type(alone) is tuple
-                    assert [p.hex() for p in batch_row.tolist()] == [p.hex() for p in alone]
+                for r in range(rows):
+                    alone, _ = kernel(amps[r:r + 1], n, *qubits)
+                    assert alone.shape == (1, 2 * arity)
+                    assert alone.tobytes() == probs[r:r + 1].tobytes()
 
 
-@pytest.mark.parametrize("rows", [2, 128, 600])
+@pytest.mark.parametrize("rows", [1, 2, 128, 600])
 @pytest.mark.parametrize("kernel, arity", [(qsim._z_kernel, 1), (qsim._x_kernel, 1),
                                            (qsim._bell_kernel, 2)],
                          ids=["Z", "X", "Bell"])
-def test_every_kernel_gives_a_batch_row_its_1d_bits(kernel, arity, rows):
+def test_every_kernel_gives_a_batch_row_its_one_row_bits(kernel, arity, rows):
     # One reduction rule for every kernel, at any batch size: a batch's
     # flipped amplitudes are C-contiguous, so each row's stacked matmul or
-    # sum adds its terms in the 1-D order, for real and complex states of
-    # the protocol's six qubits alike.
+    # sum adds its terms in the order the row measured alone, as a one-row
+    # batch, adds them, for real and complex states of the protocol's six
+    # qubits alike.  Its probabilities and its projected post-state are
+    # bitwise the same in any batch.
     rng = np.random.default_rng(rows + arity)
     complex_amps = random_batch(rng, 6, rows)
     for amps in (complex_amps, real_rows(complex_amps)):
         assert qsim._flip(amps, qsim._flip_perm(6, 2)).flags.c_contiguous
         for _ in range(3):
             qubits = [int(q) for q in rng.permutation(6)[:arity]]
-            probs, _ = kernel(amps, 6, *qubits)
-            alone = [kernel(row, 6, *qubits)[0] for row in amps]
-            assert probs.tobytes() == np.array(alone).tobytes()
+            probs, project = kernel(amps, 6, *qubits)
+            picks = rng.integers(0, 2 * arity, size=rows)
+            roots = np.sqrt(probs[np.arange(rows), picks])[:, None]
+            post = project(picks, roots)
+            for r in range(rows):
+                alone, alone_project = kernel(amps[r:r + 1], 6, *qubits)
+                assert alone.tobytes() == probs[r:r + 1].tobytes()
+                assert alone_project(picks[r:r + 1], roots[r:r + 1]).tobytes() == post[r:r + 1].tobytes()
+
+
+# Each measurement and gate on a state, with one draw or label for its one
+# row.
+ONE_ROW_CALLS = {
+    "measure_z": lambda s, u, label: qsim.measure_z(s, 2, [u]),
+    "measure_x": lambda s, u, label: qsim.measure_x(s, 0, [u]),
+    "measure_bell": lambda s, u, label: qsim.measure_bell(s, 3, 1, [u]),
+    "pauli": lambda s, u, label: ([], qsim.apply_pauli(s, 1, label)),
+    "pauli-list": lambda s, u, label: ([], qsim.apply_pauli(s, 1, [label])),
+    "hadamard": lambda s, u, label: ([], qsim.apply_hadamard(s, 2)),
+    "cnot": lambda s, u, label: ([], qsim.apply_cnot(s, 3, 0)),
+    "ghz": lambda s, u, label: ([], qsim.prepare_ghz_like(s, 3, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ONE_ROW_CALLS))
+def test_a_1d_state_is_a_one_row_batch(call):
+    # A 1-D state goes in and comes out 1-D, and its outcome and post-state
+    # are bitwise row 0's of the same state passed as a (1, 2^n) batch.
+    rng = np.random.default_rng(39)
+    apply = ONE_ROW_CALLS[call]
+    for _ in range(20):
+        complex_amps = _ghz_ready_batch(rng, 1) if call == "ghz" else random_batch(rng, 4, 1)
+        u, label = float(rng.random()), list(PauliLabel)[int(rng.integers(4))]
+        for amps in (complex_amps, real_rows(complex_amps)):
+            outcomes, post = apply(qsim.StateVector(4, amps[0].copy()), u, label)
+            batch_outcomes, batch_post = apply(qsim.StateVector(4, amps), u, label)
+            assert post.amps.shape == (16,)
+            assert batch_post.amps.shape == (1, 16)
+            assert outcomes == batch_outcomes
+            assert post.amps.dtype == amps.dtype
+            assert post.amps.tobytes() == batch_post.amps[0].tobytes()
 
 
 def _ghz_ready_batch(rng, rows):
