@@ -16,23 +16,20 @@ so :func:`swap_table`) run on the pass enumerator,
 :class:`BranchSource` is an outcome source with ``measure_*`` methods that
 returns one outcome per row in a list and follows each row's scripted
 choices instead of drawing randomness.  A pass hands the pipeline a source
-with one row per script, so each of its measurements is one kernel call
-over every row, and its selection a few array steps over the kernel's
-(rows, outcomes) probabilities.  The next pass scripts each unexplored
-sibling of the rows' paths with every tail below it that the row's own
-fanouts predict, so a tree whose sibling subtrees branch alike takes two
-passes.  A pipeline takes that source and returns one result per row; a
-1-D state it hands the source stands for every row.  Both distributions
-check their enumerated mass at run time.  Sampled runs reduce to five
-integer tallies, and :mod:`qauthsim.cli` turns each tally pair into rate
-fields through :func:`wilson_interval`.
+with one row per script, so each of its measurements is one qsim kernel
+call over every row; a 1-D state the pipeline hands the source stands for
+every row.  The next pass has one row per unexplored sibling of the rows'
+paths, so a leaf is reached in the pass one past the number of nonzero
+options on its path.  Both distributions check their enumerated mass at
+run time.  Sampled runs reduce to five integer tallies, and
+:mod:`qauthsim.cli` turns each tally pair into rate fields through
+:func:`wilson_interval`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -54,79 +51,67 @@ _WILSON_Z = 1.959963984540054
 class BranchSource:
     """Outcome source that follows one scripted branch per row.
 
-    ``scripts`` holds one script per row.  Each measurement is one
-    ``qsim.measure_*`` call over every row (a 1-D state is first repeated
-    into one row per script), and it returns the rows' outcomes as a list.
-    At its measurement ``i``, row ``r`` takes live option ``scripts[r][i]``
-    (or the first live option beyond its script's end) and multiplies
-    ``probability[r]`` by its probability.  A script may name an option its
-    row does not have: the row then takes its first live option and
-    ``branch[r]`` is False, for the row is no branch of the tree.
-    ``taken[r]`` is the row's path and ``fanouts[r]`` the number of live
-    options at each of its depths, both tuples: together they are what the
-    enumeration needs to find the row's unexplored siblings.  ``roots[r]``
-    is the root the row's branch grows from, which
-    :func:`enumerate_branches` sets (None on a bare source).
-
-    A measurement selects in array steps over the kernel's (rows, outcomes)
-    probabilities, with the scripts held as one zero-padded array.  The four
-    per-row lists are filled in place once per pass, by :meth:`finish`, so
-    a list read at ``__init__`` sees them.
+    ``scripts`` holds one script per row.  Each measurement is one qsim
+    kernel call over every row (a 1-D state is first repeated into one row
+    per script), and it returns the rows' outcomes as a list.  At its
+    measurement ``i``, row ``r`` takes live option ``scripts[r][i]``, or
+    option 0 past its script's end, where an option is live above
+    ``ZERO_PROB``; a script that names an option its node lacks is a
+    ValueError.  ``taken[r]`` is the row's path and ``fanouts[r]`` the
+    number of live options at each of its depths, both tuples, and
+    ``probability[r]`` the product of its options' probabilities in path
+    order.  ``roots[r]`` is the root the row's branch grows from, which
+    :func:`enumerate_branches` sets (None on a bare source).  The four lists
+    are made here and filled in place as each measurement runs, so a list
+    read at ``__init__`` sees every entry.
     """
 
     def __init__(self, scripts):
         self.scripts = scripts
-        rows, width = len(scripts), max(map(len, scripts), default=0)
-        columns = list(itertools.zip_longest(*scripts, fillvalue=0))  # one per depth
-        self._scripts = np.array(columns, dtype=np.intp).reshape(width, rows).T
-        self._indexes, self._counts = [], []
-        self._probability, self._branch = np.ones(rows), np.ones(rows, dtype=bool)
-        self.roots = [None] * rows
-        self.taken = [()] * rows
-        self.fanouts = [()] * rows
-        self.probability = [1.0] * rows
-        self.branch = [True] * rows
+        self.roots = [None] * len(scripts)
+        self.taken = [()] * len(scripts)
+        self.fanouts = [()] * len(scripts)
+        self.probability = [1.0] * len(scripts)
 
-    def _select(self, probs: np.ndarray) -> np.ndarray:
+    def _select(self, probs: np.ndarray) -> list:
         """Each row's scripted live outcome, given the rows' (rows, outcomes)
-        probabilities."""
-        depth = len(self._indexes)  # every row is measured alike
-        ranks = (probs > qsim.ZERO_PROB).cumsum(axis=1)  # a live option's rank, from 1
-        counts = ranks[:, -1]
-        padded = depth < self._scripts.shape[1]
-        index = self._scripts[:, depth] if padded else np.zeros_like(counts)
-        over = index >= counts  # a script named an option its row does not have
-        if over.any():
-            self._branch &= ~over
-            index = np.where(over, 0, index)
-        picks = (ranks > index[:, None]).argmax(axis=1)
-        self._indexes.append(index)
-        self._counts.append(counts)
-        self._probability = self._probability * probs[np.arange(len(probs)), picks]
+        probabilities; each row's path, fanouts and probability grow by it."""
+        picks = []
+        for r, (row, script) in enumerate(zip(probs.tolist(), self.scripts)):
+            live = [i for i, p in enumerate(row) if p > qsim.ZERO_PROB]
+            depth = len(self.taken[r])
+            index = script[depth] if depth < len(script) else 0
+            if not 0 <= index < len(live):
+                raise ValueError(
+                    f"a script names option {index} of a node with {len(live)} live options"
+                )
+            picks.append(live[index])
+            self.taken[r] += (index,)
+            self.fanouts[r] += (len(live),)
+            self.probability[r] *= row[live[index]]
         return picks
 
-    def finish(self) -> None:
-        """Fill ``taken``, ``fanouts``, ``probability`` and ``branch`` with
-        each row's path, live counts, probability and flag, in place."""
-        for paths, columns in ((self.taken, self._indexes), (self.fanouts, self._counts)):
-            if columns:
-                paths[:] = zip(*map(np.ndarray.tolist, columns))
-        self.probability[:] = self._probability.tolist()
-        self.branch[:] = self._branch.tolist()
-
-    def _measure(self, measure, state, *qubits):
-        if state.amps.ndim == 1:  # a 1-D state stands for every row
-            state = qsim.StateVector(state.n_qubits, state.amps[None].repeat(len(self.scripts), 0))
-        return measure(state, *qubits, self._select)
+    def _measure(self, kernel, outcomes, state, *qubits):
+        n, amps = state.n_qubits, state.amps
+        if amps.ndim == 1:  # a 1-D state stands for every row
+            amps = amps[None].repeat(len(self.scripts), 0)
+        probs, project = kernel(amps, n, *qubits)
+        picks = np.array(self._select(probs))
+        chosen = probs[np.arange(len(picks)), picks]
+        post = project(picks, np.sqrt(chosen)[:, None])
+        return [outcomes[i] for i in picks.tolist()], qsim.StateVector(n, post)
 
     def measure_z(self, state, q):
-        return self._measure(qsim.measure_z, state, q)
+        qsim._require_qubit(state, q)
+        return self._measure(qsim._z_kernel, qsim._BITS, state, q)
 
     def measure_x(self, state, q):
-        return self._measure(qsim.measure_x, state, q)
+        qsim._require_qubit(state, q)
+        return self._measure(qsim._x_kernel, qsim._BITS, state, q)
 
     def measure_bell(self, state, q1, q2):
-        return self._measure(qsim.measure_bell, state, q1, q2)
+        qsim._require_pair(state, q1, q2)
+        return self._measure(qsim._bell_kernel, qsim._BELL_ORDER, state, q1, q2)
 
 
 def enumerate_branches(pipeline, roots=(None,)):
@@ -137,53 +122,41 @@ def enumerate_branches(pipeline, roots=(None,)):
     row alike and be deterministic given the outcomes each row receives.
     It runs once per pass.  The first pass has one row per entry of
     ``roots``, each with an empty script; a pipeline reads each row's root
-    from ``source.roots``.  Past the last nonzero option of its script, a
-    row stands for its path's prefixes: at each such depth, every live
-    option no earlier script covered is one the next pass takes, each
-    followed by every tail the row's own fanouts below that depth predict.
-    A row whose script names an option the tree lacks is no branch and is
-    dropped; one that finds more options than its script was predicted
-    from leaves them to the next pass.  The passes end when one finds no
-    option left, so a tree whose sibling subtrees branch alike takes two.
-    The leaves are then yielded root by root, each root's in depth-first
-    path order; a leaf reached twice is a ValueError.  Each root's
-    probabilities sum to 1 (zero-probability branches are never entered).
+    from ``source.roots``.  A row takes option 0 past its script's end, so
+    the next pass has one row per live option after the first at each of
+    those depths: ``path[:depth] + (k,)``.  Every branch is so reached
+    once, and a row whose path does not begin with its whole script, the
+    mark of a pipeline that is not deterministic, is a ValueError.  (A
+    row's path is then its script, empty or ending in a nonzero option,
+    followed by zeros, so no two rows of a root reach one leaf.)  The
+    leaves are yielded root by root, each root's in depth-first path order.
+    Each root's probabilities sum to 1 (zero-probability branches are never
+    entered).
     """
     leaves = []
-    # (root index, script, the fanouts the script was predicted from) per row
-    rows = [(r, (), ()) for r in range(len(roots))]
+    rows = [(r, ()) for r in range(len(roots))]  # (root index, script) per row
     while rows:
-        source = BranchSource([script for _, script, _ in rows])
-        source.roots = [roots[r] for r, _, _ in rows]
+        source = BranchSource([script for _, script in rows])
+        source.roots[:] = [roots[r] for r, _ in rows]
         results = pipeline(source)
-        source.finish()
         if len(results) != len(rows):
             raise ValueError(f"a pipeline returned {len(results)} results for {len(rows)} rows")
         scripts = []
-        for (r, script, predicted), path, fanouts, branch, result, p in zip(
-            rows, source.taken, source.fanouts, source.branch, results, source.probability
+        for (r, script), path, fanouts, result, p in zip(
+            rows, source.taken, source.fanouts, results, source.probability
         ):
-            if not branch:
-                continue
+            if path[:len(script)] != script:
+                raise ValueError(
+                    f"a row scripted {script} took path {path}: the pipeline is not deterministic"
+                )
             leaves.append(((r, path), result, p))
-            if fanouts == predicted:  # its prediction missed no option
-                continue
-            start = len(script)  # the row stands for its prefix past its last nonzero option
-            while start and not script[start - 1]:
-                start -= 1
-            for depth in range(start, len(path)):
-                # Options before ``first`` are scripted: predicted, or the one the row took.
-                first = predicted[depth] if depth < len(predicted) else 1
-                scripts += [
-                    (r, path[:depth] + (k,) + tail, fanouts)
-                    for k in range(first, fanouts[depth])
-                    for tail in itertools.product(*map(range, fanouts[depth + 1:]))
-                ]
+            scripts += [
+                (r, path[:depth] + (k,))
+                for depth in range(len(script), len(path))
+                for k in range(1, fanouts[depth])
+            ]
         rows = scripts
     leaves.sort(key=lambda leaf: leaf[0])
-    keys = [key for key, _, _ in leaves]
-    if any(map(operator.eq, keys, keys[1:])):
-        raise ValueError("an enumeration reached a branch twice")
     for _, result, p in leaves:
         yield result, p
 
@@ -197,9 +170,11 @@ def _check_mass(dist: dict) -> None:
 
 def _validate_plan(state: qsim.StateVector, plan) -> None:
     seen = set()
-    for qubits, basis in plan:
-        if not isinstance(basis, Basis):
-            raise ValueError(f"a measurement plan's basis must be a Basis, got {basis!r}")
+    for entry in plan:
+        if not (isinstance(entry, tuple) and len(entry) == 2
+                and isinstance(entry[0], tuple) and isinstance(entry[1], Basis)):
+            raise ValueError(f"a measurement plan entry is a (qubit tuple, Basis), got {entry!r}")
+        qubits, basis = entry
         want = 2 if basis is Basis.BELL else 1
         if len(qubits) != want:
             raise ValueError(

@@ -13,15 +13,11 @@ permutations and signs: a Pauli, with one label or one per row, is one
 gather and one multiply, Hadamard is (X + Z)/sqrt(2), and CNOT is the
 target's flip where the control is 1.
 
-Nothing in this module draws randomness.  The ``measure_*`` functions are
-the one way to measure a state: they take a list of uniform draws from
-``[0, 1)``, one per row (a 1-D state is one row), and return ``(outcomes,
-post-state)`` with one outcome per row in a list.  A batch may take a
-selector in place of the draws, a callable that picks each row's outcome
-from the rows' probabilities, one (B, k) float64 array, and must pick one
-live outcome per row: the oracle's pass enumerator selects its scripted
-branches that way, a pass of rows per call.  Each basis has one kernel,
-which takes a batch only and which the protocol's round tables call
+Nothing in this module draws randomness.  The ``measure_*`` functions
+take a list of uniform draws from ``[0, 1)``, one per row (a 1-D state is
+one row), and return ``(outcomes, post-state)`` with one outcome per row
+in a list.  Each basis has one kernel, which takes a batch only and which
+the protocol's round tables and the oracle's pass enumerator call
 directly; ``measure_*`` hands it a 1-D state as a one-row view and gives
 the post-state back 1-D.  A row of a batch gets the bits its state would
 get measured alone.  Measurements never rotate the state:
@@ -174,6 +170,8 @@ def init_product(tags) -> StateVector:
 
 
 def _require_qubit(state: StateVector, q: int) -> None:
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+        raise ValueError(f"qubit index {q!r} is not an integer")
     if not 0 <= q < state.n_qubits:
         raise ValueError(
             f"qubit index {q} out of range for a {state.n_qubits}-qubit state"
@@ -280,15 +278,14 @@ def _require_pair(state: StateVector, q1: int, q2: int) -> None:
         raise ValueError("bell measurement needs two distinct qubits")
 
 
-# Measurement kernels, one per basis, behind ``measure_*``, whether a row's
-# outcome is drawn or selected.  A kernel takes a (B, 2^n) batch of flat
-# amplitudes, checks the measured mass and returns the outcome
-# probabilities, a (B, k) float64 array with one row of k outcomes per
-# state, together with ``project(i, root)``: the amplitudes projected onto
-# outcome ``i``, a (B,) array of per-row outcomes, and divided by ``root``,
-# the (B, 1) column of the square roots of the outcomes' probabilities.
-# No kernel rotates the state: each applies its projectors to the flat
-# amplitudes directly.
+# Measurement kernels, one per basis, behind ``measure_*``.  A kernel
+# takes a (B, 2^n) batch of flat amplitudes, checks the measured mass and
+# returns the outcome probabilities, a (B, k) float64 array with one row of
+# k outcomes per state, together with ``project(i, root)``: the amplitudes
+# projected onto outcome ``i``, a (B,) array of per-row outcomes, and
+# divided by ``root``, the (B, 1) column of the square roots of the
+# outcomes' probabilities.  No kernel rotates the state: each applies its
+# projectors to the flat amplitudes directly.
 #
 # The reductions below take a batch and return an array of one value per
 # row.  Each is a stacked matmul or a sum along the rows, which computes
@@ -412,38 +409,21 @@ def _cut(probs) -> float:
 
 
 def _measure(state: StateVector, kernel, outcomes, qubits, randomness):
-    """Select and project every row's outcome with one kernel call.
+    """Pick and project every row's outcome with one kernel call.
 
     ``randomness`` is a list of one draw per row, each selecting its row's
-    outcome by :func:`_pick`; or, for a batch, a selector: a callable that
-    takes the rows' (B, k) probability array and returns one outcome index
-    per row, as a list or an integer array.  A pick that is not one live
-    outcome per row is a ValueError.  The outcomes come back as a list in
-    row order.  A 1-D state is measured as a one-row batch, and its
-    post-state comes back 1-D.
+    outcome by :func:`_pick`.  The outcomes come back as a list in row
+    order.  A 1-D state is measured as a one-row batch, and its post-state
+    comes back 1-D.
     """
     n, amps = state.n_qubits, state.amps
-    select = amps.ndim == 2 and callable(randomness)
     batch = amps.reshape(-1, 2**n)  # a 1-D state as a one-row view
     rows = len(batch)
-    if not select and (not isinstance(randomness, list) or len(randomness) != rows):
+    if not isinstance(randomness, list) or len(randomness) != rows:
         raise ValueError(f"a state of {rows} row(s) takes a list of one draw per row")
     probs, project = kernel(batch, n, *qubits)
-    picks = np.asarray(
-        randomness(probs) if select else list(map(_pick, probs.tolist(), randomness))
-    )
-    # _pick selects a live outcome of its row; a selector's picks are checked.
-    if select and (
-        picks.shape != (rows,)
-        or picks.dtype.kind not in "iu"
-        or not 0 <= picks.min() <= picks.max() < probs.shape[1]
-    ):
-        raise ValueError(
-            f"a batch of {rows} row(s) takes one outcome index per row, got {picks!r}"
-        )
+    picks = np.asarray(list(map(_pick, probs.tolist(), randomness)))
     chosen = probs[np.arange(rows), picks]
-    if select and not chosen.min() > ZERO_PROB:
-        raise ValueError(f"a pick selects an outcome of probability at most {ZERO_PROB}")
     post = project(picks, np.sqrt(chosen)[:, None]).reshape(amps.shape)
     return [outcomes[i] for i in picks.tolist()], StateVector(n, post)
 

@@ -220,9 +220,9 @@ class ListSelect:
     and returns each row's pick: row ``r`` takes live option
     ``scripts[r][depth]`` (option 0 past its script's end), an option being
     live above ``ZERO_PROB``; a script that names an option its row does
-    not have sets ``branch[r]`` False and takes option 0.  ``taken`` and
-    ``fanouts`` grow by one entry per row, and ``probability`` is the
-    running product, all updated at every call.
+    not have is a ValueError.  ``taken`` and ``fanouts`` grow by one entry
+    per row, and ``probability`` is the running product, all rebuilt at
+    every call.
     """
 
     def __init__(self, scripts):
@@ -230,7 +230,6 @@ class ListSelect:
         self.taken = [()] * len(scripts)
         self.fanouts = [()] * len(scripts)
         self.probability = [1.0] * len(scripts)
-        self.branch = [True] * len(scripts)
 
     def select(self, probs) -> list:
         from qauthsim import qsim
@@ -238,9 +237,8 @@ class ListSelect:
         depth = len(self.taken[0])
         lives = [[i for i, p in enumerate(row) if p > qsim.ZERO_PROB] for row in probs]
         indexes = [script[depth] if depth < len(script) else 0 for script in self.scripts]
-        for r, (live, index) in enumerate(zip(lives, indexes)):
-            if index >= len(live):
-                self.branch[r], indexes[r] = False, 0
+        if not all(0 <= index < len(live) for live, index in zip(lives, indexes)):
+            raise ValueError("a script names an option its row does not have")
         picks = [live[index] for live, index in zip(lives, indexes)]
         self.taken = [path + (index,) for path, index in zip(self.taken, indexes)]
         self.fanouts = [row + (len(live),) for row, live in zip(self.fanouts, lives)]

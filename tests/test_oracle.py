@@ -103,6 +103,13 @@ def test_enumerate_matches_outcome_distribution():
         [((0,), Basis.Z), ((0, 1), Basis.BELL)],
         [((0,), "Z")],  # a basis's name is not a Basis
         [((0,), Basis.Z), ((1,), None)],
+        [((True,), Basis.Z)],  # a bool is not qubit 1
+        [((0.0,), Basis.Z)],
+        [(("0",), Basis.Z)],
+        [(0, Basis.Z)],  # an entry's qubits are a tuple
+        [([0], Basis.Z)],
+        [((0,), Basis.Z, 1)],
+        [[(0,), Basis.Z]],
     ],
 )
 def test_outcome_distribution_rejects_bad_plans_before_measuring(monkeypatch, plan):
@@ -112,6 +119,13 @@ def test_outcome_distribution_rejects_bad_plans_before_measuring(monkeypatch, pl
     monkeypatch.setattr(oracle, "BranchSource", refuse)
     with pytest.raises(ValueError):
         oracle.outcome_distribution(qsim.init_product(["0", "0"]), plan)
+
+
+def test_outcome_distribution_takes_numpy_integer_qubits():
+    state = qsim.init_product(["+", "0"])
+    plan = [((np.int64(1),), Basis.Z), ((np.intp(0),), Basis.X)]
+    assert _hexed(oracle.outcome_distribution(state, plan)) == _hexed(
+        oracle.outcome_distribution(state, [((1,), Basis.Z), ((0,), Basis.X)]))
 
 
 def test_outcome_distribution_checks_the_enumerated_mass():
@@ -163,6 +177,8 @@ def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
 
 
 def test_branch_source_records_its_path():
+    # The four lists are the ones __init__ made, filled in place as each
+    # measurement runs: a tracer that keeps them at __init__ reads the paths.
     def pipeline(source):
         state = qsim.init_product(["+", "+"])
         b0, state = source.measure_z(state, 0)
@@ -170,46 +186,59 @@ def test_branch_source_records_its_path():
         return list(zip(b0, b1))
 
     source = BranchSource([[1, 0]])
+    made = source.roots, source.taken, source.fanouts, source.probability
     [result] = pipeline(source)
     assert result == (1, 0)
-    assert source.taken == [()]  # the lists are filled once per pass
-    source.finish()
-    [taken] = source.taken
-    assert list(taken) == [1, 0]
-    assert list(source.fanouts[0]) == [2, 2]
+    assert source.taken == [(1, 0)]
+    assert source.fanouts == [(2, 2)]
     assert source.probability == [pytest.approx(0.25)]
+    assert source.roots == [None]
+    kept = source.roots, source.taken, source.fanouts, source.probability
+    assert all(a is b for a, b in zip(made, kept))
 
 
-def test_array_selection_matches_the_per_row_rule_bitwise():
+def test_selection_matches_the_per_row_rule_bitwise():
     # BranchSource._select against reference.ListSelect, the same rule row
-    # by row on lists.  The probabilities mix exact zeros, ZERO_PROB itself
-    # (not live) and the next float above it (live), and some scripts name
-    # options their rows do not have, or end early.
+    # by row.  The probabilities mix exact zeros, ZERO_PROB itself (not
+    # live) and the next float above it (live), and some scripts end early.
     rng = np.random.default_rng(31)
     edge = [0.0, qsim.ZERO_PROB, float(np.nextafter(qsim.ZERO_PROB, 1.0))]
-    dropped = 0
     for _ in range(300):
         rows, k, depths = int(rng.integers(1, 8)), int(rng.choice([2, 4])), int(rng.integers(1, 5))
-        scripts = [
-            tuple(int(i) for i in rng.integers(0, k + 1, size=rng.integers(0, depths + 2)))
-            for _ in range(rows)
-        ]
-        source, ref = BranchSource(scripts), reference.ListSelect(scripts)
+        levels = []
         for _ in range(depths):
             probs = rng.random((rows, k))
             probs[rng.random((rows, k)) < 0.4] = 0.0
             spots = rng.random((rows, k)) < 0.3
             probs[spots] = rng.choice(edge, size=spots.sum())
             probs[np.arange(rows), rng.integers(0, k, size=rows)] = rng.random(rows) + 0.1
-            picks = source._select(probs)
-            assert picks.tolist() == ref.select(probs.tolist())
-        source.finish()
+            levels.append(probs)
+        live = np.array([(probs > qsim.ZERO_PROB).sum(axis=1) for probs in levels]).T
+        scripts = [
+            tuple(int(rng.integers(n)) for n in counts[:rng.integers(0, depths + 1)])
+            for counts in live
+        ]
+        source, ref = BranchSource(scripts), reference.ListSelect(scripts)
+        for probs in levels:
+            assert source._select(probs) == ref.select(probs.tolist())
         assert source.taken == ref.taken
         assert source.fanouts == ref.fanouts
-        assert source.branch == ref.branch
         assert [p.hex() for p in source.probability] == [p.hex() for p in ref.probability]
-        dropped += ref.branch.count(False)
-    assert dropped  # some script overran its row's live options
+
+
+@pytest.mark.parametrize("script", [(1,), (0, 2), (-1,)])
+def test_a_script_that_names_an_option_its_node_lacks_is_an_error(script):
+    # |0+> measured in Z: qubit 0 has one live outcome and qubit 1 two, so
+    # no node has option 2, the first has no option 1, and none has -1.
+    def pipeline(source):
+        state = qsim.init_product(["0", "+"])
+        b0, state = source.measure_z(state, 0)
+        b1, state = source.measure_z(state, 1)
+        return list(zip(b0, b1))
+
+    assert pipeline(BranchSource([(0, 1)])) == [(0, 1)]
+    with pytest.raises(ValueError, match="names option"):
+        pipeline(BranchSource([script]))
 
 
 # ---------------------------------------------------------------------------
@@ -735,36 +764,33 @@ SQRT3 = np.sqrt(1 / 3)
 ZZ = [((0,), Basis.Z), ((1,), Basis.Z)]
 
 
-def test_a_predicted_branch_the_tree_lacks_is_dropped(monkeypatch):
-    # (|00> + |01> + |10>)/sqrt(3): the first path's fanouts are (2, 2), so
-    # the second pass also scripts (1, 1), which |10> does not have.
+def test_a_pass_scripts_each_unexplored_sibling_of_its_rows(monkeypatch):
+    # (|00> + |01> + |10>)/sqrt(3): the first path is (0, 0) with fanouts
+    # (2, 2), so the second pass takes both of its siblings, (1,) and (0, 1);
+    # the path (1, 0) has fanouts (2, 1) and leaves nothing past its script.
     state = np.array([SQRT3, SQRT3, SQRT3, 0.0])
     leaves, walked, passes = _enumerated(monkeypatch, {"s": state}, ZZ)
     assert leaves == walked
     assert [result for result, _ in leaves] == [("s", 0, 0), ("s", 0, 1), ("s", 1, 0)]
-    assert [source.scripts for source in passes] == [[()], [(1, 0), (1, 1), (0, 1)]]
-    assert [source.branch for source in passes] == [[True], [True, False, True]]
+    assert [source.scripts for source in passes] == [[()], [(1,), (0, 1)]]
 
 
-def test_a_branch_the_first_path_did_not_predict_takes_another_pass(monkeypatch):
+def test_a_sibling_found_below_a_script_takes_another_pass(monkeypatch):
     # (|00> + |10> + |11>)/sqrt(3): the first path's fanouts are (2, 1), so
-    # the second pass scripts (1, 0) alone and finds that |1.> has two
-    # outcomes; the third takes the one no script covered.
+    # the second pass scripts (1,) alone and finds that |1.> has two
+    # outcomes; the third takes the one below it.
     state = np.array([SQRT3, 0.0, SQRT3, SQRT3])
     leaves, walked, passes = _enumerated(monkeypatch, {"s": state}, ZZ)
     assert leaves == walked
     assert [result for result, _ in leaves] == [("s", 0, 0), ("s", 1, 0), ("s", 1, 1)]
-    assert [source.scripts for source in passes] == [[()], [(1, 0)], [(1, 1)]]
-    assert all(branch for source in passes for branch in source.branch)
+    assert [source.scripts for source in passes] == [[()], [(1,)], [(1, 1)]]
 
 
 def test_sparse_random_trees_enumerate_as_the_depth_first_walk_bitwise(monkeypatch):
-    # Sparse states give trees whose subtrees differ in fanout, so passes
-    # drop mispredicted rows and take unpredicted branches.  X measurements
-    # are in: a batch row gets its one-row bits in every basis, so the
-    # one-row walk reproduces a pass's X rows too.
+    # Sparse states give trees whose subtrees differ in fanout.  X
+    # measurements are in: a batch row gets its one-row bits in every
+    # basis, so the one-row walk reproduces a pass's X rows too.
     rng = np.random.default_rng(29)
-    dropped = extra_passes = 0
     for _ in range(150):
         n = int(rng.integers(2, 7))
         states = {}
@@ -779,17 +805,14 @@ def test_sparse_random_trees_enumerate_as_the_depth_first_walk_bitwise(monkeypat
                 plan.append(((int(qubits.pop()), int(qubits.pop())), Basis.BELL))
             else:
                 plan.append(((int(qubits.pop()),), (Basis.Z, Basis.X)[int(rng.integers(2))]))
-        leaves, walked, passes = _enumerated(monkeypatch, states, plan)
+        leaves, walked, _ = _enumerated(monkeypatch, states, plan)
         assert leaves == walked
-        dropped += sum(not branch for source in passes for branch in source.branch)
-        extra_passes += len(passes) > 2
-    assert dropped and extra_passes  # both of the rule's corrections ran
 
 
-def test_an_enumeration_that_reaches_a_branch_twice_is_an_error():
+def test_a_pipeline_that_strays_from_its_scripts_is_an_error():
     # A pipeline that is not deterministic: after the first pass it measures
-    # one qubit instead of two, so the second pass's (1, 0) and (1, 1) both
-    # end at path (1,).
+    # one qubit instead of two, so the second pass's row scripted (0, 1)
+    # ends at path (0,).
     calls = []
 
     def pipeline(source):
@@ -800,7 +823,7 @@ def test_an_enumeration_that_reaches_a_branch_twice_is_an_error():
             source.measure_z(state, 1)
         return bits
 
-    with pytest.raises(ValueError, match="twice"):
+    with pytest.raises(ValueError, match=r"scripted \(0, 1\) took path \(0,\).*not deterministic"):
         list(enumerate_branches(pipeline))
 
 

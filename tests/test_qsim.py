@@ -213,6 +213,18 @@ class TestMeasureZ:
         with pytest.raises(ValueError):
             qsim.measure_z(state, 0, [-0.1])
 
+    def test_rejects_a_qubit_index_that_is_no_integer(self):
+        # True would pass a range check as qubit 1; a float or a string
+        # would reach numpy as a TypeError.  Numpy integers are indices.
+        state = qsim.init_product(["0", "+"])
+        for q in (True, np.bool_(False), 1.0, "1", None):
+            with pytest.raises(ValueError, match="not an integer"):
+                qsim.measure_z(state, q, [0.5])
+            with pytest.raises(ValueError, match="not an integer"):
+                qsim.apply_hadamard(state, q)
+        (bit,), _ = qsim.measure_z(state, np.int64(0), [0.5])
+        assert bit == 0
+
 
 class TestMeasureX:
     def test_plus_is_eigenstate(self):
@@ -634,60 +646,12 @@ def test_batched_measurement_takes_one_draw_per_row():
     for draws in (0.5, [0.5, 0.5], (0.5,)):
         with pytest.raises(ValueError):
             qsim.measure_z(qsim.StateVector(2, amps[0]), 0, draws)
-
-
-def test_a_selector_picks_each_rows_outcome_of_a_batch():
-    # The selector sees the rows' probability tuples and returns one outcome
-    # index per row; each row is projected onto its pick as if a draw had
-    # picked it.  A 1-D state takes draws only.
-    rng = np.random.default_rng(36)
+    # Draws only: a callable that would pick each row's outcome is refused
+    # for a batch and a single state alike.
     for measure, arity in BATCH_MEASURES:
-        amps = real_rows(random_batch(rng, 3, 4))
-        state = qsim.StateVector(3, amps)
-        seen = []
-
-        def last_outcome(probs):
-            seen.append(probs)
-            return [len(row) - 1 for row in probs]
-
-        outcomes, post = measure(state, *range(arity), last_outcome)
-        [probs] = seen
-        assert len(probs) == len(amps)
-        for row, row_probs, outcome, row_post in zip(amps, probs, outcomes, post.amps):
-            # The draw just below 1 picks the last outcome when it is live.
-            (alone,), alone_post = measure(qsim.StateVector(3, row), *range(arity), [1 - 2**-53])
-            assert row_probs[-1] > qsim.ZERO_PROB
-            assert outcome == alone
-            np.testing.assert_allclose(row_post, alone_post.amps, rtol=0, atol=1e-12)
-        with pytest.raises(ValueError):
-            measure(qsim.StateVector(3, amps[0]), *range(arity), last_outcome)
-
-
-def test_a_selector_must_pick_one_outcome_per_row():
-    # A pick list of the wrong length, shape or type, or an index outside
-    # the outcomes, is refused before anything is projected.
-    amps = real_rows(random_batch(np.random.default_rng(37), 3, 4))
-    for measure, arity in BATCH_MEASURES:
-        outcomes = 4 if arity == 2 else 2
-        wrong = ([0, 0, 0], [0] * 5, [[0]] * 4, [0.0] * 4, [0, -1, 0, 0], [0, outcomes, 0, 0])
-        for picks in wrong:
-            with pytest.raises(ValueError, match="one outcome index per row"):
-                measure(qsim.StateVector(3, amps), *range(arity), lambda probs, picks=picks: picks)
-
-
-def test_a_selector_must_pick_a_live_outcome():
-    # Outcome 1 has probability 0 in row 0 and about 1e-15, below
-    # ZERO_PROB, in row 1: a pick of either is refused.  Projecting the
-    # first would divide by a zero root.
-    amps = np.array([[1.0, 0.0], [np.sqrt(1.0 - 1e-15), np.sqrt(1e-15)]])
-    state = qsim.StateVector(1, amps)
-    probs, _ = qsim._z_kernel(amps, 1, 0)
-    assert probs[0, 1] == 0.0 and 0.0 < probs[1, 1] <= qsim.ZERO_PROB
-    for picks in ([1, 0], [0, 1], [1, 1]):
-        with pytest.raises(ValueError, match="probability at most"):
-            qsim.measure_z(state, 0, lambda probs, picks=picks: picks)
-    outcomes, _ = qsim.measure_z(state, 0, lambda probs: [0, 0])
-    assert outcomes == [0, 0]
+        for state in (qsim.StateVector(2, amps), qsim.StateVector(2, amps[0])):
+            with pytest.raises(ValueError, match="one draw per row"):
+                measure(state, *range(arity), lambda probs: [0] * len(probs))
 
 
 def test_batch_probabilities_are_one_array_of_the_rows_one_row_arrays():
