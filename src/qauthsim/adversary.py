@@ -1,20 +1,20 @@
 """Attack strategies of the center; :func:`qauthsim.protocol.p2_transmit`
-runs the one a StrategyId names at transmission (P2).  Both hooks take only
-the round's :class:`qauthsim.protocol.Wave`, whose rows are the rounds'
-RoundRecords from P1 and whose streams are their draws.
+runs the one a StrategyId names at transmission (P2).  Both hooks take a
+wave's rows, the rounds' RoundRecords from P1, and their streams, and
+return each row's P2 leaf of the round table
+(:func:`qauthsim.protocol._p2_tree`), the node its state then is.
 
 The interesting one is :func:`hook_premeasure`: the center measures every
 protocol qubit before anything is transmitted (Z on his own pair, then Bell
 on each party's pair, an order fixed in code), leaves the decoys alone, and
 XORs the party's announcement against his early Bell label to read off the
 round key.  His measurements are a walk down the P2 levels of the round
-table (:func:`qauthsim.protocol._p2_tree`), so each row's state after them
-is one of its 16 leaves.  His C qubits collapsed when he measured them, so
-E2's own Z measurements announce his early c outcomes.
-:func:`hook_intercept_resend` is the detectable baseline: measure
-everything in transit, decoys included, in a random basis, by table
-lookups: the decoys here, the protocol qubits in ``run_batch`` from the
-coins and draws left in ``in_transit``, one pair per row.
+table, so each row's state after them is one of its 16 leaves.  His C
+qubits collapsed when he measured them, so E2's own Z measurements announce
+his early c outcomes.  :func:`hook_intercept_resend` is the detectable
+baseline: measure everything in transit, decoys included, in a random
+basis, by table lookups: the decoys by their outcome table, the protocol
+qubits down the intercept's P2 levels.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .protocol import _BELLS, Role, Wave, _measure_decoys, _p2_tree, _walk
+from .protocol import _BELLS, Role, _measure_decoys, _p2_tree, _walk
 from .qsim import BellLabel, PauliLabel
 
 
@@ -50,20 +50,22 @@ class EveState:
     b_pre: BellLabel
 
 
-def hook_premeasure(wave: Wave) -> list:
+def hook_premeasure(rows: list, streams: list) -> list:
     """Measure all six protocol qubits before transmission.
 
     Z on C1 and C2, then Bell on (A1, A2) and on (B1, B2): E2's party walk
     made early with Charlie's turn first, each row with four draws from its
-    stream, walked down the P2 levels of the round table to the leaf that
-    becomes the row's state.  The measurements act on disjoint qubits, so
-    the order of turns cannot change the joint outcome statistics.  Decoy
-    qubits are never touched.  Returns one EveState per row of the wave.
+    stream, walked down the P2 levels of the round table from the fresh
+    state.  The measurements act on disjoint qubits, so the order of turns
+    cannot change the joint outcome statistics.  Decoy qubits are never
+    touched.  Records each row's EveState as its ``eve`` and returns each
+    row's P2 leaf.
     """
     levels, _ = _p2_tree(StrategyId.PRE_MEASURE)
-    draws = [stream.draws(4) for stream in wave.streams]
-    wave.leaves, (c1, c2, m, b) = _walk(levels, wave.leaves, draws)
-    return [EveState(c, _BELLS[i], _BELLS[j]) for c, i, j in zip(zip(c1, c2), m, b)]
+    leaves, (c1, c2, m, b) = _walk(levels, [0] * len(rows), [stream.draws(4) for stream in streams])
+    for row, c, i, j in zip(rows, zip(c1, c2), m, b):
+        row.eve = EveState(c, _BELLS[i], _BELLS[j])
+    return leaves
 
 
 def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE) -> PauliLabel:
@@ -79,25 +81,23 @@ def infer_key(eve: EveState, announced: BellLabel, direction: Role = Role.ALICE)
     return PauliLabel((announced ^ reference).value)
 
 
-def hook_intercept_resend(wave: Wave) -> None:
+def hook_intercept_resend(rows: list, streams: list) -> list:
     """Measure every transmitted qubit in a uniformly random basis from
     {Z, X} and forward the collapsed eigenstate.
 
     Each row's two sequences, Alice's d + 2 slots then Bob's, go out as one
     stream of 2d + 4 qubits, each with its own pre-drawn basis coin (0 Z,
-    1 X) and uniform draw from the row's stream in ``wave.streams``.  A
-    decoy takes the coin and draw of its slot in the stream and is measured
-    the way the S1/S2 checks measure it, by the ``_DECOY_CUT`` table.  The
-    four slots no decoy holds carry the protocol qubits in
-    ``protocol.TRANSIT`` order (A1, A2, B1, B2); their coins and draws go to
-    the wave's ``in_transit`` as one (coins, draws) pair per row, in row
-    order: what is left of the row's drawn lists once the decoy slots are
-    deleted, for ``run_batch`` to walk to a leaf of the intercept's P2
-    levels (:func:`qauthsim.protocol._p2_tree`).
-    Charlie's own C qubits never travel, so they are left alone.
+    1 X) and uniform draw from the row's stream.  A decoy takes the coin
+    and draw of its slot in the stream and is measured the way the S1/S2
+    checks measure it, by the ``_DECOY_CUT`` table.  The four slots no
+    decoy holds carry the protocol qubits in ``protocol.TRANSIT`` order
+    (A1, A2, B1, B2), since a sequence's protocol qubits fill its free
+    slots in order; their coins and draws walk the intercept's P2 levels
+    of the round table from the fresh state.  Charlie's own C qubits never
+    travel, so they are left alone.  Returns each row's P2 leaf.
     """
-    wave.in_transit = []
-    for row, stream in zip(wave.rows, wave.streams):
+    coins, draws = [], []
+    for row, stream in zip(rows, streams):
         d = len(row.positions) // 2
         total = 2 * d + 4
         bases = stream.coins(total)
@@ -106,4 +106,7 @@ def hook_intercept_resend(wave: Wave) -> None:
         _measure_decoys(row, [bases[i] for i in decoy_slots], [randomness[i] for i in decoy_slots])
         for i in reversed(decoy_slots):  # rising, so each deletion leaves the rest in place
             del bases[i], randomness[i]
-        wave.in_transit.append((bases, randomness))
+        coins.append(bases)
+        draws.append(randomness)
+    levels, _ = _p2_tree(StrategyId.INTERCEPT_RESEND)
+    return _walk(levels, [0] * len(rows), draws, coins)[0]

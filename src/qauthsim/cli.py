@@ -91,8 +91,9 @@ class RunConfig(ProtocolConfig):
                 "exact mode enumerates Honest and PreMeasure only; "
                 "InterceptResend is sampled"
             )
-        if self.output_path == "":
-            raise FieldError("output_path", "the report path must not be empty")
+        path = self.output_path
+        if path is not None and (not isinstance(path, str) or not path):
+            raise FieldError("output_path", f"the report path must be a non-empty string, got {path!r}")
         if self.format not in ("json", "csv"):
             raise FieldError(
                 "format", f"format must be 'json' or 'csv', got {self.format!r}"

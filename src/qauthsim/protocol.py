@@ -20,19 +20,17 @@ live children built by the qsim kernels (:func:`_levels`).  The sampler
 walks it (:func:`_walk`), each outcome picked by ``qsim._pick`` with the
 draw the kernels' measurement would have taken, and the oracle sums it.
 
-Every phase from P2 on takes one round type, a :class:`Wave`: one or more
-rows, each one round of one run.  It holds the rows' records, streams and
-node indices into the table, no amplitudes.  Sampled runs execute in
-waves of up to ``WAVE_SIZE`` rows (:func:`run_batch`): the next rounds of
+Sampled runs execute in waves of up to ``WAVE_SIZE`` rows
+(:func:`run_batch`), each row one round of one run: the next rounds of
 every run of a batch that has not aborted, as many per run as the
-config's :func:`abort_probability` says it will reach.  Round i of a run
-draws only from its own stream, ``PCG64((run seed, i))``, in the order its
-run alone would draw, so a run's transcript does not depend on the batch
-or wave it is in; :func:`run_protocol` is the batch of one.  P1 and the
-S1/S2 decoy checks stay per row, since they touch only that row's decoys
-and stream.  Per-row inputs (the key codes, the draws, the
-``Wave.in_transit`` entries) are lists in row order, read only for the
-rows that stay.
+config's :func:`abort_probability` says it will reach.  A wave holds its
+rows' records and streams, and each row's P2 leaf, as lists in row order,
+no amplitudes: a row's state is a node of its round's table.  Round i of
+a run draws only from its own stream, ``PCG64((run seed, i))``, in the
+order its run alone would draw, so a run's transcript does not depend on
+the batch or wave it is in; :func:`run_protocol` is the batch of one.  P1
+and the S1/S2 decoy checks stay per row, since they touch only that row's
+decoys and stream.
 
 A round has one record, the :class:`RoundRecord` that P1 creates and the
 later phases fill in; :func:`run_batch` yields that same object.  It keeps the
@@ -50,9 +48,9 @@ kernels themselves, and so is the draw at which qsim's selection rule
 turns from outcome 0 to outcome 1: a decoy measurement compares one draw
 with one table entry.  A row's two checks take their draws in one batch,
 the stream of one draw per decoy.  A record is read through its own
-fields alone: a decoy's mismatch is ``measured[i] != prepared[i]``.  The
-protocol qubits an intercept measures in transit, always on the fresh
-state, are its P2 levels of the round table.
+fields alone: a decoy's mismatch is ``measured[i] != prepared[i]``.  An
+intercept measures the protocol qubits in transit in P2, on the fresh
+state: its P2 levels of the round table.
 
 Every draw is read off raw 64-bit PCG64 words, as the values numpy's
 Generator would draw from the same words (``random``, ``integers``,
@@ -400,7 +398,7 @@ def _walk(levels, nodes: list, draws, coins=None) -> tuple:
     that reaches a dead child raises ValueError.  Returns the nodes reached
     below the last level, and each level's outcomes, as lists in row order.
     """
-    outcomes, columns = [], list(zip(*draws))
+    outcomes, columns = [], list(zip(*draws)) or [()] * len(levels)  # no rows, no draws
     for k, (probs, children) in enumerate(levels):
         rows = nodes if coins is None else [2 * node + row[k] for node, row in zip(nodes, coins)]
         picks = list(map(qsim._pick, probs.take(rows, 0).tolist(), columns[k]))
@@ -409,31 +407,6 @@ def _walk(levels, nodes: list, draws, coins=None) -> tuple:
             raise ValueError("a walk reached an outcome of probability at most ZERO_PROB")
         outcomes.append(picks)
     return nodes, outcomes
-
-
-class Wave:
-    """One or more rows, each one round of one run.  It holds no
-    amplitudes: a row's state is a node of its round's table.
-
-    ``rows[r]`` is row r's RoundRecord from P1 and ``streams[r]`` its
-    :class:`_RowStream`; a row's decoy lists are touched only by its own
-    checks and an intercepting adversary.  ``leaves[r]`` is the P2 leaf of
-    :func:`_p2_tree` the row's state is once its strategy's walk has run:
-    the fresh state, 0, until then, and PreMeasure walks in P2.
-
-    ``in_transit`` holds an intercept's measurements of protocol qubits in
-    transit (none if empty), one (basis coins, draws) pair of lists per row
-    in ``TRANSIT`` order: a sequence's protocol qubits fill its free slots
-    in order, so every row meets them in that order.  :func:`run_batch`
-    walks them after S1/S2 for the rows it keeps: the checks read only
-    decoys and an aborted or dropped row's state is never read, so every
-    outcome is the one walking them in P2 would give.
-    """
-
-    def __init__(self, rows: list, streams: list):
-        self.rows, self.streams = rows, streams
-        self.leaves = [0] * len(rows)
-        self.in_transit: list = []
 
 
 def _halves_of(words) -> list:
@@ -684,27 +657,28 @@ def p1_prepare(config: ProtocolConfig, stream: "_RowStream | None") -> RoundReco
     return RoundRecord(positions, coins, bits, [2 * c + b for c, b in zip(coins, bits)])
 
 
-def p2_transmit(wave: Wave, strategy):
-    """Let the center's strategy act on the wave, then hand the sequences
-    to their receivers over an ideal channel.
+def p2_transmit(rows: list, streams: list, strategy) -> list:
+    """Let the center's strategy act on a wave's rows, then hand the
+    sequences to their receivers over an ideal channel.
 
     This is the one place where a StrategyId becomes an attack.  It runs
     once per wave, so each round meets it once, before anything leaves
-    Charlie's lab.  PreMeasure walks the six protocol qubits' measurements
-    to each row's P2 leaf with draws from the row's stream and returns one
-    EveState per row; InterceptResend measures every transmitted qubit with
-    coins and draws from the row streams, its protocol-qubit measurements
-    waiting in the wave's ``in_transit``; Honest does nothing.  Returns
-    None unless the strategy records EveStates; an unknown strategy raises
-    before the wave is touched.
+    Charlie's lab.  ``rows[r]`` is row r's RoundRecord from P1 and
+    ``streams[r]`` its :class:`_RowStream`.  PreMeasure measures the six
+    protocol qubits with draws from each row's stream and records the
+    row's EveState as its ``eve``; InterceptResend measures every
+    transmitted qubit with coins and draws from the row's stream; Honest
+    measures nothing.  Returns each row's P2 leaf of :func:`_p2_tree`, the
+    node of the round table its state is then (0, the fresh state, under
+    Honest).  An unknown strategy raises before any row is touched.
     """
     if strategy is adversary.StrategyId.PRE_MEASURE:
-        return adversary.hook_premeasure(wave)
+        return adversary.hook_premeasure(rows, streams)
     if strategy is adversary.StrategyId.INTERCEPT_RESEND:
-        adversary.hook_intercept_resend(wave)
-    elif strategy is not adversary.StrategyId.HONEST:
+        return adversary.hook_intercept_resend(rows, streams)
+    if strategy is not adversary.StrategyId.HONEST:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return None
+    return [0] * len(rows)
 
 
 def _measure_decoys(row: RoundRecord, coins: list, draws: list) -> list:
@@ -811,9 +785,7 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
         ]
         streams = _row_streams([(seeds[r], i) for r, i in pairs], plan)
         rows = [p1_prepare(config, stream) for stream in streams]
-        wave = Wave(rows, streams)
-        for row, eve in zip(rows, p2_transmit(wave, strategy) or ()):
-            row.eve = eve
+        leaves = p2_transmit(rows, streams, strategy)
 
         kept = []
         for j, ((r, _), row, stream) in enumerate(zip(pairs, rows, streams)):
@@ -827,14 +799,9 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
             ended.add(r)
 
         if kept:
-            if wave.in_transit:  # each kept row's P2 leaf is its in-transit walk's
-                coins, draws = zip(*(wave.in_transit[j] for j in kept))
-                leaves, _ = _walk(table.p2, [0] * len(kept), draws, coins)
-            else:
-                leaves = [wave.leaves[j] for j in kept]
             codes = [keys[r][i] for r, i in (pairs[j] for j in kept)]
             # e2_roots builds any tree a leaf lacks, so it runs before table.e2 is read.
-            roots = [root + code for root, code in zip(table.e2_roots(leaves), codes)]
+            roots = [root + code for root, code in zip(table.e2_roots([leaves[j] for j in kept]), codes)]
             _, (alice, bob, c1, c2) = _walk(table.e2, roots, [streams[j].draws(4) for j in kept])
             for j, code, a, b, c in zip(kept, codes, alice, bob, zip(c1, c2)):
                 row = rows[j]
@@ -847,24 +814,26 @@ def run_batch(config: ProtocolConfig, seeds, keys, strategy):
         for (r, i), row in zip(pairs, rows):
             following[r] += row.decision is not None  # None for a row dropped past its run's abort
             yield r, i, row
-        del rows, wave, streams  # not held while the next wave is prepared
+        del rows, streams, leaves  # not held while the next wave is prepared
         live = [r for r in live if following[r] < config.rounds and r not in ended]
 
 
 def run_protocol(config: ProtocolConfig, keys, strategy) -> Transcript:
     """Execute a full run: P1 through E3 for each round.
 
-    ``keys`` holds one PauliLabel per round, checked and converted once to
-    the key codes :func:`run_batch` takes.  This is :func:`run_batch` with
-    one run, so round ``i`` reads the stream ``PCG64((config.seed, i))``.
+    ``keys``, any iterable, holds one PauliLabel per round, each checked
+    and converted in one pass to the key codes :func:`run_batch` takes.
+    This is :func:`run_batch` with one run, so round ``i`` reads the stream
+    ``PCG64((config.seed, i))``.
     Returns the run's Transcript: its decided records, in round order, and
     as its decision the last that is not Accept, else Accept.
     """
+    codes = bytearray()
     for k in keys:
         if not isinstance(k, PauliLabel):
             raise ValueError(f"keys must be PauliLabel values, got {k!r}")
-    codes = bytes(2 * k.phase_bit + k.parity_bit for k in keys)
-    rounds = [row for _, _, row in run_batch(config, [config.seed], [codes], strategy)
+        codes.append(2 * k.phase_bit + k.parity_bit)
+    rounds = [row for _, _, row in run_batch(config, [config.seed], [bytes(codes)], strategy)
               if row.decision is not None]
     rejected = [row.decision for row in rounds if row.decision is not Decision.ACCEPT]
     return Transcript(rounds, rejected[-1] if rejected else Decision.ACCEPT)

@@ -560,10 +560,13 @@ def run_one_round_at_a_time(config, seed, keys, strategy):
     each; under InterceptResend it takes 2d + 4 coins and 2d + 4 draws,
     measures each decoy slot's decoy by ``qsim._pick`` over its label's
     outcome probabilities, and each protocol qubit in Z or X after the
-    decoy checks (:func:`check_decoys_one_at_a_time`).  Then the key's
-    Pauli acts on A1 or B1, Alice and Bob measure Bell and Charlie Z on C1
-    and C2, one draw each, and the round is verified and the key inferred
-    by their label arithmetic.
+    decoy checks (:func:`check_decoys_one_at_a_time`), and only if they
+    pass.  The program walks those protocol qubits in P2, for every row;
+    the checks read only decoys, so this deferred order must give the same
+    transcript, and comparing the two cross-checks the program's walk.
+    Then the key's Pauli acts on A1 or B1, Alice and Bob measure Bell and
+    Charlie Z on C1 and C2, one draw each, and the round is verified and
+    the key inferred by their label arithmetic.
     """
     from qauthsim import qsim
     from qauthsim.adversary import EveState, StrategyId

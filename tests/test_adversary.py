@@ -33,7 +33,6 @@ from qauthsim.protocol import (
     TRANSIT,
     ProtocolConfig,
     Role,
-    Wave,
     p1_prepare,
     s_check,
 )
@@ -50,16 +49,19 @@ def test_strategy_ids():
 # pre-measurement
 
 
-def premeasured_state(wave):
-    """The one-row wave's state after PreMeasure's walk: its P2 leaf, 1-D."""
+def premeasure(rng):
+    """PreMeasure on one fresh row: the EveState it records on the row,
+    and the row's state after the walk, its P2 leaf, 1-D."""
+    row = fresh_register()
+    [leaf] = hook_premeasure([row], [rng])
     leaves = protocol._p2_tree(StrategyId.PRE_MEASURE)[1]
-    return qsim.StateVector(PROTOCOL_QUBITS, leaves[wave.leaves[0]])
+    return row.eve, qsim.StateVector(PROTOCOL_QUBITS, leaves[leaf])
 
 
 def test_premeasure_outcomes_satisfy_swap_constraint():
     rng = row_stream(0)
     for _ in range(100):
-        (eve,) = hook_premeasure(Wave([fresh_register()], [rng]))
+        eve, _ = premeasure(rng)
         c1, c2 = eve.c_pre
         assert eve.m_pre.phase_bit ^ eve.b_pre.phase_bit == 0
         assert eve.m_pre.parity_bit ^ eve.b_pre.parity_bit == c1 ^ c2
@@ -69,9 +71,7 @@ def test_premeasure_pins_every_later_measurement():
     # After the hook, re-measuring the same observables is deterministic.
     rng = row_stream(1)
     for _ in range(20):
-        wave = Wave([fresh_register()], [rng])
-        (eve,) = hook_premeasure(wave)
-        state = premeasured_state(wave)
+        eve, state = premeasure(rng)
         probs = {o: p for o, p, _ in reference.outcome_list(Basis.BELL, state, A1, A2)}
         (label,), state = qsim.measure_bell(state, A1, A2, rng.draws(1))
         assert label is eve.m_pre
@@ -112,7 +112,7 @@ def test_premeasure_never_touches_decoys():
         rng = row_stream((3, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=3), rng)
         before = list(register.labels)
-        hook_premeasure(Wave([register], [rng]))
+        hook_premeasure([register], [rng])
         assert register.labels == before
 
 
@@ -146,10 +146,9 @@ def test_premeasure_then_encode_recovers_every_key():
     for key in PauliLabel:
         for direction in (Role.ALICE, Role.BOB):
             for _ in range(25):
-                wave = Wave([fresh_register()], [rng])
-                (eve,) = hook_premeasure(wave)
+                eve, state = premeasure(rng)
                 qubit = A1 if direction is Role.ALICE else B1
-                state = qsim.apply_pauli(premeasured_state(wave), qubit, key)
+                state = qsim.apply_pauli(state, qubit, key)
                 pair = (A1, A2) if direction is Role.ALICE else (B1, B2)
                 (announced,), _ = qsim.measure_bell(state, *pair, rng.draws(1))
                 assert infer_key(eve, announced, direction) is key
@@ -196,7 +195,7 @@ def test_intercept_resend_touches_decoys():
         rng = row_stream((6, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
         before = list(register.labels)
-        hook_intercept_resend(Wave([register], [rng]))
+        hook_intercept_resend([register], [rng])
         for prior, label in zip(before, register.labels):
             total += 1
             if prior != label:
@@ -211,7 +210,7 @@ def test_intercept_resend_empirical_mismatch_rate():
     for i in range(2000):
         rng = row_stream((7, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=1), rng)
-        hook_intercept_resend(Wave([register], [rng]))
+        hook_intercept_resend([register], [rng])
         for coin, label, prepared in zip(register.coins, register.labels, register.prepared):
             measure = qsim.measure_x if coin else qsim.measure_z
             state = qsim.init_product([DECOY_KETS[label]])
@@ -231,7 +230,7 @@ def test_intercepted_decoys_are_checked_from_the_labels_eve_left():
         rng = row_stream((8, i))
         register = p1_prepare(ProtocolConfig(decoys_per_sequence=2), rng)
         sent = copy.deepcopy(register)
-        hook_intercept_resend(Wave([register], [rng]))
+        hook_intercept_resend([register], [rng])
         assert (register.positions, register.coins, register.prepared) == (
             sent.positions, sent.coins, sent.prepared
         )
@@ -269,16 +268,14 @@ def test_intercept_resend_detection_rate(decoys, expected):
 def test_intercept_resend_still_forwards_protocol_qubits(decoys):
     # The attack measures the travelling protocol qubits too, in transit
     # order: the coins and draws of the slots no decoy holds, Alice's
-    # sequence then Bob's.  Applied the way run_batch applies them,
-    # down the intercept's P2 levels of the round table, they give bit for
-    # bit the state that Z and X measurements of the fresh state leave,
-    # still normalized.
+    # sequence then Bob's.  Walked in P2 down the intercept's levels of the
+    # round table, they give bit for bit the state that Z and X
+    # measurements of the fresh state leave, still normalized.
     rng, twin = row_stream(8), np.random.default_rng(8)
     register = fresh_register(decoys, seed=decoys)
     prepared = list(register.labels)
-    wave = Wave([register], [rng])
-    hook_intercept_resend(wave)
-    [(coins, draws)] = wave.in_transit
+    [leaf] = hook_intercept_resend([register], [rng])
+    assert register.eve is None
     total = 2 * decoys + 4
     bases, randomness = twin.integers(0, 2, size=total), twin.random(size=total)
     owners = [register.positions[:decoys], register.positions[decoys:]]
@@ -288,7 +285,7 @@ def test_intercept_resend_still_forwards_protocol_qubits(decoys):
         for slot in range(decoys + 2)
         if slot not in taken
     ]
-    assert coins == bases[free].tolist() and draws == randomness[free].tolist()
+    coins, draws = bases[free].tolist(), randomness[free].tolist()
     # Each decoy was measured with the coin and draw of its own slot.
     slots = owners[0] + [decoys + 2 + slot for slot in owners[1]]
     for label, slot, left in zip(prepared, slots, register.labels):
@@ -297,12 +294,11 @@ def test_intercept_resend_still_forwards_protocol_qubits(decoys):
         assert left == 2 * bases[slot] + bit
     assert list(TRANSIT) == [A1, A2, B1, B2]
     assert len(coins) == len(draws) == len(TRANSIT)
-    assert wave.leaves == [0]  # the fresh state, walked in run_batch
     state = protocol._FRESH_STATE
     for q, coin, draw in zip(TRANSIT, coins, draws):
         _, state = (qsim.measure_x if coin else qsim.measure_z)(state, q, [draw])
     levels, leaves = protocol._p2_tree(StrategyId.INTERCEPT_RESEND)
-    [leaf], _ = protocol._walk(levels, [0], [draws], [coins])
+    assert protocol._walk(levels, [0], [draws], [coins])[0] == [leaf]
     table_state = leaves[leaf]
     assert table_state.tobytes() == state.amps.tobytes()
     assert reference.norm(qsim.StateVector(PROTOCOL_QUBITS, table_state)) == pytest.approx(1.0)

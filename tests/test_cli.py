@@ -206,6 +206,18 @@ def test_run_config_validates_directly():
     assert excinfo.value.key == "samples"
 
 
+@pytest.mark.parametrize("path", [5, 0.5, b"report.json", Path("report.json"), ""])
+def test_run_config_refuses_an_output_path_that_is_not_a_non_empty_string(path):
+    # Refused when the config is made, so cmd_run never hands Path() a
+    # value it cannot take.
+    with pytest.raises(protocol.FieldError) as excinfo:
+        RunConfig(output_path=path)
+    assert excinfo.value.key == "output_path"
+    with pytest.raises(protocol.FieldError):
+        replace(RunConfig(), output_path=path)
+    assert RunConfig(output_path="report.json").output_path == "report.json"
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -580,16 +592,22 @@ def test_sampled_intercepts_make_no_x_measurement(monkeypatch):
     # sampled run reads decoys off _DECOY_CUT and the in-transit protocol
     # qubits off the round table, whose E2 trees are all built here before
     # the spies (once per process): neither a report nor a one-row run
-    # calls the X kernel.
+    # calls the X kernel.  The coins are those the intercept's walk of its
+    # P2 levels (protocol._walk, bound in adversary) is handed.
     table = protocol._round_table(StrategyId.INTERCEPT_RESEND, Role.ALICE)
     table.e2_roots(range(len(table.leaves)))
     calls, coins = [], []
     for name in ("measure_x", "_x_kernel"):
         real = getattr(qsim, name)
         monkeypatch.setattr(qsim, name, lambda *args, real=real: calls.append(1) or real(*args))
-    hook = adversary.hook_intercept_resend
-    monkeypatch.setattr(adversary, "hook_intercept_resend", lambda wave: hook(
-        wave) or coins.extend(coin for row, _ in wave.in_transit for coin in row))
+    walk = adversary._walk
+    assert walk is protocol._walk
+
+    def spied(levels, nodes, draws, row_coins=None):
+        coins.extend(coin for row in row_coins or () for coin in row)
+        return walk(levels, nodes, draws, row_coins)
+
+    monkeypatch.setattr(adversary, "_walk", spied)
 
     report = build_report(RunConfig(rounds=4, decoys_per_sequence=0, samples=20,
                                     strategy=StrategyId.INTERCEPT_RESEND))

@@ -30,7 +30,6 @@ from qauthsim.protocol import (
     ProtocolConfig,
     Role,
     RoundRecord,
-    Wave,
     _measure_decoys,
     e3_verify,
     p1_prepare,
@@ -192,16 +191,14 @@ def test_p1_charlie_qubit_is_unbiased():
 
 def test_waves_start_every_row_at_the_read_only_fresh_state():
     # A wave holds no amplitudes: a row's state is a node of its round
-    # table, P2 leaf 0 until its strategy walks, and every P2 tree grows
-    # from the read-only fresh state, which no run changes.
+    # table, P2 leaf 0 under Honest, and every P2 tree grows from the
+    # read-only fresh state, which no run changes.
     fresh = protocol._FRESH_STATE
     assert not fresh.amps.flags.writeable
     rows = [fresh_register(), fresh_register(decoys=2, seed=3), fresh_register(decoys=1)]
     streams = [row_stream(k) for k in range(3)]
-    wave = Wave(rows, streams)
-    assert wave.rows is rows and wave.streams is streams
-    assert wave.leaves == [0, 0, 0] and wave.in_transit == []
-    assert not hasattr(wave, "state")
+    assert p2_transmit(rows, streams, StrategyId.HONEST) == [0, 0, 0]
+    assert [row.eve for row in rows] == [None] * 3
     assert protocol._p2_tree(StrategyId.HONEST) == ((), protocol._p2_tree(StrategyId.HONEST)[1])
     assert protocol._p2_tree(StrategyId.HONEST)[1].tobytes() == fresh.amps.tobytes()
     before = fresh.amps.copy()
@@ -217,31 +214,81 @@ def test_waves_start_every_row_at_the_read_only_fresh_state():
 # P2: transmission
 
 
-def test_p2_honest_returns_none_and_leaves_state_alone():
+def test_p2_honest_returns_the_fresh_leaf_and_leaves_state_alone():
     register = fresh_register(decoys=2, seed=1)
     stream, twin = row_stream(0), row_stream(0)
-    wave = Wave([register], [stream])
     decoys = list(register.labels)
-    assert p2_transmit(wave, StrategyId.HONEST) is None
-    assert wave.leaves == [0] and wave.in_transit == []
+    assert p2_transmit([register], [stream], StrategyId.HONEST) == [0]
+    assert register.eve is None
     assert register.labels == decoys
     assert stream.draws(4) == twin.draws(4)  # nothing drawn
 
 
-def test_p2_premeasure_returns_eve_state():
-    wave = Wave([fresh_register()], [row_stream(3)])
-    (eve,) = p2_transmit(wave, StrategyId.PRE_MEASURE)
+def test_p2_premeasure_records_eve_state():
+    register = fresh_register()
+    [leaf] = p2_transmit([register], [row_stream(3)], StrategyId.PRE_MEASURE)
+    eve = register.eve
     assert isinstance(eve, EveState)
     assert eve.m_pre ^ eve.b_pre is BellLabel.from_bits(0, eve.c_pre[0] ^ eve.c_pre[1])
-    assert 0 <= wave.leaves[0] < len(protocol._p2_tree(StrategyId.PRE_MEASURE)[1]) == 16
+    assert 0 <= leaf < len(protocol._p2_tree(StrategyId.PRE_MEASURE)[1]) == 16
 
 
-def test_p2_intercept_resend_returns_none():
-    register = fresh_register(decoys=2, seed=1)
-    wave = Wave([register], [row_stream(4)])
-    assert p2_transmit(wave, StrategyId.INTERCEPT_RESEND) is None
-    [(coins, draws)] = wave.in_transit
-    assert len(coins) == len(draws) == len(protocol.TRANSIT)
+def test_p2_intercept_resend_returns_its_transit_leaf():
+    # The intercept takes 2d + 4 coins and draws, one of each per qubit in
+    # transit, and walks the protocol qubits' four to a leaf in P2.
+    d = 2
+    register = fresh_register(decoys=d, seed=1)
+    stream, twin = row_stream(4), row_stream(4)
+    [leaf] = p2_transmit([register], [stream], StrategyId.INTERCEPT_RESEND)
+    assert register.eve is None
+    assert 0 <= leaf < len(protocol._p2_tree(StrategyId.INTERCEPT_RESEND)[1])
+    twin.coins(2 * d + len(protocol.TRANSIT))
+    twin.draws(2 * d + len(protocol.TRANSIT))
+    assert stream.draws(4) == twin.draws(4)  # both streams stand at the same word
+
+
+def test_p2_walks_every_intercepted_row_in_transit(monkeypatch):
+    # Every row P2 is handed, kept, aborted or dropped past its run's
+    # abort, gets back the leaf whose state a direct Z/X walk of the fresh
+    # state gives with the row's transit coins and draws, which a twin
+    # stream on the row's key reads after replaying P1.  At one decoy and
+    # threshold 0 a round aborts with probability 7/16, so each run gets
+    # two rounds a wave and some rows are dropped.
+    config = ProtocolConfig(rounds=4, decoys_per_sequence=1)
+    d, strategy = config.decoys_per_sequence, StrategyId.INTERCEPT_RESEND
+    tree_leaves = protocol._p2_tree(strategy)[1]
+    handed = []
+    real_p2 = protocol.p2_transmit
+
+    def p2(rows, streams, strategy):
+        leaves = real_p2(rows, streams, strategy)
+        assert len(leaves) == len(rows)
+        for row, stream, leaf in zip(rows, streams, leaves):
+            twin = protocol._RowStream(stream.key)
+            assert p1_prepare(config, twin).positions == row.positions
+            coins, draws = twin.coins(2 * d + 4), twin.draws(2 * d + 4)
+            slots = row.positions[:d] + [d + 2 + pos for pos in row.positions[d:]]
+            transit = [(c, u) for slot, (c, u) in enumerate(zip(coins, draws)) if slot not in slots]
+            state = protocol._FRESH_STATE
+            for q, (coin, u) in zip(protocol.TRANSIT, transit):
+                _, state = (qsim.measure_x if coin else qsim.measure_z)(state, q, [u])
+            assert tree_leaves[leaf].tobytes() == state.amps.tobytes()
+            handed.append(row)
+        return leaves
+
+    monkeypatch.setattr(protocol, "p2_transmit", p2)
+    seeds = list(range(64))
+    keys = [bytes([1] * config.rounds)] * len(seeds)
+    recorded = [row for _, _, row in protocol.run_batch(config, seeds, keys, strategy)]
+    assert list(map(id, handed)) == list(map(id, recorded))
+    decisions = Counter(row.decision for row in handed)
+    assert decisions[Decision.ABORT] and decisions[None]  # aborted and dropped rows
+    assert decisions[Decision.ACCEPT] + decisions[Decision.REJECT]  # kept rows
+
+
+@pytest.mark.parametrize("strategy", list(StrategyId))
+def test_p2_of_no_rows_returns_no_leaves(strategy):
+    assert p2_transmit([], [], strategy) == []
 
 
 @pytest.mark.parametrize("strategy", ["PreMeasure", None, Decision.ACCEPT])
@@ -251,7 +298,7 @@ def test_p2_unknown_strategy_raises_before_touching_the_register(strategy):
             raise AssertionError(f"register.{name} read")
 
     with pytest.raises(ValueError):
-        p2_transmit(Untouchable(), strategy)
+        p2_transmit(Untouchable(), Untouchable(), strategy)
 
 
 @pytest.mark.parametrize("strategy", list(StrategyId))
@@ -264,12 +311,12 @@ def test_run_protocol_runs_p2_once_per_round_before_any_decoy_check(monkeypatch,
     calls, rows = [], []
     original = protocol.p2_transmit
 
-    def counted(wave, *args):
-        for register in wave.rows:
+    def counted(wave_rows, *args):
+        for register in wave_rows:
             assert register.measured is None
             rows.append(register)
-        calls.append(len(wave.rows))
-        return original(wave, *args)
+        calls.append(len(wave_rows))
+        return original(wave_rows, *args)
 
     monkeypatch.setattr(protocol, "p2_transmit", counted)
     transcript = run_protocol(config, [PauliLabel.X] * 4, strategy)
@@ -390,7 +437,7 @@ def test_s_check_draws_once_per_announced_decoy(decoys, strategy):
     register = p1_prepare(config, rng)
     untouched = p1_prepare(config, twin)
     for row, stream in ((register, rng), (untouched, twin)):
-        p2_transmit(Wave([row], [stream]), strategy)
+        p2_transmit([row], [stream], strategy)
     s_check(register, rng.draws(2 * decoys), 0.0)
     # The batched draw is the stream of one scalar draw per decoy, in row
     # order, and the bits are those the kernels give for it.
@@ -741,6 +788,18 @@ def test_run_protocol_validates_keys():
         run_protocol(config, [PauliLabel.I, "X"], StrategyId.HONEST)
 
 
+def test_run_protocol_takes_keys_from_a_one_shot_iterable():
+    # The keys are checked and converted in one pass, so an iterator is
+    # read once and its run is the list's.
+    config = ProtocolConfig(rounds=2, decoys_per_sequence=1, seed=4)
+    keys = [PauliLabel.X, PauliLabel.I]
+    for strategy in StrategyId:
+        once = run_protocol(config, iter(keys), strategy)
+        assert run_lines(once) == run_lines(run_protocol(config, keys, strategy))
+    with pytest.raises(ValueError, match="PauliLabel"):
+        run_protocol(config, iter([PauliLabel.I, "X"]), StrategyId.HONEST)
+
+
 def test_run_protocol_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         run_protocol(ProtocolConfig(), [PauliLabel.I], "Eavesdrop")
@@ -903,18 +962,17 @@ def test_run_batch_equals_one_run_at_a_time(
     seeds = [int(s) for s in rng.integers(0, 2**63, size=12)]
     keys = [[list(PauliLabel)[int(k)] for k in rng.integers(0, 4, size=rounds)] for _ in seeds]
     walks = []  # (wave rows, rows walking E2) per wave that keeps a row
-    real_wave, real_roots = protocol.Wave, protocol._RoundTable.e2_roots
+    real_p2, real_roots = protocol.p2_transmit, protocol._RoundTable.e2_roots
 
-    class SpiedWave(real_wave):
-        def __init__(self, rows, streams):
-            walks.append([len(rows), None])
-            super().__init__(rows, streams)
+    def p2(rows, streams, strategy):
+        walks.append([len(rows), None])
+        return real_p2(rows, streams, strategy)
 
     def roots(table, leaves):
         walks[-1][1] = len(leaves)
         return real_roots(table, leaves)
 
-    monkeypatch.setattr(protocol, "Wave", SpiedWave)
+    monkeypatch.setattr(protocol, "p2_transmit", p2)
     monkeypatch.setattr(protocol._RoundTable, "e2_roots", roots)
     batched = reference.batch_transcripts(config, seeds, keys, strategy)
     alone = [
@@ -935,24 +993,23 @@ def test_run_batch_equals_one_run_at_a_time(
 
 def record_waves(monkeypatch):
     """Spy on run_batch's waves: returns the list that gets one list of
-    (seed, round) pairs per wave, its rows in order, read off the streams
-    p1_prepare is handed."""
+    (seed, round) pairs per wave, at its p2_transmit call, its rows in
+    order, read off the streams p1_prepare is handed."""
     waves, pending = [], []
-    real_prepare, real_wave = protocol.p1_prepare, protocol.Wave
+    real_prepare, real_p2 = protocol.p1_prepare, protocol.p2_transmit
 
     def prepare(config, rng):
         pending.append(rng.key)
         return real_prepare(config, rng)
 
-    class SpiedWave(real_wave):
-        def __init__(self, rows, streams):
-            assert len(rows) == len(pending)
-            waves.append(pending[:])
-            pending.clear()
-            super().__init__(rows, streams)
+    def p2(rows, streams, strategy):
+        assert len(rows) == len(pending)
+        waves.append(pending[:])
+        pending.clear()
+        return real_p2(rows, streams, strategy)
 
     monkeypatch.setattr(protocol, "p1_prepare", prepare)
-    monkeypatch.setattr(protocol, "Wave", SpiedWave)
+    monkeypatch.setattr(protocol, "p2_transmit", p2)
     return waves
 
 
