@@ -11,19 +11,14 @@ parties' turns: the table holds the round in the sampler's orders, which
 are fixed in code.
 
 Only measurement plans on a bare state (:func:`outcome_distribution`, and
-so :func:`swap_table`) run on the pass enumerator,
-:func:`enumerate_branches`.  It runs a pipeline in passes:
-:class:`BranchSource` is an outcome source with ``measure_*`` methods that
-returns one outcome per row in a list and follows each row's scripted
-choices instead of drawing randomness.  A pass hands the pipeline a source
-with one row per script, so each of its measurements is one qsim kernel
-call over every row; a 1-D state the pipeline hands the source stands for
-every row.  The next pass has one row per unexplored sibling of the rows'
-paths, so a leaf is reached in the pass one past the number of nonzero
-options on its path.  Both distributions check their enumerated mass at
-run time.  Sampled runs reduce to five integer tallies, and
-:mod:`qauthsim.cli` turns each tally pair into rate fields through
-:func:`wilson_interval`.
+so :func:`swap_table`) run on the branch enumerator,
+:func:`enumerate_branches`, a depth-first walk that runs a pipeline once
+per leaf on a :class:`BranchSource`: an outcome source with ``measure_*``
+methods that follows its scripted choices instead of drawing randomness,
+one qsim kernel call on one row per measurement.  Both distributions
+check their enumerated mass at run time.  Sampled runs reduce to five
+integer tallies, and :mod:`qauthsim.cli` turns each tally pair into rate
+fields through :func:`wilson_interval`.
 """
 
 from __future__ import annotations
@@ -49,57 +44,49 @@ _WILSON_Z = 1.959963984540054
 
 
 class BranchSource:
-    """Outcome source that follows one scripted branch per row.
+    """Outcome source that follows one scripted branch of a one-row state.
 
-    ``scripts`` holds one script per row.  Each measurement is one qsim
-    kernel call over every row (a 1-D state is first repeated into one row
-    per script), and it returns the rows' outcomes as a list.  At its
-    measurement ``i``, row ``r`` takes live option ``scripts[r][i]``, or
-    option 0 past its script's end, where an option is live above
-    ``ZERO_PROB``; a script that names an option its node lacks is a
-    ValueError.  ``taken[r]`` is the row's path and ``fanouts[r]`` the
-    number of live options at each of its depths, both tuples, and
-    ``probability[r]`` the product of its options' probabilities in path
-    order.  ``roots[r]`` is the root the row's branch grows from, which
-    :func:`enumerate_branches` sets (None on a bare source).  The four lists
-    are made here and filled in place as each measurement runs, so a list
-    read at ``__init__`` sees every entry.
+    Each ``measure_*`` is one qsim kernel call on the state's one row (a
+    state of more rows is a ValueError), and it returns the outcome as a
+    one-element list and the post-state in the input's shape.  At its
+    measurement ``i`` the source takes live option ``script[i]``, or option
+    0 past the script's end, where an option is live above ``ZERO_PROB``;
+    a script that names an option its node lacks is a ValueError.  It
+    projects with the square root of the chosen probability.  ``taken`` is
+    the path and ``fanouts`` the number of live options at each of its
+    depths, both lists made here and appended in place as each measurement
+    runs, so a list read at ``__init__`` sees every entry.  ``probability``
+    is the product of the options' probabilities in path order, and
+    ``roots`` is ``[root]``, the root the branch grows from, which
+    :func:`enumerate_branches` sets (None on a bare source).
     """
 
-    def __init__(self, scripts):
-        self.scripts = scripts
-        self.roots = [None] * len(scripts)
-        self.taken = [()] * len(scripts)
-        self.fanouts = [()] * len(scripts)
-        self.probability = [1.0] * len(scripts)
-
-    def _select(self, probs: np.ndarray) -> list:
-        """Each row's scripted live outcome, given the rows' (rows, outcomes)
-        probabilities; each row's path, fanouts and probability grow by it."""
-        picks = []
-        for r, (row, script) in enumerate(zip(probs.tolist(), self.scripts)):
-            live = [i for i, p in enumerate(row) if p > qsim.ZERO_PROB]
-            depth = len(self.taken[r])
-            index = script[depth] if depth < len(script) else 0
-            if not 0 <= index < len(live):
-                raise ValueError(
-                    f"a script names option {index} of a node with {len(live)} live options"
-                )
-            picks.append(live[index])
-            self.taken[r] += (index,)
-            self.fanouts[r] += (len(live),)
-            self.probability[r] *= row[live[index]]
-        return picks
+    def __init__(self, script):
+        self.script = script
+        self.roots = [None]
+        self.taken = []
+        self.fanouts = []
+        self.probability = 1.0
 
     def _measure(self, kernel, outcomes, state, *qubits):
         n, amps = state.n_qubits, state.amps
-        if amps.ndim == 1:  # a 1-D state stands for every row
-            amps = amps[None].repeat(len(self.scripts), 0)
-        probs, project = kernel(amps, n, *qubits)
-        picks = np.array(self._select(probs))
-        chosen = probs[np.arange(len(picks)), picks]
-        post = project(picks, np.sqrt(chosen)[:, None])
-        return [outcomes[i] for i in picks.tolist()], qsim.StateVector(n, post)
+        if amps.size != 2**n:
+            raise ValueError(f"a branch source measures one row, got {len(amps)} rows")
+        probs, project = kernel(amps.reshape(1, -1), n, *qubits)
+        row = probs[0].tolist()
+        live = [i for i, p in enumerate(row) if p > qsim.ZERO_PROB]
+        depth = len(self.taken)
+        index = self.script[depth] if depth < len(self.script) else 0
+        if not 0 <= index < len(live):
+            raise ValueError(
+                f"a script names option {index} of a node with {len(live)} live options"
+            )
+        pick = live[index]
+        self.taken.append(index)
+        self.fanouts.append(len(live))
+        self.probability *= row[pick]
+        post = project(np.array([pick]), np.sqrt(probs[:1, pick])[:, None])
+        return [outcomes[pick]], qsim.StateVector(n, post.reshape(amps.shape))
 
     def measure_z(self, state, q):
         qsim._require_qubit(state, q)
@@ -117,48 +104,39 @@ class BranchSource:
 def enumerate_branches(pipeline, roots=(None,)):
     """Yield (result, probability) over every measurement branch of ``pipeline``.
 
-    ``pipeline`` is a callable that takes a :class:`BranchSource` with one
-    row per script and returns one result per row; it must measure every
-    row alike and be deterministic given the outcomes each row receives.
-    It runs once per pass.  The first pass has one row per entry of
-    ``roots``, each with an empty script; a pipeline reads each row's root
-    from ``source.roots``.  A row takes option 0 past its script's end, so
-    the next pass has one row per live option after the first at each of
-    those depths: ``path[:depth] + (k,)``.  Every branch is so reached
-    once, and a row whose path does not begin with its whole script, the
-    mark of a pipeline that is not deterministic, is a ValueError.  (A
-    row's path is then its script, empty or ending in a nonzero option,
-    followed by zeros, so no two rows of a root reach one leaf.)  The
-    leaves are yielded root by root, each root's in depth-first path order.
-    Each root's probabilities sum to 1 (zero-probability branches are never
-    entered).
+    ``pipeline`` is a callable that takes a :class:`BranchSource` and
+    returns a list of one result; it must be deterministic given the
+    outcomes it receives, and it reads its root from ``source.roots[0]``.
+    For each entry of ``roots`` in turn the walk starts from the empty
+    script and runs the pipeline once per leaf, yielding each leaf as it
+    reaches it.  A source takes option 0 past its script's end, so the next
+    script is ``path[:d] + (path[d] + 1,)`` at the deepest depth ``d`` that
+    has an unexplored sibling, and a root's walk ends when no depth has
+    one.  Every branch is so reached once, in depth-first path order, and a
+    path that does not begin with its whole script, the mark of a pipeline
+    that is not deterministic, is a ValueError.  Each root's probabilities
+    sum to 1 (zero-probability branches are never entered).
     """
-    leaves = []
-    rows = [(r, ()) for r in range(len(roots))]  # (root index, script) per row
-    while rows:
-        source = BranchSource([script for _, script in rows])
-        source.roots[:] = [roots[r] for r, _ in rows]
-        results = pipeline(source)
-        if len(results) != len(rows):
-            raise ValueError(f"a pipeline returned {len(results)} results for {len(rows)} rows")
-        scripts = []
-        for (r, script), path, fanouts, result, p in zip(
-            rows, source.taken, source.fanouts, results, source.probability
-        ):
+    for root in roots:
+        script = ()
+        while script is not None:
+            source = BranchSource(script)
+            source.roots[0] = root
+            results = pipeline(source)
+            if len(results) != 1:
+                raise ValueError(f"a pipeline returned {len(results)} results for one branch")
+            path = tuple(source.taken)
             if path[:len(script)] != script:
                 raise ValueError(
-                    f"a row scripted {script} took path {path}: the pipeline is not deterministic"
+                    f"a source scripted {script} took path {path}: "
+                    "the pipeline is not deterministic"
                 )
-            leaves.append(((r, path), result, p))
-            scripts += [
-                (r, path[:depth] + (k,))
-                for depth in range(len(script), len(path))
-                for k in range(1, fanouts[depth])
-            ]
-        rows = scripts
-    leaves.sort(key=lambda leaf: leaf[0])
-    for _, result, p in leaves:
-        yield result, p
+            yield results[0], source.probability
+            script = next(
+                (path[:d] + (path[d] + 1,)
+                 for d in reversed(range(len(path))) if path[d] + 1 < source.fanouts[d]),
+                None,
+            )
 
 
 def _check_mass(dist: dict) -> None:
@@ -190,26 +168,27 @@ def _validate_plan(state: qsim.StateVector, plan) -> None:
 def outcome_distribution(state: qsim.StateVector, plan) -> dict:
     """Exact joint distribution of an ordered plan of disjoint measurements.
 
-    ``plan`` is a list of (qubit tuple, Basis) entries: Z and X entries name
-    one qubit, Bell entries name two.  Returns a dict over the full product
-    outcome space (zero-probability cells included), keyed by tuples of
-    per-measurement outcomes in plan order.  ``state`` is one state, 1-D
+    ``plan`` is an iterable of (qubit tuple, Basis) entries, read once: Z
+    and X entries name one qubit, Bell entries name two.  Returns a dict
+    over the full product outcome space (zero-probability cells included),
+    keyed by tuples of per-measurement outcomes in plan order.  ``state`` is one state, 1-D
     or a one-row batch.  Raises ValueError for a batch of more rows, and
     when the enumerated mass is not 1 within ``MASS_TOL``.
     """
     if state.amps.size != 2**state.n_qubits:
         raise ValueError(f"an outcome distribution takes one state, got {len(state.amps)} rows")
     state = qsim.StateVector(state.n_qubits, state.amps.reshape(-1))
+    plan = tuple(plan)  # validated and then measured, so a one-shot plan is read once
     _validate_plan(state, plan)
 
     def pipeline(source):
-        current, rows = state, [()] * len(source.roots)
+        current, row = state, ()
         for qubits, basis in plan:
             measure = {Basis.Z: source.measure_z, Basis.X: source.measure_x,
                        Basis.BELL: source.measure_bell}[basis]
-            outcomes, current = measure(current, *qubits)
-            rows = [row + (outcome,) for row, outcome in zip(rows, outcomes)]
-        return rows
+            [outcome], current = measure(current, *qubits)
+            row += (outcome,)
+        return [row]
 
     spaces = [tuple(BellLabel) if basis is Basis.BELL else (0, 1) for _, basis in plan]
     dist = {key: 0.0 for key in itertools.product(*spaces)}

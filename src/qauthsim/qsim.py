@@ -17,7 +17,7 @@ Nothing in this module draws randomness.  The ``measure_*`` functions
 take a list of uniform draws from ``[0, 1)``, one per row (a 1-D state is
 one row), and return ``(outcomes, post-state)`` with one outcome per row
 in a list.  Each basis has one kernel, which takes a batch only and which
-the protocol's round tables and the oracle's pass enumerator call
+the protocol's round tables and the oracle's branch enumerator call
 directly; ``measure_*`` hands it a 1-D state as a one-row view and gives
 the post-state back 1-D.  A row of a batch gets the bits its state would
 get measured alone.  Measurements never rotate the state:

@@ -15,8 +15,8 @@ given as :func:`key_codes`.
 :func:`enumerate_branches_depth_first` is the oracle's enumeration as a
 one-row depth-first walk on :func:`outcome_list`, a single state's
 outcomes read off qsim's own kernels as a one-row batch, and
-:class:`ListSelect` is its per-measurement selection rule row by row, on
-Python lists.
+:class:`ListSelect` is its branch source's selection rule over several
+rows at once, on Python lists.
 :func:`round_leaves_in_fractions` walks a decoy-free round under any of
 the three strategies in exact rational arithmetic, with its own sparse
 states and matrices, for :func:`exact_round_in_fractions`, and
@@ -179,11 +179,11 @@ class ScriptedOneRowSource:
     each outcome from :func:`outcome_list`.
 
     It has the outcome-source interface of the oracle's
-    :class:`qauthsim.oracle.BranchSource` for a one-row pass, ``roots``
-    included, and shares no code with it.  At its measurement ``i`` it
-    takes live outcome ``script[i]`` (or the first live one beyond the
-    script's end); ``taken`` records the path, ``fanouts`` the number of
-    live outcomes at each depth, and ``probability`` the branch's product.
+    :class:`qauthsim.oracle.BranchSource`, ``roots`` included, and shares
+    no code with it.  At its measurement ``i`` it takes live outcome
+    ``script[i]`` (or the first live one beyond the script's end);
+    ``taken`` records the path, ``fanouts`` the number of live outcomes at
+    each depth, and ``probability`` the branch's product.
     """
 
     def __init__(self, script, root):
@@ -213,8 +213,9 @@ class ScriptedOneRowSource:
 
 
 class ListSelect:
-    """The selection rule of :class:`qauthsim.oracle.BranchSource`, row by
-    row on Python lists.
+    """The selection rule of :class:`qauthsim.oracle.BranchSource` over
+    several rows at once, on Python lists: row ``r`` picks what a
+    ``BranchSource(scripts[r])`` handed the same nodes picks.
 
     ``select`` takes the rows' probabilities as a list of one list per row
     and returns each row's pick: row ``r`` takes live option

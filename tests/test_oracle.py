@@ -142,11 +142,11 @@ def test_outcome_distribution_checks_the_enumerated_mass():
 def test_outcome_distribution_takes_one_state(monkeypatch):
     # A batch of |00> and |11> is two states, not one: refused before
     # anything is enumerated, not read off row 0.  A one-row batch is its
-    # row, bit for bit, though a pass of its branches holds three rows.
+    # row, bit for bit.
     two_rows = qsim.StateVector(2, np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
     plan = [((0,), Basis.Z), ((1,), Basis.Z)]
     with monkeypatch.context() as patched:
-        patched.setattr(oracle, "BranchSource", lambda scripts: pytest.fail("enumerated"))
+        patched.setattr(oracle, "BranchSource", lambda script: pytest.fail("enumerated"))
         with pytest.raises(ValueError, match="takes one state, got 2 rows"):
             oracle.outcome_distribution(two_rows, [((0,), Basis.Z)])
     state = qsim.init_product(["+", "-"])
@@ -155,12 +155,22 @@ def test_outcome_distribution_takes_one_state(monkeypatch):
         oracle.outcome_distribution(state, plan))
 
 
+def test_outcome_distribution_takes_a_one_shot_plan():
+    # The plan is read once: a generator is validated and measured alike,
+    # not used up by the validation and enumerated as an empty plan.
+    state = qsim.init_product(["+", "0"])
+    plan = [((0,), Basis.X), ((1,), Basis.Z)]
+    once = oracle.outcome_distribution(state, (entry for entry in plan))
+    assert _hexed(once) == _hexed(oracle.outcome_distribution(state, plan))
+    assert once[(0, 0)] == pytest.approx(1.0)
+
+
 def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
     paths = []
 
     class Recording(BranchSource):
-        def __init__(self, scripts):
-            super().__init__(scripts)
+        def __init__(self, script):
+            super().__init__(script)
             paths.append(self.taken)
 
     monkeypatch.setattr(oracle, "BranchSource", Recording)
@@ -172,35 +182,61 @@ def test_outcome_distribution_runs_on_enumerate_branches(monkeypatch):
         (1, 0): 0.0,
         (1, 1): pytest.approx(0.5),
     }
-    # One row per live leaf: the second Z has a single live outcome.
-    assert [list(path) for taken in paths for path in taken] == [[0, 0], [1, 0]]
+    # One source per live leaf: the second Z has a single live outcome.
+    assert paths == [[0, 0], [1, 0]]
 
 
 def test_branch_source_records_its_path():
-    # The four lists are the ones __init__ made, filled in place as each
-    # measurement runs: a tracer that keeps them at __init__ reads the paths.
+    # The three lists are the ones __init__ made, filled in place as each
+    # measurement runs: a tracer that keeps them at __init__ reads the path.
     def pipeline(source):
         state = qsim.init_product(["+", "+"])
         b0, state = source.measure_z(state, 0)
         b1, state = source.measure_z(state, 1)
         return list(zip(b0, b1))
 
-    source = BranchSource([[1, 0]])
-    made = source.roots, source.taken, source.fanouts, source.probability
+    source = BranchSource((1, 0))
+    made = source.roots, source.taken, source.fanouts
     [result] = pipeline(source)
     assert result == (1, 0)
-    assert source.taken == [(1, 0)]
-    assert source.fanouts == [(2, 2)]
-    assert source.probability == [pytest.approx(0.25)]
+    assert source.taken == [1, 0]
+    assert source.fanouts == [2, 2]
+    assert source.probability == pytest.approx(0.25)
     assert source.roots == [None]
-    kept = source.roots, source.taken, source.fanouts, source.probability
+    kept = source.roots, source.taken, source.fanouts
     assert all(a is b for a, b in zip(made, kept))
 
 
-def test_selection_matches_the_per_row_rule_bitwise():
-    # BranchSource._select against reference.ListSelect, the same rule row
-    # by row.  The probabilities mix exact zeros, ZERO_PROB itself (not
-    # live) and the next float above it (live), and some scripts end early.
+def test_branch_source_refuses_a_state_of_several_rows():
+    rows = qsim.StateVector(1, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="measures one row, got 2 rows"):
+        BranchSource(()).measure_z(rows, 0)
+
+
+def test_branch_source_returns_the_post_state_in_the_input_shape():
+    # A 1-D state comes back 1-D and a one-row batch as a one-row batch,
+    # with the same amplitudes.
+    state = qsim.init_product(["0", "+"])
+    [bit], flat = BranchSource((1,)).measure_x(state, 0)
+    [same], batch = BranchSource((1,)).measure_x(qsim.StateVector(2, state.amps[None]), 0)
+    assert bit == same == 1 and flat.amps.shape == (4,) and batch.amps.shape == (1, 4)
+    assert flat.amps.tolist() == batch.amps[0].tolist()
+
+
+def test_selection_matches_the_per_row_rule_bitwise(monkeypatch):
+    # One BranchSource per row against reference.ListSelect, the same rule
+    # over every row at once.  A stub kernel hands the source each crafted
+    # row as its node's probabilities (Z for two options, Bell for four).
+    # The probabilities mix exact zeros, ZERO_PROB itself (not live) and
+    # the next float above it (live), and some scripts end early.
+    node = []
+
+    def stub(amps, n, *qubits):
+        return node[0][None], lambda picks, roots: amps
+
+    monkeypatch.setattr(qsim, "_z_kernel", stub)
+    monkeypatch.setattr(qsim, "_bell_kernel", stub)
+    state = qsim.init_product(["0", "0"])
     rng = np.random.default_rng(31)
     edge = [0.0, qsim.ZERO_PROB, float(np.nextafter(qsim.ZERO_PROB, 1.0))]
     for _ in range(300):
@@ -218,12 +254,22 @@ def test_selection_matches_the_per_row_rule_bitwise():
             tuple(int(rng.integers(n)) for n in counts[:rng.integers(0, depths + 1)])
             for counts in live
         ]
-        source, ref = BranchSource(scripts), reference.ListSelect(scripts)
+        sources, ref = [BranchSource(script) for script in scripts], reference.ListSelect(scripts)
         for probs in levels:
-            assert source._select(probs) == ref.select(probs.tolist())
-        assert source.taken == ref.taken
-        assert source.fanouts == ref.fanouts
-        assert [p.hex() for p in source.probability] == [p.hex() for p in ref.probability]
+            picks = ref.select(probs.tolist())
+            for source, row, pick in zip(sources, probs, picks):
+                node[:] = [row]
+                if k == 2:
+                    [outcome], _ = source.measure_z(state, 0)
+                    assert outcome == pick
+                else:
+                    [outcome], _ = source.measure_bell(state, 0, 1)
+                    assert outcome is qsim._BELL_ORDER[pick]
+        assert [tuple(source.taken) for source in sources] == ref.taken
+        assert [tuple(source.fanouts) for source in sources] == ref.fanouts
+        assert [source.probability.hex() for source in sources] == [
+            p.hex() for p in ref.probability
+        ]
 
 
 @pytest.mark.parametrize("script", [(1,), (0, 2), (-1,)])
@@ -236,9 +282,9 @@ def test_a_script_that_names_an_option_its_node_lacks_is_an_error(script):
         b1, state = source.measure_z(state, 1)
         return list(zip(b0, b1))
 
-    assert pipeline(BranchSource([(0, 1)])) == [(0, 1)]
+    assert pipeline(BranchSource((0, 1))) == [(0, 1)]
     with pytest.raises(ValueError, match="names option"):
-        pipeline(BranchSource([script]))
+        pipeline(BranchSource(script))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +598,7 @@ class RecordedSource:
 
 
 def test_branch_source_returns_one_outcome_per_row_as_a_list():
-    source = RecordedSource(BranchSource([[1, 1]]))
+    source = RecordedSource(BranchSource((1, 1)))
     [a], state = source.measure_bell(protocol._FRESH_STATE, A1, A2)
     [b], state = source.measure_bell(state, B1, B2)
     [c1], state = source.measure_z(state, C1)
@@ -634,7 +680,7 @@ def test_exact_distribution_order_invariance():
 @pytest.mark.parametrize("key", list(PauliLabel))
 @pytest.mark.parametrize("strategy", [StrategyId.HONEST, StrategyId.PRE_MEASURE])
 def test_exact_with_orders_at_the_fixed_orders_is_the_program(strategy, key, direction):
-    # Bit for bit: the table sum is the pass enumerator's sum of qsim's
+    # Bit for bit: the table sum is the branch enumerator's sum of qsim's
     # measurements at the program's orders, so the order-permuted maps below
     # are the program's maps with only the orders changed.
     program = exact_transcript_distribution(strategy, direction)[key]
@@ -654,16 +700,16 @@ EXACT_COMBINATIONS = list(
 )
 
 
-def test_pass_wise_enumeration_gives_the_depth_first_maps_bitwise(monkeypatch):
+def test_branch_enumeration_gives_the_reference_walks_maps_bitwise(monkeypatch):
     # Every map of every strategy, key, direction and pair of orders, bit for
     # bit, against reference.enumerate_branches_depth_first: a one-row walk
     # on reference.outcome_list, the kernels' outcomes of one state,
     # that shares no code with oracle.BranchSource.
     assert len(EXACT_COMBINATIONS) == 576
-    passes = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
+    enumerated = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
     monkeypatch.setattr(oracle, "enumerate_branches", reference.enumerate_branches_depth_first)
     walked = [_hexed(exact_with_orders(*combo)) for combo in EXACT_COMBINATIONS]
-    assert passes == walked
+    assert enumerated == walked
 
 
 def table_leaves(strategy, direction):
@@ -693,7 +739,7 @@ def test_an_exact_round_is_a_sum_over_its_table_with_no_kernel_call(
     calls = []
 
     def refuse(*args):
-        raise AssertionError("an exact round ran the pass enumerator")
+        raise AssertionError("an exact round ran the branch enumerator")
 
     monkeypatch.setattr(oracle, "BranchSource", refuse)
     for name in ("_measure", "_z_kernel", "_x_kernel", "_bell_kernel", "apply_pauli"):
@@ -719,36 +765,35 @@ def test_an_exact_round_is_a_sum_over_its_table_with_no_kernel_call(
 
 
 def _plan_pipeline(states, plan):
-    """A pipeline that measures ``plan`` on each row's root state.
+    """A pipeline that measures ``plan`` on its source's root state.
 
     ``states`` maps a root to its amplitudes and ``plan`` lists (qubits,
-    Basis) entries.  A row's result is its root and its outcomes.
+    Basis) entries.  A branch's result is its root and its outcomes.
     """
     n = len(next(iter(states.values()))).bit_length() - 1
 
     def pipeline(source):
-        amps = [states[root] for root in source.roots]
-        state = qsim.StateVector(n, amps[0] if len(amps) == 1 else np.array(amps))
-        rows = [(root,) for root in source.roots]
+        [root] = source.roots
+        state, row = qsim.StateVector(n, states[root]), (root,)
         for qubits, basis in plan:
             measure = {Basis.Z: source.measure_z, Basis.X: source.measure_x,
                        Basis.BELL: source.measure_bell}[basis]
-            outcomes, state = measure(state, *qubits)
-            rows = [row + (outcome,) for row, outcome in zip(rows, outcomes)]
-        return rows
+            [outcome], state = measure(state, *qubits)
+            row += (outcome,)
+        return [row]
 
     return pipeline
 
 
 def _enumerated(monkeypatch, states, plan):
     """The oracle's and the depth-first walk's leaves, probabilities in hex,
-    and the oracle's passes."""
-    passes = []
+    and the oracle's sources, one per leaf."""
+    sources = []
 
     class Recording(BranchSource):
-        def __init__(self, scripts):
-            super().__init__(scripts)
-            passes.append(self)
+        def __init__(self, script):
+            super().__init__(script)
+            sources.append(self)
 
     pipeline = _plan_pipeline(states, plan)
     with monkeypatch.context() as patch:
@@ -757,39 +802,39 @@ def _enumerated(monkeypatch, states, plan):
     walked = [
         (r, p.hex()) for r, p in reference.enumerate_branches_depth_first(pipeline, tuple(states))
     ]
-    return leaves, walked, passes
+    return leaves, walked, sources
 
 
 SQRT3 = np.sqrt(1 / 3)
 ZZ = [((0,), Basis.Z), ((1,), Basis.Z)]
 
 
-def test_a_pass_scripts_each_unexplored_sibling_of_its_rows(monkeypatch):
+def test_each_script_is_the_deepest_unexplored_sibling_of_the_last_path(monkeypatch):
     # (|00> + |01> + |10>)/sqrt(3): the first path is (0, 0) with fanouts
-    # (2, 2), so the second pass takes both of its siblings, (1,) and (0, 1);
-    # the path (1, 0) has fanouts (2, 1) and leaves nothing past its script.
+    # (2, 2), so the next script is its deepest sibling, (0, 1), and the one
+    # after it (1,); the path (1, 0) has fanouts (2, 1) and leaves nothing.
     state = np.array([SQRT3, SQRT3, SQRT3, 0.0])
-    leaves, walked, passes = _enumerated(monkeypatch, {"s": state}, ZZ)
+    leaves, walked, sources = _enumerated(monkeypatch, {"s": state}, ZZ)
     assert leaves == walked
     assert [result for result, _ in leaves] == [("s", 0, 0), ("s", 0, 1), ("s", 1, 0)]
-    assert [source.scripts for source in passes] == [[()], [(1,), (0, 1)]]
+    assert [source.script for source in sources] == [(), (0, 1), (1,)]
 
 
-def test_a_sibling_found_below_a_script_takes_another_pass(monkeypatch):
+def test_a_sibling_found_below_a_script_is_walked_next(monkeypatch):
     # (|00> + |10> + |11>)/sqrt(3): the first path's fanouts are (2, 1), so
-    # the second pass scripts (1,) alone and finds that |1.> has two
-    # outcomes; the third takes the one below it.
+    # the second script is (1,) and finds that |1.> has two outcomes; the
+    # third takes the one below it.
     state = np.array([SQRT3, 0.0, SQRT3, SQRT3])
-    leaves, walked, passes = _enumerated(monkeypatch, {"s": state}, ZZ)
+    leaves, walked, sources = _enumerated(monkeypatch, {"s": state}, ZZ)
     assert leaves == walked
     assert [result for result, _ in leaves] == [("s", 0, 0), ("s", 1, 0), ("s", 1, 1)]
-    assert [source.scripts for source in passes] == [[()], [(1,)], [(1, 1)]]
+    assert [source.script for source in sources] == [(), (1,), (1, 1)]
 
 
 def test_sparse_random_trees_enumerate_as_the_depth_first_walk_bitwise(monkeypatch):
-    # Sparse states give trees whose subtrees differ in fanout.  X
-    # measurements are in: a batch row gets its one-row bits in every
-    # basis, so the one-row walk reproduces a pass's X rows too.
+    # Sparse states give trees whose subtrees differ in fanout, and X
+    # measurements are in: the oracle's kernel walk and the reference's
+    # outcome lists give the same bits in every basis.
     rng = np.random.default_rng(29)
     for _ in range(150):
         n = int(rng.integers(2, 7))
@@ -810,9 +855,9 @@ def test_sparse_random_trees_enumerate_as_the_depth_first_walk_bitwise(monkeypat
 
 
 def test_a_pipeline_that_strays_from_its_scripts_is_an_error():
-    # A pipeline that is not deterministic: after the first pass it measures
-    # one qubit instead of two, so the second pass's row scripted (0, 1)
-    # ends at path (0,).
+    # A pipeline that is not deterministic: after its first run it measures
+    # one qubit instead of two, so the second source, scripted (0, 1), ends
+    # at path (0,).
     calls = []
 
     def pipeline(source):
@@ -824,6 +869,15 @@ def test_a_pipeline_that_strays_from_its_scripts_is_an_error():
         return bits
 
     with pytest.raises(ValueError, match=r"scripted \(0, 1\) took path \(0,\).*not deterministic"):
+        list(enumerate_branches(pipeline))
+
+
+def test_a_pipeline_must_return_one_result_per_branch():
+    def pipeline(source):
+        bits, _ = source.measure_z(qsim.init_product(["+"]), 0)
+        return bits * 2
+
+    with pytest.raises(ValueError, match="returned 2 results for one branch"):
         list(enumerate_branches(pipeline))
 
 

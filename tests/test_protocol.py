@@ -1236,6 +1236,19 @@ def test_run_batch_validates_every_run():
     assert reference.batch_transcripts(config, [], [], StrategyId.HONEST) == []
 
 
+@pytest.mark.parametrize("keys", [bytearray([0, 1]), [0, 1]], ids=["bytearray", "list"])
+def test_run_batch_takes_each_runs_keys_as_bytes(keys):
+    config = ProtocolConfig(rounds=2)
+    with pytest.raises(ValueError, match="keys must be bytes of key codes"):
+        next(protocol.run_batch(config, [1], [keys], StrategyId.HONEST))
+
+
+def test_run_batch_refuses_a_key_code_past_the_four_paulis():
+    config = ProtocolConfig(rounds=1)
+    with pytest.raises(ValueError, match="key codes must lie below 4, got 4"):
+        next(protocol.run_batch(config, [1], [bytes([4])], StrategyId.HONEST))
+
+
 # sha256 over rate.hex() of every run's decoy error rate and then every one
 # of its rounds', as reference.decoy_error_rate sums them, one line per run,
 # for run_batch of RATE_SEEDS at each (rounds, decoys, threshold) shape and

@@ -50,6 +50,13 @@ def test_init_product_rejects_bad_input():
         qsim.init_product(["0", "up"])
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 4), (2, 8)], ids=["short-1d", "3d", "wrong-width"])
+def test_state_vector_refuses_a_shape_that_is_not_one_state_or_a_batch(shape):
+    # Two qubits take (4,) or (rows, 4) amplitudes; anything else is refused.
+    with pytest.raises(ValueError, match=r"expected \(4,\) or \(rows, 4\) for 2 qubits"):
+        qsim.StateVector(2, np.zeros(shape))
+
+
 class TestLabels:
     def test_bell_label_bits(self):
         assert BellLabel.PHI_PLUS.value == (0, 0)
